@@ -4,7 +4,7 @@ This package runs the *same* protocol objects the simulator builds —
 ``ALGORITHMS`` registry entries like ``ppush``, ``blindmatch`` and
 ``sharedbit`` — as real peer servers over TCP sockets on localhost.
 Each node gets a :class:`~repro.net.server.PeerServer` (one thread per
-request, length-prefixed JSON framing, stdlib only); a
+connection, length-prefixed JSON framing, stdlib only); a
 :class:`~repro.net.coordinator.Coordinator` boots a cluster from any
 registered topology and drives the mobile-telephone round structure
 (scan → propose → accept → connect) over request/response messages, with

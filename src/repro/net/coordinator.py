@@ -11,10 +11,11 @@ request/response messages, and acceptance is enforced by the proposee
 
 The coordinator never holds a node lock — all protocol state lives
 behind the servers and moves over the wire.  Connects run concurrently
-(matches are node-disjoint, so no two touch one node); everything else
-is phase-barriered per round, which is what makes each node's private
-draw order identical to the simulator's and hence makes the replay
-bridge's equivalence assertion hold.
+(matches are node-disjoint, so no two touch one node) on one worker
+pool kept for the coordinator's lifetime; everything else is
+phase-barriered per round, which is what makes each node's private draw
+order identical to the simulator's and hence makes the replay bridge's
+equivalence assertion hold.
 
 Robustness (the chaos-hardening layer):
 
@@ -59,7 +60,7 @@ from repro.net.errors import (
     RetryPolicy,
     TransportError,
 )
-from repro.net.framing import request
+from repro.net.framing import close_pooled, request
 from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
 from repro.registry import ALGORITHM_REGISTRY, register_transport
@@ -222,31 +223,38 @@ class Coordinator:
         )
         b = defn.resolve_tag_length(config)
         nodes = build_nodes(algorithm, instance, seed, config)
-        self.servers = {
-            vertex: PeerServer(
-                nodes[vertex],
-                uid=instance.uid_of(vertex),
-                vertex=vertex,
-                seed=seed,
-                b=b,
-                acceptance=acceptance,
-                channel_policy=policy,
-                host=host,
-                request_timeout=request_timeout,
-                retry=retry,
+        # Stage-3 workers, kept for the coordinator's lifetime (an
+        # executor spawns its threads lazily, on first submit).
+        self._connect_pool = ThreadPoolExecutor(max(1, connect_workers))
+        self._started = False
+        self.servers: dict[int, PeerServer] = {}
+        try:
+            for vertex in range(instance.n):
+                self.servers[vertex] = PeerServer(
+                    nodes[vertex],
+                    uid=instance.uid_of(vertex),
+                    vertex=vertex,
+                    seed=seed,
+                    b=b,
+                    acceptance=acceptance,
+                    channel_policy=policy,
+                    host=host,
+                    request_timeout=request_timeout,
+                    retry=retry,
+                )
+            self.chaos = (
+                None
+                if chaos_fault is None
+                else ChaosModel(chaos_fault).bind(
+                    [self.servers[v] for v in sorted(self.servers)]
+                )
             )
-            for vertex in range(instance.n)
-        }
+        except BaseException:
+            self.stop()  # every PeerServer built so far holds a listener
+            raise
         self._by_uid = {
             server.uid: server for server in self.servers.values()
         }
-        self.chaos = (
-            None
-            if chaos_fault is None
-            else ChaosModel(chaos_fault).bind(
-                [self.servers[v] for v in sorted(self.servers)]
-            )
-        )
         self.trace = NetTrace(sample_every=trace_sample_every)
         self.match_stream: list[tuple] = []
         self.suspects: dict[int, int] = {}
@@ -257,7 +265,6 @@ class Coordinator:
         self._epoch: int | None = None
         self._neighbors: dict[int, list[int]] = {}
         self._entries_by_vertex: dict[int, list] = {}
-        self._started = False
         self._wall_start: float | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -269,9 +276,16 @@ class Coordinator:
         return self
 
     def stop(self) -> None:
-        for vertex in sorted(self.servers):
-            self.servers[vertex].stop()
+        """Stop every server — side by side, since each waits out its
+        accept loop's poll interval, and all of them even if one raises
+        — then purge their pooled sockets and re-raise the first error."""
+        with ThreadPoolExecutor(max(1, len(self.servers))) as pool:
+            stops = [pool.submit(s.stop) for s in self.servers.values()]
+        self._connect_pool.shutdown()
+        close_pooled(s.address for s in self.servers.values())
         self._started = False
+        for stopped in stops:
+            stopped.result()
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -590,10 +604,8 @@ class Coordinator:
 
         surviving = []
         if matches:
-            workers = min(self.connect_workers, len(matches))
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(connect, matches))
+            if min(self.connect_workers, len(matches)) > 1:
+                outcomes = list(self._connect_pool.map(connect, matches))
             else:
                 outcomes = [connect(match) for match in matches]
             for match, reply, exc in outcomes:

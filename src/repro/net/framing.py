@@ -1,11 +1,23 @@
 """Wire framing for the live deployment layer: length-prefixed JSON.
 
 Every message is a 4-byte big-endian unsigned length followed by that
-many bytes of UTF-8 compact JSON.  One request per TCP connection keeps
-the protocol trivially correct under threading (no stream multiplexing,
-no partial-read state machine beyond :func:`_recv_exact`) at the cost of
-a connect per message — fine for localhost clusters, and honest about
-what a smartphone pairing costs.
+many bytes of UTF-8 compact JSON.  Connections are persistent but carry
+one request/response exchange at a time (no stream multiplexing, no
+partial-read state machine beyond :func:`_recv_exact`): between
+exchanges a socket rests in a process-wide pool keyed by ``(host,
+port)`` — a lock-guarded free list, not a thread-local, because handler
+and connect-worker threads come and go.  :func:`request` checks a socket
+out (connecting lazily when none is free) and back in after the reply;
+any fault closes it instead.
+
+A pooled socket the peer closed while it sat idle (killed and revived,
+idle past the server's ``handler_timeout``) is *stale*: an idle socket
+has nothing to read, so one that polls readable is dropped at checkout
+and replaced by a fresh connect.  That is not a retry — nothing was
+sent, no :class:`RetryPolicy` attempt is spent, ``on_retry`` is not
+called — and a peer that is really gone still refuses the fresh connect.
+A hang-up *after* the frame was sent (a sleeping radio, an interdicted
+handshake) is the peer's answer and surfaces as the fault it always was.
 
 Every socket-level failure inside :func:`request` is translated into a
 :class:`~repro.net.errors.TransportError` that names the peer
@@ -15,14 +27,17 @@ can distinguish a rebooting peer from a corrupt one.  Pass a
 :class:`~repro.net.errors.RetryPolicy` (and a seeded ``rng``) to retry
 retryable faults with deterministic exponential backoff.
 
-Stdlib only by design: ``struct`` + ``json`` + ``socket``.
+Stdlib only by design: ``struct`` + ``json`` + ``socket`` (+ ``select``
+and a ``threading.Lock`` for the pool).
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
+import threading
 import time
 
 from repro.net.errors import (
@@ -36,6 +51,7 @@ __all__ = [
     "DEFAULT_REQUEST_TIMEOUT",
     "MAX_FRAME",
     "TransportError",
+    "close_pooled",
     "recv_msg",
     "request",
     "send_msg",
@@ -47,6 +63,13 @@ HEADER = struct.Struct("!I")
 #: with long payload strings stay far below this; anything bigger is a
 #: corrupt length prefix, not a message.
 MAX_FRAME = 16 * 1024 * 1024
+
+#: Idle sockets kept per ``(host, port)``; one returned to a full free
+#: list is closed.  Eight covers the coordinator's connect workers.
+POOL_IDLE_MAX = 8
+
+_pool: dict[tuple[str, int], list[socket.socket]] = {}
+_pool_lock = threading.Lock()
 
 
 def send_msg(sock: socket.socket, obj) -> None:
@@ -115,14 +138,54 @@ def _classify_os_error(exc: OSError) -> str:
     return "transport"
 
 
+def _checkout(host, port, timeout) -> socket.socket:
+    """The most recently pooled socket to ``host:port`` that the peer
+    has not closed, else a fresh connection."""
+    while True:
+        with _pool_lock:
+            free = _pool.get((host, port))
+            sock = free.pop() if free else None
+        if sock is None:
+            return socket.create_connection((host, port), timeout=timeout)
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        if not poller.poll(0):
+            sock.settimeout(timeout)
+            return sock
+        sock.close()  # stale: EOF or RST arrived while it sat idle
+
+
+def _checkin(host, port, sock, reusable: bool) -> None:
+    if reusable:
+        with _pool_lock:
+            free = _pool.setdefault((host, port), [])
+            if len(free) < POOL_IDLE_MAX:
+                free.append(sock)
+                return
+    sock.close()
+
+
+def close_pooled(addresses) -> None:
+    """Close the idle pooled sockets to each ``(host, port)``: what the
+    owner of stopped servers does to hold the process's fd count flat."""
+    with _pool_lock:
+        socks = [s for a in addresses for s in _pool.pop(tuple(a), ())]
+    for sock in socks:
+        sock.close()
+
+
 def _request_once(host, port, obj, timeout, *, op, uid):
-    """One request/response attempt; every error path closes the socket
-    (``create_connection`` is a context manager, and a failure inside it
-    tears the connection down before the exception propagates)."""
+    """One request/response exchange on a pooled or fresh socket; the
+    socket returns to the pool only after a reply, every other path
+    closes it."""
+    reply = None
     try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock = _checkout(host, port, timeout)
+        try:
             send_msg(sock, obj)
             reply = recv_msg(sock)
+        finally:
+            _checkin(host, port, sock, reusable=reply is not None)
     except TransportError as exc:
         if exc.host is not None:
             raise
@@ -168,7 +231,7 @@ def request(
     on_retry=None,
     uid: int | None = None,
 ):
-    """One request/response round trip on a fresh TCP connection.
+    """One request/response round trip on a pooled TCP connection.
 
     With a :class:`~repro.net.errors.RetryPolicy`, retryable transport
     faults (refused / timeout / reset / eof — a peer rebooting or

@@ -70,6 +70,7 @@ never perturbs protocol streams.
 from __future__ import annotations
 
 import logging
+import socket
 import socketserver
 import threading
 import time
@@ -175,36 +176,45 @@ class _RemotePPushPeer:
 
 
 class _Handler(socketserver.BaseRequestHandler):
-    """One request per connection: read a frame, dispatch, reply."""
+    """One thread per *connection*: read a frame, dispatch, reply, then
+    park (:meth:`PeerServer._await_frame`) until the next frame or a
+    hang-up; ``handler_timeout`` bounds the idle wait and a stalled
+    frame alike.  Every abnormal exit (bad frame, sleeping radio, chaos
+    interdiction) closes this connection only — the caller's pool finds
+    the socket stale and reconnects."""
 
     def handle(self):
         peer_server = self.server.peer_server
         peer_server._handler_threads.add(threading.current_thread())
-        if peer_server.asleep:
-            # Duty-cycled radio: accept at the OS level (the listen
-            # backlog already did), then hang up without a byte — the
-            # caller sees a closed-without-reply transport fault.
-            return
-        self.request.settimeout(peer_server.handler_timeout)
+        sock = self.request
+        sock.settimeout(peer_server.handler_timeout)
         try:
-            msg = recv_msg(self.request)
-        except (TransportError, OSError):
-            return
-        if msg is None:
-            return
-        try:
-            reply = peer_server.handle(msg)
-        except _ChaosInterdicted:
-            return  # lossy link: abrupt close, no reply frame
-        except Exception as exc:  # surfaced to the caller, not swallowed
-            reply = {
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": type(exc).__name__,
-            }
-        try:
-            send_msg(self.request, reply)
-        except (TransportError, OSError):
-            pass
+            while peer_server._await_frame(sock):
+                try:
+                    msg = recv_msg(sock)
+                except (TransportError, OSError):
+                    return
+                if peer_server.asleep:
+                    # Duty-cycled radio, checked per frame: the frame
+                    # is read, so the hang-up is a clean FIN and the
+                    # caller sees closed-without-reply ("eof").
+                    return
+                try:
+                    reply = peer_server.handle(msg)
+                except _ChaosInterdicted:
+                    return  # lossy link: abrupt close, no reply frame
+                except Exception as exc:  # surfaced to the caller
+                    reply = {
+                        "error": f"{type(exc).__name__}: {exc}",
+                        "error_type": type(exc).__name__,
+                    }
+                try:
+                    send_msg(sock, reply)
+                except (TransportError, OSError):
+                    return
+        finally:
+            with peer_server._conn_lock:
+                peer_server._conns.pop(sock, None)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -283,6 +293,11 @@ class PeerServer:
         #: single server answer `repro-gossip top` for the cluster.
         self._cluster_status: dict = {}
         self._handler_threads: weakref.WeakSet = weakref.WeakSet()
+        #: Established handler sockets -> parked between frames?  What
+        #: ``stop``/``kill`` hang up on: a persistent connection would
+        #: otherwise outlive its listener.
+        self._conns: dict[socket.socket, bool] = {}
+        self._conn_lock = threading.Lock()
         self._server = _TCPServer((host, port), _Handler)
         self._server.peer_server = self
         self._bound = self._server.server_address[:2]
@@ -324,7 +339,7 @@ class PeerServer:
         """
         if self._dead:
             return self._count_leaked(log=False)
-        self._dead = True
+        self._hang_up(idle_only=True)
         deadline = time.monotonic() + timeout
         if self._thread is not None:
             self._server.shutdown()
@@ -340,6 +355,38 @@ class PeerServer:
             if thread.is_alive():
                 thread.join(timeout=remaining)
         return self._count_leaked(log=True)
+
+    def _hang_up(self, idle_only: bool) -> None:
+        """Mark the server dead and wake its handlers: ``shutdown``
+        unblocks a ``recv``; the handler closes the fd on its way out.
+        ``idle_only`` (graceful stop) spares mid-frame connections — an
+        in-flight request finishes and exits at the next
+        :meth:`_await_frame`; one pinned by a half-sent frame is
+        reported as leaked rather than cut."""
+        with self._conn_lock:
+            self._dead = True
+            doomed = [s for s, idle in self._conns.items()
+                      if idle or not idle_only]
+        for sock in doomed:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client hung up first
+
+    def _await_frame(self, sock) -> bool:
+        """Park a handler until its next frame starts to arrive; False
+        when the connection is over (EOF, idle timeout, server down)."""
+        with self._conn_lock:
+            if self._dead:
+                return False
+            self._conns[sock] = True
+        try:
+            return bool(sock.recv(1, socket.MSG_PEEK))
+        except OSError:
+            return False
+        finally:
+            with self._conn_lock:
+                self._conns[sock] = False
 
     def _count_leaked(self, log: bool) -> int:
         leaked = sum(
@@ -365,7 +412,7 @@ class PeerServer:
         """
         if self._dead:
             return
-        self._dead = True
+        self._hang_up(idle_only=False)
         self.stats["kills"] += 1
         if self._thread is not None:
             self._server.shutdown()

@@ -10,7 +10,10 @@ Liveness tests drive the clock explicitly (``now=``) — no sleeps as
 synchronization anywhere in this file.
 """
 
+import os
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -20,11 +23,13 @@ from repro.core.runner import build_nodes
 from repro.errors import ConfigurationError
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import cycle, expander
+from repro.net import framing
 from repro.net import (
     Coordinator,
     PeerEntry,
     PeerServer,
     PeerTable,
+    RetryPolicy,
     TransportError,
     record_run,
     recv_msg,
@@ -34,6 +39,8 @@ from repro.net import (
 )
 from repro.net.framing import HEADER, MAX_FRAME
 from repro.registry import TRANSPORT_REGISTRY
+from repro.sim.channel import ChannelPolicy
+from repro.sim.faults import CrashChurn
 
 
 class TestFraming:
@@ -535,3 +542,262 @@ class TestTransportRegistry:
         assert report.solved
         assert report.algorithm == "sharedbit"
         assert report.n == 8
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _hung_up(sock) -> bool:
+    """True once the peer has closed ``sock`` (FIN, or RST if it still
+    had unread bytes of ours) — bounded by the socket's timeout."""
+    sock.settimeout(5.0)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionError:
+        return True
+
+
+def _small_cluster(n=4, seed=7, **opts):
+    return Coordinator(
+        "sharedbit", StaticDynamicGraph(cycle(n)),
+        uniform_instance(n=n, k=2, seed=seed), seed=seed, **opts,
+    )
+
+
+@pytest.mark.net
+class TestPooledConnections:
+    """Stale-connection semantics of the ``request`` pool: a socket the
+    peer closed while it sat idle is replaced by a fresh connect that
+    is *not* a retry; a hang-up after the frame was sent is the peer's
+    answer and surfaces as the fault it always was."""
+
+    def test_requests_share_one_connection(self):
+        with _single_server() as server:
+            host, port = server.address
+            for _ in range(3):
+                assert request(host, port, {"op": "ping"})["ok"] is True
+            assert len(framing._pool[(host, port)]) == 1
+            assert len(server._conns) == 1
+
+    def test_concurrent_callers_never_share_a_socket(self):
+        """Stress the free list: more threads than cores, a shortened
+        switch interval.  Two callers on one socket would read each
+        other's replies, so every reply must echo its own request; the
+        idle list stays bounded and nothing leaks."""
+        server = _single_server().start()
+        host, port = server.address
+        wrong = []
+
+        def hammer(worker):
+            try:
+                for i in range(150):
+                    op = f"echo-{worker}-{i}"
+                    reply = request(host, port, {"op": op}, timeout=5.0)
+                    if op not in reply.get("error", ""):
+                        wrong.append((op, reply))
+            except Exception as exc:  # a dead thread must fail the test
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,))
+                       for w in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert wrong == []
+            idle = framing._pool[(host, port)]
+            assert 1 <= len(idle) <= framing.POOL_IDLE_MAX
+        finally:
+            assert server.stop() == 0
+            framing.close_pooled([(host, port)])
+
+    def test_kill_then_revive_reconnects_without_a_retry(self):
+        server = _single_server().start()
+        host, port = server.address
+        retried = []
+        try:
+            assert request(host, port, {"op": "ping"})["ok"] is True
+            server.kill()
+            server.revive()
+            reply = request(
+                host, port, {"op": "ping"},
+                retry=RetryPolicy(attempts=3), sleep=retried.append,
+                on_retry=lambda *args: retried.append(args),
+            )
+            assert reply["ok"] is True
+            assert retried == []
+        finally:
+            server.stop()
+
+    def test_killed_peer_is_refused_by_name(self):
+        server = _single_server().start()
+        host, port = server.address
+        try:
+            assert request(host, port, {"op": "ping"})["ok"] is True
+            server.kill()
+            with pytest.raises(TransportError) as info:
+                request(host, port, {"op": "ping"}, timeout=1.0, uid=9)
+            assert info.value.kind == "refused"
+            assert info.value.peer == f"{host}:{port}"
+            assert info.value.uid == 9
+        finally:
+            server.stop()
+
+    def test_sleep_between_requests_on_one_connection_is_eof(self):
+        with _single_server() as server:
+            host, port = server.address
+            assert request(host, port, {"op": "ping"})["ok"] is True
+            server.asleep = True
+            with pytest.raises(TransportError) as info:
+                request(host, port, {"op": "ping"}, timeout=1.0)
+            assert info.value.kind == "eof"
+            assert info.value.retryable
+            server.asleep = False
+            assert request(host, port, {"op": "ping"})["ok"] is True
+
+    def test_interdicted_pull_fails_exactly_once_per_round(self):
+        """The model-visible connection keeps its one attempt per
+        round: no transparent second handshake rescues an interdicted
+        ``state_pull``, and the next round's pull works again."""
+        instance = uniform_instance(n=4, k=2, seed=3)
+        nodes = build_nodes("sharedbit", instance, seed=3)
+        policy = ChannelPolicy.for_upper_n(instance.upper_n)
+        initiator, responder = (
+            PeerServer(nodes[v], uid=instance.uid_of(v), vertex=v,
+                       seed=3, b=1, channel_policy=policy).start()
+            for v in (0, 1)
+        )
+        pulls = []
+        real_pull = responder._op_state_pull
+
+        def counting_pull(msg):
+            pulls.append(msg["round"])
+            return real_pull(msg)
+
+        responder._op_state_pull = counting_pull
+        try:
+            host, port = initiator.address
+            r_host, r_port = responder.address
+            request(host, port, {
+                "op": "set_neighbors",
+                "entries": [[responder.uid, r_host, r_port, 1]],
+            })
+            connect = {"op": "connect", "responder": responder.uid}
+            assert "error" not in request(host, port,
+                                          dict(connect, round=1))
+            responder.interdict(2, initiator.uid)
+            dropped = request(host, port, dict(connect, round=2))
+            assert dropped["error_type"] == "TransportError"
+            assert "error" not in request(host, port,
+                                          dict(connect, round=3))
+            assert pulls == [1, 2, 3]
+            assert initiator.stats["retries"] == 0
+        finally:
+            initiator.stop()
+            responder.stop()
+
+
+@pytest.mark.net
+class TestFrameDecoderRobustness:
+    """A bad frame on a persistent connection closes *that* connection
+    only (ROADMAP direction 4): the server keeps answering others and
+    shuts down clean."""
+
+    @pytest.mark.parametrize("garbage", [
+        HEADER.pack(MAX_FRAME + 1),            # oversize length prefix
+        HEADER.pack(3) + b"\xff{\x00",         # payload is not JSON
+    ], ids=["oversize-prefix", "non-json"])
+    def test_corrupt_frame_closes_only_its_connection(self, garbage):
+        server = _single_server().start()
+        host, port = server.address
+        client = socket.create_connection((host, port))
+        try:
+            client.sendall(garbage)
+            assert _hung_up(client)
+            assert request(host, port, {"op": "ping"})["ok"] is True
+        finally:
+            client.close()
+            assert server.stop() == 0
+
+    def test_valid_frame_then_truncated_one(self):
+        server = _single_server().start()
+        host, port = server.address
+        client = socket.create_connection((host, port))
+        try:
+            send_msg(client, {"op": "ping"})
+            assert recv_msg(client)["ok"] is True
+            client.sendall(HEADER.pack(100) + b"abc")
+            client.shutdown(socket.SHUT_WR)  # hang up mid-frame
+            assert _hung_up(client)
+            assert request(host, port, {"op": "ping"})["ok"] is True
+        finally:
+            client.close()
+            assert server.stop() == 0
+
+    def test_half_sent_frame_pins_only_its_handler(self):
+        server = _single_server().start()
+        host, port = server.address
+        client = socket.create_connection((host, port))
+        try:
+            client.sendall(HEADER.pack(100) + b"abc")  # ...and silence
+            assert request(host, port, {"op": "ping"})["ok"] is True
+            # The pinned handler is mid-frame, so stop() must not cut
+            # it — it reports it (the leaked-handler contract).
+            assert server.stop(timeout=0.2) >= 1
+        finally:
+            client.close()
+
+
+@pytest.mark.net
+class TestClusterHygiene:
+    def test_boot_stop_cycles_hold_fds_and_threads_flat(self):
+        """What ``benchmarks/perf`` does 6-20 times per child."""
+        def cycle_once():
+            with _small_cluster() as coord:
+                for rnd in (1, 2, 3):
+                    coord.run_round(rnd)
+
+        cycle_once()  # lazy imports and their fds are paid here
+        fds, threads = _open_fds(), threading.active_count()
+        for _ in range(20):
+            cycle_once()
+        assert _open_fds() == fds
+        assert threading.active_count() == threads
+
+    def test_failed_construction_leaks_no_listeners(self):
+        """A chaos model sized for another n is rejected only after the
+        servers bound their sockets; they must be closed on the way
+        out."""
+        fds = _open_fds()
+        with pytest.raises(ConfigurationError):
+            _small_cluster(n=4, chaos=CrashChurn(5, 7))
+        assert _open_fds() == fds
+
+    def test_stop_survives_one_failing_server(self):
+        coord = _small_cluster().start()
+        coord.run_round(1)
+        broken = coord.servers[1]
+        real_stop = broken.stop
+
+        def failing_stop():
+            raise RuntimeError("stop failed")
+
+        broken.stop = failing_stop
+        try:
+            with pytest.raises(RuntimeError, match="stop failed"):
+                coord.stop()
+            assert all(coord.servers[v].dead for v in (0, 2, 3))
+            assert not any(
+                server.address in framing._pool
+                for server in coord.servers.values()
+            )
+        finally:
+            assert real_stop() == 0
