@@ -17,10 +17,11 @@ cycle:
 2. **propose** — it may propose to one visible neighbor;
 3. **accept** — proposals from nodes activating at the *same instant*
    (a *cohort*) are resolved against each other by the model's
-   one-connection matching rule
-   (:func:`~repro.sim.matching.resolve_proposals` — the exact resolver
-   the round engine uses); proposal targets need not be activating (a
-   phone's radio accepts incoming connections between app-level scans);
+   one-connection matching rule (:mod:`repro.sim.matching` — the exact
+   resolvers the round engine uses, handed a stream supplier keyed by
+   the instant instead of the round); proposal targets need not be
+   activating (a phone's radio accepts incoming connections between
+   app-level scans);
 4. **connect** — matched pairs run the bounded Stage 3 exchange over a
    metered channel, instantaneously.
 
@@ -53,10 +54,11 @@ whole window's schedule through the timing model's batched draws, scans
 every activating member in a few vectorized passes, and then sweeps the
 window's cohorts in event order, touching Python only where decisions
 live: proposal candidates, per-cohort resolution
-(:func:`~repro.sim.matching.resolve_proposal_cohorts` — singleton
-cohorts derive no rng, contested cohorts draw from the exact per-tick
-``("match", r)`` / ``("match", "tick", t)`` streams), fault drops, and
-interactions.  Determinism is the hard constraint: no random draw moves.
+(:func:`~repro.sim.matching.resolve_proposals_arrays` — a cohort with no
+contested target derives no rng, contested ones draw from the exact
+per-tick ``("match", r)`` / ``("match", "tick", t)`` streams), fault
+drops, and interactions.  Determinism is the hard constraint: no random
+draw moves.
 Eager-scan protocols (SharedBit — shared-PRF tags only) tag the whole
 window upfront and are *retagged* exactly at the activation positions
 whose state changed mid-window (transfer endpoints, crash resets);
@@ -74,6 +76,11 @@ The fault layer composes: masks and drop decisions are evaluated per
 node at the node's *local* cycle (a duty-cycled phone skips cycles by
 its own clock), crash resets fire when a node's own schedule crosses
 into an outage, and visibility is judged from the scanning node's clock.
+
+What a cycle *does* is the round engine's code: mask normalisation, tag
+checks, the stream supplier, fault drops and Stage 3 are
+:class:`~repro.sim.engine.Simulation` methods called from both cohort
+bodies below — only *when* a node runs its cycle lives here.
 """
 
 from __future__ import annotations
@@ -89,14 +96,9 @@ from repro.errors import (
 )
 from repro.asynchrony.events import EventQueue
 from repro.asynchrony.timing import TICKS_PER_ROUND, Synchronous, TimingModel
-from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 from repro.sim.engine import Simulation, SimulationResult
-from repro.sim.matching import (
-    resolve_proposal_cohorts,
-    resolve_proposals,
-    resolve_proposals_unbounded,
-)
+from repro.sim.matching import resolve_proposals, resolve_proposals_arrays
 from repro.sim.protocol import window_hooks
 from repro.sim.termination import TerminationCondition, never
 
@@ -474,36 +476,47 @@ class AsyncSimulation(Simulation):
         self._acc_last_ticks = ticks
 
     def _mask_for_cycle(self, cycle: int, cache: dict):
-        """The fault activity mask at one local cycle, validated and
-        normalized (all-active collapses to ``None``), memoized."""
+        """The fault activity mask at one local cycle (all-active
+        collapses to ``None``), memoized in ``cache``."""
         if cycle not in cache:
-            mask = (
-                self.faults.active_mask(cycle)
-                if self._fault_active else None
-            )
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if mask.shape != (self.n,):
-                    raise ConfigurationError(
-                        f"fault model returned a mask of shape "
-                        f"{mask.shape}; expected ({self.n},)"
-                    )
-                if mask.all():
-                    mask = None
-            cache[cycle] = mask
+            cache[cycle] = self._activity_mask(cycle)
         return cache[cycle]
+
+    def _cohort_streams(self, ticks: int):
+        """The acceptance stream supplier of the cohort at ``ticks``.
+
+        The stream is keyed by the instant — a synchronized cohort at
+        tick r·TPR draws from the exact stream the round engine uses for
+        round r.  A cohort without a contested target (any singleton —
+        the jittered common case) never calls the supplier, which keeps
+        it off the hashing path without any observable difference."""
+        if ticks % TICKS_PER_ROUND == 0:
+            return self._match_streams("match", ticks // TICKS_PER_ROUND)
+        return self._match_streams("match", "tick", ticks)
+
+    def _connect_cohort(self, fault_round: int | None, matches,
+                        cycle_of_uid: dict[int, int]):
+        """Fault drops, then instantaneous bounded exchanges: each match
+        is judged at ``fault_round`` (the window, for clock="virtual"
+        models) or else at its initiator's local cycle, which is also
+        the round its channel and interact hook see.  Returns
+        ``(surviving, tokens_moved, control_bits, dropped)``."""
+        matches, dropped = self._drop_failed(
+            fault_round, matches, cycle_of_uid
+        )
+        tokens, bits = self._stage3(None, matches, cycle_of_uid)
+        return matches, tokens, bits, dropped
+
+    @staticmethod
+    def _not_visible(node, target: int, ticks: int):
+        return ProtocolViolationError(
+            f"node uid={node.uid} proposed to uid={target}, not a "
+            f"visible neighbor at virtual time "
+            f"{ticks / TICKS_PER_ROUND:.4f}"
+        )
 
     # ------------------------------------------------------------------
     # Batched window execution
-
-    def _bound_window_csr(self, topo_round: int):
-        csr = self.dynamic_graph.csr_at(topo_round)
-        bound = self._csr_bound
-        if bound is None or bound.base is not csr:
-            bound = self._csr_bound = csr.bind_uids(
-                self._uid_array, arena=self._arena
-            )
-        return bound
 
     def _process_window_batched(self, ticks, vertices, cycles) -> None:
         """Execute one round window's cohorts in a few vectorized passes.
@@ -532,7 +545,7 @@ class AsyncSimulation(Simulation):
             (cycles > self._local_cycle[vertices]).all()
         ), "window member activated at a non-advancing local cycle"
         topo_round = int(ticks[0]) // TICKS_PER_ROUND
-        bound = self._bound_window_csr(topo_round)
+        bound = self._bound_csr(topo_round)
 
         # Cohort boundaries: bounds[c]:bounds[c+1] slices cohort c.
         change = np.empty(total, dtype=bool)
@@ -590,7 +603,6 @@ class AsyncSimulation(Simulation):
             )
 
         nodes = self._nodes
-        max_tag = self.max_tag
         tags_np = self._tags_np
         eager = ops.eager_scan
 
@@ -627,19 +639,11 @@ class AsyncSimulation(Simulation):
                 vertex = int(vertices[pos])
                 cycle = int(cycles[pos])
                 if reset:
-                    reset_tokens = getattr(
-                        nodes[vertex], "reset_tokens", None
-                    )
-                    if reset_tokens is not None:
-                        reset_tokens()
+                    self._crash_reset(vertex)
                     ops.state_changed(vertex)
-                new_tag = ops.retag(vertex, cycle)
-                if not 0 <= new_tag <= max_tag:
-                    raise ProtocolViolationError(
-                        f"node uid={nodes[vertex].uid} advertised tag "
-                        f"{new_tag!r}; legal range with b={self.b} is "
-                        f"[0, {max_tag}]"
-                    )
+                new_tag = self._checked_tag(
+                    nodes[vertex], ops.retag(vertex, cycle)
+                )
                 tags_np[vertex] = new_tag
                 senders[pos] = ops.sender_from_tag(new_tag)
                 committed = pos + 1
@@ -708,11 +712,7 @@ class AsyncSimulation(Simulation):
                     pos = heapq.heappop(pending_heap)
                     pending_reset.pop(pos)
                     vertex = int(vertices[pos])
-                    reset_tokens = getattr(
-                        nodes[vertex], "reset_tokens", None
-                    )
-                    if reset_tokens is not None:
-                        reset_tokens()
+                    self._crash_reset(vertex)
                     ops.state_changed(vertex)
                 member_vertices = vertices[cohort_start:cohort_end]
                 cohort_tags, cohort_senders = ops.scan(
@@ -810,16 +810,6 @@ class AsyncSimulation(Simulation):
                         schedule(pos, True)
                 working[vertex] = active_flags[pos]
 
-    def _check_tag_array(self, tags, vertex_list) -> None:
-        bad = (tags < 0) | (tags > self.max_tag)
-        if bad.any():
-            offender = int(np.nonzero(bad)[0][0])
-            raise ProtocolViolationError(
-                f"node uid={self._nodes[vertex_list[offender]].uid} "
-                f"advertised tag {int(tags[offender])!r}; legal range "
-                f"with b={self.b} is [0, {self.max_tag}]"
-            )
-
     def _execute_cohort_batched(
         self, ticks, candidate_positions, vertices, cycles,
         bound, mask_cache, cohort_end, schedule_retags, window_stats,
@@ -860,56 +850,31 @@ class AsyncSimulation(Simulation):
             if target < 0:
                 continue
             if not (neighbor_uids == target).any():
-                raise ProtocolViolationError(
-                    f"node uid={nodes[vertex].uid} proposed to "
-                    f"uid={target}, not a visible neighbor at virtual "
-                    f"time {ticks / TICKS_PER_ROUND:.4f}"
-                )
+                raise self._not_visible(nodes[vertex], target, ticks)
             uid = nodes[vertex].uid
             proposer_uids.append(uid)
             target_uids.append(target)
             cycle_of_uid[uid] = cycle
         if not proposer_uids:
             return
+        matches = resolve_proposals_arrays(
+            proposer_uids, target_uids, self._cohort_streams(ticks),
+            rule=self.acceptance,
+        )
+        matches, tokens, bits, dropped = self._connect_cohort(
+            fault_round, matches, cycle_of_uid
+        )
         window_stats[0] += len(proposer_uids)
-
-        def rng_for_cohort(_cohort: int):
-            if ticks % TICKS_PER_ROUND == 0:
-                return self._tree.stream("match", ticks // TICKS_PER_ROUND)
-            return self._tree.stream("match", "tick", ticks)
-
-        matches = resolve_proposal_cohorts(
-            proposer_uids, target_uids, (0, len(proposer_uids)),
-            rng_for_cohort, rule=self.acceptance,
-        )[0]
-
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(
-                    cycle_of_uid[pair[0]]
-                    if fault_round is None else fault_round,
-                    pair[0], pair[1],
-                ):
-                    window_stats[4] += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
         window_stats[1] += len(matches)
-
-        for initiator_uid, responder_uid in matches:
-            cycle = cycle_of_uid[initiator_uid]
-            initiator_vertex = self._vertex_of_uid[initiator_uid]
-            responder_vertex = self._vertex_of_uid[responder_uid]
-            initiator = self.protocols[initiator_vertex]
-            responder = self.protocols[responder_vertex]
-            channel = Channel(cycle, initiator_uid, responder_uid,
-                              self.channel_policy)
-            initiator.interact(responder, channel, cycle)
-            channel.close()
-            window_stats[2] += channel.tokens_moved
-            window_stats[3] += channel.bits.total_bits
-            for endpoint in (initiator_vertex, responder_vertex):
+        window_stats[2] += tokens
+        window_stats[3] += bits
+        window_stats[4] += dropped
+        # Endpoints changed state: their later activations this window
+        # must be retagged.  (Marking after the whole cohort connected
+        # is safe — nothing reads the marks before the next commit.)
+        for pair in matches:
+            for uid in pair:
+                endpoint = self._vertex_of_uid[uid]
                 ops.state_changed(endpoint)
                 if ops.needs_retag:
                     schedule_retags(endpoint, cohort_end)
@@ -946,7 +911,6 @@ class AsyncSimulation(Simulation):
         self._refresh_adjacency(self.dynamic_graph.graph_at(topo_round))
         nodes = self._nodes
         tags = self._tags
-        max_tag = self.max_tag
         # Round-parity skew guard — the per-event twin of the batched
         # path's assertion: advertise(cycle, ...) below is keyed by the
         # member's own advancing local cycle, so skew cannot
@@ -989,9 +953,7 @@ class AsyncSimulation(Simulation):
                         and self._node_active[vertex]
                     )
                 if crashed:
-                    reset = getattr(nodes[vertex], "reset_tokens", None)
-                    if reset is not None:
-                        reset()
+                    self._crash_reset(vertex)
 
         # Stage 1: scan — refresh each member's advertisement; a
         # fault-inactive member still runs its hook (the round engine's
@@ -1000,31 +962,21 @@ class AsyncSimulation(Simulation):
         active_count = 0
         for vertex, cycle in members:
             mask = mask_for(cycle)
-            active = mask is None or bool(mask[vertex])
-            if active:
-                active_count += 1
-                visible = (
-                    self._neighbor_vertices[vertex]
-                    if mask is None
-                    else tuple(
-                        nv for nv in self._neighbor_vertices[vertex]
-                        if mask[nv]
-                    )
-                )
+            if mask is None:
+                active = True
+                visible = self._neighbor_vertices[vertex]
+                neighbor_uids = self._neighbor_uids[vertex]
             else:
-                visible = ()
+                active = bool(mask[vertex])
+                visible = tuple(
+                    nv for nv in self._neighbor_vertices[vertex] if mask[nv]
+                ) if active else ()
+                neighbor_uids = tuple(nodes[nv].uid for nv in visible)
+            active_count += active
             member_views.append(visible)
-            neighbor_uids = tuple(nodes[nv].uid for nv in visible) \
-                if mask is not None else self._neighbor_uids[vertex]
-            if not active:
-                neighbor_uids = ()
-            tag = nodes[vertex].advertise(cycle, neighbor_uids)
-            if not isinstance(tag, int) or not 0 <= tag <= max_tag:
-                raise ProtocolViolationError(
-                    f"node uid={nodes[vertex].uid} advertised tag {tag!r}; "
-                    f"legal range with b={self.b} is [0, {self.max_tag}]"
-                )
-            tags[vertex] = tag
+            tags[vertex] = self._checked_tag(
+                nodes[vertex], nodes[vertex].advertise(cycle, neighbor_uids)
+            )
             self.event_counts[vertex] += 1
             self._local_cycle[vertex] = cycle
             self._node_active[vertex] = active
@@ -1043,68 +995,19 @@ class AsyncSimulation(Simulation):
             if target is None:
                 continue
             if all(view.uid != target for view in views):
-                raise ProtocolViolationError(
-                    f"node uid={nodes[vertex].uid} proposed to "
-                    f"uid={target}, not a visible neighbor at virtual "
-                    f"time {ticks / TICKS_PER_ROUND:.4f}"
-                )
+                raise self._not_visible(nodes[vertex], target, ticks)
             proposals[nodes[vertex].uid] = target
             cycle_of_uid[nodes[vertex].uid] = cycle
 
-        # Accept: the cohort's proposals resolve against each other with
-        # the round engine's resolver.  The acceptance stream is keyed by
-        # the instant — a synchronized cohort at tick r·TPR draws from
-        # the exact stream the round engine uses for round r.  With at
-        # most one proposal no target can be contested, so the stream is
-        # never drawn from; skipping its derivation keeps singleton
-        # cohorts (the jittered common case) off the hashing path
-        # without any observable difference.
-        if self.acceptance == "unbounded":
-            matches = resolve_proposals_unbounded(proposals)
-        elif not proposals:
-            matches = []
-        else:
-            if len(proposals) == 1:
-                rng = None
-            elif ticks % TICKS_PER_ROUND == 0:
-                rng = self._tree.stream(
-                    "match", ticks // TICKS_PER_ROUND
-                )
-            else:
-                rng = self._tree.stream("match", "tick", ticks)
-            matches = resolve_proposals(
-                proposals, rng, rule=self.acceptance
-            )
-
-        # Fault drop decisions, keyed by the initiator's local cycle
-        # (or the window, for clock="virtual" models).
-        dropped = 0
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(
-                    fault_index(cycle_of_uid[pair[0]]), pair[0], pair[1]
-                ):
-                    dropped += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
-
-        # Connect: instantaneous bounded exchanges; the channel and the
-        # interact hook see the initiator's local cycle as their round.
-        tokens_moved = 0
-        control_bits = 0
-        for initiator_uid, responder_uid in matches:
-            cycle = cycle_of_uid[initiator_uid]
-            initiator = self.protocols[self._vertex_of_uid[initiator_uid]]
-            responder = self.protocols[self._vertex_of_uid[responder_uid]]
-            channel = Channel(cycle, initiator_uid, responder_uid,
-                              self.channel_policy)
-            initiator.interact(responder, channel, cycle)
-            channel.close()
-            tokens_moved += channel.tokens_moved
-            control_bits += channel.bits.total_bits
-
+        # Accept, then connect: the cohort's proposals resolve against
+        # each other with the round engine's resolver.
+        matches = resolve_proposals(
+            proposals, self._cohort_streams(ticks), rule=self.acceptance
+        )
+        matches, tokens_moved, control_bits, dropped = self._connect_cohort(
+            topo_round if self._fault_virtual else None, matches,
+            cycle_of_uid,
+        )
         self._accumulate(
             ticks, len(members), active_count, len(proposals),
             len(matches), tokens_moved, control_bits, dropped,

@@ -194,39 +194,26 @@ class CSRAdjacency:
             start, end = indptr[vertex], indptr[vertex + 1]
             yield vertex, np.sort(uids[start:end][mask[start:end]])
 
-    def masked(self, active: np.ndarray) -> "CSRAdjacency":
-        """The active-subgraph snapshot under a boolean vertex mask.
+    def masked_bound(self, active: np.ndarray,
+                     keep: int = 8) -> "CSRAdjacency":
+        """The active-subgraph snapshot under a boolean vertex mask
+        (UID-bound snapshots only), memoized per mask.
 
         Keeps exactly the edges whose *both* endpoints are active:
         inactive vertices come out with empty rows, and active vertices
         lose their sleeping neighbors.  Row order is preserved, so rows
-        stay sorted by vertex — the invariant every snapshot shares.
-        This is how the fault layer's per-round activity mask reaches
-        the array fast path (the object path filters its neighbor lists
-        with the same mask).
-        """
-        sources = self.edge_sources()
-        keep = active[sources] & active[self.indices]
-        indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
-        np.cumsum(
-            np.bincount(sources[keep], minlength=self.n), out=indptr[1:]
-        )
-        return CSRAdjacency(
-            n=self.n, indptr=indptr, indices=self.indices[keep]
-        )
-
-    def masked_bound(self, active: np.ndarray) -> "CSRAdjacency":
-        """:meth:`masked` for UID-bound snapshots, memoized per mask.
-
-        Produces the active-subgraph snapshot *with the UID binding
-        carried along* in the same edge pass (``masked()`` returns an
-        unbound snapshot the caller would have to re-bind, a second
-        O(edges) gather).  A small per-snapshot memo keyed by the mask's
-        bytes makes repeated masks — a duty cycle's few phases, or the
-        many cohorts of one asynchronous round window sharing a fault
-        mask — reuse the filtered row buffers instead of rebuilding
-        them; distinct-every-round masks (churn) just rotate through the
-        memo.  Rows keep the sorted-by-vertex invariant.
+        stay sorted by vertex — the invariant every snapshot shares —
+        and the UID binding is carried along in the same edge pass.
+        This is how the fault layer's activity mask reaches the array
+        front halves (the object path filters its neighbor lists with
+        the same mask).  A per-snapshot memo of the ``keep`` most recent
+        masks, keyed by the mask's bytes, makes repeated masks reuse the
+        filtered row buffers instead of rebuilding them: the many
+        cohorts of one asynchronous round window revisit a handful of
+        fault masks, while the round engine sees one mask per round and
+        passes ``keep=1`` — an outage spanning rounds still hits, and
+        nothing older is retained (a masked snapshot with its cached
+        ``uid_rows`` is the size of the topology itself).
         """
         if self.uids is None:
             raise ValueError("masked_bound needs a UID-bound snapshot")
@@ -236,21 +223,21 @@ class CSRAdjacency:
         snapshot = self._masked_memo.get(key)
         if snapshot is None:
             sources = self.edge_sources()
-            keep = active[sources] & active[self.indices]
+            alive = active[sources] & active[self.indices]
             indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
             np.cumsum(
-                np.bincount(sources[keep], minlength=self.n), out=indptr[1:]
+                np.bincount(sources[alive], minlength=self.n), out=indptr[1:]
             )
             snapshot = CSRAdjacency(
                 n=self.n,
                 indptr=indptr,
-                indices=self.indices[keep],
-                uids=self.uids[keep],
+                indices=self.indices[alive],
+                uids=self.uids[alive],
                 vertex_uids=self.vertex_uids,
                 base=self.base if self.base is not None else self,
                 arena=self.arena,
             )
-            if len(self._masked_memo) >= 8:
+            while len(self._masked_memo) >= keep:
                 self._masked_memo.pop(next(iter(self._masked_memo)))
             self._masked_memo[key] = snapshot
         return snapshot

@@ -6,7 +6,7 @@ that protocols cannot cheat:
 * tags are validated against the tag length ``b`` (with ``b = 0`` only the
   empty tag 0 is legal);
 * proposals must name a current neighbor;
-* matching follows :func:`repro.sim.matching.resolve_proposals` (one
+* matching follows the one rule in :mod:`repro.sim.matching` (one
   connection per node, proposers cannot receive);
 * every connection runs over a budget-metered channel.
 
@@ -23,7 +23,8 @@ Two interchangeable front halves drive Stages 1–2 of each round:
   UID-bound CSR snapshot per epoch
   (:class:`~repro.sim.adjacency.CSRAdjacency` via
   ``DynamicGraph.csr_at``) and resolves matching with
-  :func:`repro.sim.matching.resolve_proposals_arrays`.
+  :func:`repro.sim.matching.resolve_proposals_arrays`, the array form of
+  the object path's :func:`~repro.sim.matching.resolve_proposals`.
 
 The two paths are **byte-identical**: same tags, same proposals, same
 random-stream consumption, same matching, same traces (pinned by
@@ -36,6 +37,9 @@ model deterministically: its per-round activity mask removes sleeping
 vertices from the round's topology on *both* paths (they do not
 advertise, cannot be proposed to, and see no neighbors), and its
 per-match drop decisions make accepted connections fail before Stage 3.
+The mask is an argument of the two front halves, not a second pair of
+them: it selects which neighbor caches (object path) or which bound
+snapshot (array path) the same stage code runs over.
 The null model (:class:`~repro.sim.faults.NoFaults`, the default)
 consumes zero randomness and leaves every trace byte-identical to an
 engine without the layer.
@@ -47,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import (
@@ -66,9 +69,6 @@ from repro.sim.matching import (
     ACCEPTANCE_RULES,
     resolve_proposals,
     resolve_proposals_arrays,
-    resolve_proposals_arrays_local,
-    resolve_proposals_local,
-    resolve_proposals_unbounded,
 )
 from repro.sim.protocol import NodeProtocol, bulk_hooks
 from repro.sim.termination import TerminationCondition, never
@@ -233,13 +233,16 @@ class Simulation:
         # walks lists instead of dict lookups.
         self._nodes = [self.protocols[vertex] for vertex in range(self.n)]
         self._tags = [0] * self.n
-        # Adjacency caches are keyed on the graph object identity; dynamic
-        # graphs return the same object for every round of an epoch, so this
-        # rebuilds only when the topology actually changes.  The cached
-        # NeighborView skeletons (and their tuples) live for a whole epoch:
-        # each round only the views whose tag actually changed are replaced,
+        # Adjacency caches are keyed on the graph object identity (plus
+        # the fault mask's bytes, None = all awake); dynamic graphs return
+        # the same object for every round of an epoch, so this rebuilds
+        # only when the topology or the mask actually changes.  The cached
+        # NeighborView skeletons (and their tuples) live until then: each
+        # round only the views whose tag actually changed are replaced,
         # and a vertex's tuple is rebuilt only if any of its views changed.
-        self._adjacency_for: nx.Graph | None = None
+        self._adjacency_for = None
+        self._adjacency_mask: bytes | None = None
+        self._epoch_neighbors: list[tuple[int, ...]] = []
         self._neighbor_vertices: list[tuple[int, ...]] = []
         self._neighbor_uids: list[tuple[int, ...]] = []
         self._neighbor_uid_sets: list[frozenset] = []
@@ -289,9 +292,6 @@ class Simulation:
         # to an engine without the layer.
         self.faults = faults if faults is not None else NoFaults(self.n)
         self._fault_active = not self.faults.is_null
-        self._masked_bound = None   # UID-bound active-subgraph CSR
-        self._masked_for = None     # ... built from this epoch snapshot
-        self._masked_bytes = None   # ... under this activity mask
         self._prev_mask = None      # last round's mask (None = all awake)
 
     @property
@@ -371,65 +371,75 @@ class Simulation:
         full-cohort path (:class:`~repro.asynchrony.engine.AsyncSimulation`
         runs exactly this body once per synchronous cohort).
         """
-        # Fault layer, decision 1: who participates this round.  An
-        # all-awake mask is normalized to None so degenerate masks (and
-        # mask-free models like LossyLinks) stay on the cached hot paths.
-        mask = None
-        if self._fault_active:
-            mask = self.faults.active_mask(rnd)
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if mask.shape != (self.n,):
-                    raise ConfigurationError(
-                        f"fault model returned a mask of shape "
-                        f"{mask.shape}; expected ({self.n},)"
-                    )
-                if mask.all():
-                    mask = None
-            if self.faults.resets_state:
-                self._apply_crash_resets(rnd, mask)
-
+        mask = self._activity_mask(rnd)
+        if self._fault_active and self.faults.resets_state:
+            self._apply_crash_resets(rnd, mask)
         if self._bulk is not None:
-            if mask is None:
-                proposal_count, matches = self._stages12_array(rnd)
-            else:
-                proposal_count, matches = self._stages12_array_masked(
-                    rnd, mask
-                )
+            proposal_count, matches = self._stages12_array(rnd, mask)
         else:
-            if mask is None:
-                proposal_count, matches = self._stages12_object(rnd)
-            else:
-                proposal_count, matches = self._stages12_object_masked(
-                    rnd, mask
-                )
-
-        # Fault layer, decision 2: accepted matches whose connection
-        # fails.  Dropped matches never become connections: they skip
-        # Stage 3 and are counted in the dropped_connections column.
-        dropped = 0
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(rnd, pair[0], pair[1]):
-                    dropped += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
+            proposal_count, matches = self._stages12_object(rnd, mask)
+        matches, dropped = self._drop_failed(rnd, matches)
         return proposal_count, matches, dropped, mask
 
+    def _activity_mask(self, index: int) -> np.ndarray | None:
+        """Fault layer, decision 1: who participates at fault index
+        ``index`` (the round here; a local cycle or a round window on
+        the asynchronous engine).  An all-awake mask is normalized to
+        None so degenerate masks (and mask-free models like LossyLinks)
+        stay on the cached hot paths."""
+        if not self._fault_active:
+            return None
+        mask = self.faults.active_mask(index)
+        if mask is None:
+            return None
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n,):
+            raise ConfigurationError(
+                f"fault model returned a mask of shape "
+                f"{mask.shape}; expected ({self.n},)"
+            )
+        return None if mask.all() else mask
+
+    def _drop_failed(
+        self, rnd: int | None, matches: list[tuple[int, int]],
+        cycle_of_uid: Mapping[int, int] | None = None,
+    ) -> tuple[list[tuple[int, int]], int]:
+        """Fault layer, decision 2: accepted matches whose connection
+        fails.  Dropped matches never become connections: they skip
+        Stage 3 and are counted in the dropped_connections column.
+        Every match is judged at round ``rnd`` — or, when the
+        asynchronous engine passes ``None``, at its initiator's local
+        cycle ``cycle_of_uid[initiator_uid]``.  Returns ``(surviving,
+        dropped)``."""
+        if not (self._fault_active and matches):
+            return matches, 0
+        drop = self.faults.drop_connection
+        surviving = [
+            pair for pair in matches
+            if not drop(
+                cycle_of_uid[pair[0]] if rnd is None else rnd,
+                pair[0], pair[1],
+            )
+        ]
+        return surviving, len(matches) - len(surviving)
+
     def _stage3(
-        self, rnd: int, matches: list[tuple[int, int]]
+        self, rnd: int | None, matches: list[tuple[int, int]],
+        cycle_of_uid: Mapping[int, int] | None = None,
     ) -> tuple[int, int]:
-        """Stage 3: bounded pairwise interaction over metered channels."""
+        """Stage 3: bounded pairwise interaction over metered channels.
+
+        The channel and the interact hook see ``rnd`` as their round —
+        or, as in :meth:`_drop_failed`, the initiator's local cycle."""
         tokens_moved = 0
         control_bits = 0
         for initiator_uid, responder_uid in matches:
+            at = cycle_of_uid[initiator_uid] if rnd is None else rnd
             initiator = self.protocols[self._vertex_of_uid[initiator_uid]]
             responder = self.protocols[self._vertex_of_uid[responder_uid]]
-            channel = Channel(rnd, initiator_uid, responder_uid,
+            channel = Channel(at, initiator_uid, responder_uid,
                               self.channel_policy)
-            initiator.interact(responder, channel, rnd)
+            initiator.interact(responder, channel, at)
             channel.close()
             tokens_moved += channel.tokens_moved
             control_bits += channel.bits.total_bits
@@ -503,32 +513,39 @@ class Simulation:
             crashed = ~mask if prev is None else prev & ~mask
             crashed_vertices = np.nonzero(crashed)[0]
         for vertex in crashed_vertices.tolist():
-            reset = getattr(self._nodes[vertex], "reset_tokens", None)
-            if reset is not None:
-                reset()
+            self._crash_reset(vertex)
 
-    def _stages12_object(self, rnd: int) -> tuple[int, list[tuple[int, int]]]:
-        """Stages 1–2 through per-node hooks (the reference path)."""
-        graph = self.dynamic_graph.graph_at(rnd)
-        self._refresh_adjacency(graph)
+    def _crash_reset(self, vertex: int) -> None:
+        """The node at ``vertex`` crashed: it loses its learned state,
+        where its protocol provides ``reset_tokens()``."""
+        reset = getattr(self._nodes[vertex], "reset_tokens", None)
+        if reset is not None:
+            reset()
 
+    def _stages12_object(
+        self, rnd: int, mask: np.ndarray | None = None
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """Stages 1–2 through per-node hooks (the reference path).
+
+        Under a fault ``mask`` every node's hooks still run — in the same
+        vertex order, which is also a bulk hook's scalar-equivalent
+        order — but over the active subgraph's neighbor caches: an
+        inactive vertex sees an empty neighborhood and an active vertex
+        sees only its awake neighbors.
+        """
+        self._refresh_adjacency(self.dynamic_graph.graph_at(rnd), mask)
         nodes = self._nodes
         tags = self._tags
-        max_tag = self.max_tag
 
         # Stage 1: scan + tag selection.
         for vertex, node in enumerate(nodes):
-            tag = node.advertise(rnd, self._neighbor_uids[vertex])
-            if not isinstance(tag, int) or not 0 <= tag <= max_tag:
-                raise ProtocolViolationError(
-                    f"node uid={node.uid} advertised tag {tag!r}; "
-                    f"legal range with b={self.b} is [0, {self.max_tag}]"
-                )
-            tags[vertex] = tag
+            tags[vertex] = self._checked_tag(
+                node, node.advertise(rnd, self._neighbor_uids[vertex])
+            )
 
         # Stage 2: proposals, with each node seeing neighbor tags.  Views
-        # come from the per-epoch skeleton cache; only views whose tag
-        # changed since the previous round are replaced.
+        # come from the skeleton cache; only views whose tag changed
+        # since the previous round are replaced.
         proposals: dict[int, int] = {}
         neighbor_vertices = self._neighbor_vertices
         view_tuples = self._view_tuples
@@ -547,141 +564,30 @@ class Simulation:
             if target is None:
                 continue
             if target not in self._neighbor_uid_sets[vertex]:
-                raise ProtocolViolationError(
-                    f"node uid={node.uid} proposed to uid={target}, "
-                    f"not a neighbor in round {rnd}"
-                )
+                raise self._not_a_neighbor(node, target, rnd)
             proposals[node.uid] = target
 
-        return len(proposals), self._resolve_matches(rnd, proposals)
-
-    def _match_rng_for_target(self, rnd: int):
-        """Per-target acceptance streams for ``acceptance_streams="local"``.
-
-        Keyed ``("match", rnd, "uid", target_uid)`` off the engine
-        subtree — derivable by any party that knows the run seed, the
-        round, and its own UID (the live proposee's position)."""
-        return lambda target: self._tree.stream("match", rnd, "uid", target)
-
-    def _resolve_matches(self, rnd: int, proposals: dict) -> list:
-        """Resolve one round's proposal dict under the configured
-        acceptance rule and stream discipline."""
-        if self.acceptance == "unbounded":
-            return resolve_proposals_unbounded(proposals)
-        if self.acceptance_streams == "local":
-            return resolve_proposals_local(
-                proposals, self._match_rng_for_target(rnd),
-                rule=self.acceptance,
-            )
-        return resolve_proposals(
-            proposals, self._tree.stream("match", rnd), rule=self.acceptance
+        # The neighbor check left only proposals with both endpoints
+        # active, so resolution itself never needs the mask.
+        return len(proposals), resolve_proposals(
+            proposals, self._match_streams("match", rnd),
+            rule=self.acceptance,
         )
 
-    def _stages12_object_masked(
-        self, rnd: int, mask: np.ndarray
+    def _stages12_array(
+        self, rnd: int, mask: np.ndarray | None = None
     ) -> tuple[int, list[tuple[int, int]]]:
-        """Stages 1–2 on the active subgraph (the fault layer's mask).
+        """Stages 1–2 through bulk hooks over the epoch's CSR snapshot.
 
-        Every node's hooks still run — in the same vertex order as the
-        unmasked path and as a bulk hook's scalar-equivalent loop — but
-        an inactive vertex sees an empty neighborhood and an active
-        vertex sees only its awake neighbors.  Views are built fresh per
-        round (masks change round to round, so the per-epoch skeleton
-        cache does not apply); the cached skeletons are left untouched
-        for the next unmasked round.
+        Under a fault ``mask`` the same hooks are fed the active
+        subgraph's snapshot instead (inactive rows empty, sleeping
+        neighbors removed), rebuilt only when the mask or the epoch
+        changes.
         """
-        graph = self.dynamic_graph.graph_at(rnd)
-        self._refresh_adjacency(graph)
-
-        nodes = self._nodes
-        tags = self._tags
-        max_tag = self.max_tag
-        active = mask.tolist()
-        masked_vertices: list[tuple[int, ...]] = [
-            tuple(nv for nv in self._neighbor_vertices[vertex] if active[nv])
-            if active[vertex]
-            else ()
-            for vertex in range(self.n)
-        ]
-        masked_uids = [
-            tuple(nodes[nv].uid for nv in nvs) for nvs in masked_vertices
-        ]
-
-        # Stage 1: scan + tag selection over awake neighbors only.
-        for vertex, node in enumerate(nodes):
-            tag = node.advertise(rnd, masked_uids[vertex])
-            if not isinstance(tag, int) or not 0 <= tag <= max_tag:
-                raise ProtocolViolationError(
-                    f"node uid={node.uid} advertised tag {tag!r}; "
-                    f"legal range with b={self.b} is [0, {self.max_tag}]"
-                )
-            tags[vertex] = tag
-
-        # Stage 2: proposals against the masked views.
-        proposals: dict[int, int] = {}
-        for vertex, node in enumerate(nodes):
-            views = tuple(
-                NeighborView(uid=nodes[nv].uid, tag=tags[nv])
-                for nv in masked_vertices[vertex]
-            )
-            target = node.propose(rnd, views)
-            if target is None:
-                continue
-            if target not in masked_uids[vertex]:
-                raise ProtocolViolationError(
-                    f"node uid={node.uid} proposed to uid={target}, "
-                    f"not an active neighbor in round {rnd}"
-                )
-            proposals[node.uid] = target
-
-        # Plain resolution suffices: the neighbor checks above already
-        # guarantee every surviving proposal has both endpoints active,
-        # so the masked resolver twins (the public API for callers
-        # without that guarantee) would filter nothing here.
-        return len(proposals), self._resolve_matches(rnd, proposals)
-
-    def _stages12_array(self, rnd: int) -> tuple[int, list[tuple[int, int]]]:
-        """Stages 1–2 through bulk hooks over the epoch's CSR snapshot."""
-        csr = self.dynamic_graph.csr_at(rnd)
-        bound = self._csr_bound
-        if bound is None or bound.base is not csr:
+        bound = self._bound_csr(rnd)
+        if mask is not None:
             with self._prof.span("round.csr_bind"):
-                bound = self._csr_bound = csr.bind_uids(
-                    self._uid_array, arena=self._arena
-                )
-            self.telemetry.metrics.gauge("engine.arena_bytes").set(
-                self._arena.nbytes()
-            )
-        return self._stages12_array_on(rnd, bound)
-
-    def _stages12_array_masked(
-        self, rnd: int, mask: np.ndarray
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """The array path on the active subgraph: same bulk hooks, fed a
-        masked CSR snapshot (inactive rows empty, sleeping neighbors
-        removed) — the flat-array twin of
-        :meth:`_stages12_object_masked`.  The masked bound snapshot is
-        cached by (epoch snapshot, mask bytes), so periodic masks
-        (SleepCycle) rebuild only when the mask actually changes."""
-        csr = self.dynamic_graph.csr_at(rnd)
-        mask_bytes = mask.tobytes()
-        if (
-            self._masked_bound is None
-            or self._masked_for is not csr
-            or self._masked_bytes != mask_bytes
-        ):
-            with self._prof.span("round.csr_bind"):
-                self._masked_bound = csr.masked(mask).bind_uids(
-                    self._uid_array, arena=self._arena
-                )
-            self._masked_for = csr
-            self._masked_bytes = mask_bytes
-        return self._stages12_array_on(rnd, self._masked_bound)
-
-    def _stages12_array_on(
-        self, rnd: int, bound
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """Shared body of the array front half over one bound snapshot."""
+                bound = bound.masked_bound(mask, keep=1)
         advertise_all, propose_all = self._bulk
 
         # Stage 1: every tag at once, then one vectorized range check.
@@ -694,13 +600,7 @@ class Simulation:
                 f"advertise_all returned shape {tags.shape}; expected "
                 f"({self.n},)"
             )
-        if ((tags < 0) | (tags > self.max_tag)).any():
-            vertex = int(np.nonzero((tags < 0) | (tags > self.max_tag))[0][0])
-            raise ProtocolViolationError(
-                f"node uid={self._nodes[vertex].uid} advertised tag "
-                f"{int(tags[vertex])!r}; legal range with b={self.b} is "
-                f"[0, {self.max_tag}]"
-            )
+        self._check_tag_array(tags)
 
         # Stage 2: every proposal at once (-1 = no proposal), then one
         # vectorized is-it-a-neighbor check — the same model rule the
@@ -733,33 +633,78 @@ class Simulation:
             bad = proposer_mask & ~legal
             if bad.any():
                 vertex = int(np.nonzero(bad)[0][0])
-                raise ProtocolViolationError(
-                    f"node uid={self._nodes[vertex].uid} proposed to "
-                    f"uid={int(targets[vertex])}, not a neighbor in round "
-                    f"{rnd}"
+                raise self._not_a_neighbor(
+                    self._nodes[vertex], int(targets[vertex]), rnd
                 )
 
-        # Masked rounds need no masked resolver: `bound` is already the
-        # active subgraph, so the legality check above left only
-        # proposals with both endpoints active.
+        # As on the object path: `bound` is already the active subgraph,
+        # so the legality check left only proposals with both endpoints
+        # active.
         proposer_uids = self._uid_array[proposer_mask]
         target_uids = targets[proposer_mask]
         with self._prof.span("round.resolve"):
-            if self.acceptance == "unbounded":
-                matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids, rule="unbounded"
-                )
-            elif self.acceptance_streams == "local":
-                matches = resolve_proposals_arrays_local(
-                    proposer_uids, target_uids,
-                    self._match_rng_for_target(rnd), rule=self.acceptance,
-                )
-            else:
-                matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids,
-                    self._tree.stream("match", rnd), rule=self.acceptance,
-                )
+            matches = resolve_proposals_arrays(
+                proposer_uids, target_uids,
+                self._match_streams("match", rnd), rule=self.acceptance,
+            )
         return int(proposer_mask.sum()), matches
+
+    def _bound_csr(self, rnd: int):
+        """The UID-bound CSR snapshot of round ``rnd``'s epoch, re-bound
+        only when the topology changes."""
+        csr = self.dynamic_graph.csr_at(rnd)
+        bound = self._csr_bound
+        if bound is None or bound.base is not csr:
+            with self._prof.span("round.csr_bind"):
+                bound = self._csr_bound = csr.bind_uids(
+                    self._uid_array, arena=self._arena
+                )
+            self.telemetry.metrics.gauge("engine.arena_bytes").set(
+                self._arena.nbytes()
+            )
+        return bound
+
+    def _match_streams(self, *key):
+        """The stream supplier (see :mod:`repro.sim.matching`) for one
+        resolution whose acceptance stream is keyed ``key`` off the
+        engine subtree.
+
+        ``"global"``: every contested target draws, in sorted-target
+        order, from the one stream at ``key`` — derived lazily, so a
+        resolution with no contested target hashes nothing.  ``"local"``:
+        each contested target gets its own stream at ``key + ("uid",
+        target_uid)`` — derivable by any party that knows the run seed,
+        the round, and its own UID (the live proposee's position)."""
+        tree = self._tree
+        if self.acceptance_streams == "local":
+            return lambda target: tree.stream(*key, "uid", target)
+        shared = tree.lazy_stream(*key)
+        return lambda _target: shared
+
+    def _checked_tag(self, node: NodeProtocol, tag) -> int:
+        """``tag`` if it is legal under the tag length ``b``."""
+        if not isinstance(tag, int) or not 0 <= tag <= self.max_tag:
+            raise ProtocolViolationError(
+                f"node uid={node.uid} advertised tag {tag!r}; "
+                f"legal range with b={self.b} is [0, {self.max_tag}]"
+            )
+        return tag
+
+    def _check_tag_array(self, tags: np.ndarray, vertices=None) -> None:
+        """Array form of :meth:`_checked_tag`: ``tags[i]`` was advertised
+        by vertex ``vertices[i]`` (vertex ``i`` when omitted)."""
+        bad = (tags < 0) | (tags > self.max_tag)
+        if bad.any():
+            offender = int(np.nonzero(bad)[0][0])
+            vertex = offender if vertices is None else int(vertices[offender])
+            self._checked_tag(self._nodes[vertex], int(tags[offender]))
+
+    @staticmethod
+    def _not_a_neighbor(node: NodeProtocol, target: int, rnd: int):
+        return ProtocolViolationError(
+            f"node uid={node.uid} proposed to uid={target}, not an "
+            f"active neighbor in round {rnd}"
+        )
 
     @staticmethod
     def _as_int_array(values, hook: str) -> np.ndarray:
@@ -775,15 +720,32 @@ class Simulation:
             )
         return array.astype(np.int64, copy=False)
 
-    def _refresh_adjacency(self, graph: nx.Graph) -> None:
+    def _refresh_adjacency(
+        self, graph, mask: np.ndarray | None = None
+    ) -> None:
+        """Point the object path's neighbor caches at ``graph``'s
+        active subgraph under ``mask`` (None = everyone awake)."""
+        mask_key = None if mask is None else mask.tobytes()
         if graph is self._adjacency_for:
-            return
-        self._adjacency_for = graph
+            if mask_key == self._adjacency_mask:
+                return
+        else:
+            self._adjacency_for = graph
+            self._epoch_neighbors = [
+                tuple(sorted(graph.neighbors(vertex)))
+                for vertex in range(self.n)
+            ]
+        self._adjacency_mask = mask_key
+        if mask is None:
+            self._neighbor_vertices = self._epoch_neighbors
+        else:
+            active = mask.tolist()
+            self._neighbor_vertices = [
+                tuple(nv for nv in nvs if active[nv]) if active[vertex]
+                else ()
+                for vertex, nvs in enumerate(self._epoch_neighbors)
+            ]
         nodes = self._nodes
-        self._neighbor_vertices = [
-            tuple(sorted(graph.neighbors(vertex)))
-            for vertex in range(self.n)
-        ]
         self._neighbor_uids = [
             tuple(nodes[nv].uid for nv in nvs)
             for nvs in self._neighbor_vertices
@@ -791,10 +753,10 @@ class Simulation:
         self._neighbor_uid_sets = [
             frozenset(uids) for uids in self._neighbor_uids
         ]
-        # Per-epoch view skeletons.  UIDs are fixed for the epoch; tags
+        # View skeletons.  UIDs are fixed until the next rebuild; tags
         # start at 0 (already correct for b = 0 protocols, so their view
-        # tuples are built once per epoch and reused verbatim) and are
-        # refreshed in place by :meth:`step` as nodes change what they
+        # tuples are built once and reused verbatim) and are refreshed
+        # in place by :meth:`_stages12_object` as nodes change what they
         # advertise.
         self._views = [
             [NeighborView(uid=uid, tag=0) for uid in uids]

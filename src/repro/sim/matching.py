@@ -15,9 +15,32 @@ The result is a partial matching: every node is in at most one connection.
 This bounded-acceptance rule is *the* difference from the classical
 telephone model (which allows unbounded incoming connections), and it is
 why the paper needs new analysis — see the double-star discussion in §1.
-:func:`resolve_proposals_unbounded` implements the classical model's rule
-as a measurable baseline (benchmarks/bench_classical.py shows the Δ²
-penalty collapsing once acceptance is unbounded).
+``rule="unbounded"`` is the classical model's rule — every proposal to a
+non-proposer connects — kept as a measurable baseline
+(benchmarks/bench_classical.py shows the Δ² penalty collapsing once
+acceptance is unbounded).
+
+There is one rule and two implementations of it: the dict form
+(:func:`resolve_proposals`, the readable reference — the engines' object
+path and per-event async path) and the array form
+(:func:`resolve_proposals_arrays` — the array path and the batched async
+path).  They share no resolution code, which is what makes the engines'
+differential gates meaningful, and they agree pair for pair, order
+included (tests/test_matching.py pins it property-style).
+
+**Stream discipline.**  Both take a *stream supplier*
+``stream_for(target_uid) -> random.Random`` and call it exactly once per
+*contested* target — two or more surviving proposals under the uniform
+rule — in ascending target order, and never otherwise: uncontested
+targets, the deterministic rules and ``"unbounded"`` consume no
+randomness.  Where the ``Random`` comes from is the caller's business: a
+supplier that hands every target the same sequential stream is the
+centralized ("global") discipline, one that derives a fresh stream per
+target is the discipline a distributed proposee can reproduce knowing
+only its own UID (``acceptance_streams="local"``, what :mod:`repro.net`
+enforces proposee-side).  Filtering by an activity mask is likewise the
+caller's: the engines only ever submit proposals whose endpoints are
+both awake.
 """
 
 from __future__ import annotations
@@ -32,18 +55,16 @@ from repro.errors import ConfigurationError, ProtocolViolationError
 __all__ = [
     "resolve_proposals",
     "resolve_proposals_arrays",
-    "resolve_proposals_arrays_local",
-    "resolve_proposals_arrays_masked",
-    "resolve_proposals_local",
-    "resolve_proposals_masked",
-    "resolve_proposal_cohorts",
-    "resolve_proposals_unbounded",
     "ACCEPTANCE_RULES",
     "AcceptanceRule",
+    "StreamSupplier",
 ]
 
 #: An acceptance rule picks one proposer among the incoming ones.
 AcceptanceRule = Callable[[list[int], random.Random], int]
+
+#: Maps a contested target's UID to the stream its acceptance draw uses.
+StreamSupplier = Callable[[int], random.Random]
 
 
 def _accept_uniform(senders: list[int], rng: random.Random) -> int:
@@ -70,185 +91,112 @@ ACCEPTANCE_RULES: dict[str, AcceptanceRule] = {
 }
 
 
-def _validate(proposals: dict[int, int]) -> None:
-    for proposer, target in proposals.items():
-        if proposer == target:
-            raise ProtocolViolationError(f"node {proposer} proposed to itself")
+def _check_rule(rule: str) -> None:
+    if rule != "unbounded" and rule not in ACCEPTANCE_RULES:
+        raise ConfigurationError(
+            f"unknown acceptance rule {rule!r}; choose from "
+            f"{sorted(ACCEPTANCE_RULES) + ['unbounded']}"
+        )
 
 
-def _incoming_at_non_proposers(proposals: dict[int, int]) -> dict[int, list[int]]:
-    proposers = set(proposals)
-    incoming: dict[int, list[int]] = {}
-    for proposer, target in proposals.items():
-        if target in proposers:
-            # The target is busy proposing; this proposal is lost.
-            continue
-        incoming.setdefault(target, []).append(proposer)
-    return incoming
+def _self_proposal(uid: int) -> ProtocolViolationError:
+    return ProtocolViolationError(f"node {uid} proposed to itself")
+
+
+def _no_supplier(target: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"the uniform rule needs a stream supplier: target uid={target} "
+        "holds two or more proposals"
+    )
 
 
 def resolve_proposals(
     proposals: dict[int, int],
-    rng: random.Random,
+    stream_for: StreamSupplier | None = None,
     rule: str = "uniform",
 ) -> list[tuple[int, int]]:
     """Resolve ``{proposer_uid: target_uid}`` into connection pairs.
 
-    Returns ``(initiator, responder)`` pairs under the mobile telephone
-    model: at most one connection per node.  Determinism: the acceptance
-    draw consumes ``rng`` in sorted-target order, so a fixed seed yields a
-    fixed matching.
+    Returns ``(initiator, responder)`` pairs in ascending responder
+    order: at most one connection per node under the bounded rules,
+    every surviving proposal (senders ascending within a target) under
+    ``"unbounded"``.  ``stream_for`` follows the module's stream
+    discipline, so a fixed supplier yields a fixed matching.
     """
-    if rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
-        )
-    _validate(proposals)
-    accept = ACCEPTANCE_RULES[rule]
+    _check_rule(rule)
+    incoming: dict[int, list[int]] = {}
+    for proposer, target in proposals.items():
+        if proposer == target:
+            raise _self_proposal(proposer)
+        if target in proposals:
+            # The target is busy proposing; this proposal is lost.
+            continue
+        incoming.setdefault(target, []).append(proposer)
+    accept = ACCEPTANCE_RULES.get(rule)  # None: unbounded
+    uniform = rule == "uniform"
     matches = []
-    incoming = _incoming_at_non_proposers(proposals)
     for target in sorted(incoming):
         senders = sorted(incoming[target])
+        if accept is None:
+            matches.extend((sender, target) for sender in senders)
+            continue
+        rng = None
+        if uniform and len(senders) > 1:
+            if stream_for is None:
+                raise _no_supplier(target)
+            rng = stream_for(target)
         matches.append((accept(senders, rng), target))
     return matches
 
 
-def resolve_proposals_local(
-    proposals: dict[int, int],
-    rng_for_target,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Per-target-stream twin of :func:`resolve_proposals`.
-
-    Instead of one sequential rng consumed in sorted-target order — a
-    discipline only a centralized resolver can reproduce —
-    ``rng_for_target(target_uid)`` supplies a *fresh* stream for each
-    contested target, so a distributed proposee that knows only its own
-    UID and the round number can derive exactly the draw made here.  This
-    is the acceptance semantics the live deployment layer
-    (:mod:`repro.net`) enforces proposee-side; the simulator's
-    ``acceptance_streams="local"`` knob runs the same rule so recorded
-    traces replay bit-for-bit against a live cluster.
-
-    Deterministic rules (``lowest_uid``/``highest_uid``) never call
-    ``rng_for_target``; the uniform rule calls it only for targets with
-    two or more surviving proposals (matching the cohort resolvers'
-    no-draw singleton discipline).
-    """
-    if rule not in ACCEPTANCE_RULES:
+def _uid_array(values, name: str) -> np.ndarray:
+    """Coerce to int64, refusing non-integer input: a silent float->int
+    cast would resolve proposals nobody made."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
         raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
+            f"{name} must hold integer UIDs, got dtype {array.dtype}"
         )
-    _validate(proposals)
-    accept = ACCEPTANCE_RULES[rule]
-    matches = []
-    incoming = _incoming_at_non_proposers(proposals)
-    for target in sorted(incoming):
-        senders = sorted(incoming[target])
-        rng = (
-            rng_for_target(target)
-            if rule == "uniform" and len(senders) > 1
-            else None
-        )
-        matches.append((accept(senders, rng), target))
-    return matches
-
-
-def resolve_proposals_arrays_local(
-    proposer_uids,
-    target_uids,
-    rng_for_target,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Array twin of :func:`resolve_proposals_local`.
-
-    Pair-for-pair identical to the dict form on the same proposals, with
-    the same per-target stream discipline — ``rng_for_target`` is called
-    once per contested target under the uniform rule, never otherwise.
-    """
-    if rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
-        )
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    if proposer_uids.shape != target_uids.shape:
-        raise ConfigurationError(
-            "proposer_uids and target_uids must have matching shapes"
-        )
-    if proposer_uids.size == 0:
-        return []
-    self_loops = proposer_uids == target_uids
-    if self_loops.any():
-        offender = int(proposer_uids[self_loops][0])
-        raise ProtocolViolationError(f"node {offender} proposed to itself")
-    if np.unique(proposer_uids).size != proposer_uids.size:
-        raise ProtocolViolationError("duplicate proposer UIDs")
-    keep = ~np.isin(target_uids, proposer_uids)
-    senders = proposer_uids[keep]
-    targets = target_uids[keep]
-    if senders.size == 0:
-        return []
-    order = np.lexsort((senders, targets))
-    senders = senders[order]
-    targets = targets[order]
-    group_targets, starts = np.unique(targets, return_index=True)
-    bounds = np.append(starts, senders.size)
-    if rule == "lowest_uid":
-        initiators = senders[starts]
-    elif rule == "highest_uid":
-        initiators = senders[bounds[1:] - 1]
-    else:  # uniform, one fresh stream per contested target
-        initiators = senders[starts].copy()
-        sizes = np.diff(bounds)
-        for g in np.nonzero(sizes > 1)[0]:
-            group = senders[bounds[g]:bounds[g + 1]]
-            initiators[g] = rng_for_target(int(group_targets[g])).choice(group)
-    return list(zip(initiators.tolist(), group_targets.tolist()))
+    return array.astype(np.int64, copy=False)
 
 
 def resolve_proposals_arrays(
     proposer_uids,
     target_uids,
-    rng: random.Random | None = None,
+    stream_for: StreamSupplier | None = None,
     rule: str = "uniform",
 ) -> list[tuple[int, int]]:
-    """Array-based twin of :func:`resolve_proposals` (and the unbounded
-    baseline, via ``rule="unbounded"``).
+    """Array form of :func:`resolve_proposals`.
 
     ``proposer_uids``/``target_uids`` are parallel int arrays: proposer
     ``proposer_uids[i]`` proposed to ``target_uids[i]``.  Proposer UIDs
     must be distinct (each node sends at most one proposal).
 
     **Byte-identical matching guarantee**: the result — pair values *and*
-    list order — equals the dict resolver's on the same proposals, and the
-    acceptance draw consumes ``rng`` in the same sorted-target order,
-    drawing only for targets with two or more surviving proposals.  The
+    list order — equals the dict form's on the same proposals, and
+    ``stream_for`` is called for the same targets in the same order.  The
     engine's array fast path relies on this to keep traces identical to
-    the reference path; tests/test_matching.py pins it property-style.
+    the reference path.
     """
-    if rule != "unbounded" and rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES) + ['unbounded']}"
-        )
-    if rule == "uniform" and rng is None:
-        raise ConfigurationError("the uniform rule needs an rng")
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
+    _check_rule(rule)
+    proposer_uids = _uid_array(proposer_uids, "proposer_uids")
+    target_uids = _uid_array(target_uids, "target_uids")
     if proposer_uids.shape != target_uids.shape:
         raise ConfigurationError(
             "proposer_uids and target_uids must have matching shapes"
         )
     if proposer_uids.size == 0:
         return []
+    if proposer_uids.size == 1:
+        # A lone proposal always lands (its target cannot be a proposer):
+        # the jittered async cohort's common case stays O(1).
+        proposer, target = int(proposer_uids[0]), int(target_uids[0])
+        if proposer == target:
+            raise _self_proposal(proposer)
+        return [(proposer, target)]
     self_loops = proposer_uids == target_uids
     if self_loops.any():
-        offender = int(proposer_uids[self_loops][0])
-        raise ProtocolViolationError(f"node {offender} proposed to itself")
+        raise _self_proposal(int(proposer_uids[self_loops][0]))
     if np.unique(proposer_uids).size != proposer_uids.size:
         raise ProtocolViolationError("duplicate proposer UIDs")
 
@@ -259,7 +207,7 @@ def resolve_proposals_arrays(
     if senders.size == 0:
         return []
     # Sort by (target, sender): groups come out in sorted-target order
-    # with each group's senders ascending — the dict resolver's order.
+    # with each group's senders ascending — the dict form's order.
     order = np.lexsort((senders, targets))
     senders = senders[order]
     targets = targets[order]
@@ -271,162 +219,14 @@ def resolve_proposals_arrays(
         initiators = senders[starts]
     elif rule == "highest_uid":
         initiators = senders[bounds[1:] - 1]
-    else:  # uniform
+    else:  # uniform: one draw per contested group
         initiators = senders[starts].copy()
-        sizes = np.diff(bounds)
-        for g in np.nonzero(sizes > 1)[0]:
+        contested = np.nonzero(np.diff(bounds) > 1)[0]
+        if contested.size and stream_for is None:
+            raise _no_supplier(int(group_targets[contested[0]]))
+        for g, target in zip(
+            contested.tolist(), group_targets[contested].tolist()
+        ):
             group = senders[bounds[g]:bounds[g + 1]]
-            initiators[g] = rng.choice(group)
+            initiators[g] = stream_for(target).choice(group)
     return list(zip(initiators.tolist(), group_targets.tolist()))
-
-
-def resolve_proposals_masked(
-    proposals: dict[int, int],
-    active_uids,
-    rng: random.Random | None = None,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Masked twin of :func:`resolve_proposals` for fault-layer rounds.
-
-    Proposals whose proposer *or* target UID is not in ``active_uids``
-    (a set-like of awake nodes) are discarded before resolution — a
-    sleeping node neither sends nor accepts.  The acceptance draw then
-    consumes ``rng`` exactly as the unmasked resolver would on the
-    surviving proposals, so with every endpoint active the result — and
-    the stream consumption — is identical to :func:`resolve_proposals`.
-    ``rule="unbounded"`` delegates to the classical-model resolver.
-    """
-    active = (
-        active_uids
-        if isinstance(active_uids, (set, frozenset))
-        else frozenset(active_uids)
-    )
-    surviving = {
-        proposer: target
-        for proposer, target in proposals.items()
-        if proposer in active and target in active
-    }
-    if rule == "unbounded":
-        return resolve_proposals_unbounded(surviving)
-    return resolve_proposals(surviving, rng, rule=rule)
-
-
-def resolve_proposals_arrays_masked(
-    proposer_uids,
-    target_uids,
-    active_uids,
-    rng: random.Random | None = None,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Masked twin of :func:`resolve_proposals_arrays`.
-
-    ``active_uids`` is an int array of awake UIDs; proposals with an
-    inactive endpoint are dropped before resolution.  Matches
-    :func:`resolve_proposals_masked` pair-for-pair (same survivors, same
-    sorted-target draw order), which keeps the engine's two front halves
-    byte-identical under any activity mask.
-    """
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    if proposer_uids.shape != target_uids.shape:
-        raise ConfigurationError(
-            "proposer_uids and target_uids must have matching shapes"
-        )
-    active_uids = np.asarray(active_uids, dtype=np.int64)
-    keep = np.isin(proposer_uids, active_uids) & np.isin(
-        target_uids, active_uids
-    )
-    return resolve_proposals_arrays(
-        proposer_uids[keep], target_uids[keep], rng, rule=rule
-    )
-
-
-def resolve_proposal_cohorts(
-    proposer_uids,
-    target_uids,
-    bounds,
-    rng_for_cohort,
-    rule: str = "uniform",
-    active_uids=None,
-) -> list[list[tuple[int, int]]]:
-    """Resolve many cohorts' proposals in one call (batched async path).
-
-    ``proposer_uids``/``target_uids`` hold a whole round window's
-    proposals, cohorts concatenated in event order; cohort ``c`` owns the
-    slice ``bounds[c]:bounds[c + 1]``.  Each cohort resolves
-    *independently* — simultaneity is per tick, so proposals in different
-    cohorts never compete — and its matches equal what the per-event
-    engine computes for that cohort:
-
-    * ``rng_for_cohort(c)`` is called only when cohort ``c`` holds two or
-      more proposals (singletons consume no randomness — the per-event
-      engine's rule), and the acceptance draw consumes it in the
-      resolver's sorted-target order;
-    * ``active_uids`` (optional, per-cohort: ``active_uids(c)`` returning
-      an awake-UID array or ``None``) routes the cohort through
-      :func:`resolve_proposals_arrays_masked`, dropping proposals with a
-      sleeping endpoint before resolution.
-
-    Returns one match list per cohort.
-    """
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    results: list[list[tuple[int, int]]] = []
-    for cohort in range(len(bounds) - 1):
-        lo, hi = int(bounds[cohort]), int(bounds[cohort + 1])
-        if hi == lo:
-            results.append([])
-            continue
-        senders = proposer_uids[lo:hi]
-        targets = target_uids[lo:hi]
-        active = active_uids(cohort) if active_uids is not None else None
-        if rule == "unbounded":
-            rng = None
-        else:
-            rng = rng_for_cohort(cohort) if hi - lo >= 2 else None
-        if hi - lo == 1:
-            # Singleton fast path: the lone proposal always lands (a
-            # self-proposal is a protocol violation, so the target is
-            # never itself a proposer here).
-            if int(senders[0]) == int(targets[0]):
-                raise ProtocolViolationError(
-                    f"node {int(senders[0])} proposed to itself"
-                )
-            if active is not None and (
-                int(senders[0]) not in active or int(targets[0]) not in active
-            ):
-                results.append([])
-            else:
-                results.append([(int(senders[0]), int(targets[0]))])
-            continue
-        if active is not None:
-            results.append(
-                resolve_proposals_arrays_masked(
-                    senders, targets, active, rng, rule=rule
-                )
-            )
-        else:
-            results.append(
-                resolve_proposals_arrays(senders, targets, rng, rule=rule)
-            )
-    return results
-
-
-def resolve_proposals_unbounded(
-    proposals: dict[int, int],
-) -> list[tuple[int, int]]:
-    """The classical telephone model's rule: every proposal to a
-    non-proposer connects (a node may accept unboundedly many).
-
-    Provided as a baseline only — most classical-model bounds silently
-    rely on this rule (c.f. Daum et al. and the paper's related work), and
-    the benchmarks use it to measure exactly what the bounded-acceptance
-    change costs.
-    """
-    _validate(proposals)
-    matches = []
-    incoming = _incoming_at_non_proposers(proposals)
-    for target in sorted(incoming):
-        for sender in sorted(incoming[target]):
-            matches.append((sender, target))
-    return matches

@@ -8,55 +8,57 @@ from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import star
 from repro.sim.engine import Simulation
-from repro.sim.matching import (
-    ACCEPTANCE_RULES,
-    resolve_proposals,
-    resolve_proposals_unbounded,
-)
+from repro.sim.matching import ACCEPTANCE_RULES, resolve_proposals
 from repro.sim.protocol import NodeProtocol
+
+
+def streams(seed):
+    """A stream supplier handing every contested target one stream."""
+    rng = random.Random(seed)
+    return lambda _target: rng
 
 
 class TestBoundedRules:
     def test_uniform_is_default(self):
-        matches = resolve_proposals({1: 9, 2: 9}, random.Random(0))
+        matches = resolve_proposals({1: 9, 2: 9}, streams(0))
         assert len(matches) == 1
 
     def test_lowest_uid_rule(self):
         matches = resolve_proposals(
-            {5: 9, 2: 9, 7: 9}, random.Random(0), rule="lowest_uid"
+            {5: 9, 2: 9, 7: 9}, streams(0), rule="lowest_uid"
         )
         assert matches == [(2, 9)]
 
     def test_highest_uid_rule(self):
         matches = resolve_proposals(
-            {5: 9, 2: 9, 7: 9}, random.Random(0), rule="highest_uid"
+            {5: 9, 2: 9, 7: 9}, streams(0), rule="highest_uid"
         )
         assert matches == [(7, 9)]
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_proposals({1: 2}, random.Random(0), rule="fifo")
+            resolve_proposals({1: 2}, streams(0), rule="fifo")
 
     def test_all_rules_preserve_one_connection_per_node(self):
         proposals = {1: 9, 2: 9, 3: 8, 4: 8}
         for rule in ACCEPTANCE_RULES:
-            matches = resolve_proposals(proposals, random.Random(1), rule=rule)
+            matches = resolve_proposals(proposals, streams(1), rule=rule)
             nodes = [x for pair in matches for x in pair]
             assert len(nodes) == len(set(nodes))
 
 
 class TestUnbounded:
     def test_every_proposal_to_non_proposer_connects(self):
-        matches = resolve_proposals_unbounded({1: 9, 2: 9, 3: 9})
+        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, rule="unbounded")
         assert sorted(matches) == [(1, 9), (2, 9), (3, 9)]
 
     def test_proposer_still_cannot_receive(self):
-        matches = resolve_proposals_unbounded({1: 2, 2: 3})
+        matches = resolve_proposals({1: 2, 2: 3}, rule="unbounded")
         assert matches == [(2, 3)]
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_unbounded({1: 1})
+            resolve_proposals({1: 1}, rule="unbounded")
 
 
 class PushyNode(NodeProtocol):

@@ -13,24 +13,38 @@ from repro.sim.matching import (
     ACCEPTANCE_RULES,
     resolve_proposals,
     resolve_proposals_arrays,
-    resolve_proposals_arrays_masked,
-    resolve_proposals_masked,
-    resolve_proposals_unbounded,
 )
+
+ALL_RULES = sorted(ACCEPTANCE_RULES) + ["unbounded"]
+
+
+def shared(seed_or_rng):
+    """The centralized stream discipline: every contested target draws
+    from one sequential stream."""
+    rng = (
+        seed_or_rng if isinstance(seed_or_rng, random.Random)
+        else random.Random(seed_or_rng)
+    )
+    return lambda _target: rng
+
+
+def per_target(seed):
+    """The distributed discipline: a fresh stream per contested target."""
+    return lambda target: random.Random(f"{seed}/{target}")
 
 
 class TestBasicRules:
     def test_single_proposal_connects(self):
-        matches = resolve_proposals({1: 2}, random.Random(0))
+        matches = resolve_proposals({1: 2}, shared(0))
         assert matches == [(1, 2)]
 
     def test_proposer_cannot_receive(self):
         # 1 -> 2 and 2 -> 3: node 2 proposed, so 1's proposal is lost.
-        matches = resolve_proposals({1: 2, 2: 3}, random.Random(0))
+        matches = resolve_proposals({1: 2, 2: 3}, shared(0))
         assert matches == [(2, 3)]
 
     def test_one_acceptance_per_target(self):
-        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, random.Random(0))
+        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, shared(0))
         assert len(matches) == 1
         initiator, responder = matches[0]
         assert responder == 9
@@ -38,19 +52,26 @@ class TestBasicRules:
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals({1: 1}, random.Random(0))
+            resolve_proposals({1: 1}, shared(0))
 
     def test_empty_input(self):
-        assert resolve_proposals({}, random.Random(0)) == []
+        assert resolve_proposals({}, shared(0)) == []
+
+    def test_contested_uniform_requires_supplier(self):
+        # A missing supplier is a configuration error, and only a
+        # contested target needs one.
+        assert resolve_proposals({1: 2}, None) == [(1, 2)]
+        with pytest.raises(ConfigurationError, match="stream supplier"):
+            resolve_proposals({1: 9, 2: 9}, None)
 
     def test_disjoint_pairs_all_connect(self):
-        matches = resolve_proposals({1: 2, 3: 4, 5: 6}, random.Random(0))
+        matches = resolve_proposals({1: 2, 3: 4, 5: 6}, shared(0))
         assert sorted(matches) == [(1, 2), (3, 4), (5, 6)]
 
     def test_deterministic_given_seed(self):
         proposals = {i: 99 for i in range(1, 8)}
-        a = resolve_proposals(proposals, random.Random(42))
-        b = resolve_proposals(proposals, random.Random(42))
+        a = resolve_proposals(proposals, shared(42))
+        b = resolve_proposals(proposals, shared(42))
         assert a == b
 
 
@@ -58,7 +79,7 @@ class TestAcceptanceUniformity:
     def test_acceptance_roughly_uniform(self):
         counts = Counter()
         for seed in range(3000):
-            matches = resolve_proposals({1: 9, 2: 9, 3: 9}, random.Random(seed))
+            matches = resolve_proposals({1: 9, 2: 9, 3: 9}, shared(seed))
             counts[matches[0][0]] += 1
         assert set(counts) == {1, 2, 3}
         assert min(counts.values()) > 800  # each ~1000 of 3000
@@ -70,13 +91,13 @@ class TestDeterministicRules:
 
     def test_lowest_uid_picks_minimum_sender(self):
         matches = resolve_proposals(
-            {8: 1, 3: 1, 5: 1}, random.Random(0), rule="lowest_uid"
+            {8: 1, 3: 1, 5: 1}, shared(0), rule="lowest_uid"
         )
         assert matches == [(3, 1)]
 
     def test_highest_uid_picks_maximum_sender(self):
         matches = resolve_proposals(
-            {8: 1, 3: 1, 5: 1}, random.Random(0), rule="highest_uid"
+            {8: 1, 3: 1, 5: 1}, shared(0), rule="highest_uid"
         )
         assert matches == [(8, 1)]
 
@@ -85,36 +106,38 @@ class TestDeterministicRules:
         # different rules stay comparable draw-for-draw downstream.
         for rule in ("lowest_uid", "highest_uid"):
             rng = random.Random(99)
-            resolve_proposals({1: 9, 2: 9, 3: 8}, rng, rule=rule)
+            resolve_proposals({1: 9, 2: 9, 3: 8}, shared(rng), rule=rule)
             assert rng.random() == random.Random(99).random()
 
     def test_multiple_targets_sorted_output(self):
         matches = resolve_proposals(
-            {5: 2, 6: 2, 7: 4, 8: 4}, random.Random(0), rule="lowest_uid"
+            {5: 2, 6: 2, 7: 4, 8: 4}, shared(0), rule="lowest_uid"
         )
         assert matches == [(5, 2), (7, 4)]
 
 
 class TestUnboundedBaseline:
     def test_all_proposals_to_idle_target_connect(self):
-        matches = resolve_proposals_unbounded({1: 9, 2: 9, 3: 9})
+        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, rule="unbounded")
         assert matches == [(1, 9), (2, 9), (3, 9)]
 
     def test_output_ordered_by_target_then_sender(self):
-        matches = resolve_proposals_unbounded({7: 2, 1: 4, 3: 2, 5: 4})
+        matches = resolve_proposals(
+            {7: 2, 1: 4, 3: 2, 5: 4}, rule="unbounded"
+        )
         assert matches == [(3, 2), (7, 2), (1, 4), (5, 4)]
 
     def test_proposer_targets_lost(self):
         # 3 proposed, so proposals aimed at 3 die; 3's own survives.
-        matches = resolve_proposals_unbounded({1: 3, 2: 3, 3: 9})
+        matches = resolve_proposals({1: 3, 2: 3, 3: 9}, rule="unbounded")
         assert matches == [(3, 9)]
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_unbounded({4: 4})
+            resolve_proposals({4: 4}, rule="unbounded")
 
     def test_empty(self):
-        assert resolve_proposals_unbounded({}) == []
+        assert resolve_proposals({}, rule="unbounded") == []
 
 
 def _as_arrays(proposals: dict):
@@ -127,30 +150,38 @@ def _as_arrays(proposals: dict):
 class TestArrayResolver:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_proposals_arrays([1], [2], random.Random(0), rule="fifo")
+            resolve_proposals_arrays([1], [2], shared(0), rule="fifo")
 
     def test_uniform_requires_rng(self):
-        with pytest.raises(ConfigurationError):
-            resolve_proposals_arrays([1], [2], None, rule="uniform")
+        # Only a contested target draws, so only it needs the supplier.
+        assert resolve_proposals_arrays([1], [2], None) == [(1, 2)]
+        with pytest.raises(ConfigurationError, match="stream supplier"):
+            resolve_proposals_arrays([1, 2], [9, 9], None, rule="uniform")
+
+    def test_non_integer_uids_rejected(self):
+        # A float->int cast would resolve proposals nobody made.
+        with pytest.raises(ConfigurationError, match="integer UIDs"):
+            resolve_proposals_arrays([1.9], [2.2], shared(0))
+        with pytest.raises(ConfigurationError, match="integer UIDs"):
+            resolve_proposals_arrays([1, 2], [9.0, 9.0], shared(0))
+        assert resolve_proposals_arrays([], [], shared(0)) == []
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_arrays([3], [3], random.Random(0))
+            resolve_proposals_arrays([3], [3], shared(0))
 
     def test_duplicate_proposers_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_arrays([3, 3], [1, 2], random.Random(0))
+            resolve_proposals_arrays([3, 3], [1, 2], shared(0))
 
     def test_returns_python_ints(self):
-        matches = resolve_proposals_arrays([1], [2], random.Random(0))
+        matches = resolve_proposals_arrays([1], [2], shared(0))
         assert matches == [(1, 2)]
         assert all(
             type(x) is int for pair in matches for x in pair
         )
 
-    @pytest.mark.parametrize(
-        "rule", sorted(ACCEPTANCE_RULES) + ["unbounded"]
-    )
+    @pytest.mark.parametrize("rule", ALL_RULES)
     def test_agrees_with_dict_resolver_on_fixed_cases(self, rule):
         cases = [
             {},
@@ -160,18 +191,10 @@ class TestArrayResolver:
             {5: 2, 6: 2, 7: 4, 8: 4, 2: 6},
         ]
         for proposals in cases:
-            if rule == "unbounded":
-                expected = resolve_proposals_unbounded(proposals)
-                got = resolve_proposals_arrays(
-                    *_as_arrays(proposals), rule="unbounded"
-                )
-            else:
-                expected = resolve_proposals(
-                    proposals, random.Random(17), rule=rule
-                )
-                got = resolve_proposals_arrays(
-                    *_as_arrays(proposals), random.Random(17), rule=rule
-                )
+            expected = resolve_proposals(proposals, shared(17), rule=rule)
+            got = resolve_proposals_arrays(
+                *_as_arrays(proposals), shared(17), rule=rule
+            )
             assert got == expected, (rule, proposals)
 
 
@@ -183,7 +206,7 @@ class TestArrayResolver:
         max_size=25,
     ),
     st.integers(min_value=0, max_value=1000),
-    st.sampled_from(sorted(ACCEPTANCE_RULES) + ["unbounded"]),
+    st.sampled_from(ALL_RULES),
 )
 @settings(max_examples=200, deadline=None)
 def test_array_resolver_agrees_with_dict_resolver(proposals, seed, rule):
@@ -193,17 +216,13 @@ def test_array_resolver_agrees_with_dict_resolver(proposals, seed, rule):
     matching guarantee the engine's fast path is built on)."""
     proposals = {p: t for p, t in proposals.items() if p != t}
     proposers, targets = _as_arrays(proposals)
-    if rule == "unbounded":
-        expected = resolve_proposals_unbounded(proposals)
-        got = resolve_proposals_arrays(proposers, targets, rule="unbounded")
-    else:
-        rng_dict = random.Random(seed)
-        rng_array = random.Random(seed)
-        expected = resolve_proposals(proposals, rng_dict, rule=rule)
-        got = resolve_proposals_arrays(proposers, targets, rng_array,
-                                       rule=rule)
-        # Same post-resolution stream state: the next draw agrees.
-        assert rng_array.random() == rng_dict.random()
+    rng_dict = random.Random(seed)
+    rng_array = random.Random(seed)
+    expected = resolve_proposals(proposals, shared(rng_dict), rule=rule)
+    got = resolve_proposals_arrays(proposers, targets, shared(rng_array),
+                                   rule=rule)
+    # Same post-resolution stream state: the next draw agrees.
+    assert rng_array.random() == rng_dict.random()
     assert got == expected
 
 
@@ -219,7 +238,7 @@ def test_array_resolver_agrees_with_dict_resolver(proposals, seed, rule):
 @settings(max_examples=200, deadline=None)
 def test_matching_invariants(proposals, seed):
     proposals = {p: t for p, t in proposals.items() if p != t}
-    matches = resolve_proposals(proposals, random.Random(seed))
+    matches = resolve_proposals(proposals, shared(seed))
 
     participants = [node for pair in matches for node in pair]
     # Invariant: one connection per node.
@@ -236,60 +255,16 @@ def test_matching_invariants(proposals, seed):
             assert any(resp == target for _, resp in matches)
 
 
-class TestMaskedResolvers:
-    """The fault layer's masked twins: inactive endpoints disappear,
-    everything-active is the unmasked resolver exactly."""
+class RecordingSupplier:
+    """Wraps a supplier and logs the targets it was asked about."""
 
-    PROPOSALS = {1: 5, 2: 5, 3: 6, 4: 2, 7: 6}
+    def __init__(self, supplier):
+        self.supplier = supplier
+        self.asked: list[int] = []
 
-    def test_all_active_equals_unmasked(self):
-        active = frozenset(range(1, 10))
-        for rule in sorted(ACCEPTANCE_RULES):
-            assert resolve_proposals_masked(
-                dict(self.PROPOSALS), active, random.Random(3), rule=rule
-            ) == resolve_proposals(
-                dict(self.PROPOSALS), random.Random(3), rule=rule
-            )
-
-    def test_all_active_consumes_rng_identically(self):
-        active = frozenset(range(1, 10))
-        rng_a, rng_b = random.Random(9), random.Random(9)
-        resolve_proposals_masked(dict(self.PROPOSALS), active, rng_a)
-        resolve_proposals(dict(self.PROPOSALS), rng_b)
-        assert rng_a.random() == rng_b.random()  # same stream position
-
-    def test_inactive_proposer_and_target_removed(self):
-        # 5 asleep: proposals 1->5 and 2->5 vanish; 3 asleep: 3->6 gone.
-        active = frozenset({1, 2, 4, 6, 7})
-        matches = resolve_proposals_masked(
-            dict(self.PROPOSALS), active, random.Random(1)
-        )
-        assert matches == [(4, 2), (7, 6)]
-
-    def test_arrays_masked_matches_dict_masked(self):
-        active = {1, 2, 4, 6, 7}
-        for rule in sorted(ACCEPTANCE_RULES) + ["unbounded"]:
-            expected = resolve_proposals_masked(
-                dict(self.PROPOSALS), frozenset(active),
-                random.Random(5), rule=rule,
-            )
-            got = resolve_proposals_arrays_masked(
-                np.array(sorted(self.PROPOSALS)),
-                np.array([self.PROPOSALS[p]
-                          for p in sorted(self.PROPOSALS)]),
-                np.array(sorted(active)),
-                random.Random(5), rule=rule,
-            )
-            assert got == expected
-
-    def test_nobody_active_means_no_matches(self):
-        assert resolve_proposals_masked(
-            dict(self.PROPOSALS), frozenset(), random.Random(1)
-        ) == []
-        assert resolve_proposals_arrays_masked(
-            np.array([1, 2]), np.array([5, 5]), np.array([], dtype=int),
-            random.Random(1),
-        ) == []
+    def __call__(self, target):
+        self.asked.append(target)
+        return self.supplier(target)
 
 
 @given(
@@ -299,23 +274,29 @@ class TestMaskedResolvers:
         min_size=0,
         max_size=25,
     ),
-    st.sets(st.integers(min_value=0, max_value=30)),
     st.integers(min_value=0, max_value=1000),
+    st.sampled_from(ALL_RULES),
+    st.sampled_from([shared, per_target]),
 )
-@settings(max_examples=150, deadline=None)
-def test_masked_resolvers_agree(proposals, active, seed):
+@settings(max_examples=300, deadline=None)
+def test_stream_discipline(proposals, seed, rule, discipline):
+    """Property: under either discipline the two forms agree pair for
+    pair, and each asks the supplier exactly once per contested target
+    in ascending target order — never for an uncontested target, a
+    deterministic rule or ``"unbounded"``."""
     proposals = {p: t for p, t in proposals.items() if p != t}
-    active = frozenset(active)
-    expected = resolve_proposals_masked(
-        proposals, active, random.Random(seed)
-    )
-    got = resolve_proposals_arrays_masked(
-        np.array(sorted(proposals), dtype=int),
-        np.array([proposals[p] for p in sorted(proposals)], dtype=int),
-        np.array(sorted(active), dtype=int),
-        random.Random(seed),
+    dict_streams = RecordingSupplier(discipline(seed))
+    array_streams = RecordingSupplier(discipline(seed))
+    expected = resolve_proposals(proposals, dict_streams, rule=rule)
+    got = resolve_proposals_arrays(
+        *_as_arrays(proposals), array_streams, rule=rule
     )
     assert got == expected
-    # Masked matches only ever involve active nodes.
-    flat = {node for pair in expected for node in pair}
-    assert flat <= active
+
+    surviving = Counter(t for t in proposals.values() if t not in proposals)
+    contested = sorted(t for t, count in surviving.items() if count > 1)
+    should_ask = contested if rule == "uniform" else []
+    assert dict_streams.asked == should_ask
+    assert array_streams.asked == should_ask
+    if len(proposals) == 1:
+        assert dict_streams.asked == array_streams.asked == []
