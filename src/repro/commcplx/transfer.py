@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.bits import ceil_log2
 from repro.commcplx.eqtest import EqualityTester
@@ -69,6 +70,19 @@ class TransferOutcome:
         return self.moved_to_a or self.moved_to_b
 
 
+@lru_cache(maxsize=64)
+def _equal_set_outcome(upper_n: int, bits_per_call: int) -> TransferOutcome:
+    """What the search reports on equal sets (shared, not per node: that
+    was +20 % of population build).  Every prefix pair is equal, so it
+    walks ``lo = mid + 1`` up to ``upper_n`` — a call count fixed by
+    ``upper_n``, each call running all its trials and drawing nothing."""
+    lo, calls = 1, 0
+    while lo != upper_n:
+        lo, calls = (lo + upper_n) // 2 + 1, calls + 1
+    return TransferOutcome(None, False, False, False, eq_calls=calls,
+                           control_bits=calls * bits_per_call + 2)
+
+
 class TransferProtocol:
     """Reusable Transfer(ε) runner bound to a universe bound ``upper_n``.
 
@@ -85,6 +99,8 @@ class TransferProtocol:
         self.epsilon = epsilon
         self.trials_per_call = trials_for_error(upper_n, epsilon)
         self.tester = EqualityTester(upper_n)
+        self._bits_per_call = self.trials_per_call * self.tester.bits_per_trial
+        self._equal_outcome = _equal_set_outcome(upper_n, self._bits_per_call)
 
     def locate(
         self,
@@ -97,8 +113,30 @@ class TransferProtocol:
         set_a = frozenset(labels_a)
         set_b = frozenset(labels_b)
         self._validate(set_a, "a")
+        if set_a == set_b:
+            return self._locate_equal(channel)
         self._validate(set_b, "b")
+        return self._search(set_a, set_b, rng, channel)
 
+    def _locate_equal(self, channel: Channel | None) -> TransferOutcome:
+        """What :meth:`_search` does on equal sets — most of BlindMatch's
+        connections — without running it: same outcome, tester stats and
+        channel ledger, no draw.  (Only after a strict channel raises
+        mid-batch do the stats differ: they are charged up front.)"""
+        outcome = self._equal_outcome
+        stats = self.tester.stats
+        stats.calls += outcome.eq_calls
+        stats.trials += outcome.eq_calls * self.trials_per_call
+        stats.bits += outcome.control_bits - 2
+        if channel is not None:
+            channel.charge_bits_repeated(
+                self._bits_per_call, outcome.eq_calls, label="eqtest"
+            )
+            channel.charge_bits(2, label="transfer-ownership")
+        return outcome
+
+    def _search(self, set_a, set_b, rng, channel) -> TransferOutcome:
+        """The step-by-step binary search over two validated frozensets."""
         bits_before = self.tester.stats.bits
         calls_before = self.tester.stats.calls
         lo, hi = 1, self.upper_n
@@ -139,9 +177,11 @@ class TransferProtocol:
     def worst_case_control_bits(self) -> int:
         """Upper bound on control bits per invocation (for budget sizing)."""
         calls = max(ceil_log2(self.upper_n), 1)
-        return calls * self.trials_per_call * self.tester.bits_per_trial + 2
+        return calls * self._bits_per_call + 2
 
     def _validate(self, labels: frozenset, side: str) -> None:
+        if not labels or (1 <= min(labels) and max(labels) <= self.upper_n):
+            return
         for label in labels:
             if not 1 <= label <= self.upper_n:
                 raise ConfigurationError(

@@ -91,8 +91,9 @@ class BlindMatchNode(GossipNode):
     # -- bulk hooks (array fast path) ------------------------------------
     # Byte-identical to looping the scalar hooks over vertices 0..n-1:
     # every node's coin comes off its own rng in vertex order, and
-    # rng.choice over the CSR row consumes exactly what rng.choice over
-    # the NeighborView tuple would (same length, same one _randbelow).
+    # rng.randrange(degree) into the CSR row consumes exactly what
+    # rng.choice over the NeighborView tuple would (choice(row) is
+    # row[_randbelow(len(row))]: same length, same one draw).
 
     @classmethod
     def advertise_all(cls, nodes, round_index, csr) -> np.ndarray:
@@ -103,13 +104,14 @@ class BlindMatchNode(GossipNode):
 
     @classmethod
     def propose_all(cls, nodes, round_index, csr, tags) -> np.ndarray:
-        rows = csr.uid_rows()
+        flat, indptr = csr.uid_lists()
         targets = [-1] * len(nodes)
         for vertex, node in enumerate(nodes):
             if node._sender_this_round:
-                row = rows[vertex]
-                if row:
-                    targets[vertex] = node.rng.choice(row)
+                start = indptr[vertex]
+                degree = indptr[vertex + 1] - start
+                if degree:
+                    targets[vertex] = flat[start + node.rng.randrange(degree)]
         out = csr.round_buffer("blindmatch:targets", len(nodes), np.int64)
         out[:] = targets
         return out

@@ -134,6 +134,7 @@ class SharedBitNode(GossipNode):
         return all(
             node.shared == first.shared
             and node.config.group_offset == first.config.group_offset
+            and node.upper_n == first.upper_n
             for node in nodes
         )
 
@@ -210,6 +211,7 @@ class _SharedBitWindowOps:
         self._row_tokens: list[tuple[int, ...]] = [()] * n
         self._counts: dict[int, int] = {}
         self._dirty: set[int] = set(range(n))
+        self._window_bits: dict[int, dict] = {}  # cycle -> latest scan's bits
         self._sync()
 
     def _sync(self) -> None:
@@ -248,18 +250,21 @@ class _SharedBitWindowOps:
         cycles = np.asarray(cycles, dtype=np.int64)
         known = sorted(self._counts)
         lookup = np.zeros(self._sentinel + 1, dtype=np.int64)
+        window_bits = self._window_bits = {}
         first = int(cycles[0]) if len(cycles) else 0
         if len(cycles) and bool((cycles == first).all()):
             # Single-cycle window — the common case for any timing model
             # whose cycles stay inside their own round window (jitter):
             # one bit table, one gather, no per-cycle partitioning.
-            bit_of = self._shared.token_bits(first + self._offset, known)
+            bit_of = window_bits[first] = self._shared.token_bits(
+                first + self._offset, known)
             lookup[known] = [bit_of[label] for label in known]
             tags = lookup[self._matrix[vertices]].sum(axis=1) & 1
             return tags, tags == 1
         tags = np.empty(len(vertices), dtype=np.int64)
         for cycle in np.unique(cycles).tolist():
-            bit_of = self._shared.token_bits(cycle + self._offset, known)
+            bit_of = window_bits[cycle] = self._shared.token_bits(
+                cycle + self._offset, known)
             lookup[known] = [bit_of[label] for label in known]
             sel = cycles == cycle
             rows = self._matrix[vertices[sel]]
@@ -267,7 +272,14 @@ class _SharedBitWindowOps:
         return tags, tags == 1
 
     def retag(self, vertex: int, cycle: int) -> int:
-        return self._nodes[vertex].advertisement_bit(cycle)
+        # The scan's table for the cycle holds the very bits
+        # ``advertisement_bit`` re-derives, one PRF call per held token.
+        node = self._nodes[vertex]
+        try:
+            bit_of = self._window_bits[cycle]
+            return sum(map(bit_of.__getitem__, node._tokens)) & 1
+        except KeyError:  # no table for this cycle, or a label it lacks
+            return node.advertisement_bit(cycle)
 
     def sender_from_tag(self, tag: int) -> bool:
         # Retagged members re-enter (or leave) the candidate pool by the

@@ -24,10 +24,10 @@ import math
 import random
 from abc import ABC, abstractmethod
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
+from repro.graphs import lazy_nx as nx
 from repro.graphs.metrics import vertex_expansion_estimate, max_degree
 from repro.graphs.spatial import PointIndex, disk_edges, nearest_pair
 from repro.graphs.topologies import Topology

@@ -28,9 +28,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
+from repro.graphs import lazy_nx as nx
 
 __all__ = [
     "boundary",

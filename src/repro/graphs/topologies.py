@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
+from repro.graphs import lazy_nx as nx
 from repro.registry import RegistryMapping, TOPOLOGY_REGISTRY, register_topology
 
 __all__ = [

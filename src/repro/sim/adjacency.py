@@ -76,7 +76,7 @@ class CSRAdjacency:
     base: "CSRAdjacency | None" = None
     arena: "object | None" = field(default=None, repr=False)
     _edge_sources: np.ndarray | None = field(default=None, repr=False)
-    _uid_rows: list | None = field(default=None, repr=False)
+    _uid_lists: tuple | None = field(default=None, repr=False)
     _masked_memo: dict | None = field(default=None, repr=False)
 
     @classmethod
@@ -153,23 +153,17 @@ class CSRAdjacency:
             buf[...] = fill
         return buf
 
-    def uid_rows(self) -> list:
-        """Per-vertex neighbor-UID tuples (UID-bound snapshots only).
-
-        Cached for the epoch.  Bulk hooks that hand whole rows to
-        ``random.Random.choice`` use these: ``choice`` on a small tuple is
-        measurably cheaper than on a numpy slice, and the draw is
-        identical (same length, same one ``_randbelow``).
-        """
-        if self._uid_rows is None:
+    def uid_lists(self) -> tuple[list, list]:
+        """``(uids, indptr)`` as flat Python lists (UID-bound snapshots
+        only), cached on the snapshot: vertex ``v``'s neighbor UIDs are
+        ``uids[indptr[v]:indptr[v + 1]]``.  For bulk hooks that index one
+        neighbor per vertex from a Python loop, where list indexing
+        beats numpy scalar access."""
+        if self._uid_lists is None:
             if self.uids is None:
-                raise ValueError("uid_rows needs a UID-bound snapshot")
-            flat = self.uids.tolist()
-            indptr = self.indptr.tolist()
-            self._uid_rows = [
-                tuple(flat[indptr[v]:indptr[v + 1]]) for v in range(self.n)
-            ]
-        return self._uid_rows
+                raise ValueError("uid_lists needs a UID-bound snapshot")
+            self._uid_lists = (self.uids.tolist(), self.indptr.tolist())
+        return self._uid_lists
 
     def candidate_rows(self, tags, source_tag: int = 1,
                        neighbor_tag: int = 0):
@@ -213,7 +207,7 @@ class CSRAdjacency:
         fault masks, while the round engine sees one mask per round and
         passes ``keep=1`` — an outage spanning rounds still hits, and
         nothing older is retained (a masked snapshot with its cached
-        ``uid_rows`` is the size of the topology itself).
+        ``uid_lists`` is the size of the topology itself).
         """
         if self.uids is None:
             raise ValueError("masked_bound needs a UID-bound snapshot")

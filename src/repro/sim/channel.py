@@ -85,6 +85,22 @@ class Channel:
                 f"{self.policy.max_control_bits} (round {self.round_index})"
             )
 
+    def charge_bits_repeated(self, nbits: int, count: int,
+                             label: str = "control") -> None:
+        """Exactly ``count`` successive ``charge_bits(nbits, label)`` calls:
+        one addition when the whole batch fits the remaining budget, the
+        loop itself (its violation strings, order and raise point)
+        otherwise — over budget, closed, or a negative ``nbits``."""
+        bits = self.bits
+        if (self._open and nbits >= 0 and count > 0
+                and bits.total_bits + nbits * count
+                <= self.policy.max_control_bits):
+            bits.charge(nbits * count, label=label)
+            bits.messages += count - 1
+        else:
+            for _ in range(count):
+                self.charge_bits(nbits, label)
+
     def charge_token(self) -> None:
         """Record one token payload crossing the channel."""
         self._require_open()

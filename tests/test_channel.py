@@ -88,3 +88,60 @@ class TestLifecycle:
         assert ch.peer_of(20) == 10
         with pytest.raises(ConfigurationError):
             ch.peer_of(99)
+
+
+def _ledger(ch):
+    return (ch.bits.total_bits, ch.bits.messages, ch.bits.by_label(),
+            ch.tokens_moved, ch.violations)
+
+
+def _run(charge, **channel_kwargs):
+    """Ledger after ``charge(channel)``, and the error it raised, if any."""
+    ch = make_channel(**channel_kwargs)
+    try:
+        ch.charge_bits(7, label="before")
+        charge(ch)
+    except (ChannelBudgetError, ChannelClosedError, ValueError) as exc:
+        return _ledger(ch), (type(exc), str(exc))
+    return _ledger(ch), None
+
+
+class TestRepeatedCharge:
+    """``charge_bits_repeated(nbits, count, label)`` is ``count`` calls of
+    ``charge_bits(nbits, label)`` — also where the budget ends mid-batch."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("max_bits", [0, 7, 8, 37, 66, 67, 10**6])
+    @pytest.mark.parametrize("nbits,count", [(12, 5), (0, 3), (5, 0), (60, 1)])
+    def test_same_ledger_and_same_error_as_the_loop(self, strict, max_bits,
+                                                    nbits, count):
+        def loop(ch):
+            for _ in range(count):
+                ch.charge_bits(nbits, label="eqtest")
+
+        kwargs = dict(max_bits=max_bits, strict=strict)
+        batch = _run(lambda ch: ch.charge_bits_repeated(nbits, count, "eqtest"),
+                     **kwargs)
+        assert batch == _run(loop, **kwargs)
+
+    def test_budget_ending_inside_the_batch(self):
+        # 7 + 12·5 = 67 against 37: calls 3, 4 and 5 overrun.
+        lenient = make_channel(max_bits=37, strict=False)
+        lenient.charge_bits(7)
+        lenient.charge_bits_repeated(12, 5, label="eqtest")
+        assert lenient.bits.messages == 6
+        assert [text.split(":")[1].split()[0] for text in lenient.violations] \
+            == ["43", "55", "67"]
+        strict = make_channel(max_bits=37, strict=True)
+        strict.charge_bits(7)
+        with pytest.raises(ChannelBudgetError, match="43 > 37"):
+            strict.charge_bits_repeated(12, 5, label="eqtest")
+        assert strict.bits.total_bits == 43 and strict.bits.messages == 4
+
+    def test_closed_channel_and_negative_bits_fail_like_the_loop(self):
+        ch = make_channel()
+        ch.close()
+        with pytest.raises(ChannelClosedError):
+            ch.charge_bits_repeated(1, 3)
+        with pytest.raises(ValueError, match="got -2"):
+            make_channel().charge_bits_repeated(-2, 3)

@@ -373,6 +373,58 @@ class TestBulkHookDetection:
         ]
         assert bulk_hooks(nodes) is None
 
+    def test_sharedbit_mixed_upper_n_falls_back_with_identical_traces(self):
+        # The window ops size their bit table and row-padding sentinel
+        # from nodes[0].upper_n: a label above it elsewhere used to raise
+        # IndexError (label 20) or be read as the sentinel (label 9).
+        from repro.asynchrony.engine import AsyncSimulation
+        from repro.asynchrony.timing import UniformJitter
+        from repro.core.sharedbit import SharedBitConfig, SharedBitNode
+        from repro.core.tokens import Token
+        from repro.graphs.topologies import path
+        from repro.rng import SharedRandomness
+        from repro.sim.protocol import window_hooks
+
+        n, rounds = 6, 3  # too few for a label to walk down to vertex 0
+
+        def population():
+            shared = SharedRandomness.from_seed(1, 32)
+            tree = SeedTree(5)
+            tokens = {4: (Token(20),), 5: (Token(9),)}
+            return {
+                vertex: SharedBitNode(
+                    uid=vertex + 1, upper_n=8 if vertex == 0 else 32,
+                    initial_tokens=tokens.get(vertex, ()),
+                    rng=tree.stream("node", vertex), shared=shared,
+                    config=SharedBitConfig(),
+                )
+                for vertex in range(n)
+            }
+
+        nodes = list(population().values())
+        assert bulk_hooks(nodes) is None
+        assert window_hooks(nodes) is None
+
+        def observe(engine, **kwargs):
+            sim = engine(
+                StaticDynamicGraph(path(n)), population(), b=1, seed=3,
+                channel_policy=ChannelPolicy.for_upper_n(32), **kwargs,
+            )
+            result = sim.run(max_rounds=rounds)
+            return sim, (
+                trace_signature(result.rounds, result.trace),
+                [sorted(node.known_tokens) for node in result.nodes.values()],
+            )
+
+        sim, auto = observe(Simulation)
+        assert sim.engine_mode == "object"
+        assert auto == observe(Simulation, engine_mode="object")[1]
+        jitter = lambda: UniformJitter(n, seed=3)  # noqa: E731
+        sim, auto = observe(AsyncSimulation, timing=jitter())
+        assert not sim._batched
+        assert auto == observe(AsyncSimulation, timing=jitter(),
+                               async_mode="event")[1]
+
 
 class _IslandDynamicGraph:
     """Helper factory: a path on 0..n-2 plus an isolated vertex n-1.

@@ -132,3 +132,46 @@ class TestConfig:
             config=SharedBitConfig(group_offset=10),
         )
         assert offset.advertisement_bit(1) == plain.advertisement_bit(11)
+
+
+class TestWindowRetag:
+    """The batched async ops retag from the scan's bit table; the bits
+    are ``advertisement_bit``'s, without its per-token PRF calls."""
+
+    def _ops(self, monkeypatch):
+        shared = SharedRandomness(KEY, 64)
+        holdings = [(3, 7, 20), (7,), (), (3, 20, 41, 64)]
+        nodes = [make_node(uid=v + 1, tokens=held, shared=shared)
+                 for v, held in enumerate(holdings)]
+        ops = SharedBitNode.make_window_hooks(nodes)
+        scalar_calls = []
+        real = SharedRandomness.token_bit
+        monkeypatch.setattr(
+            SharedRandomness, "token_bit",
+            lambda self, group, label: (scalar_calls.append(label),
+                                        real(self, group, label))[1],
+        )
+        return nodes, ops, scalar_calls
+
+    def test_table_hit_equals_scalar_bit_without_prf_calls(self, monkeypatch):
+        nodes, ops, scalar_calls = self._ops(monkeypatch)
+        for cycles in ([5, 5, 5, 5], [5, 6, 6, 9]):
+            ops.scan([0, 1, 2, 3], cycles)
+            # a transfer lands mid-window: 41 reaches vertex 1
+            nodes[1].store_token(Token(41))
+            tags = [ops.retag(v, c) for v, c in zip(range(4), cycles)]
+            assert scalar_calls == []
+            assert tags == [node.advertisement_bit(c)
+                            for node, c in zip(nodes, cycles)]
+            scalar_calls.clear()
+            nodes[1].reset_tokens()
+
+    def test_unknown_cycle_or_label_takes_the_scalar_route(self, monkeypatch):
+        nodes, ops, scalar_calls = self._ops(monkeypatch)
+        ops.scan([0, 1, 2, 3], [5, 5, 5, 5])
+        assert ops.retag(0, 8) == nodes[0].advertisement_bit(8)
+        assert scalar_calls  # cycle 8 has no table
+        scalar_calls.clear()
+        nodes[1].store_token(Token(50))  # nobody held 50 at scan time
+        assert ops.retag(1, 5) == nodes[1].advertisement_bit(5)
+        assert 50 in scalar_calls

@@ -1,0 +1,112 @@
+"""Stage 3 under random interleavings, checked from outside the engine.
+
+A hypothesis ``RuleBasedStateMachine`` drives a small BlindMatch
+population through arbitrary sequences of connections
+(``run_transfer`` between any two nodes), out-of-band ``store_token``
+calls and crash resets, and after every connection asserts what the
+mobile telephone model promises about one — using only the nodes'
+``known_tokens`` before and after, the channel's ledger and the
+initiator's stream position, never the Transfer internals.
+"""
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.core.blindmatch import BlindMatchNode
+from repro.core.tokens import Token
+from repro.sim.channel import Channel, ChannelPolicy
+
+N_NODES = 5
+UPPER_N = 24
+INITIAL = {0: (3,), 1: (3, 17), 2: (), 3: (24,), 4: (1, 9)}
+
+node_index = st.integers(min_value=0, max_value=N_NODES - 1)
+
+
+class Stage3Machine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.nodes = [
+            BlindMatchNode(
+                uid=vertex + 1, upper_n=UPPER_N,
+                initial_tokens=[Token(label, payload=f"p{label}")
+                                for label in INITIAL[vertex]],
+                rng=random.Random(1000 + vertex),
+            )
+            for vertex in range(N_NODES)
+        ]
+        self.policy = ChannelPolicy.for_upper_n(UPPER_N)
+        self.connections = 0
+        # What each node must still hold: grows with every observation,
+        # shrinks only at a reset.
+        self.floor = [node.known_tokens for node in self.nodes]
+
+    def _holdings(self):
+        return [node.known_tokens for node in self.nodes]
+
+    @rule(initiator=node_index, responder=node_index)
+    def connect(self, initiator, responder):
+        if initiator == responder:
+            return
+        a, b = self.nodes[initiator], self.nodes[responder]
+        before = self._holdings()
+        stream_before = a.rng.getstate()
+        responder_stream = b.rng.getstate()
+        self.connections += 1
+        channel = Channel(self.connections, a.uid, b.uid, self.policy)
+        outcome = a.run_transfer(b, a._transfer, channel)
+        channel.close()
+        after = self._holdings()
+
+        # O(1) tokens and a metered, in-budget conversation.
+        assert channel.tokens_moved <= 1
+        assert channel.tokens_moved == int(outcome.moved)
+        assert channel.bits.total_bits == outcome.control_bits
+        assert not channel.violations
+        # Only the initiator's private coins drive the subroutine.
+        assert b.rng.getstate() == responder_stream
+        # Tokens move only between the connected pair, and only forward.
+        for vertex in range(N_NODES):
+            if vertex not in (initiator, responder):
+                assert after[vertex] == before[vertex]
+        gained_a = after[initiator] - before[initiator]
+        gained_b = after[responder] - before[responder]
+        assert before[initiator] <= after[initiator]
+        assert before[responder] <= after[responder]
+        assert len(gained_a) + len(gained_b) == channel.tokens_moved
+        assert gained_a <= before[responder] and gained_b <= before[initiator]
+        for label in gained_a:
+            assert a.token(label) is b.token(label)  # payload intact
+        for label in gained_b:
+            assert b.token(label) is a.token(label)
+        # A connection between equal sets moves nothing and draws nothing.
+        if before[initiator] == before[responder]:
+            assert not outcome.moved and outcome.token_id is None
+            assert a.rng.getstate() == stream_before
+
+    @rule(vertex=node_index,
+          label=st.integers(min_value=1, max_value=UPPER_N))
+    def store(self, vertex, label):
+        self.nodes[vertex].store_token(Token(label, payload=f"p{label}"))
+
+    @rule(vertex=node_index)
+    def reset(self, vertex):
+        self.nodes[vertex].reset_tokens()
+        assert self.nodes[vertex].known_tokens == frozenset(INITIAL[vertex])
+        self.floor[vertex] = frozenset(INITIAL[vertex])
+
+    @invariant()
+    def token_sets_are_monotone_except_at_a_reset(self):
+        for vertex, held in enumerate(self._holdings()):
+            assert self.floor[vertex] <= held
+            assert all(1 <= label <= UPPER_N for label in held)
+            self.floor[vertex] = held
+
+
+TestStage3Machine = Stage3Machine.TestCase
+TestStage3Machine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

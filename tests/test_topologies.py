@@ -164,3 +164,26 @@ class TestFamilyRegistry:
             "random_regular", "erdos_renyi", "grid", "barbell", "lollipop",
             "binary_tree", "expander", "ring_expander",
         }
+
+
+def test_import_repro_leaves_networkx_unimported():
+    # networkx loads on the first nx.<attribute> (repro.graphs.lazy_nx),
+    # not with the package: a CSR-direct run and `--help` never pay for it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro, repro.cli, repro.experiments, repro.net\n"
+        "assert 'networkx' not in sys.modules, 'eager networkx import'\n"
+        "from repro.graphs.topologies import cycle\n"
+        "assert cycle(5).graph.number_of_edges() == 5\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

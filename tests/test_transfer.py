@@ -147,3 +147,70 @@ def test_transfer_property(a, b, seed):
             assert outcome.moved_to_b
         else:
             assert outcome.moved_to_a
+
+
+@st.composite
+def _locate_cases(draw):
+    upper_n = draw(st.integers(min_value=2, max_value=3000))
+    labels = st.sets(st.integers(min_value=1, max_value=upper_n), max_size=24)
+    a = draw(labels)
+    # Two coins: three cases in four have a == b and take the closed form.
+    equal = draw(st.booleans()) or draw(st.booleans())
+    b = set(a) if equal else draw(labels)
+    return (
+        a, b, upper_n,
+        draw(st.integers(min_value=0, max_value=2**32)),
+        draw(st.sampled_from([0.4, 1e-2, 1e-6, 1e-12])),
+        # None: unmetered; otherwise a budget anywhere from "nothing fits"
+        # to "everything fits", recorded rather than raised.
+        draw(st.one_of(st.none(), st.integers(min_value=0, max_value=4000),
+                       st.just(1 << 20))),
+    )
+
+
+def _observe(search, a, b, upper_n, seed, epsilon, budget):
+    proto = TransferProtocol(upper_n=upper_n, epsilon=epsilon)
+    rng = random.Random(seed)
+    channel = None if budget is None else Channel(
+        3, 1, 2, ChannelPolicy(max_control_bits=budget, strict=False))
+    outcome = search(proto, a, b, rng, channel)
+    metered = None if channel is None else (
+        channel.bits.total_bits, channel.bits.messages,
+        channel.bits.by_label(), channel.tokens_moved, channel.violations,
+    )
+    return outcome, rng.getstate(), proto.tester.stats, metered
+
+
+@given(_locate_cases())
+@settings(max_examples=300, deadline=None)
+def test_locate_equals_the_step_by_step_search(case):
+    """``locate`` (closed form on equal sets) against ``_search`` (the
+    binary search run step by step, on equal sets too): same outcome,
+    private-stream position, tester stats and channel ledger."""
+    fast = _observe(TransferProtocol.locate, *case)
+    reference = _observe(
+        lambda proto, a, b, rng, channel: proto._search(
+            frozenset(a), frozenset(b), rng, channel),
+        *case,
+    )
+    assert fast == reference
+    if case[0] == case[1]:
+        outcome, state, _, _ = fast
+        assert outcome.token_id is None and not outcome.moved
+        assert state == random.Random(case[3]).getstate()  # nothing drawn
+
+
+def test_equal_set_outcome_matches_worst_case_bound():
+    for upper_n in (2, 3, 7, 8, 9, 1000, 3000, 4096, 4097):
+        proto = make_protocol(upper_n=upper_n)
+        outcome = proto.locate({1, upper_n}, {1, upper_n}, random.Random(0))
+        assert 1 <= outcome.eq_calls <= max(ceil_log2(upper_n), 1)
+        assert outcome.control_bits <= proto.worst_case_control_bits()
+
+
+def test_validation_order_survives_the_equal_set_shortcut():
+    proto = make_protocol(upper_n=16)
+    with pytest.raises(ConfigurationError, match="side 'a'"):
+        proto.locate({3, 17}, {3, 17}, random.Random(0))
+    with pytest.raises(ConfigurationError, match="side 'b'"):
+        proto.locate({3}, {3, 0}, random.Random(0))
