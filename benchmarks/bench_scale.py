@@ -7,6 +7,8 @@ and node population, runs a fixed round budget on the array engine, and
 reports
 
 * ``rounds_per_s``   — simulation-only throughput (build excluded),
+* ``build_s``        — graph + population + engine construction, also
+  split as ``build_graph_s`` / ``build_population_s`` / ``engine_init_s``,
 * ``peak_rss_mb``    — the process high-water mark,
 * ``bytes_per_node`` — (peak - post-import baseline) / n, the whole
   simulation's marginal footprint per node.
@@ -23,7 +25,9 @@ without ``--allow-dirty``).
 ``--quick`` is the CI gate: the spatial-grid-vs-blocked-sweep identity,
 the int32-vs-int64 CSR identity, streamed-vs-in-memory sweep
 aggregation identity (byte-compared ``to_json``), and an n = 10^5
-sharedbit sanity run under the streamed path.  No ledger writes.
+sharedbit sanity run under the streamed path that must build its
+population around one shared Transfer protocol and prints the build
+split.  No ledger writes.
 
 Round budgets shrink as n grows (64 / 16 / 4): the point is steady-state
 per-round cost and footprint, not solving gossip at 10^6.
@@ -123,8 +127,10 @@ def _measure_direct(case: dict) -> dict:
 
     build_started = time.perf_counter()
     graph = _build_graph(case["graph"], n, rounds)
+    graph_done = time.perf_counter()
     instance = uniform_instance(n=n, k=TOKENS_K, seed=SEED)
     nodes = build_nodes(case["algorithm"], instance, seed=SEED)
+    population_done = time.perf_counter()
     defn = ALGORITHM_REGISTRY.get(case["algorithm"])
     sim = Simulation(
         graph, nodes,
@@ -136,7 +142,8 @@ def _measure_direct(case: dict) -> dict:
         engine_mode="array",
         telemetry=True,
     )
-    build_s = time.perf_counter() - build_started
+    engine_done = time.perf_counter()
+    build_s = engine_done - build_started
 
     run_started = time.perf_counter()
     sim.run(max_rounds=rounds)
@@ -148,35 +155,63 @@ def _measure_direct(case: dict) -> dict:
         "rounds": rounds,
         "engine_mode": "array",
         "build_s": round(build_s, 3),
+        "build_graph_s": round(graph_done - build_started, 3),
+        "build_population_s": round(population_done - graph_done, 3),
+        "engine_init_s": round(engine_done - population_done, 3),
         "run_s": round(run_s, 3),
         "rounds_per_s": round(rounds / run_s, 2) if run_s > 0 else None,
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
         "bytes_per_node": int((peak_kb - baseline_kb) * 1024 / n),
         "total_connections": sim.trace.total_connections,
-        "phases": {
-            name: {"calls": entry["calls"],
-                   "seconds": round(entry["seconds"], 4)}
-            for name, entry in sim.telemetry.profile().items()
-        },
+        "phases": _rounded_phases(sim.telemetry.profile()),
+    }
+
+
+def _rounded_phases(profile: dict) -> dict:
+    return {
+        name: {"calls": entry["calls"],
+               "seconds": round(entry["seconds"], 4)}
+        for name, entry in profile.items()
     }
 
 
 def _measure_streamed(case: dict) -> dict:
     """The acceptance cell: sharedbit static at n through the sharded
-    streaming sweep path (``run_sweep(stream_to=...)``)."""
+    streaming sweep path (``run_sweep(stream_to=...)``).
+
+    Telemetry is on, so the row's ``phases`` carry the build split
+    (``build.population`` / ``build.engine``) next to the round phases,
+    and the sweep runs inline (``jobs=1``), so counting
+    ``TransferProtocol`` constructions from here shows whether the
+    population shared one.
+    """
     baseline_kb = _rss_kb()
     n, rounds = case["n"], case["rounds"]
 
+    from repro.commcplx.transfer import TransferProtocol
     from repro.experiments import SweepSpec, run_sweep
 
     spec = SweepSpec(
         name=f"scale-stream-n{n}",
-        base=_streamed_payload(n, rounds),
+        base={**_streamed_payload(n, rounds),
+              "telemetry": {"enabled": True}},
         seeds=(SEED,),
     )
     stream_dir = Path(tempfile.mkdtemp(prefix="bench-scale-stream-"))
+    protocols_built = 0
+    protocol_init = TransferProtocol.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal protocols_built
+        protocols_built += 1
+        protocol_init(self, *args, **kwargs)
+
+    TransferProtocol.__init__ = counting_init
     started = time.perf_counter()
-    result = run_sweep(spec, stream_to=stream_dir)
+    try:
+        result = run_sweep(spec, stream_to=stream_dir)
+    finally:
+        TransferProtocol.__init__ = protocol_init
     elapsed = time.perf_counter() - started
 
     summary = result.points[0]
@@ -191,6 +226,8 @@ def _measure_streamed(case: dict) -> dict:
         if elapsed > 0 else None,
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
         "bytes_per_node": int((peak_kb - baseline_kb) * 1024 / n),
+        "transfer_protocols_built": protocols_built,
+        "phases": _rounded_phases(result.phase_totals()),
     }
 
 
@@ -272,10 +309,19 @@ def run_quick() -> int:
         print(f"FAIL: streamed sanity run did not complete: {row}",
               file=sys.stderr)
         return 1
+    if row["transfer_protocols_built"] != 1:
+        print("FAIL: the population should share one Transfer protocol, "
+              f"built {row['transfer_protocols_built']}", file=sys.stderr)
+        return 1
+    phases = row["phases"]
     print(
         f"streamed sanity ok: {row['rounds']} rounds in "
         f"{row['elapsed_s']:.1f}s, peak {row['peak_rss_mb']:.0f} MB "
-        f"({row['bytes_per_node']} bytes/node)"
+        f"({row['bytes_per_node']} bytes/node); one shared Transfer "
+        f"protocol; build.population "
+        f"{phases['build.population']['seconds']:.2f}s, build.engine "
+        f"{phases['build.engine']['seconds']:.2f}s, run.total "
+        f"{phases['run.total']['seconds']:.2f}s"
     )
     return 0
 

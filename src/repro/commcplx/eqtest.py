@@ -31,7 +31,13 @@ __all__ = ["EqualityTester", "EqTestStats"]
 
 @dataclass
 class EqTestStats:
-    """Communication accounting for a batch of EQTest invocations."""
+    """Communication accounting for a batch of EQTest invocations.
+
+    A tester's ``stats`` aggregates every call through that instance:
+    exact with one thread, best-effort (unlocked ``+=``) when a
+    population's shared tester serves :mod:`repro.net`'s concurrent
+    handlers — per-call counts come from ``test_counted``.
+    """
 
     calls: int = 0
     trials: int = 0
@@ -83,6 +89,15 @@ class EqualityTester:
         False is always correct (a mismatching evaluation is a proof of
         inequality); True may be wrong with probability ≤ (N/p)^trials.
         """
+        return self.test_counted(set_a, set_b, trials, rng, channel)[0]
+
+    def test_counted(
+        self, set_a, set_b, trials: int, rng: random.Random,
+        channel: Channel | None = None,
+    ) -> tuple[bool, int]:
+        """:meth:`test`, plus how many trials this call executed — what a
+        caller sharing the tester across threads must count with, since
+        before/after reads of ``stats`` absorb other callers' tests."""
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
         self.stats.calls += 1
@@ -118,4 +133,4 @@ class EqualityTester:
         if channel is not None:
             channel.charge_bits(executed * self._bits_per_trial,
                                 label="eqtest")
-        return matched
+        return matched, executed

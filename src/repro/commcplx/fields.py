@@ -13,6 +13,8 @@ simulator meets.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["is_prime", "next_prime", "eval_set_polynomial"]
 
 # Witness set deterministically correct for all n < 3.3 * 10^24
@@ -48,8 +50,10 @@ def is_prime(value: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def next_prime(value: int) -> int:
-    """The smallest prime strictly greater than ``value``."""
+    """The smallest prime strictly greater than ``value`` (memoised:
+    every EQTest tester for one universe bound asks for the same field)."""
     candidate = max(value + 1, 2)
     if candidate > 2 and candidate % 2 == 0:
         candidate += 1

@@ -90,6 +90,11 @@ class TransferProtocol:
     its origin's UID from [N]).  The protocol works on *label sets*; the
     caller moves the actual token payload based on the outcome — see
     :meth:`repro.core.problem.GossipNode.run_transfer`.
+
+    One instance serves every node of a population (the paper's single
+    subroutine with global parameters), so :meth:`locate` keeps no state
+    between calls; ``tester.stats`` is the instance's aggregate — exact
+    for a privately built protocol, best-effort under concurrent callers.
     """
 
     def __init__(self, upper_n: int, epsilon: float):
@@ -136,17 +141,22 @@ class TransferProtocol:
         return outcome
 
     def _search(self, set_a, set_b, rng, channel) -> TransferOutcome:
-        """The step-by-step binary search over two validated frozensets."""
-        bits_before = self.tester.stats.bits
-        calls_before = self.tester.stats.calls
+        """The step-by-step binary search over two validated frozensets.
+
+        Re-entrant — counted from this call's own tests, never from
+        ``tester.stats`` deltas: one protocol serves a population whose
+        connect handlers :mod:`repro.net` runs on concurrent threads."""
+        eq_calls = trials_run = 0
         lo, hi = 1, self.upper_n
         while lo != hi:
             mid = (lo + hi) // 2
             prefix_a = [x for x in set_a if lo <= x <= mid]
             prefix_b = [x for x in set_b if lo <= x <= mid]
-            equal = self.tester.test(
+            equal, executed = self.tester.test_counted(
                 prefix_a, prefix_b, self.trials_per_call, rng, channel
             )
+            eq_calls += 1
+            trials_run += executed
             if equal:
                 lo = mid + 1
             else:
@@ -163,8 +173,7 @@ class TransferProtocol:
             channel.charge_bits(ownership_bits, label="transfer-ownership")
             if consistent:
                 channel.charge_token()
-        eq_calls = self.tester.stats.calls - calls_before
-        control_bits = self.tester.stats.bits - bits_before + ownership_bits
+        control_bits = trials_run * self.tester.bits_per_trial + ownership_bits
         return TransferOutcome(
             token_id=chosen if consistent else None,
             moved_to_a=consistent and in_b,

@@ -62,12 +62,11 @@ class BlindMatchNode(GossipNode):
     """One node running BlindMatch.  Requires b = 0 (advertises nothing)."""
 
     def __init__(self, uid: int, upper_n: int, initial_tokens,
-                 rng: random.Random, config: BlindMatchConfig | None = None):
+                 rng: random.Random, config: BlindMatchConfig | None = None,
+                 transfer: TransferProtocol | None = None):
         super().__init__(uid, upper_n, initial_tokens, rng)
         self.config = config or BlindMatchConfig()
-        self._transfer = TransferProtocol(
-            upper_n, self.config.transfer_epsilon(upper_n)
-        )
+        self._transfer = self._transfer_machine(transfer, self.config)
         self._sender_this_round = False
 
     def advertise(self, round_index: int, neighbor_uids: tuple[int, ...]) -> int:
@@ -174,7 +173,10 @@ class _BlindMatchWindowOps:
     tag_length=0,
 )
 def _build_blindmatch_nodes(ctx):
+    transfer = ctx.transfer_protocol()
     return {
-        vertex: BlindMatchNode(config=ctx.config, **ctx.common(vertex))
+        vertex: BlindMatchNode(
+            config=ctx.config, transfer=transfer, **ctx.common(vertex)
+        )
         for vertex in ctx.vertices()
     }

@@ -67,13 +67,12 @@ class MultiBitSharedBitNode(GossipNode):
         rng: random.Random,
         shared: SharedRandomness,
         config: MultiBitConfig | None = None,
+        transfer: TransferProtocol | None = None,
     ):
         super().__init__(uid, upper_n, initial_tokens, rng)
         self.config = config or MultiBitConfig()
         self.shared = shared
-        self._transfer = TransferProtocol(
-            upper_n, self.config.transfer_epsilon(upper_n)
-        )
+        self._transfer = self._transfer_machine(transfer, self.config)
         self._tag_this_round = 0
 
     @property
@@ -130,9 +129,11 @@ def _build_multibit_nodes(ctx):
     shared = SharedRandomness(
         ctx.tree.key("shared-string"), ctx.instance.upper_n
     )
+    transfer = ctx.transfer_protocol()
     return {
         vertex: MultiBitSharedBitNode(
-            shared=shared, config=ctx.config, **ctx.common(vertex)
+            shared=shared, config=ctx.config, transfer=transfer,
+            **ctx.common(vertex)
         )
         for vertex in ctx.vertices()
     }

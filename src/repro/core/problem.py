@@ -88,6 +88,11 @@ class GossipInstance:
 
 
 def _draw_uids(n: int, upper_n: int, rng: random.Random) -> tuple[int, ...]:
+    if upper_n < n:
+        raise ConfigurationError(
+            f"upper bound N={upper_n} must be >= n={n}: UIDs are n distinct "
+            "values from [1, N]"
+        )
     return tuple(rng.sample(range(1, upper_n + 1), n))
 
 
@@ -192,6 +197,21 @@ class GossipNode(NodeProtocol):
                 f"token label {token.token_id} outside [1, {self.upper_n}]"
             )
         self._tokens[token.token_id] = token
+
+    def _transfer_machine(self, shared: TransferProtocol | None,
+                          config) -> TransferProtocol:
+        """The population's one Transfer(ε) machine when the builder
+        hands it in; a hand-built node makes its own from ``config``."""
+        if shared is None:
+            return TransferProtocol(
+                self.upper_n, config.transfer_epsilon(self.upper_n)
+            )
+        if shared.upper_n != self.upper_n:
+            raise ConfigurationError(
+                f"shared Transfer protocol is for N={shared.upper_n} but "
+                f"node {self.uid} has N={self.upper_n}"
+            )
+        return shared
 
     def run_transfer(
         self,

@@ -16,6 +16,7 @@ registered by a plugin runs here with zero edits to this module.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,6 +38,7 @@ from repro.sim.faults import build_fault
 from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
 from repro.sim.trace import Trace
+from repro.telemetry import resolve_telemetry
 
 __all__ = ["ALGORITHMS", "GossipRunResult", "build_nodes", "run_gossip",
            "coverage_gauge", "potential_gauge"]
@@ -114,10 +116,25 @@ def build_nodes(
     defn = _runnable_def(algorithm)
     if config is None:
         config = defn.make_config()
+    elif defn.config_class and not isinstance(config, defn.config_class):
+        raise ConfigurationError(
+            f"{algorithm} takes a {defn.config_class.__name__} as config, "
+            f"got {type(config).__name__}; turn a spec dict into one with "
+            "repro.experiments.build_config"
+        )
     ctx = NodeBuildContext(
         instance=instance, tree=SeedTree(seed), config=config
     )
-    return defn.build_nodes(ctx)
+    # n long-lived node objects that form no cycles: left on, the cyclic
+    # collector rescans the growing population again and again — more
+    # than half of the build at n = 10^6 (DESIGN.md §10).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return defn.build_nodes(ctx)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def coverage_gauge(token_ids):
@@ -248,7 +265,9 @@ def run_gossip(
     # already materialized.
     if config is None:
         config = defn.make_config()
-    nodes = build_nodes(algorithm, instance, seed, config)
+    telemetry = resolve_telemetry(telemetry)
+    with telemetry.profiler.span("build.population"):
+        nodes = build_nodes(algorithm, instance, seed, config)
     timing_model = _resolve_timing(timing, dynamic_graph.n, seed)
     engine_kwargs = dict(
         dynamic_graph=dynamic_graph,
@@ -267,11 +286,12 @@ def run_gossip(
         object_path_max_n=object_path_max_n,
         telemetry=telemetry,
     )
-    if timing_model is None:
-        sim = Simulation(**engine_kwargs)
-    else:
-        sim = AsyncSimulation(timing=timing_model, **engine_kwargs)
-    with sim.telemetry.profiler.span("run.total"):
+    with telemetry.profiler.span("build.engine"):
+        if timing_model is None:
+            sim = Simulation(**engine_kwargs)
+        else:
+            sim = AsyncSimulation(timing=timing_model, **engine_kwargs)
+    with telemetry.profiler.span("run.total"):
         result = sim.run(
             max_rounds=max_rounds,
             termination=all_hold_tokens(instance.token_ids),
@@ -284,5 +304,5 @@ def run_gossip(
         instance=instance,
         nodes=nodes,
         event_counts=result.event_counts,
-        telemetry=sim.telemetry,
+        telemetry=telemetry,
     )

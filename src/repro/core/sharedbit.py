@@ -78,13 +78,12 @@ class SharedBitNode(GossipNode):
         rng: random.Random,
         shared: SharedRandomness,
         config: SharedBitConfig | None = None,
+        transfer: TransferProtocol | None = None,
     ):
         super().__init__(uid, upper_n, initial_tokens, rng)
         self.config = config or SharedBitConfig()
         self.shared = shared
-        self._transfer = TransferProtocol(
-            upper_n, self.config.transfer_epsilon(upper_n)
-        )
+        self._transfer = self._transfer_machine(transfer, self.config)
         self._bit_this_round = 0
 
     def advertisement_bit(self, round_index: int) -> int:
@@ -307,9 +306,11 @@ def _build_sharedbit_nodes(ctx):
     shared = SharedRandomness(
         ctx.tree.key("shared-string"), ctx.instance.upper_n
     )
+    transfer = ctx.transfer_protocol()
     return {
         vertex: SharedBitNode(
-            shared=shared, config=ctx.config, **ctx.common(vertex)
+            shared=shared, config=ctx.config, transfer=transfer,
+            **ctx.common(vertex)
         )
         for vertex in ctx.vertices()
     }

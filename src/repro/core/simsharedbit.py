@@ -69,6 +69,7 @@ class SimSharedBitNode(GossipNode):
         rng: random.Random,
         family: SharedStringFamily,
         config: SimSharedBitConfig | None = None,
+        transfer: TransferProtocol | None = None,
     ):
         super().__init__(uid, upper_n, initial_tokens, rng)
         self.config = config or SimSharedBitConfig()
@@ -86,8 +87,8 @@ class SimSharedBitNode(GossipNode):
             rng=rng,
             config=self.config.leader,
         )
-        self._transfer = TransferProtocol(
-            upper_n, self.config.sharedbit.transfer_epsilon(upper_n)
+        self._transfer = self._transfer_machine(
+            transfer, self.config.sharedbit
         )
         self._string_cache: dict[int, SharedRandomness] = {}
         self._bit_this_round = 0
@@ -156,9 +157,11 @@ def _build_simsharedbit_nodes(ctx):
         capacity_n=ctx.instance.upper_n,
         family_size=ctx.config.family_size,
     )
+    transfer = ctx.transfer_protocol(ctx.config.sharedbit)
     return {
         vertex: SimSharedBitNode(
-            family=family, config=ctx.config, **ctx.common(vertex)
+            family=family, config=ctx.config, transfer=transfer,
+            **ctx.common(vertex)
         )
         for vertex in ctx.vertices()
     }

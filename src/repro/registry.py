@@ -35,9 +35,10 @@ Third-party extension needs no edits to repro itself::
         shared = SharedRandomness(
             ctx.tree.key("shared-string"), ctx.instance.upper_n
         )
+        transfer = ctx.transfer_protocol()  # one per population
         return {
             v: SharedBitNode(shared=shared, config=ctx.config,
-                             **ctx.common(v))
+                             transfer=transfer, **ctx.common(v))
             for v in ctx.vertices()
         }
 
@@ -110,6 +111,16 @@ class NodeBuildContext:
 
     def vertices(self) -> range:
         return range(self.instance.n)
+
+    def transfer_protocol(self, config=None):
+        """The one Transfer(ε) machine a builder hands to every node of
+        the population (``config`` defaults to the algorithm's own; it
+        supplies ``transfer_epsilon``)."""
+        from repro.commcplx.transfer import TransferProtocol
+
+        upper_n = self.instance.upper_n
+        config = self.config if config is None else config
+        return TransferProtocol(upper_n, config.transfer_epsilon(upper_n))
 
     def common(self, vertex: int) -> dict:
         """The constructor kwargs every :class:`GossipNode` shares.

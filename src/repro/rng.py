@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "LazyStream",
@@ -38,6 +39,15 @@ __all__ = [
 
 _PERSON = b"repro-gossip"
 
+#: ``_serialize_int`` of every one-byte value: most PRF index entries
+#: (bundle selectors, retry counters, small rounds) are below 256.
+_SMALL_INTS = tuple(b"\x00\x01" + bytes((i,)) for i in range(256))
+
+
+def _serialize_int(i: int) -> bytes:
+    raw = i.to_bytes((max(i.bit_length(), 1) + 7) // 8, "big", signed=False)
+    return len(raw).to_bytes(2, "big") + raw
+
 
 def serialize_index(index: tuple[int, ...]) -> bytes:
     """The unambiguous serialization of a PRF index tuple.
@@ -47,10 +57,9 @@ def serialize_index(index: tuple[int, ...]) -> bytes:
     payloads incrementally (e.g. a cached per-vertex prefix plus a
     per-cycle suffix) and still land on the same digests.
     """
-    return b"".join(
-        len(ix := i.to_bytes((max(i.bit_length(), 1) + 7) // 8, "big", signed=False)).to_bytes(2, "big") + ix
-        for i in index
-    )
+    return b"".join([
+        _SMALL_INTS[i] if 0 <= i < 256 else _serialize_int(i) for i in index
+    ])
 
 
 def prf_template(key: bytes):
@@ -65,6 +74,11 @@ def prf_template(key: bytes):
     return hashlib.blake2b(key=key[:64], person=_PERSON, digest_size=64)
 
 
+#: Keyed states :func:`prf_bytes` copies instead of re-keying per call
+#: (a run reads one shared string; SimSharedBit a few candidates).
+_keyed_state = lru_cache(maxsize=32)(prf_template)
+
+
 def prf_bytes(key: bytes, index: tuple[int, ...], nbytes: int) -> bytes:
     """Return ``nbytes`` pseudorandom bytes for ``index`` under ``key``.
 
@@ -75,15 +89,16 @@ def prf_bytes(key: bytes, index: tuple[int, ...], nbytes: int) -> bytes:
     if nbytes <= 0:
         raise ValueError(f"nbytes must be positive, got {nbytes}")
     payload = serialize_index(index)
-    out = bytearray()
-    counter = 0
+    template = _keyed_state(key)
+    h = template.copy()
+    h.update(payload + b"\x00\x00\x00\x00")
+    if nbytes <= 64:
+        return h.digest()[:nbytes]
+    out = bytearray(h.digest())
+    counter = 1
     while len(out) < nbytes:
-        h = hashlib.blake2b(
-            payload + counter.to_bytes(4, "big"),
-            key=key[:64],
-            person=_PERSON,
-            digest_size=64,
-        )
+        h = template.copy()
+        h.update(payload + counter.to_bytes(4, "big"))
         out.extend(h.digest())
         counter += 1
     return bytes(out[:nbytes])

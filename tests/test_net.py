@@ -501,6 +501,19 @@ class TestReplayBridge:
         assert report.live.rounds == record.rounds
         assert report.live.final_tokens == record.final_tokens
 
+    def test_replay_on_concurrent_connect_threads_is_equivalent(self):
+        """One Transfer protocol serves every server's node; Stage 3
+        runs on four threads at once and nothing leaks between calls."""
+        record = record_run(
+            "sharedbit",
+            lambda: StaticDynamicGraph(expander(n=12, degree=4, seed=2)),
+            uniform_instance(n=12, k=5, seed=11),
+            seed=42,
+        )
+        report = replay(record, connect_workers=4)
+        assert report.equivalent, "\n".join(report.divergences)
+        assert report.live.final_tokens == record.final_tokens
+
     def test_ppush_replay_is_equivalent(self):
         record = record_run(
             "ppush",

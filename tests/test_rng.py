@@ -1,5 +1,6 @@
 """Tests for repro.rng: seed trees, PRF bits, shared randomness."""
 
+import hashlib
 import random
 
 import pytest
@@ -40,6 +41,50 @@ class TestPrfBytes:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             prf_bytes(KEY, (1,), 0)
+
+
+def _reference_prf_bytes(key, index, nbytes):
+    """``prf_bytes`` as it was before it copied cached keyed states and
+    serialised small ints from a table — verbatim, the differential
+    reference."""
+    payload = b"".join(
+        len(ix := i.to_bytes((max(i.bit_length(), 1) + 7) // 8, "big", signed=False)).to_bytes(2, "big") + ix
+        for i in index
+    )
+    out = bytearray()
+    counter = 0
+    while len(out) < nbytes:
+        h = hashlib.blake2b(
+            payload + counter.to_bytes(4, "big"),
+            key=key[:64],
+            person=b"repro-gossip",
+            digest_size=64,
+        )
+        out.extend(h.digest())
+        counter += 1
+    return bytes(out[:nbytes])
+
+
+def test_prf_bytes_matches_the_rekeying_reference():
+    rng = random.Random(20260930)
+    # More keys than the keyed-state cache holds, revisited out of order,
+    # incl. keys longer than BLAKE2b's 64-byte limit (truncated alike).
+    keys = [rng.randbytes(rng.choice((1, 16, 32, 64, 80))) for _ in range(40)]
+    for _ in range(3000):
+        key = rng.choice(keys)
+        index = tuple(
+            rng.choice((rng.randrange(256), rng.randrange(255, 258),
+                        rng.getrandbits(rng.randrange(1, 71))))
+            for _ in range(rng.randrange(0, 6))
+        )
+        nbytes = rng.choice((1, 2, 8, 63, 64, 65, 128, 129, 200))
+        assert prf_bytes(key, index, nbytes) == _reference_prf_bytes(
+            key, index, nbytes), (key, index, nbytes)
+
+
+def test_prf_bytes_still_rejects_a_negative_index():
+    with pytest.raises(OverflowError):
+        prf_bytes(KEY, (3, -1), 8)
 
 
 class TestPrfBits:

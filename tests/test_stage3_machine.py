@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.blindmatch import BlindMatchNode
+from repro.core.problem import GossipInstance
+from repro.core.runner import build_nodes
 from repro.core.tokens import Token
 from repro.sim.channel import Channel, ChannelPolicy
 
@@ -26,18 +28,26 @@ INITIAL = {0: (3,), 1: (3, 17), 2: (), 3: (24,), 4: (1, 9)}
 node_index = st.integers(min_value=0, max_value=N_NODES - 1)
 
 
+def _initial_tokens(vertex):
+    return tuple(Token(label, payload=f"p{label}")
+                 for label in INITIAL[vertex])
+
+
 class Stage3Machine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.nodes = [
+    def make_nodes(self):
+        """Hand-built nodes: each makes its own Transfer protocol."""
+        return [
             BlindMatchNode(
                 uid=vertex + 1, upper_n=UPPER_N,
-                initial_tokens=[Token(label, payload=f"p{label}")
-                                for label in INITIAL[vertex]],
+                initial_tokens=_initial_tokens(vertex),
                 rng=random.Random(1000 + vertex),
             )
             for vertex in range(N_NODES)
         ]
+
+    def __init__(self):
+        super().__init__()
+        self.nodes = self.make_nodes()
         self.policy = ChannelPolicy.for_upper_n(UPPER_N)
         self.connections = 0
         # What each node must still hold: grows with every observation,
@@ -106,7 +116,28 @@ class Stage3Machine(RuleBasedStateMachine):
             self.floor[vertex] = held
 
 
+class BuiltPopulationStage3Machine(Stage3Machine):
+    """The same invariants when ``build_nodes`` made the population —
+    every node then runs the one shared Transfer protocol.  (Labels 3
+    and 17 start at two nodes, which an instance refuses; vertex 1's
+    copies arrive by ``store_token`` instead.)"""
+
+    def make_nodes(self):
+        instance = GossipInstance(
+            n=N_NODES, upper_n=UPPER_N, uids=tuple(range(1, N_NODES + 1)),
+            initial_tokens={vertex: _initial_tokens(vertex)
+                            for vertex in (0, 3, 4)},
+        )
+        nodes = list(build_nodes("blindmatch", instance, seed=77).values())
+        assert len({id(node._transfer) for node in nodes}) == 1
+        for token in _initial_tokens(1):
+            nodes[1].store_token(token)
+        nodes[1]._initial_tokens = _initial_tokens(1)
+        return nodes
+
+
+_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
 TestStage3Machine = Stage3Machine.TestCase
-TestStage3Machine.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+TestStage3Machine.settings = _SETTINGS
+TestBuiltPopulationStage3Machine = BuiltPopulationStage3Machine.TestCase
+TestBuiltPopulationStage3Machine.settings = _SETTINGS

@@ -216,6 +216,9 @@ class TestRunSurfacing:
         result = _run(telemetry=True)
         profile = result.profile
         assert profile["run.total"]["calls"] == 1
+        # Build sits next to the run: population, then engine.
+        assert profile["build.population"]["calls"] == 1
+        assert profile["build.engine"]["calls"] == 1
         assert profile["round.stages12"]["calls"] == result.rounds
         assert "round.advertise" in profile
         # Observing the run never changes it.
@@ -233,6 +236,7 @@ class TestRunSurfacing:
         }
         record = execute_run(payload)
         assert record["profile"]["round.stages12"]["calls"] > 0
+        assert record["profile"]["build.population"]["calls"] == 1
         off = dict(payload, telemetry={"enabled": False})
         assert "profile" not in execute_run(off)
 
@@ -259,6 +263,7 @@ class TestRunSurfacing:
         assert experiment.run_spec().telemetry == {"enabled": True}
         record = experiment.run()
         assert record["profile"]["round.stages12"]["calls"] > 0
+        assert record["profile"]["build.population"]["calls"] == 1
         reverted = experiment.with_telemetry(False)
         assert "profile" not in reverted.run()
 
