@@ -39,8 +39,9 @@ int64 — same matches, same random-stream consumption, same traces —
 and :func:`check_grid_identity` pins the cell-grid geometric primitives
 (:mod:`repro.graphs.spatial`) to their O(n^2) differential references:
 grid disk edges == blocked-sweep disk edges (same arrays, same order),
-and :class:`~repro.graphs.spatial.PointIndex` nearest queries ==
-dense ``nearest_pair`` (value *and* tie-break).
+fused ``disk_csr`` == that sweep through ``from_edge_lists``, and
+:class:`~repro.graphs.spatial.PointIndex` nearest queries == dense
+``nearest_pair`` (value *and* tie-break).
 
 The telemetry layer (repro.telemetry) adds the observability axis:
 :func:`check_telemetry_identity` pins that enabling metrics + phase
@@ -343,7 +344,9 @@ def check_grid_identity(
     For every (n, seed) point cloud: the cell-grid disk-edge builder
     must return byte-identical arrays to the blocked pairwise sweep at
     every radius (order included — nx component iteration is
-    edge-insertion-order sensitive), and :class:`PointIndex` nearest
+    edge-insertion-order sensitive), the fused ``disk_csr`` snapshot
+    must equal that sweep's mirrored edge list through
+    ``CSRAdjacency.from_edge_lists``, and :class:`PointIndex` nearest
     queries must agree with the dense ``nearest_pair`` reduction on
     value *and* tie-break.
     """
@@ -351,10 +354,12 @@ def check_grid_identity(
 
     from repro.graphs.spatial import (
         PointIndex,
+        disk_csr,
         disk_edges_blocked,
         disk_edges_grid,
         nearest_pair,
     )
+    from repro.sim.adjacency import CSRAdjacency
 
     failures = []
     for seed in seeds:
@@ -369,6 +374,14 @@ def check_grid_identity(
                     failures.append(
                         f"n={n}/radius={radius}/seed={seed}: grid edge "
                         "set diverged from the blocked sweep"
+                    )
+                reference = CSRAdjacency.from_edge_lists(
+                    np.concatenate([bu, bv]), np.concatenate([bv, bu]), n
+                )
+                if not disk_csr(xs, ys, radius).same_structure(reference):
+                    failures.append(
+                        f"n={n}/radius={radius}/seed={seed}: fused disk "
+                        "CSR diverged from blocked sweep -> from_edge_lists"
                     )
             half = n // 2
             reference = nearest_pair(xs[:half], ys[:half],

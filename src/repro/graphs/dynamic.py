@@ -29,7 +29,12 @@ import numpy as np
 from repro.errors import ConfigurationError, TopologyError
 from repro.graphs import lazy_nx as nx
 from repro.graphs.metrics import vertex_expansion_estimate, max_degree
-from repro.graphs.spatial import PointIndex, disk_edges, nearest_pair
+from repro.graphs.spatial import (
+    PointIndex,
+    disk_csr,
+    disk_edges,
+    nearest_pair,
+)
 from repro.graphs.topologies import Topology
 from repro.registry import register_dynamics
 from repro.rng import SeedTree
@@ -325,9 +330,9 @@ class RelabelingAdversary(DynamicGraph):
     def csr_at(self, round_index: int):
         """Permute the base shape's CSR arrays — no ``nx.Graph`` built.
 
-        The fast path's epoch turnover is a numpy permutation + lexsort
-        instead of ``nx.relabel_nodes`` allocating a fresh graph object
-        every τ rounds.
+        The fast path's epoch turnover is a numpy permutation + one key
+        sort instead of ``nx.relabel_nodes`` allocating a fresh graph
+        object every τ rounds.
         """
         epoch = self.epoch_of(round_index)
         if self._csr_epoch != epoch:
@@ -438,9 +443,9 @@ class GeometricMobilityGraph(DynamicGraph):
                                 record_bridges=False)
 
     def csr_at(self, round_index: int):
-        """Unbridged meshes never materialize an ``nx.Graph`` on the
-        array path: the grid's edge list goes straight into a CSR
-        snapshot (structurally identical to converting the graph —
+        """Unbridged meshes never materialize an ``nx.Graph`` — or even
+        an edge list — on the array path: the grid emits the CSR arrays
+        directly (structurally identical to converting the graph —
         both sort rows by neighbor vertex).  Bridged meshes fall back
         to the default graph-conversion hook because bridging needs the
         component iteration, which lives on the graph object.
@@ -450,8 +455,6 @@ class GeometricMobilityGraph(DynamicGraph):
         _check_round(round_index)
         epoch = self.epoch_of(round_index)
         if self._geo_csr_epoch != epoch:
-            from repro.sim.adjacency import CSRAdjacency
-
             if epoch <= self._built_through:
                 positions = self.positions_at(epoch)
             else:
@@ -462,12 +465,8 @@ class GeometricMobilityGraph(DynamicGraph):
                                    self._built_through)
                 positions = self._positions
             pos = np.asarray(positions)
-            rows, cols = disk_edges(pos[:, 0], pos[:, 1], self.radius)
-            self._geo_csr_cache = CSRAdjacency.from_edge_lists(
-                np.concatenate([rows, cols]),
-                np.concatenate([cols, rows]),
-                self.n,
-                dtype=self.csr_dtype,
+            self._geo_csr_cache = disk_csr(
+                pos[:, 0], pos[:, 1], self.radius, self.csr_dtype
             )
             self._geo_csr_epoch = epoch
         return self._geo_csr_cache
@@ -488,12 +487,10 @@ class GeometricMobilityGraph(DynamicGraph):
 
     def _disk_graph(self, positions: list,
                     record_bridges: bool) -> nx.Graph:
-        # Edges come from the cell-binning grid (repro.graphs.spatial):
-        # O(n) at constant density where the former blocked pairwise
-        # sweep was O(n^2).  The grid emits edges in (i, j) lexicographic
-        # order with i < j — exactly the sweep's order, pinned identical
-        # by a differential gate — so the graph, and the component
-        # iteration the bridging step depends on, is unchanged.
+        # Edges come from the cell-sorted grid (repro.graphs.spatial) in
+        # (i, j) lexicographic order with i < j — the blocked pairwise
+        # sweep's order, pinned identical by a differential gate — which
+        # the component iteration of the bridging step depends on.
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         pos = np.asarray(positions)

@@ -1,23 +1,38 @@
-"""Cell-binning spatial grid for unit-disk neighbor queries.
+"""Cell-sorted spatial grid for unit-disk neighbor queries.
 
 :class:`~repro.graphs.dynamic.GeometricMobilityGraph` needs two
 geometric primitives per epoch: the radius-``r`` unit-disk edge set of
 the node positions, and (when bridging fragments) the nearest pair of
-points across two components.  Both used to be O(n^2) pairwise sweeps;
-at n = 10^6 a single epoch's sweep is 10^12 distance evaluations.
+points across two components.  Done as O(n^2) pairwise sweeps, a single
+epoch at n = 10^6 is 10^12 distance evaluations.
 
-This module replaces them with a cell grid: positions are binned into
-radius-sized cells so that every disk edge lies within one cell or one
-of its 8 neighbors, and only those candidate pairs are examined — O(n)
-work at constant density.  The grid output is **pinned identical** to
-the blocked sweep (kept here as :func:`disk_edges_blocked`, the
-differential reference): the same IEEE double ops compute every
-distance (``(dx)**2 + (dy)**2`` against ``r*r``), each unordered pair
-is generated exactly once, and the result is returned in ``(i, j)``
-lexicographic order with ``i < j`` — the order the blocked sweep emits
-and the order edge-insertion-sensitive consumers (``nx``'s component
-iteration) depend on.  Identity is gated by tests/test_dynamic.py and
-``bench_scale.py --quick`` in CI.
+The disk edges instead cost **one cell sort and one key sort**
+(:func:`_disk_pairs`).  Points are binned into cells at least
+``radius`` wide, keyed ``cx * ncells + cy``, and argsorted by key once;
+``xs``/``ys`` are gathered into that order once.  Column-major keys
+make every point's candidates two *contiguous runs* of the sorted
+order: the rest of its own cell through cell ``cy + 1`` of its column
+(adjacent keys), and cells ``cy - 1 .. cy + 1`` of column ``cx + 1``
+(three adjacent keys) — the half-neighborhood, so each unordered pair
+is examined exactly once, read sequentially, with run bounds looked up
+in a ``bincount``/``cumsum`` cell-start table.  Sources are processed
+in chunks so peak memory is bounded at constant density.  Survivors
+map back through the sort order and are packed into ``u * n + v`` keys;
+sorting the keys *is* the output order.  :func:`disk_edges_grid` sorts
+the ``u < v`` keys and unpacks them; :func:`disk_csr` hands both
+orientations to ``CSRAdjacency.from_keys``, whose one sort yields the
+CSR snapshot without an edge list in between.
+
+The output is **pinned identical** to the blocked sweep (kept here as
+:func:`disk_edges_blocked`, the differential reference).  Identity
+holds because the grid only chooses *which* pairs to test: every pair
+within ``radius`` is at most one cell apart (cells are never narrower
+than ``radius``), the test itself is the sweep's IEEE double ops
+(``(dx)**2 + (dy)**2 <= r*r``; squaring makes the operand order
+irrelevant), and a key sort is the ``(i, j)`` lexicographic order the
+sweep emits — the order edge-insertion-sensitive consumers (``nx``'s
+component iteration) depend on.  Gated by tests/test_dynamic.py,
+tests/test_spatial.py and ``bench_scale.py --quick`` in CI.
 
 Coordinates are assumed to lie in the unit square (the mobility model's
 domain); the binning clips boundary values inward so ``x == 1.0`` is
@@ -31,6 +46,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "disk_csr",
     "disk_edges",
     "disk_edges_blocked",
     "disk_edges_grid",
@@ -38,10 +54,11 @@ __all__ = [
     "PointIndex",
 ]
 
-#: Half-neighborhood cell offsets: (0, 0) pairs within a cell, the rest
-#: pair each cell with 4 of its 8 neighbors so every unordered cell
-#: pair is visited exactly once.
-_HALF_NEIGHBORHOOD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+#: Source points examined per pass of :func:`_disk_pairs`.  Bounds the
+#: candidate arrays to a few MB at mesh densities whatever ``n`` is —
+#: small enough that the allocator reuses them pass after pass instead
+#: of mapping fresh pages.
+_CHUNK_SOURCES = 1 << 14
 
 
 def disk_edges_blocked(
@@ -75,12 +92,54 @@ def disk_edges_blocked(
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], starts[i] + counts[i])`` segments."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
-    flat = np.arange(total, dtype=np.int64)
-    return flat - np.repeat(ends - counts, counts) + np.repeat(starts, counts)
+    flat = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    flat += np.repeat(starts - ends + counts, counts)
+    return flat
+
+
+def _disk_pairs(xs: np.ndarray, ys: np.ndarray, radius: float):
+    """Yield every unordered pair within ``radius`` exactly once, chunk
+    by chunk, as point index arrays ``(a, b)`` — in no particular order
+    or orientation (callers pack them into sort keys).  See the module
+    docstring."""
+    n = len(xs)
+    r2 = radius * radius
+    # Cells are radius-sized, but never more than ~n of them: at low
+    # density wider cells keep the cell-start table O(n) and still hold
+    # about one point each.
+    ncells = max(1, min(math.ceil(1.0 / radius), math.isqrt(n)))
+    width = max(radius, 1.0 / ncells)
+    cell = np.minimum((xs / width).astype(np.int64), ncells - 1)
+    cell *= ncells
+    cell += np.minimum((ys / width).astype(np.int64), ncells - 1)
+    order = np.argsort(cell, kind="stable")
+    sx, sy, cell = xs[order], ys[order], cell[order]
+
+    # start[c] = first sorted position of cell c; the padding past the
+    # last cell reads n, so the last column's right-hand run is empty.
+    start = np.full(ncells * ncells + ncells + 2, n, dtype=np.int64)
+    start[0] = 0
+    np.cumsum(np.bincount(cell, minlength=ncells * ncells),
+              out=start[1:ncells * ncells + 1])
+
+    # (An empty pair first, so an empty cloud still concatenates.)
+    yield order[:0], order[:0]
+    for lo in range(0, n, _CHUNK_SOURCES):
+        position = np.arange(lo, min(lo + _CHUNK_SOURCES, n), dtype=np.int64)
+        own = cell[lo:lo + _CHUNK_SOURCES]
+        cy = own % ncells
+        up = cy < ncells - 1
+        right = own + ncells
+        run_start = np.concatenate([position + 1, start[right - (cy > 0)]])
+        run_count = np.concatenate([start[own + up + 1], start[right + up + 1]])
+        run_count -= run_start
+        src = np.repeat(np.concatenate([position, position]), run_count)
+        dst = _concat_ranges(run_start, run_count)
+        d2 = (sx[src] - sx[dst]) ** 2
+        d2 += (sy[src] - sy[dst]) ** 2
+        keep = np.nonzero(d2 <= r2)[0]
+        yield order[src[keep]], order[dst[keep]]
 
 
 def disk_edges_grid(
@@ -89,57 +148,33 @@ def disk_edges_grid(
     """All pairs within ``radius``, by cell binning — O(n) at constant
     density.
 
-    Cells are ``radius``-sized, so a disk edge's endpoints are at most
-    one cell apart; scanning each cell against itself and 4 of its 8
-    neighbors (the half-neighborhood) generates every candidate pair
-    once.  Distances use the same IEEE ops as the blocked sweep and the
-    result is sorted ``(i, j)`` lexicographic with ``i < j`` — byte-for-
+    Returns ``(i, j)`` with ``i < j`` in lexicographic order — byte-for-
     byte the blocked sweep's output.
     """
     n = len(xs)
-    r2 = radius * radius
-    ncells = max(1, math.ceil(1.0 / radius))
-    cx = np.minimum((xs / radius).astype(np.int64), ncells - 1)
-    cy = np.minimum((ys / radius).astype(np.int64), ncells - 1)
-    cell = cx * ncells + cy
-    order = np.argsort(cell, kind="stable")
-    sorted_cells = cell[order]
+    keys = np.concatenate([
+        np.minimum(a, b) * n + np.maximum(a, b)
+        for a, b in _disk_pairs(xs, ys, radius)
+    ])
+    keys.sort()
+    return np.divmod(keys, n)
 
-    pair_u, pair_v = [], []
-    for dx, dy in _HALF_NEIGHBORHOOD:
-        if dx == 0 and dy == 0:
-            pts = np.arange(n, dtype=np.int64)
-            neighbor_cell = cell
-        else:
-            ncx = cx + dx
-            ncy = cy + dy
-            valid = (ncx < ncells) & (0 <= ncy) & (ncy < ncells)
-            pts = np.nonzero(valid)[0]
-            if len(pts) == 0:
-                continue
-            neighbor_cell = ncx[pts] * ncells + ncy[pts]
-        starts = np.searchsorted(sorted_cells, neighbor_cell, side="left")
-        ends = np.searchsorted(sorted_cells, neighbor_cell, side="right")
-        counts = ends - starts
-        src = np.repeat(pts, counts)
-        dst = order[_concat_ranges(starts, counts)]
-        if dx == 0 and dy == 0:
-            keep = src < dst
-            src, dst = src[keep], dst[keep]
-        d2 = (xs[src] - xs[dst]) ** 2
-        d2 += (ys[src] - ys[dst]) ** 2
-        keep = d2 <= r2
-        src, dst = src[keep], dst[keep]
-        pair_u.append(np.minimum(src, dst))
-        pair_v.append(np.maximum(src, dst))
 
-    if not pair_u:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    u = np.concatenate(pair_u)
-    v = np.concatenate(pair_v)
-    sort = np.lexsort((v, u))
-    return u[sort], v[sort]
+def disk_csr(xs: np.ndarray, ys: np.ndarray, radius: float, dtype=None):
+    """The unit-disk graph as a :class:`~repro.sim.adjacency.CSRAdjacency`
+    — what ``from_edge_lists`` builds from the mirrored
+    :func:`disk_edges_grid` output, without the edge list or its sort.
+    ``dtype`` as in ``CSRAdjacency.from_graph``.
+    """
+    from repro.sim.adjacency import CSRAdjacency
+
+    n = len(xs)
+    keys = np.concatenate([
+        packed
+        for a, b in _disk_pairs(xs, ys, radius)
+        for packed in (a * n + b, b * n + a)
+    ])
+    return CSRAdjacency.from_keys(keys, n, dtype=dtype)
 
 
 def disk_edges(

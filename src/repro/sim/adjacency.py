@@ -27,15 +27,21 @@ per-round translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.errors import ConfigurationError
 
 __all__ = ["CSRAdjacency", "index_dtype_for"]
 
 #: Largest value an int32 index array can hold.  Vertex ids must stay
 #: below it, and so must the edge count (``indptr``'s last entry).
 _INT32_LIMIT = np.iinfo(np.int32).max
+
+#: Largest ``n`` whose packed edge keys ``source * n + target`` fit int64.
+_KEY_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
 
 def index_dtype_for(n: int, nnz: int | None = None) -> np.dtype:
@@ -111,13 +117,46 @@ class CSRAdjacency:
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        if len(sources) != len(targets):
+            raise ConfigurationError(
+                f"edge lists differ in length: {len(sources)} sources, "
+                f"{len(targets)} targets"
+            )
+        if n > _KEY_LIMIT:
+            raise ConfigurationError(
+                f"n={n}: packed edge keys (n * n) would overflow int64"
+            )
+        # Viewed as unsigned, a negative endpoint reads as a huge one:
+        # one max per array checks both ends of [0, n).
+        for name, ends in (("source", sources), ("target", targets)):
+            if len(ends) and int(ends.view(np.uint64).max()) >= n:
+                raise ConfigurationError(
+                    f"edge {name} outside the vertex range [0, {n})"
+                )
+        keys = sources * n
+        keys += targets
+        return cls.from_keys(keys, n, dtype=dtype)
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n: int,
+                  dtype=None) -> "CSRAdjacency":
+        """Snapshot from directed edges packed as int64 keys
+        ``source * n + target`` (endpoints in ``[0, n)``, both
+        directions present), in any order.
+
+        One in-place sort of the keys orders rows by source and each row
+        by neighbor vertex — a topology change costs this sort and
+        nothing else.  ``keys`` is consumed.  ``dtype`` as in
+        :meth:`from_graph`.
+        """
         if dtype is None:
-            dtype = index_dtype_for(n, len(sources))
-        order = np.lexsort((targets, sources))
-        indptr = np.zeros(n + 1, dtype=dtype)
-        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
-        return cls(n=n, indptr=indptr,
-                   indices=targets[order].astype(dtype, copy=False))
+            dtype = index_dtype_for(n, len(keys))
+        keys.sort()
+        row_starts = np.arange(n + 1, dtype=np.int64)
+        row_starts *= n
+        indptr = np.searchsorted(keys, row_starts).astype(dtype)
+        keys %= n
+        return cls(n=n, indptr=indptr, indices=keys.astype(dtype))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -217,19 +256,19 @@ class CSRAdjacency:
         snapshot = self._masked_memo.get(key)
         if snapshot is None:
             sources = self.edge_sources()
-            alive = active[sources] & active[self.indices]
+            kept = np.nonzero(active[sources] & active[self.indices])[0]
+            sources = sources[kept]
             indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
-            np.cumsum(
-                np.bincount(sources[alive], minlength=self.n), out=indptr[1:]
-            )
+            np.cumsum(np.bincount(sources, minlength=self.n), out=indptr[1:])
             snapshot = CSRAdjacency(
                 n=self.n,
                 indptr=indptr,
-                indices=self.indices[alive],
-                uids=self.uids[alive],
+                indices=self.indices[kept],
+                uids=self.uids[kept],
                 vertex_uids=self.vertex_uids,
                 base=self.base if self.base is not None else self,
                 arena=self.arena,
+                _edge_sources=sources,
             )
             while len(self._masked_memo) >= keep:
                 self._masked_memo.pop(next(iter(self._masked_memo)))

@@ -652,7 +652,8 @@ class Simulation:
     def _bound_csr(self, rnd: int):
         """The UID-bound CSR snapshot of round ``rnd``'s epoch, re-bound
         only when the topology changes."""
-        csr = self.dynamic_graph.csr_at(rnd)
+        with self._prof.span("round.topology"):
+            csr = self.dynamic_graph.csr_at(rnd)
         bound = self._csr_bound
         if bound is None or bound.base is not csr:
             with self._prof.span("round.csr_bind"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.experiments.fastpath import check_dtype_identity
 from repro.graphs.dynamic import (
     GeometricMobilityGraph,
@@ -226,3 +227,74 @@ class TestIndexDtype:
         # The end-to-end gate: full simulations on int32 snapshots are
         # byte-identical (trace signature + rng draws) to int64 ones.
         assert check_dtype_identity(n=16, rounds=25) == []
+
+
+class TestFromEdgeListsValidation:
+    """Bad edge lists are a ConfigurationError, never a traceback or a
+    silently aliased row (keys pack as ``source * n + target``)."""
+
+    @pytest.mark.parametrize("sources, targets", [
+        ([-1, 1], [1, 0]),      # negative source
+        ([0, 1], [1, -1]),      # negative target
+        ([0, 4], [1, 0]),       # source == n
+        ([0, 1], [1, 7]),       # target > n: would alias into row 2
+    ])
+    def test_endpoint_outside_vertex_range(self, sources, targets):
+        with pytest.raises(ConfigurationError, match="outside the vertex"):
+            CSRAdjacency.from_edge_lists(sources, targets, 4)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ConfigurationError, match="differ in length"):
+            CSRAdjacency.from_edge_lists([0, 1, 2], [1, 0], 4)
+
+    def test_key_overflow(self):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            CSRAdjacency.from_edge_lists([], [], 2**32)
+
+    def test_empty_and_unsorted_input(self):
+        empty = CSRAdjacency.from_edge_lists([], [], 3)
+        assert empty.indptr.tolist() == [0, 0, 0, 0]
+        assert empty.indices.size == 0
+        csr = CSRAdjacency.from_edge_lists([2, 0, 0, 1], [0, 2, 1, 0], 3)
+        assert csr.indptr.tolist() == [0, 2, 3, 4]
+        assert csr.indices.tolist() == [1, 2, 0, 0]
+
+    def test_caller_arrays_untouched(self):
+        sources = np.array([2, 0, 0, 1], dtype=np.int64)
+        targets = np.array([0, 2, 1, 0], dtype=np.int64)
+        CSRAdjacency.from_edge_lists(sources, targets, 3)
+        assert sources.tolist() == [2, 0, 0, 1]
+        assert targets.tolist() == [0, 2, 1, 0]
+
+
+class TestMaskedBoundEdgeSources:
+    """The masked snapshot carries its per-edge sources from the mask
+    pass instead of leaving the engine to rebuild them."""
+
+    @pytest.mark.parametrize("asleep", [
+        [], [0], [2, 7], [0, 1, 2, 3, 4, 5], list(range(12)),
+    ])
+    def test_carried_sources_equal_the_lazy_rebuild(self, asleep):
+        csr = CSRAdjacency.from_graph(expander(12, degree=4, seed=3).graph)
+        bound = csr.bind_uids(np.arange(100, 112))
+        active = np.ones(12, dtype=bool)
+        active[asleep] = False
+        masked = bound.masked_bound(active)
+        assert masked._edge_sources is not None
+        expected = np.repeat(np.arange(12), masked.degrees)
+        assert np.array_equal(masked.edge_sources(), expected)
+        assert masked.edge_sources().dtype == masked.indices.dtype
+        # Both endpoints of every kept edge are awake; sleepers and any
+        # vertex left with only sleeping neighbors have empty rows.
+        assert active[masked.edge_sources()].all()
+        assert active[masked.indices].all()
+        assert (masked.degrees[asleep] == 0).all()
+
+    def test_star_hub_asleep_leaves_every_row_empty(self):
+        bound = CSRAdjacency.from_graph(star(6).graph).bind_uids(
+            np.arange(6))
+        active = np.ones(6, dtype=bool)
+        active[0] = False
+        masked = bound.masked_bound(active)
+        assert masked.degrees.tolist() == [0] * 6
+        assert masked.edge_sources().size == 0

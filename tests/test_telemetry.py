@@ -221,6 +221,10 @@ class TestRunSurfacing:
         assert profile["build.engine"]["calls"] == 1
         assert profile["round.stages12"]["calls"] == result.rounds
         assert "round.advertise" in profile
+        # The epoch's topology fetch is its own span inside stages12.
+        assert profile["round.topology"]["calls"] == result.rounds
+        assert (profile["round.topology"]["seconds"]
+                <= profile["round.stages12"]["seconds"])
         # Observing the run never changes it.
         assert result.rounds == _run().rounds
 
