@@ -14,7 +14,11 @@ running total, the final round and the end state — over
 * the event engine: {sharedbit, blindmatch} × {static, geometric} ×
   {synchronous, jitter, heterogeneous, bursty} × four fault regimes ×
   {per-event, batched on the object front half, batched on the array
-  front half}.
+  front half};
+* hook-less populations on the event engine's scalar hooks: {multibit,
+  simsharedbit} × {static, geometric} × the four timings × {none,
+  churn} (MultiBit's ``propose`` reads neighbour tags, SimSharedBit's
+  reads private coins — neither has window hooks).
 
 The JSON is a recording, not an expectation to maintain: an engine
 refactor must pass it unmodified.  Only a change that *deliberately*
@@ -41,6 +45,10 @@ from repro.experiments.fastpath import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_traces.json"
+
+#: Populations without ``make_window_hooks``: the event engine can only
+#: carry them on their scalar ``advertise`` / ``propose`` hooks.
+CHECK_SCALAR_HOOK_ALGORITHMS = ("multibit", "simsharedbit")
 
 
 def golden_cases() -> dict[str, dict]:
@@ -80,6 +88,12 @@ def golden_cases() -> dict[str, dict]:
                         add("async", algorithm, dynamics, "uniform",
                             engine_mode, timing=timing, fault=fault,
                             async_mode=async_mode)
+    for algorithm in CHECK_SCALAR_HOOK_ALGORITHMS:
+        for dynamics in CHECK_ASYNC_DYNAMICS:
+            for timing in ("synchronous",) + CHECK_TIMINGS:
+                for fault in ("none", "churn"):
+                    add("async", algorithm, dynamics, "uniform", "object",
+                        timing=timing, fault=fault, async_mode="event")
     return cases
 
 
