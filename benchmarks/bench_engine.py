@@ -22,13 +22,14 @@ by its n private Mersenne draws per round (byte-identity forbids
 batching those), so its gain is the engine overhead only (~1.5x).
 
 The ASYNC rows track the event-driven engine (jitter(0.5), star):
-``sharedbit_async_jitter`` prices the generic per-event path against the
-object engine, and ``sharedbit_async_jitter_batched`` prices the
-window-batched drain against the *array* engine — the
-``async_over_sync_array`` ratio is the tracked gap (bar: >= 0.5x at
-n = 2000), ``batched_over_event`` its speedup over the per-event path.
-``check_async_batched_identity`` gates both rows: the batched drain must
-be byte-identical to the per-event path before its throughput counts.
+``sharedbit_async_jitter`` prices the window executor fed by the scalar
+hooks (``async_mode="event"``) against the object engine, and
+``sharedbit_async_jitter_batched`` prices it fed by SharedBit's window
+hooks against the *array* engine — the ``async_over_sync_array`` ratio
+is the tracked gap (bar: >= 0.5x at n = 2000), ``batched_over_event``
+the window hooks' speedup over the scalar hooks.
+``check_async_batched_identity`` gates both rows: window hooks must be
+byte-identical to the scalar hooks before their throughput counts.
 
 Run directly for the CI gate / perf ledger::
 
@@ -153,9 +154,9 @@ def measure_async_throughput(algorithm: str, n: int, k: int, rounds: int,
 
     The asynchronous twin of :func:`measure_throughput`: same protocols,
     same topology, same round budget, every round window one full sweep
-    of jittered cohorts through the event queue.  ``async_mode`` picks
-    the window executor — ``"event"`` for the generic per-node path,
-    ``"batched"`` for the vectorized window drain (both byte-identical;
+    of jittered cohorts through the window executor.  ``async_mode``
+    picks the hooks that feed it — ``"event"`` the scalar per-node
+    hooks, ``"batched"`` the protocol's window hooks (byte-identical;
     :func:`check_async_batched_identity` is the gate).
     """
     instance = uniform_instance(n=n, k=k, seed=seed)
@@ -203,9 +204,9 @@ def run_engine_bench(n: int = 2000, allow_dirty: bool = False) -> dict:
         "speedup": round(array_rps / object_rps, 2),
     }
     # The async-vs-sync rows: the event engine's cost over the round
-    # engine.  The per-event row prices the generic path against the
+    # engine.  The event row prices the scalar hooks against the
     # object engine (partial cohorts forbid bulk hooks there); the
-    # batched row prices the vectorized window drain against the *array*
+    # batched row prices SharedBit's window hooks against the *array*
     # engine — the honest bar, since both vectorize — and tracks the
     # batched-over-event speedup so the gap's trajectory is recorded,
     # not just its existence.
@@ -350,9 +351,8 @@ def main(argv=None) -> int:
     failures += check_async_determinism(
         n=16 if args.quick else 24, rounds=25 if args.quick else 40
     )
-    # Window-batching gate: the vectorized window drain must reproduce
-    # the generic per-event path byte for byte, through both engine
-    # front halves.
+    # Window-hooks gate: protocol window hooks must reproduce the
+    # scalar hooks byte for byte, through both engine front halves.
     failures += check_async_batched_identity(
         n=16 if args.quick else 24, rounds=25 if args.quick else 40
     )

@@ -1,19 +1,18 @@
-"""The asynchrony layer: per-node clocks over a deterministic event queue.
+"""The asynchrony layer: per-node clocks over a deterministic event schedule.
 
 The round engine (:mod:`repro.sim.engine`) realizes the paper's lock-step
 synchronous rounds; this package realizes the *asynchronous* mobile
 telephone model of the follow-up work (Newport–Weaver–Zheng): every
 device runs its own scan→propose→accept→connect cycle on its own clock,
 scheduled by a pluggable :class:`~repro.asynchrony.timing.TimingModel`
-and executed by :class:`~repro.asynchrony.engine.AsyncSimulation` off a
-deterministic event heap.  One protocol surface, two execution
+and executed by :class:`~repro.asynchrony.engine.AsyncSimulation` one
+round window at a time.  One protocol surface, two execution
 semantics — and the synchronous null model is provably (and
 differentially tested to be) event-for-event identical to the round
 engine.
 """
 
 from repro.asynchrony.engine import AsyncSimulation
-from repro.asynchrony.events import EventQueue
 from repro.asynchrony.timing import (
     TICKS_PER_ROUND,
     GilbertElliottPauses,
@@ -26,7 +25,6 @@ from repro.asynchrony.timing import (
 
 __all__ = [
     "AsyncSimulation",
-    "EventQueue",
     "TICKS_PER_ROUND",
     "TimingModel",
     "Synchronous",

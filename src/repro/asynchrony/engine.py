@@ -40,37 +40,32 @@ same tags, same proposals, same random-stream consumption, same matches,
 same traces — on *both* engine paths.  The differential harness
 (:func:`~repro.experiments.fastpath.check_async_sync_identity`) proves
 it, and :func:`~repro.experiments.fastpath.check_async_batched_identity`
-extends the same byte-identity bar to the batched window path below.
+extends the same byte-identity bar to protocol window hooks.
 
-**Batched window execution** (``async_mode``): popping and processing
-jittered cohorts one at a time pays full per-event Python dispatch for
-what is usually a singleton — the 12x gap PR 5 measured.  When the
-protocol population provides *window hooks*
-(:func:`~repro.sim.protocol.window_hooks`), the engine instead drains
-every cohort of the current round window in one pass (vectorized over
-per-vertex next-activation arrays; the heap path uses
-:meth:`~repro.asynchrony.events.EventQueue.pop_window`), computes the
-whole window's schedule through the timing model's batched draws, scans
-every activating member in a few vectorized passes, and then sweeps the
-window's cohorts in event order, touching Python only where decisions
-live: proposal candidates, per-cohort resolution
-(:func:`~repro.sim.matching.resolve_proposals_arrays` — a cohort with no
-contested target derives no rng, contested ones draw from the exact
-per-tick ``("match", r)`` / ``("match", "tick", t)`` streams), fault
-drops, and interactions.  Determinism is the hard constraint: no random
-draw moves.
-Eager-scan protocols (SharedBit — shared-PRF tags only) tag the whole
-window upfront and are *retagged* exactly at the activation positions
-whose state changed mid-window (transfer endpoints, crash resets);
-lazy-scan protocols (BlindMatch — private-rng coins) scan cohort by
-cohort so each node's private stream interleaves with its Transfer
-draws exactly as per-event execution orders them.  Crash resets and
-fault masks compose per local cycle exactly as the per-event path does.
-``async_mode="auto"`` picks the batched path whenever window hooks
-resolve; ``"event"`` forces the generic per-event fallback (always
-available, required for protocols without window hooks);
-``"batched"`` forces the window machinery even under null timing, which
-is how the differential gate pins batched-vs-round-engine identity.
+**One executor, two kinds of hooks** (``async_mode``): the schedule is
+two flat per-vertex arrays (next activation tick, next local cycle).
+Each round window is drained in one vectorized pass (the timing model's
+batched draws compute the whole window's schedule) and its cohorts are
+swept in event order through a *window ops* object, touching Python
+only where decisions live: proposal candidates, per-cohort resolution
+(a cohort with no contested target derives no rng, contested ones draw
+from the exact per-tick ``("match", r)`` / ``("match", "tick", t)``
+streams), fault drops, and interactions.  Determinism is the hard
+constraint: no random draw moves.  ``async_mode`` says which hooks feed
+the executor.  Protocol *window hooks*
+(:func:`~repro.sim.protocol.window_hooks`) come in two shapes:
+eager-scan ops (SharedBit — shared-PRF tags only) tag the whole window
+upfront and are *retagged* exactly at the activation positions whose
+state changed mid-window (transfer endpoints, crash resets); lazy-scan
+ops (BlindMatch — private-rng coins) scan cohort by cohort so each
+node's private stream interleaves with its Transfer draws in event
+order.  The scalar hooks (:class:`~repro.sim.protocol.ScalarWindowOps`)
+are the lazy-scan case every population has: one ``advertise`` per
+member, one ``propose`` per member.  ``"auto"`` prefers the protocol's
+window hooks and falls back to the scalar hooks; ``"event"`` forces the
+scalar hooks; ``"batched"`` demands window hooks and runs them even
+under null timing, which is how the differential gate pins
+window-hooks-vs-round-engine identity.
 
 The fault layer composes: masks and drop decisions are evaluated per
 node at the node's *local* cycle (a duty-cycled phone skips cycles by
@@ -79,8 +74,8 @@ into an outage, and visibility is judged from the scanning node's clock.
 
 What a cycle *does* is the round engine's code: mask normalisation, tag
 checks, the stream supplier, fault drops and Stage 3 are
-:class:`~repro.sim.engine.Simulation` methods called from both cohort
-bodies below — only *when* a node runs its cycle lives here.
+:class:`~repro.sim.engine.Simulation` methods called from the cohort
+body below — only *when* a node runs its cycle lives here.
 """
 
 from __future__ import annotations
@@ -94,17 +89,34 @@ from repro.errors import (
     ProtocolViolationError,
     RoundLimitExceeded,
 )
-from repro.asynchrony.events import EventQueue
 from repro.asynchrony.timing import TICKS_PER_ROUND, Synchronous, TimingModel
-from repro.sim.context import NeighborView
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.matching import resolve_proposals, resolve_proposals_arrays
-from repro.sim.protocol import window_hooks
+from repro.sim.protocol import ScalarWindowOps, window_hooks
 from repro.sim.termination import TerminationCondition, never
 
 __all__ = ["AsyncSimulation"]
 
 _ASYNC_MODES = ("auto", "event", "batched")
+
+#: Cohorts up to this many proposals resolve through the dict form: the
+#: executor collects proposals in Python lists, and converting those to
+#: arrays costs the array form ~60 us before it resolves anything — the
+#: dict form is 3-10 us at the jittered cohort's 1-8 proposals and stays
+#: ahead until a few hundred (EXPERIMENTS.md, PR 17).  Both forms return
+#: the same pairs in the same order and call the stream supplier alike.
+_DICT_RESOLVER_MAX = 256
+
+#: An empty window's accumulator: the last cohort's tick (None = no
+#: cohort), then proposals, connections, tokens, bits, dropped, active
+#: members, events.
+_EMPTY_WINDOW = (None, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _as_list(values) -> list:
+    """A lazy scan's per-cohort result as Python scalars (window ops may
+    return arrays or plain sequences)."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 class AsyncSimulation(Simulation):
@@ -112,20 +124,21 @@ class AsyncSimulation(Simulation):
 
     Accepts everything :class:`~repro.sim.engine.Simulation` does plus
     ``timing`` (a built :class:`~repro.asynchrony.timing.TimingModel`;
-    ``None`` means the synchronous null model) and ``async_mode``:
+    ``None`` means the synchronous null model) and ``async_mode`` —
+    which hooks feed the one window executor:
 
-    * ``"auto"`` (default) — batched window execution when the
-      population provides window hooks and the timing is asynchronous;
-      the per-event path otherwise (null timing keeps the full-cohort
-      fast paths).
-    * ``"event"`` — always the generic per-event path.
-    * ``"batched"`` — force the window machinery (requires window
-      hooks), including under null timing: the differential harness's
-      batched-vs-round-engine identity gate.
+    * ``"auto"`` (default) — the protocol's window hooks when the
+      population provides them and the timing is asynchronous; the
+      scalar hooks otherwise (under null timing every cohort is full,
+      so a population with bulk hooks runs the round engine's stages).
+    * ``"event"`` — always the scalar ``advertise`` / ``propose`` hooks.
+    * ``"batched"`` — require window hooks and use them even under null
+      timing: the differential harness's window-hooks-vs-round-engine
+      identity gate.
 
-    ``engine_mode="array"`` under asynchronous timing requires the
-    batched path (bulk hooks alone consume the whole population's
-    streams at once, which only full synchronized cohorts may do).
+    ``engine_mode="array"`` under asynchronous timing requires window
+    hooks (bulk hooks alone consume the whole population's streams at
+    once, which only full synchronized cohorts may do).
     """
 
     def __init__(self, dynamic_graph, protocols, b: int, seed: int,
@@ -139,19 +152,15 @@ class AsyncSimulation(Simulation):
                 f"async_mode must be one of {_ASYNC_MODES}, got "
                 f"{async_mode!r}"
             )
-        requested_mode = engine_kwargs.get("engine_mode", "auto")
-        if not timing.is_null:
-            if timing.n != dynamic_graph.n:
-                raise ConfigurationError(
-                    f"timing model is bound to n={timing.n} but the graph "
-                    f"has n={dynamic_graph.n}"
-                )
-            if requested_mode != "array":
-                # Force the scalar hooks for the per-event fallback:
-                # partial cohorts activate node subsets, so per-node
-                # calls are the only correct per-event shape.  (The
-                # batched path never touches the bulk hooks either way.)
-                engine_kwargs["engine_mode"] = "object"
+        if not timing.is_null and timing.n != dynamic_graph.n:
+            raise ConfigurationError(
+                f"timing model is bound to n={timing.n} but the graph "
+                f"has n={dynamic_graph.n}"
+            )
+        # The object-path memory guard prices the round engine's
+        # per-vertex NeighborView caches; no asynchronous run builds
+        # them (the executor reads bound-CSR rows), so it never applies.
+        engine_kwargs["object_path_max_n"] = None
         super().__init__(dynamic_graph, protocols, b, seed, **engine_kwargs)
         if self.acceptance_streams != "global":
             raise ConfigurationError(
@@ -173,24 +182,22 @@ class AsyncSimulation(Simulation):
         self._fault_virtual = (
             self._fault_active and self.faults.clock == "virtual"
         )
-        self._window_ops = (
-            window_hooks(self._nodes) if async_mode != "event" else None
-        )
-        if async_mode == "batched" and self._window_ops is None:
+        ops = window_hooks(self._nodes) if async_mode != "event" else None
+        if async_mode == "batched" and ops is None:
             raise ConfigurationError(
                 "async_mode='batched' requires window protocol hooks "
                 "(make_window_hooks) on a homogeneous population; this "
                 "population has none — use 'auto' or 'event'"
             )
-        if timing.is_null:
+        if timing.is_null and async_mode != "batched":
             # Null timing: full synchronized cohorts — the round-engine
-            # fast paths are already the best shape, so the window
-            # machinery runs only when explicitly requested (the
-            # differential gate).
-            self._batched = async_mode == "batched"
-        else:
-            self._batched = self._window_ops is not None
-            if self.engine_mode == "array" and not self._batched:
+            # fast paths are already the best shape, so window hooks run
+            # only when explicitly requested (the differential gate).
+            ops = None
+        #: Whether the protocol's own window hooks feed the executor.
+        self._batched = ops is not None
+        if not timing.is_null and not self._batched:
+            if engine_kwargs.get("engine_mode") == "array":
                 raise ConfigurationError(
                     "engine_mode='array' under asynchronous timing "
                     "requires the batched window path (window hooks): "
@@ -199,34 +206,35 @@ class AsyncSimulation(Simulation):
                     "do; use engine_mode 'auto'/'object', or a protocol "
                     "with window hooks and async_mode 'auto'/'batched'"
                 )
-        if not self._batched:
-            self._window_ops = None
-        self._queue = EventQueue()
-        self._seeded = False
+            # Partial cohorts activate node subsets, so per-node calls
+            # are the only correct shape: the bulk hooks stay unused.
+            self._bulk = None
+            self.engine_mode = "object"
+        self._window_ops = ops if self._batched else ScalarWindowOps(
+            self._nodes, self._visible_uids
+        )
         #: Per-vertex activation totals (the per-node event counts).
         self.event_counts = np.zeros(self.n, dtype=np.int64)
         # Per-vertex local cycle counter (0 = not yet activated) and the
-        # node's activity at its last cycle (for per-node crash detection
-        # mirroring the round engine's mask-transition fallback).
+        # node's activity at its last cycle (the crash rule's
+        # ``was_active``, per node against its own previous cycle).
         self._local_cycle = np.zeros(self.n, dtype=np.int64)
         self._node_active = np.ones(self.n, dtype=bool)
-        # Batched-path schedule state: each vertex's next pending
-        # activation, advanced in bulk through activation_ticks_batch.
+        # The schedule: each vertex's next pending activation, advanced
+        # in bulk through activation_ticks_batch (seeded by run()).
         self._next_ticks: np.ndarray | None = None
         self._next_cycles: np.ndarray | None = None
-        # Batched-path published advertisements ("whatever each neighbor
-        # last wrote"; the per-event path keeps them in self._tags).
+        # Published advertisements ("whatever each neighbor last wrote").
         self._tags_np = np.zeros(self.n, dtype=np.int64)
-        # Current-window accumulators, flushed into one RoundRecord per
+        # The window being executed: its bound snapshot, its fault-mask
+        # memo, and the fault index shared by all its members (None =
+        # each member's own local cycle).
+        self._window_bound = None
+        self._window_masks: dict[int, np.ndarray | None] = {}
+        self._fault_round: int | None = None
+        # Current-window accumulator, flushed into one RoundRecord per
         # window so round-indexed curves stay comparable across timings.
-        self._acc_events = 0
-        self._acc_active = 0
-        self._acc_proposals = 0
-        self._acc_connections = 0
-        self._acc_tokens = 0
-        self._acc_bits = 0
-        self._acc_dropped = 0
-        self._acc_last_ticks: int | None = None
+        self._acc = list(_EMPTY_WINDOW)
 
     def step(self):  # pragma: no cover - guard against misuse
         raise ConfigurationError(
@@ -246,25 +254,12 @@ class AsyncSimulation(Simulation):
                 f"max_rounds must be >= 1, got {max_rounds}"
             )
         condition = termination or never()
-        if not self._seeded:
-            if self._batched:
-                vertices = np.arange(self.n, dtype=np.int64)
-                cycles = np.ones(self.n, dtype=np.int64)
-                self._next_ticks = self.timing.activation_ticks_batch(
-                    vertices, cycles
-                )
-                self._next_cycles = cycles
-            else:
-                for vertex in range(self.n):
-                    self._queue.push(
-                        self.timing.activation_ticks(vertex, 1), vertex, 1
-                    )
-            self._seeded = True
-
-        if self._batched:
-            terminated = self._run_batched(condition, max_rounds)
-        else:
-            terminated = self._run_per_event(condition, max_rounds)
+        if self._next_ticks is None:
+            self._next_cycles = np.ones(self.n, dtype=np.int64)
+            self._next_ticks = self.timing.activation_ticks_batch(
+                np.arange(self.n, dtype=np.int64), self._next_cycles
+            )
+        terminated = self._run_windows(condition, max_rounds)
         # Drain: flush the window holding the final cohorts, then any
         # trailing empty windows up to the round budget.
         while not terminated and self._round < max_rounds:
@@ -283,140 +278,66 @@ class AsyncSimulation(Simulation):
         )
 
     # ------------------------------------------------------------------
-    # Main loops
+    # The run loop and the schedule
 
-    def _run_per_event(
+    def _run_windows(
         self, condition: TerminationCondition, max_rounds: int
     ) -> bool:
-        """The generic fallback: one cohort at a time, drained per
-        window through :meth:`EventQueue.pop_window`."""
+        """Execute whole round windows until termination or the budget."""
         terminated = False
         while not terminated:
-            next_ticks = self._queue.peek_ticks()
-            if next_ticks is None:
-                break
-            window = next_ticks // TICKS_PER_ROUND
+            window = int(self._next_ticks.min()) // TICKS_PER_ROUND
             if window > max_rounds:
                 break
-            # Close out every window that precedes this cohort's (empty
+            # Close out every window that precedes this one (empty
             # windows — bursty pauses — still get their zero records and
             # their termination checks, like the round engine's rounds).
             while not terminated and self._round < window - 1:
                 terminated = self._flush_window(condition, max_rounds)
             if terminated:
                 break
-            boundary = (window + 1) * TICKS_PER_ROUND
-            with self._prof.span("window.drain"):
-                cohorts = self._drain_window(boundary)
-            with self._prof.span("window.process"):
-                for ticks, members in cohorts:
-                    if self._bulk is not None:
-                        self._process_cohort_synchronous(ticks, members)
-                    else:
-                        self._process_cohort(ticks, members)
-        return terminated
-
-    def _drain_window(self, boundary: int):
-        """All cohorts below ``boundary``, next activations rescheduled.
-
-        Schedules are pure functions of (seed, vertex, cycle) — never of
-        execution state — so every drained member's next activation can
-        be pushed *before* any cohort is processed.  Re-draining then
-        catches fast clocks that fire twice inside one window, and a
-        final (tick, vertex) sort merges the passes into exactly the
-        cohort sequence repeated ``pop_cohort`` + process + push would
-        produce (same-tick arrivals from different passes join one
-        cohort, just as they would share the heap's minimum).
-        """
-        drained: list[tuple[int, int, int]] = []
-        timing = self.timing
-        queue = self._queue
-        passes = 0
-        while True:
-            cohorts = queue.pop_window(boundary)
-            if not cohorts:
-                break
-            passes += 1
-            batch_vertices: list[int] = []
-            batch_cycles: list[int] = []
-            for ticks, members in cohorts:
-                for vertex, cycle in members:
-                    drained.append((ticks, vertex, cycle))
-                    batch_vertices.append(vertex)
-                    batch_cycles.append(cycle + 1)
-            with self._prof.span("window.schedule"):
-                next_ticks = timing.activation_ticks_batch(
-                    np.asarray(batch_vertices, dtype=np.int64),
-                    np.asarray(batch_cycles, dtype=np.int64),
-                ).tolist()
-            for vertex, cycle, ticks in zip(
-                batch_vertices, batch_cycles, next_ticks
-            ):
-                queue.push(ticks, vertex, cycle)
-        if passes > 1:
-            drained.sort()
-        out: list[tuple[int, list[tuple[int, int]]]] = []
-        i = 0
-        total = len(drained)
-        while i < total:
-            ticks = drained[i][0]
-            members: list[tuple[int, int]] = []
-            while i < total and drained[i][0] == ticks:
-                members.append((drained[i][1], drained[i][2]))
-                i += 1
-            out.append((ticks, members))
-        return out
-
-    def _run_batched(
-        self, condition: TerminationCondition, max_rounds: int
-    ) -> bool:
-        """The batched front half: whole round windows at a time."""
-        terminated = False
-        while not terminated:
-            next_ticks = int(self._next_ticks.min())
-            window = next_ticks // TICKS_PER_ROUND
-            if window > max_rounds:
-                break
-            while not terminated and self._round < window - 1:
-                terminated = self._flush_window(condition, max_rounds)
-            if terminated:
-                break
-            boundary = (window + 1) * TICKS_PER_ROUND
             with self._prof.span("window.drain"):
                 ticks, vertices, cycles = self._drain_window_arrays(
-                    boundary
+                    (window + 1) * TICKS_PER_ROUND
                 )
             with self._prof.span("window.process"):
-                self._process_window_batched(ticks, vertices, cycles)
+                if self._bulk is not None and not self._batched:
+                    self._process_cohort_synchronous(ticks, vertices, cycles)
+                else:
+                    self._process_window(ticks, vertices, cycles)
         return terminated
 
     def _drain_window_arrays(self, boundary: int):
-        """Array twin of :meth:`_drain_window`: all events below
-        ``boundary`` as (ticks, vertices, cycles) sorted by
-        (tick, vertex), with next activations advanced in bulk."""
+        """All events below ``boundary`` as (ticks, vertices, cycles)
+        sorted by (tick, vertex), next activations advanced in bulk.
+
+        Schedules are pure functions of (seed, vertex, cycle) — never of
+        execution state — so every drained member's next activation is
+        computed *before* any cohort is processed.  Re-draining then
+        catches fast clocks that fire twice inside one window, and the
+        final (tick, vertex) sort merges the passes into exactly the
+        cohort sequence one-event-at-a-time scheduling would produce
+        (same-tick arrivals from different passes join one cohort).
+        """
         next_ticks = self._next_ticks
         next_cycles = self._next_cycles
         timing = self.timing
-        parts = []
+        none = np.empty(0, dtype=np.int64)
+        parts = [(none, none, none)]
         while True:
             due = np.nonzero(next_ticks < boundary)[0]
             if due.size == 0:
                 break
-            parts.append(
-                (next_ticks[due].copy(), due, next_cycles[due].copy())
-            )
+            parts.append((next_ticks[due], due, next_cycles[due]))
             following = next_cycles[due] + 1
             with self._prof.span("window.schedule"):
                 next_ticks[due] = timing.activation_ticks_batch(
                     due, following
                 )
             next_cycles[due] = following
-        if len(parts) == 1:
-            ticks, vertices, cycles = parts[0]
-        else:
-            ticks = np.concatenate([p[0] for p in parts])
-            vertices = np.concatenate([p[1] for p in parts])
-            cycles = np.concatenate([p[2] for p in parts])
+        ticks, vertices, cycles = (
+            np.concatenate(column) for column in zip(*parts)
+        )
         order = np.lexsort((vertices, ticks))
         return ticks[order], vertices[order], cycles[order]
 
@@ -428,59 +349,61 @@ class AsyncSimulation(Simulation):
     ) -> bool:
         """Emit window ``self._round + 1``'s record; True if terminated."""
         rnd = self._round + 1
-        cycles = self._local_cycle
         with self._prof.span("window.flush"):
-            self._flush_window_record(rnd, cycles)
+            last_ticks, *counts, events = self._acc
+            self._acc = list(_EMPTY_WINDOW)
+            cycles = self._local_cycle
+            self._observe_round(
+                rnd, *counts,
+                virtual_time=(
+                    float(rnd) if last_ticks is None
+                    else last_ticks / TICKS_PER_ROUND
+                ),
+                clock_skew_max=int(cycles.max()) - int(cycles.min()),
+                events=events,
+            )
         self._round = rnd
         return bool(
             (rnd % self.termination_every == 0 or rnd == max_rounds)
             and condition(self.protocols, rnd)
         )
 
-    def _flush_window_record(self, rnd: int, cycles) -> None:
-        self._observe_round(
-            rnd,
-            self._acc_proposals,
-            self._acc_connections,
-            self._acc_tokens,
-            self._acc_bits,
-            self._acc_dropped,
-            self._acc_active,
-            virtual_time=(
-                self._acc_last_ticks / TICKS_PER_ROUND
-                if self._acc_last_ticks is not None
-                else float(rnd)
-            ),
-            clock_skew_max=int(cycles.max()) - int(cycles.min()),
-            events=self._acc_events,
-        )
-        self._acc_events = 0
-        self._acc_active = 0
-        self._acc_proposals = 0
-        self._acc_connections = 0
-        self._acc_tokens = 0
-        self._acc_bits = 0
-        self._acc_dropped = 0
-        self._acc_last_ticks = None
+    def _accumulate(self, ticks: int, *counts: int) -> None:
+        """Fold cohorts ending at ``ticks`` into the current window:
+        ``counts`` follows :data:`_EMPTY_WINDOW`'s order."""
+        self._acc = [ticks] + [
+            total + count for total, count in zip(self._acc[1:], counts)
+        ]
 
-    def _accumulate(self, ticks: int, events: int, active: int,
-                    proposals: int, connections: int, tokens: int,
-                    bits: int, dropped: int) -> None:
-        self._acc_events += events
-        self._acc_active += active
-        self._acc_proposals += proposals
-        self._acc_connections += connections
-        self._acc_tokens += tokens
-        self._acc_bits += bits
-        self._acc_dropped += dropped
-        self._acc_last_ticks = ticks
+    def _mask_at(self, index: int):
+        """The fault activity mask at one fault index (all-active
+        collapses to ``None``), memoized for the window."""
+        masks = self._window_masks
+        if index not in masks:
+            masks[index] = self._activity_mask(index)
+        return masks[index]
 
-    def _mask_for_cycle(self, cycle: int, cache: dict):
-        """The fault activity mask at one local cycle (all-active
-        collapses to ``None``), memoized in ``cache``."""
-        if cycle not in cache:
-            cache[cycle] = self._activity_mask(cycle)
-        return cache[cycle]
+    def _row(self, vertex: int, cycle: int):
+        """``vertex``'s visible neighbourhood at its local ``cycle``, as
+        the ``(uids, vertices)`` row slices of the window's bound
+        snapshot under the fault mask judged from the member's own
+        clock: an inactive member sees nobody, an active one only its
+        awake neighbours."""
+        snapshot = self._window_bound
+        if self._fault_active:
+            mask = self._mask_at(
+                cycle if self._fault_round is None else self._fault_round
+            )
+            if mask is not None:
+                snapshot = snapshot.masked_bound(mask)
+        start = snapshot.indptr[vertex]
+        end = snapshot.indptr[vertex + 1]
+        return snapshot.uids[start:end], snapshot.indices[start:end]
+
+    def _visible_uids(self, vertex: int, cycle: int) -> tuple[int, ...]:
+        """What the scalar ``advertise`` hook is handed: the UIDs of
+        :meth:`_row`, as the round engine's object path passes them."""
+        return tuple(self._row(vertex, cycle)[0].tolist())
 
     def _cohort_streams(self, ticks: int):
         """The acceptance stream supplier of the cohort at ``ticks``.
@@ -494,19 +417,6 @@ class AsyncSimulation(Simulation):
             return self._match_streams("match", ticks // TICKS_PER_ROUND)
         return self._match_streams("match", "tick", ticks)
 
-    def _connect_cohort(self, fault_round: int | None, matches,
-                        cycle_of_uid: dict[int, int]):
-        """Fault drops, then instantaneous bounded exchanges: each match
-        is judged at ``fault_round`` (the window, for clock="virtual"
-        models) or else at its initiator's local cycle, which is also
-        the round its channel and interact hook see.  Returns
-        ``(surviving, tokens_moved, control_bits, dropped)``."""
-        matches, dropped = self._drop_failed(
-            fault_round, matches, cycle_of_uid
-        )
-        tokens, bits = self._stage3(None, matches, cycle_of_uid)
-        return matches, tokens, bits, dropped
-
     @staticmethod
     def _not_visible(node, target: int, ticks: int):
         return ProtocolViolationError(
@@ -515,14 +425,29 @@ class AsyncSimulation(Simulation):
             f"{ticks / TICKS_PER_ROUND:.4f}"
         )
 
-    # ------------------------------------------------------------------
-    # Batched window execution
+    def _process_cohort_synchronous(self, ticks, vertices, cycles) -> None:
+        """A full synchronized cohort through the round engine's bulk
+        stages (bulk hooks under null timing: the window *is* round
+        ``ticks // TPR``, every vertex activating once)."""
+        rnd = int(ticks[0]) // TICKS_PER_ROUND
+        proposal_count, matches, dropped, mask = self._round_stages(rnd)
+        tokens, bits = self._stage3(rnd, matches)
+        self._local_cycle[vertices] = cycles
+        self.event_counts += 1
+        self._accumulate(
+            int(ticks[-1]), proposal_count, len(matches), tokens, bits,
+            dropped, self.n if mask is None else int(mask.sum()),
+            len(vertices),
+        )
 
-    def _process_window_batched(self, ticks, vertices, cycles) -> None:
+    # ------------------------------------------------------------------
+    # Window execution
+
+    def _process_window(self, ticks, vertices, cycles) -> None:
         """Execute one round window's cohorts in a few vectorized passes.
 
         ``ticks``/``vertices``/``cycles`` are the window's events sorted
-        by (tick, vertex) — the exact per-event order.  Members with
+        by (tick, vertex) — the event order.  Members with
         positions ``[0, committed)`` have *published* tags in
         ``self._tags_np``; candidate evaluation reads neighbor tags
         straight from that array, so stale-vs-fresh advertisement
@@ -545,7 +470,9 @@ class AsyncSimulation(Simulation):
             (cycles > self._local_cycle[vertices]).all()
         ), "window member activated at a non-advancing local cycle"
         topo_round = int(ticks[0]) // TICKS_PER_ROUND
-        bound = self._bound_csr(topo_round)
+        self._window_bound = self._bound_csr(topo_round)
+        self._window_masks = {}
+        self._fault_round = topo_round if self._fault_virtual else None
 
         # Cohort boundaries: bounds[c]:bounds[c+1] slices cohort c.
         change = np.empty(total, dtype=bool)
@@ -570,7 +497,6 @@ class AsyncSimulation(Simulation):
         # Fault activity, per distinct fault index (the member's local
         # cycle, or — for clock="virtual" models — the shared round
         # window, collapsing the whole window to one mask lookup).
-        mask_cache: dict[int, np.ndarray | None] = {}
         active_flags = np.ones(total, dtype=bool)
         if self._fault_active:
             if self._fault_virtual:
@@ -579,7 +505,7 @@ class AsyncSimulation(Simulation):
                 fault_cycles = cycles
             distinct_cycles = np.unique(fault_cycles).tolist()
             for cycle in distinct_cycles:
-                mask = self._mask_for_cycle(cycle, mask_cache)
+                mask = self._mask_at(cycle)
                 if mask is not None:
                     sel = fault_cycles == cycle
                     active_flags[sel] = mask[vertices[sel]]
@@ -597,14 +523,35 @@ class AsyncSimulation(Simulation):
                 heapq.heappush(pending_heap, pos)
 
         if self._fault_active and self.faults.resets_state:
-            self._schedule_crash_resets(
-                vertices, fault_cycles, active_flags, distinct_cycles,
-                unique_members, mask_cache, schedule,
-            )
+            # Crash resets, known upfront.  Each member is judged against
+            # its node's activity one cycle earlier: the last window's,
+            # or — a fast clock activating twice in this window — what
+            # its previous activation here establishes.
+            was_active = self._node_active[vertices]
+            if not unique_members:
+                by_vertex = np.argsort(vertices, kind="stable")
+                again = np.nonzero(
+                    vertices[by_vertex][1:] == vertices[by_vertex][:-1]
+                )[0]
+                was_active[by_vertex[again + 1]] = \
+                    active_flags[by_vertex[again]]
+            for cycle in distinct_cycles:
+                sel = np.nonzero(fault_cycles == cycle)[0]
+                crashed = self._crashed(
+                    cycle, self._mask_at(cycle), vertices[sel],
+                    was_active[sel],
+                )
+                for pos in sel[crashed].tolist():
+                    schedule(pos, True)
 
         nodes = self._nodes
         tags_np = self._tags_np
         eager = ops.eager_scan
+        # The cohort bodies index single members: plain lists are the
+        # cheap way to do that.
+        tick_list = ticks.tolist()
+        vertex_list = vertices.tolist()
+        cycle_list = cycles.tolist()
 
         if eager:
             opt_tags, senders = ops.scan(vertices, cycles)
@@ -695,46 +642,51 @@ class AsyncSimulation(Simulation):
                     + cohort_start
                 ).tolist()
                 if cohort_candidates:
-                    self._execute_cohort_batched(
-                        int(ticks[cohort_start]), cohort_candidates,
-                        vertices, cycles, bound, mask_cache,
-                        cohort_end, schedule_retags, window_stats,
+                    self._execute_cohort(
+                        tick_list[cohort_start], cohort_candidates,
+                        vertex_list, cycle_list, cohort_end,
+                        schedule_retags, window_stats,
                     )
             commit_to(total)
         else:
-            # Lazy scan: the protocol's scan consumes private rng, so
-            # cohorts run strictly in event order — the batched win here
+            # Lazy scan: the scan may consume private rng (or be the
+            # scalar hooks, which may do anything), so cohorts run
+            # strictly in event order — the window's share of the work
             # is the drain, the schedule, and the resolution machinery.
-            for cohort in range(len(cohort_bounds) - 1):
-                cohort_start = int(cohort_bounds[cohort])
-                cohort_end = int(cohort_bounds[cohort + 1])
+            # Cohorts are mostly singletons, so each is walked in plain
+            # Python (the scan loops its members anyway): per-cohort
+            # numpy calls would cost more than the cohort itself.
+            bounds = cohort_bounds.tolist()
+            for cohort_start, cohort_end in zip(bounds, bounds[1:]):
                 while pending_heap and pending_heap[0] < cohort_end:
                     pos = heapq.heappop(pending_heap)
                     pending_reset.pop(pos)
-                    vertex = int(vertices[pos])
-                    self._crash_reset(vertex)
-                    ops.state_changed(vertex)
-                member_vertices = vertices[cohort_start:cohort_end]
+                    self._crash_reset(vertex_list[pos])
+                    ops.state_changed(vertex_list[pos])
                 cohort_tags, cohort_senders = ops.scan(
-                    member_vertices, cycles[cohort_start:cohort_end]
+                    vertices[cohort_start:cohort_end],
+                    cycles[cohort_start:cohort_end],
                 )
-                cohort_tags = np.asarray(cohort_tags, dtype=np.int64)
-                self._check_tag_array(cohort_tags, member_vertices)
-                tags_np[member_vertices] = cohort_tags
-                cohort_candidates = (
-                    np.nonzero(cohort_senders)[0] + cohort_start
-                ).tolist()
+                for vertex, tag in zip(
+                    vertex_list[cohort_start:cohort_end],
+                    _as_list(cohort_tags),
+                ):
+                    tags_np[vertex] = self._checked_tag(nodes[vertex], tag)
+                cohort_candidates = [
+                    cohort_start + i
+                    for i, sender in enumerate(_as_list(cohort_senders))
+                    if sender
+                ]
                 if cohort_candidates:
-                    self._execute_cohort_batched(
-                        int(ticks[cohort_start]), cohort_candidates,
-                        vertices, cycles, bound, mask_cache,
-                        cohort_end, schedule_retags, window_stats,
+                    self._execute_cohort(
+                        tick_list[cohort_start], cohort_candidates,
+                        vertex_list, cycle_list, cohort_end,
+                        schedule_retags, window_stats,
                     )
-            committed = total
 
-        # Per-window state updates (the per-event path does these per
-        # member in stage 1; nothing inside the window reads them except
-        # crash detection, which used the pre-window values above).
+        # Per-window state updates: nothing inside the window reads
+        # them except crash detection, which took the pre-window values
+        # above.
         if unique_members:
             self.event_counts[vertices] += 1
             self._local_cycle[vertices] = cycles
@@ -747,109 +699,47 @@ class AsyncSimulation(Simulation):
             self._node_active[uniq] = active_flags[::-1][first]
 
         self._accumulate(
-            int(ticks[-1]), total,
+            int(ticks[-1]), *window_stats,
             total if not self._fault_active else int(active_flags.sum()),
-            window_stats[0], window_stats[1], window_stats[2],
-            window_stats[3], window_stats[4],
+            total,
         )
 
-    def _schedule_crash_resets(
-        self, vertices, cycles, active_flags, distinct_cycles,
-        unique_members, mask_cache, schedule,
-    ) -> None:
-        """Find the members whose node crash-resets at their activation.
-
-        Mirrors the per-event path: the fault model's
-        ``crashed_this_round`` report is authoritative; without one, a
-        crash is an active→inactive transition of the node's own mask
-        bit between consecutive local cycles.
-        """
-        reported_cache: dict[int, np.ndarray | None] = {}
-        for cycle in distinct_cycles:
-            reported = self.faults.crashed_this_round(cycle)
-            reported_cache[cycle] = (
-                None if reported is None
-                else np.asarray(reported, dtype=np.int64)
-            )
-        fallback_cycles = [
-            cycle for cycle in distinct_cycles
-            if reported_cache[cycle] is None
-            and self._mask_for_cycle(cycle, mask_cache) is not None
-        ]
-        for cycle in distinct_cycles:
-            reported = reported_cache[cycle]
-            if reported is None:
-                continue
-            sel = np.nonzero(cycles == cycle)[0]
-            crashed = sel[np.isin(vertices[sel], reported)]
-            for pos in crashed.tolist():
-                schedule(pos, True)
-        if not fallback_cycles:
-            return
-        if unique_members:
-            for cycle in fallback_cycles:
-                mask = mask_cache[cycle]
-                sel = np.nonzero(cycles == cycle)[0]
-                crashed = sel[
-                    ~mask[vertices[sel]] & self._node_active[vertices[sel]]
-                ]
-                for pos in crashed.tolist():
-                    schedule(pos, True)
-        else:
-            # A vertex activating twice in the window: the second
-            # cycle's transition check reads the activity its first
-            # cycle establishes, so walk positions in event order.
-            fallback = set(fallback_cycles)
-            working = self._node_active.copy()
-            for pos, (vertex, cycle) in enumerate(
-                zip(vertices.tolist(), cycles.tolist())
-            ):
-                if cycle in fallback:
-                    mask = mask_cache[cycle]
-                    if not mask[vertex] and working[vertex]:
-                        schedule(pos, True)
-                working[vertex] = active_flags[pos]
-
-    def _execute_cohort_batched(
+    def _execute_cohort(
         self, ticks, candidate_positions, vertices, cycles,
-        bound, mask_cache, cohort_end, schedule_retags, window_stats,
+        cohort_end, schedule_retags, window_stats,
     ) -> None:
         """Stage 2 + accept + connect for one cohort's candidates.
 
+        ``vertices``/``cycles`` are the window's members as plain lists.
         Candidates run in ascending position (= vertex) order, each
-        reading its visible neighborhood's *current* published tags; the
-        cohort's proposals then resolve exactly as the per-event path
-        resolves them (same stream keys, singleton cohorts derive no
-        rng), fault drops are judged per match at the initiator's local
-        cycle, and interactions run scalar — marking endpoints dirty so
-        their later activations this window are retagged.
+        reading its visible neighborhood's *current* published tags
+        (stale for neighbors that have not activated recently: the
+        asynchrony the NWZ model studies); the cohort's proposals then
+        resolve against each other with the round engine's resolver
+        (instant-keyed streams, singleton cohorts derive no rng), fault
+        drops are judged per match at the window (clock="virtual"
+        models) or else at the initiator's local cycle — which is also
+        the round its channel and interact hook see — and interactions
+        run scalar, marking endpoints dirty so their later activations
+        this window are retagged.
         """
         ops = self._window_ops
         nodes = self._nodes
         tags_np = self._tags_np
-        fault_round = (
-            ticks // TICKS_PER_ROUND if self._fault_virtual else None
-        )
         proposer_uids: list[int] = []
         target_uids: list[int] = []
         cycle_of_uid: dict[int, int] = {}
         for pos in candidate_positions:
-            vertex = int(vertices[pos])
-            cycle = int(cycles[pos])
-            mask = self._mask_for_cycle(
-                cycle if fault_round is None else fault_round, mask_cache
-            )
-            snapshot = bound if mask is None else bound.masked_bound(mask)
-            start = snapshot.indptr[vertex]
-            end = snapshot.indptr[vertex + 1]
-            neighbor_uids = snapshot.uids[start:end]
-            neighbor_tags = tags_np[snapshot.indices[start:end]]
+            vertex = vertices[pos]
+            cycle = cycles[pos]
+            neighbor_uids, neighbor_vertices = self._row(vertex, cycle)
             target = ops.propose_one(
-                vertex, cycle, neighbor_uids, neighbor_tags
+                vertex, cycle, neighbor_uids, tags_np[neighbor_vertices]
             )
             if target < 0:
                 continue
-            if not (neighbor_uids == target).any():
+            # (count_nonzero: the cheap reduction on a degree-sized row)
+            if not np.count_nonzero(neighbor_uids == target):
                 raise self._not_visible(nodes[vertex], target, ticks)
             uid = nodes[vertex].uid
             proposer_uids.append(uid)
@@ -857,13 +747,20 @@ class AsyncSimulation(Simulation):
             cycle_of_uid[uid] = cycle
         if not proposer_uids:
             return
-        matches = resolve_proposals_arrays(
-            proposer_uids, target_uids, self._cohort_streams(ticks),
-            rule=self.acceptance,
+        streams = self._cohort_streams(ticks)
+        if len(proposer_uids) <= _DICT_RESOLVER_MAX:
+            matches = resolve_proposals(
+                dict(zip(proposer_uids, target_uids)), streams,
+                rule=self.acceptance,
+            )
+        else:
+            matches = resolve_proposals_arrays(
+                proposer_uids, target_uids, streams, rule=self.acceptance
+            )
+        matches, dropped = self._drop_failed(
+            self._fault_round, matches, cycle_of_uid
         )
-        matches, tokens, bits, dropped = self._connect_cohort(
-            fault_round, matches, cycle_of_uid
-        )
+        tokens, bits = self._stage3(None, matches, cycle_of_uid)
         window_stats[0] += len(proposer_uids)
         window_stats[1] += len(matches)
         window_stats[2] += tokens
@@ -879,136 +776,3 @@ class AsyncSimulation(Simulation):
                 if ops.needs_retag:
                     schedule_retags(endpoint, cohort_end)
 
-    # ------------------------------------------------------------------
-    # Per-event cohort execution (the generic fallback)
-
-    def _process_cohort_synchronous(self, ticks: int, members) -> None:
-        """A full synchronized cohort through the round engine's bulk
-        stages (array path; null timing only — enforced in __init__)."""
-        rnd = ticks // TICKS_PER_ROUND
-        proposal_count, matches, dropped, mask = self._round_stages(rnd)
-        tokens, bits = self._stage3(rnd, matches)
-        for vertex, cycle in members:
-            self._local_cycle[vertex] = cycle
-        self.event_counts += 1
-        self._accumulate(
-            ticks, len(members),
-            self.n if mask is None else int(mask.sum()),
-            proposal_count, len(matches), tokens, bits, dropped,
-        )
-
-    def _process_cohort(self, ticks: int, members) -> None:
-        """One cohort through the generic per-event path.
-
-        ``members`` is ``[(vertex, cycle), ...]`` in ascending vertex
-        order.  For a full synchronized cohort this reproduces the round
-        engine's object path decision for decision: Stage 1 for every
-        member in vertex order, then Stage 2 in the same order over the
-        freshly-stored tags, then one resolution over the cohort's
-        proposals — the equivalence the differential harness pins.
-        """
-        topo_round = ticks // TICKS_PER_ROUND
-        self._refresh_adjacency(self.dynamic_graph.graph_at(topo_round))
-        nodes = self._nodes
-        tags = self._tags
-        # Round-parity skew guard — the per-event twin of the batched
-        # path's assertion: advertise(cycle, ...) below is keyed by the
-        # member's own advancing local cycle, so skew cannot
-        # desynchronize shared-randomness (token_bits) derivation.
-        assert all(
-            cycle > self._local_cycle[vertex] for vertex, cycle in members
-        ), "cohort member activated at a non-advancing local cycle"
-
-        # Fault masks, evaluated at each member's local cycle — or, for
-        # clock="virtual" models, at the shared round window (memoized
-        # per cohort; cohorts are usually single-cycle).
-        masks: dict[int, np.ndarray | None] = {}
-
-        def fault_index(cycle: int) -> int:
-            return topo_round if self._fault_virtual else cycle
-
-        def mask_for(cycle: int) -> np.ndarray | None:
-            return self._mask_for_cycle(fault_index(cycle), masks)
-
-        # Crash resets, before any stage hook runs (the round engine's
-        # ordering), detected per node against its own previous cycle.
-        if self._fault_active and self.faults.resets_state:
-            crashed_cache: dict[int, frozenset] = {}
-            for vertex, cycle in members:
-                fcycle = fault_index(cycle)
-                if fcycle not in crashed_cache:
-                    reported = self.faults.crashed_this_round(fcycle)
-                    crashed_cache[fcycle] = (
-                        None if reported is None
-                        else frozenset(np.asarray(reported).tolist())
-                    )
-                reported = crashed_cache[fcycle]
-                if reported is not None:
-                    crashed = vertex in reported
-                else:
-                    mask = mask_for(cycle)
-                    crashed = (
-                        mask is not None
-                        and not mask[vertex]
-                        and self._node_active[vertex]
-                    )
-                if crashed:
-                    self._crash_reset(vertex)
-
-        # Stage 1: scan — refresh each member's advertisement; a
-        # fault-inactive member still runs its hook (the round engine's
-        # masked semantics) but sees no neighbors and stays invisible.
-        member_views: list[tuple[int, ...]] = []  # visible neighbor vertices
-        active_count = 0
-        for vertex, cycle in members:
-            mask = mask_for(cycle)
-            if mask is None:
-                active = True
-                visible = self._neighbor_vertices[vertex]
-                neighbor_uids = self._neighbor_uids[vertex]
-            else:
-                active = bool(mask[vertex])
-                visible = tuple(
-                    nv for nv in self._neighbor_vertices[vertex] if mask[nv]
-                ) if active else ()
-                neighbor_uids = tuple(nodes[nv].uid for nv in visible)
-            active_count += active
-            member_views.append(visible)
-            tags[vertex] = self._checked_tag(
-                nodes[vertex], nodes[vertex].advertise(cycle, neighbor_uids)
-            )
-            self.event_counts[vertex] += 1
-            self._local_cycle[vertex] = cycle
-            self._node_active[vertex] = active
-
-        # Stage 2: propose — each member reads its visible neighbors'
-        # *current* advertisements (stale for neighbors that have not
-        # activated recently: the asynchrony the NWZ model studies).
-        proposals: dict[int, int] = {}
-        cycle_of_uid: dict[int, int] = {}
-        for (vertex, cycle), visible in zip(members, member_views):
-            views = tuple(
-                NeighborView(uid=nodes[nv].uid, tag=tags[nv])
-                for nv in visible
-            )
-            target = nodes[vertex].propose(cycle, views)
-            if target is None:
-                continue
-            if all(view.uid != target for view in views):
-                raise self._not_visible(nodes[vertex], target, ticks)
-            proposals[nodes[vertex].uid] = target
-            cycle_of_uid[nodes[vertex].uid] = cycle
-
-        # Accept, then connect: the cohort's proposals resolve against
-        # each other with the round engine's resolver.
-        matches = resolve_proposals(
-            proposals, self._cohort_streams(ticks), rule=self.acceptance
-        )
-        matches, tokens_moved, control_bits, dropped = self._connect_cohort(
-            topo_round if self._fault_virtual else None, matches,
-            cycle_of_uid,
-        )
-        self._accumulate(
-            ticks, len(members), active_count, len(proposals),
-            len(matches), tokens_moved, control_bits, dropped,
-        )

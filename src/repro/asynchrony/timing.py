@@ -118,9 +118,8 @@ class TimingModel:
 
         Returns an ``int64`` array with entry ``i`` equal to
         ``activation_ticks(vertices[i], cycles[i])`` — *exactly* equal,
-        bit for bit: the batched engine path derives its whole window
-        schedule through this hook, and determinism demands the same
-        schedule the per-event path computes one call at a time.  The
+        bit for bit: the engine derives every window's schedule through
+        this hook, and the scalar hook is the model's definition.  The
         base implementation loops the scalar hook (correct for any
         model); models whose draws vectorize override it.
         """
@@ -245,7 +244,7 @@ class UniformJitter(TimingModel):
         pay a digest.  The 53-bit extraction / offset arithmetic runs as
         numpy array ops whose IEEE operation sequence matches the scalar
         path exactly (top 53 bits, ``* 2**-53``, ``* span``, truncate) —
-        so the returned ticks are bit-identical to per-event
+        so the returned ticks are bit-identical to one-at-a-time
         :meth:`activation_ticks` calls.
         """
         base = np.asarray(cycles, dtype=np.int64) * TICKS_PER_ROUND

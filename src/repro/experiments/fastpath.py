@@ -26,11 +26,11 @@ identical* to the round engine — same matches, same random-stream
 consumption, same traces, same end state — on both the object and the
 array path; :func:`check_async_determinism` pins that jittered timing
 models are seed-deterministic (same seed, twice, byte-identical);
-:func:`check_async_batched_identity` pins that the batched window path
-(``async_mode="batched"``) is byte-identical to the generic per-event
-path under every timing regime and fault regime, on both the object and
-the array front half — the determinism contract of the window-batching
-optimization ("no random draw may move").
+:func:`check_async_batched_identity` pins that protocol window hooks
+(``async_mode="batched"``) are byte-identical to the scalar hooks
+(``async_mode="event"``) under every timing regime and fault regime, on
+both the object and the array front half — the determinism contract of
+the window hooks ("no random draw may move").
 
 The scale layer adds two more invariants: :func:`check_dtype_identity`
 pins that running the array path over int32 CSR index arrays (the
@@ -225,8 +225,8 @@ def run_case(
 
     ``timing=None`` runs the round engine; anything else (a kind name or
     a built model — including ``"synchronous"``) runs the event engine,
-    with ``async_mode`` selecting its front half (``"event"`` forces the
-    generic per-event path, ``"batched"`` forces window batching).
+    with ``async_mode`` selecting the hooks that feed its executor
+    (``"event"`` the scalar hooks, ``"batched"`` protocol window hooks).
     ``acceptance_streams`` selects the match-stream discipline (the
     event engine supports only ``"global"``).  ``csr_dtype`` forces the
     dynamic graph's CSR index dtype (``"int32"`` / ``"int64"``; ``None``
@@ -517,16 +517,16 @@ def check_async_batched_identity(
     timings=("synchronous",) + CHECK_TIMINGS,
     faults=("none", "sleep", "churn", "lossy"),
 ) -> list[str]:
-    """The window-batching contract: no random draw may move.
+    """The window-hooks contract: no random draw may move.
 
-    Runs each (algorithm, dynamics, timing, fault) case through the
-    generic per-event path (``async_mode="event"``) and through the
-    batched window path (``async_mode="batched"``) on *both* the object
-    and the array front half, and reports any case where any observable —
-    matches, stream consumption, traces, fault composition, end state —
-    differs (empty = batching is a pure reordering of work, not of
-    randomness).  ``"synchronous"`` timing is included so the batched
-    machinery is also pinned against full-cohort windows, transitively
+    Runs each (algorithm, dynamics, timing, fault) case on the scalar
+    hooks (``async_mode="event"``) and on the protocol's window hooks
+    (``async_mode="batched"``) on *both* the object and the array front
+    half, and reports any case where any observable — matches, stream
+    consumption, traces, fault composition, end state — differs (empty =
+    window hooks are a pure reordering of work, not of randomness).
+    ``"synchronous"`` timing is included so the window hooks are also
+    pinned against full-cohort windows, transitively
     anchoring it to the round engine through
     :func:`check_async_sync_identity`.
     """
@@ -549,8 +549,8 @@ def check_async_batched_identity(
                         if reference != batched:
                             failures.append(
                                 f"{algorithm}/{kind}/{timing}/{fault}/"
-                                f"{engine_mode}: batched window path "
-                                "diverged from the per-event path"
+                                f"{engine_mode}: window hooks diverged "
+                                "from the scalar hooks"
                             )
     return failures
 

@@ -461,6 +461,21 @@ TIMING_REGISTRY = Registry("timing model", "timing models")
 TRANSPORT_REGISTRY = Registry("transport", "transports")
 
 
+def _registrar(registry: Registry, def_class: type, fn_field: str,
+               name: str, description: str, **fields):
+    """The decorator behind every ``register_*``: registers a
+    ``def_class`` carrying the decorated function as its ``fn_field``,
+    and hands the function back unchanged."""
+
+    def decorate(fn):
+        registry.register(def_class(
+            name=name, description=description, **fields, **{fn_field: fn}
+        ))
+        return fn
+
+    return decorate
+
+
 def register_algorithm(
     *,
     name: str,
@@ -477,115 +492,55 @@ def register_algorithm(
     ``experiment_only=True``, the experiments-layer executor
     (``fn(spec, dynamic_graph, config) -> record``).
     """
-
-    def decorate(fn):
-        ALGORITHM_REGISTRY.register(
-            AlgorithmDef(
-                name=name,
-                description=description,
-                config_class=config_class,
-                build_nodes=None if experiment_only else fn,
-                tag_length=tag_length,
-                requires_stable_topology=requires_stable_topology,
-                config_extra_keys=tuple(config_extra_keys),
-                execute=fn if experiment_only else None,
-            )
-        )
-        return fn
-
-    return decorate
+    return _registrar(
+        ALGORITHM_REGISTRY, AlgorithmDef,
+        "execute" if experiment_only else "build_nodes", name, description,
+        config_class=config_class, tag_length=tag_length,
+        requires_stable_topology=requires_stable_topology,
+        config_extra_keys=tuple(config_extra_keys),
+    )
 
 
 def register_topology(*, name: str, description: str, from_size=None,
                       build_dynamic=None):
     """Decorator registering a topology-family factory."""
-
-    def decorate(fn):
-        TOPOLOGY_REGISTRY.register(
-            TopologyDef(
-                name=name,
-                description=description,
-                factory=fn,
-                from_size=from_size,
-                build_dynamic=build_dynamic,
-            )
-        )
-        return fn
-
-    return decorate
+    return _registrar(TOPOLOGY_REGISTRY, TopologyDef, "factory", name,
+                      description, from_size=from_size,
+                      build_dynamic=build_dynamic)
 
 
 def register_dynamics(*, name: str, description: str, topology_free=False):
     """Decorator registering a dynamic-graph builder."""
-
-    def decorate(fn):
-        DYNAMICS_REGISTRY.register(
-            DynamicsDef(name=name, description=description, build=fn,
-                        topology_free=topology_free)
-        )
-        return fn
-
-    return decorate
+    return _registrar(DYNAMICS_REGISTRY, DynamicsDef, "build", name,
+                      description, topology_free=topology_free)
 
 
 def register_instance(*, name: str, description: str):
     """Decorator registering an instance-recipe builder."""
-
-    def decorate(fn):
-        INSTANCE_REGISTRY.register(
-            InstanceDef(name=name, description=description, build=fn)
-        )
-        return fn
-
-    return decorate
+    return _registrar(INSTANCE_REGISTRY, InstanceDef, "build", name,
+                      description)
 
 
 def register_scenario(*, name: str, description: str):
     """Decorator registering a scenario factory."""
-
-    def decorate(fn):
-        SCENARIO_REGISTRY.register(
-            ScenarioDef(name=name, description=description, factory=fn)
-        )
-        return fn
-
-    return decorate
+    return _registrar(SCENARIO_REGISTRY, ScenarioDef, "factory", name,
+                      description)
 
 
 def register_fault(*, name: str, description: str):
     """Decorator registering a fault-model builder."""
-
-    def decorate(fn):
-        FAULT_REGISTRY.register(
-            FaultDef(name=name, description=description, build=fn)
-        )
-        return fn
-
-    return decorate
+    return _registrar(FAULT_REGISTRY, FaultDef, "build", name, description)
 
 
 def register_timing(*, name: str, description: str):
     """Decorator registering a timing-model builder."""
-
-    def decorate(fn):
-        TIMING_REGISTRY.register(
-            TimingDef(name=name, description=description, build=fn)
-        )
-        return fn
-
-    return decorate
+    return _registrar(TIMING_REGISTRY, TimingDef, "build", name, description)
 
 
 def register_transport(*, name: str, description: str):
     """Decorator registering a deployment-transport entry point."""
-
-    def decorate(fn):
-        TRANSPORT_REGISTRY.register(
-            TransportDef(name=name, description=description, deploy=fn)
-        )
-        return fn
-
-    return decorate
+    return _registrar(TRANSPORT_REGISTRY, TransportDef, "deploy", name,
+                      description)
 
 
 #: Modules whose import registers the built-in definitions.  Algorithm

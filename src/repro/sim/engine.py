@@ -496,24 +496,33 @@ class Simulation:
     ) -> None:
         """Reset protocols that crashed this round (fault models with
         ``resets_state``): every crashing vertex loses its learned state
-        via ``reset_tokens()`` where the protocol provides it.  The
-        model's own ``crashed_this_round`` report is authoritative when
-        available — it sees a crash that starts the instant a previous
-        outage ends, which the mask-transition fallback cannot.  Applied
+        via ``reset_tokens()`` where the protocol provides it.  Applied
         in vertex order before the stages, so both engine paths see
         identical post-crash state."""
         prev = self._prev_mask
         self._prev_mask = mask
-        reported = self.faults.crashed_this_round(rnd)
-        if reported is not None:
-            crashed_vertices = np.asarray(reported, dtype=np.int64)
-        elif mask is None:
-            return
-        else:
-            crashed = ~mask if prev is None else prev & ~mask
-            crashed_vertices = np.nonzero(crashed)[0]
-        for vertex in crashed_vertices.tolist():
+        crashed = self._crashed(
+            rnd, mask, np.arange(self.n), True if prev is None else prev
+        )
+        for vertex in np.nonzero(crashed)[0].tolist():
             self._crash_reset(vertex)
+
+    def _crashed(self, index: int, mask: np.ndarray | None,
+                 vertices: np.ndarray, was_active) -> np.ndarray:
+        """The crash rule: which of ``vertices`` crash at fault index
+        ``index``, as a boolean per entry.  The model's own
+        ``crashed_this_round`` report is authoritative when available —
+        it sees a crash that starts the instant a previous outage ends,
+        which the fallback cannot; without one, a crash is an
+        active→inactive transition: ``was_active`` (each entry's
+        activity one step earlier) against its bit in ``mask`` (the
+        activity mask at ``index``, None = all awake)."""
+        reported = self.faults.crashed_this_round(index)
+        if reported is not None:
+            return np.isin(vertices, reported)
+        if mask is None:
+            return np.zeros(len(vertices), dtype=bool)
+        return was_active & ~mask[vertices]
 
     def _crash_reset(self, vertex: int) -> None:
         """The node at ``vertex`` crashed: it loses its learned state,

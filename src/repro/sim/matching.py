@@ -21,11 +21,11 @@ non-proposer connects — kept as a measurable baseline
 acceptance is unbounded).
 
 There is one rule and two implementations of it: the dict form
-(:func:`resolve_proposals`, the readable reference — the engines' object
-path and per-event async path) and the array form
-(:func:`resolve_proposals_arrays` — the array path and the batched async
-path).  They share no resolution code, which is what makes the engines'
-differential gates meaningful, and they agree pair for pair, order
+(:func:`resolve_proposals`, the readable reference — the round engine's
+object path and the asynchronous engine's small cohorts) and the array
+form (:func:`resolve_proposals_arrays` — the array path and large
+asynchronous cohorts).  They share no resolution code, which is what
+makes the engines' differential gates meaningful, and they agree pair for pair, order
 included (tests/test_matching.py pins it property-style).
 
 **Stream discipline.**  Both take a *stream supplier*

@@ -24,7 +24,8 @@ from typing import Iterable, Protocol, runtime_checkable
 from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
-__all__ = ["NodeProtocol", "TokenHolder", "bulk_hooks", "window_hooks"]
+__all__ = ["NodeProtocol", "TokenHolder", "ScalarWindowOps", "bulk_hooks",
+           "window_hooks"]
 
 
 class NodeProtocol(ABC):
@@ -151,14 +152,14 @@ def bulk_hooks(nodes) -> tuple | None:
 
 
 def window_hooks(nodes):
-    """Detect the optional *window* protocol hooks for batched async runs.
+    """Detect the optional *window* protocol hooks for asynchronous runs.
 
-    Bulk hooks (:func:`bulk_hooks`) batch one full synchronous cohort —
-    every vertex, one round index.  Under asynchronous timing a round
-    window instead holds many small cohorts at distinct ticks and local
-    cycles, so batching needs a different shape: a protocol class may
-    provide a ``make_window_hooks(nodes) -> ops`` classmethod returning a
-    stateful per-run *window ops* object with:
+    The asynchronous engine executes a round window's many small cohorts
+    through one *window ops* object.  Any population can be carried on
+    its scalar hooks (:class:`ScalarWindowOps`); a protocol class that
+    can do better than one ``advertise``/``propose`` call per member
+    provides a ``make_window_hooks(nodes) -> ops`` classmethod returning
+    a stateful per-run ops object with:
 
     * ``eager_scan`` (bool) — True when ``scan`` reads only shared
       randomness and protocol state (no per-node private ``Random``), so
@@ -176,6 +177,8 @@ def window_hooks(nodes):
       (same values, same private-rng consumption); ``senders[i]`` False
       guarantees member ``i``'s scalar ``propose`` would return ``None``
       without consuming randomness, so the engine never evaluates it.
+      (Lazy scans are read one cohort at a time, member by member, and
+      may return plain sequences instead of arrays.)
     * ``retag(vertex, cycle) -> int`` — recompute one member's tag from
       current node state (eager hooks only; must consume no randomness
       beyond what scalar ``advertise`` would, i.e. shared PRF reads).
@@ -191,8 +194,8 @@ def window_hooks(nodes):
 
     The window ops may skip per-round node bookkeeping the scalar hooks
     perform (e.g. SharedBit's ``_bit_this_round``) *only* if nothing
-    outside the scalar hooks reads it — a run uses either the window ops
-    or the scalar hooks, never both.
+    outside the scalar hooks reads it — a run is fed by either the
+    protocol's window ops or the scalar hooks, never both.
 
     Eligibility mirrors :func:`bulk_hooks` exactly: one concrete class,
     the factory defined at least as deep in the MRO as the scalar hooks
@@ -224,6 +227,50 @@ def window_hooks(nodes):
     if ready is not None and not ready(nodes):
         return None
     return factory(nodes)
+
+
+class ScalarWindowOps:
+    """The window ops every population has: its scalar hooks.
+
+    What feeds the asynchronous engine's window executor when the
+    protocol ships no ``make_window_hooks`` (or the run asks for
+    ``async_mode="event"``): a lazy scan that calls
+    ``advertise(cycle, visible_uids)`` per member in event order, every
+    member a proposal candidate, and ``propose(cycle, views)`` over
+    :class:`~repro.sim.context.NeighborView` tuples built from the
+    member's visible row — exactly the calls, in exactly the order, the
+    round engine's object path makes for a full cohort.
+    ``visible_uids(vertex, cycle)`` is the engine's lookup of a member's
+    visible neighbour UIDs (topology and fault mask are its business).
+    Tags are never patched (``needs_retag = False``): a scalar hook's
+    tag is whatever ``advertise`` last returned.
+    """
+
+    eager_scan = False
+    needs_retag = False
+
+    def __init__(self, nodes, visible_uids):
+        self._nodes = nodes
+        self._visible_uids = visible_uids
+
+    def state_changed(self, vertex: int) -> None:
+        pass
+
+    def scan(self, vertices, cycles):
+        nodes = self._nodes
+        visible_uids = self._visible_uids
+        tags = [
+            nodes[vertex].advertise(cycle, visible_uids(vertex, cycle))
+            for vertex, cycle in zip(vertices.tolist(), cycles.tolist())
+        ]
+        return tags, [True] * len(tags)
+
+    def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
+        views = tuple(map(
+            NeighborView, neighbor_uids.tolist(), neighbor_tags.tolist()
+        ))
+        target = self._nodes[vertex].propose(cycle, views)
+        return -1 if target is None else target
 
 
 @runtime_checkable

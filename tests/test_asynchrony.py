@@ -1,32 +1,34 @@
-"""Tests for the asynchrony layer: timing models, the event queue, the
+"""Tests for the asynchrony layer: timing models, the window drain, the
 event-driven engine, and the timing registry surface threaded through
 every layer (run_gossip, RunSpec, sweeps, the fluent API, the CLI,
 scenarios)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Experiment
 from repro.asynchrony import (
     TICKS_PER_ROUND,
     AsyncSimulation,
-    EventQueue,
     GilbertElliottPauses,
     HeterogeneousRates,
     Synchronous,
     UniformJitter,
     build_timing,
 )
+from repro.asynchrony.timing import TimingModel
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.experiments import RunSpec, SweepSpec, execute_run, run_sweep
 from repro.experiments.fastpath import trace_signature
 from repro.graphs.dynamic import StaticDynamicGraph
-from repro.graphs.topologies import expander, star
+from repro.graphs.topologies import cycle, expander, star
 from repro.registry import TIMING_REGISTRY
 from repro.sim.channel import ChannelPolicy
 from repro.sim.faults import SleepCycle
+from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
 from repro.workloads.scenarios import (
     commute_mixed_devices_scenario,
@@ -49,57 +51,100 @@ def _sim(timing=None, fault=None, n=N, seed=SEED, k=2, **kwargs):
     return sim, instance
 
 
-class TestEventQueue:
-    def test_cohorts_pop_in_time_then_vertex_order(self):
-        queue = EventQueue()
-        queue.push(30, 2, 1)
-        queue.push(10, 5, 1)
-        queue.push(10, 1, 1)
-        queue.push(20, 0, 1)
-        assert queue.peek_ticks() == 10
-        assert queue.pop_cohort() == (10, [(1, 1), (5, 1)])
-        assert queue.pop_cohort() == (20, [(0, 1)])
-        assert queue.pop_cohort() == (30, [(2, 1)])
-        assert queue.peek_ticks() is None
-        assert len(queue) == 0
+class _TableTiming(TimingModel):
+    """Explicit per-vertex schedules; past a table's end the vertex
+    never fires again inside any boundary the tests use."""
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop_cohort()
+    NEVER = 1 << 40
 
-    def test_pop_window_drains_all_cohorts_below_boundary(self):
-        queue = EventQueue()
-        queue.push(30, 2, 1)
-        queue.push(10, 5, 1)
-        queue.push(10, 1, 1)
-        queue.push(20, 0, 1)
-        queue.push(45, 3, 2)
-        cohorts = queue.pop_window(40)
-        assert cohorts == [
-            (10, [(1, 1), (5, 1)]),
-            (20, [(0, 1)]),
-            (30, [(2, 1)]),
-        ]
-        assert len(queue) == 1  # the event past the boundary stays queued
+    def __init__(self, schedules):
+        super().__init__(len(schedules), seed=0, kind="table")
+        self.schedules = schedules
 
-    def test_pop_window_empty_and_boundary_exclusive(self):
-        queue = EventQueue()
-        queue.push(40, 0, 1)
-        assert queue.pop_window(40) == []  # strictly below the boundary
-        assert queue.pop_window(41) == [(40, [(0, 1)])]
-        assert queue.pop_window(99) == []
+    def activation_ticks(self, vertex, cycle):
+        table = self.schedules[vertex]
+        if cycle <= len(table):
+            return table[cycle - 1]
+        return self.NEVER + cycle
 
-    def test_pop_window_equals_repeated_pop_cohort(self):
-        events = [(17, 4, 2), (5, 1, 1), (5, 3, 1), (9, 0, 1), (17, 2, 2)]
-        a, b = EventQueue(), EventQueue()
-        for ticks, vertex, cycle in events:
-            a.push(ticks, vertex, cycle)
-            b.push(ticks, vertex, cycle)
-        windowed = a.pop_window(20)
-        one_by_one = []
-        while len(b):
-            one_by_one.append(b.pop_cohort())
-        assert windowed == one_by_one
+
+# Gaps of 1..25 ticks against 10-tick windows: clocks that fire two and
+# three times inside one window, same-tick cohorts, and empty windows.
+_schedules = st.lists(
+    st.lists(st.integers(1, 25), min_size=0, max_size=8).map(
+        lambda gaps: list(np.cumsum(gaps).tolist())
+    ),
+    min_size=3, max_size=6,
+)
+_boundaries = st.lists(
+    st.integers(1, 12), min_size=1, max_size=12
+).map(lambda widths: np.cumsum(widths).tolist())
+
+
+class TestWindowDrain:
+    """The ordering contract of the one schedule: ``_drain_window_arrays``
+    hands the executor exactly the activations below the boundary, in
+    (tick, vertex) order, and leaves every clock at its next one."""
+
+    @staticmethod
+    def _seeded(schedules):
+        n = len(schedules)
+        instance = uniform_instance(n=n, k=1, seed=SEED)
+        timing = _TableTiming(schedules)
+        sim = AsyncSimulation(
+            StaticDynamicGraph(star(n)),
+            build_nodes("sharedbit", instance, seed=SEED), b=1, seed=SEED,
+            channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+            timing=timing,
+        )
+        # The schedule as run() seeds it: every vertex at its cycle 1.
+        sim._next_cycles = np.ones(n, dtype=np.int64)
+        sim._next_ticks = timing.activation_ticks_batch(
+            np.arange(n), sim._next_cycles
+        )
+        return sim
+
+    @settings(deadline=None, max_examples=80)
+    @given(schedules=_schedules, boundaries=_boundaries)
+    def test_consecutive_drains_partition_the_schedule(
+        self, schedules, boundaries
+    ):
+        sim = self._seeded(schedules)
+        events = sorted(
+            (ticks, vertex, cycle)
+            for vertex, table in enumerate(schedules)
+            for cycle, ticks in enumerate(table, start=1)
+        )
+        floor = 0
+        for boundary in boundaries:
+            drained = sim._drain_window_arrays(boundary)
+            assert all(column.dtype == np.int64 for column in drained)
+            assert list(zip(*(column.tolist() for column in drained))) == [
+                event for event in events if floor <= event[0] < boundary
+            ]
+            for vertex, table in enumerate(schedules):
+                pending = [
+                    (ticks, cycle)
+                    for cycle, ticks in enumerate(table, start=1)
+                    if ticks >= boundary
+                ]
+                ticks, cycle = pending[0] if pending else (
+                    _TableTiming.NEVER + len(table) + 1, len(table) + 1
+                )
+                assert sim._next_ticks[vertex] == ticks
+                assert sim._next_cycles[vertex] == cycle
+            floor = boundary
+
+    def test_fast_clock_fires_three_times_in_one_window(self):
+        sim = self._seeded([[3, 5, 9, 14], [5, 40], [12]])
+        ticks, vertices, cycles = sim._drain_window_arrays(10)
+        assert ticks.tolist() == [3, 5, 5, 9]
+        assert vertices.tolist() == [0, 0, 1, 0]   # same tick: by vertex
+        assert cycles.tolist() == [1, 2, 1, 3]
+        assert sim._next_ticks.tolist() == [14, 40, 12]
+        # Boundary-exclusive, and an empty window drains to nothing.
+        assert [c.tolist() for c in sim._drain_window_arrays(12)] == [[]] * 3
+        assert sim._drain_window_arrays(15)[0].tolist() == [12, 14]
 
 
 class TestTimingModels:
@@ -229,8 +274,8 @@ class TestTimingModels:
 class TestAsyncSimulation:
     def test_array_mode_requires_batched_window_path(self):
         # Array front half + asynchronous timing is only legal through
-        # the batched window machinery; forcing the per-event path (or
-        # lacking window hooks) keeps the old rejection.
+        # protocol window hooks; forcing the scalar hooks (or lacking
+        # window hooks) keeps the rejection.
         with pytest.raises(ConfigurationError):
             _sim(timing=UniformJitter(N, SEED), engine_mode="array",
                  async_mode="event")
@@ -247,6 +292,55 @@ class TestAsyncSimulation:
                 channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
                 timing=None, async_mode="batched",
             )
+
+    @pytest.mark.parametrize("algorithm, b", [
+        ("sharedbit", 1),   # window hooks
+        ("multibit", 2),    # none: carried on its scalar hooks
+    ])
+    def test_object_path_memory_guard_never_applies(self, algorithm, b):
+        # The guard prices the round engine's per-vertex NeighborView
+        # caches, which no asynchronous run builds.  (It used to fire —
+        # telling the caller to pass the engine_mode='auto' they had
+        # passed — because non-null timing rewrote the mode to "object"
+        # before the guard looked.)
+        instance = uniform_instance(n=N, k=2, seed=SEED)
+        sim = AsyncSimulation(
+            StaticDynamicGraph(expander(n=N, degree=4, seed=1)),
+            build_nodes(algorithm, instance, seed=SEED), b=b, seed=SEED,
+            channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+            timing=UniformJitter(N, SEED), object_path_max_n=N - 1,
+        )
+        assert sim._batched == (algorithm == "sharedbit")
+        assert sim.run(max_rounds=5).rounds == 5
+        assert not sim._views   # the object path's caches stayed unbuilt
+
+    @pytest.mark.parametrize("tag, target", [
+        (2, None),      # tag out of range for b = 1
+        (0.0, None),    # not an integer at all
+        (0, 999),       # proposal to a stranger
+    ])
+    def test_scalar_hooks_are_held_to_the_model_rules(self, tag, target):
+        # The rules the round engine's object path enforces per node
+        # hold for a population carried on its scalar hooks, too.
+        class Node(NodeProtocol):
+            def advertise(self, round_index, neighbor_uids):
+                assert len(neighbor_uids) == 2   # the ring, by UID
+                return tag
+
+            def propose(self, round_index, neighbors):
+                assert all(view.tag == tag for view in neighbors)
+                return target
+
+            def interact(self, responder, channel, round_index):
+                pass
+
+        sim = AsyncSimulation(
+            StaticDynamicGraph(cycle(6)),
+            {v: Node(v + 1) for v in range(6)}, b=1, seed=SEED,
+            timing=UniformJitter(6, SEED),
+        )
+        with pytest.raises(ProtocolViolationError):
+            sim.run(max_rounds=3)
 
     def test_async_mode_validated(self):
         with pytest.raises(ConfigurationError):

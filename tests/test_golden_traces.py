@@ -13,8 +13,8 @@ running total, the final round and the end state — over
   the three proposee-side rules;
 * the event engine: {sharedbit, blindmatch} × {static, geometric} ×
   {synchronous, jitter, heterogeneous, bursty} × four fault regimes ×
-  {per-event, batched on the object front half, batched on the array
-  front half};
+  {scalar hooks, window hooks on the object front half, window hooks on
+  the array front half};
 * hook-less populations on the event engine's scalar hooks: {multibit,
   simsharedbit} × {static, geometric} × the four timings × {none,
   churn} (MultiBit's ``propose`` reads neighbour tags, SimSharedBit's
