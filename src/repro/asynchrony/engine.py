@@ -91,21 +91,13 @@ from repro.errors import (
 )
 from repro.asynchrony.timing import TICKS_PER_ROUND, Synchronous, TimingModel
 from repro.sim.engine import Simulation, SimulationResult
-from repro.sim.matching import resolve_proposals, resolve_proposals_arrays
+from repro.sim.matching import resolve_proposals
 from repro.sim.protocol import ScalarWindowOps, window_hooks
 from repro.sim.termination import TerminationCondition, never
 
 __all__ = ["AsyncSimulation"]
 
 _ASYNC_MODES = ("auto", "event", "batched")
-
-#: Cohorts up to this many proposals resolve through the dict form: the
-#: executor collects proposals in Python lists, and converting those to
-#: arrays costs the array form ~60 us before it resolves anything — the
-#: dict form is 3-10 us at the jittered cohort's 1-8 proposals and stays
-#: ahead until a few hundred (EXPERIMENTS.md, PR 17).  Both forms return
-#: the same pairs in the same order and call the stream supplier alike.
-_DICT_RESOLVER_MAX = 256
 
 #: An empty window's accumulator: the last cohort's tick (None = no
 #: cohort), then proposals, connections, tokens, bits, dropped, active
@@ -139,6 +131,9 @@ class AsyncSimulation(Simulation):
     ``engine_mode="array"`` under asynchronous timing requires window
     hooks (bulk hooks alone consume the whole population's streams at
     once, which only full synchronized cohorts may do).
+    ``object_path_max_n`` is accepted and ignored: it bounds the round
+    engine's per-vertex ``NeighborView`` caches, which no asynchronous
+    run builds.  Tags are published in an int64 array, so ``b <= 63``.
     """
 
     def __init__(self, dynamic_graph, protocols, b: int, seed: int,
@@ -168,6 +163,11 @@ class AsyncSimulation(Simulation):
                 "'global': per-tick cohort resolution keys its streams "
                 "by instant, not by target (the per-target discipline "
                 "exists for the synchronous live bridge, repro.net)"
+            )
+        if self.max_tag > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"AsyncSimulation publishes advertisements in an int64 "
+                f"array, so tags are limited to b <= 63 bits; got b={b}"
             )
         self.timing = timing
         self.async_mode = async_mode
@@ -226,11 +226,13 @@ class AsyncSimulation(Simulation):
         self._next_cycles: np.ndarray | None = None
         # Published advertisements ("whatever each neighbor last wrote").
         self._tags_np = np.zeros(self.n, dtype=np.int64)
-        # The window being executed: its bound snapshot, its fault-mask
-        # memo, and the fault index shared by all its members (None =
-        # each member's own local cycle).
+        # The window being executed: its bound snapshot, its memos of
+        # fault masks and masked snapshots by fault index, and the fault
+        # index shared by all its members (None = each member's own
+        # local cycle).
         self._window_bound = None
         self._window_masks: dict[int, np.ndarray | None] = {}
+        self._window_snapshots: dict = {}
         self._fault_round: int | None = None
         # Current-window accumulator, flushed into one RoundRecord per
         # window so round-indexed curves stay comparable across timings.
@@ -391,11 +393,16 @@ class AsyncSimulation(Simulation):
         awake neighbours."""
         snapshot = self._window_bound
         if self._fault_active:
-            mask = self._mask_at(
-                cycle if self._fault_round is None else self._fault_round
-            )
-            if mask is not None:
-                snapshot = snapshot.masked_bound(mask)
+            index = cycle if self._fault_round is None else self._fault_round
+            snapshots = self._window_snapshots
+            if index not in snapshots:
+                # Once per fault index, not per call: masked_bound's own
+                # memo hashes the whole mask to find its entry.
+                mask = self._mask_at(index)
+                snapshots[index] = (
+                    snapshot if mask is None else snapshot.masked_bound(mask)
+                )
+            snapshot = snapshots[index]
         start = snapshot.indptr[vertex]
         end = snapshot.indptr[vertex + 1]
         return snapshot.uids[start:end], snapshot.indices[start:end]
@@ -472,6 +479,7 @@ class AsyncSimulation(Simulation):
         topo_round = int(ticks[0]) // TICKS_PER_ROUND
         self._window_bound = self._bound_csr(topo_round)
         self._window_masks = {}
+        self._window_snapshots = {}
         self._fault_round = topo_round if self._fault_virtual else None
 
         # Cohort boundaries: bounds[c]:bounds[c+1] slices cohort c.
@@ -726,8 +734,7 @@ class AsyncSimulation(Simulation):
         ops = self._window_ops
         nodes = self._nodes
         tags_np = self._tags_np
-        proposer_uids: list[int] = []
-        target_uids: list[int] = []
+        proposals: dict[int, int] = {}
         cycle_of_uid: dict[int, int] = {}
         for pos in candidate_positions:
             vertex = vertices[pos]
@@ -742,26 +749,18 @@ class AsyncSimulation(Simulation):
             if not np.count_nonzero(neighbor_uids == target):
                 raise self._not_visible(nodes[vertex], target, ticks)
             uid = nodes[vertex].uid
-            proposer_uids.append(uid)
-            target_uids.append(target)
+            proposals[uid] = target
             cycle_of_uid[uid] = cycle
-        if not proposer_uids:
+        if not proposals:
             return
-        streams = self._cohort_streams(ticks)
-        if len(proposer_uids) <= _DICT_RESOLVER_MAX:
-            matches = resolve_proposals(
-                dict(zip(proposer_uids, target_uids)), streams,
-                rule=self.acceptance,
-            )
-        else:
-            matches = resolve_proposals_arrays(
-                proposer_uids, target_uids, streams, rule=self.acceptance
-            )
+        matches = resolve_proposals(
+            proposals, self._cohort_streams(ticks), rule=self.acceptance
+        )
         matches, dropped = self._drop_failed(
             self._fault_round, matches, cycle_of_uid
         )
         tokens, bits = self._stage3(None, matches, cycle_of_uid)
-        window_stats[0] += len(proposer_uids)
+        window_stats[0] += len(proposals)
         window_stats[1] += len(matches)
         window_stats[2] += tokens
         window_stats[3] += bits

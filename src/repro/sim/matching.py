@@ -22,10 +22,10 @@ acceptance is unbounded).
 
 There is one rule and two implementations of it: the dict form
 (:func:`resolve_proposals`, the readable reference — the round engine's
-object path and the asynchronous engine's small cohorts) and the array
-form (:func:`resolve_proposals_arrays` — the array path and large
-asynchronous cohorts).  They share no resolution code, which is what
-makes the engines' differential gates meaningful, and they agree pair for pair, order
+object path and the asynchronous engine's cohorts) and the array form
+(:func:`resolve_proposals_arrays` — the array path).  They share no
+resolution code, which is what makes the engines' differential gates
+meaningful, and they agree pair for pair, order
 included (tests/test_matching.py pins it property-style).
 
 **Stream discipline.**  Both take a *stream supplier*

@@ -18,6 +18,7 @@ from repro.asynchrony import (
     build_timing,
 )
 from repro.asynchrony.timing import TimingModel
+from repro.core.multibit import MultiBitConfig
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
 from repro.errors import ConfigurationError, ProtocolViolationError
@@ -341,6 +342,26 @@ class TestAsyncSimulation:
         )
         with pytest.raises(ProtocolViolationError):
             sim.run(max_rounds=3)
+
+    def test_tags_wider_than_int64_are_rejected_upfront(self):
+        # Published tags live in an int64 array: b = 63 is the widest
+        # that fits, and a wider b fails at construction instead of at
+        # the first tag that overflows.
+        instance = uniform_instance(n=N, k=2, seed=SEED)
+
+        def build(bits):
+            nodes = build_nodes("multibit", instance, seed=SEED,
+                                config=MultiBitConfig(bits=bits))
+            return AsyncSimulation(
+                StaticDynamicGraph(expander(n=N, degree=4, seed=1)), nodes,
+                b=bits, seed=SEED,
+                channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+                timing=UniformJitter(N, SEED),
+            )
+
+        with pytest.raises(ConfigurationError, match="b <= 63"):
+            build(64)
+        assert build(63).run(max_rounds=3).rounds == 3
 
     def test_async_mode_validated(self):
         with pytest.raises(ConfigurationError):
