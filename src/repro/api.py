@@ -53,57 +53,68 @@ from repro.registry import (
 __all__ = ["Experiment", "SweepBuilder"]
 
 
+#: The key order of every payload the builder emits, whatever order the
+#: ``with_*`` calls came in (``SweepSpec.to_json`` shows it).
+_PAYLOAD_ORDER = ("algorithm", "graph", "dynamic", "instance", "max_rounds",
+                  "fault", "timing", "config", "engine", "telemetry")
+
+
 class Experiment:
     """Fluent builder for one gossip execution.
 
     Every ``with_*``/``on_graph`` call validates its name against the
-    registry immediately and returns ``self`` for chaining.
+    registry immediately, edits the one run payload the builder holds,
+    and returns ``self`` for chaining.  Optional blocks (fault, timing,
+    config, engine, telemetry) stay absent until set to something other
+    than their null value, so an unset block never moves a spec hash.
     """
 
     def __init__(self, algorithm: str):
         ALGORITHM_REGISTRY.get(algorithm)
-        self._algorithm = algorithm
-        self._graph: dict | None = None
-        self._dynamic: dict = {"kind": "static"}
-        self._instance: dict = {"kind": "uniform", "k": 1}
-        self._fault: dict = {"kind": "none"}
-        self._timing: dict = {"kind": "synchronous"}
-        self._config: dict | None = None
-        self._engine: dict = {}
-        self._telemetry: dict | None = None
         self._seed = 0
-        self._max_rounds = 200_000
+        self._payload: dict = {
+            "algorithm": algorithm,
+            "dynamic": {"kind": "static"},
+            "instance": {"kind": "uniform", "k": 1},
+            "max_rounds": 200_000,
+        }
+
+    def _set(self, key: str, block, null: bool = False) -> "Experiment":
+        """Store ``block`` under ``key`` — or drop the key when the block
+        is the ``null`` one, which an absent key already means."""
+        if null:
+            self._payload.pop(key, None)
+        else:
+            self._payload[key] = block
+        return self
 
     def on_graph(self, family: str, **params) -> "Experiment":
         """Choose the topology family and its parameters."""
         TOPOLOGY_REGISTRY.get(family)
-        self._graph = {"family": family, "params": params}
-        return self
+        return self._set("graph", {"family": family, "params": params})
 
     def with_dynamics(self, kind: str, **params) -> "Experiment":
         """Choose how the topology evolves (default: static)."""
         DYNAMICS_REGISTRY.get(kind)
-        self._dynamic = {"kind": kind, **params}
-        return self
+        return self._set("dynamic", {"kind": kind, **params})
 
     def with_instance(self, kind: str, **params) -> "Experiment":
         """Choose the initial token assignment (default: uniform, k=1)."""
         INSTANCE_REGISTRY.get(kind)
-        self._instance = {"kind": kind, **params}
-        return self
+        return self._set("instance", {"kind": kind, **params})
 
     def with_fault(self, kind: str, **params) -> "Experiment":
         """Choose the fault regime degrading the run (default: none)."""
         FAULT_REGISTRY.get(kind)
-        self._fault = {"kind": kind, **params}
-        return self
+        return self._set("fault", {"kind": kind, **params},
+                         null=kind == "none")
 
     def with_timing(self, kind: str, **params) -> "Experiment":
         """Choose the timing regime scheduling per-node cycles
         (default: synchronous — the paper's lock-step rounds)."""
         TIMING_REGISTRY.get(kind)
-        self._timing = {"kind": kind, **params}
-        return self
+        return self._set("timing", {"kind": kind, **params},
+                         null=kind == "synchronous")
 
     def with_config(self, preset: str | None = None, **fields) -> "Experiment":
         """Set algorithm-config preset and/or field overrides."""
@@ -111,13 +122,11 @@ class Experiment:
         if preset is not None:
             config["preset"] = preset
         config.update(fields)
-        self._config = config or None
-        return self
+        return self._set("config", config, null=not config)
 
     def with_engine(self, **fields) -> "Experiment":
         """Set engine knobs (trace_sample_every, gauges, ...)."""
-        self._engine = dict(fields)
-        return self
+        return self._set("engine", dict(fields), null=not fields)
 
     def with_telemetry(self, enabled: bool = True,
                        stream=None) -> "Experiment":
@@ -129,46 +138,27 @@ class Experiment:
         with it on or off.  ``with_telemetry(False)`` reverts to the
         default no-op bundle.
         """
-        if not enabled:
-            self._telemetry = None
-            return self
         spec: dict = {"enabled": True}
         if stream is not None:
             spec["stream"] = str(stream)
-        self._telemetry = spec
-        return self
+        return self._set("telemetry", spec, null=not enabled)
 
     def seeded(self, seed: int) -> "Experiment":
         self._seed = seed
         return self
 
     def rounds(self, max_rounds: int) -> "Experiment":
-        self._max_rounds = max_rounds
-        return self
+        return self._set("max_rounds", max_rounds)
 
     def _base_payload(self) -> dict:
-        if self._graph is None:
+        if "graph" not in self._payload:
             raise ConfigurationError(
                 "no graph chosen; call .on_graph(family, **params) first"
             )
-        payload = {
-            "algorithm": self._algorithm,
-            "graph": _deep_copy_jsonable(self._graph),
-            "dynamic": _deep_copy_jsonable(self._dynamic),
-            "instance": _deep_copy_jsonable(self._instance),
-            "max_rounds": self._max_rounds,
+        return {
+            key: _deep_copy_jsonable(self._payload[key])
+            for key in _PAYLOAD_ORDER if key in self._payload
         }
-        if self._fault.get("kind", "none") != "none":
-            payload["fault"] = _deep_copy_jsonable(self._fault)
-        if self._timing.get("kind", "synchronous") != "synchronous":
-            payload["timing"] = _deep_copy_jsonable(self._timing)
-        if self._config is not None:
-            payload["config"] = _deep_copy_jsonable(self._config)
-        if self._engine:
-            payload["engine"] = _deep_copy_jsonable(self._engine)
-        if self._telemetry is not None:
-            payload["telemetry"] = _deep_copy_jsonable(self._telemetry)
-        return payload
 
     def run_spec(self) -> RunSpec:
         """The validated, JSON-able spec this builder describes."""
@@ -196,47 +186,29 @@ class Experiment:
         name or spec dict enacts that schedule directly.
         """
         defn = TRANSPORT_REGISTRY.get(transport)
-        if self._timing.get("kind", "synchronous") != "synchronous":
+        if "timing" in self._payload:
             raise ConfigurationError(
                 "deploy() cannot apply a simulated timing model; live "
                 "clusters are asynchronous by nature — drop with_timing()"
             )
-        from repro.experiments.specs import (
-            build_config,
-            build_dynamic_graph,
-            build_instance,
-        )
-
-        payload = self._base_payload()
-        graph = build_dynamic_graph(
-            payload["graph"], payload["dynamic"], self._seed
-        )
-        instance = build_instance(payload["instance"], graph.n, self._seed)
+        run = self.run_spec().materialize()
+        del run["timing"], run["telemetry"]  # simulator-only notions
+        fault, config = run.pop("fault"), run.pop("config")
         if chaos is True:
-            if self._fault.get("kind", "none") == "none":
+            if fault is None:
                 raise ConfigurationError(
                     "deploy(chaos=True) enacts the builder's fault "
                     "schedule physically, but no with_fault() was set; "
                     "pass a chaos kind/spec or add a fault first"
                 )
-            opts["chaos"] = dict(self._fault)
+            opts["chaos"] = fault
         elif chaos is not None:
-            opts["chaos"] = {"kind": chaos} if isinstance(chaos, str) \
-                else chaos
-        elif self._fault.get("kind", "none") != "none":
-            opts.setdefault("fault", dict(self._fault))
-        if self._config is not None:
-            opts.setdefault(
-                "config", build_config(self._algorithm, self._config)
-            )
-        return defn.deploy(
-            algorithm=self._algorithm,
-            dynamic_graph=graph,
-            instance=instance,
-            seed=self._seed,
-            max_rounds=self._max_rounds,
-            **opts,
-        )
+            opts["chaos"] = chaos
+        elif fault is not None:
+            opts.setdefault("fault", fault)
+        if config is not None:
+            opts.setdefault("config", config)
+        return defn.deploy(**run, **opts)
 
     def sweep(self, name: str) -> "SweepBuilder":
         """Widen into a sweep; the current settings become its base."""

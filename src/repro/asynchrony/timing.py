@@ -65,25 +65,16 @@ __all__ = [
 TICKS_PER_ROUND = 1 << 20
 
 
-def build_timing(spec: dict | None, n: int, seed: int) -> "TimingModel | None":
-    """Build a timing model from a ``{"kind": ..., **params}`` spec dict.
+def build_timing(timing, n: int, seed: int) -> "TimingModel | None":
+    """The timing model for ``None``, a registered name (default
+    parameters), a ``{"kind": ..., **params}`` dict, or a built model.
 
-    The one constructor every layer shares (``run_gossip``, the
-    experiments builders, the CLI).  ``None`` or kind ``"synchronous"``
-    returns ``None`` — the paper's lock-step rounds — so callers hand the
-    result straight to the runner without special-casing (a null timing
-    model runs on the round engine itself).
+    The one resolver every layer shares (``run_gossip``, ``RunSpec``).
+    The null model — ``None``, kind ``"synchronous"``, a
+    :class:`Synchronous` — returns ``None``: the run stays on the round
+    engine, which *is* the synchronous model.
     """
-    spec = spec or {}
-    defn = TIMING_REGISTRY.get(spec.get("kind", "synchronous"))
-    params = {key: value for key, value in spec.items() if key != "kind"}
-    try:
-        model = defn.build(n, seed, **params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad params for timing model {defn.name!r}: {exc}"
-        ) from exc
-    return None if model.is_null else model
+    return TIMING_REGISTRY.resolve(timing, n, seed, default="synchronous")
 
 
 class TimingModel:

@@ -26,9 +26,9 @@ from repro.analysis.tables import render_table
 from repro.core.runner import ALGORITHMS, run_gossip
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    RunSpec,
     SweepSpec,
     build_dynamic_graph,
-    build_instance,
     run_sweep,
 )
 from repro.registry import (
@@ -66,38 +66,39 @@ def _graph_spec(name: str, n: int, seed: int) -> dict:
     return {"family": name, "params": defn.from_size(n, seed)}
 
 
-def _build_graph(args):
-    spec = _graph_spec(args.graph, args.n, args.seed)
+def _run_spec(args, algorithm=None) -> RunSpec:
+    """The run a subcommand's shared flags describe (``--graph --n --k
+    --tau --seed --max-rounds``, plus ``--algorithm`` / ``--fault`` /
+    ``--timing`` / ``--profile`` where the subcommand has them)."""
     if args.tau == 0:  # 0 encodes tau = infinity on the command line
         dynamic = {"kind": "static"}
     else:
         dynamic = {"kind": "relabeling", "tau": args.tau}
-    graph = build_dynamic_graph(spec, dynamic, args.seed)
-    return graph, graph.n
+    return RunSpec(
+        algorithm=algorithm or args.algorithm,
+        graph=_graph_spec(args.graph, args.n, args.seed),
+        dynamic=dynamic,
+        instance={"kind": "uniform", "k": args.k},
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        fault={"kind": getattr(args, "fault", None) or "none"},
+        timing={"kind": getattr(args, "timing", "synchronous")},
+        telemetry={"enabled": True} if getattr(args, "profile", False)
+        else None,
+    )
 
 
 def _cmd_run(args) -> int:
-    graph, n = _build_graph(args)
-    instance = build_instance({"kind": "uniform", "k": args.k}, n, args.seed)
-    result = run_gossip(
-        algorithm=args.algorithm,
-        dynamic_graph=graph,
-        instance=instance,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        fault=None if args.fault == "none" else args.fault,
-        timing=None if args.timing == "synchronous" else args.timing,
-        telemetry=args.profile or None,
-    )
+    result = run_gossip(**_run_spec(args).materialize())
     status = "solved" if result.solved else "NOT solved (round limit)"
     fault_label = "" if args.fault == "none" else f", fault={args.fault}"
     timing_label = (
         "" if args.timing == "synchronous" else f", timing={args.timing}"
     )
     print(
-        f"{args.algorithm} on {args.graph} (n={n}, k={args.k}, "
-        f"tau={'inf' if args.tau == 0 else args.tau}{fault_label}"
-        f"{timing_label}): {result.rounds} rounds, {status}"
+        f"{args.algorithm} on {args.graph} (n={result.instance.n}, "
+        f"k={args.k}, tau={'inf' if args.tau == 0 else args.tau}"
+        f"{fault_label}{timing_label}): {result.rounds} rounds, {status}"
     )
     print(
         f"connections={result.trace.total_connections} "
@@ -152,21 +153,13 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.tau == 0:
-        dynamic = {"kind": "static"}
-    else:
-        dynamic = {"kind": "relabeling", "tau": args.tau}
     # PPUSH is single-rumor only; it joins the comparison when k = 1.
     algorithms = [a for a in ALGORITHMS if a != "ppush" or args.k == 1]
+    base = _run_spec(args, algorithm=algorithms[0]).to_payload()
+    del base["seed"]  # a sweep carries its seeds itself
     sweep = SweepSpec(
         name=f"compare-{args.graph}-n{args.n}-k{args.k}",
-        base={
-            "algorithm": algorithms[0],
-            "graph": _graph_spec(args.graph, args.n, args.seed),
-            "dynamic": dynamic,
-            "instance": {"kind": "uniform", "k": args.k},
-            "max_rounds": args.max_rounds,
-        },
+        base=base,
         grid={"algorithm": algorithms},
         seeds=(args.seed,),
     )
@@ -223,73 +216,32 @@ def _cmd_sweep(args) -> int:
 def _cmd_list(args) -> int:
     """Print every registered definition with its one-line description."""
 
-    def section(title: str, rows) -> None:
-        print(f"{title}:")
-        for row in rows:
-            print(f"  {row}")
-        print()
+    def algorithm_tags(defn) -> str:
+        # The marker says ``run --algorithm`` will not offer this one:
+        # its goal is not plain gossip.
+        marker = "[experiments-layer only] " if defn.goal is not None else ""
+        return f"b={defn.tag_length_label:<3} {defn.model_label:<8} {marker}"
 
-    section(
-        "algorithms",
-        (
-            f"{defn.name:<14} b={defn.tag_length_label:<3} "
-            f"{defn.model_label:<8} "
-            f"{'[experiments-layer only] ' if not defn.runnable else ''}"
-            f"{defn.description}"
-            for defn in ALGORITHM_REGISTRY.values()
-        ),
+    def topology_tags(defn) -> str:
+        return "[--graph choice] " if defn.from_size is not None else ""
+
+    # (registry, name column width, what a row says before the description)
+    sections = (
+        (ALGORITHM_REGISTRY, 14, algorithm_tags),
+        (TOPOLOGY_REGISTRY, 14, topology_tags),
+        (DYNAMICS_REGISTRY, 18, None),
+        (INSTANCE_REGISTRY, 10, None),
+        (FAULT_REGISTRY, 8, None),
+        (TIMING_REGISTRY, 14, None),
+        (SCENARIO_REGISTRY, 18, None),
+        (TRANSPORT_REGISTRY, 8, None),
     )
-    section(
-        "topology families",
-        (
-            f"{defn.name:<14} "
-            f"{'[--graph choice] ' if defn.from_size is not None else ''}"
-            f"{defn.description}"
-            for defn in TOPOLOGY_REGISTRY.values()
-        ),
-    )
-    section(
-        "dynamics kinds",
-        (
-            f"{defn.name:<18} {defn.description}"
-            for defn in DYNAMICS_REGISTRY.values()
-        ),
-    )
-    section(
-        "instance kinds",
-        (
-            f"{defn.name:<10} {defn.description}"
-            for defn in INSTANCE_REGISTRY.values()
-        ),
-    )
-    section(
-        "fault models",
-        (
-            f"{defn.name:<8} {defn.description}"
-            for defn in FAULT_REGISTRY.values()
-        ),
-    )
-    section(
-        "timing models",
-        (
-            f"{defn.name:<14} {defn.description}"
-            for defn in TIMING_REGISTRY.values()
-        ),
-    )
-    section(
-        "scenarios",
-        (
-            f"{defn.name:<18} {defn.description}"
-            for defn in SCENARIO_REGISTRY.values()
-        ),
-    )
-    section(
-        "transports",
-        (
-            f"{defn.name:<8} {defn.description}"
-            for defn in TRANSPORT_REGISTRY.values()
-        ),
-    )
+    for registry, width, tags in sections:
+        print(f"{registry.plural}:")
+        for defn in registry.values():
+            print(f"  {defn.name:<{width}} {tags(defn) if tags else ''}"
+                  f"{defn.description}")
+        print()
     return 0
 
 
@@ -307,36 +259,28 @@ def _cmd_serve(args) -> int:
         opts["chaos"] = True if args.chaos == "auto" else args.chaos
     if getattr(args, "fault", None) not in (None, "none"):
         opts["fault"] = args.fault
+    pieces = {}  # a scenario name brings its own graph and instance
     if args.scenario:
-        scenario = SCENARIO_REGISTRY.get(args.scenario).factory(
-            seed=args.seed
-        )
-        report = defn.deploy(
-            scenario,
-            algorithm=args.algorithm,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            **opts,
-        )
-        label = f"scenario {scenario.name}"
+        label = f"scenario {args.scenario}"
     else:
         if args.algorithm is None:
             raise ConfigurationError(
                 "serve needs --algorithm when no --scenario is given"
             )
-        graph, n = _build_graph(args)
-        instance = build_instance(
-            {"kind": "uniform", "k": args.k}, n, args.seed
-        )
-        report = defn.deploy(
-            algorithm=args.algorithm,
-            dynamic_graph=graph,
-            instance=instance,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            **opts,
-        )
-        label = f"{args.graph} (n={n}, k={args.k})"
+        # --fault stays a name in ``opts``: deploy_run decides whether
+        # it is masked logically or (--chaos) enacted physically.
+        run = _run_spec(args).materialize()
+        pieces = {"dynamic_graph": run["dynamic_graph"],
+                  "instance": run["instance"]}
+        label = f"{args.graph} (n={run['instance'].n}, k={args.k})"
+    report = defn.deploy(
+        args.scenario,
+        algorithm=args.algorithm,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        **pieces,
+        **opts,
+    )
     status = "solved" if report.solved else "NOT solved (round limit)"
     print(
         f"live {report.algorithm} on {label} via {args.transport}: "
@@ -447,19 +391,12 @@ def _cmd_replay(args) -> int:
     """Record a simulation, replay it live, assert equivalence."""
     from repro.net.bridge import record_run, replay
 
-    spec = _graph_spec(args.graph, args.n, args.seed)
-    dynamic = (
-        {"kind": "static"}
-        if args.tau == 0
-        else {"kind": "relabeling", "tau": args.tau}
-    )
+    spec = _run_spec(args)
 
-    def factory():
-        return build_dynamic_graph(spec, dynamic, args.seed)
+    def factory():  # a recording needs a fresh graph per side
+        return build_dynamic_graph(spec.graph, spec.dynamic, spec.seed)
 
-    instance = build_instance(
-        {"kind": "uniform", "k": args.k}, factory().n, args.seed
-    )
+    instance = spec.materialize()["instance"]
     fault = None if args.fault in (None, "none") else args.fault
     if args.chaos and fault is None:
         raise ConfigurationError(
@@ -499,6 +436,20 @@ def _cmd_replay(args) -> int:
     return 1
 
 
+def _add_run_flags(sub_parser, *, n: int, k: int, tau: int,
+                   max_rounds: int) -> None:
+    """The flag block :func:`_run_spec` reads, with one subcommand's
+    defaults."""
+    sub_parser.add_argument("--graph", choices=sorted(_sized_graph_choices()),
+                            default="expander")
+    sub_parser.add_argument("--n", type=int, default=n)
+    sub_parser.add_argument("--k", type=int, default=k)
+    sub_parser.add_argument("--tau", type=int, default=tau,
+                            help="stability factor; 0 means infinity")
+    sub_parser.add_argument("--seed", type=int, default=0)
+    sub_parser.add_argument("--max-rounds", type=int, default=max_rounds)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gossip",
@@ -514,20 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    graph_choices = sorted(_sized_graph_choices())
     algorithm_choices = list(ALGORITHMS)
     scenario_choices = sorted(SCENARIO_REGISTRY.names())
 
     run_p = sub.add_parser("run", help="run one algorithm on one graph")
     run_p.add_argument("--algorithm", choices=algorithm_choices,
                        required=True)
-    run_p.add_argument("--graph", choices=graph_choices, default="expander")
-    run_p.add_argument("--n", type=int, default=32)
-    run_p.add_argument("--k", type=int, default=4)
-    run_p.add_argument("--tau", type=int, default=0,
-                       help="stability factor; 0 means infinity")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--max-rounds", type=int, default=200_000)
+    _add_run_flags(run_p, n=32, k=4, tau=0, max_rounds=200_000)
     run_p.add_argument(
         "--fault", choices=sorted(FAULT_REGISTRY.names()), default="none",
         help="fault regime degrading the run (default parameters; "
@@ -554,12 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc_p.set_defaults(func=_cmd_scenario)
 
     cmp_p = sub.add_parser("compare", help="run all algorithms side by side")
-    cmp_p.add_argument("--graph", choices=graph_choices, default="expander")
-    cmp_p.add_argument("--n", type=int, default=24)
-    cmp_p.add_argument("--k", type=int, default=3)
-    cmp_p.add_argument("--tau", type=int, default=1)
-    cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--max-rounds", type=int, default=400_000)
+    _add_run_flags(cmp_p, n=24, k=3, tau=1, max_rounds=400_000)
     cmp_p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the comparison runs")
     cmp_p.set_defaults(func=_cmd_compare)
@@ -600,13 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="protocol to serve (scenario's recommendation "
                             "when omitted)")
-    srv_p.add_argument("--graph", choices=graph_choices, default="expander")
-    srv_p.add_argument("--n", type=int, default=8)
-    srv_p.add_argument("--k", type=int, default=2)
-    srv_p.add_argument("--tau", type=int, default=0,
-                       help="stability factor; 0 means infinity")
-    srv_p.add_argument("--seed", type=int, default=0)
-    srv_p.add_argument("--max-rounds", type=int, default=512)
+    _add_run_flags(srv_p, n=8, k=2, tau=0, max_rounds=512)
     srv_p.add_argument("--heartbeat-every", type=int, default=0,
                        help="rounds between cluster-wide heartbeats "
                             "(0 = off)")
@@ -647,13 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rp_p.add_argument("--algorithm", choices=algorithm_choices,
                       required=True)
-    rp_p.add_argument("--graph", choices=graph_choices, default="expander")
-    rp_p.add_argument("--n", type=int, default=8)
-    rp_p.add_argument("--k", type=int, default=2)
-    rp_p.add_argument("--tau", type=int, default=0,
-                      help="stability factor; 0 means infinity")
-    rp_p.add_argument("--seed", type=int, default=0)
-    rp_p.add_argument("--max-rounds", type=int, default=512)
+    _add_run_flags(rp_p, n=8, k=2, tau=0, max_rounds=512)
     rp_p.add_argument(
         "--fault", choices=sorted(FAULT_REGISTRY.names()), default="none",
         help="record the simulation under this fault regime and replay "

@@ -6,28 +6,44 @@ such that every pair in S mutually knows each other's tokens.
 
 No new algorithm is needed: §7 re-analyzes SharedBit and shows it solves
 ε-gossip in O(n·√(Δ·logΔ) / ((1−ε)·α)) rounds — polynomially faster than
-the O(n²) it needs for full gossip when α is large and ε constant.  This
-module supplies the harness: the k = n instance, the analysis-aligned
-termination check (Lemma 7.3 case 1, plus the mutual-knowledge core), and
-a one-call runner.
+the O(n²) it needs for full gossip when α is large and ε constant.  The
+code says the same: ``"epsilon"`` registers SharedBit's own node builder
+with a different *goal* — the analysis-aligned termination check (Lemma
+7.3 case 1, plus the mutual-knowledge core) on a k = n instance — so it
+runs wherever SharedBit runs: under faults, timing models, telemetry and
+either engine mode.  :func:`run_epsilon_gossip` is the one-call form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from repro.core.potential import epsilon_gossip_solved, mutual_knowledge_core, potential
+from repro.core.potential import epsilon_gossip_solved, mutual_knowledge_core
 from repro.core.problem import GossipInstance, everyone_starts_instance
-from repro.core.sharedbit import SharedBitConfig, SharedBitNode
+from repro.core.runner import run_gossip
+from repro.core.sharedbit import SharedBitConfig, build_sharedbit_nodes
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
-from repro.rng import SeedTree, SharedRandomness
-from repro.sim.channel import ChannelPolicy
-from repro.sim.engine import Simulation
 from repro.sim.trace import Trace
 
-__all__ = ["EpsilonView", "EpsilonGossipResult", "run_epsilon_gossip",
-           "epsilon_termination"]
+__all__ = ["EpsilonGossipConfig", "EpsilonView", "EpsilonGossipResult",
+           "run_epsilon_gossip", "epsilon_termination"]
+
+
+@dataclass(frozen=True)
+class EpsilonGossipConfig(SharedBitConfig):
+    """SharedBit's tunables plus ``epsilon``, the fraction of nodes that
+    must end up mutually knowing each other's tokens."""
+
+    epsilon: float = 0.5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.epsilon < 1:
+            raise ConfigurationError(
+                f"epsilon must be in (0, 1), got {self.epsilon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -46,12 +62,42 @@ def _views(nodes) -> list[EpsilonView]:
 
 
 def epsilon_termination(epsilon: float):
-    """Termination condition: ε-gossip certifiably solved (Lemma 7.3)."""
+    """Termination condition: ε-gossip certifiably solved (Lemma 7.3).
+
+    Its ``report`` attribute is what a run record says about the final
+    state beyond ``solved``: the size of the mutual-knowledge core.
+    """
 
     def check(nodes, round_index: int) -> bool:
         return epsilon_gossip_solved(_views(nodes), epsilon)
 
+    check.report = lambda nodes: {
+        "core_size": len(mutual_knowledge_core(_views(nodes)))
+    }
     return check
+
+
+def _epsilon_goal(instance: GossipInstance, config: EpsilonGossipConfig):
+    """ε-gossip is stated for k = n with every token labeled by its
+    holder's UID (the checkers read a node's own token off its UID)."""
+    for vertex in range(instance.n):
+        tokens = instance.tokens_for(vertex)
+        if len(tokens) != 1 or tokens[0].token_id != instance.uid_of(vertex):
+            raise ConfigurationError(
+                "epsilon-gossip needs k = n with every node starting on "
+                "its own token: use instance kind 'everyone'"
+            )
+    return epsilon_termination(config.epsilon)
+
+
+register_algorithm(
+    name="epsilon",
+    description="eps-gossip harness: SharedBit until an eps-fraction core "
+                "mutually knows (Thm 7.4)",
+    config_class=EpsilonGossipConfig,
+    tag_length=1,
+    goal=_epsilon_goal,
+)(build_sharedbit_nodes)
 
 
 @dataclass
@@ -83,79 +129,26 @@ def run_epsilon_gossip(
     O(n²) in the worst case, so checking every round would distort wall
     times without changing measured round counts by more than that stride).
     """
-    if not 0 < epsilon < 1:
-        raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-    n = dynamic_graph.n
-    instance = everyone_starts_instance(n=n, seed=seed, upper_n=upper_n)
-    tree = SeedTree(seed)
-    shared = SharedRandomness(tree.key("shared-string"), instance.upper_n)
-    cfg = config or SharedBitConfig()
-    nodes = {
-        vertex: SharedBitNode(
-            uid=instance.uid_of(vertex),
-            upper_n=instance.upper_n,
-            initial_tokens=instance.tokens_for(vertex),
-            rng=tree.stream("node", instance.uid_of(vertex)),
-            shared=shared,
-            config=cfg,
-        )
-        for vertex in range(n)
-    }
-    sim = Simulation(
-        dynamic_graph=dynamic_graph,
-        protocols=nodes,
-        b=1,
+    result = run_gossip(
+        "epsilon",
+        dynamic_graph,
+        everyone_starts_instance(n=dynamic_graph.n, seed=seed,
+                                 upper_n=upper_n),
         seed=seed,
-        channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+        max_rounds=max_rounds,
+        config=EpsilonGossipConfig(**{
+            **dataclasses.asdict(config or SharedBitConfig()),
+            "epsilon": epsilon,
+        }),
         termination_every=termination_every,
         trace_sample_every=trace_sample_every,
     )
-    result = sim.run(
-        max_rounds=max_rounds, termination=epsilon_termination(epsilon)
-    )
-    views = _views(nodes)
     return EpsilonGossipResult(
         epsilon=epsilon,
         rounds=result.rounds,
-        solved=result.terminated,
-        core_size=len(mutual_knowledge_core(views)),
-        residual_potential=potential(views, instance.token_ids),
+        solved=result.solved,
+        core_size=result.goal_report["core_size"],
+        residual_potential=result.residual_potential,
         trace=result.trace,
-        instance=instance,
+        instance=result.instance,
     )
-
-
-@register_algorithm(
-    name="epsilon",
-    description="eps-gossip harness: SharedBit until an eps-fraction core "
-                "mutually knows (Thm 7.4)",
-    config_class=SharedBitConfig,
-    tag_length=1,
-    config_extra_keys=("epsilon",),
-    experiment_only=True,
-)
-def _execute_epsilon_run(spec, dynamic_graph, config):
-    """Experiments-layer executor: the whole run, recorded JSON-ably."""
-    engine = spec.engine
-    if engine.get("gauges"):
-        raise ConfigurationError(
-            "named gauges are not supported for epsilon runs"
-        )
-    result = run_epsilon_gossip(
-        dynamic_graph,
-        epsilon=(spec.config or {}).get("epsilon", 0.5),
-        seed=spec.seed,
-        max_rounds=spec.max_rounds,
-        config=config,
-        upper_n=spec.instance.get("upper_n"),
-        termination_every=engine.get("termination_every", 4),
-        trace_sample_every=engine.get("trace_sample_every", 1024),
-    )
-    return {
-        "rounds": result.rounds,
-        "solved": result.solved,
-        "core_size": result.core_size,
-        "connections": result.trace.total_connections,
-        "tokens_moved": result.trace.total_tokens_moved,
-        "control_bits": result.trace.total_control_bits,
-    }

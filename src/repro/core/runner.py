@@ -1,23 +1,24 @@
 """One-call experiment harness: build nodes, run, measure.
 
 :func:`run_gossip` wires together an instance, a dynamic graph, one of the
-registered algorithms, and the standard termination condition (all nodes
-know all k tokens), returning the measured round count plus the trace.
+registered algorithms, and its goal (all nodes know all k tokens, unless
+the registration declares another), returning the measured round count
+plus the trace.
 This is what the examples, benchmarks and integration tests call; direct
 use of the node classes with :class:`repro.sim.engine.Simulation` remains
 available for custom setups.
 
 Dispatch is entirely registry-driven: the algorithm name resolves to an
 :class:`repro.registry.AlgorithmDef` whose declaration carries the node
-builder, the default config class, the tag length ``b``, and model
-requirements like ``requires_stable_topology`` — so an algorithm
+builder, the default config class, the tag length ``b``, the goal, and
+model requirements like ``requires_stable_topology`` — so an algorithm
 registered by a plugin runs here with zero edits to this module.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.asynchrony.engine import AsyncSimulation
@@ -43,22 +44,10 @@ from repro.telemetry import resolve_telemetry
 __all__ = ["ALGORITHMS", "GossipRunResult", "build_nodes", "run_gossip",
            "coverage_gauge", "potential_gauge"]
 
-#: Algorithms runnable through :func:`run_gossip` — a live view over the
-#: registry (experiments-layer-only entries like ε-gossip are filtered
-#: out; plugin registrations appear automatically).
-ALGORITHMS = RegistryNames(ALGORITHM_REGISTRY, lambda defn: defn.runnable)
-
-
-def _runnable_def(algorithm: str):
-    """Resolve ``algorithm`` to a definition run_gossip can execute."""
-    defn = ALGORITHM_REGISTRY.get(algorithm)
-    if not defn.runnable:
-        raise ConfigurationError(
-            f"algorithm {algorithm!r} runs only through the experiments "
-            "layer (repro.experiments.execute_run); choose from "
-            f"{tuple(ALGORITHMS)}"
-        )
-    return defn
+#: Algorithms that solve plain gossip — a live view over the registry
+#: (entries registered with their own ``goal``, like ε-gossip, are
+#: filtered out; plugin registrations appear automatically).
+ALGORITHMS = RegistryNames(ALGORITHM_REGISTRY, lambda defn: defn.goal is None)
 
 
 @dataclass
@@ -79,6 +68,9 @@ class GossipRunResult:
     #: The run's :class:`repro.telemetry.Telemetry` bundle (the null
     #: bundle when telemetry was off).
     telemetry: object = None
+    #: What the algorithm's goal reports about the final state
+    #: (ε-gossip's ``core_size``); empty for plain gossip.
+    goal_report: Mapping = field(default_factory=dict)
 
     @property
     def profile(self) -> dict | None:
@@ -113,7 +105,7 @@ def build_nodes(
     config=None,
 ) -> dict[int, NodeProtocol]:
     """Construct one protocol object per vertex for the named algorithm."""
-    defn = _runnable_def(algorithm)
+    defn = ALGORITHM_REGISTRY.get(algorithm)
     if config is None:
         config = defn.make_config()
     elif defn.config_class and not isinstance(config, defn.config_class):
@@ -157,41 +149,6 @@ def potential_gauge(token_ids):
     return gauge
 
 
-def _resolve_fault(fault, n: int, seed: int):
-    """Materialize ``run_gossip``'s ``fault`` argument.
-
-    Accepts a built :class:`~repro.sim.faults.FaultModel`, a registered
-    fault name (built with default parameters), a spec dict
-    (``{"kind": ..., **params}``), or ``None`` (the clean model).
-    """
-    if fault is None:
-        return None
-    if isinstance(fault, str):
-        fault = {"kind": fault}
-    if isinstance(fault, dict):
-        return build_fault(fault, n, seed)
-    return None if fault.is_null else fault
-
-
-def _resolve_timing(timing, n: int, seed: int):
-    """Materialize ``run_gossip``'s ``timing`` argument.
-
-    Accepts a built :class:`~repro.asynchrony.timing.TimingModel`, a
-    registered timing name (built with default parameters), a spec dict
-    (``{"kind": ..., **params}``), or ``None``.  Null timing
-    (``"synchronous"``) normalizes to ``None`` — the run stays on the
-    round engine, which *is* the synchronous model (the differential
-    harness proves the event-driven engine agrees with it).
-    """
-    if timing is None:
-        return None
-    if isinstance(timing, str):
-        timing = {"kind": timing}
-    if isinstance(timing, dict):
-        return build_timing(timing, n, seed)
-    return None if timing.is_null else timing
-
-
 def run_gossip(
     algorithm: str,
     dynamic_graph: DynamicGraph,
@@ -217,21 +174,25 @@ def run_gossip(
     requirements are violated (``requires_stable_topology`` on a changing
     topology — CrowdedBin's τ = ∞ assumption).
 
-    ``fault`` selects the fault regime degrading the run: a built
-    :class:`~repro.sim.faults.FaultModel`, a registered fault name
-    (``"sleep"``, ``"churn"``, ``"lossy"`` — built with default
+    The run ends when the algorithm's goal holds: every node knows all
+    k tokens, unless the registration declares its own ``goal`` (which
+    may also reject the instance — ε-gossip needs k = n).
+
+    ``fault`` selects the fault regime degrading the run, in any form
+    :func:`~repro.sim.faults.build_fault` takes: a built model, a
+    registered name (``"sleep"``, ``"churn"``, ``"lossy"`` — default
     parameters), or a ``{"kind": ..., **params}`` dict.  ``None`` (the
     default) is the paper's clean model and is byte-identical to runs
     from before the fault layer existed.
 
-    ``timing`` selects the timing regime: a built
-    :class:`~repro.asynchrony.timing.TimingModel`, a registered timing
-    name (``"jitter"``, ``"heterogeneous"``, ``"bursty"``), or a
-    ``{"kind": ..., **params}`` dict.  ``None`` or ``"synchronous"``
-    (the default) is the paper's lock-step round structure and runs on
-    the round engine; anything else runs the same protocols on the
-    event-driven engine (:class:`~repro.asynchrony.engine.AsyncSimulation`)
-    with per-node clocks.
+    ``timing`` selects the timing regime, in any form
+    :func:`~repro.asynchrony.timing.build_timing` takes (names:
+    ``"jitter"``, ``"heterogeneous"``, ``"bursty"``).  ``None`` or
+    ``"synchronous"`` (the default) is the paper's lock-step round
+    structure and runs on the round engine; anything else runs the same
+    protocols on the event-driven engine
+    (:class:`~repro.asynchrony.engine.AsyncSimulation`) with per-node
+    clocks.
 
     ``engine_mode`` selects the engine front half: ``"auto"`` (the
     default) takes the array fast path when the algorithm's nodes provide
@@ -251,7 +212,7 @@ def run_gossip(
     every trace byte-identical — telemetry draws zero randomness.  The
     result's :attr:`GossipRunResult.profile` carries the phase table.
     """
-    defn = _runnable_def(algorithm)
+    defn = ALGORITHM_REGISTRY.get(algorithm)
     if dynamic_graph.n != instance.n:
         raise ConfigurationError(
             f"graph has n={dynamic_graph.n} but instance has n={instance.n}"
@@ -265,10 +226,14 @@ def run_gossip(
     # already materialized.
     if config is None:
         config = defn.make_config()
+    termination = (
+        all_hold_tokens(instance.token_ids) if defn.goal is None
+        else defn.goal(instance, config)
+    )
     telemetry = resolve_telemetry(telemetry)
     with telemetry.profiler.span("build.population"):
         nodes = build_nodes(algorithm, instance, seed, config)
-    timing_model = _resolve_timing(timing, dynamic_graph.n, seed)
+    timing_model = build_timing(timing, dynamic_graph.n, seed)
     engine_kwargs = dict(
         dynamic_graph=dynamic_graph,
         protocols=nodes,
@@ -276,7 +241,7 @@ def run_gossip(
         seed=seed,
         channel_policy=channel_policy
         or ChannelPolicy.for_upper_n(instance.upper_n),
-        faults=_resolve_fault(fault, dynamic_graph.n, seed),
+        faults=build_fault(fault, dynamic_graph.n, seed),
         gauges=gauges,
         gauge_every=gauge_every,
         trace_sample_every=trace_sample_every,
@@ -292,10 +257,8 @@ def run_gossip(
         else:
             sim = AsyncSimulation(timing=timing_model, **engine_kwargs)
     with telemetry.profiler.span("run.total"):
-        result = sim.run(
-            max_rounds=max_rounds,
-            termination=all_hold_tokens(instance.token_ids),
-        )
+        result = sim.run(max_rounds=max_rounds, termination=termination)
+    report = getattr(termination, "report", None)
     return GossipRunResult(
         algorithm=algorithm,
         rounds=result.rounds,
@@ -305,4 +268,5 @@ def run_gossip(
         nodes=nodes,
         event_counts=result.event_counts,
         telemetry=telemetry,
+        goal_report={} if report is None else report(nodes),
     )

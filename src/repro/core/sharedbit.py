@@ -32,7 +32,7 @@ from repro.rng import SharedRandomness
 from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
-__all__ = ["SharedBitConfig", "SharedBitNode"]
+__all__ = ["SharedBitConfig", "SharedBitNode", "build_sharedbit_nodes"]
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,9 @@ class _SharedBitWindowOps:
     config_class=SharedBitConfig,
     tag_length=1,
 )
-def _build_sharedbit_nodes(ctx):
+def build_sharedbit_nodes(ctx):
+    """SharedBit's population: one shared string and one Transfer machine
+    for every node (also registered as ``"epsilon"``, §7)."""
     shared = SharedRandomness(
         ctx.tree.key("shared-string"), ctx.instance.upper_n
     )

@@ -61,6 +61,9 @@ def figure1_sweep(n: int = 16, k: int = 2, seeds=(11, 23, 37)) -> SweepSpec:
                     "dynamic": {"kind": "static"},
                     "instance": {"kind": "everyone"},
                     "config": {"epsilon": 0.5},
+                    # The coverage check costs O(n^2); every 4th round
+                    # is the cadence run_epsilon_gossip defaults to.
+                    "engine.termination_every": 4,
                     "max_rounds": 400_000,
                 },
             },

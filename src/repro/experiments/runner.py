@@ -1,9 +1,9 @@
 """Execute runs and sweeps: serial, process-parallel, and cached.
 
 :func:`execute_run` is the worker: it takes one JSON-able run payload,
-rebuilds the topology / dynamic graph / instance / config *inside the
-worker process* (nothing unpicklable ever crosses the process boundary),
-runs the simulation, and returns a JSON-able record.
+materializes it (:meth:`RunSpec.materialize`) *inside the worker
+process* (nothing unpicklable ever crosses the process boundary), runs
+the simulation, and returns a JSON-able record.
 
 :func:`run_sweep` fans a :class:`~repro.experiments.specs.SweepSpec` out
 over a ``ProcessPoolExecutor`` (``jobs > 1``) or runs it inline
@@ -26,17 +26,7 @@ from repro.experiments.results import (
     aggregate,
     load_streamed,
 )
-from repro.experiments.specs import (
-    RunSpec,
-    SweepSpec,
-    build_config,
-    build_dynamic_graph,
-    build_fault,
-    build_instance,
-    build_timing,
-    build_topology,
-    run_hash,
-)
+from repro.experiments.specs import RunSpec, SweepSpec, run_hash
 from repro.registry import ALGORITHM_REGISTRY, load_plugin
 
 __all__ = ["execute_run", "normalize_payload", "run_sweep",
@@ -65,16 +55,18 @@ def normalize_payload(payload: dict) -> tuple[dict, list[str]]:
     ``requires_stable_topology`` (CrowdedBin's τ = ∞ assumption) gets the
     static version of the same shape when a sweep's grid puts it on a
     changing topology, with a note recorded in the run record so
-    comparison tables aren't misleading.  Unknown algorithm names pass
-    through untouched — :class:`RunSpec` validation rejects them with the
-    registered set.
+    comparison tables aren't misleading.  Unknown algorithm names and
+    malformed ``dynamic`` blocks pass through untouched — :class:`RunSpec`
+    validation rejects them, naming the registered set or the key.
     """
     notes: list[str] = []
     defn = ALGORITHM_REGISTRY.find(payload.get("algorithm"))
+    dynamic = payload.get("dynamic")
     if (
         defn is not None
         and defn.requires_stable_topology
-        and payload.get("dynamic", {}).get("kind", "static") != "static"
+        and isinstance(dynamic, dict)
+        and dynamic.get("kind", "static") != "static"
     ):
         payload = dict(payload)
         payload["dynamic"] = {"kind": "static"}
@@ -87,15 +79,13 @@ def execute_run(payload) -> dict:
 
     Accepts a :class:`RunSpec` or its payload dict.  This is the function
     worker processes execute; everything it needs is rebuilt locally from
-    the spec.  Algorithms whose registration carries a custom ``execute``
-    hook (the ε-gossip harness) own their whole run; everything else goes
-    through :func:`repro.core.runner.run_gossip`.
+    the spec, and every algorithm goes through
+    :func:`repro.core.runner.run_gossip`.
     """
     if isinstance(payload, RunSpec):
         payload = payload.to_payload()
     payload, notes = normalize_payload(payload)
     spec = RunSpec.from_payload(payload)
-    defn = ALGORITHM_REGISTRY.get(spec.algorithm)
     engine = spec.engine
     gauge_names = tuple(engine.get("gauges", ()))
     for name in gauge_names:
@@ -103,85 +93,45 @@ def execute_run(payload) -> dict:
             raise ConfigurationError(
                 f"unknown gauge {name!r}; choose from {sorted(_NAMED_GAUGES)}"
             )
-
-    dynamic_graph = build_dynamic_graph(spec.graph, spec.dynamic, spec.seed)
-    fault = build_fault(spec.fault, dynamic_graph.n, spec.seed)
-    timing = build_timing(spec.timing, dynamic_graph.n, spec.seed)
-
-    if defn.execute is not None:
-        if spec.telemetry is not None and spec.telemetry.get("enabled", True):
-            raise ConfigurationError(
-                f"algorithm {spec.algorithm!r} runs through a custom "
-                "experiments-layer executor, which does not support "
-                "telemetry; omit the telemetry block"
-            )
-        if fault is not None:
-            raise ConfigurationError(
-                f"algorithm {spec.algorithm!r} runs through a custom "
-                "experiments-layer executor, which does not support fault "
-                "injection; use fault kind 'none'"
-            )
-        if timing is not None:
-            raise ConfigurationError(
-                f"algorithm {spec.algorithm!r} runs through a custom "
-                "experiments-layer executor, which does not support "
-                "asynchronous timing; use timing kind 'synchronous'"
-            )
-        record = defn.execute(
-            spec, dynamic_graph, build_config(spec.algorithm, spec.config)
-        )
-    else:
-        instance = build_instance(spec.instance, dynamic_graph.n, spec.seed)
-        gauges = {
-            name: _NAMED_GAUGES[name](instance.token_ids)
+    run = spec.materialize()
+    token_ids = run["instance"].token_ids
+    result = run_gossip(
+        **run,
+        gauges={name: _NAMED_GAUGES[name](token_ids)
+                for name in gauge_names} or None,
+        gauge_every=engine.get("gauge_every", 64),
+        trace_sample_every=engine.get("trace_sample_every", 1024),
+        trace_max_records=engine.get("trace_max_records"),
+        termination_every=engine.get("termination_every", 1),
+    )
+    record = {
+        "rounds": result.rounds,
+        "solved": result.solved,
+        **result.goal_report,
+    }
+    if gauge_names:
+        record["gauges"] = {
+            name: [
+                [round_index, value]
+                for round_index, value in result.trace.gauge_series(name)
+            ]
             for name in gauge_names
         }
-        result = run_gossip(
-            algorithm=spec.algorithm,
-            dynamic_graph=dynamic_graph,
-            instance=instance,
-            seed=spec.seed,
-            max_rounds=spec.max_rounds,
-            config=build_config(spec.algorithm, spec.config),
-            fault=fault,
-            timing=timing,
-            gauges=gauges or None,
-            gauge_every=engine.get("gauge_every", 64),
-            trace_sample_every=engine.get("trace_sample_every", 1024),
-            trace_max_records=engine.get("trace_max_records"),
-            termination_every=engine.get("termination_every", 1),
-            telemetry=spec.telemetry,
-        )
-        record = {
-            "rounds": result.rounds,
-            "solved": result.solved,
-        }
-        if gauge_names:
-            record["gauges"] = {
-                name: [
-                    [round_index, value]
-                    for round_index, value in result.trace.gauge_series(name)
-                ]
-                for name in gauge_names
-            }
-        record["connections"] = result.trace.total_connections
-        record["tokens_moved"] = result.trace.total_tokens_moved
-        record["control_bits"] = result.trace.total_control_bits
-        record["dropped_connections"] = (
-            result.trace.total_dropped_connections
-        )
-        if result.event_counts is not None:
-            # Asynchronous runs: total node activations (the virtual
-            # clock's work measure, distinct from rounds).
-            record["events"] = int(result.event_counts.sum())
-        profile = result.profile
-        if profile is not None:
-            # Phase profile rides the JSON-able record across the
-            # process boundary; SweepResult.phase_totals() merges the
-            # per-run dicts in sweep order, so the merged structure is
-            # invariant to how run_sweep partitioned work over jobs.
-            record["profile"] = profile
-
+    record["connections"] = result.trace.total_connections
+    record["tokens_moved"] = result.trace.total_tokens_moved
+    record["control_bits"] = result.trace.total_control_bits
+    record["dropped_connections"] = result.trace.total_dropped_connections
+    if result.event_counts is not None:
+        # Asynchronous runs: total node activations (the virtual
+        # clock's work measure, distinct from rounds).
+        record["events"] = int(result.event_counts.sum())
+    profile = result.profile
+    if profile is not None:
+        # Phase profile rides the JSON-able record across the
+        # process boundary; SweepResult.phase_totals() merges the
+        # per-run dicts in sweep order, so the merged structure is
+        # invariant to how run_sweep partitioned work over jobs.
+        record["profile"] = profile
     record["notes"] = notes
     return record
 

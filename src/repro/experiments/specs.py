@@ -22,6 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from repro.asynchrony.timing import build_timing
 from repro.core.problem import GossipInstance
 from repro.errors import ConfigurationError
 from repro.graphs.dynamic import DynamicGraph
@@ -35,6 +36,7 @@ from repro.registry import (
     TIMING_REGISTRY,
     TOPOLOGY_REGISTRY,
 )
+from repro.sim.faults import build_fault
 
 __all__ = [
     "EXPERIMENT_ALGORITHMS",
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 #: Algorithms the experiment runner accepts — every registered algorithm,
-#: including experiments-layer-only ones (the §7 ε-gossip harness).  A
+#: including those with their own goal (the §7 ε-gossip harness).  A
 #: live registry view: plugin registrations appear automatically.
 EXPERIMENT_ALGORITHMS = RegistryNames(ALGORITHM_REGISTRY)
 
@@ -132,8 +134,8 @@ class RunSpec:
                    ``{"timing.jitter": [0.0, 0.5, 0.9]}``)
     ``config``   — algorithm-config overrides; an optional ``"preset"`` key
                    selects a classmethod preset (``paper`` / ``practical``)
-                   before field overrides apply.  For ``epsilon`` runs the
-                   ``"epsilon"`` key holds the coverage fraction.
+                   before field overrides apply (ε-gossip's ``epsilon``
+                   is a config field like any other).
     ``engine``   — ``trace_sample_every`` / ``trace_max_records`` /
                    ``termination_every`` / ``gauge_every`` / ``gauges``
                    (named gauges, e.g. ``["coverage"]``, serialized into
@@ -159,8 +161,23 @@ class RunSpec:
     telemetry: dict | None = None
 
     def __post_init__(self):
-        # Eager name resolution: a malformed spec fails here, with the
-        # registry enumerating what *is* registered, before any dispatch.
+        # Shapes first, as direct type tests (this runs once per expanded
+        # sweep cell), then eager name resolution: a malformed spec
+        # fails here, naming the key or enumerating what *is*
+        # registered, before any dispatch.
+        for key, block in (
+            ("graph", self.graph), ("dynamic", self.dynamic),
+            ("instance", self.instance), ("fault", self.fault),
+            ("timing", self.timing), ("engine", self.engine),
+        ):
+            if not isinstance(block, dict):
+                raise _wrong_type(key, "a mapping", block)
+        if self.config is not None and not isinstance(self.config, dict):
+            raise _wrong_type("config", "a mapping or null", self.config)
+        if type(self.seed) is not int:
+            raise _wrong_type("seed", "an integer", self.seed)
+        if type(self.max_rounds) is not int:
+            raise _wrong_type("max_rounds", "an integer", self.max_rounds)
         ALGORITHM_REGISTRY.get(self.algorithm)
         TOPOLOGY_REGISTRY.get(self.graph.get("family"))
         DYNAMICS_REGISTRY.get(self.dynamic.get("kind", "static"))
@@ -171,12 +188,23 @@ class RunSpec:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
             )
-        unknown = set(self.engine) - _ENGINE_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown engine keys {sorted(unknown)}; legal keys are "
-                f"{sorted(_ENGINE_KEYS)}"
-            )
+        if self.engine:
+            unknown = set(self.engine) - _ENGINE_KEYS
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown engine keys {sorted(unknown)}; legal keys are "
+                    f"{sorted(_ENGINE_KEYS)}"
+                )
+            for key, value in self.engine.items():
+                # Every knob but ``gauges`` is a count; only the record
+                # bound may be null (unbounded).
+                if key == "gauges" or (
+                    value is None and key == "trace_max_records"
+                ):
+                    continue
+                if type(value) is not int or value < 1:
+                    raise _wrong_type(f"engine.{key}", "an integer >= 1",
+                                      value)
         if self.telemetry is not None:
             if not isinstance(self.telemetry, dict):
                 raise ConfigurationError(
@@ -190,6 +218,35 @@ class RunSpec:
                     f"unknown telemetry keys {sorted(unknown)}; legal keys "
                     f"are {sorted(_TELEMETRY_KEYS)}"
                 )
+            # open() takes an integer as a file descriptor: a stream
+            # that is not a path would write into whatever owns it.
+            stream = self.telemetry.get("stream")
+            if stream is not None and not isinstance(stream, str):
+                raise _wrong_type("telemetry.stream", "a path string", stream)
+
+    def materialize(self) -> dict:
+        """:func:`~repro.core.runner.run_gossip`'s keyword arguments for
+        this spec — the one place a run description becomes objects.
+
+        Builds the dynamic graph, the instance (sized by the graph), the
+        config, and the fault and timing models (``None`` for the null
+        kinds); ``telemetry`` passes through as its spec dict.  Engine
+        knobs are not here: each caller states its own strides.
+        """
+        dynamic_graph = build_dynamic_graph(self.graph, self.dynamic,
+                                            self.seed)
+        n = dynamic_graph.n
+        return {
+            "algorithm": self.algorithm,
+            "dynamic_graph": dynamic_graph,
+            "instance": build_instance(self.instance, n, self.seed),
+            "seed": self.seed,
+            "max_rounds": self.max_rounds,
+            "config": build_config(self.algorithm, self.config),
+            "fault": build_fault(self.fault, n, self.seed),
+            "timing": build_timing(self.timing, n, self.seed),
+            "telemetry": self.telemetry,
+        }
 
     def to_payload(self) -> dict:
         """The JSON-able dict form (what workers and the cache see)."""
@@ -209,26 +266,36 @@ class RunSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RunSpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - fields
+        unknown = set(payload) - _RUN_SPEC_KEYS
         if unknown:
             raise ConfigurationError(f"unknown run-spec keys {sorted(unknown)}")
+        missing = _RUN_SPEC_REQUIRED - set(payload)
+        if missing:
+            raise ConfigurationError(
+                f"run spec is missing required keys {sorted(missing)}"
+            )
         return cls(**_deep_copy_jsonable(payload))
 
     def spec_hash(self) -> str:
         return run_hash(self.to_payload())
 
 
+_RUN_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(RunSpec))
+_RUN_SPEC_REQUIRED = frozenset({"algorithm", "graph", "seed", "max_rounds"})
+
+
+def _wrong_type(key: str, expected: str, value) -> ConfigurationError:
+    return ConfigurationError(
+        f"run-spec key {key!r} must be {expected}, got {value!r}"
+    )
+
+
 def build_topology(graph_spec: dict) -> Topology:
     """Instantiate the named topology family from its params dict."""
-    defn = TOPOLOGY_REGISTRY.get(graph_spec.get("family"))
-    params = graph_spec.get("params", {})
-    try:
-        return defn.factory(**params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad params for topology family {defn.name!r}: {exc}"
-        ) from exc
+    return TOPOLOGY_REGISTRY.invoke(
+        graph_spec.get("family"), "factory",
+        params=graph_spec.get("params", {}),
+    )
 
 
 @dataclass(frozen=True)
@@ -261,64 +328,23 @@ def build_dynamic_graph(
     """
     defn = DYNAMICS_REGISTRY.get(dynamic_spec.get("kind", "static"))
     family = TOPOLOGY_REGISTRY.get(graph_spec.get("family"))
-    params = {key: value for key, value in dynamic_spec.items()
-              if key != "kind"}
+    graph_params = graph_spec.get("params", {})
     if family.build_dynamic is not None and defn.name == "static":
-        graph_params = graph_spec.get("params", {})
-        try:
-            return family.build_dynamic(**graph_params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad params for topology family {family.name!r}: {exc}"
-            ) from exc
-    if defn.topology_free and isinstance(
-        graph_spec.get("params", {}).get("n"), int
-    ):
-        topo = _SizeOnlyTopology(n=graph_spec["params"]["n"])
+        return TOPOLOGY_REGISTRY.invoke(
+            family.name, "build_dynamic", params=graph_params
+        )
+    if (defn.topology_free and isinstance(graph_params, dict)
+            and isinstance(graph_params.get("n"), int)):
+        topo = _SizeOnlyTopology(n=graph_params["n"])
     else:
         topo = build_topology(graph_spec)
-    try:
-        return defn.build(topo, seed, **params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad params for dynamics kind {defn.name!r}: {exc}"
-        ) from exc
+    return DYNAMICS_REGISTRY.build(dynamic_spec, topo, seed,
+                                   default="static")
 
 
 def build_instance(instance_spec: dict, n: int, seed: int) -> GossipInstance:
     """Build the gossip instance a run spec describes (n from the graph)."""
-    defn = INSTANCE_REGISTRY.get(instance_spec.get("kind", "uniform"))
-    params = {key: value for key, value in instance_spec.items()
-              if key != "kind"}
-    try:
-        return defn.build(n, seed, **params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad params for instance kind {defn.name!r}: {exc}"
-        ) from exc
-
-
-def build_fault(fault_spec: dict | None, n: int, seed: int):
-    """Build the fault model a run spec describes (``n`` from the graph).
-
-    Returns ``None`` for the clean model (kind ``"none"``).  Delegates to
-    the one shared constructor in :mod:`repro.sim.faults`.
-    """
-    from repro.sim.faults import build_fault as build_fault_model
-
-    return build_fault_model(fault_spec, n, seed)
-
-
-def build_timing(timing_spec: dict | None, n: int, seed: int):
-    """Build the timing model a run spec describes (``n`` from the graph).
-
-    Returns ``None`` for the synchronous null model (the run stays on the
-    round engine).  Delegates to the one shared constructor in
-    :mod:`repro.asynchrony.timing`.
-    """
-    from repro.asynchrony.timing import build_timing as build_timing_model
-
-    return build_timing_model(timing_spec, n, seed)
+    return INSTANCE_REGISTRY.build(instance_spec, n, seed, default="uniform")
 
 
 def build_config(algorithm: str, config_spec: dict | None):
@@ -327,8 +353,6 @@ def build_config(algorithm: str, config_spec: dict | None):
     if config_spec is None:
         return None
     spec = dict(config_spec)
-    for key in defn.config_extra_keys:  # run parameters, not config fields
-        spec.pop(key, None)
     cls = defn.config_class
     if cls is None:
         if spec:

@@ -133,15 +133,6 @@ def record_run(
             "instance: the replay must rebuild the model from scratch so "
             "the recording's consumed streams cannot leak into it"
         )
-    fault_model = (
-        build_fault(
-            {"kind": fault} if isinstance(fault, str) else fault,
-            instance.n,
-            seed,
-        )
-        if fault is not None
-        else None
-    )
     nodes = build_nodes(algorithm, instance, seed, config)
     sim = RecordingSimulation(
         dynamic_graph=_graph_of(graph_source),
@@ -152,7 +143,7 @@ def record_run(
         acceptance=acceptance,
         acceptance_streams="local",
         engine_mode=engine_mode,
-        faults=fault_model,
+        faults=build_fault(fault, instance.n, seed),
     )
     result = sim.run(
         max_rounds=max_rounds,

@@ -121,17 +121,6 @@ class NetRunReport:
         return self.degraded_rounds > 0 or bool(self.suspects)
 
 
-def _materialize_fault(fault, n: int, seed: int):
-    """Accept a FaultModel, a registered name, a spec dict, or None."""
-    if fault is None:
-        return None
-    if isinstance(fault, str):
-        fault = {"kind": fault}
-    if isinstance(fault, dict):
-        return build_fault(fault, n, seed)
-    return None if fault.is_null else fault
-
-
 class Coordinator:
     """Boot a live cluster and drive rounds over real sockets.
 
@@ -200,8 +189,8 @@ class Coordinator:
             config = defn.make_config()
         self.config = config
         self.acceptance = acceptance
-        self.faults = _materialize_fault(fault, dynamic_graph.n, seed)
-        chaos_fault = _materialize_fault(chaos, dynamic_graph.n, seed)
+        self.faults = build_fault(fault, dynamic_graph.n, seed)
+        chaos_fault = build_fault(chaos, dynamic_graph.n, seed)
         if self.faults is not None and chaos_fault is not None:
             raise ConfigurationError(
                 "fault= and chaos= are mutually exclusive: the same "

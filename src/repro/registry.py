@@ -16,7 +16,14 @@ Model requirements live in the declaration, not in scattered checks:
 ``AlgorithmDef.requires_stable_topology`` is the single statement of
 CrowdedBin's τ = ∞ assumption — ``run_gossip`` enforces it, the sweep
 normalization pass substitutes for it, and ``repro-gossip list`` prints
-it, all from the same field.
+it, all from the same field.  ``AlgorithmDef.goal`` is the single
+statement of what "solved" means when it is not plain gossip (§7's
+ε-gossip is SharedBit's nodes run toward a weaker goal).
+
+A spec value becomes an object here too: :meth:`Registry.build` is the
+one "strip ``kind``, call the definition, report bad params" block and
+:meth:`Registry.resolve` the one "``None``, name, dict or built model"
+decision (behind ``build_fault`` and ``build_timing``).
 
 Third-party extension needs no edits to repro itself::
 
@@ -149,12 +156,13 @@ class AlgorithmDef:
     callable on the config for algorithms whose ``b`` is a tunable
     (MultiBit).  ``requires_stable_topology`` is the declarative home of
     τ = ∞ model assumptions (CrowdedBin): ``run_gossip`` rejects, sweeps
-    substitute-and-note, the CLI prints it.  ``config_extra_keys`` names
-    config-spec keys that are run parameters rather than config fields
-    (ε-gossip's ``"epsilon"``).  Experiments-layer-only algorithms set
-    ``execute`` instead of ``build_nodes``: a callable
-    ``execute(spec, dynamic_graph, config) -> record`` that owns the
-    whole run (ε-gossip's coverage-fraction harness).
+    substitute-and-note, the CLI prints it.  ``goal(instance, config)``
+    returns the run's termination condition (and rejects instances the
+    goal is not defined on); ``None`` is plain gossip — every node holds
+    all k tokens.  A condition with a ``report(nodes) -> dict`` method
+    adds those keys to the run record (ε-gossip's ``core_size``).
+    Goal-carrying algorithms run everywhere a name is accepted but stay
+    out of the ``ALGORITHMS`` view, which means "solves plain gossip".
     """
 
     name: str
@@ -163,13 +171,7 @@ class AlgorithmDef:
     build_nodes: Callable[[NodeBuildContext], dict] | None = None
     tag_length: int | Callable[[Any], int] = 1
     requires_stable_topology: bool = False
-    config_extra_keys: tuple = ()
-    execute: Callable | None = None
-
-    @property
-    def runnable(self) -> bool:
-        """Whether :func:`repro.core.runner.run_gossip` can run it."""
-        return self.build_nodes is not None
+    goal: Callable[[Any, Any], Callable] | None = None
 
     def make_config(self):
         return self.config_class() if self.config_class is not None else None
@@ -346,9 +348,10 @@ class Registry:
                 del self._defs[defn.name]
 
     def find(self, name):
-        """The definition, or ``None`` — never raises on unknown names."""
+        """The definition, or ``None`` — never raises on unknown names
+        (a name that is not a string is unknown, not a ``TypeError``)."""
         ensure_builtins()
-        return self._defs.get(name)
+        return self._defs.get(name) if isinstance(name, str) else None
 
     def get(self, name):
         """The definition; unknown names raise with the registered set."""
@@ -383,6 +386,39 @@ class Registry:
 
     def __repr__(self) -> str:
         return f"Registry({self.kind}, {len(self._defs)} registered)"
+
+    def invoke(self, name, field: str, *args, params: Mapping):
+        """Call ``field(*args, **params)`` of definition ``name``;
+        parameters it does not take are a :class:`ConfigurationError`
+        naming it."""
+        defn = self.get(name)
+        try:
+            return getattr(defn, field)(*args, **params)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad params for {self.kind} {defn.name!r}: {exc}"
+            ) from exc
+
+    def build(self, spec: Mapping, *args, default=None):
+        """``build(*args, **params)`` of the definition a
+        ``{"kind": name, **params}`` spec names (``default`` is the kind
+        when the key is absent)."""
+        params = dict(spec)
+        return self.invoke(params.pop("kind", default), "build", *args,
+                           params=params)
+
+    def resolve(self, model, *args, default: str):
+        """The model for ``None``, a registered name, a ``{"kind": ...,
+        **params}`` dict (both built with leading ``args``) or a built
+        model.  The null model — ``None``, kind ``default``, ``is_null``
+        set — comes back as ``None``, ready to hand to an engine."""
+        if model is None:
+            return None
+        if isinstance(model, str):
+            model = {"kind": model}
+        if isinstance(model, Mapping):
+            model = self.build(model, *args, default=default)
+        return None if model.is_null else model
 
 
 class RegistryNames(Sequence):
@@ -483,21 +519,14 @@ def register_algorithm(
     config_class: type | None = None,
     tag_length: int | Callable[[Any], int] = 1,
     requires_stable_topology: bool = False,
-    config_extra_keys: tuple = (),
-    experiment_only: bool = False,
+    goal: Callable[[Any, Any], Callable] | None = None,
 ):
-    """Decorator registering an :class:`AlgorithmDef`.
-
-    Decorates the node builder (``fn(ctx) -> {vertex: node}``) — or, with
-    ``experiment_only=True``, the experiments-layer executor
-    (``fn(spec, dynamic_graph, config) -> record``).
-    """
+    """Decorator registering an :class:`AlgorithmDef` around its node
+    builder (``fn(ctx) -> {vertex: node}``)."""
     return _registrar(
-        ALGORITHM_REGISTRY, AlgorithmDef,
-        "execute" if experiment_only else "build_nodes", name, description,
+        ALGORITHM_REGISTRY, AlgorithmDef, "build_nodes", name, description,
         config_class=config_class, tag_length=tag_length,
-        requires_stable_topology=requires_stable_topology,
-        config_extra_keys=tuple(config_extra_keys),
+        requires_stable_topology=requires_stable_topology, goal=goal,
     )
 
 

@@ -49,24 +49,16 @@ __all__ = [
 ]
 
 
-def build_fault(spec: dict | None, n: int, seed: int) -> "FaultModel | None":
-    """Build a fault model from a ``{"kind": ..., **params}`` spec dict.
+def build_fault(fault, n: int, seed: int) -> "FaultModel | None":
+    """The fault model for ``None``, a registered name (default
+    parameters), a ``{"kind": ..., **params}`` dict, or a built model.
 
-    The one constructor every layer shares (``run_gossip``, the
-    experiments builders, the CLI).  ``None`` or kind ``"none"`` returns
-    ``None`` — the clean model — so callers hand the result straight to
-    :class:`~repro.sim.engine.Simulation` without special-casing.
+    The one resolver every layer shares (``run_gossip``, ``RunSpec``, the
+    live coordinator).  The clean model — ``None``, kind ``"none"``, a
+    :class:`NoFaults` — returns ``None``, so callers hand the result
+    straight to :class:`~repro.sim.engine.Simulation`.
     """
-    spec = spec or {}
-    defn = FAULT_REGISTRY.get(spec.get("kind", "none"))
-    params = {key: value for key, value in spec.items() if key != "kind"}
-    try:
-        model = defn.build(n, seed, **params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad params for fault model {defn.name!r}: {exc}"
-        ) from exc
-    return None if model.is_null else model
+    return FAULT_REGISTRY.resolve(fault, n, seed, default="none")
 
 
 class FaultModel:

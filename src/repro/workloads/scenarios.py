@@ -67,6 +67,13 @@ class Scenario:
     timing: TimingModel | None = None
 
 
+def _scenario(name: str, **fields) -> Scenario:
+    """The :class:`Scenario` registered as ``name``: its name and
+    description are read from the registration, where they are written."""
+    defn = SCENARIO_REGISTRY.get(name)
+    return Scenario(name=defn.name, description=defn.description, **fields)
+
+
 @register_scenario(
     name="protest",
     description="mobile crowd, censored infrastructure, few sources",
@@ -86,9 +93,8 @@ def protest_scenario(n: int = 40, k: int = 5, seed: int = 0,
         n=n, radius=0.35, step=0.05, tau=tau, seed=seed
     )
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="protest",
-        description="mobile crowd, censored infrastructure, few sources",
+    return _scenario(
+        "protest",
         dynamic_graph=graph,
         instance=instance,
         recommended_algorithm="simsharedbit",
@@ -107,9 +113,8 @@ def festival_scenario(n: int = 48, k: int = 8, seed: int = 0) -> Scenario:
     """
     topo = expander(n=n, degree=6, seed=seed)
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="festival",
-        description="dense stable mesh, no infrastructure, several sources",
+    return _scenario(
+        "festival",
         dynamic_graph=StaticDynamicGraph(topo),
         instance=instance,
         recommended_algorithm="crowdedbin",
@@ -132,9 +137,8 @@ def disaster_scenario(n: int = 36, k: int = 3, seed: int = 0) -> Scenario:
     topo = grid(rows=rows, cols=cols)
     actual_n = topo.n
     instance = skewed_instance(n=actual_n, k=k, seed=seed, holders=1)
-    return Scenario(
-        name="disaster",
-        description="sparse grid mesh, one staging source with k messages",
+    return _scenario(
+        "disaster",
         dynamic_graph=StaticDynamicGraph(topo),
         instance=instance,
         recommended_algorithm="sharedbit",
@@ -154,9 +158,8 @@ def rural_mesh_scenario(n: int = 32, k: int = 4, seed: int = 0,
     """
     graph = PeriodicRewireGraph.resampled_gnp(n=n, p=0.2, tau=tau, seed=seed)
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="rural_mesh",
-        description="periodically rewired mesh, cellular-data-free gossip",
+    return _scenario(
+        "rural_mesh",
         dynamic_graph=graph,
         instance=instance,
         recommended_algorithm="sharedbit",
@@ -184,10 +187,8 @@ def subway_scenario(n: int = 36, k: int = 4, seed: int = 0,
         n=n, radius=0.35, step=0.06, tau=tau, seed=seed
     )
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="subway",
-        description="commuter churn: riders board and alight mid-gossip, "
-                    "phones crash and rejoin",
+    return _scenario(
+        "subway",
         dynamic_graph=graph,
         instance=instance,
         recommended_algorithm="sharedbit",
@@ -211,10 +212,8 @@ def protest_lossy_scenario(n: int = 40, k: int = 5, seed: int = 0,
     or congested spectrum at street level.
     """
     clean = protest_scenario(n=n, k=k, seed=seed, tau=tau)
-    return Scenario(
-        name="protest_lossy",
-        description="the protest crowd under interference: connections "
-                    "fail after acceptance",
+    return _scenario(
+        "protest_lossy",
         dynamic_graph=clean.dynamic_graph,
         instance=clean.instance,
         recommended_algorithm=clean.recommended_algorithm,
@@ -240,10 +239,8 @@ def festival_nightfall_scenario(n: int = 48, k: int = 8, seed: int = 0,
     recommendation moves to SharedBit, which tolerates sparse rounds.
     """
     clean = festival_scenario(n=n, k=k, seed=seed)
-    return Scenario(
-        name="festival_nightfall",
-        description="the festival mesh on overnight battery rations: "
-                    "duty-cycled radios",
+    return _scenario(
+        "festival_nightfall",
         dynamic_graph=clean.dynamic_graph,
         instance=clean.instance,
         recommended_algorithm="sharedbit",
@@ -269,10 +266,8 @@ def live_smoke_scenario(n: int = 8, k: int = 2, seed: int = 0) -> Scenario:
         raise ConfigurationError(f"live_smoke needs n >= 6, got {n}")
     topo = expander(n=n, degree=4, seed=seed)
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="live_smoke",
-        description="small stable expander sized for a loopback live "
-                    "deployment (repro-gossip serve / repro.net)",
+    return _scenario(
+        "live_smoke",
         dynamic_graph=StaticDynamicGraph(topo),
         instance=instance,
         recommended_algorithm="sharedbit",
@@ -304,10 +299,8 @@ def commute_mixed_devices_scenario(n: int = 36, k: int = 4, seed: int = 0,
         n=n, radius=0.35, step=0.05, tau=tau, seed=seed
     )
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="commute_mixed_devices",
-        description="rush-hour commuters with mismatched phones: slow "
-                    "and fast device classes on unsynchronized clocks",
+    return _scenario(
+        "commute_mixed_devices",
         dynamic_graph=graph,
         instance=instance,
         recommended_algorithm="sharedbit",
@@ -334,10 +327,8 @@ def stadium_desync_scenario(n: int = 48, k: int = 6, seed: int = 0,
     """
     topo = expander(n=n, degree=6, seed=seed)
     instance = uniform_instance(n=n, k=k, seed=seed)
-    return Scenario(
-        name="stadium_desync",
-        description="a stadium crowd on desynced, stalling clocks and "
-                    "battery-saving radios: bursty timing + sleep cycling",
+    return _scenario(
+        "stadium_desync",
         dynamic_graph=StaticDynamicGraph(topo),
         instance=instance,
         recommended_algorithm="sharedbit",

@@ -643,26 +643,6 @@ class TestSpecsAndSweeps:
         record = execute_run(RunSpec(seed=1, **self.BASE))
         assert "events" not in record
 
-    @pytest.mark.parametrize("timing", [
-        {"kind": "jitter"},
-        {"kind": "heterogeneous"},
-        {"kind": "bursty"},
-    ])
-    def test_epsilon_executor_rejects_async_timing(self, timing):
-        # Epsilon's guarantee is stated against the synchronous round
-        # structure; every non-null timing kind must be refused.
-        spec = RunSpec(
-            algorithm="epsilon",
-            graph={"family": "expander",
-                   "params": {"n": 16, "degree": 4, "seed": 1}},
-            instance={"kind": "everyone"},
-            config={"epsilon": 0.5},
-            timing=timing,
-            seed=1, max_rounds=50_000,
-        )
-        with pytest.raises(ConfigurationError, match="asynchronous"):
-            execute_run(spec)
-
     def test_timing_sweep_jobs_parallel_identical(self):
         sweep = SweepSpec(
             name="async-axis",

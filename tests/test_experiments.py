@@ -503,3 +503,35 @@ class TestCli:
             line for line in out.splitlines() if "crowdedbin" in line
         )
         assert "inf" in crowded_row
+
+
+class TestMalformedPayloads:
+    """A malformed run payload is a ``ConfigurationError`` naming the key
+    — never an ``AttributeError`` / ``TypeError`` / ``ValueError`` from
+    wherever the bad value happened to be used first."""
+
+    @pytest.mark.parametrize("patch, named", [
+        ({"graph": "star"}, "'graph'"),
+        ({"dynamic": []}, "'dynamic'"),
+        ({"engine": ["gauges"]}, "'engine'"),
+        ({"fault": "sleep"}, "'fault'"),
+        ({"max_rounds": "10"}, "'max_rounds'"),
+        ({"seed": None}, "'seed'"),
+        ({"config": [1]}, "'config'"),
+        ({"engine": {"trace_sample_every": 0}},
+         "'engine.trace_sample_every'"),
+        # open() would take the integer as file descriptor 5.
+        ({"telemetry": {"enabled": True, "stream": 5}},
+         "'telemetry.stream'"),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_names_the_key(self, patch, named):
+        payload = {**tiny_base(), "seed": 1, **patch}
+        if payload["seed"] is None:  # the missing-key case
+            del payload["seed"]
+        for entry in (execute_run, RunSpec.from_payload):
+            with pytest.raises(ConfigurationError, match=named):
+                entry(dict(payload))
+
+    def test_normalization_passes_a_malformed_dynamic_through(self):
+        payload = dict(tiny_base("crowdedbin"), seed=1, dynamic="static")
+        assert normalize_payload(payload) == (payload, [])

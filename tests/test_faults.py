@@ -367,17 +367,6 @@ class TestSweepDeterminism:
         assert record["solved"]
         assert record["dropped_connections"] > 0
 
-    def test_execute_hook_algorithms_reject_faults(self):
-        with pytest.raises(ConfigurationError, match="fault"):
-            execute_run({
-                "algorithm": "epsilon",
-                "graph": {"family": "cycle", "params": {"n": 10}},
-                "fault": {"kind": "lossy"},
-                "config": {"epsilon": 0.5},
-                "seed": 1,
-                "max_rounds": 10_000,
-            })
-
     def test_fault_block_round_trips_and_hashes(self):
         sweep = self._sweep()
         payload = sweep.runs()[0][3]

@@ -29,7 +29,8 @@ from repro.registry import (
 )
 from repro.sim.channel import Channel, ChannelPolicy
 
-TRANSFER_ALGORITHMS = ("blindmatch", "sharedbit", "simsharedbit", "multibit")
+TRANSFER_ALGORITHMS = ("blindmatch", "sharedbit", "simsharedbit", "multibit",
+                       "epsilon")
 
 
 class TestOneMachinePerPopulation:

@@ -169,3 +169,41 @@ def test_sharedbit_solves_random_small_instances(seed):
     )
     assert result.solved
     assert result.residual_potential == 0
+
+
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1, 1),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(4, 8),
+    key=st.sampled_from([
+        "algorithm", "graph", "dynamic", "instance", "fault", "timing",
+        "config", "engine", "telemetry", "seed", "max_rounds",
+    ]),
+    value=WRONG_TYPES,
+)
+def test_run_payload_with_one_mistyped_block(n, key, value):
+    """Any one block of a valid run payload replaced by some other JSON
+    value either still runs or is a ``ConfigurationError`` — no other
+    traceback escapes ``execute_run``."""
+    from repro.errors import ConfigurationError
+    from repro.experiments import execute_run
+
+    payload = {
+        "algorithm": "sharedbit",
+        "graph": {"family": "cycle", "params": {"n": n}},
+        "instance": {"kind": "uniform", "k": 2},
+        "seed": 3,
+        "max_rounds": 30,
+        key: value,
+    }
+    try:
+        record = execute_run(payload)
+    except ConfigurationError:
+        return
+    assert record["rounds"] <= 30

@@ -147,11 +147,6 @@ class TestDefinitionMetadata:
         with pytest.raises(KeyError):
             TOPOLOGY_FAMILIES["test_shape"]
 
-    def test_build_nodes_rejects_experiment_only(self):
-        inst = uniform_instance(n=6, k=1, seed=0)
-        with pytest.raises(ConfigurationError, match="experiments"):
-            build_nodes("epsilon", inst, seed=1)
-
 
 class TestSyntheticAlgorithmEndToEnd:
     def test_run_gossip_matches_sharedbit(self, echo_algorithm):
