@@ -171,17 +171,6 @@ class AsyncSimulation(Simulation):
             )
         self.timing = timing
         self.async_mode = async_mode
-        # Fault clock conversion: a clock="virtual" model keys its
-        # decisions off the global round window (ticks // TPR) instead
-        # of each node's local cycle, so one fault spec describes the
-        # same wall-clock outage schedule here, on the round engine, and
-        # on a live repro.net cluster.  Under Synchronous timing (and
-        # any timing whose cycle c fires within window c, e.g. jitter
-        # < 1) window index == local cycle, so the two clocks coincide
-        # and the identity gates are unaffected.
-        self._fault_virtual = (
-            self._fault_active and self.faults.clock == "virtual"
-        )
         ops = window_hooks(self._nodes) if async_mode != "event" else None
         if async_mode == "batched" and ops is None:
             raise ConfigurationError(
@@ -382,7 +371,7 @@ class AsyncSimulation(Simulation):
         collapses to ``None``), memoized for the window."""
         masks = self._window_masks
         if index not in masks:
-            masks[index] = self._activity_mask(index)
+            masks[index] = self._reader.mask(index)
         return masks[index]
 
     def _row(self, vertex: int, cycle: int):
@@ -392,7 +381,7 @@ class AsyncSimulation(Simulation):
         clock: an inactive member sees nobody, an active one only its
         awake neighbours."""
         snapshot = self._window_bound
-        if self._fault_active:
+        if self._reader.active:
             index = cycle if self._fault_round is None else self._fault_round
             snapshots = self._window_snapshots
             if index not in snapshots:
@@ -480,7 +469,15 @@ class AsyncSimulation(Simulation):
         self._window_bound = self._bound_csr(topo_round)
         self._window_masks = {}
         self._window_snapshots = {}
-        self._fault_round = topo_round if self._fault_virtual else None
+        # Fault clock conversion: a clock="virtual" model keys its
+        # decisions off the global round window (ticks // TPR) instead
+        # of each node's local cycle, so one fault spec describes the
+        # same wall-clock outage schedule here, on the round engine, and
+        # on a live repro.net cluster.  Under Synchronous timing (and
+        # any timing whose cycle c fires within window c, e.g. jitter
+        # < 1) window index == local cycle, so the two clocks coincide
+        # and the identity gates are unaffected.
+        self._fault_round = topo_round if self._reader.virtual else None
 
         # Cohort boundaries: bounds[c]:bounds[c+1] slices cohort c.
         change = np.empty(total, dtype=bool)
@@ -506,8 +503,8 @@ class AsyncSimulation(Simulation):
         # cycle, or — for clock="virtual" models — the shared round
         # window, collapsing the whole window to one mask lookup).
         active_flags = np.ones(total, dtype=bool)
-        if self._fault_active:
-            if self._fault_virtual:
+        if self._reader.active:
+            if self._reader.virtual:
                 fault_cycles = np.full(total, topo_round, dtype=np.int64)
             else:
                 fault_cycles = cycles
@@ -530,7 +527,7 @@ class AsyncSimulation(Simulation):
                 pending_reset[pos] = reset
                 heapq.heappush(pending_heap, pos)
 
-        if self._fault_active and self.faults.resets_state:
+        if self._reader.resets_state:
             # Crash resets, known upfront.  Each member is judged against
             # its node's activity one cycle earlier: the last window's,
             # or — a fast clock activating twice in this window — what
@@ -545,7 +542,7 @@ class AsyncSimulation(Simulation):
                     active_flags[by_vertex[again]]
             for cycle in distinct_cycles:
                 sel = np.nonzero(fault_cycles == cycle)[0]
-                crashed = self._crashed(
+                crashed = self._reader.crashed(
                     cycle, self._mask_at(cycle), vertices[sel],
                     was_active[sel],
                 )
@@ -708,7 +705,7 @@ class AsyncSimulation(Simulation):
 
         self._accumulate(
             int(ticks[-1]), *window_stats,
-            total if not self._fault_active else int(active_flags.sum()),
+            total if not self._reader.active else int(active_flags.sum()),
             total,
         )
 
@@ -756,7 +753,7 @@ class AsyncSimulation(Simulation):
         matches = resolve_proposals(
             proposals, self._cohort_streams(ticks), rule=self.acceptance
         )
-        matches, dropped = self._drop_failed(
+        matches, doomed = self._reader.split(
             self._fault_round, matches, cycle_of_uid
         )
         tokens, bits = self._stage3(None, matches, cycle_of_uid)
@@ -764,7 +761,7 @@ class AsyncSimulation(Simulation):
         window_stats[1] += len(matches)
         window_stats[2] += tokens
         window_stats[3] += bits
-        window_stats[4] += dropped
+        window_stats[4] += len(doomed)
         # Endpoints changed state: their later activations this window
         # must be retagged.  (Marking after the whole cohort connected
         # is safe — nothing reads the marks before the next commit.)

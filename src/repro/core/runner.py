@@ -40,9 +40,10 @@ from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
 from repro.sim.trace import Trace
 from repro.telemetry import resolve_telemetry
+from repro.telemetry.profile import NULL_PROFILER
 
-__all__ = ["ALGORITHMS", "GossipRunResult", "build_nodes", "run_gossip",
-           "coverage_gauge", "potential_gauge"]
+__all__ = ["ALGORITHMS", "GossipRunResult", "PreparedRun", "build_nodes",
+           "prepare_run", "run_gossip", "coverage_gauge", "potential_gauge"]
 
 #: Algorithms that solve plain gossip — a live view over the registry
 #: (entries registered with their own ``goal``, like ε-gossip, are
@@ -129,6 +130,68 @@ def build_nodes(
             gc.enable()
 
 
+@dataclass(frozen=True)
+class PreparedRun:
+    """A run description resolved against the registry: what an executor
+    — either simulation engine or the live coordinator — is built from."""
+
+    config: object
+    b: int
+    channel_policy: ChannelPolicy
+    faults: object          # a sized non-null FaultModel, or None
+    nodes: Mapping[int, NodeProtocol]
+    termination: object     # the goal as a termination condition
+    goal: object            # the registration's own goal (None = gossip)
+
+
+def prepare_run(
+    algorithm: str,
+    dynamic_graph: DynamicGraph,
+    instance: GossipInstance,
+    seed: int,
+    config=None,
+    channel_policy: ChannelPolicy | None = None,
+    fault=None,
+    profiler=NULL_PROFILER,
+) -> PreparedRun:
+    """Resolve ``algorithm`` and its regime for one run, or raise
+    :class:`ConfigurationError`: sizes agree, the algorithm's model
+    requirements hold (``requires_stable_topology`` — CrowdedBin's
+    τ = ∞), the fault is built for this population, and the goal accepts
+    the instance.  The one preparation ``run_gossip``, the replay
+    bridge's recorder and the live coordinator share."""
+    defn = ALGORITHM_REGISTRY.get(algorithm)
+    if dynamic_graph.n != instance.n:
+        raise ConfigurationError(
+            f"graph has n={dynamic_graph.n} but instance has n={instance.n}"
+        )
+    if defn.requires_stable_topology and dynamic_graph.tau != TAU_INFINITY:
+        raise ConfigurationError(
+            f"{algorithm} assumes a stable topology (tau = infinity); got "
+            f"tau={dynamic_graph.tau}"
+        )
+    # Resolve the default config exactly once; build_nodes receives it
+    # already materialized.
+    if config is None:
+        config = defn.make_config()
+    termination = (
+        all_hold_tokens(instance.token_ids) if defn.goal is None
+        else defn.goal(instance, config)
+    )
+    with profiler.span("build.population"):
+        nodes = build_nodes(algorithm, instance, seed, config)
+    return PreparedRun(
+        config=config,
+        b=defn.resolve_tag_length(config),
+        channel_policy=channel_policy
+        or ChannelPolicy.for_upper_n(instance.upper_n),
+        faults=build_fault(fault, dynamic_graph.n, seed),
+        nodes=nodes,
+        termination=termination,
+        goal=defn.goal,
+    )
+
+
 def coverage_gauge(token_ids):
     """Gauge: (min, mean) coverage of the k tokens across nodes."""
     wanted = frozenset(token_ids)
@@ -170,8 +233,8 @@ def run_gossip(
 ) -> GossipRunResult:
     """Run ``algorithm`` on ``instance`` over ``dynamic_graph`` to completion.
 
-    Raises :class:`ConfigurationError` when the algorithm's declared model
-    requirements are violated (``requires_stable_topology`` on a changing
+    Raises :class:`ConfigurationError` when :func:`prepare_run` rejects
+    the description (e.g. ``requires_stable_topology`` on a changing
     topology — CrowdedBin's τ = ∞ assumption).
 
     The run ends when the algorithm's goal holds: every node knows all
@@ -212,36 +275,20 @@ def run_gossip(
     every trace byte-identical — telemetry draws zero randomness.  The
     result's :attr:`GossipRunResult.profile` carries the phase table.
     """
-    defn = ALGORITHM_REGISTRY.get(algorithm)
-    if dynamic_graph.n != instance.n:
-        raise ConfigurationError(
-            f"graph has n={dynamic_graph.n} but instance has n={instance.n}"
-        )
-    if defn.requires_stable_topology and dynamic_graph.tau != TAU_INFINITY:
-        raise ConfigurationError(
-            f"{algorithm} assumes a stable topology (tau = infinity); got "
-            f"tau={dynamic_graph.tau}"
-        )
-    # Resolve the default config exactly once; build_nodes receives it
-    # already materialized.
-    if config is None:
-        config = defn.make_config()
-    termination = (
-        all_hold_tokens(instance.token_ids) if defn.goal is None
-        else defn.goal(instance, config)
-    )
     telemetry = resolve_telemetry(telemetry)
-    with telemetry.profiler.span("build.population"):
-        nodes = build_nodes(algorithm, instance, seed, config)
+    prepared = prepare_run(
+        algorithm, dynamic_graph, instance, seed, config, channel_policy,
+        fault, telemetry.profiler,
+    )
+    nodes = prepared.nodes
     timing_model = build_timing(timing, dynamic_graph.n, seed)
     engine_kwargs = dict(
         dynamic_graph=dynamic_graph,
         protocols=nodes,
-        b=defn.resolve_tag_length(config),
+        b=prepared.b,
         seed=seed,
-        channel_policy=channel_policy
-        or ChannelPolicy.for_upper_n(instance.upper_n),
-        faults=build_fault(fault, dynamic_graph.n, seed),
+        channel_policy=prepared.channel_policy,
+        faults=prepared.faults,
         gauges=gauges,
         gauge_every=gauge_every,
         trace_sample_every=trace_sample_every,
@@ -257,8 +304,10 @@ def run_gossip(
         else:
             sim = AsyncSimulation(timing=timing_model, **engine_kwargs)
     with telemetry.profiler.span("run.total"):
-        result = sim.run(max_rounds=max_rounds, termination=termination)
-    report = getattr(termination, "report", None)
+        result = sim.run(
+            max_rounds=max_rounds, termination=prepared.termination
+        )
+    report = getattr(prepared.termination, "report", None)
     return GossipRunResult(
         algorithm=algorithm,
         rounds=result.rounds,

@@ -39,14 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.runner import build_nodes
+from repro.core.runner import prepare_run
 from repro.errors import ConfigurationError
 from repro.net.coordinator import Coordinator, NetRunReport
-from repro.registry import ALGORITHM_REGISTRY
-from repro.sim.channel import ChannelPolicy
 from repro.sim.engine import Simulation
-from repro.sim.faults import build_fault
-from repro.sim.termination import all_hold_tokens
 
 __all__ = [
     "RecordedRun",
@@ -124,34 +120,33 @@ def record_run(
     replay can rebuild it fresh); the recording then captures a faulty
     execution that ``replay(..., chaos=True)`` can re-enact physically.
     """
-    defn = ALGORITHM_REGISTRY.get(algorithm)
-    if config is None:
-        config = defn.make_config()
     if fault is not None and not isinstance(fault, (str, dict)):
         raise ConfigurationError(
             "record_run takes a fault *spec* (name or dict), not a model "
             "instance: the replay must rebuild the model from scratch so "
             "the recording's consumed streams cannot leak into it"
         )
-    nodes = build_nodes(algorithm, instance, seed, config)
+    dynamic_graph = _graph_of(graph_source)
+    prepared = prepare_run(
+        algorithm, dynamic_graph, instance, seed, config, fault=fault
+    )
     sim = RecordingSimulation(
-        dynamic_graph=_graph_of(graph_source),
-        protocols=nodes,
-        b=defn.resolve_tag_length(config),
+        dynamic_graph=dynamic_graph,
+        protocols=prepared.nodes,
+        b=prepared.b,
         seed=seed,
-        channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+        channel_policy=prepared.channel_policy,
         acceptance=acceptance,
         acceptance_streams="local",
         engine_mode=engine_mode,
-        faults=build_fault(fault, instance.n, seed),
+        faults=prepared.faults,
     )
     result = sim.run(
-        max_rounds=max_rounds,
-        termination=all_hold_tokens(instance.token_ids),
+        max_rounds=max_rounds, termination=prepared.termination
     )
     final_tokens = {
         node.uid: tuple(sorted(node.known_tokens))
-        for node in nodes.values()
+        for node in prepared.nodes.values()
     }
     return RecordedRun(
         algorithm=algorithm,
@@ -163,7 +158,7 @@ def record_run(
         acceptance=acceptance,
         instance=instance,
         graph_source=graph_source,
-        config=config,
+        config=prepared.config,
         fault=fault,
     )
 

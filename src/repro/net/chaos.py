@@ -19,8 +19,8 @@ How each fault family is enacted (chosen by the model's
     A node entering an outage has its TCP endpoint torn down
     SIGKILL-style (:meth:`PeerServer.kill` — no draining, in-flight
     requests fail at their callers); if the model resets state, the
-    node's tokens are reset through the same ``crashed_this_round``
-    schedule and vertex order the simulator uses.  When the outage ends
+    node's tokens are reset on the crash rule and in the vertex order
+    the simulator uses.  When the outage ends
     the server rebinds the *same* port (:meth:`PeerServer.revive`) and
     rejoins through the ordinary heartbeat / peer-table path.
 
@@ -39,6 +39,11 @@ How each fault family is enacted (chosen by the model's
     No physical enactment; the coordinator masks the node logically,
     as it does for plain ``fault=`` runs.
 
+Every decision — who is down at a fault index, who crashes there, which
+matches are doomed — is read through the model's
+:class:`~repro.sim.faults.FaultReader`, the simulator's own reader; this
+module only turns the answers into socket-level events.
+
 The coordinator *knows the plan*: chaos failures are scheduled, not
 discovered, so rounds proceed over the planned-active set exactly like
 the simulator's masked rounds.  Failures the plan does not cover (a
@@ -48,10 +53,10 @@ degradation machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.sim.faults import FaultModel
+from repro.sim.faults import FaultModel, FaultReader
 
 __all__ = ["ChaosModel", "ChaosRound"]
 
@@ -60,15 +65,11 @@ __all__ = ["ChaosModel", "ChaosRound"]
 class ChaosRound:
     """What one round of chaos did to the cluster, physically."""
 
-    #: Planned-active vertex indices (None = everyone), mirroring the
-    #: simulator's normalized ``active_mask``.
-    active: tuple[int, ...] | None
     killed: tuple[int, ...] = ()
     revived: tuple[int, ...] = ()
     slept: tuple[int, ...] = ()
     woke: tuple[int, ...] = ()
     reset: tuple[int, ...] = ()
-    interdicted: int = field(default=0, compare=False)
 
 
 class ChaosModel:
@@ -81,10 +82,12 @@ class ChaosModel:
                 "chaos instead of wrapping NoFaults"
             )
         self.fault = fault
+        self.reader = FaultReader(fault, fault.n)
         self.enactment = getattr(fault, "chaos_enactment", "mask")
         self._servers: list = []
         self._by_uid: dict[int, object] = {}
-        self._inactive: set[int] = set()
+        #: Vertices the plan holds down as of the last enacted round.
+        self.inactive: set[int] = set()
 
     def bind(self, servers) -> "ChaosModel":
         """Attach the cluster (vertex-ordered list of PeerServers)."""
@@ -95,7 +98,7 @@ class ChaosModel:
             )
         self._servers = list(servers)
         self._by_uid = {server.uid: server for server in self._servers}
-        self._inactive = set()
+        self.inactive = set()
         return self
 
     # -- per-round enactment ------------------------------------------
@@ -106,31 +109,25 @@ class ChaosModel:
         ``rnd`` is the coordinator round (for bookkeeping); the fault
         model is indexed by ``fault_round`` — the same clock-mapped
         index the simulator would pass.  Transitions are applied in
-        vertex order, and state resets use ``crashed_this_round`` (the
-        authoritative schedule) *before* the round's stages run —
-        mirroring ``Simulation._apply_crash_resets`` exactly.
+        vertex order, and crashing nodes are reset in-process (their
+        radio may already be down) *before* the round's stages run, as
+        in the simulator.
         """
-        mask = self.fault.active_mask(fault_round)
-        if mask is not None and bool(mask.all()):
-            mask = None  # the simulator's normalization
+        mask = self.reader.mask(fault_round)
         inactive_now = (
-            set() if mask is None
-            else {v for v in range(self.fault.n) if not mask[v]}
+            set() if mask is None else set((~mask).nonzero()[0].tolist())
         )
 
-        reset: list[int] = []
-        if self.fault.resets_state:
-            crashed = self.fault.crashed_this_round(fault_round)
-            if crashed is None:
-                crashed = sorted(inactive_now - self._inactive)
-            for vertex in crashed:
-                server = self._servers[int(vertex)]
-                server.handle({"op": "reset"})
-                reset.append(int(vertex))
+        reset = (
+            self.reader.crashes(fault_round, mask)
+            if self.reader.resets_state else []
+        )
+        for vertex in reset:
+            self._servers[vertex].handle({"op": "reset"})
 
         killed, revived, slept, woke = [], [], [], []
-        going_down = sorted(inactive_now - self._inactive)
-        coming_up = sorted(self._inactive - inactive_now)
+        going_down = sorted(inactive_now - self.inactive)
+        coming_up = sorted(self.inactive - inactive_now)
         if self.enactment == "kill":
             for vertex in going_down:
                 self._servers[vertex].kill()
@@ -147,14 +144,9 @@ class ChaosModel:
                 woke.append(vertex)
         # "drop"/"mask": nothing endpoint-level per round; drops are
         # installed per match via interdict().
-        self._inactive = inactive_now
+        self.inactive = inactive_now
 
-        active = (
-            None if mask is None
-            else tuple(v for v in range(self.fault.n) if mask[v])
-        )
         return ChaosRound(
-            active=active,
             killed=tuple(killed),
             revived=tuple(revived),
             slept=tuple(slept),
@@ -165,23 +157,16 @@ class ChaosModel:
     def interdict(self, rnd: int, fault_round: int, matches) -> int:
         """Install socket-level drops for this round's doomed matches.
 
-        ``matches`` is an iterable of resolved ``(initiator_uid,
-        responder_uid)`` pairs — UIDs, matching the key the simulator
-        passes to ``drop_connection``.  For each match the fault model
-        dooms (the same pure draw the simulator makes), the responder's
-        server is told to fail that initiator's Stage-3 state pull.
-        Returns how many matches were interdicted.
+        ``matches`` is a list of resolved ``(initiator_uid,
+        responder_uid)`` pairs.  For each match the reader dooms (the
+        same pure draw the simulator makes), the responder's server is
+        told to fail that initiator's Stage-3 state pull.  Returns how
+        many matches were interdicted.
         """
-        count = 0
-        for initiator_uid, responder_uid in matches:
-            if self.fault.drop_connection(
-                fault_round, int(initiator_uid), int(responder_uid)
-            ):
-                self._by_uid[int(responder_uid)].interdict(
-                    rnd, int(initiator_uid)
-                )
-                count += 1
-        return count
+        _, doomed = self.reader.split(fault_round, matches)
+        for initiator_uid, responder_uid in doomed:
+            self._by_uid[responder_uid].interdict(rnd, initiator_uid)
+        return len(doomed)
 
     def restore(self) -> None:
         """End-of-run cleanup: wake sleepers, revive the killed.
@@ -190,13 +175,13 @@ class ChaosModel:
         state over the wire (the simulator's final state also includes
         currently-crashed vertices — their storage, not their radio).
         """
-        for vertex in sorted(self._inactive):
+        for vertex in sorted(self.inactive):
             server = self._servers[vertex]
             if self.enactment == "kill" and server.dead:
                 server.revive()
             elif self.enactment == "sleep":
                 server.asleep = False
-        self._inactive = set()
+        self.inactive = set()
 
     def __repr__(self) -> str:
         return (

@@ -9,6 +9,13 @@ request/response messages, and acceptance is enforced by the proposee
 (see ``PeerServer._op_resolve``) exactly as
 :func:`repro.sim.matching.resolve_proposals` does.
 
+The coordinator drives rounds; it does not decide them.  Who is awake,
+who crashes and which accepted connections survive are read through the
+fault layer's :class:`~repro.sim.faults.FaultReader` (DESIGN.md §6), the
+run is resolved by :func:`~repro.core.runner.prepare_run`, and every
+peer is addressed through :meth:`Coordinator._reach`; what is left here
+is I/O.
+
 The coordinator never holds a node lock — all protocol state lives
 behind the servers and moves over the wire.  Connects run concurrently
 (matches are node-disjoint, so no two touch one node) on one worker
@@ -33,14 +40,11 @@ Robustness (the chaos-hardening layer):
   :class:`~repro.net.chaos.ChaosModel`: the same seeded fault schedule
   the simulator would mask is enacted *physically* (killed endpoints,
   sleeping radios, interdicted handshakes).  Chaos failures are
-  planned, so the coordinator masks them logically exactly like the
-  simulator — inactive vertices still run their hooks (via in-process
-  dispatch, since their sockets are genuinely down) against empty
-  neighborhoods, preserving per-node stream parity; matches the fault
-  model dooms are not pre-dropped but *interdicted* and then really
-  attempted, the resulting transport failures classified as dropped
-  connections.  Unplanned failures still flow through the suspect
-  machinery.
+  planned, so rounds proceed over the planned-active set like the
+  simulator's masked rounds (a planned-down node is served in-process);
+  doomed matches are not pre-dropped but *interdicted* and then really
+  attempted, the transport failures classified as dropped connections.
+  Unplanned failures still flow through the suspect machinery.
 """
 
 from __future__ import annotations
@@ -49,10 +53,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.runner import build_nodes
+from repro.core.runner import prepare_run
 from repro.errors import ConfigurationError
-from repro.graphs.dynamic import TAU_INFINITY
-from repro.net.chaos import ChaosModel
+from repro.net.chaos import ChaosModel, ChaosRound
 from repro.net.errors import (
     DEFAULT_REQUEST_TIMEOUT,
     DEFAULT_RETRY_POLICY,
@@ -63,10 +66,10 @@ from repro.net.errors import (
 from repro.net.framing import close_pooled, request
 from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
-from repro.registry import ALGORITHM_REGISTRY, register_transport
+from repro.registry import register_transport
 from repro.rng import SeedTree
 from repro.sim.channel import ChannelPolicy
-from repro.sim.faults import build_fault
+from repro.sim.faults import FaultReader, build_fault
 
 __all__ = ["Coordinator", "NetRunReport", "deploy_run"]
 
@@ -170,25 +173,6 @@ class Coordinator:
         connect_workers: int = 8,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
-        defn = ALGORITHM_REGISTRY.get(algorithm)
-        if dynamic_graph.n != instance.n:
-            raise ConfigurationError(
-                f"graph has n={dynamic_graph.n} but instance has "
-                f"n={instance.n}"
-            )
-        if defn.requires_stable_topology and dynamic_graph.tau != TAU_INFINITY:
-            raise ConfigurationError(
-                f"{algorithm} assumes a stable topology (tau = infinity); "
-                f"got tau={dynamic_graph.tau}"
-            )
-        self.algorithm = algorithm
-        self.dynamic_graph = dynamic_graph
-        self.instance = instance
-        self.seed = seed
-        if config is None:
-            config = defn.make_config()
-        self.config = config
-        self.acceptance = acceptance
         self.faults = build_fault(fault, dynamic_graph.n, seed)
         chaos_fault = build_fault(chaos, dynamic_graph.n, seed)
         if self.faults is not None and chaos_fault is not None:
@@ -197,6 +181,22 @@ class Coordinator:
                 "schedule is either masked logically or enacted "
                 "physically, not both"
             )
+        prepared = prepare_run(
+            algorithm, dynamic_graph, instance, seed, config, channel_policy
+        )
+        if prepared.goal is not None:
+            raise ConfigurationError(
+                f"{algorithm} runs toward its own goal "
+                f"({prepared.goal.__name__}), which reads node objects; a "
+                "live cluster's termination check reads token snapshots "
+                "over the wire and can only decide plain gossip"
+            )
+        self.algorithm = algorithm
+        self.dynamic_graph = dynamic_graph
+        self.instance = instance
+        self.seed = seed
+        self.config = prepared.config
+        self.acceptance = acceptance
         self.heartbeat_every = heartbeat_every
         self.heartbeat_max_age = heartbeat_max_age
         self.round_duration = round_duration
@@ -207,11 +207,6 @@ class Coordinator:
         self._retry_rng = (
             SeedTree(seed).child("net").stream("retry", "coordinator")
         )
-        policy = channel_policy or ChannelPolicy.for_upper_n(
-            instance.upper_n
-        )
-        b = defn.resolve_tag_length(config)
-        nodes = build_nodes(algorithm, instance, seed, config)
         # Stage-3 workers, kept for the coordinator's lifetime (an
         # executor spawns its threads lazily, on first submit).
         self._connect_pool = ThreadPoolExecutor(max(1, connect_workers))
@@ -220,13 +215,13 @@ class Coordinator:
         try:
             for vertex in range(instance.n):
                 self.servers[vertex] = PeerServer(
-                    nodes[vertex],
+                    prepared.nodes[vertex],
                     uid=instance.uid_of(vertex),
                     vertex=vertex,
                     seed=seed,
-                    b=b,
+                    b=prepared.b,
                     acceptance=acceptance,
-                    channel_policy=policy,
+                    channel_policy=prepared.channel_policy,
                     host=host,
                     request_timeout=request_timeout,
                     retry=retry,
@@ -244,6 +239,13 @@ class Coordinator:
         self._by_uid = {
             server.uid: server for server in self.servers.values()
         }
+        # The schedule's reader: the chaos model's own when the schedule
+        # is enacted physically (then only its clock is read here).
+        self._reader = (
+            FaultReader(self.faults, instance.n) if self.chaos is None
+            else self.chaos.reader
+        )
+        self._round = 0     # the round being driven
         self.trace = NetTrace(sample_every=trace_sample_every)
         self.match_stream: list[tuple] = []
         self.suspects: dict[int, int] = {}
@@ -305,14 +307,62 @@ class Coordinator:
             on_retry=self._note_retry,
             uid=uid,
         )
+        return self._checked(reply, uid, obj)
+
+    @staticmethod
+    def _checked(reply: dict, uid: int, obj: dict, how: str = "") -> dict:
+        """``reply``, unless the peer answered that the op failed."""
         if "error" in reply:
             raise ProtocolError(
-                f"peer {uid} failed {obj.get('op')!r}: {reply['error']}",
+                f"peer {uid} failed {obj.get('op')!r}{how}: "
+                f"{reply['error']}",
                 uid=uid,
                 op=obj.get("op"),
                 remote_type=reply.get("error_type"),
             )
         return reply
+
+    def _reach(
+        self,
+        vertex: int,
+        obj: dict,
+        *,
+        down: str = "local",
+        fail: str = "suspect",
+        retry: RetryPolicy | None | str = "default",
+        timeout: float | None = None,
+    ) -> dict | None:
+        """The one way to address a peer: its reply, or None if it sat
+        this op out.
+
+        A reachable peer is asked over the wire.  A planned-down one
+        (chaos holds its radio off this round) is served in-process —
+        or, with ``down="skip"``, left alone: quorum-only plumbing.  A
+        ``TransportError`` is handled as ``fail`` says: ``"suspect"``
+        marks the peer and returns None, ``"local"`` falls back to
+        in-process (readouts: the phone's storage outlives its radio),
+        ``"ignore"`` just returns None (telemetry pushes, which also
+        shrug off a remote error).  A suspect is a peer whose request
+        already failed, so it gets the ``fail`` treatment without being
+        asked.  Round-trip fan-out (ROADMAP direction 5) is a change to
+        this method's callers and nothing else.
+        """
+        uid = self.servers[vertex].uid
+        if uid in self.suspects:
+            return self._ask_local(vertex, obj) if fail == "local" else None
+        if self.chaos is not None and vertex in self.chaos.inactive:
+            return self._ask_local(vertex, obj) if down == "local" else None
+        try:
+            return self._ask(uid, obj, retry=retry, timeout=timeout)
+        except TransportError:
+            if fail == "local":
+                return self._ask_local(vertex, obj)
+            if fail == "suspect":
+                self._suspect(uid, self._round)
+        except ProtocolError:
+            if fail != "ignore":
+                raise
+        return None
 
     def _ask_local(self, vertex: int, obj: dict) -> dict:
         """In-process dispatch for a chaos-inactive node.
@@ -324,15 +374,8 @@ class Coordinator:
         stream parity.  The phone's CPU keeps running; only its radio
         is down.
         """
-        reply = self.servers[vertex].handle(obj)
-        if "error" in reply:
-            raise ProtocolError(
-                f"peer vertex {vertex} failed {obj.get('op')!r} locally: "
-                f"{reply['error']}",
-                uid=self.instance.uid_of(vertex),
-                op=obj.get("op"),
-            )
-        return reply
+        server = self.servers[vertex]
+        return self._checked(server.handle(obj), server.uid, obj, " locally")
 
     def _note_retry(self, exc: TransportError, attempt: int,
                     delay: float) -> None:
@@ -387,38 +430,21 @@ class Coordinator:
             for vertex in range(self.instance.n)
         }
         for vertex in sorted(self.servers):
-            entries = []
-            for nb in self._neighbors[vertex]:
-                nb_server = self.servers[nb]
-                nb_host, nb_port = nb_server.address
-                entries.append([uid_of(nb), nb_host, nb_port, nb])
+            entries = [
+                [uid_of(nb), *self.servers[nb].address, nb]
+                for nb in self._neighbors[vertex]
+            ]
             self._entries_by_vertex[vertex] = entries
-            msg = {"op": "set_neighbors", "entries": entries}
-            server = self.servers[vertex]
-            uid = uid_of(vertex)
-            if server.dead or server.asleep:
-                # Chaos-inactive: install directly; the table must be
-                # current when the node's radio comes back.
-                self._ask_local(vertex, msg)
-            elif uid in self.suspects:
-                continue  # re-pushed by the rejoin probe on re-admission
-            else:
-                try:
-                    self._ask(uid, msg)
-                except TransportError:
-                    self._suspect(uid, rnd)
+            # Planned-down: installed in-process, the table must be
+            # current when the radio comes back.  Suspect: re-pushed by
+            # the rejoin probe on re-admission.
+            self._reach(vertex, {"op": "set_neighbors", "entries": entries})
         self._epoch = epoch
 
     def _fault_round(self, rnd: int) -> int:
         """The index fault/chaos schedules key off for round ``rnd``."""
-        model = (
-            self.faults
-            if self.faults is not None
-            else (self.chaos.fault if self.chaos is not None else None)
-        )
         if (
-            model is not None
-            and model.clock == "virtual"
+            self._reader.virtual
             and self.round_duration
             and self._wall_start is not None
         ):
@@ -429,62 +455,44 @@ class Coordinator:
     def run_round(self, rnd: int) -> None:
         uid_of = self.instance.uid_of
         n = self.instance.n
+        reader = self._reader
+        self._round = rnd
         fault_round = self._fault_round(rnd)
-        retries_before = self._total_retries()
-        timeouts_before = self._total_timeouts()
+        retries_before = self._total("retries")
+        timeouts_before = self._total("timeouts")
         rejoins_before = self.rejoins
 
         if self.suspects:
             self._probe_rejoins(rnd)
 
-        # Planned inactivity: a fault model masks logically, a chaos
-        # model enacts physically — either way the coordinator knows
-        # the plan, exactly like the simulator.
-        chaos_round = None
+        # Planned inactivity (DESIGN.md §6): the schedule is read
+        # through the fault reader and masked logically here, or read
+        # and enacted physically by the chaos model — either way the
+        # coordinator knows the plan, exactly like the simulator.
+        chaos_round = ChaosRound()
         if self.chaos is not None:
             chaos_round = self.chaos.enact(rnd, fault_round)
-            active_set = (
-                None
-                if chaos_round.active is None
-                else set(chaos_round.active)
-            )
-        elif self.faults is not None:
-            mask = self.faults.active_mask(fault_round)
-            if mask is not None and bool(mask.all()):
-                mask = None
-            active_set = (
-                None
-                if mask is None
-                else {v for v in range(n) if mask[v]}
-            )
-            if self.faults.resets_state:
-                crashed = self.faults.crashed_this_round(fault_round)
-                if crashed is None:
-                    crashed = ()
-                for vertex in crashed:
-                    self._ask(uid_of(int(vertex)), {"op": "reset"})
+            inactive = self.chaos.inactive
         else:
-            active_set = None
+            mask = reader.mask(fault_round)
+            inactive = (
+                () if mask is None else set((~mask).nonzero()[0].tolist())
+            )
+            if reader.resets_state:
+                for vertex in reader.crashes(fault_round, mask):
+                    self._reach(vertex, {"op": "reset"})
 
         self._install_epoch(rnd)
 
-        def active(vertex: int) -> bool:
-            return active_set is None or vertex in active_set
-
-        def planned_down(vertex: int) -> bool:
-            """Chaos-inactive: socket is really down; dispatch locally."""
-            return self.chaos is not None and not active(vertex)
-
         suspects = self.suspects
+
+        def up(vertex: int) -> bool:
+            return vertex not in inactive and uid_of(vertex) not in suspects
+
         visible = {
             vertex: (
-                [
-                    nb
-                    for nb in self._neighbors[vertex]
-                    if active(nb) and uid_of(nb) not in suspects
-                ]
-                if active(vertex) and uid_of(vertex) not in suspects
-                else []
+                [nb for nb in self._neighbors[vertex] if up(nb)]
+                if up(vertex) else []
             )
             for vertex in range(n)
         }
@@ -496,21 +504,13 @@ class Coordinator:
         # suspected and the round continues without it.
         tags: dict[int, int] = {}
         for vertex in range(n):
-            uid = uid_of(vertex)
-            if uid in suspects:
-                continue
-            msg = {
+            reply = self._reach(vertex, {
                 "op": "advertise",
                 "round": rnd,
                 "neighbors": [uid_of(nb) for nb in visible[vertex]],
-            }
-            if planned_down(vertex):
-                tags[uid] = self._ask_local(vertex, msg)["tag"]
-                continue
-            try:
-                tags[uid] = self._ask(uid, msg)["tag"]
-            except TransportError:
-                self._suspect(uid, rnd)
+            })
+            if reply is not None:
+                tags[uid_of(vertex)] = reply["tag"]
 
         # Stage 2a — propose.  Sequential on purpose: each server
         # delivers its proposal peer-to-peer before the next runs, so
@@ -519,25 +519,15 @@ class Coordinator:
         proposal_count = 0
         targets: set[int] = set()
         for vertex in range(n):
-            uid = uid_of(vertex)
-            if uid in suspects:
-                continue
             views = [
                 [uid_of(nb), tags[uid_of(nb)]]
                 for nb in visible[vertex]
                 if uid_of(nb) in tags
             ]
-            msg = {"op": "propose", "round": rnd, "views": views}
-            try:
-                reply = (
-                    self._ask_local(vertex, msg)
-                    if planned_down(vertex)
-                    else self._ask(uid, msg)
-                )
-            except TransportError:
-                self._suspect(uid, rnd)
-                continue
-            if reply["target"] is not None:
+            reply = self._reach(
+                vertex, {"op": "propose", "round": rnd, "views": views}
+            )
+            if reply is not None and reply["target"] is not None:
                 proposal_count += 1
                 if reply.get("delivered"):
                     targets.add(int(reply["target"]))
@@ -545,14 +535,10 @@ class Coordinator:
         # Stage 2b — accept, enforced by each proposee.
         matches = []
         for target in sorted(targets):
-            if target in suspects:
-                continue
-            try:
-                reply = self._ask(target, {"op": "resolve", "round": rnd})
-            except TransportError:
-                self._suspect(target, rnd)
-                continue
-            if reply["winner"] is not None:
+            reply = self._reach(
+                self._by_uid[target].vertex, {"op": "resolve", "round": rnd}
+            )
+            if reply is not None and reply["winner"] is not None:
                 matches.append((int(reply["winner"]), target))
 
         # Connection drops.  A logical fault pre-drops doomed matches
@@ -560,18 +546,11 @@ class Coordinator:
         # them — the responder will fail the initiator's handshake at
         # the socket level — and the failure is observed for real below.
         dropped = 0
-        if self.chaos is not None and matches:
+        if self.chaos is None:
+            matches, doomed = reader.split(fault_round, matches)
+            dropped = len(doomed)
+        elif matches:
             self.chaos.interdict(rnd, fault_round, matches)
-        elif self.faults is not None:
-            kept = []
-            for initiator, responder in matches:
-                if self.faults.drop_connection(
-                    fault_round, initiator, responder
-                ):
-                    dropped += 1
-                else:
-                    kept.append((initiator, responder))
-            matches = kept
 
         # Stage 3 — connect.  Matches are node-disjoint, so concurrent
         # connections never touch one node from two sides.  A failed
@@ -604,19 +583,16 @@ class Coordinator:
                     control_bits += reply["bits"]
                     self.trace.record_connection(rnd, reply["latency_s"])
                     continue
-                initiator, responder = match
-                if isinstance(exc, ProtocolError):
-                    if not exc.transport_related:
-                        raise exc  # a real bug, not a broken link
-                    # The initiator's Stage-3 pull hit a dead/lossy
-                    # responder: a failed connection, charged to the
-                    # link; the responder answers for itself next time
-                    # something addresses it directly.
-                    dropped += 1
-                else:
+                dropped += 1
+                if isinstance(exc, TransportError):
                     # The initiator itself is unreachable.
-                    dropped += 1
-                    self._suspect(initiator, rnd)
+                    self._suspect(match[0], rnd)
+                elif not exc.transport_related:
+                    raise exc  # a real bug, not a broken link
+                # else the initiator's Stage-3 pull hit a dead/lossy
+                # responder: a failed connection, charged to the link;
+                # the responder answers for itself next time something
+                # addresses it directly.
         matches = surviving
 
         # Liveness plumbing, quorum-only: suspects and planned-down
@@ -624,29 +600,14 @@ class Coordinator:
         # just burn the retry budget).
         if self.heartbeat_every and rnd % self.heartbeat_every == 0:
             for vertex in sorted(self.servers):
-                uid = uid_of(vertex)
-                if uid in suspects or planned_down(vertex):
-                    continue
-                try:
-                    self._ask(uid, {"op": "beat"})
-                except TransportError:
-                    self._suspect(uid, rnd)
+                self._reach(vertex, {"op": "beat"}, down="skip")
             if self.heartbeat_max_age is not None:
+                prune = {"op": "prune", "max_age": self.heartbeat_max_age}
                 for vertex in sorted(self.servers):
-                    uid = uid_of(vertex)
-                    if uid in suspects or planned_down(vertex):
-                        continue
-                    try:
-                        self._ask(
-                            uid,
-                            {"op": "prune",
-                             "max_age": self.heartbeat_max_age},
-                        )
-                    except TransportError:
-                        self._suspect(uid, rnd)
+                    self._reach(vertex, prune, down="skip")
 
         self.match_stream.append(tuple(matches))
-        active_count = n if active_set is None else len(active_set)
+        active_count = n - len(inactive)
         self._push_status(rnd, active_count)
         self.trace.suspect_events = self.suspect_events
         self.trace.close_round(
@@ -657,16 +618,12 @@ class Coordinator:
             control_bits=control_bits,
             active_nodes=active_count - len(suspects),
             dropped_connections=dropped,
-            retries=self._total_retries() - retries_before,
-            timeouts=self._total_timeouts() - timeouts_before,
+            retries=self._total("retries") - retries_before,
+            timeouts=self._total("timeouts") - timeouts_before,
             suspects=len(suspects),
             rejoins=self.rejoins - rejoins_before,
-            chaos_killed=(
-                0 if chaos_round is None else len(chaos_round.killed)
-            ),
-            chaos_revived=(
-                0 if chaos_round is None else len(chaos_round.revived)
-            ),
+            chaos_killed=len(chaos_round.killed),
+            chaos_revived=len(chaos_round.revived),
             degraded=bool(suspects),
         )
 
@@ -688,48 +645,27 @@ class Coordinator:
         }
         push_timeout = min(1.0, self.request_timeout)
         for vertex in sorted(self.servers):
-            server = self.servers[vertex]
-            uid = self.instance.uid_of(vertex)
-            if uid in self.suspects:
-                continue
-            if server.dead or server.asleep:
-                self._ask_local(vertex, status)
-                continue
-            try:
-                self._ask(uid, status, retry=None, timeout=push_timeout)
-            except (TransportError, ProtocolError):
-                pass
+            self._reach(vertex, status, fail="ignore", retry=None,
+                        timeout=push_timeout)
 
     def scrape_metrics(self) -> dict[int, dict]:
         """uid -> `metrics`-op snapshot, for every server.
 
         Reads over the wire when the endpoint answers, in-process when
-        it is dead, asleep, or suspect (its counters still exist).
+        it is planned-down, suspect, or fails (its counters still exist).
         """
-        result: dict[int, dict] = {}
-        for vertex in sorted(self.servers):
-            server = self.servers[vertex]
-            uid = self.instance.uid_of(vertex)
-            unreachable = (
-                server.dead or server.asleep or uid in self.suspects
+        return {
+            self.servers[vertex].uid: self._reach(
+                vertex, {"op": "metrics"}, fail="local"
             )
-            if unreachable:
-                result[uid] = self._ask_local(vertex, {"op": "metrics"})
-                continue
-            try:
-                result[uid] = self._ask(uid, {"op": "metrics"})
-            except TransportError:
-                result[uid] = self._ask_local(vertex, {"op": "metrics"})
-        return result
+            for vertex in sorted(self.servers)
+        }
 
-    def _total_retries(self) -> int:
-        return self._retries + sum(
-            s.stats["retries"] for s in self.servers.values()
-        )
-
-    def _total_timeouts(self) -> int:
-        return self._timeouts + sum(
-            s.stats["timeouts"] for s in self.servers.values()
+    def _total(self, stat: str) -> int:
+        """A robustness counter summed over the coordinator's own RPCs
+        (retries, timeouts) and every server's."""
+        return getattr(self, "_" + stat, 0) + sum(
+            s.stats[stat] for s in self.servers.values()
         )
 
     # -- state readout ------------------------------------------------
@@ -738,38 +674,24 @@ class Coordinator:
         """uid -> sorted tuple of known token ids.
 
         ``include="all"`` reads every node — over the wire when the
-        endpoint answers, in-process when it is dead, asleep, or
-        suspect (a crashed phone's *storage* still exists, and the
+        endpoint answers, in-process when it is planned-down, suspect,
+        or fails (a crashed phone's *storage* still exists, and the
         simulator's final state includes crashed vertices too).
         ``include="quorum"`` reads only currently reachable,
         non-suspect nodes — the set a degraded termination check may
-        legitimately consult.
+        legitimately consult; one that stops answering is suspected.
         """
         if include not in ("all", "quorum"):
             raise ConfigurationError(
                 f"snapshots(include=...) must be 'all' or 'quorum', "
                 f"got {include!r}"
             )
+        how = {"fail": "local"} if include == "all" else {"down": "skip"}
         result = {}
         for vertex in sorted(self.servers):
-            server = self.servers[vertex]
-            uid = self.instance.uid_of(vertex)
-            unreachable = (
-                server.dead or server.asleep or uid in self.suspects
-            )
-            if unreachable:
-                if include == "quorum":
-                    continue
-                reply = self._ask_local(vertex, {"op": "snapshot"})
-            else:
-                try:
-                    reply = self._ask(uid, {"op": "snapshot"})
-                except TransportError:
-                    if include == "quorum":
-                        self._suspect(uid, self.trace.total_rounds)
-                        continue
-                    reply = self._ask_local(vertex, {"op": "snapshot"})
-            result[uid] = tuple(reply["tokens"])
+            reply = self._reach(vertex, {"op": "snapshot"}, **how)
+            if reply is not None:
+                result[self.servers[vertex].uid] = tuple(reply["tokens"])
         return result
 
     def _solved(self) -> bool:
@@ -811,12 +733,6 @@ class Coordinator:
             # the run is over, and the report reads each node's state
             # through the normal path where possible.
             self.chaos.restore()
-        chaos_kills = sum(
-            s.stats["kills"] for s in self.servers.values()
-        )
-        chaos_revives = sum(
-            s.stats["revives"] for s in self.servers.values()
-        )
         return NetRunReport(
             algorithm=self.algorithm,
             n=self.instance.n,
@@ -826,14 +742,14 @@ class Coordinator:
             match_stream=list(self.match_stream),
             final_tokens=self.snapshots(include="all"),
             wall_seconds=wall,
-            retries=self._total_retries(),
-            timeouts=self._total_timeouts(),
+            retries=self._total("retries"),
+            timeouts=self._total("timeouts"),
             suspects=dict(self.suspects),
             suspect_events=self.suspect_events,
             rejoins=self.rejoins,
             degraded_rounds=self.trace.degraded_rounds,
-            chaos_kills=chaos_kills,
-            chaos_revives=chaos_revives,
+            chaos_kills=self._total("kills"),
+            chaos_revives=self._total("revives"),
             server_metrics=self.scrape_metrics(),
         )
 

@@ -64,7 +64,7 @@ from repro.rng import SeedTree
 from repro.sim.arena import BufferArena
 from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
-from repro.sim.faults import FaultModel, NoFaults
+from repro.sim.faults import FaultModel, FaultReader
 from repro.sim.matching import (
     ACCEPTANCE_RULES,
     resolve_proposals,
@@ -185,15 +185,11 @@ class Simulation:
             raise ConfigurationError(
                 "gauge_every and termination_every must be >= 1"
             )
-        if (
-            faults is not None
-            and not faults.is_null
-            and faults.n != dynamic_graph.n
-        ):
-            raise ConfigurationError(
-                f"fault model is bound to n={faults.n} but the graph has "
-                f"n={dynamic_graph.n}"
-            )
+        # The fault layer's reader (repro.sim.faults): on the null model
+        # every answer is the clean model's — no mask, no stream,
+        # byte-identical traces to an engine without the layer.
+        self._reader = FaultReader(faults, dynamic_graph.n)
+        self.faults = self._reader.model
 
         self.dynamic_graph = dynamic_graph
         self.protocols = dict(protocols)
@@ -287,13 +283,6 @@ class Simulation:
         # one per round.
         self._arena = BufferArena()
 
-        # Fault layer: when the model is null the per-round fault branch
-        # is skipped entirely — no mask, no stream, byte-identical traces
-        # to an engine without the layer.
-        self.faults = faults if faults is not None else NoFaults(self.n)
-        self._fault_active = not self.faults.is_null
-        self._prev_mask = None      # last round's mask (None = all awake)
-
     @property
     def n(self) -> int:
         return self.dynamic_graph.n
@@ -371,57 +360,19 @@ class Simulation:
         full-cohort path (:class:`~repro.asynchrony.engine.AsyncSimulation`
         runs exactly this body once per synchronous cohort).
         """
-        mask = self._activity_mask(rnd)
-        if self._fault_active and self.faults.resets_state:
-            self._apply_crash_resets(rnd, mask)
+        reader = self._reader
+        mask = reader.mask(rnd)
+        if reader.resets_state:
+            # Crashing vertices lose their learned state, in vertex order
+            # before the stages, so both front halves see it.
+            for vertex in reader.crashes(rnd, mask):
+                self._crash_reset(vertex)
         if self._bulk is not None:
             proposal_count, matches = self._stages12_array(rnd, mask)
         else:
             proposal_count, matches = self._stages12_object(rnd, mask)
-        matches, dropped = self._drop_failed(rnd, matches)
-        return proposal_count, matches, dropped, mask
-
-    def _activity_mask(self, index: int) -> np.ndarray | None:
-        """Fault layer, decision 1: who participates at fault index
-        ``index`` (the round here; a local cycle or a round window on
-        the asynchronous engine).  An all-awake mask is normalized to
-        None so degenerate masks (and mask-free models like LossyLinks)
-        stay on the cached hot paths."""
-        if not self._fault_active:
-            return None
-        mask = self.faults.active_mask(index)
-        if mask is None:
-            return None
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n,):
-            raise ConfigurationError(
-                f"fault model returned a mask of shape "
-                f"{mask.shape}; expected ({self.n},)"
-            )
-        return None if mask.all() else mask
-
-    def _drop_failed(
-        self, rnd: int | None, matches: list[tuple[int, int]],
-        cycle_of_uid: Mapping[int, int] | None = None,
-    ) -> tuple[list[tuple[int, int]], int]:
-        """Fault layer, decision 2: accepted matches whose connection
-        fails.  Dropped matches never become connections: they skip
-        Stage 3 and are counted in the dropped_connections column.
-        Every match is judged at round ``rnd`` — or, when the
-        asynchronous engine passes ``None``, at its initiator's local
-        cycle ``cycle_of_uid[initiator_uid]``.  Returns ``(surviving,
-        dropped)``."""
-        if not (self._fault_active and matches):
-            return matches, 0
-        drop = self.faults.drop_connection
-        surviving = [
-            pair for pair in matches
-            if not drop(
-                cycle_of_uid[pair[0]] if rnd is None else rnd,
-                pair[0], pair[1],
-            )
-        ]
-        return surviving, len(matches) - len(surviving)
+        matches, doomed = reader.split(rnd, matches)
+        return proposal_count, matches, len(doomed), mask
 
     def _stage3(
         self, rnd: int | None, matches: list[tuple[int, int]],
@@ -430,7 +381,7 @@ class Simulation:
         """Stage 3: bounded pairwise interaction over metered channels.
 
         The channel and the interact hook see ``rnd`` as their round —
-        or, as in :meth:`_drop_failed`, the initiator's local cycle."""
+        or, as in ``FaultReader.split``, the initiator's local cycle."""
         tokens_moved = 0
         control_bits = 0
         for initiator_uid, responder_uid in matches:
@@ -490,39 +441,6 @@ class Simulation:
         )
         self.trace.record(record)
         return record
-
-    def _apply_crash_resets(
-        self, rnd: int, mask: np.ndarray | None
-    ) -> None:
-        """Reset protocols that crashed this round (fault models with
-        ``resets_state``): every crashing vertex loses its learned state
-        via ``reset_tokens()`` where the protocol provides it.  Applied
-        in vertex order before the stages, so both engine paths see
-        identical post-crash state."""
-        prev = self._prev_mask
-        self._prev_mask = mask
-        crashed = self._crashed(
-            rnd, mask, np.arange(self.n), True if prev is None else prev
-        )
-        for vertex in np.nonzero(crashed)[0].tolist():
-            self._crash_reset(vertex)
-
-    def _crashed(self, index: int, mask: np.ndarray | None,
-                 vertices: np.ndarray, was_active) -> np.ndarray:
-        """The crash rule: which of ``vertices`` crash at fault index
-        ``index``, as a boolean per entry.  The model's own
-        ``crashed_this_round`` report is authoritative when available —
-        it sees a crash that starts the instant a previous outage ends,
-        which the fallback cannot; without one, a crash is an
-        active→inactive transition: ``was_active`` (each entry's
-        activity one step earlier) against its bit in ``mask`` (the
-        activity mask at ``index``, None = all awake)."""
-        reported = self.faults.crashed_this_round(index)
-        if reported is not None:
-            return np.isin(vertices, reported)
-        if mask is None:
-            return np.zeros(len(vertices), dtype=bool)
-        return was_active & ~mask[vertices]
 
     def _crash_reset(self, vertex: int) -> None:
         """The node at ``vertex`` crashed: it loses its learned state,

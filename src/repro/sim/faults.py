@@ -23,6 +23,12 @@ the same faults:
   matches skip Stage 3 entirely and are counted in the trace's
   ``dropped_connections`` column.
 
+Consumers do not call those two (or ``crashed_this_round``) on a model:
+they ask a :class:`FaultReader`, which owns the mask normalization, the
+crash rule and the surviving/doomed split — one reading of the schedule
+for the round engine, the async window executor, the live coordinator
+and the chaos layer (DESIGN.md §6).
+
 All randomness comes from a dedicated :class:`~repro.rng.SeedTree`
 subtree (``("faults", <kind>)``), so fault draws never perturb the
 engine's acceptance stream or any node's private stream.  The null model
@@ -45,6 +51,7 @@ __all__ = [
     "SleepCycle",
     "CrashChurn",
     "LossyLinks",
+    "FaultReader",
     "build_fault",
 ]
 
@@ -56,9 +63,19 @@ def build_fault(fault, n: int, seed: int) -> "FaultModel | None":
     The one resolver every layer shares (``run_gossip``, ``RunSpec``, the
     live coordinator).  The clean model — ``None``, kind ``"none"``, a
     :class:`NoFaults` — returns ``None``, so callers hand the result
-    straight to :class:`~repro.sim.engine.Simulation`.
+    straight to :class:`~repro.sim.engine.Simulation`.  A built model
+    must have been built for this ``n``.
     """
-    return FAULT_REGISTRY.resolve(fault, n, seed, default="none")
+    return _bound_to(FAULT_REGISTRY.resolve(fault, n, seed, default="none"), n)
+
+
+def _bound_to(model, n: int):
+    """``model``, if it is null or was built for ``n`` vertices."""
+    if model is not None and not model.is_null and model.n != n:
+        raise ConfigurationError(
+            f"fault model is bound to n={model.n} but the graph has n={n}"
+        )
+    return model
 
 
 class FaultModel:
@@ -339,6 +356,98 @@ class LossyLinks(FaultModel):
 
     def __repr__(self) -> str:
         return f"LossyLinks(n={self.n}, drop_prob={self.drop_prob})"
+
+
+class FaultReader:
+    """What a round driver asks of a fault model — the fault layer's one
+    consumer-facing surface.
+
+    The round engine, the async window executor, the live coordinator
+    and :class:`~repro.net.chaos.ChaosModel` all read a model's
+    decisions here and nowhere else, so they cannot disagree about who
+    is awake at a fault index, who crashes there, or which accepted
+    connections survive.  :meth:`mask`, :meth:`crashed` and
+    :meth:`split` are pure in (seed, index); :meth:`crashes` is
+    :meth:`crashed` for a driver that visits its indices in order.
+    """
+
+    def __init__(self, model: "FaultModel | None", n: int):
+        self.n = n
+        self.model = _bound_to(model, n) or NoFaults(n)
+        #: False on the null model: every answer is the clean model's and
+        #: no stream is derived — byte-identical to having no fault layer.
+        self.active = not self.model.is_null
+        self.resets_state = self.active and self.model.resets_state
+        #: Whether decisions key off the global round window / wall clock
+        #: instead of the caller's own cycle (``FaultModel.clock``).
+        self.virtual = self.active and self.model.clock == "virtual"
+        self._prev_mask = None      # last visited mask (None = all awake)
+
+    def mask(self, index: int) -> np.ndarray | None:
+        """Decision 1: who participates at fault index ``index`` (a
+        round; a local cycle or a round window on the asynchronous
+        engine).  An all-awake mask is normalized to None so degenerate
+        masks (and mask-free models like LossyLinks) stay on the cached
+        hot paths."""
+        if not self.active:
+            return None
+        mask = self.model.active_mask(index)
+        if mask is None:
+            return None
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n,):
+            raise ConfigurationError(
+                f"fault model returned a mask of shape "
+                f"{mask.shape}; expected ({self.n},)"
+            )
+        return None if mask.all() else mask
+
+    def crashed(self, index: int, mask: np.ndarray | None,
+                vertices: np.ndarray, was_active) -> np.ndarray:
+        """The crash rule: which of ``vertices`` crash at fault index
+        ``index``, as a boolean per entry.  The model's own
+        ``crashed_this_round`` report is authoritative when available —
+        it sees a crash that starts the instant a previous outage ends,
+        which the fallback cannot; without one, a crash is an
+        active→inactive transition: ``was_active`` (each entry's
+        activity one step earlier) against its bit in ``mask`` (the
+        activity mask at ``index``, None = all awake)."""
+        reported = self.model.crashed_this_round(index)
+        if reported is not None:
+            return np.isin(vertices, reported)
+        if mask is None:
+            return np.zeros(len(vertices), dtype=bool)
+        return was_active & ~mask[vertices]
+
+    def crashes(self, index: int, mask: np.ndarray | None) -> list[int]:
+        """The vertices crashing at ``index``, ascending, for a driver
+        that steps through its indices in order: :meth:`crashed` over
+        everyone, judged against the mask of the previous call.  Only
+        models with ``resets_state`` are asked (the crashing node loses
+        its learned state before the round's stages run)."""
+        prev = self._prev_mask
+        self._prev_mask = mask
+        crashed = self.crashed(
+            index, mask, np.arange(self.n), True if prev is None else prev
+        )
+        return np.nonzero(crashed)[0].tolist()
+
+    def split(self, index: int | None, matches: list[tuple[int, int]],
+              cycle_of_uid=None) -> tuple[list, list]:
+        """Decision 2: ``(surviving, doomed)`` — accepted matches whose
+        connection fails never become connections: they skip Stage 3
+        and are counted in the dropped_connections column.  Every match
+        is judged at ``index`` — or, when the asynchronous engine passes
+        ``None``, at its initiator's local cycle
+        ``cycle_of_uid[initiator_uid]``."""
+        if not (self.active and matches):
+            return matches, ()
+        drop = self.model.drop_connection
+        surviving, doomed = [], []
+        for pair in matches:
+            at = cycle_of_uid[pair[0]] if index is None else index
+            (doomed if drop(at, pair[0], pair[1]) else surviving).append(pair)
+        return surviving, doomed
 
 
 @register_fault(

@@ -42,7 +42,15 @@ from repro.net import (
     replay,
     request,
 )
-from repro.sim.faults import CrashChurn, LossyLinks, NoFaults, SleepCycle
+from repro.registry import FAULT_REGISTRY, FaultDef
+from repro.sim.faults import (
+    CrashChurn,
+    FaultModel,
+    LossyLinks,
+    NoFaults,
+    SleepCycle,
+)
+from test_faults import ResettingSleep, expected_resets, spy_resets
 
 
 def _dead_port() -> tuple[str, int]:
@@ -270,6 +278,30 @@ class TestGracefulDegradation:
         # (participation is stochastic; the hard assertions are above)
         assert isinstance(late_participants, set)
 
+    def test_crash_reset_to_a_dead_peer_suspects_it(self):
+        """The logical crash ``reset`` follows the suspect rule like
+        every other op: a peer that cannot be reached for it is
+        suspected and the round completes (it used to abort the run
+        with the ``TransportError``)."""
+
+        class CrashesAtTwo(FaultModel):
+            resets_state = True
+
+            def crashed_this_round(self, round_index):
+                return [0] if round_index == 2 else []
+
+        coord = _coordinator(fault=CrashesAtTwo(N, 5, "crash-at-two"),
+                             termination_every=0)
+        with coord:
+            coord.run_round(1)
+            coord.servers[0].kill()
+            coord.run_round(2)
+            assert set(coord.suspects) == {coord.servers[0].uid}
+            assert coord.trace.total_rounds == 2
+            coord.servers[0].revive()
+            coord.run_round(3)
+            assert not coord.suspects
+
     def test_all_nodes_dead_is_not_vacuously_solved(self):
         coord = _coordinator()
         with coord:
@@ -355,6 +387,43 @@ class TestChaosReplayEquivalence:
         )
         logical = replay(record, retry=FAST_RETRY)
         assert logical.equivalent, "\n".join(logical.divergences)
+
+    @pytest.mark.parametrize("chaos", [False, True],
+                             ids=["logical", "chaos"])
+    def test_report_less_resetting_fault_replays_and_resets_alike(
+            self, chaos):
+        """A ``resets_state`` model that leaves ``crashed_this_round``
+        at its documented ``None`` resets by the mask-transition rule on
+        every driver.  (The logical live path used to reset nobody: 18
+        divergent rounds of 24.)"""
+        resetting_sleep = FaultDef(
+            name="resetting_sleep",
+            description="test: sleepers lose their state, no crash report",
+            build=lambda n, seed: ResettingSleep(n, seed, period=4, duty=2),
+        )
+        instance = uniform_instance(n=N, k=3, seed=11)
+        with FAULT_REGISTRY.temporary(resetting_sleep):
+            record = record_run("sharedbit", _graph_factory(), instance,
+                                seed=5, max_rounds=24,
+                                fault="resetting_sleep")
+            report = replay(record, chaos=chaos, retry=FAST_RETRY)
+            assert report.equivalent, "\n".join(report.divergences)
+            assert not report.live.suspects
+
+            # ...and the live cluster resets exactly the vertices the
+            # rule names, in the rounds it names.
+            coord = _coordinator(
+                termination_every=0,
+                **{"chaos" if chaos else "fault": "resetting_sleep"},
+            )
+        log = []
+        spy_resets({v: s.node for v, s in coord.servers.items()}, log,
+                   lambda: coord.trace.total_rounds + 1)
+        with coord:
+            coord.run(max_rounds=record.rounds)
+        expected = expected_resets(ResettingSleep(N, 5, period=4, duty=2),
+                                   record.rounds)
+        assert expected and log == expected
 
     def test_chaos_replay_requires_fault(self):
         record = record_run(

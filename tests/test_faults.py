@@ -12,9 +12,14 @@ The load-bearing guarantees:
 * dropped matches never reach Stage 3.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.asynchrony import AsyncSimulation, Synchronous
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
 from repro.errors import ConfigurationError
@@ -28,9 +33,51 @@ from repro.experiments.fastpath import (
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import star
 from repro.registry import FAULT_REGISTRY
+from repro.rng import SeedTree
 from repro.sim.channel import ChannelPolicy
 from repro.sim.engine import Simulation
-from repro.sim.faults import CrashChurn, LossyLinks, NoFaults, SleepCycle
+from repro.sim.faults import (
+    CrashChurn,
+    FaultReader,
+    LossyLinks,
+    NoFaults,
+    SleepCycle,
+    build_fault,
+)
+
+
+class ResettingSleep(SleepCycle):
+    """A duty cycle whose sleepers lose their app state — and that
+    reports no ``crashed_this_round``: every reader must fall back to
+    the documented mask-transition rule."""
+
+    resets_state = True
+
+
+def expected_resets(model, rounds):
+    """``[(round, vertex), ...]`` by the documented crash rule, worked
+    out from the model alone: its report where it gives one, else the
+    awake -> asleep transitions of consecutive masks."""
+    out, prev = [], np.ones(model.n, dtype=bool)
+    for rnd in range(1, rounds + 1):
+        mask = model.active_mask(rnd)
+        mask = np.ones(model.n, dtype=bool) if mask is None else mask
+        reported = model.crashed_this_round(rnd)
+        crashed = (
+            np.nonzero(prev & ~mask)[0] if reported is None else reported
+        )
+        out += [(rnd, int(vertex)) for vertex in sorted(crashed)]
+        prev = mask
+    return out
+
+
+def spy_resets(nodes, log, clock):
+    """Record ``(clock(), vertex)`` for every ``reset_tokens`` call."""
+    for vertex, node in nodes.items():
+        def spy(vertex=vertex, original=node.reset_tokens):
+            log.append((clock(), vertex))
+            return original()
+        node.reset_tokens = spy
 
 
 class TestNoFaults:
@@ -379,3 +426,188 @@ class TestSweepDeterminism:
         clean = dict(payload)
         clean["fault"] = {"kind": "none"}
         assert run_hash(clean) != run_hash(payload)
+
+
+#: (kind, params) draws for the reader properties: every shipped family,
+#: the degenerate corners that normalize to "no mask", and the
+#: report-less resetting model.
+READER_MODELS = st.one_of(
+    st.just(("none", {})),
+    st.builds(
+        lambda period, duty, stagger, resets: (
+            "resetting_sleep" if resets else "sleep",
+            {"period": period, "duty": min(duty, period),
+             "stagger": stagger},
+        ),
+        st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(),
+    ),
+    st.builds(
+        lambda cycle, prob, reset: (
+            "churn",
+            {"cycle": cycle, "crash_prob": prob, "min_outage": 1,
+             "max_outage": 4, "reset_tokens": reset},
+        ),
+        st.integers(2, 9), st.sampled_from([0.0, 0.5, 1.0]), st.booleans(),
+    ),
+    st.builds(
+        lambda prob: ("lossy", {"drop_prob": prob}),
+        st.sampled_from([0.0, 0.4, 1.0]),
+    ),
+)
+
+
+def _reader(kind, params, n, seed):
+    if kind == "resetting_sleep":
+        return FaultReader(ResettingSleep(n, seed, **params), n)
+    return FaultReader(build_fault({"kind": kind, **params}, n, seed), n)
+
+
+class TestFaultReader:
+    """The fault layer's one consumer-facing surface, with no engine and
+    no socket around it."""
+
+    @given(
+        model=READER_MODELS,
+        n=st.integers(1, 12),
+        seed=st.integers(0, 50),
+        indices=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_answers_are_pure_in_seed_and_index(self, model, n, seed,
+                                                indices):
+        kind, params = model
+        vertices = np.arange(n)
+        was_active = vertices % 2 == 0
+        matches = [(u, u + 1) for u in range(1, n, 2)]
+
+        def answers(order):
+            reader = _reader(kind, params, n, seed)
+            out = {}
+            for index in order:
+                mask = reader.mask(index)
+                crashed = reader.crashed(index, mask, vertices, was_active)
+                surviving, doomed = reader.split(index, matches)
+                assert sorted(surviving + list(doomed)) == matches
+                out[index] = (
+                    None if mask is None else mask.tolist(),
+                    crashed.tolist(), surviving,
+                )
+            return reader, out
+
+        reader, forward = answers(indices)
+        _, backward = answers(indices[::-1] + indices)
+        assert forward == backward  # neither call order nor call count
+        for index, (mask, crashed, _) in forward.items():
+            # Normalized: a mask is a length-n list with a sleeper in it.
+            assert mask is None or (len(mask) == n and not all(mask))
+            reported = reader.model.crashed_this_round(index)
+            if reported is not None:
+                rule = np.isin(vertices, reported)
+            elif mask is None:
+                rule = np.zeros(n, dtype=bool)
+            else:
+                rule = was_active & ~np.array(mask)
+            assert crashed == rule.tolist()
+
+    @given(model=READER_MODELS, n=st.integers(1, 12),
+           seed=st.integers(0, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_in_order_crashes_follow_the_documented_rule(self, model, n,
+                                                         seed):
+        kind, params = model
+        reader = _reader(kind, params, n, seed)
+        stepped = [
+            (index, vertex)
+            for index in range(1, 25)
+            for vertex in reader.crashes(index, reader.mask(index))
+        ]
+        fresh = _reader(kind, params, n, seed).model
+        assert stepped == expected_resets(fresh, 24)
+
+    @pytest.mark.parametrize("model", [
+        None,
+        NoFaults(8),
+        SleepCycle(8, 3, period=4, duty=4),     # never asleep
+        LossyLinks(8, 3, drop_prob=0.0),        # never drops
+    ], ids=repr)
+    def test_clean_answers_cost_zero_draws(self, model):
+        reader = FaultReader(model, 8)
+        matches = [(1, 2), (3, 4)]
+        with mock.patch.object(SeedTree, "stream") as stream:
+            for index in range(1, 20):
+                assert reader.mask(index) is None
+                assert reader.split(index, matches)[0] == matches
+        assert stream.call_count == 0
+        assert not reader.resets_state and not reader.virtual
+
+    def test_built_for_another_n_is_refused_at_every_door(self):
+        model = SleepCycle(n=6, seed=1)
+        for door in (lambda: FaultReader(model, 8),
+                     lambda: build_fault(model, 8, 1)):
+            with pytest.raises(ConfigurationError, match="bound to n=6"):
+                door()
+        assert build_fault(model, 6, 1) is model
+
+    def test_wrong_shaped_mask_is_refused(self):
+        class Short(SleepCycle):
+            def active_mask(self, round_index):
+                return np.zeros(3, dtype=bool)
+
+        with pytest.raises(ConfigurationError, match="shape"):
+            FaultReader(Short(8, 1), 8).mask(1)
+
+
+def _engines(n, seed):
+    """Every in-process driver of the round rule, as ``(label, build)``
+    with ``build(nodes, fault)`` returning an engine to ``run``."""
+    def kwargs(nodes):
+        return dict(
+            protocols=nodes, b=1, seed=seed,
+            channel_policy=ChannelPolicy.for_upper_n(2 * n),
+        )
+
+    def sim(mode):
+        return lambda nodes, fault: Simulation(
+            make_dynamics("static", n, seed), engine_mode=mode,
+            faults=fault, **kwargs(nodes))
+
+    def window(nodes, fault):
+        return AsyncSimulation(
+            make_dynamics("static", n, seed), timing=Synchronous(n, seed),
+            async_mode="batched", faults=fault, **kwargs(nodes))
+
+    return [("object", sim("object")), ("array", sim("array")),
+            ("async-window", window)]
+
+
+class TestWhoResets:
+    """Sim, async (and, in tests/test_chaos.py, live) agree on *which*
+    vertices reset and when — not only on the final match stream."""
+
+    @given(seed=st.integers(0, 200), period=st.integers(2, 6),
+           duty=st.integers(1, 5), reports=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_every_engine_resets_by_the_documented_rule(
+            self, seed, period, duty, reports):
+        n, rounds = 10, 18
+
+        def fault():
+            if reports:
+                return CrashChurn(n, seed, cycle=period + 1, crash_prob=0.6,
+                                  min_outage=1, max_outage=duty,
+                                  reset_tokens=True)
+            return ResettingSleep(n, seed, period=period,
+                                  duty=min(duty, period))
+
+        expected = expected_resets(fault(), rounds)
+        for label, build in _engines(n, seed):
+            instance = uniform_instance(n=n, k=3, seed=seed)
+            nodes = build_nodes("sharedbit", instance, seed=seed)
+            log = []
+            engine = build(nodes, fault())
+            # Resets come before the round's stages: the round being
+            # executed is one past the last one the trace closed.
+            spy_resets(nodes, log,
+                       lambda: engine.trace.total_rounds + 1)
+            engine.run(max_rounds=rounds)
+            assert log == expected, label

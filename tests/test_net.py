@@ -21,14 +21,18 @@ import pytest
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes
 from repro.errors import ConfigurationError
-from repro.graphs.dynamic import StaticDynamicGraph
+from repro.graphs.dynamic import RelabelingAdversary, StaticDynamicGraph
 from repro.graphs.topologies import cycle, expander
-from repro.net import framing
+from repro.api import Experiment
+from repro.core.problem import everyone_starts_instance
+from repro.net import coordinator as coordinator_module
+from repro.net import deploy_run, framing
 from repro.net import (
     Coordinator,
     PeerEntry,
     PeerServer,
     PeerTable,
+    ProtocolError,
     RetryPolicy,
     TransportError,
     record_run,
@@ -557,6 +561,159 @@ class TestTransportRegistry:
         assert report.n == 8
 
 
+class _StubServer:
+    """A peer as ``Coordinator._reach`` sees one: a uid, an address to
+    put on the wire, and a ``handle`` for in-process dispatch."""
+
+    def __init__(self, vertex, failing=False):
+        self.vertex, self.uid = vertex, 100 + vertex
+        self.address = ("stub", vertex)
+        self.failing = failing
+        self.local = 0
+
+    def handle(self, obj):
+        self.local += 1
+        return {"ok": True, "via": "local"}
+
+
+def _stub_coordinator(server):
+    """Just the state ``_reach`` reads, around one stub server: round 7
+    under way, nobody suspect, no chaos plan."""
+    coord = object.__new__(Coordinator)
+    coord.servers, coord._by_uid = {0: server}, {server.uid: server}
+    coord.suspects, coord.suspect_events, coord.chaos = {}, 0, None
+    coord.retry_policy, coord.request_timeout = "policy", 9.0
+    coord._retry_rng, coord._round = None, 7
+    return coord
+
+
+#: ``_reach`` keyword arguments per op class.
+OP_CLASSES = {
+    "stage": {},                    # set_neighbors/advertise/propose/
+                                    # resolve/reset
+    "quorum": {"down": "skip"},     # beat/prune/snapshot("quorum")
+    "readout": {"fail": "local"},   # metrics/snapshot("all")
+    "telemetry": {"fail": "ignore", "retry": None, "timeout": 0.5},
+}
+
+#: (peer state, op class) -> (asked over the wire?, served in-process?,
+#: newly suspected?).  A dead or asleep endpoint nobody planned is
+#: *found out* over the wire like any other failure: the coordinator
+#: does not peek at its servers.
+WIRE, LOCAL = (True, False, False), (False, True, False)
+REACH_TABLE = {
+    ("reachable", "stage"): WIRE,
+    ("reachable", "quorum"): WIRE,
+    ("reachable", "readout"): WIRE,
+    ("reachable", "telemetry"): WIRE,
+    ("planned-down", "stage"): LOCAL,
+    ("planned-down", "quorum"): (False, False, False),
+    ("planned-down", "readout"): LOCAL,
+    ("planned-down", "telemetry"): LOCAL,
+    ("suspect", "stage"): (False, False, False),
+    ("suspect", "quorum"): (False, False, False),
+    ("suspect", "readout"): LOCAL,
+    ("suspect", "telemetry"): (False, False, False),
+    **{
+        (state, op): outcome
+        for state in ("dead", "asleep", "failing")
+        for op, outcome in {
+            "stage": (True, False, True),
+            "quorum": (True, False, True),
+            "readout": (True, True, False),
+            "telemetry": (True, False, False),
+        }.items()
+    },
+}
+
+
+class TestReach:
+    """The one way the coordinator addresses a peer, against stub
+    servers and a stub wire — no socket is opened."""
+
+    @pytest.mark.parametrize("state, op_class", sorted(REACH_TABLE))
+    def test_wire_in_process_or_suspect(self, monkeypatch, state, op_class):
+        server = _StubServer(0, failing=state in ("dead", "asleep",
+                                                  "failing"))
+        server.dead = state == "dead"
+        server.asleep = state == "asleep"
+        wired = []
+
+        def fake_request(host, port, obj, **kwargs):
+            wired.append(kwargs)
+            if server.failing:
+                raise TransportError("refused", host=host, port=port,
+                                     kind="refused")
+            return {"ok": True, "via": "wire"}
+
+        # `request` is looked up in the module at call time (the
+        # benchmark's wire tap relies on exactly that).
+        monkeypatch.setattr(coordinator_module, "request", fake_request)
+        coord = _stub_coordinator(server)
+        if state == "suspect":
+            coord.suspects[server.uid] = 1
+        if state == "planned-down":
+            coord.chaos = type("Plan", (), {"inactive": {0}})
+
+        reply = coord._reach(0, {"op": "x"}, **OP_CLASSES[op_class])
+
+        on_wire, in_process, suspected = REACH_TABLE[state, op_class]
+        assert bool(wired) == on_wire
+        assert bool(server.local) == in_process
+        via = "local" if in_process else (
+            "wire" if on_wire and not server.failing else None)
+        assert (reply or {}).get("via") == via
+        assert (coord.suspects == {server.uid: 7}) == suspected
+        if wired:   # per-call retry/timeout reach the wire
+            kwargs = OP_CLASSES[op_class]
+            assert wired[0]["retry"] == kwargs.get("retry", "policy")
+            assert wired[0]["timeout"] == kwargs.get("timeout", 9.0)
+
+    def test_a_remote_error_is_a_bug_except_to_telemetry(self, monkeypatch):
+        monkeypatch.setattr(
+            coordinator_module, "request",
+            lambda *args, **kwargs: {"error": "boom", "error_type": "X"},
+        )
+        coord = _stub_coordinator(_StubServer(0))
+        with pytest.raises(ProtocolError, match="boom"):
+            coord._reach(0, {"op": "x"})
+        assert coord._reach(0, {"op": "x"}, fail="ignore") is None
+        assert not coord.suspects
+
+
+class TestLiveRefusals:
+    """Descriptions the live layer cannot run are refused by the shared
+    run preparation, before any socket is bound."""
+
+    def test_goal_carrying_algorithm_is_refused_by_every_door(self):
+        """ε-gossip's goal reads node objects; ``_solved()`` reads token
+        snapshots over the wire.  It used to deploy and run to
+        ``max_rounds`` on the plain-gossip criterion."""
+        graph = StaticDynamicGraph(expander(8, 4, seed=1))
+        instance = everyone_starts_instance(n=8, seed=1)
+        fds = _open_fds()
+        doors = (
+            lambda: Coordinator("epsilon", graph, instance, seed=1),
+            lambda: deploy_run(algorithm="epsilon", dynamic_graph=graph,
+                               instance=instance, seed=1),
+            lambda: (Experiment("epsilon").on_graph("expander", n=8, degree=4)
+                     .with_instance("everyone").deploy()),
+        )
+        for door in doors:
+            with pytest.raises(ConfigurationError, match="_epsilon_goal"):
+                door()
+        assert _open_fds() == fds
+
+    def test_record_run_checks_what_run_gossip_checks(self):
+        changing = RelabelingAdversary(cycle(6), tau=2, seed=1)
+        with pytest.raises(ConfigurationError, match="stable topology"):
+            record_run("crowdedbin", changing,
+                       uniform_instance(n=6, k=2, seed=1), seed=1)
+        with pytest.raises(ConfigurationError, match="instance has n=5"):
+            record_run("sharedbit", StaticDynamicGraph(cycle(6)),
+                       uniform_instance(n=5, k=2, seed=1), seed=1)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -786,12 +943,19 @@ class TestClusterHygiene:
         assert threading.active_count() == threads
 
     def test_failed_construction_leaks_no_listeners(self):
-        """A chaos model sized for another n is rejected only after the
-        servers bound their sockets; they must be closed on the way
-        out."""
+        """A chaos model sized for another n is rejected and no
+        listener the coordinator bound stays open on the way out."""
         fds = _open_fds()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="bound to n=5"):
             _small_cluster(n=4, chaos=CrashChurn(5, 7))
+        assert _open_fds() == fds
+
+    def test_fault_built_for_another_n_is_refused_at_construction(self):
+        """...and so is a logical one, with the engine's error (it used
+        to be an ``IndexError`` in the middle of round 1)."""
+        fds = _open_fds()
+        with pytest.raises(ConfigurationError, match="bound to n=5"):
+            _small_cluster(n=4, fault=CrashChurn(5, 7))
         assert _open_fds() == fds
 
     def test_stop_survives_one_failing_server(self):
