@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.bits import ceil_log2
 from repro.commcplx.eqtest import EqualityTester
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.sim.channel import Channel
 
 __all__ = ["TransferOutcome", "TransferProtocol", "trials_for_error"]
@@ -126,34 +127,55 @@ class TransferProtocol:
     def _locate_equal(self, channel: Channel | None) -> TransferOutcome:
         """What :meth:`_search` does on equal sets — most of BlindMatch's
         connections — without running it: same outcome, tester stats and
-        channel ledger, no draw.  (Only after a strict channel raises
-        mid-batch do the stats differ: they are charged up front.)"""
+        channel ledger, no draw."""
         outcome = self._equal_outcome
         stats = self.tester.stats
         stats.calls += outcome.eq_calls
         stats.trials += outcome.eq_calls * self.trials_per_call
         stats.bits += outcome.control_bits - 2
         if channel is not None:
-            channel.charge_bits_repeated(
-                self._bits_per_call, outcome.eq_calls, label="eqtest"
-            )
+            recorded = channel.bits.messages
+            try:
+                channel.charge_bits_repeated(
+                    self._bits_per_call, outcome.eq_calls, label="eqtest"
+                )
+            except ProtocolViolationError:
+                # The search counts a call, then charges it: keep the calls
+                # whose charge was attempted — those the ledger recorded (a
+                # strict overflow is recorded, then refused), or the first
+                # one on a closed channel — and give the rest back.
+                unreached = outcome.eq_calls - max(
+                    channel.bits.messages - recorded, 1)
+                stats.calls -= unreached
+                stats.trials -= unreached * self.trials_per_call
+                stats.bits -= unreached * self._bits_per_call
+                raise
             channel.charge_bits(2, label="transfer-ownership")
         return outcome
 
     def _search(self, set_a, set_b, rng, channel) -> TransferOutcome:
-        """The step-by-step binary search over two validated frozensets.
+        """The step-by-step binary search over two validated frozensets
+        (equal ones included: the closed form's reference).
+
+        Each level fingerprints only the one-sided differences inside
+        ``[lo, mid]``, never the full prefixes: ``P_A(x) − P_B(x)``
+        cancels mod p on every common label, so a trial's verdict is
+        ``P_{A∖B}(x) ≟ P_{B∖A}(x)``, and both slices are empty exactly
+        when the full prefixes are equal — the same levels draw nothing.
 
         Re-entrant — counted from this call's own tests, never from
         ``tester.stats`` deltas: one protocol serves a population whose
         connect handlers :mod:`repro.net` runs on concurrent threads."""
+        only_a = sorted(set_a - set_b)
+        only_b = sorted(set_b - set_a)
         eq_calls = trials_run = 0
         lo, hi = 1, self.upper_n
         while lo != hi:
             mid = (lo + hi) // 2
-            prefix_a = [x for x in set_a if lo <= x <= mid]
-            prefix_b = [x for x in set_b if lo <= x <= mid]
             equal, executed = self.tester.test_counted(
-                prefix_a, prefix_b, self.trials_per_call, rng, channel
+                only_a[bisect_left(only_a, lo):bisect_right(only_a, mid)],
+                only_b[bisect_left(only_b, lo):bisect_right(only_b, mid)],
+                self.trials_per_call, rng, channel,
             )
             eq_calls += 1
             trials_run += executed

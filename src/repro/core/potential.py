@@ -49,7 +49,7 @@ def token_set_census(nodes) -> dict[frozenset, int]:
     """F(r): {token set → number of nodes currently holding exactly it}."""
     census: dict[frozenset, int] = {}
     for node in _as_holders(nodes):
-        key = frozenset(node.known_tokens)
+        key = node.known_tokens
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -119,7 +119,7 @@ def mutual_knowledge_core(nodes) -> list:
     current = members
     while current:
         required = frozenset(node.own_token_id for node in current)
-        if all(required <= frozenset(node.known_tokens) for node in current):
+        if all(required <= node.known_tokens for node in current):
             return current
         knownness = {
             node.own_token_id: sum(

@@ -157,6 +157,9 @@ def skewed_instance(
     return GossipInstance(n=n, upper_n=upper_n, uids=uids, initial_tokens=initial)
 
 
+_NO_TOKENS: frozenset = frozenset()
+
+
 class GossipNode(NodeProtocol):
     """Base class for gossip protocols: token storage plus Transfer glue."""
 
@@ -169,13 +172,25 @@ class GossipNode(NodeProtocol):
         self.rng = rng
         self._initial_tokens = tuple(initial_tokens)
         self._tokens: dict[int, Token] = {}
+        self._known_tokens: frozenset | None = None
         for token in self._initial_tokens:
             self.store_token(token)
 
     @property
     def known_tokens(self) -> frozenset:
-        """Labels of all tokens this node owns (TokenHolder interface)."""
-        return frozenset(self._tokens)
+        """Labels of all tokens this node owns (TokenHolder interface).
+
+        Built on first read and shared until the next :meth:`store_token`
+        or :meth:`reset_tokens` (the only writers of ``_tokens``): callers
+        must not rely on a fresh object per read.
+        """
+        known = self._known_tokens
+        if known is None:
+            # CPython >= 3.10 allocates every empty frozenset afresh (216 B):
+            # an idle network's nodes share one.
+            known = self._known_tokens = (
+                frozenset(self._tokens) if self._tokens else _NO_TOKENS)
+        return known
 
     def token(self, token_id: int) -> Token:
         return self._tokens[token_id]
@@ -188,6 +203,7 @@ class GossipNode(NodeProtocol):
         and return to the initial assignment (a phone that lost its app
         state; see :class:`repro.sim.faults.CrashChurn`)."""
         self._tokens = {}
+        self._known_tokens = None
         for token in self._initial_tokens:
             self.store_token(token)
 
@@ -197,6 +213,7 @@ class GossipNode(NodeProtocol):
                 f"token label {token.token_id} outside [1, {self.upper_n}]"
             )
         self._tokens[token.token_id] = token
+        self._known_tokens = None
 
     def _transfer_machine(self, shared: TransferProtocol | None,
                           config) -> TransferProtocol:

@@ -611,3 +611,32 @@ class TestWhoResets:
                        lambda: engine.trace.total_rounds + 1)
             engine.run(max_rounds=rounds)
             assert log == expected, label
+
+    def test_a_crash_reset_invalidates_the_cached_token_view(self):
+        """``known_tokens`` is read (and so cached) at every round or
+        window boundary; a reset inside the engine must not leave the
+        pre-crash view behind."""
+        n, seed, rounds = 12, 4, 40
+        for label, build in _engines(n, seed):
+            instance = uniform_instance(n=n, k=6, seed=seed)
+            nodes = build_nodes("sharedbit", instance, seed=seed)
+            fault = CrashChurn(n, seed, cycle=8, crash_prob=0.7,
+                               min_outage=2, max_outage=4,
+                               reset_tokens=True)
+            engine = build(nodes, fault)
+            engine.termination_every = 1
+            held = {vertex: node.known_tokens
+                    for vertex, node in nodes.items()}
+            forgot = []
+
+            def boundary(protocols, round_index):
+                for vertex, node in protocols.items():
+                    view = node.known_tokens
+                    assert view == frozenset(node._tokens), label
+                    assert node.known_tokens is view
+                    forgot.append(not held[vertex] <= view)
+                    held[vertex] = view
+                return False
+
+            engine.run(max_rounds=rounds, termination=boundary)
+            assert any(forgot), label

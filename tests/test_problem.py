@@ -136,6 +136,37 @@ class TestGossipNodeBase:
         node = self.make_node(tokens=(Token(3), Token(7)))
         assert node.known_tokens == frozenset({3, 7})
 
+    def test_known_tokens_is_shared_between_mutations(self):
+        node = self.make_node(tokens=(Token(3), Token(7)))
+        first = node.known_tokens
+        assert node.known_tokens is first
+        node.store_token(Token(9))
+        assert node.known_tokens == frozenset({3, 7, 9})
+        assert first == frozenset({3, 7})  # the old view is never mutated
+        assert node.known_tokens is node.known_tokens
+        node.reset_tokens()
+        assert node.known_tokens == frozenset({3, 7})
+
+    def test_reset_of_a_node_that_started_empty_forgets_everything(self):
+        node = self.make_node()
+        assert node.known_tokens == frozenset()
+        node.store_token(Token(9))
+        assert node.known_tokens == frozenset({9})
+        node.reset_tokens()
+        assert node.known_tokens == frozenset()
+        # An idle network's nodes share one empty view (216 B each otherwise).
+        assert node.known_tokens is self.make_node(uid=2).known_tokens
+
+    def test_run_transfer_refreshes_the_receiving_view(self):
+        a = self.make_node(uid=1, tokens=(Token(5),))
+        b = self.make_node(uid=2, tokens=(Token(4),))
+        stale, kept = a.known_tokens, b.known_tokens
+        protocol = TransferProtocol(upper_n=64, epsilon=1e-6)
+        channel = Channel(1, 1, 2, ChannelPolicy(max_control_bits=10**6))
+        assert a.run_transfer(b, protocol, channel).moved_to_a
+        assert a.known_tokens == frozenset({4, 5}) and stale == {5}
+        assert b.known_tokens is kept  # the side that stored nothing
+
     def test_store_and_query(self):
         node = self.make_node()
         node.store_token(Token(9, payload="p"))

@@ -22,24 +22,24 @@ from repro.core.tokens import Token
 from repro.sim.channel import Channel, ChannelPolicy
 
 N_NODES = 5
-UPPER_N = 24
-INITIAL = {0: (3,), 1: (3, 17), 2: (), 3: (24,), 4: (1, 9)}
 
 node_index = st.integers(min_value=0, max_value=N_NODES - 1)
 
 
-def _initial_tokens(vertex):
-    return tuple(Token(label, payload=f"p{label}")
-                 for label in INITIAL[vertex])
-
-
 class Stage3Machine(RuleBasedStateMachine):
+    UPPER_N = 24
+    INITIAL = {0: (3,), 1: (3, 17), 2: (), 3: (24,), 4: (1, 9)}
+
+    def initial_tokens(self, vertex):
+        return tuple(Token(label, payload=f"p{label}")
+                     for label in self.INITIAL[vertex])
+
     def make_nodes(self):
         """Hand-built nodes: each makes its own Transfer protocol."""
         return [
             BlindMatchNode(
-                uid=vertex + 1, upper_n=UPPER_N,
-                initial_tokens=_initial_tokens(vertex),
+                uid=vertex + 1, upper_n=self.UPPER_N,
+                initial_tokens=self.initial_tokens(vertex),
                 rng=random.Random(1000 + vertex),
             )
             for vertex in range(N_NODES)
@@ -48,7 +48,7 @@ class Stage3Machine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.nodes = self.make_nodes()
-        self.policy = ChannelPolicy.for_upper_n(UPPER_N)
+        self.policy = ChannelPolicy.for_upper_n(self.UPPER_N)
         self.connections = 0
         # What each node must still hold: grows with every observation,
         # shrinks only at a reset.
@@ -97,22 +97,23 @@ class Stage3Machine(RuleBasedStateMachine):
             assert not outcome.moved and outcome.token_id is None
             assert a.rng.getstate() == stream_before
 
-    @rule(vertex=node_index,
-          label=st.integers(min_value=1, max_value=UPPER_N))
-    def store(self, vertex, label):
+    @rule(vertex=node_index, draw=st.integers(min_value=0, max_value=10**4))
+    def store(self, vertex, draw):
+        label = draw % self.UPPER_N + 1
         self.nodes[vertex].store_token(Token(label, payload=f"p{label}"))
 
     @rule(vertex=node_index)
     def reset(self, vertex):
         self.nodes[vertex].reset_tokens()
-        assert self.nodes[vertex].known_tokens == frozenset(INITIAL[vertex])
-        self.floor[vertex] = frozenset(INITIAL[vertex])
+        initial = frozenset(self.INITIAL[vertex])
+        assert self.nodes[vertex].known_tokens == initial
+        self.floor[vertex] = initial
 
     @invariant()
     def token_sets_are_monotone_except_at_a_reset(self):
         for vertex, held in enumerate(self._holdings()):
             assert self.floor[vertex] <= held
-            assert all(1 <= label <= UPPER_N for label in held)
+            assert all(1 <= label <= self.UPPER_N for label in held)
             self.floor[vertex] = held
 
 
@@ -124,16 +125,32 @@ class BuiltPopulationStage3Machine(Stage3Machine):
 
     def make_nodes(self):
         instance = GossipInstance(
-            n=N_NODES, upper_n=UPPER_N, uids=tuple(range(1, N_NODES + 1)),
-            initial_tokens={vertex: _initial_tokens(vertex)
+            n=N_NODES, upper_n=self.UPPER_N,
+            uids=tuple(range(1, N_NODES + 1)),
+            initial_tokens={vertex: self.initial_tokens(vertex)
                             for vertex in (0, 3, 4)},
         )
         nodes = list(build_nodes("blindmatch", instance, seed=77).values())
         assert len({id(node._transfer) for node in nodes}) == 1
-        for token in _initial_tokens(1):
+        for token in self.initial_tokens(1):
             nodes[1].store_token(token)
-        nodes[1]._initial_tokens = _initial_tokens(1)
+        nodes[1]._initial_tokens = self.initial_tokens(1)
         return nodes
+
+
+class LargeOverlapStage3Machine(Stage3Machine):
+    """k = 44 labels, 30 of them at four of the five nodes from the start:
+    connections between large, mostly common sets, where Transfer's search
+    works on the few labels the two sides disagree on."""
+
+    UPPER_N = 96
+    INITIAL = {
+        0: tuple(range(1, 33)),
+        1: tuple(range(1, 33)) + (60,),
+        2: tuple(range(3, 45)),
+        3: (),
+        4: tuple(range(1, 31)) + (77, 96),
+    }
 
 
 _SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
@@ -141,3 +158,5 @@ TestStage3Machine = Stage3Machine.TestCase
 TestStage3Machine.settings = _SETTINGS
 TestBuiltPopulationStage3Machine = BuiltPopulationStage3Machine.TestCase
 TestBuiltPopulationStage3Machine.settings = _SETTINGS
+TestLargeOverlapStage3Machine = LargeOverlapStage3Machine.TestCase
+TestLargeOverlapStage3Machine.settings = _SETTINGS

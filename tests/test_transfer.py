@@ -7,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bits import ceil_log2
-from repro.commcplx.transfer import TransferProtocol, trials_for_error
-from repro.errors import ConfigurationError
+from repro.commcplx import eqtest
+from repro.commcplx.transfer import (
+    TransferOutcome,
+    TransferProtocol,
+    trials_for_error,
+)
+from repro.errors import (
+    ChannelBudgetError,
+    ChannelClosedError,
+    ConfigurationError,
+)
 from repro.sim.channel import Channel, ChannelPolicy
 
 
@@ -168,12 +177,18 @@ def _locate_cases(draw):
     )
 
 
-def _observe(search, a, b, upper_n, seed, epsilon, budget):
+def _observe(search, a, b, upper_n, seed, epsilon, budget, strict=False):
+    """Everything one ``search`` leaves behind; on a strict channel's
+    raise, the exception text in place of the outcome and the state at
+    the raise."""
     proto = TransferProtocol(upper_n=upper_n, epsilon=epsilon)
     rng = random.Random(seed)
     channel = None if budget is None else Channel(
-        3, 1, 2, ChannelPolicy(max_control_bits=budget, strict=False))
-    outcome = search(proto, a, b, rng, channel)
+        3, 1, 2, ChannelPolicy(max_control_bits=budget, strict=strict))
+    try:
+        outcome = search(proto, a, b, rng, channel)
+    except ChannelBudgetError as error:
+        outcome = f"raised: {error}"
     metered = None if channel is None else (
         channel.bits.total_bits, channel.bits.messages,
         channel.bits.by_label(), channel.tokens_moved, channel.violations,
@@ -188,11 +203,7 @@ def test_locate_equals_the_step_by_step_search(case):
     binary search run step by step, on equal sets too): same outcome,
     private-stream position, tester stats and channel ledger."""
     fast = _observe(TransferProtocol.locate, *case)
-    reference = _observe(
-        lambda proto, a, b, rng, channel: proto._search(
-            frozenset(a), frozenset(b), rng, channel),
-        *case,
-    )
+    reference = _observe(_SEARCHES["_search"], *case)
     assert fast == reference
     if case[0] == case[1]:
         outcome, state, _, _ = fast
@@ -214,3 +225,158 @@ def test_validation_order_survives_the_equal_set_shortcut():
         proto.locate({3, 17}, {3, 17}, random.Random(0))
     with pytest.raises(ConfigurationError, match="side 'b'"):
         proto.locate({3}, {3, 0}, random.Random(0))
+
+
+# ----------------------------------------------------------------------
+# The difference-only search against the paper's full-prefix search
+
+
+def _full_prefix_search(proto, set_a, set_b, rng, channel):
+    """Transfer(ε) as §3 states it and as ``_search`` ran it before it
+    fingerprinted differences only: at every level, EQTest *both full
+    prefixes* inside ``[lo, mid]``.  Kept here as the oracle."""
+    eq_calls = trials_run = 0
+    lo, hi = 1, proto.upper_n
+    while lo != hi:
+        mid = (lo + hi) // 2
+        equal, executed = proto.tester.test_counted(
+            [x for x in set_a if lo <= x <= mid],
+            [x for x in set_b if lo <= x <= mid],
+            proto.trials_per_call, rng, channel,
+        )
+        eq_calls, trials_run = eq_calls + 1, trials_run + executed
+        lo, hi = (mid + 1, hi) if equal else (lo, mid)
+    in_a, in_b = lo in set_a, lo in set_b
+    consistent = in_a != in_b
+    if channel is not None:
+        channel.charge_bits(2, label="transfer-ownership")
+        if consistent:
+            channel.charge_token()
+    return TransferOutcome(
+        lo if consistent else None, consistent and in_b, consistent and in_a,
+        consistent, eq_calls, trials_run * proto.tester.bits_per_trial + 2,
+    )
+
+
+_SEARCHES = {
+    "locate": TransferProtocol.locate,
+    "_search": lambda proto, a, b, rng, channel: proto._search(
+        frozenset(a), frozenset(b), rng, channel),
+    "oracle": lambda proto, a, b, rng, channel: _full_prefix_search(
+        proto, frozenset(a), frozenset(b), rng, channel),
+}
+
+
+@st.composite
+def _overlapping_cases(draw):
+    """Up to 256 labels a side, most of them common; universes down to 2
+    and ε up to 0.4, where a level really does answer "equal" wrongly."""
+    upper_n = draw(st.one_of(st.integers(min_value=2, max_value=12),
+                             st.integers(min_value=2, max_value=3000)))
+    labels = st.integers(min_value=1, max_value=upper_n)
+    common = draw(st.sets(labels, max_size=250))
+    a = common | draw(st.sets(labels, max_size=6))
+    b = common | draw(st.sets(labels, max_size=6))
+    budget, strict = draw(st.one_of(
+        st.tuples(st.none(), st.just(False)),
+        st.tuples(st.one_of(st.integers(min_value=0, max_value=4000),
+                            st.just(1 << 20)), st.booleans()),
+    ))
+    return (
+        a, b, upper_n,
+        draw(st.integers(min_value=0, max_value=2**32)),
+        draw(st.sampled_from([0.4, 1e-2, 1e-6, 1e-12])),
+        budget, strict,
+    )
+
+
+@given(_overlapping_cases())
+@settings(max_examples=400, deadline=None)
+def test_difference_search_equals_the_full_prefix_search(case):
+    """Same outcome, private-stream position, tester stats and channel
+    ledger (violation strings included) as the full-prefix oracle — and
+    on a strict channel the same exception at the same state."""
+    seen = {name: _observe(search, *case)
+            for name, search in _SEARCHES.items()}
+    assert seen["locate"] == seen["oracle"]
+    assert seen["_search"] == seen["oracle"]
+
+
+def test_false_equal_verdicts_occur_and_agree():
+    """The differential is not vacuous: at N <= 8 and ε = 0.4 some level
+    answers "equal" on unequal prefixes, the search lands on a label
+    neither or both sides own, and every search lands there alike."""
+    misled = 0
+    for upper_n in range(2, 9):
+        for seed in range(150):
+            case = ({1, upper_n}, {upper_n}, upper_n, seed, 0.4, None)
+            seen = [_observe(search, *case)
+                    for search in _SEARCHES.values()]
+            assert seen[0] == seen[1] == seen[2]
+            misled += not seen[0][0].consistent
+    assert misled > 0
+
+
+def test_work_per_locate_follows_the_difference_not_the_overlap(monkeypatch):
+    """Monomials evaluated per ``locate`` are bounded by trials × levels
+    × |A△B| and do not move when 500 common labels join both sides."""
+    evaluated = []
+    original = eqtest.eval_set_polynomial
+
+    def counting(elements, point, prime):
+        evaluated.append(len(elements))
+        return original(elements, point, prime)
+
+    monkeypatch.setattr(eqtest, "eval_set_polynomial", counting)
+    proto = make_protocol(upper_n=2048, epsilon=1e-6)
+    only_a, only_b = {700, 1999}, {1333}
+    counts = []
+    for common in (set(range(3, 40, 4)),
+                   set(range(3, 40, 4)) | set(range(1000, 1500))):
+        common -= only_a | only_b
+        evaluated.clear()
+        outcome = proto.locate(common | only_a, common | only_b,
+                               random.Random(9))
+        assert outcome.token_id == 700 and outcome.moved_to_b
+        assert 0 < sum(evaluated) <= (
+            proto.trials_per_call * outcome.eq_calls * 3)
+        counts.append(sum(evaluated))
+    assert counts[0] == counts[1]
+
+
+# ----------------------------------------------------------------------
+# The equal-set closed form on a channel that stops it half way
+
+
+@pytest.mark.parametrize("fitting", ["none", "one", "all-but-one", "all"])
+def test_closed_form_stats_stop_where_a_strict_channel_stops(fitting):
+    """``_locate_equal`` counts exactly the calls whose channel charge was
+    attempted: when a strict budget fits 0, 1 or all-but-one EQTest calls
+    (or all of them but not the ownership bits), the tester stats read
+    what the step-by-step search's read at its raise."""
+    probe = make_protocol()
+    calls = probe.locate({5}, {5}, random.Random(0)).eq_calls
+    per_call = probe.trials_per_call * probe.tester.bits_per_trial
+    assert calls >= 3
+    fits = {"none": 0, "one": 1, "all-but-one": calls - 1, "all": calls}
+    budget = fits[fitting] * per_call + 1  # the next charge overflows
+    case = ({5, 40}, {5, 40}, probe.upper_n, 0, probe.epsilon, budget, True)
+    fast = _observe(TransferProtocol.locate, *case)
+    assert fast == _observe(_SEARCHES["_search"], *case)
+    outcome, _, stats, metered = fast
+    assert outcome.startswith("raised: control bits exceeded")
+    attempted = min(fits[fitting] + 1, calls)
+    assert (stats.calls, stats.trials, stats.bits) == (
+        attempted, attempted * probe.trials_per_call, attempted * per_call)
+    assert metered[1] == attempted + (fitting == "all")  # messages
+
+
+def test_closed_form_on_a_closed_channel_counts_the_one_call_it_tried():
+    for search in (_SEARCHES["locate"], _SEARCHES["_search"]):
+        proto = make_protocol()
+        channel = Channel(3, 1, 2, ChannelPolicy())
+        channel.close()
+        with pytest.raises(ChannelClosedError):
+            search(proto, {5}, {5}, random.Random(0), channel)
+        assert proto.tester.stats.calls == 1
+        assert proto.tester.stats.trials == proto.trials_per_call
