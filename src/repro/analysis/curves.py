@@ -55,10 +55,6 @@ class SpreadCurve:
                 return round_index
         return None
 
-    @property
-    def final_fraction(self) -> float:
-        return self.points[-1][1]
-
     def summary(self) -> dict:
         """Rounds to 50% / 90% / 100% mean coverage."""
         return {

@@ -2,13 +2,15 @@
 
 :class:`AsyncSimulation` runs the *same* protocols, acceptance rules,
 channels, traces, and termination conditions as the round engine
-(:class:`~repro.sim.engine.Simulation`), but drives them from a
-deterministic event schedule instead of a lock-step round loop: a
+(:class:`~repro.sim.engine.Simulation`) — and the same run loop: it
+overrides only what a round *is*.  A
 :class:`~repro.asynchrony.timing.TimingModel` assigns every node a
-schedule of activation instants (integer virtual ticks, one synchronous
-round = :data:`~repro.asynchrony.timing.TICKS_PER_ROUND` ticks), and each
-activation executes one local **scan → propose → accept → connect**
-cycle:
+deterministic schedule of activation instants (integer virtual ticks,
+one synchronous round = :data:`~repro.asynchrony.timing.TICKS_PER_ROUND`
+ticks); :meth:`AsyncSimulation.step` executes *round window* ``r`` — the
+activations with ticks in ``[r·TPR, (r+1)·TPR)`` — and the synchronous
+round is the window holding one full cohort.  Each activation executes
+one local **scan → propose → accept → connect** cycle:
 
 1. **scan** — the node refreshes its advertisement
    (``advertise(cycle, ...)``, indexed by the node's *local* cycle
@@ -25,12 +27,16 @@ cycle:
 4. **connect** — matched pairs run the bounded Stage 3 exchange over a
    metered channel, instantaneously.
 
-Trace records aggregate by *round window* (ticks
-``[r·TPR, (r+1)·TPR)`` belong to window ``r``), so round-indexed curves
-stay comparable across timing models;
-the async columns (``virtual_time``, ``clock_skew_max``, ``events``)
-record what the window looked like in event terms.  Termination is
-checked at window boundaries — the same instants the round engine checks.
+One window is one trace record, so round-indexed curves stay comparable
+across timing models; the async columns (``virtual_time``,
+``clock_skew_max``, ``events``) record what the window looked like in
+event terms.  Windows are drained one at a time, in order: the timing
+contract puts every first activation at tick >= TPR and schedules are
+pure functions of (seed, vertex, cycle), so that yields exactly the
+cohorts one-event-at-a-time scheduling would.  A window holding no
+activation (a bursty pause) still gets its zero record, and
+``Simulation.run`` checks termination after it like after any round —
+at window boundaries, the same instants the round engine checks.
 
 **The null-model invariant** (the subsystem's load-bearing contract):
 under :class:`~repro.asynchrony.timing.Synchronous` timing every cohort
@@ -84,25 +90,16 @@ import heapq
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    ProtocolViolationError,
-    RoundLimitExceeded,
-)
+from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.asynchrony.timing import TICKS_PER_ROUND, Synchronous, TimingModel
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.matching import resolve_proposals
 from repro.sim.protocol import ScalarWindowOps, window_hooks
-from repro.sim.termination import TerminationCondition, never
+from repro.sim.trace import RoundRecord
 
 __all__ = ["AsyncSimulation"]
 
 _ASYNC_MODES = ("auto", "event", "batched")
-
-#: An empty window's accumulator: the last cohort's tick (None = no
-#: cohort), then proposals, connections, tokens, bits, dropped, active
-#: members, events.
-_EMPTY_WINDOW = (None, 0, 0, 0, 0, 0, 0, 0)
 
 
 def _as_list(values) -> list:
@@ -210,7 +207,8 @@ class AsyncSimulation(Simulation):
         self._local_cycle = np.zeros(self.n, dtype=np.int64)
         self._node_active = np.ones(self.n, dtype=bool)
         # The schedule: each vertex's next pending activation, advanced
-        # in bulk through activation_ticks_batch (seeded by run()).
+        # in bulk through activation_ticks_batch (seeded by the first
+        # step()).
         self._next_ticks: np.ndarray | None = None
         self._next_cycles: np.ndarray | None = None
         # Published advertisements ("whatever each neighbor last wrote").
@@ -223,80 +221,53 @@ class AsyncSimulation(Simulation):
         self._window_masks: dict[int, np.ndarray | None] = {}
         self._window_snapshots: dict = {}
         self._fault_round: int | None = None
-        # Current-window accumulator, flushed into one RoundRecord per
-        # window so round-indexed curves stay comparable across timings.
-        self._acc = list(_EMPTY_WINDOW)
 
-    def step(self):  # pragma: no cover - guard against misuse
-        raise ConfigurationError(
-            "AsyncSimulation advances by events, not rounds; use run()"
-        )
-
-    def run(
-        self,
-        max_rounds: int,
-        termination: TerminationCondition | None = None,
-        raise_on_limit: bool = False,
-    ) -> SimulationResult:
-        """Run until ``termination`` fires at a window boundary or the
-        virtual clock passes ``max_rounds`` rounds."""
-        if max_rounds < 1:
-            raise ConfigurationError(
-                f"max_rounds must be >= 1, got {max_rounds}"
-            )
-        condition = termination or never()
+    def step(self) -> RoundRecord | None:
+        """Execute exactly round window ``current_round + 1`` — drain
+        its activations, run them if there are any, emit its record —
+        which is all the inherited :meth:`~repro.sim.engine.Simulation.run`
+        loop needs of a round."""
         if self._next_ticks is None:
             self._next_cycles = np.ones(self.n, dtype=np.int64)
             self._next_ticks = self.timing.activation_ticks_batch(
                 np.arange(self.n, dtype=np.int64), self._next_cycles
             )
-        terminated = self._run_windows(condition, max_rounds)
-        # Drain: flush the window holding the final cohorts, then any
-        # trailing empty windows up to the round budget.
-        while not terminated and self._round < max_rounds:
-            terminated = self._flush_window(condition, max_rounds)
-        if not terminated and raise_on_limit:
-            raise RoundLimitExceeded(
-                f"no termination within {max_rounds} rounds",
-                trace=self.trace,
+        self._round += 1
+        rnd = self._round
+        with self._prof.span("window.drain"):
+            ticks, vertices, cycles = self._drain_window_arrays(
+                (rnd + 1) * TICKS_PER_ROUND
             )
-        return SimulationResult(
-            rounds=self._round,
-            terminated=terminated,
-            trace=self.trace,
-            nodes=self.protocols,
-            event_counts=self.event_counts.copy(),
-        )
-
-    # ------------------------------------------------------------------
-    # The run loop and the schedule
-
-    def _run_windows(
-        self, condition: TerminationCondition, max_rounds: int
-    ) -> bool:
-        """Execute whole round windows until termination or the budget."""
-        terminated = False
-        while not terminated:
-            window = int(self._next_ticks.min()) // TICKS_PER_ROUND
-            if window > max_rounds:
-                break
-            # Close out every window that precedes this one (empty
-            # windows — bursty pauses — still get their zero records and
-            # their termination checks, like the round engine's rounds).
-            while not terminated and self._round < window - 1:
-                terminated = self._flush_window(condition, max_rounds)
-            if terminated:
-                break
-            with self._prof.span("window.drain"):
-                ticks, vertices, cycles = self._drain_window_arrays(
-                    (window + 1) * TICKS_PER_ROUND
-                )
+        events = len(ticks)
+        counts = (0,) * 6
+        if events:
             with self._prof.span("window.process"):
                 if self._bulk is not None and not self._batched:
-                    self._process_cohort_synchronous(ticks, vertices, cycles)
+                    counts = self._process_cohort_synchronous(
+                        ticks, vertices, cycles
+                    )
                 else:
-                    self._process_window(ticks, vertices, cycles)
-        return terminated
+                    counts = self._process_window(ticks, vertices, cycles)
+        with self._prof.span("window.flush"):
+            local = self._local_cycle
+            return self._observe_round(
+                rnd, *counts,
+                # The window's last instant; an empty one ends where it
+                # starts.
+                virtual_time=(
+                    int(ticks[-1]) / TICKS_PER_ROUND if events else float(rnd)
+                ),
+                clock_skew_max=int(local.max()) - int(local.min()),
+                events=events,
+            )
+
+    def _result(self, terminated: bool) -> SimulationResult:
+        result = super()._result(terminated)
+        result.event_counts = self.event_counts.copy()
+        return result
+
+    # ------------------------------------------------------------------
+    # The schedule
 
     def _drain_window_arrays(self, boundary: int):
         """All events below ``boundary`` as (ticks, vertices, cycles)
@@ -334,37 +305,6 @@ class AsyncSimulation(Simulation):
 
     # ------------------------------------------------------------------
     # Window bookkeeping
-
-    def _flush_window(
-        self, condition: TerminationCondition, max_rounds: int
-    ) -> bool:
-        """Emit window ``self._round + 1``'s record; True if terminated."""
-        rnd = self._round + 1
-        with self._prof.span("window.flush"):
-            last_ticks, *counts, events = self._acc
-            self._acc = list(_EMPTY_WINDOW)
-            cycles = self._local_cycle
-            self._observe_round(
-                rnd, *counts,
-                virtual_time=(
-                    float(rnd) if last_ticks is None
-                    else last_ticks / TICKS_PER_ROUND
-                ),
-                clock_skew_max=int(cycles.max()) - int(cycles.min()),
-                events=events,
-            )
-        self._round = rnd
-        return bool(
-            (rnd % self.termination_every == 0 or rnd == max_rounds)
-            and condition(self.protocols, rnd)
-        )
-
-    def _accumulate(self, ticks: int, *counts: int) -> None:
-        """Fold cohorts ending at ``ticks`` into the current window:
-        ``counts`` follows :data:`_EMPTY_WINDOW`'s order."""
-        self._acc = [ticks] + [
-            total + count for total, count in zip(self._acc[1:], counts)
-        ]
 
     def _mask_at(self, index: int):
         """The fault activity mask at one fault index (all-active
@@ -421,25 +361,25 @@ class AsyncSimulation(Simulation):
             f"{ticks / TICKS_PER_ROUND:.4f}"
         )
 
-    def _process_cohort_synchronous(self, ticks, vertices, cycles) -> None:
+    def _process_cohort_synchronous(self, ticks, vertices, cycles) -> tuple:
         """A full synchronized cohort through the round engine's bulk
         stages (bulk hooks under null timing: the window *is* round
-        ``ticks // TPR``, every vertex activating once)."""
+        ``ticks // TPR``, every vertex activating once).  Returns what
+        :meth:`_process_window` does."""
         rnd = int(ticks[0]) // TICKS_PER_ROUND
         proposal_count, matches, dropped, mask = self._round_stages(rnd)
         tokens, bits = self._stage3(rnd, matches)
         self._local_cycle[vertices] = cycles
         self.event_counts += 1
-        self._accumulate(
-            int(ticks[-1]), proposal_count, len(matches), tokens, bits,
-            dropped, self.n if mask is None else int(mask.sum()),
-            len(vertices),
+        return (
+            proposal_count, len(matches), tokens, bits, dropped,
+            self.n if mask is None else int(mask.sum()),
         )
 
     # ------------------------------------------------------------------
     # Window execution
 
-    def _process_window(self, ticks, vertices, cycles) -> None:
+    def _process_window(self, ticks, vertices, cycles) -> tuple:
         """Execute one round window's cohorts in a few vectorized passes.
 
         ``ticks``/``vertices``/``cycles`` are the window's events sorted
@@ -447,7 +387,9 @@ class AsyncSimulation(Simulation):
         positions ``[0, committed)`` have *published* tags in
         ``self._tags_np``; candidate evaluation reads neighbor tags
         straight from that array, so stale-vs-fresh advertisement
-        semantics fall out of committing in event order.
+        semantics fall out of committing in event order.  Returns the
+        window's ``(proposals, connections, tokens, bits, dropped,
+        active members)``, the record's leading columns.
         """
         ops = self._window_ops
         total = len(vertices)
@@ -703,10 +645,9 @@ class AsyncSimulation(Simulation):
             uniq, first = np.unique(rev, return_index=True)
             self._node_active[uniq] = active_flags[::-1][first]
 
-        self._accumulate(
-            int(ticks[-1]), *window_stats,
+        return (
+            *window_stats,
             total if not self._reader.active else int(active_flags.sum()),
-            total,
         )
 
     def _execute_cohort(

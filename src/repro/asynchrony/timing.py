@@ -127,6 +127,11 @@ class TimingModel:
         return f"{type(self).__name__}(n={self.n})"
 
 
+@register_timing(
+    name="synchronous",
+    description="the paper's lock-step rounds: every node cycles at the "
+                "same global instants (zero randomness consumed)",
+)
 class Synchronous(TimingModel):
     """The null model: the paper's lock-step rounds, zero randomness.
 
@@ -154,6 +159,11 @@ class Synchronous(TimingModel):
         return np.asarray(cycles, dtype=np.int64) * TICKS_PER_ROUND
 
 
+@register_timing(
+    name="jitter",
+    description="uniform scan offsets: each cycle fires up to jitter "
+                "rounds late on a fresh per-cycle draw",
+)
 class UniformJitter(TimingModel):
     """Unsynchronized scan offsets: cycle ``c`` fires at ``c + U·jitter``.
 
@@ -277,6 +287,11 @@ class UniformJitter(TimingModel):
         return f"UniformJitter(n={self.n}, jitter={self.jitter})"
 
 
+@register_timing(
+    name="heterogeneous",
+    description="slow/fast device classes: per-node cycle rates drawn "
+                "once, with per-node phase offsets",
+)
 class HeterogeneousRates(TimingModel):
     """Slow and fast device classes: per-node cycle rates.
 
@@ -357,6 +372,11 @@ class HeterogeneousRates(TimingModel):
         return f"HeterogeneousRates(n={self.n}, rates={self.rates})"
 
 
+@register_timing(
+    name="bursty",
+    description="Gilbert-Elliott bursty pauses: nominal cycling with "
+                "occasional multi-round stalls (backgrounded apps)",
+)
 class GilbertElliottPauses(TimingModel):
     """Bursty pauses: a two-state (good/bad) gap process per device.
 
@@ -431,43 +451,3 @@ class GilbertElliottPauses(TimingModel):
             f"GilbertElliottPauses(n={self.n}, p_pause={self.p_pause}, "
             f"p_resume={self.p_resume}, pause_scale={self.pause_scale})"
         )
-
-
-@register_timing(
-    name="synchronous",
-    description="the paper's lock-step rounds: every node cycles at the "
-                "same global instants (zero randomness consumed)",
-)
-def _build_synchronous(n, seed):
-    return Synchronous(n=n, seed=seed)
-
-
-@register_timing(
-    name="jitter",
-    description="uniform scan offsets: each cycle fires up to jitter "
-                "rounds late on a fresh per-cycle draw",
-)
-def _build_uniform_jitter(n, seed, *, jitter=0.5):
-    return UniformJitter(n=n, seed=seed, jitter=jitter)
-
-
-@register_timing(
-    name="heterogeneous",
-    description="slow/fast device classes: per-node cycle rates drawn "
-                "once, with per-node phase offsets",
-)
-def _build_heterogeneous_rates(n, seed, *, rates=(0.6, 1.0, 1.5),
-                               weights=None):
-    return HeterogeneousRates(n=n, seed=seed, rates=rates, weights=weights)
-
-
-@register_timing(
-    name="bursty",
-    description="Gilbert-Elliott bursty pauses: nominal cycling with "
-                "occasional multi-round stalls (backgrounded apps)",
-)
-def _build_gilbert_elliott(n, seed, *, p_pause=0.1, p_resume=0.6,
-                           pause_scale=3.0, jitter=0.2):
-    return GilbertElliottPauses(n=n, seed=seed, p_pause=p_pause,
-                                p_resume=p_resume, pause_scale=pause_scale,
-                                jitter=jitter)

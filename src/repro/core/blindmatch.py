@@ -121,6 +121,11 @@ class BlindMatchNode(GossipNode):
     # order relative to interactions (``eager_scan = False``: the engine
     # calls ``scan`` cohort by cohort).  The batched win for b = 0 is in
     # the engine's drain/commit/resolve machinery, not in hashing.
+    # Why they exist beside ``ScalarWindowOps`` (ROADMAP 3(a)): any
+    # ``timing:`` spec reaches them, and by never building a
+    # ``NeighborView`` they measure +48 % / +30 % at n = 400 and +30 % /
+    # +15 % at n = 2000 over the scalar hooks (EXPERIMENTS.md
+    # SIMPLE-ASYNC, final table).
 
     @classmethod
     def make_window_hooks(cls, nodes) -> "_BlindMatchWindowOps":

@@ -75,10 +75,6 @@ class MultiBitSharedBitNode(GossipNode):
         self._transfer = self._transfer_machine(transfer, self.config)
         self._tag_this_round = 0
 
-    @property
-    def tag_bits(self) -> int:
-        return self.config.bits
-
     def advertisement_tag(self, round_index: int) -> int:
         """Per-position parity of b shared bits per known token.
 

@@ -45,13 +45,6 @@ class SchedulePosition:
     def is_ppush(self) -> bool:
         return not self.is_spelling
 
-    @property
-    def spelling_bit_index(self) -> int:
-        """Which bit of the ℓ-bit tag this round spells (MSB first)."""
-        if not self.is_spelling:
-            raise ConfigurationError("not a spelling round")
-        return self.offset
-
     def __repr__(self) -> str:
         kind = "spell" if self.is_spelling else "ppush"
         return (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.core.runner import coverage_gauge, potential_gauge, run_gossip
+from repro.core.runner import run_gossip
 from repro.errors import ConfigurationError
 from repro.experiments.results import (
     ResultCache,
@@ -26,7 +26,12 @@ from repro.experiments.results import (
     aggregate,
     load_streamed,
 )
-from repro.experiments.specs import RunSpec, SweepSpec, run_hash
+from repro.experiments.specs import (
+    NAMED_GAUGES,
+    RunSpec,
+    SweepSpec,
+    run_hash,
+)
 from repro.registry import ALGORITHM_REGISTRY, load_plugin
 
 __all__ = ["execute_run", "normalize_payload", "run_sweep",
@@ -41,11 +46,6 @@ def stable_topology_note(algorithm: str) -> str:
 #: The note attached when CrowdedBin's τ = ∞ requirement forces a
 #: substitution (also surfaced by ``repro-gossip compare``).
 CROWDEDBIN_TAU_NOTE = stable_topology_note("crowdedbin")
-
-_NAMED_GAUGES = {
-    "coverage": coverage_gauge,
-    "potential": potential_gauge,
-}
 
 
 def normalize_payload(payload: dict) -> tuple[dict, list[str]]:
@@ -88,16 +88,11 @@ def execute_run(payload) -> dict:
     spec = RunSpec.from_payload(payload)
     engine = spec.engine
     gauge_names = tuple(engine.get("gauges", ()))
-    for name in gauge_names:
-        if name not in _NAMED_GAUGES:
-            raise ConfigurationError(
-                f"unknown gauge {name!r}; choose from {sorted(_NAMED_GAUGES)}"
-            )
     run = spec.materialize()
     token_ids = run["instance"].token_ids
     result = run_gossip(
         **run,
-        gauges={name: _NAMED_GAUGES[name](token_ids)
+        gauges={name: NAMED_GAUGES[name](token_ids)
                 for name in gauge_names} or None,
         gauge_every=engine.get("gauge_every", 64),
         trace_sample_every=engine.get("trace_sample_every", 1024),

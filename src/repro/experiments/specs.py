@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.asynchrony.timing import build_timing
 from repro.core.problem import GossipInstance
+from repro.core.runner import coverage_gauge, potential_gauge
 from repro.errors import ConfigurationError
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.topologies import Topology
@@ -61,6 +62,9 @@ _ENGINE_KEYS = frozenset(
     {"trace_sample_every", "trace_max_records", "termination_every",
      "gauge_every", "gauges"}
 )
+
+#: ``engine.gauges`` names: ``token_ids -> gauge`` factories.
+NAMED_GAUGES = {"coverage": coverage_gauge, "potential": potential_gauge}
 
 _TELEMETRY_KEYS = frozenset({"enabled", "stream"})
 
@@ -196,15 +200,21 @@ class RunSpec:
                     f"{sorted(_ENGINE_KEYS)}"
                 )
             for key, value in self.engine.items():
-                # Every knob but ``gauges`` is a count; only the record
-                # bound may be null (unbounded).
-                if key == "gauges" or (
-                    value is None and key == "trace_max_records"
-                ):
-                    continue
-                if type(value) is not int or value < 1:
-                    raise _wrong_type(f"engine.{key}", "an integer >= 1",
-                                      value)
+                if key == "gauges":
+                    expected = f"a list of names from {sorted(NAMED_GAUGES)}"
+                    ok = isinstance(value, (list, tuple)) and all(
+                        isinstance(name, str) and name in NAMED_GAUGES
+                        for name in value
+                    )
+                else:
+                    # Every other knob is a count; only the record bound
+                    # may be null (unbounded).
+                    expected = "an integer >= 1"
+                    ok = (type(value) is int and value >= 1) or (
+                        value is None and key == "trace_max_records"
+                    )
+                if not ok:
+                    raise _wrong_type(f"engine.{key}", expected, value)
         if self.telemetry is not None:
             if not isinstance(self.telemetry, dict):
                 raise ConfigurationError(

@@ -34,8 +34,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.bits import ceil_log2
 from repro.errors import ConfigurationError
 from repro.sim.channel import Channel
@@ -186,63 +184,6 @@ class LeaderElectionNode(NodeProtocol):
     def interact(self, responder: "LeaderElectionNode", channel: Channel,
                  round_index: int) -> None:
         self.election.interact(responder.election, channel)
-
-    @classmethod
-    def make_window_hooks(cls, nodes) -> "_LeaderWindowOps":
-        return _LeaderWindowOps(nodes)
-
-
-class _LeaderWindowOps:
-    """Stateful window ops for leader election (see ``window_hooks``).
-
-    The election step advance and the freshness bit live in
-    ``advertise`` and consume no randomness, but they are *stateful*
-    (``_adopt`` mid-window timestamps improvements against ``_step``),
-    so scanning must stay lazy (``eager_scan = False``: the engine calls
-    ``scan`` cohort by cohort in event order, exactly when the scalar
-    ``advertise`` would run).  The proposal draws consume each member's
-    private rng exactly as the scalar hook does: a news node's
-    ``rng.choice`` over the ascending quiet-UID array is the same single
-    ``_randbelow(len)`` as over ``sorted(quiet)``, and a blind node's
-    coin-then-choice runs over the CSR-row-ordered visible UIDs, which
-    is the ``NeighborView`` tuple order.  ``senders`` is all-True: a
-    news-less member consumes its mixing coin even when it declines, so
-    the engine must always reach ``propose_one``.
-    """
-
-    eager_scan = False
-    needs_retag = False
-
-    def __init__(self, nodes):
-        self._nodes = nodes
-
-    def state_changed(self, vertex: int) -> None:
-        pass
-
-    def scan(self, vertices, cycles) -> tuple[np.ndarray, np.ndarray]:
-        count = len(vertices)
-        tags = np.empty(count, dtype=np.int64)
-        senders = np.ones(count, dtype=bool)
-        nodes = self._nodes
-        for i, vertex in enumerate(np.asarray(vertices).tolist()):
-            tags[i] = nodes[vertex].election.advertise()
-        return tags, senders
-
-    def retag(self, vertex: int, cycle: int) -> int:
-        return int(self._nodes[vertex].election._bit_this_step)
-
-    def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
-        election = self._nodes[vertex].election
-        if len(neighbor_uids) == 0:
-            return -1
-        if election._bit_this_step == 1:
-            quiet = neighbor_uids[np.asarray(neighbor_tags) == 0]
-            if len(quiet):
-                return int(election.rng.choice(np.sort(quiet)))
-            return -1
-        if election.rng.random() < election.config.blind_send_probability:
-            return int(election.rng.choice(neighbor_uids))
-        return -1
 
 
 def run_leader_election(

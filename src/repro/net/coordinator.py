@@ -63,7 +63,7 @@ from repro.net.errors import (
     RetryPolicy,
     TransportError,
 )
-from repro.net.framing import close_pooled, request
+from repro.net.framing import request
 from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
 from repro.registry import register_transport
@@ -269,11 +269,10 @@ class Coordinator:
     def stop(self) -> None:
         """Stop every server — side by side, since each waits out its
         accept loop's poll interval, and all of them even if one raises
-        — then purge their pooled sockets and re-raise the first error."""
+        — then re-raise the first error."""
         with ThreadPoolExecutor(max(1, len(self.servers))) as pool:
             stops = [pool.submit(s.stop) for s in self.servers.values()]
         self._connect_pool.shutdown()
-        close_pooled(s.address for s in self.servers.values())
         self._started = False
         for stopped in stops:
             stopped.result()

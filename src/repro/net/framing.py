@@ -166,8 +166,8 @@ def _checkin(host, port, sock, reusable: bool) -> None:
 
 
 def close_pooled(addresses) -> None:
-    """Close the idle pooled sockets to each ``(host, port)``: what the
-    owner of stopped servers does to hold the process's fd count flat."""
+    """Close the idle pooled sockets to each ``(host, port)``: what a
+    stopping server does to hold the process's fd count flat."""
     with _pool_lock:
         socks = [s for a in addresses for s in _pool.pop(tuple(a), ())]
     for sock in socks:

@@ -86,7 +86,7 @@ from repro.net.errors import (
     THREAD_JOIN_TIMEOUT,
     TransportError,
 )
-from repro.net.framing import recv_msg, request, send_msg
+from repro.net.framing import close_pooled, recv_msg, request, send_msg
 from repro.net.peers import PeerEntry, PeerTable
 from repro.rng import SeedTree
 from repro.sim.channel import Channel, ChannelPolicy
@@ -337,6 +337,10 @@ class PeerServer:
         *reported* — counted in the return value, logged, and added to
         ``stats["leaked_threads"]`` — instead of silently abandoned.
         """
+        # The idle sockets this process pooled to the address (stale
+        # ones a kill left behind included) are fds nobody checks out
+        # again: closing them here holds a standalone server's count flat.
+        close_pooled([self.address])
         if self._dead:
             return self._count_leaked(log=False)
         self._hang_up(idle_only=True)

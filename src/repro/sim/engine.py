@@ -297,7 +297,11 @@ class Simulation:
         termination: TerminationCondition | None = None,
         raise_on_limit: bool = False,
     ) -> SimulationResult:
-        """Run until ``termination`` fires or ``max_rounds`` elapse."""
+        """Run until ``termination`` fires or ``max_rounds`` elapse.
+
+        The one run loop: a subclass changes what a round *is* by
+        overriding :meth:`step` (the asynchronous engine's round is a
+        window of activations), never when termination is checked."""
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         condition = termination or never()
@@ -314,6 +318,11 @@ class Simulation:
             raise RoundLimitExceeded(
                 f"no termination within {max_rounds} rounds", trace=self.trace
             )
+        return self._result(terminated)
+
+    def _result(self, terminated: bool) -> SimulationResult:
+        """What :meth:`run` returns (engines with more to report add
+        their columns here)."""
         return SimulationResult(
             rounds=self._round,
             terminated=terminated,

@@ -162,6 +162,11 @@ class FaultModel:
         return f"{type(self).__name__}(n={self.n})"
 
 
+@register_fault(
+    name="none",
+    description="the paper's clean model: every node awake, every "
+                "connection succeeds (zero randomness consumed)",
+)
 class NoFaults(FaultModel):
     """The null model: the paper's clean execution, zero randomness.
 
@@ -185,6 +190,11 @@ class NoFaults(FaultModel):
         return None
 
 
+@register_fault(
+    name="sleep",
+    description="duty-cycled radios: each node awake duty-of-period "
+                "rounds on a per-node phase",
+)
 class SleepCycle(FaultModel):
     """Duty-cycled radios: each node is awake ``duty`` of every ``period``
     rounds.
@@ -235,6 +245,11 @@ class SleepCycle(FaultModel):
         )
 
 
+@register_fault(
+    name="churn",
+    description="crash/rejoin churn: per-window outages, token state "
+                "retained or reset on crash",
+)
 class CrashChurn(FaultModel):
     """Nodes crash and rejoin: outages drawn per (node, window).
 
@@ -322,6 +337,11 @@ class CrashChurn(FaultModel):
         )
 
 
+@register_fault(
+    name="lossy",
+    description="lossy connections: each resolved match independently "
+                "fails with drop_prob after acceptance",
+)
 class LossyLinks(FaultModel):
     """Probabilistic connection failure after matching.
 
@@ -448,44 +468,3 @@ class FaultReader:
             at = cycle_of_uid[pair[0]] if index is None else index
             (doomed if drop(at, pair[0], pair[1]) else surviving).append(pair)
         return surviving, doomed
-
-
-@register_fault(
-    name="none",
-    description="the paper's clean model: every node awake, every "
-                "connection succeeds (zero randomness consumed)",
-)
-def _build_no_faults(n, seed):
-    return NoFaults(n=n, seed=seed)
-
-
-@register_fault(
-    name="sleep",
-    description="duty-cycled radios: each node awake duty-of-period "
-                "rounds on a per-node phase",
-)
-def _build_sleep_cycle(n, seed, *, period=8, duty=6, stagger=True,
-                       clock="cycle"):
-    return SleepCycle(n=n, seed=seed, period=period, duty=duty,
-                      stagger=stagger, clock=clock)
-
-
-@register_fault(
-    name="churn",
-    description="crash/rejoin churn: per-window outages, token state "
-                "retained or reset on crash",
-)
-def _build_crash_churn(n, seed, *, cycle=64, crash_prob=0.15, min_outage=8,
-                       max_outage=24, reset_tokens=False, clock="cycle"):
-    return CrashChurn(n=n, seed=seed, cycle=cycle, crash_prob=crash_prob,
-                      min_outage=min_outage, max_outage=max_outage,
-                      reset_tokens=reset_tokens, clock=clock)
-
-
-@register_fault(
-    name="lossy",
-    description="lossy connections: each resolved match independently "
-                "fails with drop_prob after acceptance",
-)
-def _build_lossy_links(n, seed, *, drop_prob=0.2, clock="cycle"):
-    return LossyLinks(n=n, seed=seed, drop_prob=drop_prob, clock=clock)

@@ -19,7 +19,7 @@ channel meters the rest.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
@@ -74,6 +74,48 @@ def _defining_class(node_type: type, name: str) -> type | None:
     return None
 
 
+#: What a subclass may define below an optional hook's class and keep
+#: it: the hooks themselves (the pair rule polices those), the shared
+#: readiness check, and ABCMeta's bookkeeping.
+_HOOK_NAMES = frozenset({
+    "advertise", "propose", "advertise_all", "propose_all",
+    "make_window_hooks", "bulk_ready", "_abc_impl",
+})
+
+
+def _eligible_type(nodes, pairs: dict[str, str]) -> type | None:
+    """The population's class if it may run on the optional hooks in
+    ``pairs`` (``{scalar hook: the optional hook standing in for it}``),
+    else ``None`` — the one rule :func:`bulk_hooks` documents."""
+    node_type = type(nodes[0])
+    if any(type(node) is not node_type for node in nodes):
+        return None
+    mro = node_type.__mro__
+    guard_depth = 0
+    for scalar, optional in pairs.items():
+        scalar_owner = _defining_class(node_type, scalar)
+        owner = _defining_class(node_type, optional)
+        if scalar_owner is None or owner is None or not issubclass(
+            owner, scalar_owner
+        ):
+            return None
+        guard_depth = max(guard_depth, mro.index(owner))
+    # Helper-override guard: anything a subclass defines below the
+    # optional hooks' classes (other than dunders and the hook names,
+    # which the pair rule above already polices) could change what the
+    # scalar hooks do without the inherited optional hooks noticing.
+    for cls in mro[:guard_depth]:
+        for name in cls.__dict__:
+            if name not in _HOOK_NAMES and not (
+                name.startswith("__") and name.endswith("__")
+            ):
+                return None
+    ready = getattr(node_type, "bulk_ready", None)
+    if ready is not None and not ready(nodes):
+        return None
+    return node_type
+
+
 def bulk_hooks(nodes) -> tuple | None:
     """Detect the optional *bulk* protocol hooks for the array fast path.
 
@@ -99,9 +141,9 @@ def bulk_hooks(nodes) -> tuple | None:
     * both hooks exist, and each is defined at least as deep in the MRO
       as its scalar twin — a subclass that overrides ``propose`` but
       inherits ``propose_all`` would silently diverge, so it is refused;
-    * no class below the bulk hooks' defining classes overrides anything
-      else (``__init__``-style dunders excepted) — a subclass overriding
-      a *helper* the scalar hooks call (e.g. SharedBit's
+    * no class below the bulk hooks' defining classes defines anything
+      but hook names (``__init__``-style dunders excepted) — a subclass
+      overriding a *helper* the scalar hooks call (e.g. SharedBit's
       ``advertisement_bit``) would be invisible to the inherited bulk
       hooks, so such populations fall back to the object path; a
       subclass opts back in by re-declaring both bulk hooks;
@@ -111,44 +153,12 @@ def bulk_hooks(nodes) -> tuple | None:
 
     Returns ``(advertise_all, propose_all)`` or ``None``.
     """
-    node_type = type(nodes[0])
-    if any(type(node) is not node_type for node in nodes):
-        return None
-    advertise_all = getattr(node_type, "advertise_all", None)
-    propose_all = getattr(node_type, "propose_all", None)
-    if advertise_all is None or propose_all is None:
-        return None
-    for scalar, bulk in (
-        ("advertise", "advertise_all"),
-        ("propose", "propose_all"),
-    ):
-        scalar_owner = _defining_class(node_type, scalar)
-        bulk_owner = _defining_class(node_type, bulk)
-        if scalar_owner is None or bulk_owner is None:
-            return None
-        if not issubclass(bulk_owner, scalar_owner):
-            return None
-    # Helper-override guard: anything a subclass defines below the bulk
-    # hooks' classes (other than dunders and the hook names themselves,
-    # which the pair rule above already polices) could change what the
-    # scalar hooks do without the inherited bulk hooks noticing.
-    mro = node_type.__mro__
-    guard_depth = max(
-        mro.index(_defining_class(node_type, "advertise_all")),
-        mro.index(_defining_class(node_type, "propose_all")),
+    node_type = _eligible_type(
+        nodes, {"advertise": "advertise_all", "propose": "propose_all"}
     )
-    harmless = {"advertise", "propose", "advertise_all", "propose_all",
-                "bulk_ready", "_abc_impl"}  # _abc_impl: ABCMeta bookkeeping
-    for cls in mro[:guard_depth]:
-        for name in cls.__dict__:
-            if name not in harmless and not (
-                name.startswith("__") and name.endswith("__")
-            ):
-                return None
-    ready = getattr(node_type, "bulk_ready", None)
-    if ready is not None and not ready(nodes):
+    if node_type is None:
         return None
-    return advertise_all, propose_all
+    return node_type.advertise_all, node_type.propose_all
 
 
 def window_hooks(nodes):
@@ -197,36 +207,15 @@ def window_hooks(nodes):
     outside the scalar hooks reads it — a run is fed by either the
     protocol's window ops or the scalar hooks, never both.
 
-    Eligibility mirrors :func:`bulk_hooks` exactly: one concrete class,
-    the factory defined at least as deep in the MRO as the scalar hooks
-    it replaces, no helper overrides below it, and the shared
-    ``bulk_ready`` homogeneity check (window batching leans on the same
-    shared state the bulk hooks do).  Returns the ops object or ``None``.
+    Eligibility is :func:`bulk_hooks`' rule with the factory standing in
+    for both scalar hooks (window batching leans on the same shared
+    state the bulk hooks do, hence the same ``bulk_ready`` check).
+    Returns the ops object or ``None``.
     """
-    node_type = type(nodes[0])
-    if any(type(node) is not node_type for node in nodes):
-        return None
-    factory = getattr(node_type, "make_window_hooks", None)
-    if factory is None:
-        return None
-    factory_owner = _defining_class(node_type, "make_window_hooks")
-    for scalar in ("advertise", "propose"):
-        scalar_owner = _defining_class(node_type, scalar)
-        if scalar_owner is None or not issubclass(factory_owner, scalar_owner):
-            return None
-    harmless = {"advertise", "propose", "advertise_all", "propose_all",
-                "make_window_hooks", "bulk_ready", "_abc_impl"}
-    mro = node_type.__mro__
-    for cls in mro[:mro.index(factory_owner)]:
-        for name in cls.__dict__:
-            if name not in harmless and not (
-                name.startswith("__") and name.endswith("__")
-            ):
-                return None
-    ready = getattr(node_type, "bulk_ready", None)
-    if ready is not None and not ready(nodes):
-        return None
-    return factory(nodes)
+    node_type = _eligible_type(nodes, {
+        "advertise": "make_window_hooks", "propose": "make_window_hooks",
+    })
+    return None if node_type is None else node_type.make_window_hooks(nodes)
 
 
 class ScalarWindowOps:
@@ -283,9 +272,3 @@ class TokenHolder(Protocol):
 
     @property
     def known_tokens(self) -> frozenset: ...
-
-
-def coverage_counts(nodes: Iterable[TokenHolder], token_ids) -> list[int]:
-    """Per-node counts of how many of ``token_ids`` each node knows."""
-    wanted = frozenset(token_ids)
-    return [len(node.known_tokens & wanted) for node in nodes]

@@ -178,9 +178,6 @@ class Trace:
                 )
         return None
 
-    def last(self) -> RoundRecord | None:
-        return self.records[-1] if self.records else None
-
     def __len__(self) -> int:
         return len(self.records)
 

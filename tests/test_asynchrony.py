@@ -28,7 +28,8 @@ from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import cycle, expander, star
 from repro.registry import TIMING_REGISTRY
 from repro.sim.channel import ChannelPolicy
-from repro.sim.faults import SleepCycle
+from repro.sim.engine import Simulation
+from repro.sim.faults import CrashChurn, SleepCycle
 from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
 from repro.workloads.scenarios import (
@@ -40,9 +41,10 @@ N = 20
 SEED = 9
 
 
-def _sim(timing=None, fault=None, n=N, seed=SEED, k=2, **kwargs):
+def _sim(timing=None, fault=None, n=N, seed=SEED, k=2,
+         algorithm="sharedbit", **kwargs):
     instance = uniform_instance(n=n, k=k, seed=seed)
-    nodes = build_nodes("sharedbit", instance, seed=seed)
+    nodes = build_nodes(algorithm, instance, seed=seed)
     sim = AsyncSimulation(
         StaticDynamicGraph(expander(n=n, degree=4, seed=1)), nodes,
         b=1, seed=seed,
@@ -371,10 +373,65 @@ class TestAsyncSimulation:
         with pytest.raises(ConfigurationError):
             _sim(timing=UniformJitter(N + 1, SEED))
 
-    def test_step_is_not_a_thing(self):
-        sim, _ = _sim(timing=UniformJitter(N, SEED))
-        with pytest.raises(ConfigurationError):
-            sim.step()
+    @pytest.mark.parametrize("churn", [False, True])
+    @pytest.mark.parametrize("algorithm", ["sharedbit", "blindmatch"])
+    @pytest.mark.parametrize("make_timing", [
+        lambda: UniformJitter(N, SEED, jitter=0.5),
+        lambda: HeterogeneousRates(N, SEED, rates=(0.5, 2.0)),
+        lambda: GilbertElliottPauses(N, SEED, p_pause=0.8, p_resume=0.1,
+                                     pause_scale=6.0),
+    ], ids=["jitter", "heterogeneous", "bursty"])
+    def test_step_by_step_equals_run(self, make_timing, algorithm, churn):
+        # A round is a window: step() executes exactly one, and run()
+        # is nothing but the loop around it.
+        def observed(drive):
+            sim, _ = _sim(
+                timing=make_timing(), algorithm=algorithm,
+                fault=CrashChurn(N, SEED, reset_tokens=True)
+                if churn else None,
+            )
+            drive(sim)
+            assert sim.current_round == 24
+            return (
+                trace_signature(sim.current_round, sim.trace),
+                [(rec.virtual_time, rec.clock_skew_max, rec.events)
+                 for rec in sim.trace.records],
+                sim.event_counts.tolist(),
+                [sorted(node.known_tokens) for node in sim._nodes],
+            )
+
+        def by_step(sim):
+            for window in range(1, 25):
+                record = sim.step()
+                assert record.round_index == sim.current_round == window
+
+        assert observed(by_step) == observed(lambda sim: sim.run(24))
+
+    @pytest.mark.parametrize("engine", ["round", "async"])
+    def test_run_resumes_where_it_stopped(self, engine):
+        # run(5) then run(12) is run(12): the round engine's loop, and
+        # the same loop around the window override.
+        def observed(budgets):
+            if engine == "async":
+                sim, _ = _sim(timing=GilbertElliottPauses(
+                    N, SEED, p_pause=0.8, p_resume=0.1, pause_scale=6.0))
+            else:
+                instance = uniform_instance(n=N, k=2, seed=SEED)
+                sim = Simulation(
+                    StaticDynamicGraph(expander(n=N, degree=4, seed=1)),
+                    build_nodes("sharedbit", instance, seed=SEED),
+                    b=1, seed=SEED,
+                    channel_policy=ChannelPolicy.for_upper_n(
+                        instance.upper_n),
+                )
+            for max_rounds in budgets:
+                result = sim.run(max_rounds)
+                assert result.rounds == max_rounds
+            return (trace_signature(result.rounds, sim.trace),
+                    [rec.events for rec in sim.trace.records],
+                    [sorted(node.known_tokens) for node in sim._nodes])
+
+        assert observed((5, 12)) == observed((12,))
 
     def test_event_counts_track_every_activation(self):
         sim, instance = _sim(timing=UniformJitter(N, SEED, jitter=0.5))
@@ -438,6 +495,26 @@ class TestAsyncSimulation:
         events = [rec.events for rec in sim.trace.records]
         assert 0 in events            # some windows hold no activations
         assert len(events) == 30      # ... but every window is recorded
+
+    def test_termination_cadence_counts_empty_windows(self):
+        # Seed 32's goal first holds in window 51 and the cadence's next
+        # check falls on window 52, which holds no activation: an empty
+        # window is still a round the loop checks, so the run ends there.
+        def run(termination_every):
+            sim, instance = _sim(
+                timing=GilbertElliottPauses(N, 32, p_pause=0.8,
+                                            p_resume=0.1, pause_scale=6.0),
+                seed=32, termination_every=termination_every,
+            )
+            result = sim.run(
+                max_rounds=5000,
+                termination=all_hold_tokens(instance.token_ids),
+            )
+            assert result.terminated
+            return result.rounds, sim.trace.records[-1].events
+
+        assert run(termination_every=1)[0] == 51
+        assert run(termination_every=4) == (52, 0)
 
     def test_sleep_fault_composes_with_async_timing(self):
         clean, instance = _sim(timing=UniformJitter(N, SEED, jitter=0.3))
@@ -508,9 +585,9 @@ class TestAsyncLeaderElection:
             channel_policy=ChannelPolicy.for_upper_n(max(uids)),
             timing=UniformJitter(n=n, seed=SEED, jitter=0.6),
         )
-        # Leader election ships window hooks: auto mode takes the
-        # batched window path, and still elects the minimum.
-        assert sim._batched
+        # No run description reaches an asynchronous leader election, so
+        # it ships no window hooks: the scalar hooks carry it.
+        assert not sim._batched
         result = sim.run(max_rounds=50_000,
                          termination=all_agree_on_leader())
         assert result.terminated
@@ -518,41 +595,6 @@ class TestAsyncLeaderElection:
             node.candidate_leader for node in result.nodes.values()
         }
         assert winners == {min(uids)}
-
-    def test_leader_batched_identical_to_per_event(self):
-        from repro.experiments.fastpath import trace_signature
-        from repro.leader.bitconvergence import LeaderElectionNode
-        from repro.rng import SeedTree
-        from repro.sim.termination import all_agree_on_leader
-
-        n = 12
-        uids = [3 * vertex + 5 for vertex in range(n)]
-
-        def run(async_mode):
-            tree = SeedTree(SEED)
-            nodes = {
-                vertex: LeaderElectionNode(
-                    uid=uids[vertex], upper_n=max(uids),
-                    rng=tree.stream("leader-node", uids[vertex]),
-                )
-                for vertex in range(n)
-            }
-            sim = AsyncSimulation(
-                StaticDynamicGraph(expander(n=n, degree=4, seed=1)), nodes,
-                b=1, seed=SEED,
-                channel_policy=ChannelPolicy.for_upper_n(max(uids)),
-                timing=UniformJitter(n=n, seed=SEED, jitter=0.6),
-                async_mode=async_mode,
-            )
-            result = sim.run(max_rounds=50_000,
-                             termination=all_agree_on_leader())
-            leaders = tuple(
-                (node.uid, node.candidate_leader)
-                for node in result.nodes.values()
-            )
-            return trace_signature(result.rounds, sim.trace), leaders
-
-        assert run("batched") == run("event")
 
 
 class TestRunGossipTiming:

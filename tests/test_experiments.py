@@ -520,6 +520,13 @@ class TestMalformedPayloads:
         ({"config": [1]}, "'config'"),
         ({"engine": {"trace_sample_every": 0}},
          "'engine.trace_sample_every'"),
+        # Each was a raw TypeError, a misleading "unknown gauge 'c'", or
+        # (the mapping) silently accepted.
+        ({"engine": {"gauges": 5}}, "'engine.gauges'"),
+        ({"engine": {"gauges": None}}, "'engine.gauges'"),
+        ({"engine": {"gauges": [["coverage"]]}}, "'engine.gauges'"),
+        ({"engine": {"gauges": "coverage"}}, "'engine.gauges'"),
+        ({"engine": {"gauges": {"coverage": 1}}}, "'engine.gauges'"),
         # open() would take the integer as file descriptor 5.
         ({"telemetry": {"enabled": True, "stream": 5}},
          "'telemetry.stream'"),

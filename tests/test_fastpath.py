@@ -355,6 +355,59 @@ class TestBulkHookDetection:
         ]
         assert bulk_hooks(nodes) is None
 
+    @pytest.mark.parametrize("detect", ["bulk_hooks", "window_hooks"])
+    def test_one_eligibility_rule_for_both_hook_kinds(self, detect):
+        from repro.core.sharedbit import SharedBitConfig, SharedBitNode
+        from repro.rng import SharedRandomness
+        from repro.sim import protocol
+
+        detect = getattr(protocol, detect)
+        shared = SharedRandomness.from_seed(1, 8)
+
+        def population(*classes, shared_of=lambda vertex: shared):
+            tree = SeedTree(5)
+            return [
+                classes[vertex % len(classes)](
+                    uid=vertex + 1, upper_n=8, initial_tokens=(),
+                    rng=tree.stream("node", vertex),
+                    shared=shared_of(vertex), config=SharedBitConfig(),
+                )
+                for vertex in range(4)
+            ]
+
+        class Same(SharedBitNode):
+            pass
+
+        class HelperOverride(SharedBitNode):
+            def advertisement_bit(self, round_index):
+                return 0
+
+        class ScalarOverride(SharedBitNode):
+            def propose(self, round_index, neighbors):
+                return None
+
+        class OwnWindowHooks(SharedBitNode):
+            @classmethod
+            def make_window_hooks(cls, nodes):
+                return "mine"
+
+        assert detect(population(SharedBitNode)) is not None
+        assert detect(population(Same)) is not None
+        assert detect(population(SharedBitNode, Same)) is None
+        assert detect(population(HelperOverride)) is None
+        assert detect(population(ScalarOverride)) is None
+        assert detect(population(
+            SharedBitNode,
+            shared_of=lambda vertex: SharedRandomness.from_seed(vertex, 8),
+        )) is None  # bulk_ready says no
+        # Re-declaring the window factory is not a helper override: the
+        # subclass gets its own ops and keeps the inherited bulk hooks.
+        nodes = population(OwnWindowHooks)
+        assert protocol.window_hooks(nodes) == "mine"
+        assert protocol.bulk_hooks(nodes) == (
+            OwnWindowHooks.advertise_all, OwnWindowHooks.propose_all
+        )
+
     def test_sharedbit_bulk_ready_rejects_mismatched_shared_strings(self):
         from repro.core.sharedbit import SharedBitConfig, SharedBitNode
         from repro.rng import SharedRandomness

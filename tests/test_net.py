@@ -787,7 +787,6 @@ class TestPooledConnections:
             assert 1 <= len(idle) <= framing.POOL_IDLE_MAX
         finally:
             assert server.stop() == 0
-            framing.close_pooled([(host, port)])
 
     def test_kill_then_revive_reconnects_without_a_retry(self):
         server = _single_server().start()
@@ -942,6 +941,19 @@ class TestClusterHygiene:
         assert _open_fds() == fds
         assert threading.active_count() == threads
 
+    def test_standalone_server_stop_leaves_no_fds(self):
+        """No coordinator to clean up after it: a server's own ``stop``
+        closes the idle sockets this process pooled to its address."""
+        _single_server().start().stop()  # lazy imports paid here
+        fds = _open_fds()
+        server = _single_server().start()
+        host, port = server.address
+        for _ in range(20):
+            assert request(host, port, {"op": "ping"})["ok"] is True
+        assert _open_fds() > fds
+        assert server.stop() == 0
+        assert _open_fds() == fds
+
     def test_failed_construction_leaks_no_listeners(self):
         """A chaos model sized for another n is rejected and no
         listener the coordinator bound stays open on the way out."""
@@ -973,8 +985,9 @@ class TestClusterHygiene:
                 coord.stop()
             assert all(coord.servers[v].dead for v in (0, 2, 3))
             assert not any(
-                server.address in framing._pool
-                for server in coord.servers.values()
+                coord.servers[v].address in framing._pool for v in (0, 2, 3)
             )
         finally:
             assert real_stop() == 0
+        # Each server purges the pool to its own address when it stops.
+        assert broken.address not in framing._pool
