@@ -287,10 +287,12 @@ def _cmd_serve(args) -> int:
         f"{report.rounds} rounds, {status}"
     )
     rps = report.rounds_per_second
+    rpr = report.trace.requests_per_round()
     stats = report.trace.latency_stats()
     print(
         f"wall={report.wall_seconds:.3f}s"
         + (f" rounds/s={rps:.1f}" if rps else "")
+        + (f" requests/round={rpr:.1f}" if rpr else "")
         + (
             f" connections={stats['connections']}"
             f" latency_mean={stats['mean_s'] * 1e3:.2f}ms"
@@ -318,8 +320,9 @@ def _cmd_top(args) -> int:
 
     Any endpoint of a running cluster works: every server answers for
     itself (peers, inbox, robustness counters, connect-latency
-    quantiles) and relays the coordinator's last pushed cluster view
-    (round, suspects).  ``--iterations 0`` polls until interrupted.
+    quantiles) and relays the coordinator's last cluster view (round,
+    suspects; during a run it trails the node's own round by one).
+    ``--iterations 0`` polls until interrupted.
     """
     import time
 
@@ -417,6 +420,7 @@ def _cmd_replay(args) -> int:
     report = replay(record, chaos=args.chaos)
     if report.equivalent:
         rps = report.live.rounds_per_second
+        rpr = report.live.trace.requests_per_round()
         mode = (
             "through physically enacted chaos "
             f"({report.live.chaos_kills} kills, "
@@ -427,7 +431,8 @@ def _cmd_replay(args) -> int:
         print(
             "replay EQUIVALENT: live match stream and final token sets "
             + mode
-            + (f" ({rps:.1f} live rounds/s)" if rps else "")
+            + (f" ({rps:.1f} live rounds/s, {rpr:.1f} requests/round)"
+               if rps else "")
         )
         return 0
     print(f"replay DIVERGED ({len(report.divergences)} divergences):")

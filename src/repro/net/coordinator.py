@@ -49,6 +49,7 @@ Robustness (the chaos-hardening layer):
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -246,6 +247,9 @@ class Coordinator:
             else self.chaos.reader
         )
         self._round = 0     # the round being driven
+        #: The last closed round's cluster view (round, suspects,
+        #: active, n): the next round's ``advertise`` carries it.
+        self._status: dict | None = None
         self.trace = NetTrace(sample_every=trace_sample_every)
         self.match_stream: list[tuple] = []
         self.suspects: dict[int, int] = {}
@@ -253,6 +257,11 @@ class Coordinator:
         self.rejoins = 0
         self._retries = 0
         self._timeouts = 0
+        # Requests this coordinator originated (one per `_ask`, a
+        # retried one counted once); locked because Stage 3's connect
+        # workers ask concurrently.
+        self._requests = 0
+        self._requests_lock = threading.Lock()
         self._epoch: int | None = None
         self._neighbors: dict[int, list[int]] = {}
         self._entries_by_vertex: dict[int, list] = {}
@@ -296,6 +305,8 @@ class Coordinator:
         server = self._by_uid[uid]
         host, port = server.address
         policy = self.retry_policy if retry == "default" else retry
+        with self._requests_lock:
+            self._requests += 1
         reply = request(
             host,
             port,
@@ -457,6 +468,7 @@ class Coordinator:
         reader = self._reader
         self._round = rnd
         fault_round = self._fault_round(rnd)
+        requests_before = self._requests
         retries_before = self._total("retries")
         timeouts_before = self._total("timeouts")
         rejoins_before = self.rejoins
@@ -500,13 +512,17 @@ class Coordinator:
         # sees an empty neighborhood), mirroring the masked simulator;
         # chaos-inactive vertices run it in-process since their socket
         # is genuinely down.  A vertex that stops answering is
-        # suspected and the round continues without it.
+        # suspected and the round continues without it.  The previous
+        # round's cluster view rides along: telemetry the model does
+        # not contain gets no request of its own.
+        rider = {} if self._status is None else {"status": self._status}
         tags: dict[int, int] = {}
         for vertex in range(n):
             reply = self._reach(vertex, {
                 "op": "advertise",
                 "round": rnd,
                 "neighbors": [uid_of(nb) for nb in visible[vertex]],
+                **rider,
             })
             if reply is not None:
                 tags[uid_of(vertex)] = reply["tag"]
@@ -607,7 +623,12 @@ class Coordinator:
 
         self.match_stream.append(tuple(matches))
         active_count = n - len(inactive)
-        self._push_status(rnd, active_count)
+        self._status = {
+            "round": rnd,
+            "suspects": len(suspects),
+            "active": active_count - len(suspects),
+            "n": n,
+        }
         self.trace.suspect_events = self.suspect_events
         self.trace.close_round(
             round_index=rnd,
@@ -617,6 +638,7 @@ class Coordinator:
             control_bits=control_bits,
             active_nodes=active_count - len(suspects),
             dropped_connections=dropped,
+            requests=self._requests - requests_before,
             retries=self._total("retries") - retries_before,
             timeouts=self._total("timeouts") - timeouts_before,
             suspects=len(suspects),
@@ -626,22 +648,20 @@ class Coordinator:
             degraded=bool(suspects),
         )
 
-    def _push_status(self, rnd: int, active_count: int) -> None:
-        """Relay the cluster-level view to every reachable server.
+    def _push_status(self) -> None:
+        """Relay the last round's cluster view to every reachable server.
 
         The coordinator is not itself an endpoint, so ``repro-gossip
         top`` — which polls one *server's* ``metrics`` op — learns the
-        cluster round and suspect count only through this push.
-        Single-shot and failure-tolerant: a status push is periodic
-        telemetry, never worth a retry or a suspicion.
+        cluster round and suspect count only from the coordinator.
+        During a run the view rides on the next round's ``advertise``;
+        this push is for the last one, which has no next round.
+        Single-shot and failure-tolerant: telemetry is never worth a
+        retry or a suspicion.
         """
-        status = {
-            "op": "status",
-            "round": rnd,
-            "suspects": len(self.suspects),
-            "active": active_count - len(self.suspects),
-            "n": self.instance.n,
-        }
+        if self._status is None:
+            return
+        status = {"op": "status", **self._status}
         push_timeout = min(1.0, self.request_timeout)
         for vertex in sorted(self.servers):
             self._reach(vertex, status, fail="ignore", retry=None,
@@ -725,6 +745,7 @@ class Coordinator:
             ):
                 solved = True
                 break
+        self._push_status()
         wall = time.perf_counter() - started
         self.trace.wall_seconds = wall
         if self.chaos is not None:

@@ -9,6 +9,8 @@ primitives as request/response operations over the framing protocol:
 op          meaning
 ========== ==========================================================
 advertise   run the node's scan-stage hook, reply with its b-bit tag
+            (an optional ``"status"`` key carries the coordinator's
+            view of the previous round, stored as ``status`` would)
 propose     run the propose hook; deliver the proposal peer-to-peer
 proposal    (peer-to-peer) record an incoming proposal for a round
 resolve     proposee-enforced acceptance over the round's inbox —
@@ -28,9 +30,10 @@ live introspection: every server carries a
 :class:`~repro.telemetry.MetricsRegistry` (connect-latency histogram,
 robustness counters) and answers ``metrics`` with a one-shot status
 snapshot — round progress, peer-table size, inbox depth, retry/timeout
-counters, latency quantiles, plus whatever cluster-level view the
-coordinator last pushed via ``status`` (round, suspect count) — which
-is what ``repro-gossip top`` polls.
+counters, latency quantiles, plus the cluster-level view (round,
+suspect count) the coordinator last sent, as the ``"status"`` rider of
+an ``advertise`` or as a ``status`` op of its own — which is what
+``repro-gossip top`` polls.
 
 Lock discipline: the node lock is **never held across an outbound
 network call**.  ``propose`` computes the target under the lock, then
@@ -86,7 +89,13 @@ from repro.net.errors import (
     THREAD_JOIN_TIMEOUT,
     TransportError,
 )
-from repro.net.framing import close_pooled, recv_msg, request, send_msg
+from repro.net.framing import (
+    READ_SIZE,
+    close_pooled,
+    recv_msg,
+    request,
+    send_msg,
+)
 from repro.net.peers import PeerEntry, PeerTable
 from repro.rng import SeedTree
 from repro.sim.channel import Channel, ChannelPolicy
@@ -98,8 +107,10 @@ __all__ = ["PeerServer"]
 
 logger = logging.getLogger(__name__)
 
-#: How many past rounds of op-reply cache / proposal inbox a server
-#: keeps.  Retries only ever target the current round; eight is slack.
+#: How many rounds of per-round state (op-reply cache, own proposal,
+#: proposal inbox, interdictions) a server keeps, the newest included
+#: (``PeerServer._expire``).  Retries only ever target the current
+#: round; eight is slack.
 ROUND_MEMORY = 8
 
 
@@ -189,9 +200,9 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         sock.settimeout(peer_server.handler_timeout)
         try:
-            while peer_server._await_frame(sock):
+            while head := peer_server._await_frame(sock):
                 try:
-                    msg = recv_msg(sock)
+                    msg = recv_msg(sock, head)
                 except (TransportError, OSError):
                     return
                 if peer_server.asleep:
@@ -288,9 +299,9 @@ class PeerServer:
             "net.connect_latency_s", uid=uid
         )
         self._last_round = 0
-        #: Cluster-level view last pushed by the coordinator (`status`
-        #: op): round, suspect count, active count — what lets any
-        #: single server answer `repro-gossip top` for the cluster.
+        #: Cluster-level view last sent by the coordinator (`_op_status`):
+        #: round, suspect count, active count — what lets any single
+        #: server answer `repro-gossip top` for the cluster.
         self._cluster_status: dict = {}
         self._handler_threads: weakref.WeakSet = weakref.WeakSet()
         #: Established handler sockets -> parked between frames?  What
@@ -377,17 +388,19 @@ class PeerServer:
             except OSError:
                 pass  # the client hung up first
 
-    def _await_frame(self, sock) -> bool:
-        """Park a handler until its next frame starts to arrive; False
-        when the connection is over (EOF, idle timeout, server down)."""
+    def _await_frame(self, sock) -> bytes:
+        """Park a handler in the first read of its next frame and
+        return what that read brought (``recv_msg`` takes it from
+        there); empty when the connection is over (EOF, idle timeout,
+        server down)."""
         with self._conn_lock:
             if self._dead:
-                return False
+                return b""
             self._conns[sock] = True
         try:
-            return bool(sock.recv(1, socket.MSG_PEEK))
+            return sock.recv(READ_SIZE)
         except OSError:
-            return False
+            return b""
         finally:
             with self._conn_lock:
                 self._conns[sock] = False
@@ -457,15 +470,11 @@ class PeerServer:
 
         The interdicted state pull is dropped at the socket level (no
         reply frame), so the initiator experiences a real mid-handshake
-        link failure.  Entries for rounds older than
-        ``rnd - ROUND_MEMORY`` are expired as new ones arrive.
+        link failure.
         """
         with self._lock:
+            self._expire(rnd)
             self._interdicted.add((rnd, initiator_uid))
-            self._interdicted = {
-                entry for entry in self._interdicted
-                if entry[0] > rnd - ROUND_MEMORY
-            }
 
     # -- dispatch -----------------------------------------------------
 
@@ -481,16 +490,34 @@ class PeerServer:
         computes and caches the reply under the node lock; retries get
         the cached reply without re-running any protocol hook."""
         with self._lock:
+            self._expire(key[1])
             reply = self._op_cache.get(key)
             if reply is None:
                 reply = compute()
                 self._op_cache[key] = reply
-                rnd = key[1]
-                for stale in [
-                    k for k in self._op_cache if k[1] <= rnd - ROUND_MEMORY
-                ]:
-                    del self._op_cache[stale]
             return reply
+
+    def _expire(self, rnd: int) -> None:
+        """Forget rounds older than ``ROUND_MEMORY``, once per round.
+
+        Called under the node lock by everything that stores per-round
+        state; only the first op naming a round higher than any seen
+        does the work.  One rule for all four stores, so a round the
+        coordinator skipped or never resolved (a proposal that landed
+        while its proposer's ack was lost) ages out with the rest.
+        """
+        if rnd <= self._last_round:
+            return
+        self._last_round = rnd
+        horizon = rnd - ROUND_MEMORY
+        for store in (self._proposed, self._inbox):
+            for stale in [r for r in store if r <= horizon]:
+                del store[stale]
+        for stale in [k for k in self._op_cache if k[1] <= horizon]:
+            del self._op_cache[stale]
+        self._interdicted = {
+            entry for entry in self._interdicted if entry[0] > horizon
+        }
 
     def call_peer(
         self,
@@ -596,26 +623,41 @@ class PeerServer:
             return {"uid": self.uid, **self.stats}
 
     def _op_status(self, msg: dict) -> dict:
-        """Coordinator push: the cluster-level view (round, suspects).
+        """The coordinator's cluster-level view (round, suspects).
 
-        Stored verbatim so any single endpoint can answer ``metrics``
-        with cluster context — the coordinator is not itself a server,
-        so ``repro-gossip top`` needs some peer to relay its view.
+        Stored so any single endpoint can answer ``metrics`` with
+        cluster context — the coordinator is not itself a server, so
+        ``repro-gossip top`` needs some peer to relay its view.  It
+        arrives as the ``"status"`` rider of the next round's
+        ``advertise`` (and once, as its own op, when a run ends), so
+        it is checked here: a malformed view is this op's error, not
+        something ``top`` trips over later.
         """
+        if not isinstance(msg, dict):
+            raise ProtocolError(
+                f"status view must be an object, got {type(msg).__name__}",
+                uid=self.uid, op="status",
+            )
+        view = {}
+        for key in ("round", "suspects", "active", "n"):
+            if key in msg:
+                value = view[key] = msg[key]
+                if type(value) is not int:  # JSON's true is not a count
+                    raise ProtocolError(
+                        f"status view has {key}={value!r}, not a count",
+                        uid=self.uid, op="status",
+                    )
         with self._lock:
-            self._cluster_status = {
-                key: msg[key]
-                for key in ("round", "suspects", "active", "n", "solved")
-                if key in msg
-            }
+            self._cluster_status = view
         return {"ok": True}
 
     def _op_metrics(self, msg: dict) -> dict:
         """One-shot introspection snapshot (what ``top`` polls).
 
-        ``round`` is the highest round this node has participated in;
-        ``cluster`` is the coordinator's last pushed view (empty until
-        the first push).  ``latency`` carries the connect-latency
+        ``round`` is the highest round any op has named to this node;
+        ``cluster`` is the coordinator's last view (empty until round
+        two's ``advertise`` brings round one's; during a run it trails
+        ``round`` by one).  ``latency`` carries the connect-latency
         histogram's exact count/sum/min/max plus windowed p50/p99.
         """
         with self._lock:
@@ -638,9 +680,14 @@ class PeerServer:
 
     def _op_advertise(self, msg: dict) -> dict:
         rnd = int(msg["round"])
+        if "status" in msg:
+            # The previous round's cluster view rides here instead of
+            # costing its own request.  Stored outside the reply cache:
+            # a retried advertise re-stores the same view and still
+            # never re-runs the hook.
+            self._op_status(msg["status"])
 
         def compute():
-            self._last_round = max(self._last_round, rnd)
             neighbor_uids = tuple(int(u) for u in msg.get("neighbors", ()))
             tag = int(self.node.advertise(rnd, neighbor_uids))
             if not 0 <= tag <= self.max_tag:
@@ -669,9 +716,9 @@ class PeerServer:
             cached = self._op_cache.get(key)
             if cached is not None:
                 return cached
+            self._expire(rnd)
             target = self.node.propose(rnd, views)
             self._proposed[rnd] = target
-            self._proposed.pop(rnd - ROUND_MEMORY, None)
         reply: dict = {"target": target, "delivered": target is not None}
         if target is not None:
             entry = self.table.get(int(target))
@@ -706,6 +753,7 @@ class PeerServer:
         with self._lock:
             # A set, so a retried delivery (reply lost to a timeout)
             # cannot double-count a sender.
+            self._expire(rnd)
             self._inbox.setdefault(rnd, set()).add(int(msg["from"]))
         return {"ok": True}
 

@@ -28,6 +28,10 @@ class NetTrace(Trace):
         self.connection_latencies: list[tuple[int, float]] = []
         self._pending: list[float] = []
         self.wall_seconds: float = 0.0
+        #: Requests the coordinator originated while driving rounds (a
+        #: retried one counted once; server-to-server traffic — the
+        #: proposals and Stage-3 transfers — is not the coordinator's).
+        self.total_requests: int = 0
         # Failure accounting (populated by the robustness layer).
         self.total_retries: int = 0
         self.total_timeouts: int = 0
@@ -50,6 +54,7 @@ class NetTrace(Trace):
         control_bits: int,
         active_nodes: int | None = None,
         dropped_connections: int = 0,
+        requests: int = 0,
         retries: int = 0,
         timeouts: int = 0,
         suspects: int = 0,
@@ -60,11 +65,11 @@ class NetTrace(Trace):
     ) -> None:
         """Fold the round's buffered latencies into a round record.
 
-        ``retries``/``timeouts`` are this round's deltas; ``suspects``
-        is the suspect-set size *at round close* (a level, not a delta);
-        ``rejoins``/``chaos_killed``/``chaos_revived`` count this
-        round's events.  A ``degraded`` round ran over a surviving
-        quorum rather than the full planned-active set.
+        ``requests``/``retries``/``timeouts`` are this round's deltas;
+        ``suspects`` is the suspect-set size *at round close* (a level,
+        not a delta); ``rejoins``/``chaos_killed``/``chaos_revived``
+        count this round's events.  A ``degraded`` round ran over a
+        surviving quorum rather than the full planned-active set.
         """
         gauges: dict = {}
         if self._pending:
@@ -73,6 +78,7 @@ class NetTrace(Trace):
             )
             gauges["net_latency_max_s"] = max(self._pending)
         self._pending = []
+        self.total_requests += requests
         self.total_retries += retries
         self.total_timeouts += timeouts
         self.rejoin_events += rejoins
@@ -116,6 +122,12 @@ class NetTrace(Trace):
         if self.wall_seconds <= 0 or self.total_rounds == 0:
             return None
         return self.total_rounds / self.wall_seconds
+
+    def requests_per_round(self) -> float | None:
+        """Coordinator requests per driven round, ``None`` with no rounds."""
+        if self.total_rounds == 0:
+            return None
+        return self.total_requests / self.total_rounds
 
     def latency_stats(self) -> dict | None:
         """Overall mean/max/p50/p99 per-connection latency in seconds."""

@@ -10,6 +10,7 @@ Liveness tests drive the clock explicitly (``now=``) — no sleeps as
 synchronization anywhere in this file.
 """
 
+import json
 import os
 import socket
 import sys
@@ -17,6 +18,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes
@@ -41,13 +44,100 @@ from repro.net import (
     request,
     send_msg,
 )
-from repro.net.framing import HEADER, MAX_FRAME
+from repro.net.framing import HEADER, MAX_FRAME, READ_SIZE
+from repro.net.server import ROUND_MEMORY
 from repro.registry import TRANSPORT_REGISTRY
 from repro.sim.channel import ChannelPolicy
 from repro.sim.faults import CrashChurn
 
 
+class _Segmented:
+    """The reading end of a socket pair whose ``recv`` hands a frame
+    over in the given segment sizes, then as it comes — what a slow
+    link does to a frame, made deterministic."""
+
+    def __init__(self, sock, sizes):
+        self._sock, self._sizes = sock, list(sizes)
+
+    def recv(self, count):
+        if self._sizes:
+            count = min(count, self._sizes.pop(0))
+        return self._sock.recv(count)
+
+
+def _frame(obj) -> bytes:
+    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return HEADER.pack(len(payload)) + payload
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=40),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestFraming:
+    """Hermetic: ``socket.socketpair()`` only, so these run in the
+    tier-1 (``-m "not net"``) job."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        obj=st.dictionaries(st.text(max_size=8), _JSON, max_size=5),
+        # Some frames must outgrow the first read, or only the
+        # one-read path is tested.
+        padding=st.sampled_from([0, 0, 0, READ_SIZE - 8, 3 * READ_SIZE]),
+        cuts=st.lists(st.integers(min_value=1, max_value=9000),
+                      max_size=5),
+    )
+    def test_any_object_survives_any_segmentation(self, obj, padding, cuts):
+        if padding:
+            obj = dict(obj, padding="x" * padding)
+        a, b = socket.socketpair()
+        try:
+            send_msg(a, obj)
+            assert recv_msg(_Segmented(b, cuts)) == obj
+            # ...and took exactly the frame: nothing is left to read.
+            a.close()
+            assert b.recv(1) == b""
+        finally:
+            a.close()
+            b.close()
+
+    def test_send_msg_writes_compact_json_behind_a_length(self):
+        a, b = socket.socketpair()
+        try:
+            obj = {"op": "ping", "é": [1.5, None, {"x": "\u2603"}]}
+            send_msg(a, obj)
+            assert b.recv(4096) == _frame(obj)
+        finally:
+            a.close()
+            b.close()
+
+    def test_header_split_one_plus_three(self):
+        a, b = socket.socketpair()
+        try:
+            send_msg(a, {"op": "ping"})
+            assert recv_msg(_Segmented(b, [1, 3])) == {"op": "ping"}
+        finally:
+            a.close()
+            b.close()
+
+    def test_first_read_handed_in_by_the_caller(self):
+        """What a server handler does: it parked in the first read."""
+        a, b = socket.socketpair()
+        try:
+            send_msg(a, {"op": "ping", "pad": "x" * 5000})
+            head = b.recv(7)
+            assert recv_msg(b, head) == {"op": "ping", "pad": "x" * 5000}
+            assert recv_msg(b, b"") is None
+        finally:
+            a.close()
+            b.close()
+
     def test_round_trip(self):
         a, b = socket.socketpair()
         try:
@@ -72,8 +162,20 @@ class TestFraming:
             # Announce 100 bytes, deliver 3, then hang up mid-frame.
             a.sendall(HEADER.pack(100) + b"abc")
             a.close()
-            with pytest.raises(TransportError):
+            with pytest.raises(TransportError) as info:
                 recv_msg(b)
+            assert info.value.kind == "eof" and info.value.retryable
+        finally:
+            b.close()
+
+    def test_eof_inside_the_header_is_mid_frame(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(HEADER.pack(100)[:2])
+            a.close()
+            with pytest.raises(TransportError) as info:
+                recv_msg(b)
+            assert info.value.kind == "eof" and info.value.retryable
         finally:
             b.close()
 
@@ -81,8 +183,33 @@ class TestFraming:
         a, b = socket.socketpair()
         try:
             a.sendall(HEADER.pack(MAX_FRAME + 1))
-            with pytest.raises(TransportError):
+            with pytest.raises(TransportError) as info:
                 recv_msg(b)
+            assert info.value.kind == "frame" and not info.value.retryable
+        finally:
+            a.close()
+            b.close()
+
+    def test_malformed_payload_is_a_frame_fault(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(HEADER.pack(3) + b"\xff{\x00")
+            with pytest.raises(TransportError) as info:
+                recv_msg(b)
+            assert info.value.kind == "frame" and not info.value.retryable
+        finally:
+            a.close()
+            b.close()
+
+    def test_bytes_after_a_complete_frame_are_a_frame_fault(self):
+        """A connection carries one exchange at a time: a second frame
+        in the first one's segment is corruption, never retried."""
+        a, b = socket.socketpair()
+        try:
+            a.sendall(_frame({"op": "ping"}) + _frame({"op": "ping"}))
+            with pytest.raises(TransportError) as info:
+                recv_msg(b)
+            assert info.value.kind == "frame" and not info.value.retryable
         finally:
             a.close()
             b.close()
@@ -217,9 +344,9 @@ class TestPeerTable:
         assert table.prune(max_age=10.0, now=505.0) == ()
 
 
-def _single_server(n=4, seed=3, vertex=0):
+def _single_server(n=4, seed=3, vertex=0, algorithm="sharedbit"):
     instance = uniform_instance(n=n, k=2, seed=seed)
-    nodes = build_nodes("sharedbit", instance, seed=seed)
+    nodes = build_nodes(algorithm, instance, seed=seed)
     return PeerServer(
         nodes[vertex],
         uid=instance.uid_of(vertex),
@@ -584,6 +711,7 @@ def _stub_coordinator(server):
     coord.suspects, coord.suspect_events, coord.chaos = {}, 0, None
     coord.retry_policy, coord.request_timeout = "policy", 9.0
     coord._retry_rng, coord._round = None, 7
+    coord._requests, coord._requests_lock = 0, threading.Lock()
     return coord
 
 
@@ -712,6 +840,202 @@ class TestLiveRefusals:
         with pytest.raises(ConfigurationError, match="instance has n=5"):
             record_run("sharedbit", StaticDynamicGraph(cycle(6)),
                        uniform_instance(n=5, k=2, seed=1), seed=1)
+
+
+def _advertise(rnd, **extra):
+    return {"op": "advertise", "round": rnd, "neighbors": [], **extra}
+
+
+@pytest.mark.net
+class TestPerRoundServerState:
+    """Everything a server keeps per round — reply cache, own proposal,
+    inbox, interdictions — ages out by the one ``ROUND_MEMORY`` rule,
+    once per round."""
+
+    def test_unresolved_and_skipped_rounds_age_out(self):
+        """A proposal that lands while its proposer's ack is lost is
+        never resolved (its inbox entry used to stay forever), and a
+        server driven every third round used to keep every
+        ``_proposed`` entry (``pop(rnd - ROUND_MEMORY)`` never hit)."""
+        server = _single_server()
+        try:
+            for rnd in range(1, 121, 3):  # 40 rounds, two in three skipped
+                server.handle(_advertise(rnd))
+                server.handle({"op": "propose", "round": rnd, "views": []})
+                for sender in (7, 8):
+                    server.handle(
+                        {"op": "proposal", "round": rnd, "from": sender})
+                server.interdict(rnd, 7)
+                kept = ROUND_MEMORY // 3 + 1
+                assert server.handle({"op": "metrics"})["inbox"] <= 2 * kept
+                assert len(server._proposed) <= kept
+                assert len(server._interdicted) <= kept
+                assert len(server._op_cache) <= 2 * kept
+            assert min(server._inbox) > rnd - ROUND_MEMORY
+            assert min(server._proposed) > rnd - ROUND_MEMORY
+            # Within the memory a retried op still gets its first answer.
+            assert ("advertise", rnd - 3) in server._op_cache
+        finally:
+            server.stop()
+
+    def test_a_late_op_for_an_old_round_does_not_rewind(self):
+        server = _single_server()
+        try:
+            server.handle(_advertise(20))
+            server.handle({"op": "proposal", "round": 2, "from": 7})
+            assert server.handle({"op": "metrics"})["round"] == 20
+            server.handle(_advertise(21))
+            assert 2 not in server._inbox
+        finally:
+            server.stop()
+
+
+@pytest.mark.net
+class TestStatusRider:
+    """The cluster view rides on ``advertise``; a bad one is that
+    request's error and nothing else."""
+
+    @pytest.mark.parametrize("rider", [
+        [1, 2], "round", 7, None,
+        {"round": "seven"}, {"round": 7.5}, {"round": 7, "n": True},
+    ], ids=repr)
+    def test_malformed_rider_is_refused_before_the_hook(self, rider):
+        # BlindMatch flips its coin in the advertise hook.
+        with _single_server(algorithm="blindmatch") as server:
+            host, port = server.address
+            coins = server.node.rng.getstate()
+            client = socket.create_connection((host, port))
+            try:
+                send_msg(client, _advertise(1, status=rider))
+                reply = recv_msg(client)
+                assert reply["error_type"] == "ProtocolError"
+                assert "status" in reply["error"]
+                assert server.node.rng.getstate() == coins
+                assert ("advertise", 1) not in server._op_cache
+                assert server.handle({"op": "metrics"})["cluster"] == {}
+                # The same handler thread serves the retry, which draws
+                # the node's coin exactly once however often it repeats.
+                good = _advertise(1, status={"round": 0, "n": 4})
+                send_msg(client, good)
+                first = recv_msg(client)
+                drawn = server.node.rng.getstate()
+                assert drawn != coins
+                send_msg(client, good)
+                assert recv_msg(client) == first == server._op_cache[
+                    "advertise", 1]
+                assert server.node.rng.getstate() == drawn
+            finally:
+                client.close()
+            assert server.handle({"op": "metrics"})["cluster"] == {
+                "round": 0, "n": 4}
+
+    def test_a_retried_advertise_restores_the_view(self):
+        with _single_server() as server:
+            server.handle(_advertise(1, status={"round": 0, "suspects": 0}))
+            server.handle({"op": "status", "round": 9})
+            server.handle(_advertise(1, status={"round": 0, "suspects": 0}))
+            assert server.handle({"op": "metrics"})["cluster"] == {
+                "round": 0, "suspects": 0}
+
+    def test_malformed_status_op_is_refused_too(self):
+        with _single_server() as server:
+            host, port = server.address
+            reply = request(host, port, {"op": "status", "round": [7]})
+            assert reply["error_type"] == "ProtocolError"
+            assert request(host, port, {"op": "ping"})["ok"] is True
+
+
+def _cluster_views(coord):
+    return {
+        vertex: dict(server._cluster_status)
+        for vertex, server in coord.servers.items()
+    }
+
+
+@pytest.mark.net
+class TestRoundMessages:
+    """What a live round costs the coordinator, and where the cluster
+    view travels now that it has no request of its own."""
+
+    def test_message_budget(self):
+        """2n + |targets| + |matches| requests per round (advertise and
+        propose to everyone, resolve per delivered target, connect per
+        match) — plus the n ``set_neighbors`` of the first epoch — so
+        the n status pushes cannot creep back."""
+        n, rounds = 8, 6
+        coord = Coordinator(
+            "blindmatch", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
+            everyone_starts_instance(n=n, seed=5), seed=5,
+            termination_every=0,
+        )
+        expected = 0
+        with coord:
+            for rnd in range(1, rounds + 1):
+                before = coord.trace.total_requests
+                coord.run_round(rnd)
+                targets = sum(
+                    ("resolve", rnd) in server._op_cache
+                    for server in coord.servers.values()
+                )
+                record = coord.trace.records[-1]
+                matches = record.connections + record.dropped_connections
+                budget = 2 * n + targets + matches + (n if rnd == 1 else 0)
+                assert coord.trace.total_requests - before == budget
+                expected += budget
+            assert coord.trace.total_connections > 0
+            assert coord.trace.total_requests == expected
+            assert coord.trace.requests_per_round() == expected / rounds
+            assert coord.trace.total_retries == 0
+
+    def test_view_trails_by_one_round_until_the_run_ends(self):
+        n = 4
+        with _small_cluster(n=n, termination_every=0) as coord:
+            coord.run_round(1)
+            assert _cluster_views(coord) == {v: {} for v in range(n)}
+            for rnd in (2, 3):
+                coord.run_round(rnd)
+                view = {"round": rnd - 1, "suspects": 0, "active": n, "n": n}
+                assert _cluster_views(coord) == {v: view for v in range(n)}
+        with _small_cluster(n=n, termination_every=0) as coord:
+            report = coord.run(max_rounds=5)
+            view = {"round": 5, "suspects": 0, "active": n, "n": n}
+            assert _cluster_views(coord) == {v: view for v in range(n)}
+            assert all(snap["cluster"] == view
+                       for snap in report.server_metrics.values())
+
+    def test_suspect_is_skipped_and_planned_down_served_in_process(self):
+        """As under the end-of-round push: a suspect keeps the view it
+        had, a vertex whose radio chaos holds off still gets it."""
+        n = 8
+        fast = RetryPolicy(attempts=2, base_delay=0.001, factor=2.0,
+                           max_delay=0.002, jitter=0.0)
+        with _small_cluster(n=n, termination_every=0, retry=fast) as coord:
+            coord.run_round(1)
+            coord.run_round(2)
+            coord.servers[3].kill()
+            coord.run_round(3)  # found out, suspected
+            coord.run_round(4)
+            views = _cluster_views(coord)
+            assert views.pop(3)["round"] == 1
+            assert all(view == {"round": 3, "suspects": 1,
+                                "active": n - 1, "n": n}
+                       for view in views.values())
+        coord = Coordinator(
+            "sharedbit", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
+            uniform_instance(n=n, k=3, seed=11), seed=11,
+            chaos={"kind": "churn"}, termination_every=0, retry=fast,
+        )
+        was_down = 0
+        with coord:
+            for rnd in range(1, 13):
+                coord.run_round(rnd)
+                was_down += len(coord.chaos.inactive)
+                assert not coord.suspects
+                if rnd > 1:
+                    assert all(view["round"] == rnd - 1
+                               for view in _cluster_views(coord).values())
+            coord.chaos.restore()
+        assert was_down  # the schedule did hold radios off
 
 
 def _open_fds() -> int:
@@ -910,6 +1234,36 @@ class TestFrameDecoderRobustness:
         finally:
             client.close()
             assert server.stop() == 0
+
+    def test_stop_hangs_up_the_parked_and_spares_the_mid_frame(self):
+        """One connection parked between frames, one pinned by half a
+        frame: a graceful ``stop`` hangs up the first and reports the
+        second as leaked instead of cutting it; when its frame does
+        complete the request is still answered, and the handler exits."""
+        server = _single_server().start()
+        host, port = server.address
+        parked = socket.create_connection((host, port))
+        pinned = socket.create_connection((host, port))
+        try:
+            send_msg(parked, {"op": "ping"})
+            assert recv_msg(parked)["ok"] is True
+            frame = _frame({"op": "ping"})
+            pinned.sendall(frame[:6])
+            deadline = time.monotonic() + 5.0
+            while sorted(server._conns.values()) != [False, True]:
+                assert time.monotonic() < deadline, server._conns
+                time.sleep(0.001)
+            assert server.stop(timeout=0.2) == 1
+            assert _hung_up(parked)
+            pinned.sendall(frame[6:])
+            assert recv_msg(pinned)["ok"] is True
+            assert _hung_up(pinned)
+            for thread in list(server._handler_threads):
+                thread.join(timeout=5.0)
+            assert server._count_leaked(log=False) == 0
+        finally:
+            parked.close()
+            pinned.close()
 
     def test_half_sent_frame_pins_only_its_handler(self):
         server = _single_server().start()
