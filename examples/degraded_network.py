@@ -62,8 +62,8 @@ def main() -> None:
     print(
         "Same seed, same mesh, same algorithm: only the fault regime "
         "changes.\nThe clean row is byte-identical to the pre-fault-layer "
-        "engine (the\nNoFaults null-model guarantee, enforced by the "
-        "differential harness)."
+        "engine (the\nNoFaults null-model guarantee, pinned by the golden "
+        "corpus)."
     )
 
 

@@ -43,10 +43,12 @@ under :class:`~repro.asynchrony.timing.Synchronous` timing every cohort
 contains all ``n`` nodes at the exact instants ``1·TPR, 2·TPR, ...``,
 and the execution is event-for-event identical to the round engine —
 same tags, same proposals, same random-stream consumption, same matches,
-same traces — on *both* engine paths.  The differential harness
-(:func:`~repro.experiments.fastpath.check_async_sync_identity`) proves
-it, and :func:`~repro.experiments.fastpath.check_async_batched_identity`
-extends the same byte-identity bar to protocol window hooks.
+same traces — on *both* engine paths.  The golden corpus
+(tests/test_golden_traces.py) pins it: every ``async/*/synchronous``
+case shares its class's digest with the round-engine case, the
+"synchronous timing, auto hooks" variant row pins the bulk-hook full
+cohort, and the scalar-hooks / window-hooks classes extend the same
+byte-identity bar to protocol window hooks.
 
 **One executor, two kinds of hooks** (``async_mode``): the schedule is
 two flat per-vertex arrays (next activation tick, next local cycle).
@@ -122,8 +124,8 @@ class AsyncSimulation(Simulation):
       so a population with bulk hooks runs the round engine's stages).
     * ``"event"`` — always the scalar ``advertise`` / ``propose`` hooks.
     * ``"batched"`` — require window hooks and use them even under null
-      timing: the differential harness's window-hooks-vs-round-engine
-      identity gate.
+      timing: how the golden corpus pins window hooks against the round
+      engine.
 
     ``engine_mode="array"`` under asynchronous timing requires window
     hooks (bulk hooks alone consume the whole population's streams at

@@ -23,9 +23,10 @@ nor any node's private stream, and any consumer (either engine path, any
 ``run_sweep --jobs`` value, a replay) derives the same schedule.
 
 The null model :class:`Synchronous` consumes **zero** randomness and is
-*event-for-event identical* to the round engine — enforced by
-:func:`repro.experiments.fastpath.check_async_sync_identity` on both the
-object and the array engine path.
+*event-for-event identical* to the round engine — pinned on both the
+object and the array engine path by the golden corpus's classes and its
+"synchronous timing, auto hooks" variant row
+(tests/test_golden_traces.py).
 
 Model contract beyond purity:
 

@@ -33,12 +33,6 @@ Quickstart::
     print(result.table())
 """
 
-from repro.experiments.fastpath import (
-    check_async_determinism,
-    check_async_sync_identity,
-    check_fastpath_divergence,
-    check_null_fault_identity,
-)
 from repro.experiments.figures import (
     FIGURE1_ROW_KEYS,
     argv_flag,
@@ -90,10 +84,6 @@ __all__ = [
     "build_timing",
     "build_topology",
     "canonical_json",
-    "check_async_determinism",
-    "check_async_sync_identity",
-    "check_fastpath_divergence",
-    "check_null_fault_identity",
     "execute_run",
     "normalize_payload",
     "percentile",

@@ -1,63 +1,22 @@
-"""Differential harness: the array fast path vs the object reference path.
+"""Differential harness: one case matrix, one signature, one differ.
 
-One implementation of the byte-identity check, shared by the test suite
-(tests/test_fastpath.py), the benchmark gate (benchmarks/bench_engine.py)
-and CI's bench-smoke job — so there is a single notion of "byte-identical"
-and it cannot drift between surfaces.
+A *case* is (algorithm, dynamics kind, acceptance rule, engine mode,
+plus optional fault regime, timing model, async mode, acceptance-stream
+discipline, CSR dtype and telemetry); :func:`run_case` runs it and
+returns a hashable outcome covering everything the execution observably
+did: every sampled trace record (gauges and fault columns included),
+every running total, the final round, and the end state.  Two paths
+agree iff their outcomes are equal, and :func:`first_divergence` says
+where they first do not.
 
-A *case* is (algorithm, dynamics kind, acceptance rule, fault regime,
-engine mode); its outcome is a hashable signature covering everything an
-execution observably did: every sampled trace record (gauges and the
-fault columns included), every running total, the final round, and the
-algorithm's end state (who got informed when / who knows which tokens).
-Two engine modes agree iff their signatures are equal.
-
-The fault layer adds a second invariant:
-:func:`check_null_fault_identity` pins that the null model
-(:class:`~repro.sim.faults.NoFaults`) is byte-identical to running with
-no fault model at all — on both paths, the layer costs nothing and
-consumes zero randomness unless a real regime is selected.
-
-The asynchrony layer adds a third axis (ASYNC):
-:func:`check_async_sync_identity` pins that the event-driven engine
-(:class:`~repro.asynchrony.engine.AsyncSimulation`) under
-:class:`~repro.asynchrony.timing.Synchronous` timing is *event-for-event
-identical* to the round engine — same matches, same random-stream
-consumption, same traces, same end state — on both the object and the
-array path; :func:`check_async_determinism` pins that jittered timing
-models are seed-deterministic (same seed, twice, byte-identical);
-:func:`check_async_batched_identity` pins that protocol window hooks
-(``async_mode="batched"``) are byte-identical to the scalar hooks
-(``async_mode="event"``) under every timing regime and fault regime, on
-both the object and the array front half — the determinism contract of
-the window hooks ("no random draw may move").
-
-The scale layer adds two more invariants: :func:`check_dtype_identity`
-pins that running the array path over int32 CSR index arrays (the
-memory-lean layout auto-chosen below n = 2^31) is byte-identical to
-int64 — same matches, same random-stream consumption, same traces —
-and :func:`check_grid_identity` pins the cell-grid geometric primitives
-(:mod:`repro.graphs.spatial`) to their O(n^2) differential references:
-grid disk edges == blocked-sweep disk edges (same arrays, same order),
-fused ``disk_csr`` == that sweep through ``from_edge_lists``, and
-:class:`~repro.graphs.spatial.PointIndex` nearest queries == dense
-``nearest_pair`` (value *and* tie-break).
-
-The telemetry layer (repro.telemetry) adds the observability axis:
-:func:`check_telemetry_identity` pins that enabling metrics + phase
-profiling perturbs nothing — telemetry draws zero randomness, so every
-case is byte-identical with it on or off, on both engine-mode front
-halves of the round engine and on both front halves of the event
-engine's batched window path.
-
-The live deployment layer (repro.net) adds a fourth invariant:
-:func:`check_local_acceptance_identity` pins that the per-target
-acceptance-stream discipline (``acceptance_streams="local"`` — the
-draws a distributed proposee can derive knowing only seed, round, and
-its own UID) is byte-identical between the object and array paths for
-every proposee-side rule.  The replay bridge
-(:mod:`repro.net.bridge`) records under this discipline, so the check
-anchors live-replay equivalence to whichever engine path recorded.
+The frozen corpus (tests/test_golden_traces.py) records one digest per
+case.  Cases that differ only in the path they take (engine mode, async
+mode, synchronous timing vs the round engine) form a class and must
+share one digest; invariance variants (null fault model, telemetry,
+int64 CSR, synchronous timing on the bulk hooks) must reproduce their
+base case's recording.  :func:`check_grid_identity` stays a gate: it
+compares the spatial grid against an O(n^2) reference, not two paths of
+one execution.
 """
 
 from __future__ import annotations
@@ -93,15 +52,8 @@ __all__ = [
     "CHECK_ASYNC_ALGORITHMS",
     "CHECK_ASYNC_DYNAMICS",
     "CHECK_TIMINGS",
-    "check_dtype_identity",
-    "check_fastpath_divergence",
     "check_grid_identity",
-    "check_local_acceptance_identity",
-    "check_null_fault_identity",
-    "check_async_sync_identity",
-    "check_async_determinism",
-    "check_async_batched_identity",
-    "check_telemetry_identity",
+    "first_divergence",
     "make_dynamics",
     "make_fault",
     "make_timing",
@@ -118,8 +70,19 @@ CHECK_FAULTS = ("none", "sleep", "churn", "lossy")
 #: round engine and the event engine under synchronous timing.
 CHECK_ASYNC_ALGORITHMS = ("sharedbit", "blindmatch")
 CHECK_ASYNC_DYNAMICS = ("static", "geometric")
-#: Jittered timing regimes the determinism check exercises.
+#: Jittered timing regimes the event-engine matrix exercises.
 CHECK_TIMINGS = ("jitter", "heterogeneous", "bursty")
+
+#: Column names of one :func:`trace_signature` record, in order.
+_RECORD_COLUMNS = (
+    "round_index", "proposals", "connections", "tokens_moved",
+    "control_bits", "active_nodes", "dropped_connections", "gauges",
+)
+#: Names of a :func:`trace_signature`'s leading scalars, in order.
+_TOTAL_COLUMNS = (
+    "rounds", "total_rounds", "total_proposals", "total_connections",
+    "total_tokens_moved", "total_control_bits", "total_dropped_connections",
+)
 
 
 def trace_signature(rounds: int, trace) -> tuple:
@@ -139,6 +102,34 @@ def trace_signature(rounds: int, trace) -> tuple:
         trace.total_control_bits,
         trace.total_dropped_connections,
         records,
+    )
+
+
+def first_divergence(left, right) -> str | None:
+    """Where two :func:`run_case` outcomes first disagree (``None`` if
+    they are identical).
+
+    Names the first record whose columns differ, with those columns;
+    failing that the running totals that differ; failing that the first
+    vertex whose end state differs.
+    """
+    (left_sig, left_state), (right_sig, right_state) = left, right
+    left_records, right_records = left_sig[-1], right_sig[-1]
+    for a, b in zip(left_records, right_records):
+        if a != b:
+            return f"round {a[0]}: " + _differing(_RECORD_COLUMNS, a, b)
+    if left_sig[:-1] != right_sig[:-1]:
+        return "totals: " + _differing(_TOTAL_COLUMNS, left_sig, right_sig)
+    for vertex, (a, b) in enumerate(zip(left_state, right_state)):
+        if a != b:
+            return f"vertex {vertex}: end state {a!r} != {b!r}"
+    return None
+
+
+def _differing(names, left, right) -> str:
+    return ", ".join(
+        f"{name} {x!r} != {y!r}"
+        for name, x, y in zip(names, left, right) if x != y
     )
 
 
@@ -230,11 +221,10 @@ def run_case(
     ``acceptance_streams`` selects the match-stream discipline (the
     event engine supports only ``"global"``).  ``csr_dtype`` forces the
     dynamic graph's CSR index dtype (``"int32"`` / ``"int64"``; ``None``
-    keeps the auto-chosen narrowest) — the dtype-identity axis.
-    ``telemetry`` is the observability axis: anything
+    keeps the auto-chosen narrowest).  ``telemetry`` is anything
     :func:`repro.telemetry.resolve_telemetry` accepts (``True`` turns
-    profiling + metrics on); the telemetry-identity gate pins that it
-    never perturbs the signature.
+    profiling + metrics on).  The last two never change the outcome;
+    the golden corpus's variant table pins that.
     """
     import numpy as np
     if algorithm == "ppush":
@@ -273,65 +263,6 @@ def run_case(
             for node in sim.protocols.values()
         )
     return trace_signature(sim.current_round, sim.trace), state
-
-
-def check_fastpath_divergence(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ALGORITHMS,
-    dynamics=CHECK_DYNAMICS,
-    acceptances=CHECK_ACCEPTANCES,
-    faults=("none",),
-) -> list[str]:
-    """Run every case both ways; report mismatches (empty = identical)."""
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for acceptance in acceptances:
-                for fault in faults:
-                    reference = run_case(algorithm, kind, acceptance,
-                                         "object", n, seed, rounds,
-                                         fault=fault)
-                    fast = run_case(algorithm, kind, acceptance, "array",
-                                    n, seed, rounds, fault=fault)
-                    if reference != fast:
-                        failures.append(
-                            f"{algorithm}/{kind}/{acceptance}/{fault}: "
-                            "fast path diverged from reference trace"
-                        )
-    return failures
-
-
-def check_dtype_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ALGORITHMS,
-    dynamics=CHECK_DYNAMICS,
-    acceptances=CHECK_ACCEPTANCES,
-) -> list[str]:
-    """The memory-lean layout's invariant: int32 CSR == int64 CSR.
-
-    Runs every (algorithm, dynamics, acceptance) case through the array
-    path twice — once with the CSR index arrays forced to int64, once to
-    int32 — and reports any observable difference (empty = the index
-    dtype is pure representation; uids and random draws never touch it).
-    """
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for acceptance in acceptances:
-                wide = run_case(algorithm, kind, acceptance, "array",
-                                n, seed, rounds, csr_dtype="int64")
-                narrow = run_case(algorithm, kind, acceptance, "array",
-                                  n, seed, rounds, csr_dtype="int32")
-                if wide != narrow:
-                    failures.append(
-                        f"{algorithm}/{kind}/{acceptance}: int32 CSR "
-                        "diverged from int64 on the array path"
-                    )
-    return failures
 
 
 def check_grid_identity(
@@ -395,236 +326,4 @@ def check_grid_identity(
                     f"diverged from the dense reduction "
                     f"({indexed} != {reference})"
                 )
-    return failures
-
-
-def check_null_fault_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ALGORITHMS,
-    dynamics=CHECK_DYNAMICS,
-) -> list[str]:
-    """The fault layer's load-bearing invariant: ``NoFaults`` == no model.
-
-    Runs each case twice per engine mode — once with no fault model at
-    all, once with the registered null model — and reports any case where
-    the two differ in any observable way (empty = the null model is free).
-    """
-    from repro.sim.faults import NoFaults
-
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for engine_mode in ("object", "array"):
-                bare = run_case(algorithm, kind, "uniform", engine_mode,
-                                n, seed, rounds)
-                null = run_case(algorithm, kind, "uniform", engine_mode,
-                                n, seed, rounds,
-                                fault=NoFaults(n, seed))
-                if bare != null:
-                    failures.append(
-                        f"{algorithm}/{kind}/{engine_mode}: NoFaults "
-                        "perturbed the trace (the null model must be free)"
-                    )
-    return failures
-
-
-def check_local_acceptance_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ALGORITHMS,
-    dynamics=CHECK_DYNAMICS,
-    acceptances=("uniform", "lowest_uid", "highest_uid"),
-) -> list[str]:
-    """The live bridge's recording discipline: local streams, both paths.
-
-    Runs every (algorithm, dynamics, proposee-side rule) case under
-    ``acceptance_streams="local"`` through the object reference path and
-    the array fast path and reports any observable difference (empty =
-    the per-target stream discipline is engine-mode independent, so a
-    :func:`repro.net.bridge.record_run` recording replays identically
-    regardless of which path produced it).  ``"unbounded"`` is excluded:
-    it is not a proposee-side rule and the live layer rejects it.
-    """
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for acceptance in acceptances:
-                reference = run_case(algorithm, kind, acceptance,
-                                     "object", n, seed, rounds,
-                                     acceptance_streams="local")
-                fast = run_case(algorithm, kind, acceptance, "array",
-                                n, seed, rounds,
-                                acceptance_streams="local")
-                if reference != fast:
-                    failures.append(
-                        f"{algorithm}/{kind}/{acceptance}: array path "
-                        "diverged from the object path under local "
-                        "acceptance streams"
-                    )
-    return failures
-
-
-def check_async_sync_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ASYNC_ALGORITHMS,
-    dynamics=CHECK_ASYNC_DYNAMICS,
-    acceptances=("uniform",),
-    async_mode="auto",
-) -> list[str]:
-    """The ASYNC axis: synchronous timing == the round engine.
-
-    Runs each case through the round engine and through the event-driven
-    engine under the :class:`~repro.asynchrony.timing.Synchronous` null
-    model — on *both* the object and the array path — and reports any
-    case where the two differ in any observable way (matches, stream
-    consumption, traces, end state).  Empty means the event machinery
-    reproduces the round engine event for event.
-    """
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for acceptance in acceptances:
-                for engine_mode in ("object", "array"):
-                    round_engine = run_case(
-                        algorithm, kind, acceptance, engine_mode,
-                        n, seed, rounds,
-                    )
-                    event_engine = run_case(
-                        algorithm, kind, acceptance, engine_mode,
-                        n, seed, rounds, timing="synchronous",
-                        async_mode=async_mode,
-                    )
-                    if round_engine != event_engine:
-                        failures.append(
-                            f"{algorithm}/{kind}/{acceptance}/"
-                            f"{engine_mode}: event engine diverged from "
-                            "the round engine under synchronous timing"
-                        )
-    return failures
-
-
-def check_async_batched_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ASYNC_ALGORITHMS,
-    dynamics=CHECK_ASYNC_DYNAMICS,
-    timings=("synchronous",) + CHECK_TIMINGS,
-    faults=("none", "sleep", "churn", "lossy"),
-) -> list[str]:
-    """The window-hooks contract: no random draw may move.
-
-    Runs each (algorithm, dynamics, timing, fault) case on the scalar
-    hooks (``async_mode="event"``) and on the protocol's window hooks
-    (``async_mode="batched"``) on *both* the object and the array front
-    half, and reports any case where any observable — matches, stream
-    consumption, traces, fault composition, end state — differs (empty =
-    window hooks are a pure reordering of work, not of randomness).
-    ``"synchronous"`` timing is included so the window hooks are also
-    pinned against full-cohort windows, transitively
-    anchoring it to the round engine through
-    :func:`check_async_sync_identity`.
-    """
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for timing in timings:
-                for fault in faults:
-                    reference = run_case(
-                        algorithm, kind, "uniform", "object",
-                        n, seed, rounds, fault=fault, timing=timing,
-                        async_mode="event",
-                    )
-                    for engine_mode in ("object", "array"):
-                        batched = run_case(
-                            algorithm, kind, "uniform", engine_mode,
-                            n, seed, rounds, fault=fault, timing=timing,
-                            async_mode="batched",
-                        )
-                        if reference != batched:
-                            failures.append(
-                                f"{algorithm}/{kind}/{timing}/{fault}/"
-                                f"{engine_mode}: window hooks diverged "
-                                "from the scalar hooks"
-                            )
-    return failures
-
-
-def check_async_determinism(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ASYNC_ALGORITHMS,
-    dynamics=CHECK_ASYNC_DYNAMICS,
-    timings=CHECK_TIMINGS,
-    async_mode="auto",
-) -> list[str]:
-    """Jittered timing is replayable: same seed => byte-identical runs."""
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for timing in timings:
-                first = run_case(algorithm, kind, "uniform", "object",
-                                 n, seed, rounds, timing=timing,
-                                 async_mode=async_mode)
-                second = run_case(algorithm, kind, "uniform", "object",
-                                  n, seed, rounds, timing=timing,
-                                  async_mode=async_mode)
-                if first != second:
-                    failures.append(
-                        f"{algorithm}/{kind}/{timing}: two runs from the "
-                        "same seed diverged (async determinism broken)"
-                    )
-    return failures
-
-
-def check_telemetry_identity(
-    n: int = 24,
-    seed: int = 7,
-    rounds: int = 40,
-    algorithms=CHECK_ALGORITHMS,
-    dynamics=CHECK_DYNAMICS,
-) -> list[str]:
-    """The observability contract: telemetry on == telemetry off.
-
-    Runs each (algorithm, dynamics) case with telemetry disabled and
-    enabled — on both engine-mode front halves of the round engine, and
-    (for the event-engine algorithms) on both front halves of the
-    batched window path under jittered timing — and reports any case
-    where instrumentation changed any observable (empty = telemetry
-    draws zero randomness and never feeds back into engine state).
-    """
-    failures = []
-    for algorithm in algorithms:
-        for kind in dynamics:
-            for engine_mode in ("object", "array"):
-                off = run_case(algorithm, kind, "uniform", engine_mode,
-                               n, seed, rounds)
-                on = run_case(algorithm, kind, "uniform", engine_mode,
-                              n, seed, rounds, telemetry=True)
-                if off != on:
-                    failures.append(
-                        f"{algorithm}/{kind}/{engine_mode}: telemetry "
-                        "perturbed the trace (must be byte-identical)"
-                    )
-    for algorithm in CHECK_ASYNC_ALGORITHMS:
-        for kind in CHECK_ASYNC_DYNAMICS:
-            for engine_mode in ("object", "array"):
-                off = run_case(algorithm, kind, "uniform", engine_mode,
-                               n, seed, rounds, timing="jitter",
-                               async_mode="batched")
-                on = run_case(algorithm, kind, "uniform", engine_mode,
-                              n, seed, rounds, timing="jitter",
-                              async_mode="batched", telemetry=True)
-                if off != on:
-                    failures.append(
-                        f"{algorithm}/{kind}/{engine_mode}/batched: "
-                        "telemetry perturbed the async trace (must be "
-                        "byte-identical)"
-                    )
     return failures

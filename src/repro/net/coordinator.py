@@ -717,9 +717,12 @@ class Coordinator:
         """Has the surviving quorum finished?  (Degradation-aware: dead
         or suspect nodes do not gate termination — the simulator's
         all-nodes criterion is checked by the replay bridge, which runs
-        a fixed round count instead.)"""
+        a fixed round count instead.)  Its snapshot requests count as the
+        round's: it runs after ``run_round`` has closed the count."""
         wanted = self.instance.token_ids
+        requests_before = self._requests
         snaps = self.snapshots(include="quorum")
+        self.trace.total_requests += self._requests - requests_before
         if not snaps:
             return False
         return all(wanted <= set(tokens) for tokens in snaps.values())

@@ -10,7 +10,7 @@ vertex** — exactly the order the object engine's ``_refresh_adjacency``
 produces, which is what keeps the two paths' random-stream consumption
 aligned.  UID arrays stay int64 regardless (the matching resolvers
 coerce to int64, so the index dtype never reaches a random draw — the
-int32/int64 identity the differential harness pins).
+int32/int64 identity the golden corpus's "int64 CSR" variant row pins).
 
 A CSR snapshot is built once per τ-epoch.  :meth:`DynamicGraph.csr_at
 <repro.graphs.dynamic.DynamicGraph.csr_at>` is the producing hook: the

@@ -216,7 +216,8 @@ class Simulation:
         # null bundle's profiler/sink are shared no-ops, so every
         # instrumented site below costs one attribute check.  Telemetry
         # draws zero randomness and never writes engine state: traces
-        # are byte-identical with it on or off (check_telemetry_identity).
+        # are byte-identical with it on or off (the golden corpus's
+        # "telemetry on" variant row).
         self.telemetry = resolve_telemetry(telemetry)
         self._prof = self.telemetry.profiler
 

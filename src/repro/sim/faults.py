@@ -33,8 +33,9 @@ All randomness comes from a dedicated :class:`~repro.rng.SeedTree`
 subtree (``("faults", <kind>)``), so fault draws never perturb the
 engine's acceptance stream or any node's private stream.  The null model
 :class:`NoFaults` consumes **zero** randomness and leaves the engine's
-behavior byte-identical to a run with no fault model at all — enforced by
-:func:`repro.experiments.fastpath.check_null_fault_identity`.
+behavior byte-identical to a run with no fault model at all — pinned by
+the golden corpus's "null fault model" variant row
+(tests/test_golden_traces.py).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class NoFaults(FaultModel):
     The engine treats this exactly like having no fault model: no mask is
     computed, no stream is consumed, and traces are byte-identical to the
     pre-fault-layer engine on both paths (the load-bearing invariant the
-    differential harness pins).
+    golden corpus's "null fault model" variant row pins).
     """
 
     is_null = True

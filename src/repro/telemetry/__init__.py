@@ -19,8 +19,8 @@ argument resolved by :func:`resolve_telemetry`:
 
 The package-wide contract: **telemetry draws zero randomness and never
 feeds back into engine state** — traces are byte-identical with it on
-or off (``check_telemetry_identity`` in
-:mod:`repro.experiments.fastpath`, CI-gated), and measured profiling
+or off (the "telemetry on" variant row of the golden corpus,
+tests/test_golden_traces.py, in tier-1), and measured profiling
 overhead stays under 5% of rounds/s at n=2000
 (``benchmarks/bench_engine.py``; EXPERIMENTS.md OBS).
 """

@@ -7,9 +7,9 @@ contracts matter:
 
 * **Zero randomness.**  No code in this module (or anywhere in the
   telemetry package) touches a random stream, the :class:`SeedTree`, or
-  any engine state.  Enabling telemetry must leave every differential
-  gate in :mod:`repro.experiments.fastpath` byte-identical — that
-  invariant is CI-enforced (``check_telemetry_identity``).
+  any engine state.  Enabling telemetry must leave every trace
+  byte-identical — the golden corpus's "telemetry on" variant row
+  (tests/test_golden_traces.py) enforces it.
 * **Deterministic snapshots.**  :meth:`MetricsRegistry.snapshot` orders
   entries canonically (kind, name, sorted label items), label values are
   stringified at registration, and :meth:`to_json` serializes with

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.experiments.fastpath import check_dtype_identity
 from repro.graphs.dynamic import (
     GeometricMobilityGraph,
     PeriodicRewireGraph,
@@ -222,11 +221,6 @@ class TestIndexDtype:
         for vertex in range(n):
             assert narrow.neighbors(vertex).tolist() == \
                    wide.neighbors(vertex).tolist()
-
-    def test_trace_identity_via_differential_harness(self):
-        # The end-to-end gate: full simulations on int32 snapshots are
-        # byte-identical (trace signature + rng draws) to int64 ones.
-        assert check_dtype_identity(n=16, rounds=25) == []
 
 
 class TestFromEdgeListsValidation:

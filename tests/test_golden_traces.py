@@ -25,10 +25,27 @@ refactor must pass it unmodified.  Only a change that *deliberately*
 moves random draws (a new stream format) re-records it, by running this
 file as a script from the repo root: ``PYTHONPATH=src python
 tests/test_golden_traces.py``.
+
+The corpus is also the one differential between the engine's twin
+paths, in two tables that survive a careless re-record:
+
+* **classes** — cases that differ only in the path they take (engine
+  mode, async mode, synchronous timing vs the round engine) must share
+  one recorded digest: object == array, scalar hooks == window hooks,
+  synchronous event engine == round engine;
+* **variants** — a run that must not change the execution (null fault
+  model, telemetry on, int64 CSR, synchronous timing on the bulk hooks)
+  must reproduce its base case's recorded digest; a cell no case
+  records (SharedBit under faults with a non-uniform acceptance rule)
+  must agree across the paths of its class.
+
+On failure both name the first divergent round and column
+(:func:`~repro.experiments.fastpath.first_divergence`).
 """
 
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -41,8 +58,10 @@ from repro.experiments.fastpath import (
     CHECK_DYNAMICS,
     CHECK_FAULTS,
     CHECK_TIMINGS,
+    first_divergence,
     run_case,
 )
+from repro.sim.faults import NoFaults
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_traces.json"
 
@@ -101,8 +120,66 @@ def case_digest(kwargs: dict) -> str:
     return hashlib.sha256(repr(run_case(**kwargs)).encode()).hexdigest()
 
 
+def class_key(kwargs: dict) -> tuple:
+    """The execution a case runs, without the path it takes there."""
+    execution = {key: value for key, value in kwargs.items()
+                 if key not in ("engine_mode", "async_mode")}
+    if execution.get("timing") == "synchronous":
+        del execution["timing"]  # the round engine's execution
+    if execution.get("fault") == "none":
+        del execution["fault"]
+    return tuple(sorted(execution.items()))
+
+
+def diverged(label: str, left: dict, right: dict) -> str:
+    """Re-run two cases and say where they part."""
+    where = first_divergence(run_case(**left), run_case(**right))
+    return f"{label}: {where or 'identical when re-run'}"
+
+
 CASES = golden_cases()
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+
+
+def members(prefix: str, **allowed) -> list[str]:
+    """Case ids under ``prefix`` whose arguments take allowed values."""
+    return [
+        case_id for case_id, kwargs in CASES.items()
+        if case_id.startswith(prefix + "/")
+        and all(kwargs.get(key) in values for key, values in allowed.items())
+    ]
+
+
+ROUND_UNIFORM = members("round", acceptance=("uniform",))
+#: Row -> (base case ids, ``run_case`` overrides, pinned).  A pinned
+#: row's runs reproduce their base case's recorded digest.  An unpinned
+#: row runs a cell no case records, so its runs agree within each class.
+VARIANTS = {
+    # Sized like run_case's default n and seed.
+    "null fault model": (ROUND_UNIFORM, {"fault": NoFaults(24, 7)}, True),
+    "telemetry on": (
+        ROUND_UNIFORM + members("async", timing=("jitter",),
+                                fault=("none",), async_mode=("batched",)),
+        {"telemetry": True}, True,
+    ),
+    "int64 CSR": (
+        members("round", engine_mode=("array",)), {"csr_dtype": "int64"},
+        True,
+    ),
+    # The only door to the event engine's bulk-hook full cohort.
+    "synchronous timing, auto hooks": (
+        members("round", algorithm=CHECK_ASYNC_ALGORITHMS,
+                dynamics_kind=CHECK_ASYNC_DYNAMICS, acceptance=("uniform",)),
+        {"timing": "synchronous", "async_mode": "auto"}, True,
+    ),
+    **{
+        f"sharedbit under faults, {rule}": (
+            members("fault", algorithm=("sharedbit",)), {"acceptance": rule},
+            False,
+        )
+        for rule in CHECK_ACCEPTANCES[1:]
+    },
+}
 
 
 def test_corpus_covers_exactly_the_case_matrix():
@@ -112,6 +189,36 @@ def test_corpus_covers_exactly_the_case_matrix():
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_case_reproduces_its_recorded_trace(case_id):
     assert case_digest(CASES[case_id]) == GOLDEN[case_id]
+
+
+def test_each_class_shares_one_recorded_digest():
+    grouped = defaultdict(list)
+    for case_id, kwargs in CASES.items():
+        grouped[class_key(kwargs)].append(case_id)
+    assert (len(grouped), sum(len(ids) > 1 for ids in grouped.values())) \
+        == (170, 138)
+    failures = [
+        diverged(f"{ids[0]} vs {other}", CASES[ids[0]], CASES[other])
+        for ids in grouped.values()
+        for other in ids[1:]
+        if GOLDEN[other] != GOLDEN[ids[0]]
+    ]
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("row", list(VARIANTS))
+def test_variant_reproduces_its_base(row):
+    bases, overrides, pinned = VARIANTS[row]
+    first_of_class: dict[tuple, tuple] = {}
+    failures = []
+    for base in bases:
+        variant = {**CASES[base], **overrides}
+        digest = case_digest(variant)
+        expected = (CASES[base], GOLDEN[base]) if pinned else \
+            first_of_class.setdefault(class_key(variant), (variant, digest))
+        if digest != expected[1]:
+            failures.append(diverged(f"{row}: {base}", expected[0], variant))
+    assert not failures, "\n".join(failures)
 
 
 if __name__ == "__main__":

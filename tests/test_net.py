@@ -973,19 +973,35 @@ class TestRoundMessages:
             for rnd in range(1, rounds + 1):
                 before = coord.trace.total_requests
                 coord.run_round(rnd)
-                targets = sum(
-                    ("resolve", rnd) in server._op_cache
-                    for server in coord.servers.values()
-                )
-                record = coord.trace.records[-1]
-                matches = record.connections + record.dropped_connections
-                budget = 2 * n + targets + matches + (n if rnd == 1 else 0)
+                budget = _round_budget(coord, rnd)
                 assert coord.trace.total_requests - before == budget
                 expected += budget
             assert coord.trace.total_connections > 0
             assert coord.trace.total_requests == expected
             assert coord.trace.requests_per_round() == expected / rounds
             assert coord.trace.total_retries == 0
+
+    def test_termination_checks_are_counted(self):
+        """A terminating run also pays one ``snapshot`` per quorum node
+        per check, after ``run_round`` has closed the round's count."""
+        n = 8
+        coord = Coordinator(
+            "blindmatch", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
+            uniform_instance(n=n, k=3, seed=5), seed=5, termination_every=1,
+        )
+        budgets = []
+        run_round = coord.run_round
+
+        def budgeted(rnd):
+            run_round(rnd)
+            budgets.append(_round_budget(coord, rnd))
+
+        coord.run_round = budgeted
+        with coord:
+            report = coord.run(max_rounds=40)
+        assert report.rounds > 1 and not report.suspects
+        checks = report.rounds
+        assert coord.trace.total_requests == sum(budgets) + n * checks
 
     def test_view_trails_by_one_round_until_the_run_ends(self):
         n = 4
@@ -1050,6 +1066,18 @@ def _hung_up(sock) -> bool:
         return sock.recv(1) == b""
     except ConnectionError:
         return True
+
+
+def _round_budget(coord, rnd) -> int:
+    """The requests round ``rnd`` just cost the coordinator."""
+    n = coord.instance.n
+    targets = sum(
+        ("resolve", rnd) in server._op_cache
+        for server in coord.servers.values()
+    )
+    record = coord.trace.records[-1]
+    matches = record.connections + record.dropped_connections
+    return 2 * n + targets + matches + (n if rnd == 1 else 0)
 
 
 def _small_cluster(n=4, seed=7, **opts):
