@@ -50,29 +50,27 @@ case shares its class's digest with the round-engine case, the
 cohort, and the scalar-hooks / window-hooks classes extend the same
 byte-identity bar to protocol window hooks.
 
-**One executor, two kinds of hooks** (``async_mode``): the schedule is
-two flat per-vertex arrays (next activation tick, next local cycle).
-Each round window is drained in one vectorized pass (the timing model's
-batched draws compute the whole window's schedule) and its cohorts are
-swept in event order through a *window ops* object, touching Python
-only where decisions live: proposal candidates, per-cohort resolution
-(a cohort with no contested target derives no rng, contested ones draw
-from the exact per-tick ``("match", r)`` / ``("match", "tick", t)``
-streams), fault drops, and interactions.  Determinism is the hard
-constraint: no random draw moves.  ``async_mode`` says which hooks feed
-the executor.  Protocol *window hooks*
-(:func:`~repro.sim.protocol.window_hooks`) come in two shapes:
-eager-scan ops (SharedBit — shared-PRF tags only) tag the whole window
-upfront and are *retagged* exactly at the activation positions whose
-state changed mid-window (transfer endpoints, crash resets); lazy-scan
-ops (BlindMatch — private-rng coins) scan cohort by cohort so each
-node's private stream interleaves with its Transfer draws in event
-order.  The scalar hooks (:class:`~repro.sim.protocol.ScalarWindowOps`)
-are the lazy-scan case every population has: one ``advertise`` per
-member, one ``propose`` per member.  ``"auto"`` prefers the protocol's
-window hooks and falls back to the scalar hooks; ``"event"`` forces the
-scalar hooks; ``"batched"`` demands window hooks and runs them even
-under null timing, which is how the differential gate pins
+**One executor, one scan** (``async_mode``): the schedule is two flat
+per-vertex arrays (next activation tick, next local cycle).  Each round
+window is drained in one vectorized pass (the timing model's batched
+draws compute the whole window's schedule) and its cohorts run in event
+order through a *window ops* object, touching Python only where
+decisions live: proposal candidates, per-cohort resolution (a cohort
+with no contested target derives no rng, contested ones draw from the
+exact per-tick ``("match", r)`` / ``("match", "tick", t)`` streams),
+fault drops, and interactions.  Determinism is the hard constraint: no
+random draw moves.  Every cohort is scanned just before it proposes, on
+its members' current state, so a tag always reflects the transfers and
+crash resets before it and each node's private stream interleaves with
+its Transfer draws in event order.  ``async_mode`` says which ops do the
+scan: the protocol's *window hooks*
+(:func:`~repro.sim.protocol.window_hooks`; SharedBit reads shared-PRF
+bit tables, BlindMatch flips private coins) or the scalar hooks
+(:class:`~repro.sim.protocol.ScalarWindowOps`: one ``advertise`` and
+one ``propose`` per member), which every population has.  ``"auto"``
+prefers window hooks and falls back to the scalar hooks; ``"event"``
+forces the scalar hooks; ``"batched"`` demands window hooks and runs
+them even under null timing, which is how the golden corpus pins
 window-hooks-vs-round-engine identity.
 
 The fault layer composes: masks and drop decisions are evaluated per
@@ -88,8 +86,6 @@ body below — only *when* a node runs its cycle lives here.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolViolationError
@@ -102,12 +98,6 @@ from repro.sim.trace import RoundRecord
 __all__ = ["AsyncSimulation"]
 
 _ASYNC_MODES = ("auto", "event", "batched")
-
-
-def _as_list(values) -> list:
-    """A lazy scan's per-cohort result as Python scalars (window ops may
-    return arrays or plain sequences)."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 class AsyncSimulation(Simulation):
@@ -355,14 +345,6 @@ class AsyncSimulation(Simulation):
             return self._match_streams("match", ticks // TICKS_PER_ROUND)
         return self._match_streams("match", "tick", ticks)
 
-    @staticmethod
-    def _not_visible(node, target: int, ticks: int):
-        return ProtocolViolationError(
-            f"node uid={node.uid} proposed to uid={target}, not a "
-            f"visible neighbor at virtual time "
-            f"{ticks / TICKS_PER_ROUND:.4f}"
-        )
-
     def _process_cohort_synchronous(self, ticks, vertices, cycles) -> tuple:
         """A full synchronized cohort through the round engine's bulk
         stages (bulk hooks under null timing: the window *is* round
@@ -382,30 +364,29 @@ class AsyncSimulation(Simulation):
     # Window execution
 
     def _process_window(self, ticks, vertices, cycles) -> tuple:
-        """Execute one round window's cohorts in a few vectorized passes.
+        """Execute one round window's cohorts in event order.
 
         ``ticks``/``vertices``/``cycles`` are the window's events sorted
-        by (tick, vertex) — the event order.  Members with
-        positions ``[0, committed)`` have *published* tags in
-        ``self._tags_np``; candidate evaluation reads neighbor tags
-        straight from that array, so stale-vs-fresh advertisement
-        semantics fall out of committing in event order.  Returns the
-        window's ``(proposals, connections, tokens, bits, dropped,
-        active members)``, the record's leading columns.
+        by (tick, vertex) — the event order.  Each cohort publishes its
+        scanned tags in ``self._tags_np`` before it proposes; candidate
+        evaluation reads neighbor tags straight from that array, so
+        stale-vs-fresh advertisement semantics fall out of scanning in
+        event order.  Returns the window's ``(proposals, connections,
+        tokens, bits, dropped, active members)``, the record's leading
+        columns.
         """
         ops = self._window_ops
         total = len(vertices)
         # Round-parity skew guard (SharedBit, DESIGN.md §7): shared-PRF
         # tag derivation is keyed by each member's *own* local cycle
-        # (ops.scan partitions by the cycles passed here), never by a
+        # (ops.scan reads the cycle passed with each member), never by a
         # window-level round index — so clock skew beyond one window
         # (heterogeneous rates can put cycles.max() - cycles.min() far
         # past the window span) cannot desynchronize token_bits: two
         # nodes evaluating the same cycle always derive the same bits,
         # and no node is ever handed another clock's cycle.  The
         # invariant that makes that true is that every activation
-        # advances its vertex's cycle strictly past the last committed
-        # one.
+        # advances its vertex's cycle strictly past its last one.
         assert total == 0 or bool(
             (cycles > self._local_cycle[vertices]).all()
         ), "window member activated at a non-advancing local cycle"
@@ -423,26 +404,6 @@ class AsyncSimulation(Simulation):
         # and the identity gates are unaffected.
         self._fault_round = topo_round if self._reader.virtual else None
 
-        # Cohort boundaries: bounds[c]:bounds[c+1] slices cohort c.
-        change = np.empty(total, dtype=bool)
-        change[0] = True
-        np.not_equal(ticks[1:], ticks[:-1], out=change[1:])
-        cohort_bounds = np.append(np.nonzero(change)[0], total)
-
-        # Last-write-wins probe doubles as the uniqueness test: a vertex
-        # appearing twice has its earlier position overwritten.
-        positions = np.arange(total, dtype=np.int64)
-        pos_of = np.full(self.n, -1, dtype=np.int64)
-        pos_of[vertices] = positions
-        unique_members = bool((pos_of[vertices] == positions).all())
-        if unique_members:
-            pos_lists = None
-        else:
-            pos_of = None
-            pos_lists: dict[int, list[int]] = {}
-            for pos, vertex in enumerate(vertices.tolist()):
-                pos_lists.setdefault(vertex, []).append(pos)
-
         # Fault activity, per distinct fault index (the member's local
         # cycle, or — for clock="virtual" models — the shared round
         # window, collapsing the whole window to one mask lookup).
@@ -459,193 +420,67 @@ class AsyncSimulation(Simulation):
                     sel = fault_cycles == cycle
                     active_flags[sel] = mask[vertices[sel]]
 
-        # Pending per-position patches: crash resets (known upfront) and
-        # mid-window state changes (scheduled at interaction time).
-        pending_heap: list[int] = []
-        pending_reset: dict[int, bool] = {}
-
-        def schedule(pos: int, reset: bool) -> None:
-            if pos in pending_reset:
-                pending_reset[pos] = pending_reset[pos] or reset
-            else:
-                pending_reset[pos] = reset
-                heapq.heappush(pending_heap, pos)
-
+        # Crash resets are known upfront: positions, sorted descending so
+        # each is popped off the end before the cohort holding it scans.
+        resets: list[int] = []
         if self._reader.resets_state:
-            # Crash resets, known upfront.  Each member is judged against
-            # its node's activity one cycle earlier: the last window's,
-            # or — a fast clock activating twice in this window — what
-            # its previous activation here establishes.
+            # Each member is judged against its node's activity one cycle
+            # earlier: the last window's, or — a fast clock activating
+            # twice in this window — what its previous activation here
+            # establishes.
             was_active = self._node_active[vertices]
-            if not unique_members:
-                by_vertex = np.argsort(vertices, kind="stable")
-                again = np.nonzero(
-                    vertices[by_vertex][1:] == vertices[by_vertex][:-1]
-                )[0]
-                was_active[by_vertex[again + 1]] = \
-                    active_flags[by_vertex[again]]
+            by_vertex = np.argsort(vertices, kind="stable")
+            again = np.nonzero(
+                vertices[by_vertex][1:] == vertices[by_vertex][:-1]
+            )[0]
+            was_active[by_vertex[again + 1]] = active_flags[by_vertex[again]]
             for cycle in distinct_cycles:
                 sel = np.nonzero(fault_cycles == cycle)[0]
                 crashed = self._reader.crashed(
                     cycle, self._mask_at(cycle), vertices[sel],
                     was_active[sel],
                 )
-                for pos in sel[crashed].tolist():
-                    schedule(pos, True)
+                resets.extend(sel[crashed].tolist())
+            resets.sort(reverse=True)
 
         nodes = self._nodes
         tags_np = self._tags_np
-        eager = ops.eager_scan
-        # The cohort bodies index single members: plain lists are the
-        # cheap way to do that.
+        # Cohorts are mostly singletons, so each is walked in plain
+        # Python (the scan loops its members anyway): per-cohort numpy
+        # calls would cost more than the cohort itself.
         tick_list = ticks.tolist()
         vertex_list = vertices.tolist()
         cycle_list = cycles.tolist()
-
-        if eager:
-            opt_tags, senders = ops.scan(vertices, cycles)
-            opt_tags = np.asarray(opt_tags, dtype=np.int64)
-            self._check_tag_array(opt_tags, vertices)
-            senders = np.array(senders, dtype=bool)
-        else:
-            opt_tags = None
-            senders = None
-
-        committed = 0
-
-        def commit_slice(start: int, end: int) -> None:
-            if start >= end:
-                return
-            chunk = vertices[start:end]
-            if unique_members:
-                tags_np[chunk] = opt_tags[start:end]
-            else:
-                # Duplicate vertices in the span: the latest position
-                # must win, so assign via last occurrences.
-                rev = chunk[::-1]
-                uniq, first = np.unique(rev, return_index=True)
-                tags_np[uniq] = opt_tags[start:end][::-1][first]
-
-        def commit_to(end: int) -> None:
-            nonlocal committed
-            while pending_heap and pending_heap[0] < end:
-                pos = heapq.heappop(pending_heap)
-                reset = pending_reset.pop(pos)
-                commit_slice(committed, pos)
-                vertex = int(vertices[pos])
-                cycle = int(cycles[pos])
-                if reset:
-                    self._crash_reset(vertex)
-                    ops.state_changed(vertex)
-                new_tag = self._checked_tag(
-                    nodes[vertex], ops.retag(vertex, cycle)
-                )
-                tags_np[vertex] = new_tag
-                senders[pos] = ops.sender_from_tag(new_tag)
-                committed = pos + 1
-            commit_slice(committed, end)
-            committed = end
-
-        def schedule_retags(vertex: int, after: int) -> None:
-            """Mark ``vertex``'s not-yet-committed activations stale."""
-            if unique_members:
-                pos = int(pos_of[vertex])
-                if pos >= after:
-                    schedule(pos, False)
-            else:
-                for pos in pos_lists.get(vertex, ()):
-                    if pos >= after:
-                        schedule(pos, False)
-
+        # Cohort c is bounds[c]:bounds[c + 1], the members sharing a tick.
+        bounds = [0, *(np.flatnonzero(np.diff(ticks)) + 1).tolist(), total]
         window_stats = [0, 0, 0, 0, 0]  # proposals, matches, tokens, bits, dropped
-
-        if eager:
-            # Sweep only the interesting cohorts: those holding a
-            # proposal candidate or a pending patch; everything between
-            # commits as vectorized slices.
-            candidate_positions = np.nonzero(senders)[0].tolist()
-            candidate_index = 0
-            while True:
-                while (
-                    candidate_index < len(candidate_positions)
-                    and candidate_positions[candidate_index] < committed
-                ):
-                    candidate_index += 1
-                nxt = (
-                    candidate_positions[candidate_index]
-                    if candidate_index < len(candidate_positions)
-                    else None
+        for cohort_start, cohort_end in zip(bounds, bounds[1:]):
+            while resets and resets[-1] < cohort_end:
+                self._crash_reset(vertex_list[resets.pop()])
+            members = vertex_list[cohort_start:cohort_end]
+            cohort_tags, cohort_senders = ops.scan(
+                members, cycle_list[cohort_start:cohort_end]
+            )
+            for vertex, tag in zip(members, cohort_tags):
+                tags_np[vertex] = self._checked_tag(nodes[vertex], tag)
+            cohort_candidates = [
+                cohort_start + i
+                for i, sender in enumerate(cohort_senders) if sender
+            ]
+            if cohort_candidates:
+                self._execute_cohort(
+                    tick_list[cohort_start], cohort_candidates,
+                    vertex_list, cycle_list, window_stats,
                 )
-                if pending_heap and (nxt is None or pending_heap[0] < nxt):
-                    nxt = pending_heap[0]
-                if nxt is None:
-                    break
-                cohort = int(
-                    np.searchsorted(cohort_bounds, nxt, side="right")
-                ) - 1
-                cohort_start = int(cohort_bounds[cohort])
-                cohort_end = int(cohort_bounds[cohort + 1])
-                commit_to(cohort_end)
-                cohort_candidates = (
-                    np.nonzero(senders[cohort_start:cohort_end])[0]
-                    + cohort_start
-                ).tolist()
-                if cohort_candidates:
-                    self._execute_cohort(
-                        tick_list[cohort_start], cohort_candidates,
-                        vertex_list, cycle_list, cohort_end,
-                        schedule_retags, window_stats,
-                    )
-            commit_to(total)
-        else:
-            # Lazy scan: the scan may consume private rng (or be the
-            # scalar hooks, which may do anything), so cohorts run
-            # strictly in event order — the window's share of the work
-            # is the drain, the schedule, and the resolution machinery.
-            # Cohorts are mostly singletons, so each is walked in plain
-            # Python (the scan loops its members anyway): per-cohort
-            # numpy calls would cost more than the cohort itself.
-            bounds = cohort_bounds.tolist()
-            for cohort_start, cohort_end in zip(bounds, bounds[1:]):
-                while pending_heap and pending_heap[0] < cohort_end:
-                    pos = heapq.heappop(pending_heap)
-                    pending_reset.pop(pos)
-                    self._crash_reset(vertex_list[pos])
-                    ops.state_changed(vertex_list[pos])
-                cohort_tags, cohort_senders = ops.scan(
-                    vertices[cohort_start:cohort_end],
-                    cycles[cohort_start:cohort_end],
-                )
-                for vertex, tag in zip(
-                    vertex_list[cohort_start:cohort_end],
-                    _as_list(cohort_tags),
-                ):
-                    tags_np[vertex] = self._checked_tag(nodes[vertex], tag)
-                cohort_candidates = [
-                    cohort_start + i
-                    for i, sender in enumerate(_as_list(cohort_senders))
-                    if sender
-                ]
-                if cohort_candidates:
-                    self._execute_cohort(
-                        tick_list[cohort_start], cohort_candidates,
-                        vertex_list, cycle_list, cohort_end,
-                        schedule_retags, window_stats,
-                    )
 
-        # Per-window state updates: nothing inside the window reads
-        # them except crash detection, which took the pre-window values
-        # above.
-        if unique_members:
-            self.event_counts[vertices] += 1
-            self._local_cycle[vertices] = cycles
-            self._node_active[vertices] = active_flags
-        else:
-            np.add.at(self.event_counts, vertices, 1)
-            np.maximum.at(self._local_cycle, vertices, cycles)
-            rev = vertices[::-1]
-            uniq, first = np.unique(rev, return_index=True)
-            self._node_active[uniq] = active_flags[::-1][first]
+        # Per-window state updates (a fast clock activating twice in the
+        # window: its last activation wins).  Nothing inside the window
+        # reads them except crash detection, which took the pre-window
+        # values above.
+        np.add.at(self.event_counts, vertices, 1)
+        np.maximum.at(self._local_cycle, vertices, cycles)
+        seen, latest = np.unique(vertices[::-1], return_index=True)
+        self._node_active[seen] = active_flags[::-1][latest]
 
         return (
             *window_stats,
@@ -653,8 +488,7 @@ class AsyncSimulation(Simulation):
         )
 
     def _execute_cohort(
-        self, ticks, candidate_positions, vertices, cycles,
-        cohort_end, schedule_retags, window_stats,
+        self, ticks, candidate_positions, vertices, cycles, window_stats,
     ) -> None:
         """Stage 2 + accept + connect for one cohort's candidates.
 
@@ -668,8 +502,7 @@ class AsyncSimulation(Simulation):
         drops are judged per match at the window (clock="virtual"
         models) or else at the initiator's local cycle — which is also
         the round its channel and interact hook see — and interactions
-        run scalar, marking endpoints dirty so their later activations
-        this window are retagged.
+        run scalar.
         """
         ops = self._window_ops
         nodes = self._nodes
@@ -686,9 +519,12 @@ class AsyncSimulation(Simulation):
             if target < 0:
                 continue
             # (count_nonzero: the cheap reduction on a degree-sized row)
-            if not np.count_nonzero(neighbor_uids == target):
-                raise self._not_visible(nodes[vertex], target, ticks)
             uid = nodes[vertex].uid
+            if not np.count_nonzero(neighbor_uids == target):
+                raise ProtocolViolationError(
+                    f"node uid={uid} proposed to uid={target}, not a visible "
+                    f"neighbor at virtual time {ticks / TICKS_PER_ROUND:.4f}"
+                )
             proposals[uid] = target
             cycle_of_uid[uid] = cycle
         if not proposals:
@@ -705,13 +541,3 @@ class AsyncSimulation(Simulation):
         window_stats[2] += tokens
         window_stats[3] += bits
         window_stats[4] += len(doomed)
-        # Endpoints changed state: their later activations this window
-        # must be retagged.  (Marking after the whole cohort connected
-        # is safe — nothing reads the marks before the next commit.)
-        for pair in matches:
-            for uid in pair:
-                endpoint = self._vertex_of_uid[uid]
-                ops.state_changed(endpoint)
-                if ops.needs_retag:
-                    schedule_retags(endpoint, cohort_end)
-

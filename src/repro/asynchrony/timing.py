@@ -44,6 +44,8 @@ slow-clocked and duty-cycled.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -306,19 +308,26 @@ class HeterogeneousRates(TimingModel):
     def __init__(self, n: int, seed: int, rates=(0.6, 1.0, 1.5),
                  weights=None):
         super().__init__(n, seed, "heterogeneous")
-        rates = tuple(float(r) for r in rates)
-        if not rates or any(r <= 0 for r in rates):
+        # A period of 1 tick to TPR rounds keeps int64 ticks increasing.
+        rates = tuple(rates)
+        if not rates or not all(isinstance(r, (int, float)) and 2**-20 <= r
+                                <= TICKS_PER_ROUND for r in rates):
             raise ConfigurationError(
-                f"rates must be positive and non-empty, got {rates}"
+                f"rates must be non-empty, each in [2**-20, 2**20] cycles "
+                f"per round, got {rates}"
             )
+        rates = tuple(float(r) for r in rates)
         if weights is not None:
-            weights = tuple(float(w) for w in weights)
-            if len(weights) != len(rates) or any(w < 0 for w in weights) \
-                    or sum(weights) <= 0:
+            weights = tuple(weights)
+            if len(weights) != len(rates) or not all(
+                isinstance(w, (int, float)) and 0 <= w < math.inf
+                for w in weights
+            ) or sum(weights) <= 0:
                 raise ConfigurationError(
                     f"weights must be {len(rates)} non-negative values "
                     f"with a positive sum, got {weights}"
                 )
+            weights = tuple(float(w) for w in weights)
         self.rates = rates
         self.weights = weights
         # One-time class + phase draws, pure functions of (seed, vertex).
@@ -406,9 +415,9 @@ class GilbertElliottPauses(TimingModel):
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {value}"
                 )
-        if pause_scale < 1:
+        if not 1 <= pause_scale <= TICKS_PER_ROUND:
             raise ConfigurationError(
-                f"pause_scale must be >= 1, got {pause_scale}"
+                f"pause_scale must be in [1, 2**20] rounds, got {pause_scale}"
             )
         if not 0 <= jitter < 1:
             raise ConfigurationError(

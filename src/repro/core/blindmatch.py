@@ -117,10 +117,10 @@ class BlindMatchNode(GossipNode):
 
     # -- window hooks (batched async path) -------------------------------
     # The sender coin comes off each node's *private* rng — the same
-    # stream Transfer's EQTest draws from — so scans must stay in event
-    # order relative to interactions (``eager_scan = False``: the engine
-    # calls ``scan`` cohort by cohort).  The batched win for b = 0 is in
-    # the engine's drain/commit/resolve machinery, not in hashing.
+    # stream Transfer's EQTest draws from — which the executor's
+    # cohort-by-cohort scan keeps in event order relative to
+    # interactions.  The batched win for b = 0 is in the engine's
+    # drain/resolve machinery, not in hashing.
     # Why they exist beside ``ScalarWindowOps`` (ROADMAP 3(a)): any
     # ``timing:`` spec reaches them, and by never building a
     # ``NeighborView`` they measure +48 % / +30 % at n = 400 and +30 % /
@@ -135,8 +135,7 @@ class BlindMatchNode(GossipNode):
 class _BlindMatchWindowOps:
     """Stateful window ops for BlindMatch (see ``window_hooks``).
 
-    Tags are always 0 (b = 0) and never depend on token state
-    (``needs_retag = False``); the coin and the uniform target draw
+    Tags are always 0 (b = 0); the coin and the uniform target draw
     consume each member's private rng exactly as the scalar hooks do —
     ``rng.choice`` over the visible-UID array is the same single
     ``_randbelow(len)`` as over the ``NeighborView`` tuple.  Like the
@@ -144,26 +143,13 @@ class _BlindMatchWindowOps:
     nothing outside the scalar hooks reads it.
     """
 
-    eager_scan = False
-    needs_retag = False
-
     def __init__(self, nodes):
         self._nodes = nodes
 
-    def state_changed(self, vertex: int) -> None:
-        pass
-
-    def scan(self, vertices, cycles) -> tuple[np.ndarray, np.ndarray]:
-        count = len(vertices)
-        tags = np.zeros(count, dtype=np.int64)
-        senders = np.empty(count, dtype=bool)
+    def scan(self, vertices, cycles) -> tuple[list, list]:
         nodes = self._nodes
-        for i, vertex in enumerate(np.asarray(vertices).tolist()):
-            senders[i] = nodes[vertex].rng.random() < 0.5
-        return tags, senders
-
-    def retag(self, vertex: int, cycle: int) -> int:
-        return 0
+        senders = [nodes[vertex].rng.random() < 0.5 for vertex in vertices]
+        return [0] * len(senders), senders
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
         if len(neighbor_uids) == 0:

@@ -88,10 +88,10 @@ class GossipInstance:
 
 
 def _draw_uids(n: int, upper_n: int, rng: random.Random) -> tuple[int, ...]:
-    if upper_n < n:
+    if not n <= upper_n <= 2**63 - 1:
         raise ConfigurationError(
-            f"upper bound N={upper_n} must be >= n={n}: UIDs are n distinct "
-            "values from [1, N]"
+            f"upper bound N={upper_n} must be in [n={n}, 2**63 - 1]: UIDs "
+            "are n distinct int64 values from [1, N]"
         )
     return tuple(rng.sample(range(1, upper_n + 1), n))
 
@@ -285,6 +285,10 @@ def _build_skewed_instance(n, seed, *, k=1, holders=1, upper_n=None):
 def _build_token_at_instance(n, seed, *, vertex, upper_n=None):
     # A k = 1 instance whose token starts at a chosen vertex: the rumor
     # must cross the double-star bridge.
+    if not isinstance(vertex, int) or not 0 <= vertex < n:
+        raise ConfigurationError(
+            f"token_at vertex must be in [0, {n}), got {vertex!r}"
+        )
     upper = upper_n or n
     rng = random.Random(seed)
     uids = _draw_uids(n, upper, rng)

@@ -168,122 +168,61 @@ class SharedBitNode(GossipNode):
         return targets
 
     # -- window hooks (batched async path) -------------------------------
-    # All of SharedBit's per-round randomness is *shared* (PRF reads keyed
-    # by round group), so a whole asynchronous window's tags can be
-    # computed eagerly — the handful of nodes whose token sets change
-    # mid-window (transfer endpoints, crash resets) are retagged exactly
-    # at their activation position by the engine.
+    # b_t(r) is shared, so a member's tag is read from its *current* token
+    # set the moment it scans (the model's tag, §5.1), out of a per-cycle
+    # bit table the whole population shares.
 
     @classmethod
     def make_window_hooks(cls, nodes) -> "_SharedBitWindowOps":
         return _SharedBitWindowOps(nodes)
 
 
+#: Per-cycle bit tables the window ops keep; past this many the oldest
+#: cycle's is dropped.  Skewed clocks (bursty, heterogeneous) scan many
+#: cycles per window: a bound of 8 thrashed on bursty timing.
+_BIT_TABLES = 64
+
+
 class _SharedBitWindowOps:
     """Stateful window ops for SharedBit (see ``window_hooks``).
 
-    Tags are parities of shared token bits, so the batch keeps a dense
-    ``(n, cap)`` matrix of token labels (sentinel-padded rows, rebuilt
-    only for nodes whose state changed) and evaluates each window group's
-    bits once into a label-indexed lookup table: a member's tag is then
-    one gather + row-parity, identical to ``advertisement_bit`` because
-    the PRF is stateless and absent labels contribute 0.  Unlike the
-    scalar ``advertise``, the batch does not maintain
+    A member's tag is ``advertisement_bit(cycle)`` read through a
+    ``{label: bit}`` table per cycle, filled on first use with one
+    :meth:`~repro.rng.SharedRandomness.token_bits` call for the labels
+    it lacks: each (cycle, label) bit is derived once, not once per
+    holder.  Unlike the scalar ``advertise``, the ops do not maintain
     ``_bit_this_round`` — nothing outside the scalar hooks reads it, and
-    a batched run never calls them.
+    a run fed by window ops never calls them.
     """
-
-    eager_scan = True
-    needs_retag = True
 
     def __init__(self, nodes):
         first = nodes[0]
         self._nodes = nodes
         self._shared = first.shared
         self._offset = first.config.group_offset
-        # Token labels live in [1, upper_n]; one slot past that is the
-        # row-padding sentinel, mapping to a permanent 0 in every lookup.
-        self._sentinel = first.upper_n + 1
-        n = len(nodes)
-        cap = max(max((len(node._tokens) for node in nodes), default=1), 1)
-        self._matrix = np.full((n, cap), self._sentinel, dtype=np.int64)
-        self._row_tokens: list[tuple[int, ...]] = [()] * n
-        self._counts: dict[int, int] = {}
-        self._dirty: set[int] = set(range(n))
-        self._window_bits: dict[int, dict] = {}  # cycle -> latest scan's bits
-        self._sync()
+        self._tables: dict[int, dict[int, int]] = {}
 
-    def _sync(self) -> None:
-        for vertex in self._dirty:
-            node = self._nodes[vertex]
-            tokens = tuple(node._tokens)
-            counts = self._counts
-            for label in self._row_tokens[vertex]:
-                left = counts[label] - 1
-                if left:
-                    counts[label] = left
-                else:
-                    del counts[label]
-            for label in tokens:
-                counts[label] = counts.get(label, 0) + 1
-            if len(tokens) > self._matrix.shape[1]:
-                grown = np.full(
-                    (self._matrix.shape[0], 2 * len(tokens)),
-                    self._sentinel, dtype=np.int64,
-                )
-                grown[:, : self._matrix.shape[1]] = self._matrix
-                self._matrix = grown
-            row = self._matrix[vertex]
-            row[: len(tokens)] = tokens
-            row[len(tokens):] = self._sentinel
-            self._row_tokens[vertex] = tokens
-        self._dirty.clear()
-
-    def state_changed(self, vertex: int) -> None:
-        self._dirty.add(vertex)
-
-    def scan(self, vertices, cycles) -> tuple[np.ndarray, np.ndarray]:
-        if self._dirty:
-            self._sync()
-        vertices = np.asarray(vertices, dtype=np.int64)
-        cycles = np.asarray(cycles, dtype=np.int64)
-        known = sorted(self._counts)
-        lookup = np.zeros(self._sentinel + 1, dtype=np.int64)
-        window_bits = self._window_bits = {}
-        first = int(cycles[0]) if len(cycles) else 0
-        if len(cycles) and bool((cycles == first).all()):
-            # Single-cycle window — the common case for any timing model
-            # whose cycles stay inside their own round window (jitter):
-            # one bit table, one gather, no per-cycle partitioning.
-            bit_of = window_bits[first] = self._shared.token_bits(
-                first + self._offset, known)
-            lookup[known] = [bit_of[label] for label in known]
-            tags = lookup[self._matrix[vertices]].sum(axis=1) & 1
-            return tags, tags == 1
-        tags = np.empty(len(vertices), dtype=np.int64)
-        for cycle in np.unique(cycles).tolist():
-            bit_of = window_bits[cycle] = self._shared.token_bits(
-                cycle + self._offset, known)
-            lookup[known] = [bit_of[label] for label in known]
-            sel = cycles == cycle
-            rows = self._matrix[vertices[sel]]
-            tags[sel] = lookup[rows].sum(axis=1) & 1
-        return tags, tags == 1
-
-    def retag(self, vertex: int, cycle: int) -> int:
-        # The scan's table for the cycle holds the very bits
-        # ``advertisement_bit`` re-derives, one PRF call per held token.
-        node = self._nodes[vertex]
-        try:
-            bit_of = self._window_bits[cycle]
-            return sum(map(bit_of.__getitem__, node._tokens)) & 1
-        except KeyError:  # no table for this cycle, or a label it lacks
-            return node.advertisement_bit(cycle)
-
-    def sender_from_tag(self, tag: int) -> bool:
-        # Retagged members re-enter (or leave) the candidate pool by the
-        # same rule ``scan`` applies: 1-advertisers propose.
-        return tag == 1
+    def scan(self, vertices, cycles) -> tuple[list, list]:
+        nodes = self._nodes
+        tables = self._tables
+        tags = []
+        for vertex, cycle in zip(vertices, cycles):
+            tokens = nodes[vertex]._tokens
+            bits = tables.get(cycle)
+            if bits is None:
+                bits = tables[cycle] = {}
+                if len(tables) > _BIT_TABLES:
+                    del tables[next(iter(tables))]
+            try:
+                tags.append(sum(map(bits.__getitem__, tokens)) & 1)
+            except KeyError:
+                bits.update(self._shared.token_bits(
+                    cycle + self._offset,
+                    [label for label in tokens if label not in bits],
+                ))
+                tags.append(sum(map(bits.__getitem__, tokens)) & 1)
+        # 1-advertisers propose: each 0/1 tag is its own candidate flag.
+        return tags, tags
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
         zeros = neighbor_uids[neighbor_tags == 0]

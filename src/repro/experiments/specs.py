@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -373,12 +374,14 @@ def build_config(algorithm: str, config_spec: dict | None):
         return None
     preset = spec.pop("preset", None)
     if preset is not None:
-        factory = getattr(cls, preset, None)
-        if factory is None:
+        # Presets are the config class's classmethods (paper, practical).
+        if not isinstance(preset, str) or not isinstance(
+            inspect.getattr_static(cls, preset, None), classmethod
+        ):
             raise ConfigurationError(
                 f"config class {cls.__name__} has no preset {preset!r}"
             )
-        base = factory()
+        base = getattr(cls, preset)()
     else:
         base = cls()
     if not spec:

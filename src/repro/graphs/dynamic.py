@@ -35,7 +35,9 @@ from repro.graphs.spatial import (
     disk_edges,
     nearest_pair,
 )
-from repro.graphs.topologies import Topology
+from repro.graphs.topologies import (
+    Topology, _check_degree, _check_n, _check_seed,
+)
 from repro.registry import register_dynamics
 from repro.rng import SeedTree
 
@@ -80,8 +82,7 @@ class DynamicGraph(ABC):
     """A τ-stable sequence of connected graphs over vertices ``0..n-1``."""
 
     def __init__(self, n: int, tau):
-        if n < 2:
-            raise ConfigurationError(f"need n >= 2, got n={n}")
+        _check_n(n)
         if tau != TAU_INFINITY and (not isinstance(tau, int) or tau < 1):
             raise ConfigurationError(
                 f"tau must be a positive integer or TAU_INFINITY, got {tau!r}"
@@ -255,6 +256,7 @@ class PeriodicRewireGraph(DynamicGraph):
     @classmethod
     def resampled_regular(cls, n: int, degree: int, tau, seed: int):
         """Fresh random ``degree``-regular graph each epoch."""
+        _check_degree(n, degree)
 
         def factory(epoch: int, rng: random.Random) -> nx.Graph:
             for attempt in range(64):
@@ -557,8 +559,10 @@ def ring_expander_graph(n: int, degree: int = 6, seed: int = 0,
     Duplicate edges across cycles (rare at large n) are deduplicated so
     the graph is simple, matching every other family's contract.
     """
-    if n < 3:
-        raise ConfigurationError(f"need n >= 3, got n={n}")
+    _check_n(n, 3)
+    _check_seed(seed)
+    if seed < 0:
+        raise ConfigurationError(f"need seed >= 0, got seed={seed}")
     if degree < 2 or degree % 2 or degree >= n:
         raise ConfigurationError(
             f"need an even 2 <= degree < n, got degree={degree}"

@@ -90,9 +90,30 @@ class Topology:
         return f"Topology({self.name}, n={self.n}, Δ={self.max_degree})"
 
 
+#: The largest n whose vertex ids fit the int64 arrays they live in.
+_MAX_N = 2**63 - 1
+
+
 def _check_n(n: int, minimum: int = 2) -> None:
-    if n < minimum:
+    if not n >= minimum:
         raise ConfigurationError(f"need n >= {minimum}, got n={n}")
+    if not n <= _MAX_N:
+        raise ConfigurationError(
+            f"need n <= 2**63 - 1 (vertex ids are int64), got n={n}"
+        )
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int):
+        raise ConfigurationError(f"need an integer seed, got seed={seed!r}")
+
+
+def _check_degree(n: int, degree) -> None:
+    if not isinstance(degree, int) or not 2 <= degree < n or (n * degree) % 2:
+        raise ConfigurationError(
+            f"need an integer 2 <= degree < n with n*degree even for a "
+            f"regular graph, got degree={degree!r} (n={n})"
+        )
 
 
 def _size_only(n: int, seed: int) -> dict:
@@ -152,9 +173,10 @@ def double_star(points: int) -> Topology:
     n = 2·points + 2, Δ = points + 1, α = 1/(points + 1) (witness: one
     whole star), D = 3.
     """
-    if points < 1:
+    if not points >= 1:
         raise ConfigurationError(f"need points >= 1, got {points}")
     n = 2 * points + 2
+    _check_n(n)
     g = nx.Graph()
     hub_u, hub_v = 0, 1
     g.add_edge(hub_u, hub_v)
@@ -233,8 +255,8 @@ def hypercube(dim: int) -> Topology:
     metrics module compute or estimate it, since the exact constant depends
     on n.
     """
-    if dim < 1:
-        raise ConfigurationError(f"need dim >= 1, got {dim}")
+    if not 1 <= dim <= 62:
+        raise ConfigurationError(f"need 1 <= dim <= 62, got {dim}")
     g = nx.hypercube_graph(dim)
     mapping = {node: int("".join(map(str, node)), 2) for node in g.nodes}
     g = nx.relabel_nodes(g, mapping)
@@ -258,12 +280,8 @@ def random_regular(n: int, degree: int, seed: int) -> Topology:
     retries until connected (a.a.s. one attempt suffices).
     """
     _check_n(n, 4)
-    if degree < 2 or degree >= n:
-        raise ConfigurationError(f"need 2 <= degree < n, got degree={degree}")
-    if (n * degree) % 2 != 0:
-        raise ConfigurationError(
-            f"n*degree must be even for a regular graph (n={n}, degree={degree})"
-        )
+    _check_seed(seed)
+    _check_degree(n, degree)
     for attempt in range(64):
         g = nx.random_regular_graph(degree, n, seed=seed + attempt)
         if nx.is_connected(g):
@@ -344,6 +362,7 @@ def ring_expander(n: int, degree: int = 6, seed: int = 0) -> Topology:
 def erdos_renyi(n: int, p: float, seed: int) -> Topology:
     """A connected G(n, p) sample (resamples until connected)."""
     _check_n(n)
+    _check_seed(seed)
     if not 0 < p <= 1:
         raise ConfigurationError(f"need 0 < p <= 1, got p={p}")
     for attempt in range(256):
@@ -366,8 +385,9 @@ def erdos_renyi(n: int, p: float, seed: int) -> Topology:
 )
 def grid(rows: int, cols: int) -> Topology:
     """A rows×cols grid. Δ = 4, D = rows+cols-2, α = Θ(1/max(rows, cols))."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
+    if not (rows >= 1 and cols >= 1 and rows * cols >= 2):
         raise ConfigurationError(f"need rows*cols >= 2, got {rows}x{cols}")
+    _check_n(rows * cols)
     g = nx.grid_2d_graph(rows, cols)
     mapping = {(r, c): r * cols + c for r, c in g.nodes}
     g = nx.relabel_nodes(g, mapping)
@@ -388,10 +408,11 @@ def barbell(clique_size: int, bridge_length: int = 0) -> Topology:
 
     A classic bottleneck graph: α = Θ(1/clique_size).
     """
-    if clique_size < 3:
+    if not clique_size >= 3:
         raise ConfigurationError(f"need clique_size >= 3, got {clique_size}")
-    if bridge_length < 0:
+    if not bridge_length >= 0:
         raise ConfigurationError(f"need bridge_length >= 0, got {bridge_length}")
+    _check_n(2 * clique_size + bridge_length)
     g = nx.barbell_graph(clique_size, bridge_length)
     return Topology(
         graph=g,
@@ -406,10 +427,11 @@ def barbell(clique_size: int, bridge_length: int = 0) -> Topology:
 )
 def lollipop(clique_size: int, path_length: int) -> Topology:
     """A clique with a path attached (the lollipop graph)."""
-    if clique_size < 3:
+    if not clique_size >= 3:
         raise ConfigurationError(f"need clique_size >= 3, got {clique_size}")
-    if path_length < 1:
+    if not path_length >= 1:
         raise ConfigurationError(f"need path_length >= 1, got {path_length}")
+    _check_n(clique_size + path_length)
     g = nx.lollipop_graph(clique_size, path_length)
     return Topology(
         graph=g,
@@ -424,8 +446,8 @@ def lollipop(clique_size: int, path_length: int) -> Topology:
 )
 def binary_tree(depth: int) -> Topology:
     """A complete binary tree of the given depth (n = 2^(depth+1) - 1)."""
-    if depth < 1:
-        raise ConfigurationError(f"need depth >= 1, got {depth}")
+    if not 1 <= depth <= 61:
+        raise ConfigurationError(f"need 1 <= depth <= 61, got {depth}")
     g = nx.balanced_tree(2, depth)
     return Topology(
         graph=g,

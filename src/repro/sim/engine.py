@@ -628,14 +628,13 @@ class Simulation:
             )
         return tag
 
-    def _check_tag_array(self, tags: np.ndarray, vertices=None) -> None:
-        """Array form of :meth:`_checked_tag`: ``tags[i]`` was advertised
-        by vertex ``vertices[i]`` (vertex ``i`` when omitted)."""
+    def _check_tag_array(self, tags: np.ndarray) -> None:
+        """Array form of :meth:`_checked_tag`: ``tags[v]`` was advertised
+        by vertex ``v``."""
         bad = (tags < 0) | (tags > self.max_tag)
         if bad.any():
-            offender = int(np.nonzero(bad)[0][0])
-            vertex = offender if vertices is None else int(vertices[offender])
-            self._checked_tag(self._nodes[vertex], int(tags[offender]))
+            vertex = int(np.nonzero(bad)[0][0])
+            self._checked_tag(self._nodes[vertex], int(tags[vertex]))
 
     @staticmethod
     def _not_a_neighbor(node: NodeProtocol, target: int, rnd: int):

@@ -163,6 +163,17 @@ class FaultModel:
         return f"{type(self).__name__}(n={self.n})"
 
 
+#: Schedules are int64 arrays of rounds and offsets.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_count(name: str, value, low: int, high: int) -> None:
+    if not isinstance(value, int) or not low <= value <= high:
+        raise ConfigurationError(
+            f"{name} must be an integer in [{low}, {high}], got {value!r}"
+        )
+
+
 @register_fault(
     name="none",
     description="the paper's clean model: every node awake, every "
@@ -216,12 +227,8 @@ class SleepCycle(FaultModel):
     def __init__(self, n: int, seed: int, period: int = 8, duty: int = 6,
                  stagger: bool = True, clock: str = "cycle"):
         super().__init__(n, seed, "sleep", clock=clock)
-        if period < 1:
-            raise ConfigurationError(f"period must be >= 1, got {period}")
-        if not 1 <= duty <= period:
-            raise ConfigurationError(
-                f"duty must be in [1, period={period}], got {duty}"
-            )
+        _check_count("period", period, 1, _INT64_MAX)
+        _check_count("duty", duty, 1, period)
         self.period = period
         self.duty = duty
         self.stagger = stagger
@@ -276,17 +283,13 @@ class CrashChurn(FaultModel):
                  max_outage: int = 24, reset_tokens: bool = False,
                  clock: str = "cycle"):
         super().__init__(n, seed, "churn", clock=clock)
-        if cycle < 2:
-            raise ConfigurationError(f"cycle must be >= 2, got {cycle}")
+        _check_count("cycle", cycle, 2, _INT64_MAX)
         if not 0 <= crash_prob <= 1:
             raise ConfigurationError(
                 f"crash_prob must be in [0, 1], got {crash_prob}"
             )
-        if not 1 <= min_outage <= max_outage:
-            raise ConfigurationError(
-                f"need 1 <= min_outage <= max_outage, got "
-                f"[{min_outage}, {max_outage}]"
-            )
+        _check_count("max_outage", max_outage, 1, _INT64_MAX)
+        _check_count("min_outage", min_outage, 1, max_outage)
         self.cycle = cycle
         self.crash_prob = crash_prob
         self.min_outage = min_outage

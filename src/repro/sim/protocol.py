@@ -171,36 +171,18 @@ def window_hooks(nodes):
     provides a ``make_window_hooks(nodes) -> ops`` classmethod returning
     a stateful per-run ops object with:
 
-    * ``eager_scan`` (bool) — True when ``scan`` reads only shared
-      randomness and protocol state (no per-node private ``Random``), so
-      the engine may compute a whole window's tags upfront and patch the
-      few members whose state changes mid-window; False makes the engine
-      call ``scan`` cohort by cohort in event order, preserving each
-      node's private-stream consumption order relative to interactions.
-    * ``needs_retag`` (bool) — whether a node's tag can change when its
-      protocol state changes mid-window (token transfer, crash reset).
-      Eager-scan hooks with True get ``retag`` calls for exactly those
-      members; False lets the engine skip the patch bookkeeping.
-    * ``scan(vertices, cycles) -> (tags, senders)`` — parallel int64 tag
-      array and boolean proposer-candidate mask for the given members.
-      Must equal looping scalar ``advertise`` over the members in order
-      (same values, same private-rng consumption); ``senders[i]`` False
-      guarantees member ``i``'s scalar ``propose`` would return ``None``
-      without consuming randomness, so the engine never evaluates it.
-      (Lazy scans are read one cohort at a time, member by member, and
-      may return plain sequences instead of arrays.)
-    * ``retag(vertex, cycle) -> int`` — recompute one member's tag from
-      current node state (eager hooks only; must consume no randomness
-      beyond what scalar ``advertise`` would, i.e. shared PRF reads).
-    * ``sender_from_tag(tag) -> bool`` — (eager hooks only) the
-      candidate rule as a function of the tag, so a retagged member's
-      proposer candidacy is refreshed along with its advertisement.
+    * ``scan(vertices, cycles) -> (tags, senders)`` — one cohort's
+      members (plain int lists, in event order, scanned just before the
+      cohort proposes) to parallel lists of int tags and proposer-
+      candidate flags.  Must equal looping scalar ``advertise`` over the
+      members in order on their current state (same values, same
+      private-rng consumption); ``senders[i]`` False guarantees member
+      ``i``'s scalar ``propose`` would return ``None`` without consuming
+      randomness, so the engine never evaluates it.
     * ``propose_one(vertex, cycle, neighbor_uids, neighbor_tags) -> int``
       — the proposal target UID (or ``-1``) given the member's visible
       neighborhood, equal to scalar ``propose`` on the same views
       including its private-rng consumption.
-    * ``state_changed(vertex)`` — cache invalidation after the node's
-      protocol state mutated (interaction endpoint, token reset).
 
     The window ops may skip per-round node bookkeeping the scalar hooks
     perform (e.g. SharedBit's ``_bit_this_round``) *only* if nothing
@@ -223,7 +205,7 @@ class ScalarWindowOps:
 
     What feeds the asynchronous engine's window executor when the
     protocol ships no ``make_window_hooks`` (or the run asks for
-    ``async_mode="event"``): a lazy scan that calls
+    ``async_mode="event"``): a scan that calls
     ``advertise(cycle, visible_uids)`` per member in event order, every
     member a proposal candidate, and ``propose(cycle, views)`` over
     :class:`~repro.sim.context.NeighborView` tuples built from the
@@ -231,26 +213,18 @@ class ScalarWindowOps:
     round engine's object path makes for a full cohort.
     ``visible_uids(vertex, cycle)`` is the engine's lookup of a member's
     visible neighbour UIDs (topology and fault mask are its business).
-    Tags are never patched (``needs_retag = False``): a scalar hook's
-    tag is whatever ``advertise`` last returned.
     """
-
-    eager_scan = False
-    needs_retag = False
 
     def __init__(self, nodes, visible_uids):
         self._nodes = nodes
         self._visible_uids = visible_uids
-
-    def state_changed(self, vertex: int) -> None:
-        pass
 
     def scan(self, vertices, cycles):
         nodes = self._nodes
         visible_uids = self._visible_uids
         tags = [
             nodes[vertex].advertise(cycle, visible_uids(vertex, cycle))
-            for vertex, cycle in zip(vertices.tolist(), cycles.tolist())
+            for vertex, cycle in zip(vertices, cycles)
         ]
         return tags, [True] * len(tags)
 

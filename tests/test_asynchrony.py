@@ -407,6 +407,24 @@ class TestAsyncSimulation:
 
         assert observed(by_step) == observed(lambda sim: sim.run(24))
 
+    def test_window_hooks_scan_after_a_reset_earlier_in_the_window(self):
+        # Fast clocks activate up to four times a window; a crash reset
+        # at one activation must show in the tag of the next.  The
+        # scalar hooks are the reference.
+        def observed(async_mode):
+            sim, _ = _sim(
+                timing=HeterogeneousRates(40, SEED, rates=(0.7, 2.5, 3.5)),
+                fault=CrashChurn(40, SEED, cycle=10, crash_prob=0.4,
+                                 min_outage=1, max_outage=4,
+                                 reset_tokens=True),
+                n=40, k=16, async_mode=async_mode,
+            )
+            sim.run(20)
+            return (trace_signature(sim.current_round, sim.trace),
+                    [sorted(node.known_tokens) for node in sim._nodes])
+
+        assert observed("batched") == observed("event")
+
     @pytest.mark.parametrize("engine", ["round", "async"])
     def test_run_resumes_where_it_stopped(self, engine):
         # run(5) then run(12) is run(12): the round engine's loop, and

@@ -1,8 +1,12 @@
 """Tests for the experiment orchestration layer (repro.experiments)."""
 
+import copy
 import json
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import uniform_instance
 from repro.core.runner import run_gossip
@@ -542,3 +546,99 @@ class TestMalformedPayloads:
     def test_normalization_passes_a_malformed_dynamic_through(self):
         payload = dict(tiny_base("crowdedbin"), seed=1, dynamic="static")
         assert normalize_payload(payload) == (payload, [])
+
+    @pytest.mark.parametrize("dynamic", ["static", "relabeling", "geometric"])
+    @pytest.mark.parametrize("family", [
+        "expander", "star", "path", "cycle", "complete", "ring_expander",
+    ])
+    def test_vertex_ids_past_int64_are_a_configuration_error(
+        self, family, dynamic
+    ):
+        payload = {**tiny_base(), "seed": 1, "dynamic": {"kind": dynamic},
+                   "graph": {"family": family, "params": {"n": 10**30}}}
+        with pytest.raises(ConfigurationError, match="int64"):
+            _execute_within(10, payload)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_one_bad_leaf_is_a_run_or_a_configuration_error(self, data):
+        base = data.draw(st.sampled_from(FUZZ_BASES))
+        path = data.draw(st.sampled_from(list(_leaf_paths(base))))
+        payload = copy.deepcopy(base)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+        try:
+            record = _execute_within(10, payload)
+        except ConfigurationError:
+            return
+        assert isinstance(record["rounds"], int)
+
+
+def _execute_within(seconds: int, payload) -> dict:
+    """``execute_run(payload)``, failing the test instead of hanging."""
+
+    def hung(signum, frame):
+        raise AssertionError(f"no outcome within {seconds} s for {payload}")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        return execute_run(payload)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: Valid payloads whose every leaf the fuzz test may break: between them
+#: every block kind the specs take, each solved in a few dozen rounds.
+FUZZ_BASES = [
+    {"algorithm": "sharedbit",
+     "graph": {"family": "expander",
+               "params": {"n": 8, "degree": 4, "seed": 1}},
+     "dynamic": {"kind": "relabeling", "tau": 2},
+     "instance": {"kind": "uniform", "k": 2},
+     "fault": {"kind": "sleep", "period": 4, "duty": 3},
+     "config": {"preset": "practical", "transfer_error_exponent": 1.0},
+     "engine": {"trace_sample_every": 64, "gauges": ["coverage"]},
+     "seed": 3, "max_rounds": 500},
+    {"algorithm": "multibit",
+     "graph": {"family": "double_star", "params": {"points": 3}},
+     "dynamic": {"kind": "geometric", "radius": 0.5, "step": 0.1, "tau": 2},
+     "instance": {"kind": "uniform", "k": 2, "upper_n": 16},
+     "fault": {"kind": "churn", "cycle": 8, "crash_prob": 0.2,
+               "min_outage": 1, "max_outage": 3, "reset_tokens": True},
+     "timing": {"kind": "bursty", "p_pause": 0.2, "p_resume": 0.5,
+                "pause_scale": 2.0, "jitter": 0.3},
+     "engine": {"trace_max_records": 50, "gauge_every": 4,
+                "gauges": ["coverage", "potential"]},
+     "telemetry": {"enabled": True},
+     "seed": 2, "max_rounds": 500},
+    {"algorithm": "blindmatch",
+     "graph": {"family": "ring_expander",
+               "params": {"n": 8, "degree": 4, "seed": 2}},
+     "instance": {"kind": "token_at", "vertex": 1},
+     "fault": {"kind": "lossy", "drop_prob": 0.1},
+     "timing": {"kind": "heterogeneous", "rates": [1.0, 2.0],
+                "weights": [1, 2]},
+     "engine": {"termination_every": 2},
+     "seed": 1, "max_rounds": 500},
+]
+
+#: What a hand-edited spec may hold where a leaf was meant.  Sizes stay
+#: out of the allocatable-but-huge range, where MemoryError is the
+#: machine's answer.
+FUZZ_VALUES = [None, 1, -1, 0, 1.5, float("nan"), float("inf"),
+               float("-inf"), 10**30, "bogus", [1], {"a": 1}]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaf_paths(value, path + (index,))
+    else:
+        yield path

@@ -1,5 +1,7 @@
 """Tests for the analysis diagnostics: φ, census, coalitions, ε checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.core.potential import (
     token_set_census,
 )
 from repro.errors import ConfigurationError
+from repro.leader.bitconvergence import LeaderElectionNode
 
 
 class Holder:
@@ -47,6 +50,12 @@ class TestPotential:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             potential([], {1})
+
+    def test_a_node_without_tokens_is_named(self):
+        node = LeaderElectionNode(uid=3, upper_n=8, rng=random.Random(0))
+        with pytest.raises(ConfigurationError,
+                           match=r"LeaderElectionNode\(uid=3\) does not"):
+            potential([node], {1})
 
 
 class TestCensus:

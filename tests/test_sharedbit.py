@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.problem import uniform_instance
+from repro.core import sharedbit
 from repro.core.sharedbit import SharedBitConfig, SharedBitNode
 from repro.core.tokens import Token
 from repro.rng import SharedRandomness
@@ -134,44 +136,75 @@ class TestConfig:
         assert offset.advertisement_bit(1) == plain.advertisement_bit(11)
 
 
-class TestWindowRetag:
-    """The batched async ops retag from the scan's bit table; the bits
-    are ``advertisement_bit``'s, without its per-token PRF calls."""
+HOLDINGS = st.lists(
+    st.sets(st.integers(1, 64), max_size=8), min_size=1, max_size=6
+)
 
-    def _ops(self, monkeypatch):
+
+class TestWindowScan:
+    """The async window ops read each member's tag from its current
+    token set through a per-cycle bit table: ``advertisement_bit``'s
+    bits, derived once per (cycle, label)."""
+
+    @staticmethod
+    def _population(holdings):
         shared = SharedRandomness(KEY, 64)
-        holdings = [(3, 7, 20), (7,), (), (3, 20, 41, 64)]
         nodes = [make_node(uid=v + 1, tokens=held, shared=shared)
                  for v, held in enumerate(holdings)]
-        ops = SharedBitNode.make_window_hooks(nodes)
-        scalar_calls = []
-        real = SharedRandomness.token_bit
+        return nodes, SharedBitNode.make_window_hooks(nodes)
+
+    @staticmethod
+    def _expected(nodes, vertices, cycles):
+        return [nodes[v].advertisement_bit(c)
+                for v, c in zip(vertices, cycles)]
+
+    @given(holdings=HOLDINGS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scan_equals_scalar_bit_on_current_state(self, holdings, data):
+        nodes, ops = self._population(holdings)
+        n = len(nodes)
+        vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        cycles = data.draw(st.lists(st.integers(1, 4),
+                                    min_size=len(vertices),
+                                    max_size=len(vertices)))
+        tags, senders = ops.scan(vertices, cycles)
+        assert tags == self._expected(nodes, vertices, cycles)
+        assert senders == [tag == 1 for tag in tags]
+        # A transfer or crash lands between two scans of one cycle.
+        vertex = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            nodes[vertex].store_token(Token(data.draw(st.integers(1, 64))))
+        else:
+            nodes[vertex].reset_tokens()
+        tags, senders = ops.scan(vertices, cycles)
+        assert tags == self._expected(nodes, vertices, cycles)
+        assert senders == [tag == 1 for tag in tags]
+
+    def test_each_cycle_label_bit_is_derived_once(self, monkeypatch):
+        derived = []
+        real = SharedRandomness.token_bits
         monkeypatch.setattr(
-            SharedRandomness, "token_bit",
-            lambda self, group, label: (scalar_calls.append(label),
-                                        real(self, group, label))[1],
+            SharedRandomness, "token_bits",
+            lambda self, group, labels: (
+                derived.extend((group, label) for label in labels),
+                real(self, group, labels))[1],
         )
-        return nodes, ops, scalar_calls
+        holdings = [(3, 7, 20), (7,), (), (3, 20, 41, 64), (7, 41)]
+        nodes, ops = self._population(holdings)
+        needed = set()
+        for cycles in ([5] * 5, [5, 6, 6, 9, 5], [9] * 5):
+            ops.scan(list(range(5)), cycles)
+            needed.update((cycle, label)
+                          for held, cycle in zip(holdings, cycles)
+                          for label in held)
+        assert len(derived) == len(set(derived))
+        assert set(derived) == needed
 
-    def test_table_hit_equals_scalar_bit_without_prf_calls(self, monkeypatch):
-        nodes, ops, scalar_calls = self._ops(monkeypatch)
-        for cycles in ([5, 5, 5, 5], [5, 6, 6, 9]):
-            ops.scan([0, 1, 2, 3], cycles)
-            # a transfer lands mid-window: 41 reaches vertex 1
-            nodes[1].store_token(Token(41))
-            tags = [ops.retag(v, c) for v, c in zip(range(4), cycles)]
-            assert scalar_calls == []
-            assert tags == [node.advertisement_bit(c)
-                            for node, c in zip(nodes, cycles)]
-            scalar_calls.clear()
-            nodes[1].reset_tokens()
-
-    def test_unknown_cycle_or_label_takes_the_scalar_route(self, monkeypatch):
-        nodes, ops, scalar_calls = self._ops(monkeypatch)
-        ops.scan([0, 1, 2, 3], [5, 5, 5, 5])
-        assert ops.retag(0, 8) == nodes[0].advertisement_bit(8)
-        assert scalar_calls  # cycle 8 has no table
-        scalar_calls.clear()
-        nodes[1].store_token(Token(50))  # nobody held 50 at scan time
-        assert ops.retag(1, 5) == nodes[1].advertisement_bit(5)
-        assert 50 in scalar_calls
+    def test_tables_are_bounded_and_rebuilt_after_eviction(self):
+        nodes, ops = self._population([(3, 7, 20), (41,)])
+        for cycle in range(1, 101):
+            ops.scan([0, 1], [cycle, cycle])
+        assert len(ops._tables) <= sharedbit._BIT_TABLES
+        assert 1 not in ops._tables
+        assert ops.scan([0, 1], [1, 1])[0] == self._expected(
+            nodes, [0, 1], [1, 1])
