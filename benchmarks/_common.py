@@ -1,57 +1,38 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the three benchmark scripts CI runs.
 
-Benchmarks here serve two purposes at once:
-
-* **wall-clock** — pytest-benchmark times one deterministic simulation per
-  case (useful for tracking simulator performance regressions);
-* **science** — each bench measures *round counts* across a parameter
-  sweep, compares them to the paper's bound shapes, records everything in
-  ``benchmark.extra_info``, and writes a plain-text report to
-  ``benchmarks/output/`` (the tables EXPERIMENTS.md quotes).
-
-Sweeps route through :mod:`repro.experiments` — a bench builds a
-:class:`~repro.experiments.SweepSpec`, runs it via
-:func:`run_bench_sweep`, and reads medians off the aggregated result, so
-the same declarative spec a bench runs serially here can be re-run with
-``repro-gossip sweep --jobs N`` on a bigger machine.  The thin wrappers
-(:func:`gossip_rounds` et al.) remain for benches that exercise
-non-default engine modes directly.
-
-Absolute round counts are simulator-specific; the reproduction claims are
-about shapes — scaling exponents, orderings, crossovers.
+``bench_engine.py``, ``bench_scale.py`` and ``bench_degraded.py`` record
+their measurements in a repo-root perf ledger (:func:`record_bench`) and
+write their plain-text reports to ``benchmarks/output/``
+(:func:`write_report`).  The paper-vs-measured tables are not here: each
+is a sweep spec under ``examples/specs/figures/`` beside the committed
+table ``repro-gossip sweep --spec`` prints for it.
 """
 
 from __future__ import annotations
 
 import json
-import statistics
 import subprocess
-import time
 from datetime import date
 from pathlib import Path
 
-from repro.core.crowdedbin import CrowdedBinConfig
 from repro.core.problem import uniform_instance
 from repro.core.runner import run_gossip
-from repro.experiments import SweepSpec, run_sweep
-from repro.experiments import write_report as _write_report
-from repro.graphs.dynamic import RelabelingAdversary, StaticDynamicGraph
+from repro.graphs.dynamic import StaticDynamicGraph
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
-#: Machine-readable perf ledger at the repo root: every bench sweep (and
-#: bench_engine's throughput measurements) merges one entry here, so
-#: successive PRs can diff rounds/s and round-count medians instead of
-#: re-reading prose reports.
+#: Machine-readable perf ledger at the repo root: bench_engine's
+#: throughput measurements merge one entry each here, so successive
+#: commits can diff rounds/s instead of re-reading prose reports.
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-#: Seeds averaged per sweep point (median, robust to lucky runs).
-DEFAULT_SEEDS = (11, 23, 37)
 
 
 def write_report(name: str, text: str) -> Path:
-    """Persist a sweep table so EXPERIMENTS.md can quote it."""
-    return _write_report(name, text, OUTPUT_DIR)
+    """Persist a bench report under ``benchmarks/output/``."""
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    path = OUTPUT_DIR / f"{name}.txt"
+    path.write_text(text + "\n")
+    return path
 
 
 def _provenance() -> dict:
@@ -130,76 +111,14 @@ def record_bench(
     return path
 
 
-def _point_label(point: dict) -> str:
-    return ",".join(
-        f"{key.rsplit('.', 1)[-1]}={value}" for key, value in point.items()
-    ) or "base"
-
-
-def run_bench_sweep(
-    sweep: SweepSpec, require_solved: bool = True, allow_dirty: bool = False
-):
-    """Run a bench sweep serially and sanity-check every cell solved.
-
-    Every sweep also records a machine-readable entry (wall time, total
-    simulated rounds, rounds/s, per-cell round-count medians) in the
-    repo-root ``BENCH_engine.json`` via :func:`record_bench` — which
-    refuses a dirty working tree unless ``allow_dirty`` is set.
-    """
-    started = time.perf_counter()
-    result = run_sweep(sweep)
-    elapsed = time.perf_counter() - started
-    if require_solved:
-        for summary in result.points:
-            assert summary.all_solved, (
-                f"sweep {sweep.name} cell {summary.point} did not solve: "
-                f"rounds={summary.rounds}, solved={summary.solved}"
-            )
-    total_rounds = sum(
-        rounds for summary in result.points for rounds in summary.rounds
-    )
-    record_bench(
-        f"sweep:{sweep.name}",
-        {
-            "kind": "sweep",
-            "elapsed_s": round(elapsed, 3),
-            "total_simulated_rounds": total_rounds,
-            "rounds_per_s": round(total_rounds / elapsed, 1)
-            if elapsed > 0 else None,
-            "median_rounds": {
-                _point_label(summary.point): summary.median_rounds
-                for summary in result.points
-            },
-        },
-        allow_dirty=allow_dirty,
-    )
-    return result
-
-
-def median_rounds(run_once, seeds=DEFAULT_SEEDS) -> float:
-    """Median round count of ``run_once(seed)`` over ``seeds``."""
-    return statistics.median(run_once(seed) for seed in seeds)
-
-
 def gossip_rounds(
-    algorithm: str,
-    dynamic_graph,
-    n: int,
-    k: int,
-    seed: int,
+    algorithm: str, dynamic_graph, n: int, k: int, seed: int,
     max_rounds: int,
-    config=None,
 ) -> int:
     """Run one gossip execution and return its round count (must solve)."""
-    instance = uniform_instance(n=n, k=k, seed=seed)
-    kwargs = dict(max_rounds=max_rounds, trace_sample_every=1024)
-    if algorithm == "crowdedbin":
-        kwargs["config"] = config or CrowdedBinConfig.practical()
-        kwargs["termination_every"] = 16
-    elif config is not None:
-        kwargs["config"] = config
     result = run_gossip(
-        algorithm, dynamic_graph, instance, seed=seed, **kwargs
+        algorithm, dynamic_graph, uniform_instance(n=n, k=k, seed=seed),
+        seed=seed, max_rounds=max_rounds, trace_sample_every=1024,
     )
     assert result.solved, (
         f"{algorithm} did not solve within {max_rounds} rounds "
@@ -210,34 +129,3 @@ def gossip_rounds(
 
 def static_graph(topo) -> StaticDynamicGraph:
     return StaticDynamicGraph(topo)
-
-
-def instance_with_token_at(n: int, vertex: int, seed: int):
-    """A k=1 instance whose token starts at a chosen vertex.
-
-    Used by the double-star benchmarks, where the lower-bound argument
-    needs the rumor to start inside one star (at its hub) so it must cross
-    the hub-to-hub bridge.  The experiments layer spells the same instance
-    as ``{"kind": "token_at", "vertex": v}``.
-    """
-    from repro.experiments import build_instance
-
-    return build_instance({"kind": "token_at", "vertex": vertex}, n, seed)
-
-
-def gossip_rounds_with_instance(
-    algorithm: str, dynamic_graph, instance, seed: int, max_rounds: int
-) -> int:
-    result = run_gossip(
-        algorithm, dynamic_graph, instance, seed=seed,
-        max_rounds=max_rounds, trace_sample_every=1024,
-    )
-    assert result.solved, (
-        f"{algorithm} did not solve within {max_rounds} rounds (seed={seed})"
-    )
-    return result.rounds
-
-
-def relabeled(topo, seed: int, tau: int = 1) -> RelabelingAdversary:
-    """The τ=1 adversary of choice: full rewiring, known α and Δ."""
-    return RelabelingAdversary(topo, tau=tau, seed=seed)

@@ -6,8 +6,8 @@ consecutive rounds, estimating k via crowded bins, then running parallel
 PPUSH — and Theorem 6.10 says it needs only O((k/α)·log⁶n) rounds versus
 SharedBit's O(k·n).  On a well-connected graph the asymptotic win is a
 factor ≈ n; at demo sizes the polylog constants still favor SharedBit,
-which is exactly the crossover the benchmarks chart (see
-benchmarks/bench_ablations.py).
+which is exactly the trend the ABL-2 sweep records (see
+examples/specs/figures/abl2_stability.txt).
 
 Run:  python examples/festival_stable.py
 """

@@ -51,7 +51,7 @@ def main() -> None:
         "\nWith b=0 every connection is a blind guess; with b=1 nodes only "
         "chase\nneighbors whose token sets provably differ.  At this density "
         "the two are\nclose — BlindMatch's Δ² penalty bites when hubs emerge "
-        "(run\nbenchmarks/bench_doublestar.py to watch it), while "
+        "(see\nexamples/specs/figures/lb1_doublestar.txt), while "
         "SimSharedBit's O(kn)\nis insensitive to Δ."
     )
 

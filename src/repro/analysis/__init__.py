@@ -5,8 +5,8 @@
 * :mod:`repro.analysis.fits` — log–log scaling-exponent estimation, ratio
   series, and crossover detection for comparing measured sweeps to bound
   shapes;
-* :mod:`repro.analysis.tables` — plain-text tables in the layout of the
-  paper's Figure 1, filled with measured numbers.
+* :mod:`repro.analysis.tables` — the fixed-width plain-text table
+  formatter.
 """
 
 from repro.analysis.bounds import (
@@ -25,7 +25,7 @@ from repro.analysis.fits import (
     crossover_point,
     geometric_mean,
 )
-from repro.analysis.tables import render_table, figure1_table
+from repro.analysis.tables import render_table
 from repro.analysis.curves import (
     SpreadCurve,
     spread_curve_from_trace,
@@ -49,5 +49,4 @@ __all__ = [
     "crossover_point",
     "geometric_mean",
     "render_table",
-    "figure1_table",
 ]

@@ -33,6 +33,7 @@ __all__ = [
     "epsilon_gossip_bound",
     "ppush_bound",
     "doublestar_lower_bound",
+    "BOUND_TEXT",
     "BOUNDS",
 ]
 
@@ -109,6 +110,17 @@ def doublestar_lower_bound(delta: int, alpha: float = None) -> float:
     _check(alpha=alpha)
     return delta**2 / math.sqrt(alpha)
 
+
+#: Algorithm name -> its Figure 1 bound as text, the column a sweep table
+#: prints beside an ``algorithm`` axis (an unlisted name prints ``-``).
+BOUND_TEXT = {
+    "blindmatch": "O((1/a) k D^2 log^2 n)",
+    "sharedbit": "O(kn)",
+    "simsharedbit": "O(kn + (1/a) D^(1/tau) log^6 n)",
+    "crowdedbin": "O((k/a) log^6 n)",
+    "epsilon": "O(n sqrt(D log D) / ((1-eps) a))",
+    "ppush": "O(log^4 N / a)",
+}
 
 #: Name -> callable, for table generators.
 BOUNDS = {

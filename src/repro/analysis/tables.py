@@ -1,16 +1,11 @@
-"""Plain-text tables for regenerated results.
-
-:func:`figure1_table` renders measured results in the layout of the
-paper's Figure 1 (assumptions, algorithm, round complexity) with a
-measured column appended; :func:`render_table` is the generic fixed-width
-formatter the benchmarks use for sweep tables.
-"""
+"""Plain-text tables: :func:`render_table` is the fixed-width formatter
+behind every sweep table and CLI comparison."""
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 
-__all__ = ["render_table", "figure1_table"]
+__all__ = ["render_table"]
 
 
 def _format_cell(value) -> str:
@@ -51,33 +46,3 @@ def render_table(headers, rows, title: str = "") -> str:
         lines.append("  ".join(row[i].rjust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
 
-
-#: The rows of the paper's Figure 1, in order.
-_FIGURE1_ROWS = (
-    ("b=0, tau>=1", "BlindMatch", "O((1/a) k D^2 log^2 n)"),
-    ("b=1, tau>=1", "SharedBit*", "O(kn)"),
-    ("b=1, tau>=1", "SimSharedBit**", "O(kn + (1/a) D^(1/tau) log^6 n)"),
-    ("b=1, tau=inf", "CrowdedBin", "O((k/a) log^6 n)"),
-    ("b=1, tau>=1 (eps)", "SharedBit*", "O(n sqrt(D log D) / ((1-eps) a))"),
-)
-
-
-def figure1_table(measured: dict[str, object],
-                  title: str = "Figure 1 (regenerated)") -> str:
-    """Render Figure 1 with a measured-rounds column.
-
-    ``measured`` maps algorithm keys — ``blindmatch``, ``sharedbit``,
-    ``simsharedbit``, ``crowdedbin``, ``epsilon`` — to measured round
-    counts (or descriptive strings); missing keys render as ``-``.
-    """
-    keys = ("blindmatch", "sharedbit", "simsharedbit", "crowdedbin", "epsilon")
-    rows = []
-    for (assumptions, algorithm, bound), key in zip(_FIGURE1_ROWS, keys):
-        rows.append(
-            (assumptions, algorithm, bound, measured.get(key, "-"))
-        )
-    return render_table(
-        headers=("Assumptions", "Algorithm", "Proven bound", "Measured rounds"),
-        rows=rows,
-        title=title,
-    )

@@ -14,7 +14,7 @@ tag difference certifies a token-set difference, and ordering the pair by
 tag value keeps the proposer/receiver roles asymmetric).  Everything else
 is SharedBit verbatim, including Transfer(ε) on connections.
 
-Expected outcome, confirmed by ``benchmarks/bench_multibit.py``: going
+Expected outcome, confirmed by ``examples/specs/figures/ablB_multibit``: going
 from b=1 to b=2 removes up to half of the wasted rounds (collision
 probability 1/2 → 1/4); beyond that the returns vanish — a constant, not
 even logarithmic, improvement, consistent with the paper's remark.

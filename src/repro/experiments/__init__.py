@@ -11,7 +11,7 @@ This package is the substrate every sweep in the repo — benchmarks, the
   record) and :func:`run_sweep` (the whole grid, optionally over a
   ``ProcessPoolExecutor`` and an on-disk result cache);
 * :mod:`repro.experiments.results` — aggregation (median / percentiles),
-  tables, report files, and the cache itself.
+  tables, and the cache itself.
 
 Quickstart::
 
@@ -33,18 +33,13 @@ Quickstart::
     print(result.table())
 """
 
-from repro.experiments.figures import (
-    FIGURE1_ROW_KEYS,
-    argv_flag,
-    figure1_sweep,
-)
+from repro.experiments.figures import argv_flag
 from repro.experiments.results import (
     PointSummary,
     ResultCache,
     SweepResult,
     aggregate,
     percentile,
-    write_report,
 )
 from repro.experiments.runner import (
     CROWDEDBIN_TAU_NOTE,
@@ -69,9 +64,7 @@ from repro.experiments.specs import (
 __all__ = [
     "CROWDEDBIN_TAU_NOTE",
     "EXPERIMENT_ALGORITHMS",
-    "FIGURE1_ROW_KEYS",
     "argv_flag",
-    "figure1_sweep",
     "PointSummary",
     "ResultCache",
     "RunSpec",
@@ -90,5 +83,4 @@ __all__ = [
     "run_hash",
     "run_sweep",
     "stable_topology_note",
-    "write_report",
 ]

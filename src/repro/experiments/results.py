@@ -1,9 +1,9 @@
-"""Sweep results: per-run records, per-point aggregates, reports, cache.
+"""Sweep results: per-run records, per-point aggregates, tables, cache.
 
 The runner produces one JSON-able *run record* per (grid point, seed);
 :func:`aggregate` folds records into :class:`PointSummary` rows (median /
 percentile round counts, solve rates) and :class:`SweepResult` renders the
-sweep table and serializes everything for EXPERIMENTS.md to quote.
+sweep table and serializes everything.
 
 :class:`ResultCache` is the on-disk memo: one JSON file per run, keyed by
 the stable spec hash, so re-running a sweep only pays for cells whose spec
@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.bounds import BOUND_TEXT
+from repro.analysis.fits import loglog_slope
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.experiments.specs import SweepSpec, canonical_json
+from repro.registry import ALGORITHM_REGISTRY
 
 __all__ = [
     "PointSummary",
@@ -29,11 +32,15 @@ __all__ = [
     "aggregate",
     "load_streamed",
     "percentile",
-    "write_report",
 ]
 
 #: Result-format version; bump to invalidate every cached run record.
 RESULT_FORMAT = 1
+
+
+def _short(axis: str) -> str:
+    """A grid axis as a column header: its last dotted segment."""
+    return axis.rsplit(".", 1)[-1]
 
 
 def percentile(values, q: float) -> float:
@@ -283,30 +290,63 @@ class SweepResult:
         return found[0]
 
     def table(self, title: str | None = None) -> str:
-        """The sweep as a fixed-width table (one row per grid cell)."""
+        """The sweep as a fixed-width table (one row per grid cell).
+
+        An ``algorithm`` axis adds the paper's assumptions (tag length,
+        topology model) and proven bound for each row.  Below the table,
+        every numeric axis with at least three values gets the log-log
+        slope of median rounds along it, one line per combination of the
+        other axes.
+        """
         axes = self.spec.axes
-        short = [axis.rsplit(".", 1)[-1] for axis in axes]
-        headers = tuple(short) + (
-            "median rounds", "p90", "solved", "notes",
-        )
+        paper = ("b", "model", "proven bound") if "algorithm" in axes else ()
         rows = []
         for summary in self.points:
-            solved = f"{sum(summary.solved)}/{len(summary.solved)}"
-            rows.append(
-                tuple(summary.point[axis] for axis in axes)
-                + (
-                    summary.median_rounds,
-                    summary.p90_rounds,
-                    solved,
-                    "; ".join(summary.notes) or "-",
-                )
-            )
-        return render_table(
-            headers=headers,
+            row = tuple(summary.point[axis] for axis in axes)
+            if paper:
+                defn = ALGORITHM_REGISTRY.get(summary.point["algorithm"])
+                row += (defn.tag_length_label, defn.model_label,
+                        BOUND_TEXT.get(defn.name, "-"))
+            rows.append(row + (
+                summary.median_rounds,
+                summary.p90_rounds,
+                f"{sum(summary.solved)}/{len(summary.solved)}",
+                "; ".join(summary.notes) or "-",
+            ))
+        text = render_table(
+            headers=tuple(map(_short, axes)) + paper
+            + ("median rounds", "p90", "solved", "notes"),
             rows=rows,
             title=title
             or f"sweep {self.spec.name} ({len(self.spec.seeds)} seeds/cell)",
         )
+        return "\n".join([text, *self._slope_lines()])
+
+    def _slope_lines(self) -> list[str]:
+        lines = []
+        for axis, values in self.spec.grid.items():
+            if len(values) < 3 or not all(
+                type(value) in (int, float) and value > 0 for value in values
+            ):
+                continue
+            others = [other for other in self.spec.axes if other != axis]
+            groups: dict[str, list] = {}
+            for summary in self.points:
+                label = ", ".join(
+                    f"{_short(other)}={summary.point[other]}"
+                    for other in others
+                )
+                groups.setdefault(label, []).append(summary)
+            for label, cells in groups.items():
+                slope = loglog_slope(
+                    [cell.point[axis] for cell in cells],
+                    [cell.median_rounds for cell in cells],
+                )
+                where = f" ({label})" if label else ""
+                lines.append(
+                    f"log-log slope in {_short(axis)}{where}: {slope:.2f}"
+                )
+        return lines
 
     def phase_totals(self) -> dict:
         """Merged phase profile across every run of the sweep.
@@ -376,11 +416,3 @@ def aggregate(
         )
     return SweepResult(spec=spec, points=summaries)
 
-
-def write_report(name: str, text: str, output_dir) -> Path:
-    """Persist a sweep table (the files EXPERIMENTS.md quotes)."""
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    path = output_dir / f"{name}.txt"
-    path.write_text(text + "\n")
-    return path

@@ -221,8 +221,9 @@ def diameter(graph: nx.Graph) -> int:
 # telephone model, while vertex expansion does govern spreading time.  The
 # star is the separating family — conductance Θ(1) but α = Θ(1/n), and
 # spreading takes Θ(n) because the hub serves one leaf per round.  The
-# conductance computations here power that contrast experiment
-# (benchmarks/bench_conductance.py).
+# conductance computations here power that contrast
+# (tests/test_conductance.py; PPUSH's spreading times by family are
+# examples/specs/figures/thm61_ppush_alpha).
 # ---------------------------------------------------------------------------
 
 

@@ -17,8 +17,8 @@ telephone model (which allows unbounded incoming connections), and it is
 why the paper needs new analysis — see the double-star discussion in §1.
 ``rule="unbounded"`` is the classical model's rule — every proposal to a
 non-proposer connects — kept as a measurable baseline
-(benchmarks/bench_classical.py shows the Δ² penalty collapsing once
-acceptance is unbounded).
+(tests/test_acceptance.py measures BlindMatch's Δ-exponent on double
+stars falling once acceptance is unbounded).
 
 There is one rule and two implementations of it: the dict form
 (:func:`resolve_proposals`, the readable reference — the round engine's

@@ -20,7 +20,7 @@ from repro.analysis.fits import (
     loglog_slope,
     ratio_series,
 )
-from repro.analysis.tables import figure1_table, render_table
+from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 
 
@@ -147,17 +147,6 @@ class TestTables:
     def test_row_width_checked(self):
         with pytest.raises(ConfigurationError):
             render_table(headers=("a", "b"), rows=[(1,)])
-
-    def test_figure1_layout(self):
-        text = figure1_table(
-            {"blindmatch": 120, "sharedbit": 45, "crowdedbin": 800}
-        )
-        assert "BlindMatch" in text
-        assert "CrowdedBin" in text
-        assert "O(kn)" in text
-        assert "120" in text
-        # Missing entries render as '-'.
-        assert "-" in text
 
     def test_large_floats_compact(self):
         text = render_table(headers=("x",), rows=[(123456.789,)])

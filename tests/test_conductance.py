@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import execute_run
 from repro.graphs.metrics import (
     conductance_estimate,
     conductance_exact,
@@ -80,7 +81,7 @@ class TestSeparation:
         """The family behind the paper's related-work claim: stars have
         constant conductance but vanishing vertex expansion, and in the
         mobile telephone model spreading tracks expansion, not
-        conductance (measured in benchmarks/bench_conductance.py)."""
+        conductance (PPUSH's side: the next test)."""
         small, large = star(8), star(16)
         phi_small = conductance_exact(small.graph)
         phi_large = conductance_exact(large.graph)
@@ -89,3 +90,16 @@ class TestSeparation:
         # Conductance stays put; expansion halves when n doubles.
         assert phi_large == pytest.approx(phi_small, rel=0.3)
         assert alpha_large == pytest.approx(alpha_small / 2, rel=0.1)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_ppush_time_tracks_inverse_expansion_on_stars(self, n):
+        """From the hub, PPUSH serves one leaf a round: n - 1 rounds,
+        linear in 1/α = floor(n/2), while conductance stays put."""
+        record = execute_run({
+            "algorithm": "ppush",
+            "graph": {"family": "star", "params": {"n": n}},
+            "instance": {"kind": "token_at", "vertex": 0},
+            "seed": 11,
+            "max_rounds": 1_000,
+        })
+        assert record["rounds"] == n - 1

@@ -3,6 +3,7 @@
 import copy
 import json
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from repro.core.runner import run_gossip
 from repro.errors import ConfigurationError
 from repro.experiments import (
     CROWDEDBIN_TAU_NOTE,
+    PointSummary,
     ResultCache,
     RunSpec,
+    SweepResult,
     SweepSpec,
     build_config,
     build_dynamic_graph,
@@ -31,6 +34,9 @@ from repro.graphs.dynamic import (
     StaticDynamicGraph,
     TAU_INFINITY,
 )
+
+#: The paper's figures as sweep specs, each beside its committed table.
+FIGURES = Path(__file__).resolve().parent.parent / "examples/specs/figures"
 
 
 def tiny_base(algorithm="sharedbit", **extra) -> dict:
@@ -232,18 +238,28 @@ class TestSweepSpec:
 
 class TestFigure1Preset:
     def test_round_trips_and_covers_all_rows(self):
-        from repro.experiments import FIGURE1_ROW_KEYS, figure1_sweep
-
-        sweep = figure1_sweep(n=16, k=2)
+        sweep = SweepSpec.from_json((FIGURES / "figure1.json").read_text())
+        assert sweep.spec_hash() == "sweep-9944c47f2e60ccacd59b"
         again = SweepSpec.from_json(sweep.to_json())
         assert again.spec_hash() == sweep.spec_hash()
-        assert [p["algorithm"] for p in sweep.points()] == list(
-            FIGURE1_ROW_KEYS
-        )
+        assert [p["algorithm"] for p in sweep.points()] == [
+            "blindmatch", "sharedbit", "simsharedbit", "crowdedbin", "epsilon",
+        ]
         crowded = sweep.run_payload({"algorithm": "crowdedbin"}, 11)
         assert crowded["dynamic"] == {"kind": "static"}
         eps = sweep.run_payload({"algorithm": "epsilon"}, 11)
         assert eps["instance"] == {"kind": "everyone"}
+
+    def test_sweep_stdout_is_the_committed_table(self, capsys):
+        """Both derived outputs: the algorithm axis's paper columns
+        (figure1) and the slope line (the star n-sweep)."""
+        from repro.cli import main
+
+        for name in ("figure1", "fig1_r2_sharedbit_n_star"):
+            assert main(["sweep", "--spec", str(FIGURES / f"{name}.json")]) == 0
+            assert capsys.readouterr().out == (
+                FIGURES / f"{name}.txt"
+            ).read_text(), name
 
     def test_argv_flag_tolerates_garbage(self):
         from repro.experiments import argv_flag
@@ -432,6 +448,50 @@ class TestRunSweep:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError):
             run_sweep(self.sweep(), jobs=0)
+
+
+class TestTableRenderer:
+    """``SweepResult.table``'s derived lines, on hand-made summaries."""
+
+    @staticmethod
+    def table(grid, medians) -> list[str]:
+        spec = SweepSpec(name="t", base=tiny_base(), grid=grid, seeds=(11,))
+        return SweepResult(spec=spec, points=[
+            PointSummary(point=point, seeds=(11,), rounds=(rounds,),
+                         solved=(True,))
+            for point, rounds in zip(spec.points(), medians)
+        ]).table().splitlines()
+
+    def test_slope_only_on_numeric_axes_with_three_values(self):
+        assert self.table({"instance.k": [1, 2, 4]}, [3, 6, 12])[-1] == (
+            "log-log slope in k: 1.00"
+        )
+        for grid in ({"instance.k": [1, 2]},
+                     {"graph.family": ["cycle", "star", "path"]},
+                     {"timing.jitter": [0.0, 0.5, 0.9]}):
+            lines = self.table(grid, [3, 6, 12])
+            assert not any("slope" in line for line in lines), grid
+
+    def test_slope_lines_group_by_the_other_axes(self):
+        lines = self.table(
+            {"algorithm": ["sharedbit", "blindmatch"], "instance.k": [1, 2, 4]},
+            [2, 4, 8, 1, 4, 16],
+        )
+        assert lines[-2:] == [
+            "log-log slope in k (algorithm=sharedbit): 1.00",
+            "log-log slope in k (algorithm=blindmatch): 2.00",
+        ]
+
+    def test_algorithm_axis_adds_assumptions_and_bound(self):
+        header, _, blind, multi = self.table(
+            {"algorithm": ["blindmatch", "multibit"]}, [5, 6]
+        )[1:]
+        assert header.split()[:5] == [
+            "algorithm", "b", "model", "proven", "bound",
+        ]
+        assert blind.split()[:4] == ["blindmatch", "0", "tau>=1", "O((1/a)"]
+        # No bound text for the b-ablation: the column reads "-".
+        assert multi.split()[:4] == ["multibit", "cfg", "tau>=1", "-"]
 
 
 class TestResultCacheUnit:

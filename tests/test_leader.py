@@ -1,6 +1,7 @@
 """Tests for BitConvergence leader election: the interface §5.2 relies on."""
 
 import random
+import statistics
 
 import pytest
 
@@ -176,3 +177,36 @@ class TestElection:
         )
         sim.run(max_rounds=200)
         assert {n.candidate_leader for n in result.nodes.values()} == {1}
+
+
+def median_election_rounds(make_graph, n, seeds):
+    return statistics.median(
+        run_leader_election(make_graph(seed), uids=list(range(1, n + 1)),
+                            seed=seed, max_rounds=100_000).rounds
+        for seed in seeds
+    )
+
+
+class TestElectionShape:
+    SEEDS = (11, 23, 37, 51, 67, 83, 97)
+
+    def test_stability_helps_the_star_and_not_the_expander(self):
+        """The Δ^(1/τ) factor of SimSharedBit's leader term: holding the
+        high-Δ star static must not lose to τ = 1, and on a low-Δ
+        expander τ barely matters."""
+        def rounds(topo, tau):
+            return median_election_rounds(
+                lambda seed: StaticDynamicGraph(topo) if tau is None
+                else RelabelingAdversary(topo, tau=tau, seed=seed),
+                16, self.SEEDS)
+
+        assert rounds(star(16), None) < 1.25 * rounds(star(16), 1)
+        spread = [rounds(expander(16, 4, seed=1), tau) for tau in (1, None)]
+        assert max(spread) < 4 * min(spread), spread
+
+    def test_low_expansion_slows_election(self):
+        def rounds(topo):
+            return median_election_rounds(
+                lambda _seed: StaticDynamicGraph(topo), 32, (11, 23, 37))
+
+        assert rounds(cycle(32)) > rounds(expander(32, 4, seed=1))

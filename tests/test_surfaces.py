@@ -11,7 +11,8 @@ command line to a run — so a refactor of ``cli.py`` / ``api.py`` /
   default, choices, required, type), not as ``--help`` text, whose
   wrapping differs between Python versions;
 * ``stdout`` — four CLI invocations, byte for byte;
-* ``figure1_epsilon`` — the records of Figure 1's three ε cells;
+* ``figure1_epsilon`` — the records of Figure 1's three ε cells
+  (``examples/specs/figures/figure1.json``);
 * ``experiment_hashes`` — ``SweepSpec.spec_hash()`` and every run hash
   of ``Experiment(...).sweep(...)`` with and without each ``with_*``.
 
@@ -30,10 +31,12 @@ import pytest
 
 from repro import Experiment
 from repro.cli import build_parser, main
-from repro.experiments import execute_run, figure1_sweep
+from repro.experiments import SweepSpec, execute_run
 from repro.experiments.specs import run_hash
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "surfaces.json"
+FIGURE1_PATH = (Path(__file__).resolve().parent.parent
+                / "examples/specs/figures/figure1.json")
 
 #: Keys a record may carry beyond its recording: since ε-gossip runs on
 #: the standard path its records report drops like every other record.
@@ -132,9 +135,10 @@ def cli_stdout(argv) -> str:
 
 
 def figure1_epsilon_cells() -> list:
-    """Run payloads of the ε row of ``figure1_sweep(16, 2)``."""
+    """Run payloads of the ε row of the Figure 1 spec."""
+    sweep = SweepSpec.from_json(FIGURE1_PATH.read_text())
     return [
-        payload for _, point, _, payload in figure1_sweep(16, 2).runs()
+        payload for _, point, _, payload in sweep.runs()
         if point["algorithm"] == "epsilon"
     ]
 

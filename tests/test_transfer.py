@@ -1,6 +1,7 @@
 """Tests for Transfer(ε): correctness, direction, and bit budget."""
 
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,46 @@ class TestBudget:
         proto = make_protocol(upper_n=256)
         outcome = proto.locate({17}, {200}, random.Random(0))
         assert outcome.eq_calls <= ceil_log2(256)
+
+
+    @staticmethod
+    def median_bits(upper_n, epsilon, trials=40):
+        rng = random.Random(99)
+        proto = make_protocol(upper_n=upper_n, epsilon=epsilon)
+        universe = range(1, upper_n + 1)
+        return statistics.median(
+            proto.locate(set(rng.sample(universe, rng.randint(0, 20))),
+                         set(rng.sample(universe, rng.randint(0, 20))),
+                         rng).control_bits
+            for _ in range(trials)
+        )
+
+    def test_measured_bits_track_log_squared_n(self):
+        """§3's O(log²N · log(log N/ε)): measured/log²N drifts only by
+        the slow trial factor across N = 2^6 … 2^14."""
+        ratios = [self.median_bits(2**e, 1e-3) / e**2
+                  for e in (6, 8, 10, 12, 14)]
+        assert max(ratios) < 4 * min(ratios), ratios
+
+    def test_measured_bits_grow_slowly_as_epsilon_tightens(self):
+        costs = [self.median_bits(2**10, eps)
+                 for eps in (1e-1, 1e-2, 1e-4, 1e-8)]
+        assert costs == sorted(costs)
+        assert costs[-1] < 8 * costs[0], costs
+
+    def test_success_rate_meets_the_contract(self):
+        """At ε = 1e-3 calls find min(A△B); 0.995 leaves the 500-call
+        sample room below the 1 - ε contract."""
+        rng = random.Random(5)
+        proto = make_protocol(upper_n=256, epsilon=1e-3)
+        outcomes = []
+        for _ in range(500):
+            a = set(rng.sample(range(1, 257), 12))
+            b = set(rng.sample(range(1, 257), 12))
+            if a != b:
+                outcomes.append(proto.locate(a, b, rng).token_id
+                                == min(a ^ b))
+        assert sum(outcomes) >= 0.995 * len(outcomes)
 
 
 class TestValidation:
