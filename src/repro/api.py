@@ -208,7 +208,7 @@ class Experiment:
             opts.setdefault("fault", fault)
         if config is not None:
             opts.setdefault("config", config)
-        return defn.deploy(**run, **opts)
+        return defn.build(**run, **opts)
 
     def sweep(self, name: str) -> "SweepBuilder":
         """Widen into a sweep; the current settings become its base."""

@@ -122,7 +122,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    scenario = SCENARIO_REGISTRY.get(args.name).factory(seed=args.seed)
+    scenario = SCENARIO_REGISTRY.get(args.name).build(seed=args.seed)
     result = run_gossip(
         algorithm=args.algorithm or scenario.recommended_algorithm,
         dynamic_graph=scenario.dynamic_graph,
@@ -273,7 +273,7 @@ def _cmd_serve(args) -> int:
         pieces = {"dynamic_graph": run["dynamic_graph"],
                   "instance": run["instance"]}
         label = f"{args.graph} (n={run['instance'].n}, k={args.k})"
-    report = defn.deploy(
+    report = defn.build(
         args.scenario,
         algorithm=args.algorithm,
         seed=args.seed,

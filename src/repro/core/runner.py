@@ -124,7 +124,7 @@ def build_nodes(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return defn.build_nodes(ctx)
+        return defn.build(ctx)
     finally:
         if collecting:
             gc.enable()

@@ -49,7 +49,6 @@ from repro.experiments.runner import (
     stable_topology_note,
 )
 from repro.experiments.specs import (
-    EXPERIMENT_ALGORITHMS,
     RunSpec,
     SweepSpec,
     build_config,
@@ -63,7 +62,6 @@ from repro.experiments.specs import (
 
 __all__ = [
     "CROWDEDBIN_TAU_NOTE",
-    "EXPERIMENT_ALGORITHMS",
     "argv_flag",
     "PointSummary",
     "ResultCache",

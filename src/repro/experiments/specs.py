@@ -34,14 +34,12 @@ from repro.registry import (
     DYNAMICS_REGISTRY,
     FAULT_REGISTRY,
     INSTANCE_REGISTRY,
-    RegistryNames,
     TIMING_REGISTRY,
     TOPOLOGY_REGISTRY,
 )
 from repro.sim.faults import build_fault
 
 __all__ = [
-    "EXPERIMENT_ALGORITHMS",
     "RunSpec",
     "SweepSpec",
     "build_config",
@@ -53,11 +51,6 @@ __all__ = [
     "canonical_json",
     "run_hash",
 ]
-
-#: Algorithms the experiment runner accepts — every registered algorithm,
-#: including those with their own goal (the §7 ε-gossip harness).  A
-#: live registry view: plugin registrations appear automatically.
-EXPERIMENT_ALGORITHMS = RegistryNames(ALGORITHM_REGISTRY)
 
 _ENGINE_KEYS = frozenset(
     {"trace_sample_every", "trace_max_records", "termination_every",
@@ -116,7 +109,7 @@ def _deep_copy_jsonable(value):
 class RunSpec:
     """One fully-specified execution, built from JSON-able parts only.
 
-    ``graph``    — ``{"family": <TOPOLOGY_FAMILIES key>, "params": {...}}``
+    ``graph``    — ``{"family": <TOPOLOGY_REGISTRY name>, "params": {...}}``
     ``dynamic``  — ``{"kind": "static"}``,
                    ``{"kind": "relabeling", "tau": t}``,
                    ``{"kind": "resampled_regular", "tau": t, "degree": d}`` or
@@ -304,7 +297,7 @@ def _wrong_type(key: str, expected: str, value) -> ConfigurationError:
 def build_topology(graph_spec: dict) -> Topology:
     """Instantiate the named topology family from its params dict."""
     return TOPOLOGY_REGISTRY.invoke(
-        graph_spec.get("family"), "factory",
+        graph_spec.get("family"), "build",
         params=graph_spec.get("params", {}),
     )
 

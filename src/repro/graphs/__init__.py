@@ -31,7 +31,6 @@ from repro.graphs.topologies import (
     lollipop,
     binary_tree,
     expander,
-    TOPOLOGY_FAMILIES,
 )
 from repro.graphs.metrics import (
     boundary,
@@ -68,7 +67,6 @@ __all__ = [
     "lollipop",
     "binary_tree",
     "expander",
-    "TOPOLOGY_FAMILIES",
     "boundary",
     "expansion_of_set",
     "vertex_expansion_exact",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.graphs import lazy_nx as nx
-from repro.registry import RegistryMapping, TOPOLOGY_REGISTRY, register_topology
+from repro.registry import register_topology
 
 __all__ = [
     "Topology",
@@ -43,7 +43,6 @@ __all__ = [
     "binary_tree",
     "expander",
     "ring_expander",
-    "TOPOLOGY_FAMILIES",
 ]
 
 
@@ -455,11 +454,3 @@ def binary_tree(depth: int) -> Topology:
         params={"depth": depth, "n": 2 ** (depth + 1) - 1},
         diameter_hint=2 * depth,
     )
-
-
-#: Name -> factory, a live view over the topology registry — third-party
-#: families registered via :func:`repro.registry.register_topology` appear
-#: here without any edit to this module.
-TOPOLOGY_FAMILIES = RegistryMapping(
-    TOPOLOGY_REGISTRY, lambda defn: defn.factory
-)

@@ -812,7 +812,7 @@ def deploy_run(
     if isinstance(scenario, str):
         from repro.registry import SCENARIO_REGISTRY
 
-        scenario = SCENARIO_REGISTRY.get(scenario).factory(seed=seed)
+        scenario = SCENARIO_REGISTRY.get(scenario).build(seed=seed)
     if scenario is not None:
         if getattr(scenario, "timing", None) is not None:
             raise ConfigurationError(

@@ -1,9 +1,9 @@
 """The one extension surface: registries of first-class definition objects.
 
 Everything runnable in this repo — gossip algorithms, topology families,
-dynamic-graph kinds, instance kinds, fault regimes, timing regimes, and
-motivating scenarios — is described by a definition object registered here and
-resolved *by name*
+dynamic-graph kinds, instance kinds, fault regimes, timing regimes,
+motivating scenarios, and deployment transports — is a
+:class:`Definition` registered here and resolved *by name*
 from every layer: :func:`repro.core.runner.run_gossip`, the declarative
 specs in :mod:`repro.experiments`, and the ``repro-gossip`` CLI.  The
 paper's model is deliberately open-ended (follow-up work swaps in new
@@ -55,12 +55,12 @@ or ``import my_plugin`` before using the Python API.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import sys
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -68,18 +68,13 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "Definition",
     "AlgorithmDef",
     "TopologyDef",
     "DynamicsDef",
-    "InstanceDef",
-    "ScenarioDef",
-    "FaultDef",
-    "TimingDef",
-    "TransportDef",
     "NodeBuildContext",
     "Registry",
     "RegistryNames",
-    "RegistryMapping",
     "ALGORITHM_REGISTRY",
     "TOPOLOGY_REGISTRY",
     "DYNAMICS_REGISTRY",
@@ -148,10 +143,20 @@ class NodeBuildContext:
 
 
 @dataclass(frozen=True)
-class AlgorithmDef:
+class Definition:
+    """One registered thing: its name, a one-line description, and the
+    callable that builds it.  What ``build`` takes and returns depends on
+    the kind — see the table beside the registries below."""
+
+    name: str
+    description: str
+    build: Callable[..., Any]
+
+
+@dataclass(frozen=True)
+class AlgorithmDef(Definition):
     """A gossip algorithm, declared once.
 
-    ``build_nodes(ctx)`` returns one protocol object per vertex;
     ``tag_length`` is the advertising-bit count ``b`` — an int, or a
     callable on the config for algorithms whose ``b`` is a tunable
     (MultiBit).  ``requires_stable_topology`` is the declarative home of
@@ -165,10 +170,7 @@ class AlgorithmDef:
     out of the ``ALGORITHMS`` view, which means "solves plain gossip".
     """
 
-    name: str
-    description: str
     config_class: type | None = None
-    build_nodes: Callable[[NodeBuildContext], dict] | None = None
     tag_length: int | Callable[[Any], int] = 1
     requires_stable_topology: bool = False
     goal: Callable[[Any, Any], Callable] | None = None
@@ -191,10 +193,9 @@ class AlgorithmDef:
 
 
 @dataclass(frozen=True)
-class TopologyDef:
+class TopologyDef(Definition):
     """A named static topology family.
 
-    ``factory(**params)`` returns a :class:`~repro.graphs.topologies.Topology`.
     ``from_size(n, seed) -> params`` is the optional CLI convention: a
     family that knows how to size itself from a single ``--n`` appears as
     a ``--graph`` choice.
@@ -205,24 +206,16 @@ class TopologyDef:
     connectivity by construction (``ring_expander``).  The experiments
     layer uses it for ``static`` dynamics, and for any dynamics kind
     declaring ``topology_free`` (which only needs the size); other
-    kinds still go through ``factory``.
+    kinds still go through ``build``.
     """
 
-    name: str
-    description: str
-    factory: Callable[..., Any]
     from_size: Callable[[int, int], dict] | None = None
     build_dynamic: Callable[..., Any] | None = None
 
 
 @dataclass(frozen=True)
-class DynamicsDef:
+class DynamicsDef(Definition):
     """A dynamic-graph kind: how a topology evolves over rounds.
-
-    ``build(topology, seed, **params)`` returns a
-    :class:`~repro.graphs.dynamic.DynamicGraph`.  Kinds that resample
-    their own shapes each epoch still receive the built topology and read
-    ``topology.n`` from it, so every spec names its size the same way.
 
     ``topology_free=True`` declares that ``build`` reads nothing but
     ``topology.n`` — the experiments layer may then hand it a size-only
@@ -230,122 +223,65 @@ class DynamicsDef:
     ignore (geometric mobility, resampled families).
     """
 
-    name: str
-    description: str
-    build: Callable[..., Any]
     topology_free: bool = False
 
 
-@dataclass(frozen=True)
-class InstanceDef:
-    """An initial token-assignment recipe.
-
-    ``build(n, seed, **params)`` returns a
-    :class:`~repro.core.problem.GossipInstance` (``n`` comes from the
-    built graph).
-    """
-
-    name: str
-    description: str
-    build: Callable[..., Any]
-
-
-@dataclass(frozen=True)
-class ScenarioDef:
-    """A motivating workload: ``factory(seed=..., **kw)`` -> Scenario."""
-
-    name: str
-    description: str
-    factory: Callable[..., Any]
-
-
-@dataclass(frozen=True)
-class FaultDef:
-    """A fault regime: how the clean model degrades during a run.
-
-    ``build(n, seed, **params)`` returns a
-    :class:`~repro.sim.faults.FaultModel` bound to the run's population
-    size and seed (the model derives its own ``("faults", kind)`` streams
-    from the seed, so fault draws never perturb engine or node streams).
-    """
-
-    name: str
-    description: str
-    build: Callable[..., Any]
-
-
-@dataclass(frozen=True)
-class TimingDef:
-    """A timing regime: when each node's local scan/connect cycle fires.
-
-    ``build(n, seed, **params)`` returns a
-    :class:`~repro.asynchrony.timing.TimingModel` bound to the run's
-    population size and seed (the model derives its own
-    ``("async", kind)`` streams from the seed, so clock jitter never
-    perturbs engine, fault, or node streams).  The null model
-    (``"synchronous"``) is the paper's lock-step round structure and runs
-    on the round engine itself.
-    """
-
-    name: str
-    description: str
-    build: Callable[..., Any]
-
-
-@dataclass(frozen=True)
-class TransportDef:
-    """A deployment transport: how a cluster of live peer servers runs
-    the registered protocols over real message passing.
-
-    ``deploy(scenario_or_spec, **opts)`` boots a cluster (e.g. loopback
-    TCP peer servers, :mod:`repro.net`), drives the round loop, and
-    returns the transport's run report.  The simulator never calls
-    this; it is the execution target for ``repro-gossip serve``,
-    ``Experiment.deploy()``, and the replay bridge.
-    """
-
-    name: str
-    description: str
-    deploy: Callable[..., Any]
-
-
 class Registry:
-    """Name -> definition, with duplicate protection and enumerated errors."""
+    """Name -> definition, with duplicate protection and enumerated errors.
 
-    def __init__(self, kind: str, plural: str):
+    ``definition`` is the kind's :class:`Definition` class;
+    :meth:`decorator` registers one around the decorated function.
+    """
+
+    def __init__(self, kind: str, plural: str, definition=Definition):
         self.kind = kind
         self.plural = plural
+        self.definition = definition
+        self._keywords = frozenset(
+            f.name for f in dataclasses.fields(definition)
+        ) - {"build"}
         self._defs: dict[str, Any] = {}
 
     def register(self, defn):
-        """Add a definition; duplicate names are an error, never a shadow."""
-        if not getattr(defn, "name", ""):
+        """Add a definition; duplicate names are an error, never a shadow.
+
+        A definition built outside the builtin modules loads the builtins
+        first, so a name shadowing a not-yet-imported builtin fails here
+        and not in every later lookup.  (Builtin modules must not: that
+        would import every builtin module from ``import repro``.)
+        """
+        name = defn.name
+        if not isinstance(name, str) or not name:
             raise ConfigurationError(
-                f"a {self.kind} definition needs a non-empty name"
+                f"a {self.kind} definition needs a non-empty name string, "
+                f"got {name!r}"
             )
-        if defn.name in self._defs:
+        if getattr(defn.build, "__module__", None) not in _BUILTIN_MODULES:
+            ensure_builtins()
+        if name in self._defs:
             raise ConfigurationError(
-                f"{self.kind} {defn.name!r} is already registered"
+                f"{self.kind} {name!r} is already registered"
             )
-        self._defs[defn.name] = defn
+        self._defs[name] = defn
         return defn
 
-    def unregister(self, name: str) -> None:
-        if name not in self._defs:
+    def decorator(self, **fields):
+        """``@decorator(name=..., description=..., **extras)`` registers
+        a definition whose ``build`` is the decorated function and hands
+        the function back unchanged.  A keyword that is not a field of
+        this kind's definition is a :class:`ConfigurationError`."""
+        unknown = sorted(set(fields) - self._keywords)
+        if unknown:
             raise ConfigurationError(
-                f"cannot unregister unknown {self.kind} {name!r}"
+                f"a {self.kind} definition has no field {unknown[0]!r}; "
+                f"its fields are {', '.join(sorted(self._keywords))}"
             )
-        del self._defs[name]
 
-    @contextmanager
-    def temporary(self, defn):
-        """Register for the duration of a ``with`` block (test fixtures)."""
-        self.register(defn)
-        try:
-            yield defn
-        finally:
-            if self._defs.get(defn.name) is defn:
-                del self._defs[defn.name]
+        def decorate(fn):
+            self.register(self.definition(build=fn, **fields))
+            return fn
+
+        return decorate
 
     def find(self, name):
         """The definition, or ``None`` — never raises on unknown names
@@ -372,20 +308,6 @@ class Registry:
     def values(self) -> tuple:
         ensure_builtins()
         return tuple(self._defs.values())
-
-    def __contains__(self, name) -> bool:
-        ensure_builtins()
-        return name in self._defs
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        ensure_builtins()
-        return len(self._defs)
-
-    def __repr__(self) -> str:
-        return f"Registry({self.kind}, {len(self._defs)} registered)"
 
     def invoke(self, name, field: str, *args, params: Mapping):
         """Call ``field(*args, **params)`` of definition ``name``;
@@ -422,21 +344,19 @@ class Registry:
 
 
 class RegistryNames(Sequence):
-    """A live, ordered view of a registry's names (optionally filtered).
+    """A live, ordered view of the names of a registry's definitions
+    that satisfy ``predicate`` (``ALGORITHMS``: the plain-gossip ones).
 
-    Stands in for the old hard-coded name tuples (``ALGORITHMS``,
-    ``EXPERIMENT_ALGORITHMS``): indexing, iteration, ``in``, and ``len``
-    all reflect the registry *now*, so third-party registrations appear
-    without any edit to the modules exporting these views.
+    Indexing, iteration, ``in``, and ``len`` all reflect the registry
+    *now*, so third-party registrations appear without any edit to the
+    modules exporting the view (the CLI's ``--plugin`` choices).
     """
 
-    def __init__(self, registry: Registry, predicate=None):
+    def __init__(self, registry: Registry, predicate):
         self._registry = registry
         self._predicate = predicate
 
     def _names(self) -> tuple:
-        if self._predicate is None:
-            return self._registry.names()
         return tuple(
             defn.name
             for defn in self._registry.values()
@@ -449,9 +369,6 @@ class RegistryNames(Sequence):
     def __len__(self) -> int:
         return len(self._names())
 
-    def __contains__(self, name) -> bool:
-        return name in self._names()
-
     def __iter__(self):
         return iter(self._names())
 
@@ -459,117 +376,60 @@ class RegistryNames(Sequence):
         return repr(self._names())
 
 
-class RegistryMapping(Mapping):
-    """A live name -> ``project(defn)`` mapping view over a registry.
-
-    Keeps dict-shaped legacy surfaces (``TOPOLOGY_FAMILIES``,
-    ``SCENARIOS``) alive while the registry stays the single source of
-    truth.  Missing names raise ``KeyError`` per the Mapping contract.
-    """
-
-    def __init__(self, registry: Registry, project=None):
-        self._registry = registry
-        self._project = project or (lambda defn: defn)
-
-    def __getitem__(self, name):
-        defn = self._registry.find(name)
-        if defn is None:
-            raise KeyError(name)
-        return self._project(defn)
-
-    def __iter__(self):
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __repr__(self) -> str:
-        return f"RegistryMapping({self._registry.kind}: {list(self)})"
-
-
-ALGORITHM_REGISTRY = Registry("algorithm", "algorithms")
-TOPOLOGY_REGISTRY = Registry("topology family", "topology families")
-DYNAMICS_REGISTRY = Registry("dynamics kind", "dynamics kinds")
+# What each kind's ``build`` takes and returns:
+#
+# algorithm        build(ctx: NodeBuildContext) -> {vertex: node}, one
+#                  protocol object per vertex.
+# topology family  build(**params) -> graphs.topologies.Topology.
+# dynamics kind    build(topology, seed, **params) -> graphs.dynamic.
+#                  DynamicGraph.  Kinds that resample their own shapes
+#                  each epoch still receive the built topology and read
+#                  ``topology.n`` from it, so every spec names its size
+#                  the same way.
+# instance kind    An initial token-assignment recipe: build(n, seed,
+#                  **params) -> core.problem.GossipInstance (``n`` comes
+#                  from the built graph).
+# scenario         A motivating workload: build(seed=..., **kw) ->
+#                  workloads.scenarios.Scenario.
+# fault model      A fault regime, how the clean model degrades during a
+#                  run: build(n, seed, **params) -> sim.faults.FaultModel
+#                  bound to the run's population size and seed (the model
+#                  derives its own ("faults", kind) streams from the seed,
+#                  so fault draws never perturb engine or node streams).
+# timing model     A timing regime, when each node's local scan/connect
+#                  cycle fires: build(n, seed, **params) ->
+#                  asynchrony.timing.TimingModel bound to the run's
+#                  population size and seed (the model derives its own
+#                  ("async", kind) streams from the seed, so clock jitter
+#                  never perturbs engine, fault, or node streams).  The
+#                  null model ("synchronous") is the paper's lock-step
+#                  round structure and runs on the round engine itself.
+# transport        A deployment transport, how a cluster of live peer
+#                  servers runs the registered protocols over real message
+#                  passing: build(scenario_or_spec, **opts) boots a
+#                  cluster (e.g. loopback TCP peer servers, repro.net),
+#                  drives the round loop, and returns the transport's run
+#                  report.  The simulator never calls this; it is the
+#                  execution target for ``repro-gossip serve``,
+#                  ``Experiment.deploy()``, and the replay bridge.
+ALGORITHM_REGISTRY = Registry("algorithm", "algorithms", AlgorithmDef)
+TOPOLOGY_REGISTRY = Registry("topology family", "topology families",
+                             TopologyDef)
+DYNAMICS_REGISTRY = Registry("dynamics kind", "dynamics kinds", DynamicsDef)
 INSTANCE_REGISTRY = Registry("instance kind", "instance kinds")
 SCENARIO_REGISTRY = Registry("scenario", "scenarios")
 FAULT_REGISTRY = Registry("fault model", "fault models")
 TIMING_REGISTRY = Registry("timing model", "timing models")
 TRANSPORT_REGISTRY = Registry("transport", "transports")
 
-
-def _registrar(registry: Registry, def_class: type, fn_field: str,
-               name: str, description: str, **fields):
-    """The decorator behind every ``register_*``: registers a
-    ``def_class`` carrying the decorated function as its ``fn_field``,
-    and hands the function back unchanged."""
-
-    def decorate(fn):
-        registry.register(def_class(
-            name=name, description=description, **fields, **{fn_field: fn}
-        ))
-        return fn
-
-    return decorate
-
-
-def register_algorithm(
-    *,
-    name: str,
-    description: str,
-    config_class: type | None = None,
-    tag_length: int | Callable[[Any], int] = 1,
-    requires_stable_topology: bool = False,
-    goal: Callable[[Any, Any], Callable] | None = None,
-):
-    """Decorator registering an :class:`AlgorithmDef` around its node
-    builder (``fn(ctx) -> {vertex: node}``)."""
-    return _registrar(
-        ALGORITHM_REGISTRY, AlgorithmDef, "build_nodes", name, description,
-        config_class=config_class, tag_length=tag_length,
-        requires_stable_topology=requires_stable_topology, goal=goal,
-    )
-
-
-def register_topology(*, name: str, description: str, from_size=None,
-                      build_dynamic=None):
-    """Decorator registering a topology-family factory."""
-    return _registrar(TOPOLOGY_REGISTRY, TopologyDef, "factory", name,
-                      description, from_size=from_size,
-                      build_dynamic=build_dynamic)
-
-
-def register_dynamics(*, name: str, description: str, topology_free=False):
-    """Decorator registering a dynamic-graph builder."""
-    return _registrar(DYNAMICS_REGISTRY, DynamicsDef, "build", name,
-                      description, topology_free=topology_free)
-
-
-def register_instance(*, name: str, description: str):
-    """Decorator registering an instance-recipe builder."""
-    return _registrar(INSTANCE_REGISTRY, InstanceDef, "build", name,
-                      description)
-
-
-def register_scenario(*, name: str, description: str):
-    """Decorator registering a scenario factory."""
-    return _registrar(SCENARIO_REGISTRY, ScenarioDef, "factory", name,
-                      description)
-
-
-def register_fault(*, name: str, description: str):
-    """Decorator registering a fault-model builder."""
-    return _registrar(FAULT_REGISTRY, FaultDef, "build", name, description)
-
-
-def register_timing(*, name: str, description: str):
-    """Decorator registering a timing-model builder."""
-    return _registrar(TIMING_REGISTRY, TimingDef, "build", name, description)
-
-
-def register_transport(*, name: str, description: str):
-    """Decorator registering a deployment-transport entry point."""
-    return _registrar(TRANSPORT_REGISTRY, TransportDef, "deploy", name,
-                      description)
+register_algorithm = ALGORITHM_REGISTRY.decorator
+register_topology = TOPOLOGY_REGISTRY.decorator
+register_dynamics = DYNAMICS_REGISTRY.decorator
+register_instance = INSTANCE_REGISTRY.decorator
+register_scenario = SCENARIO_REGISTRY.decorator
+register_fault = FAULT_REGISTRY.decorator
+register_timing = TIMING_REGISTRY.decorator
+register_transport = TRANSPORT_REGISTRY.decorator
 
 
 #: Modules whose import registers the built-in definitions.  Algorithm

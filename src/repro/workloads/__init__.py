@@ -14,7 +14,6 @@ from repro.workloads.scenarios import (
     festival_scenario,
     disaster_scenario,
     rural_mesh_scenario,
-    SCENARIOS,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "festival_scenario",
     "disaster_scenario",
     "rural_mesh_scenario",
-    "SCENARIOS",
 ]

@@ -29,11 +29,7 @@ from repro.graphs.dynamic import (
     StaticDynamicGraph,
 )
 from repro.graphs.topologies import expander, grid
-from repro.registry import (
-    RegistryMapping,
-    SCENARIO_REGISTRY,
-    register_scenario,
-)
+from repro.registry import SCENARIO_REGISTRY, register_scenario
 from repro.sim.faults import CrashChurn, FaultModel, LossyLinks, SleepCycle
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "festival_nightfall_scenario",
     "commute_mixed_devices_scenario",
     "stadium_desync_scenario",
-    "SCENARIOS",
 ]
 
 
@@ -336,9 +331,3 @@ def stadium_desync_scenario(n: int = 48, k: int = 6, seed: int = 0,
         timing=GilbertElliottPauses(n=n, seed=seed, p_pause=0.08,
                                     p_resume=0.6, pause_scale=2.5),
     )
-
-
-#: Name -> factory, a live view over the scenario registry — scenarios
-#: registered via :func:`repro.registry.register_scenario` (including
-#: out-of-tree plugins) appear here without edits to this module.
-SCENARIOS = RegistryMapping(SCENARIO_REGISTRY, lambda defn: defn.factory)

@@ -42,7 +42,7 @@ from repro.net import (
     replay,
     request,
 )
-from repro.registry import FAULT_REGISTRY, FaultDef
+from repro.registry import FAULT_REGISTRY, Definition
 from repro.sim.faults import (
     CrashChurn,
     FaultModel,
@@ -391,31 +391,29 @@ class TestChaosReplayEquivalence:
     @pytest.mark.parametrize("chaos", [False, True],
                              ids=["logical", "chaos"])
     def test_report_less_resetting_fault_replays_and_resets_alike(
-            self, chaos):
+            self, chaos, restore_registries):
         """A ``resets_state`` model that leaves ``crashed_this_round``
         at its documented ``None`` resets by the mask-transition rule on
         every driver.  (The logical live path used to reset nobody: 18
         divergent rounds of 24.)"""
-        resetting_sleep = FaultDef(
+        FAULT_REGISTRY.register(Definition(
             name="resetting_sleep",
             description="test: sleepers lose their state, no crash report",
             build=lambda n, seed: ResettingSleep(n, seed, period=4, duty=2),
-        )
+        ))
         instance = uniform_instance(n=N, k=3, seed=11)
-        with FAULT_REGISTRY.temporary(resetting_sleep):
-            record = record_run("sharedbit", _graph_factory(), instance,
-                                seed=5, max_rounds=24,
-                                fault="resetting_sleep")
-            report = replay(record, chaos=chaos, retry=FAST_RETRY)
-            assert report.equivalent, "\n".join(report.divergences)
-            assert not report.live.suspects
+        record = record_run("sharedbit", _graph_factory(), instance,
+                            seed=5, max_rounds=24, fault="resetting_sleep")
+        report = replay(record, chaos=chaos, retry=FAST_RETRY)
+        assert report.equivalent, "\n".join(report.divergences)
+        assert not report.live.suspects
 
-            # ...and the live cluster resets exactly the vertices the
-            # rule names, in the rounds it names.
-            coord = _coordinator(
-                termination_every=0,
-                **{"chaos" if chaos else "fault": "resetting_sleep"},
-            )
+        # ...and the live cluster resets exactly the vertices the rule
+        # names, in the rounds it names.
+        coord = _coordinator(
+            termination_every=0,
+            **{"chaos" if chaos else "fault": "resetting_sleep"},
+        )
         log = []
         spy_resets({v: s.node for v, s in coord.servers.items()}, log,
                    lambda: coord.trace.total_rounds + 1)

@@ -201,7 +201,7 @@ class TestLossyLinks:
 class TestRegistry:
     def test_all_builtin_faults_registered(self):
         for name in ("none", "sleep", "churn", "lossy"):
-            assert name in FAULT_REGISTRY
+            assert name in FAULT_REGISTRY.names()
 
     def test_build_with_params(self):
         model = FAULT_REGISTRY.get("sleep").build(12, 3, period=6, duty=2)

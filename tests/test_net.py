@@ -677,10 +677,10 @@ class TestTransportRegistry:
     def test_tcp_transport_registered(self):
         defn = TRANSPORT_REGISTRY.get("tcp")
         assert defn.name == "tcp"
-        assert callable(defn.deploy)
+        assert callable(defn.build)
 
     def test_deploy_run_solves_scenario(self):
-        report = TRANSPORT_REGISTRY.get("tcp").deploy(
+        report = TRANSPORT_REGISTRY.get("tcp").build(
             scenario="live_smoke", seed=3, max_rounds=64,
         )
         assert report.solved

@@ -139,7 +139,8 @@ class TestBuildRestoresTheCollector:
         (gc.enable if enabled else gc.disable)()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_after_a_build_and_after_a_failing_builder(self, enabled):
+    def test_after_a_build_and_after_a_failing_builder(
+            self, enabled, restore_registries):
         (gc.enable if enabled else gc.disable)()
         instance = uniform_instance(n=12, k=2, seed=1)
         build_nodes("sharedbit", instance, seed=3)
@@ -151,12 +152,12 @@ class TestBuildRestoresTheCollector:
             seen.append(gc.isenabled())
             raise RuntimeError("builder failed")
 
-        with ALGORITHM_REGISTRY.temporary(
+        ALGORITHM_REGISTRY.register(
             AlgorithmDef(name="exploding", description="raises",
-                         build_nodes=exploding)
-        ):
-            with pytest.raises(RuntimeError, match="builder failed"):
-                build_nodes("exploding", instance, seed=3)
+                         build=exploding)
+        )
+        with pytest.raises(RuntimeError, match="builder failed"):
+            build_nodes("exploding", instance, seed=3)
         assert seen == [False]  # paused while the builder ran
         assert gc.isenabled() is enabled
 
@@ -192,14 +193,12 @@ class TestBadInputIsAConfigurationError:
             run_gossip("sharedbit", StaticDynamicGraph(cycle(8)), instance,
                        seed=1, max_rounds=10, config=bad)
 
-    def test_algorithm_without_a_config_class_takes_anything(self):
+    def test_algorithm_without_a_config_class_takes_anything(
+            self, restore_registries):
         @register_algorithm(name="free_config", description="no class")
         def _build(ctx):
             return {"config": ctx.config}
 
-        try:
-            instance = uniform_instance(n=4, k=1, seed=1)
-            assert build_nodes("free_config", instance, 1,
-                               config={"x": 1}) == {"config": {"x": 1}}
-        finally:
-            ALGORITHM_REGISTRY.unregister("free_config")
+        instance = uniform_instance(n=4, k=1, seed=1)
+        assert build_nodes("free_config", instance, 1,
+                           config={"x": 1}) == {"config": {"x": 1}}

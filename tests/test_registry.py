@@ -1,32 +1,40 @@
 """Tests for the registry-driven plugin API (repro.registry, repro.api)."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import registry as registry_module
 from repro.api import Experiment
 from repro.core.problem import uniform_instance
-from repro.core.runner import ALGORITHMS, build_nodes, run_gossip
+from repro.core.runner import ALGORITHMS, run_gossip
 from repro.core.sharedbit import SharedBitConfig, SharedBitNode
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    EXPERIMENT_ALGORITHMS,
     RunSpec,
     SweepSpec,
     build_topology,
     run_sweep,
 )
 from repro.graphs.dynamic import StaticDynamicGraph
-from repro.graphs.topologies import TOPOLOGY_FAMILIES, cycle
+from repro.graphs.topologies import cycle
 from repro.registry import (
     ALGORITHM_REGISTRY,
     AlgorithmDef,
+    FAULT_REGISTRY,
     Registry,
     SCENARIO_REGISTRY,
     TOPOLOGY_REGISTRY,
     TopologyDef,
+    register_fault,
 )
 from repro.rng import SharedRandomness
+from repro.workloads.scenarios import festival_scenario
 
 
 def _sharedbit_clone_builder(ctx):
@@ -46,70 +54,111 @@ def _clone_def(name="echo_test") -> AlgorithmDef:
     return AlgorithmDef(
         name=name,
         description="in-test SharedBit clone",
+        build=_sharedbit_clone_builder,
         config_class=SharedBitConfig,
-        build_nodes=_sharedbit_clone_builder,
         tag_length=1,
     )
 
 
 @pytest.fixture
-def echo_algorithm():
+def echo_algorithm(restore_registries):
     """A synthetic test-only algorithm, registered for one test."""
-    with ALGORITHM_REGISTRY.temporary(_clone_def()) as defn:
-        yield defn
+    return ALGORITHM_REGISTRY.register(_clone_def())
+
+
+#: Every registry with its public decorator alias.
+REGISTRIES = [
+    (getattr(registry_module, f"{prefix}_REGISTRY"),
+     getattr(registry_module, f"register_{prefix.lower()}"))
+    for prefix in ("ALGORITHM", "TOPOLOGY", "DYNAMICS", "INSTANCE",
+                   "SCENARIO", "FAULT", "TIMING", "TRANSPORT")
+]
+
+
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this tree; its stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          env=env, capture_output=True, text=True).stdout
 
 
 class TestRegistryCore:
     def test_duplicate_name_raises(self):
         scratch = Registry("widget", "widgets")
-        scratch.register(AlgorithmDef(name="w", description="a widget"))
+        scratch.register(_clone_def("w"))
         with pytest.raises(ConfigurationError, match="already registered"):
-            scratch.register(AlgorithmDef(name="w", description="again"))
+            scratch.register(_clone_def("w"))
 
     def test_duplicate_builtin_raises(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            ALGORITHM_REGISTRY.register(
-                AlgorithmDef(name="sharedbit", description="shadow attempt")
-            )
+            ALGORITHM_REGISTRY.register(_clone_def("sharedbit"))
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty name"):
-            Registry("widget", "widgets").register(
-                AlgorithmDef(name="", description="anonymous")
-            )
+            Registry("widget", "widgets").register(_clone_def(""))
 
-    def test_unknown_name_enumerates_registered(self):
+    @pytest.mark.parametrize("registry, register", REGISTRIES,
+                             ids=[reg.plural for reg, _ in REGISTRIES])
+    def test_one_contract_for_every_registry(self, registry, register,
+                                             restore_registries):
+        assert register == registry.decorator
         with pytest.raises(ConfigurationError) as excinfo:
-            ALGORITHM_REGISTRY.get("nope")
+            registry.get("nope")
         message = str(excinfo.value)
-        assert "unknown algorithm 'nope'" in message
-        for name in ("blindmatch", "sharedbit", "crowdedbin", "epsilon"):
-            assert name in message
+        assert f"unknown {registry.kind} 'nope'" in message
+        assert all(name in message for name in registry.names())
 
-    def test_unknown_topology_enumerates_registered(self):
-        with pytest.raises(ConfigurationError, match="star"):
-            TOPOLOGY_REGISTRY.get("torus")
+        def build(*args, **params):
+            return None
+
+        assert register(name="probe", description="in-test")(build) is build
+        assert registry.get("probe").build is build
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register(name=registry.names()[0], description="shadow")(build)
+        with pytest.raises(ConfigurationError,
+                           match=f"{registry.kind} definition has no field "
+                                 "'factory'"):
+            register(name="other", description="in-test", factory=build)
+
+    def test_non_string_name_rejected_and_lookups_still_enumerate(
+            self, restore_registries):
+        with pytest.raises(ConfigurationError, match="got 5"):
+            register_fault(name=5, description="x")(lambda n, seed: None)
+        with pytest.raises(ConfigurationError,
+                           match="fault models: churn, lossy, none, sleep$"):
+            FAULT_REGISTRY.get("nope")
+
+    def test_shadowing_a_lazily_loaded_builtin_fails_at_registration(self):
+        out = _python(textwrap.dedent("""
+            import sys
+            import repro.registry as registry
+            from repro.errors import ConfigurationError
+
+            assert "repro.net.coordinator" not in sys.modules
+            try:
+                registry.register_transport(
+                    name="tcp", description="shadow")(lambda **opts: None)
+            except ConfigurationError as exc:
+                print(exc)
+            print(registry.FAULT_REGISTRY.get("sleep").name,
+                  registry.TRANSPORT_REGISTRY.get("tcp").build.__module__)
+        """))
+        assert out == ("transport 'tcp' is already registered\n"
+                       "sleep repro.net.coordinator\n")
 
     def test_find_returns_none_quietly(self):
         assert ALGORITHM_REGISTRY.find("nope") is None
 
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(ConfigurationError, match="cannot unregister"):
-            ALGORITHM_REGISTRY.unregister("nope")
-
-    def test_temporary_registration_is_scoped(self):
-        assert "echo_test" not in ALGORITHM_REGISTRY
-        with ALGORITHM_REGISTRY.temporary(_clone_def()):
-            assert "echo_test" in ALGORITHM_REGISTRY
-            assert "echo_test" in ALGORITHMS
-            assert "echo_test" in EXPERIMENT_ALGORITHMS
-        assert "echo_test" not in ALGORITHM_REGISTRY
-        assert "echo_test" not in ALGORITHMS
+    def test_algorithms_view_sees_new_registrations(self, echo_algorithm):
+        assert "echo_test" in ALGORITHM_REGISTRY.names()
+        assert "echo_test" in ALGORITHMS
 
 
 class TestDefinitionMetadata:
     def test_algorithms_view_filters_experiment_only(self):
-        assert "epsilon" in EXPERIMENT_ALGORITHMS
+        assert "epsilon" in ALGORITHM_REGISTRY.names()
         assert "epsilon" not in ALGORITHMS
         # PPUSH registers when crowdedbin imports its module, so it
         # lands between simsharedbit and crowdedbin in the view order.
@@ -130,22 +179,19 @@ class TestDefinitionMetadata:
         assert ALGORITHM_REGISTRY.get("crowdedbin").requires_stable_topology
         assert not ALGORITHM_REGISTRY.get("sharedbit").requires_stable_topology
 
-    def test_topology_families_view_is_live(self):
-        assert TOPOLOGY_FAMILIES["cycle"] is cycle
-        defn = TopologyDef(
+    def test_topology_registry_is_live(self, restore_registries):
+        assert TOPOLOGY_REGISTRY.get("cycle").build is cycle
+        TOPOLOGY_REGISTRY.register(TopologyDef(
             name="test_shape",
             description="in-test family",
-            factory=lambda n: cycle(n),
-        )
-        with TOPOLOGY_REGISTRY.temporary(defn):
-            assert "test_shape" in TOPOLOGY_FAMILIES
-            topo = build_topology(
-                {"family": "test_shape", "params": {"n": 6}}
-            )
-            assert topo.n == 6
-        assert "test_shape" not in TOPOLOGY_FAMILIES
-        with pytest.raises(KeyError):
-            TOPOLOGY_FAMILIES["test_shape"]
+            build=lambda n: cycle(n),
+        ))
+        assert "test_shape" in TOPOLOGY_REGISTRY.names()
+        topo = build_topology({"family": "test_shape", "params": {"n": 6}})
+        assert topo.n == 6
+
+    def test_scenario_registry_holds_the_factories(self):
+        assert SCENARIO_REGISTRY.get("festival").build is festival_scenario
 
 
 class TestSyntheticAlgorithmEndToEnd:
@@ -229,48 +275,44 @@ PLUGIN_SOURCE = textwrap.dedent(
 
 
 class TestPluginLoading:
-    def test_cli_runs_plugin_algorithm_from_file(self, tmp_path, capsys):
+    def test_cli_runs_plugin_algorithm_from_file(self, tmp_path, capsys,
+                                                 restore_registries):
         from repro.cli import main
 
         plugin = tmp_path / "my_plugin.py"
         plugin.write_text(PLUGIN_SOURCE)
-        try:
-            code = main([
-                "--plugin", str(plugin),
-                "run", "--algorithm", "plugin_echo", "--graph", "cycle",
-                "--n", "10", "--k", "2", "--seed", "1",
-                "--max-rounds", "30000",
-            ])
-            out = capsys.readouterr().out
-            assert code == 0
-            assert "plugin_echo on cycle" in out
-            assert "solved" in out
-            # Loading the same file again is a no-op, not a duplicate.
-            assert main([
-                "--plugin", str(plugin),
-                "run", "--algorithm", "plugin_echo", "--graph", "cycle",
-                "--n", "10", "--k", "2", "--seed", "1",
-                "--max-rounds", "30000",
-            ]) == 0
-        finally:
-            ALGORITHM_REGISTRY.unregister("plugin_echo")
+        code = main([
+            "--plugin", str(plugin),
+            "run", "--algorithm", "plugin_echo", "--graph", "cycle",
+            "--n", "10", "--k", "2", "--seed", "1",
+            "--max-rounds", "30000",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "plugin_echo on cycle" in out
+        assert "solved" in out
+        # Loading the same file again is a no-op, not a duplicate.
+        assert main([
+            "--plugin", str(plugin),
+            "run", "--algorithm", "plugin_echo", "--graph", "cycle",
+            "--n", "10", "--k", "2", "--seed", "1",
+            "--max-rounds", "30000",
+        ]) == 0
 
-    def test_cli_list_shows_plugin_algorithm(self, tmp_path, capsys):
+    def test_cli_list_shows_plugin_algorithm(self, tmp_path, capsys,
+                                             restore_registries):
         from repro.cli import main
 
         plugin = tmp_path / "my_list_plugin.py"
         plugin.write_text(PLUGIN_SOURCE.replace("plugin_echo", "plugin_ls"))
-        try:
-            assert main(["--plugin", str(plugin), "list"]) == 0
-            assert "plugin_ls" in capsys.readouterr().out
-        finally:
-            ALGORITHM_REGISTRY.unregister("plugin_ls")
+        assert main(["--plugin", str(plugin), "list"]) == 0
+        assert "plugin_ls" in capsys.readouterr().out
 
-    def test_cli_list_shows_plugin_transport(self, tmp_path, capsys):
+    def test_cli_list_shows_plugin_transport(self, tmp_path, capsys,
+                                             restore_registries):
         """The one-decorator-surface invariant extends to transports:
         a --plugin file can register one and `list` shows it."""
         from repro.cli import main
-        from repro.registry import TRANSPORT_REGISTRY
 
         plugin = tmp_path / "transport_plugin.py"
         plugin.write_text(textwrap.dedent(
@@ -286,12 +328,8 @@ class TestPluginLoading:
                 return None
             """
         ))
-        try:
-            assert main(["--plugin", str(plugin), "list"]) == 0
-            out = capsys.readouterr().out
-            assert "plugin_wire" in out
-        finally:
-            TRANSPORT_REGISTRY.unregister("plugin_wire")
+        assert main(["--plugin", str(plugin), "list"]) == 0
+        assert "plugin_wire" in capsys.readouterr().out
 
     def test_missing_plugin_file_raises(self):
         from repro.registry import load_plugin
@@ -380,11 +418,3 @@ class TestFluentApi:
         )
         assert len(result.points) == 2
         assert all(summary.all_solved for summary in result.points)
-
-    def test_scenario_registry_backs_scenarios_mapping(self):
-        from repro.workloads.scenarios import SCENARIOS
-
-        assert set(SCENARIOS) == set(SCENARIO_REGISTRY.names())
-        assert SCENARIOS["festival"] is SCENARIO_REGISTRY.get(
-            "festival"
-        ).factory

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphs.topologies import (
-    TOPOLOGY_FAMILIES,
     barbell,
     binary_tree,
     complete,
@@ -20,6 +19,7 @@ from repro.graphs.topologies import (
     random_regular,
     star,
 )
+from repro.registry import TOPOLOGY_REGISTRY
 
 
 def _all_samples():
@@ -159,7 +159,7 @@ class TestStructured:
 
 class TestFamilyRegistry:
     def test_registry_covers_all_generators(self):
-        assert set(TOPOLOGY_FAMILIES) == {
+        assert set(TOPOLOGY_REGISTRY.names()) == {
             "star", "double_star", "path", "cycle", "complete", "hypercube",
             "random_regular", "erdos_renyi", "grid", "barbell", "lollipop",
             "binary_tree", "expander", "ring_expander",

@@ -4,9 +4,9 @@ import networkx as nx
 import pytest
 
 from repro.core.runner import run_gossip
+from repro.registry import SCENARIO_REGISTRY
 from repro.sim.faults import CrashChurn, LossyLinks, SleepCycle
 from repro.workloads.scenarios import (
-    SCENARIOS,
     disaster_scenario,
     festival_nightfall_scenario,
     festival_scenario,
@@ -18,17 +18,17 @@ from repro.workloads.scenarios import (
 
 
 class TestScenarioShapes:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(SCENARIO_REGISTRY.names()))
     def test_instance_matches_graph(self, name):
-        scenario = SCENARIOS[name](seed=1)
+        scenario = SCENARIO_REGISTRY.get(name).build(seed=1)
         assert scenario.dynamic_graph.n == scenario.instance.n
         assert scenario.recommended_algorithm in (
             "blindmatch", "sharedbit", "simsharedbit", "crowdedbin",
         )
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(SCENARIO_REGISTRY.names()))
     def test_topologies_connected(self, name):
-        scenario = SCENARIOS[name](seed=1)
+        scenario = SCENARIO_REGISTRY.get(name).build(seed=1)
         for r in (1, 5, 9):
             assert nx.is_connected(scenario.dynamic_graph.graph_at(r))
 
