@@ -23,11 +23,12 @@ batching those), so its gain is the engine overhead only (~1.5x).
 
 The ASYNC rows track the event-driven engine (jitter(0.5), star):
 ``sharedbit_async_jitter`` prices the window executor fed by the scalar
-hooks (``async_mode="event"``) against the object engine, and
+hooks (``engine_mode="object"``) against the object engine, and
 ``sharedbit_async_jitter_batched`` prices it fed by SharedBit's window
-hooks against the *array* engine — the ``async_over_sync_array`` ratio
-is the tracked gap (bar: >= 0.5x at n = 2000), ``batched_over_event``
-the window hooks' speedup over the scalar hooks.  That window hooks are
+hooks (``engine_mode="array"``) against the *array* engine — the
+``async_over_sync_array`` ratio is the tracked gap (bar: >= 0.5x at
+n = 2000), ``batched_over_event`` the window hooks' speedup over the
+scalar hooks.  That window hooks are
 byte-identical to the scalar hooks is a corpus class, not a gate here.
 
 Run directly for the CI probes / perf ledger::
@@ -135,14 +136,14 @@ def _sleep_fault(n: int, seed: int) -> SleepCycle:
 
 def measure_async_throughput(algorithm: str, n: int, k: int, rounds: int,
                              seed: int = 11, jitter: float = 0.5,
-                             async_mode: str = "auto") -> float:
+                             engine_mode: str = "auto") -> float:
     """rounds/s for a fixed-window async run (jittered, event engine).
 
     The asynchronous twin of :func:`measure_throughput`: same protocols,
     same topology, same round budget, every round window one full sweep
-    of jittered cohorts through the window executor.  ``async_mode``
-    picks the hooks that feed it — ``"event"`` the scalar per-node
-    hooks, ``"batched"`` the protocol's window hooks (byte-identical:
+    of jittered cohorts through the window executor.  ``engine_mode``
+    picks the hooks that feed it — ``"object"`` the scalar per-node
+    hooks, ``"array"`` the protocol's window hooks (byte-identical:
     the golden corpus's async classes).
     """
     instance = uniform_instance(n=n, k=k, seed=seed)
@@ -154,7 +155,7 @@ def measure_async_throughput(algorithm: str, n: int, k: int, rounds: int,
         channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
         trace_sample_every=1024,
         timing=UniformJitter(n=n, seed=seed, jitter=jitter),
-        async_mode=async_mode,
+        engine_mode=engine_mode,
     )
     started = time.perf_counter()
     sim.run(max_rounds=rounds)
@@ -199,7 +200,7 @@ def run_engine_bench(n: int = 2000, allow_dirty: bool = False) -> dict:
     async_rounds = 200
     sync_rps = measure_throughput("sharedbit", n, 2, async_rounds, "object")
     event_rps = measure_async_throughput("sharedbit", n, 2, async_rounds,
-                                         async_mode="event")
+                                         engine_mode="object")
     results["sharedbit_async_jitter"] = {
         "rounds": async_rounds,
         "timing": "jitter(0.5)",
@@ -210,7 +211,7 @@ def run_engine_bench(n: int = 2000, allow_dirty: bool = False) -> dict:
     sync_array_rps = measure_throughput("sharedbit", n, 2, async_rounds,
                                         "array")
     batched_rps = measure_async_throughput("sharedbit", n, 2, async_rounds,
-                                           async_mode="batched")
+                                           engine_mode="array")
     results["sharedbit_async_jitter_batched"] = {
         "rounds": async_rounds,
         "timing": "jitter(0.5)",
@@ -312,9 +313,9 @@ def main(argv=None) -> int:
         faulty_probe = measure_throughput("sharedbit", 256, 2, 60, "array",
                                           fault=_sleep_fault)
         event_probe = measure_async_throughput("sharedbit", 256, 2, 60,
-                                               async_mode="event")
+                                               engine_mode="object")
         batched_probe = measure_async_throughput("sharedbit", 256, 2, 60,
-                                                 async_mode="batched")
+                                                 engine_mode="array")
         if batched_probe <= event_probe:
             print(f"FAIL: batched async window path "
                   f"({batched_probe:.0f} rounds/s) did not beat the "

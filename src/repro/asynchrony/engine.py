@@ -43,35 +43,35 @@ under :class:`~repro.asynchrony.timing.Synchronous` timing every cohort
 contains all ``n`` nodes at the exact instants ``1·TPR, 2·TPR, ...``,
 and the execution is event-for-event identical to the round engine —
 same tags, same proposals, same random-stream consumption, same matches,
-same traces — on *both* engine paths.  The golden corpus
+same traces — whichever hooks feed it.  The golden corpus
 (tests/test_golden_traces.py) pins it: every ``async/*/synchronous``
-case shares its class's digest with the round-engine case, the
-"synchronous timing, auto hooks" variant row pins the bulk-hook full
-cohort, and the scalar-hooks / window-hooks classes extend the same
-byte-identity bar to protocol window hooks.
+case shares its class's digest with the round-engine case, and the
+scalar-hooks / window-hooks classes extend the same byte-identity bar
+to every timing.
 
-**One executor, one scan** (``async_mode``): the schedule is two flat
-per-vertex arrays (next activation tick, next local cycle).  Each round
-window is drained in one vectorized pass (the timing model's batched
-draws compute the whole window's schedule) and its cohorts run in event
-order through a *window ops* object, touching Python only where
-decisions live: proposal candidates, per-cohort resolution (a cohort
-with no contested target derives no rng, contested ones draw from the
-exact per-tick ``("match", r)`` / ``("match", "tick", t)`` streams),
-fault drops, and interactions.  Determinism is the hard constraint: no
-random draw moves.  Every cohort is scanned just before it proposes, on
-its members' current state, so a tag always reflects the transfers and
+**One executor, one scan**: the schedule is two flat per-vertex arrays
+(next activation tick, next local cycle).  Each round window is drained
+in one vectorized pass (the timing model's batched draws compute the
+whole window's schedule) and its cohorts run in event order through a
+*window ops* object, touching Python only where decisions live:
+proposal candidates, per-cohort resolution (a cohort with no contested
+target derives no rng, contested ones draw from the exact per-tick
+``("match", r)`` / ``("match", "tick", t)`` streams), fault drops, and
+interactions.  Determinism is the hard constraint: no random draw
+moves.  Every cohort is scanned just before it proposes, on its
+members' current state, so a tag always reflects the transfers and
 crash resets before it and each node's private stream interleaves with
-its Transfer draws in event order.  ``async_mode`` says which ops do the
-scan: the protocol's *window hooks*
-(:func:`~repro.sim.protocol.window_hooks`; SharedBit reads shared-PRF
-bit tables, BlindMatch flips private coins) or the scalar hooks
+its Transfer draws in event order.  Every timing, Synchronous included,
+runs through this executor.  ``engine_mode`` picks the ops by the round
+engine's rule, with window hooks where the round engine takes bulk
+hooks: ``"object"`` the scalar hooks
 (:class:`~repro.sim.protocol.ScalarWindowOps`: one ``advertise`` and
-one ``propose`` per member), which every population has.  ``"auto"``
-prefers window hooks and falls back to the scalar hooks; ``"event"``
-forces the scalar hooks; ``"batched"`` demands window hooks and runs
-them even under null timing, which is how the golden corpus pins
-window-hooks-vs-round-engine identity.
+one ``propose`` per member), which every population has; ``"array"``
+the protocol's *window hooks* (:func:`~repro.sim.protocol.window_hooks`;
+SharedBit reads shared-PRF bit tables, BlindMatch flips private coins),
+or a :class:`~repro.errors.ConfigurationError`; ``"auto"`` window hooks
+when the population has them, else the scalar hooks.  Bulk hooks never
+run here: they consume the whole population's streams at once.
 
 The fault layer composes: masks and drop decisions are evaluated per
 node at the node's *local* cycle (a duty-cycled phone skips cycles by
@@ -97,54 +97,31 @@ from repro.sim.trace import RoundRecord
 
 __all__ = ["AsyncSimulation"]
 
-_ASYNC_MODES = ("auto", "event", "batched")
-
 
 class AsyncSimulation(Simulation):
     """Drive node protocols from per-node clocks over an event schedule.
 
     Accepts everything :class:`~repro.sim.engine.Simulation` does plus
     ``timing`` (a built :class:`~repro.asynchrony.timing.TimingModel`;
-    ``None`` means the synchronous null model) and ``async_mode`` —
-    which hooks feed the one window executor:
-
-    * ``"auto"`` (default) — the protocol's window hooks when the
-      population provides them and the timing is asynchronous; the
-      scalar hooks otherwise (under null timing every cohort is full,
-      so a population with bulk hooks runs the round engine's stages).
-    * ``"event"`` — always the scalar ``advertise`` / ``propose`` hooks.
-    * ``"batched"`` — require window hooks and use them even under null
-      timing: how the golden corpus pins window hooks against the round
-      engine.
-
-    ``engine_mode="array"`` under asynchronous timing requires window
-    hooks (bulk hooks alone consume the whole population's streams at
-    once, which only full synchronized cohorts may do).
-    ``object_path_max_n`` is accepted and ignored: it bounds the round
-    engine's per-vertex ``NeighborView`` caches, which no asynchronous
-    run builds.  Tags are published in an int64 array, so ``b <= 63``.
+    ``None`` means the synchronous null model).  ``engine_mode`` picks
+    the window ops by the round engine's rule, with window hooks in
+    place of bulk hooks: ``"object"`` the scalar hooks, ``"array"``
+    window hooks or an error, ``"auto"`` window hooks if the population
+    has them.  Tags are published in an int64 array, so ``b <= 63``.
     """
 
+    _fast_hooks = staticmethod(window_hooks)
+
     def __init__(self, dynamic_graph, protocols, b: int, seed: int,
-                 timing: TimingModel | None = None,
-                 async_mode: str = "auto", **engine_kwargs):
+                 timing: TimingModel | None = None, **engine_kwargs):
         timing = timing if timing is not None else Synchronous(
             dynamic_graph.n, seed
         )
-        if async_mode not in _ASYNC_MODES:
-            raise ConfigurationError(
-                f"async_mode must be one of {_ASYNC_MODES}, got "
-                f"{async_mode!r}"
-            )
         if not timing.is_null and timing.n != dynamic_graph.n:
             raise ConfigurationError(
                 f"timing model is bound to n={timing.n} but the graph "
                 f"has n={dynamic_graph.n}"
             )
-        # The object-path memory guard prices the round engine's
-        # per-vertex NeighborView caches; no asynchronous run builds
-        # them (the executor reads bound-CSR rows), so it never applies.
-        engine_kwargs["object_path_max_n"] = None
         super().__init__(dynamic_graph, protocols, b, seed, **engine_kwargs)
         if self.acceptance_streams != "global":
             raise ConfigurationError(
@@ -159,38 +136,6 @@ class AsyncSimulation(Simulation):
                 f"array, so tags are limited to b <= 63 bits; got b={b}"
             )
         self.timing = timing
-        self.async_mode = async_mode
-        ops = window_hooks(self._nodes) if async_mode != "event" else None
-        if async_mode == "batched" and ops is None:
-            raise ConfigurationError(
-                "async_mode='batched' requires window protocol hooks "
-                "(make_window_hooks) on a homogeneous population; this "
-                "population has none — use 'auto' or 'event'"
-            )
-        if timing.is_null and async_mode != "batched":
-            # Null timing: full synchronized cohorts — the round-engine
-            # fast paths are already the best shape, so window hooks run
-            # only when explicitly requested (the differential gate).
-            ops = None
-        #: Whether the protocol's own window hooks feed the executor.
-        self._batched = ops is not None
-        if not timing.is_null and not self._batched:
-            if engine_kwargs.get("engine_mode") == "array":
-                raise ConfigurationError(
-                    "engine_mode='array' under asynchronous timing "
-                    "requires the batched window path (window hooks): "
-                    "bulk hooks consume the whole population's streams "
-                    "at once, which only full synchronized cohorts may "
-                    "do; use engine_mode 'auto'/'object', or a protocol "
-                    "with window hooks and async_mode 'auto'/'batched'"
-                )
-            # Partial cohorts activate node subsets, so per-node calls
-            # are the only correct shape: the bulk hooks stay unused.
-            self._bulk = None
-            self.engine_mode = "object"
-        self._window_ops = ops if self._batched else ScalarWindowOps(
-            self._nodes, self._visible_uids
-        )
         #: Per-vertex activation totals (the per-node event counts).
         self.event_counts = np.zeros(self.n, dtype=np.int64)
         # Per-vertex local cycle counter (0 = not yet activated) and the
@@ -234,12 +179,7 @@ class AsyncSimulation(Simulation):
         counts = (0,) * 6
         if events:
             with self._prof.span("window.process"):
-                if self._bulk is not None and not self._batched:
-                    counts = self._process_cohort_synchronous(
-                        ticks, vertices, cycles
-                    )
-                else:
-                    counts = self._process_window(ticks, vertices, cycles)
+                counts = self._process_window(ticks, vertices, cycles)
         with self._prof.span("window.flush"):
             local = self._local_cycle
             return self._observe_round(
@@ -257,6 +197,12 @@ class AsyncSimulation(Simulation):
         result = super()._result(terminated)
         result.event_counts = self.event_counts.copy()
         return result
+
+    def _scalar_hooks(self, engine_mode: str) -> ScalarWindowOps:
+        """The scalar hooks as window ops.  They read bound-CSR rows and
+        build no ``NeighborView`` caches, so the round engine's memory
+        guard has nothing to price here."""
+        return ScalarWindowOps(self._nodes, self._visible_uids)
 
     # ------------------------------------------------------------------
     # The schedule
@@ -345,21 +291,6 @@ class AsyncSimulation(Simulation):
             return self._match_streams("match", ticks // TICKS_PER_ROUND)
         return self._match_streams("match", "tick", ticks)
 
-    def _process_cohort_synchronous(self, ticks, vertices, cycles) -> tuple:
-        """A full synchronized cohort through the round engine's bulk
-        stages (bulk hooks under null timing: the window *is* round
-        ``ticks // TPR``, every vertex activating once).  Returns what
-        :meth:`_process_window` does."""
-        rnd = int(ticks[0]) // TICKS_PER_ROUND
-        proposal_count, matches, dropped, mask = self._round_stages(rnd)
-        tokens, bits = self._stage3(rnd, matches)
-        self._local_cycle[vertices] = cycles
-        self.event_counts += 1
-        return (
-            proposal_count, len(matches), tokens, bits, dropped,
-            self.n if mask is None else int(mask.sum()),
-        )
-
     # ------------------------------------------------------------------
     # Window execution
 
@@ -375,7 +306,7 @@ class AsyncSimulation(Simulation):
         tokens, bits, dropped, active members)``, the record's leading
         columns.
         """
-        ops = self._window_ops
+        ops = self._hooks
         total = len(vertices)
         # Round-parity skew guard (SharedBit, DESIGN.md §7): shared-PRF
         # tag derivation is keyed by each member's *own* local cycle
@@ -504,7 +435,7 @@ class AsyncSimulation(Simulation):
         the round its channel and interact hook see — and interactions
         run scalar.
         """
-        ops = self._window_ops
+        ops = self._hooks
         nodes = self._nodes
         tags_np = self._tags_np
         proposals: dict[int, int] = {}

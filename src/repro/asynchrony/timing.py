@@ -23,9 +23,8 @@ nor any node's private stream, and any consumer (either engine path, any
 ``run_sweep --jobs`` value, a replay) derives the same schedule.
 
 The null model :class:`Synchronous` consumes **zero** randomness and is
-*event-for-event identical* to the round engine — pinned on both the
-object and the array engine path by the golden corpus's classes and its
-"synchronous timing, auto hooks" variant row
+*event-for-event identical* to the round engine — pinned on the scalar
+and the window hooks by the golden corpus's classes
 (tests/test_golden_traces.py).
 
 Model contract beyond purity:
@@ -90,8 +89,7 @@ class TimingModel:
     """
 
     #: True only on :class:`Synchronous`: the runner keeps null-timing
-    #: runs on the round engine, and :class:`AsyncSimulation` uses the
-    #: full-cohort fast paths.
+    #: runs on the round engine.
     is_null = False
 
     def __init__(self, n: int, seed: int, kind: str):
@@ -141,10 +139,10 @@ class Synchronous(TimingModel):
     Every node's cycle ``c`` fires at exactly tick ``c·TPR`` — one full
     cohort per round window, which is precisely the round engine's
     semantics.  The runner treats this like having no timing model (runs
-    stay on :class:`~repro.sim.engine.Simulation`); the differential
-    harness constructs :class:`AsyncSimulation` with it explicitly to
-    prove the event-driven machinery reproduces the round engine
-    event for event.
+    stay on :class:`~repro.sim.engine.Simulation`); built explicitly, it
+    runs through :class:`AsyncSimulation`'s window executor like any
+    other timing, which is how the golden corpus proves that executor
+    reproduces the round engine event for event.
     """
 
     is_null = True
@@ -352,10 +350,6 @@ class HeterogeneousRates(TimingModel):
             self._phase_of[vertex] = int(rng.random() * min(
                 period, TICKS_PER_ROUND
             ))
-
-    def rate_of(self, vertex: int) -> float:
-        """The device class rate assigned to ``vertex`` (cycles/round)."""
-        return float(self._rate_of[vertex])
 
     def activation_ticks(self, vertex: int, cycle: int) -> int:
         # First cycle lands in [TPR, 2·TPR); later cycles follow at the

@@ -34,7 +34,7 @@ from repro.registry import (
 )
 from repro.rng import SeedTree
 from repro.sim.channel import ChannelPolicy
-from repro.sim.engine import OBJECT_PATH_MAX_N, Simulation
+from repro.sim.engine import Simulation
 from repro.sim.faults import build_fault
 from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
@@ -228,7 +228,6 @@ def run_gossip(
     trace_max_records: int | None = None,
     termination_every: int = 1,
     engine_mode: str = "auto",
-    object_path_max_n: int | None = OBJECT_PATH_MAX_N,
     telemetry=None,
 ) -> GossipRunResult:
     """Run ``algorithm`` on ``instance`` over ``dynamic_graph`` to completion.
@@ -257,16 +256,16 @@ def run_gossip(
     (:class:`~repro.asynchrony.engine.AsyncSimulation`) with per-node
     clocks.
 
-    ``engine_mode`` selects the engine front half: ``"auto"`` (the
-    default) takes the array fast path when the algorithm's nodes provide
-    bulk hooks, ``"object"`` forces the per-node reference path, and
-    ``"array"`` requires the fast path.  Both paths produce byte-identical
-    traces; the knob exists for differential tests and benchmarks.
+    ``engine_mode`` selects the engine front half, by the same rule on
+    both engines: ``"auto"`` (the default) takes the fast hooks when the
+    algorithm's nodes provide them (bulk hooks on the round engine,
+    window hooks on the event-driven one), ``"object"`` forces the
+    per-node scalar hooks, and ``"array"`` requires the fast hooks.
+    Both produce byte-identical traces; the knob exists for differential
+    tests and benchmarks.
 
     ``trace_max_records`` bounds kept trace records for very long runs
-    (see :class:`repro.sim.trace.Trace`); ``object_path_max_n`` is the
-    memory-budget guard threshold the engine applies when a run resolves
-    to the per-node object path (``None`` disables it).
+    (see :class:`repro.sim.trace.Trace`).
 
     ``telemetry`` enables observability (see :mod:`repro.telemetry`):
     ``True``/``"on"``, a ``{"enabled": ..., "stream": path}`` spec dict,
@@ -295,7 +294,6 @@ def run_gossip(
         trace_max_records=trace_max_records,
         termination_every=termination_every,
         engine_mode=engine_mode,
-        object_path_max_n=object_path_max_n,
         telemetry=telemetry,
     )
     with telemetry.profiler.span("build.engine"):

@@ -1,22 +1,21 @@
 """Differential harness: one case matrix, one signature, one differ.
 
 A *case* is (algorithm, dynamics kind, acceptance rule, engine mode,
-plus optional fault regime, timing model, async mode, acceptance-stream
-discipline, CSR dtype and telemetry); :func:`run_case` runs it and
-returns a hashable outcome covering everything the execution observably
-did: every sampled trace record (gauges and fault columns included),
-every running total, the final round, and the end state.  Two paths
+plus optional fault regime, timing model, acceptance-stream discipline,
+CSR dtype and telemetry); :func:`run_case` runs it and returns a
+hashable outcome covering everything the execution observably did:
+every sampled trace record (gauges and fault columns included), every
+running total, the final round, and the end state.  Two paths
 agree iff their outcomes are equal, and :func:`first_divergence` says
 where they first do not.
 
 The frozen corpus (tests/test_golden_traces.py) records one digest per
-case.  Cases that differ only in the path they take (engine mode, async
-mode, synchronous timing vs the round engine) form a class and must
-share one digest; invariance variants (null fault model, telemetry,
-int64 CSR, synchronous timing on the bulk hooks) must reproduce their
-base case's recording.  :func:`check_grid_identity` stays a gate: it
-compares the spatial grid against an O(n^2) reference, not two paths of
-one execution.
+case.  Cases that differ only in the path they take (engine mode,
+synchronous timing vs the round engine) form a class and must share one
+digest; invariance variants (null fault model, telemetry, int64 CSR)
+must reproduce their base case's recording.  :func:`check_grid_identity`
+stays a gate: it compares the spatial grid against an O(n^2) reference,
+not two paths of one execution.
 """
 
 from __future__ import annotations
@@ -207,7 +206,6 @@ def run_case(
     rounds: int = 40,
     fault="none",
     timing=None,
-    async_mode="auto",
     acceptance_streams="global",
     csr_dtype=None,
     telemetry=None,
@@ -216,10 +214,10 @@ def run_case(
 
     ``timing=None`` runs the round engine; anything else (a kind name or
     a built model — including ``"synchronous"``) runs the event engine,
-    with ``async_mode`` selecting the hooks that feed its executor
-    (``"event"`` the scalar hooks, ``"batched"`` protocol window hooks).
-    ``acceptance_streams`` selects the match-stream discipline (the
-    event engine supports only ``"global"``).  ``csr_dtype`` forces the
+    where ``engine_mode`` picks the scalar hooks (``"object"``) or the
+    protocol's window hooks (``"array"``).  ``acceptance_streams``
+    selects the match-stream discipline (the event engine supports only
+    ``"global"``).  ``csr_dtype`` forces the
     dynamic graph's CSR index dtype (``"int32"`` / ``"int64"``; ``None``
     keeps the auto-chosen narrowest).  ``telemetry`` is anything
     :func:`repro.telemetry.resolve_telemetry` accepts (``True`` turns
@@ -250,7 +248,7 @@ def run_case(
         sim = Simulation(dynamics, nodes, **engine_kwargs)
     else:
         sim = AsyncSimulation(dynamics, nodes, timing=timing,
-                              async_mode=async_mode, **engine_kwargs)
+                              **engine_kwargs)
     sim.run(max_rounds=rounds)
     if algorithm == "ppush":
         state = tuple(

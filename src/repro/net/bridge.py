@@ -106,7 +106,6 @@ def record_run(
     max_rounds: int = 512,
     *,
     acceptance: str = "uniform",
-    engine_mode: str = "auto",
     config=None,
     fault=None,
 ) -> RecordedRun:
@@ -138,7 +137,6 @@ def record_run(
         channel_policy=prepared.channel_policy,
         acceptance=acceptance,
         acceptance_streams="local",
-        engine_mode=engine_mode,
         faults=prepared.faults,
     )
     result = sim.run(

@@ -45,11 +45,12 @@ connects never contend for one node from two sides.
 Robustness: every outbound call goes through :meth:`PeerServer.call_peer`
 — per-op timeouts and bounded retries with seeded exponential backoff
 (:class:`~repro.net.errors.RetryPolicy`) — and the round ops are
-**idempotent per round** (replies are cached by round, incoming
-proposals dedup by sender), so a caller whose reply was lost to a
-timeout can safely retry: at-least-once delivery, at-most-once
-execution of each protocol hook.  Proposal delivery failure is reported
-(``delivered: false``) instead of aborting the round.
+**idempotent per round** (:meth:`PeerServer._once`: the first attempt
+claims the op, a retry racing it waits for its reply, later ones get the
+cached reply; incoming proposals dedup by sender), so a caller whose
+reply was lost to a timeout can safely retry: at-least-once delivery,
+at-most-once execution of each protocol hook.  Proposal delivery failure
+is reported (``delivered: false``) instead of aborting the round.
 
 Chaos hooks (driven by :class:`~repro.net.chaos.ChaosModel`):
 :meth:`kill` tears the TCP endpoint down abruptly (SIGKILL-style — no
@@ -281,6 +282,10 @@ class PeerServer:
         #: caller retries (a reply lost to a timeout must not re-run a
         #: protocol hook or re-deliver a proposal on retry).
         self._op_cache: dict[tuple, dict] = {}
+        #: Round ops in flight (``_once``); ``_settled`` is notified as
+        #: each one ends.
+        self._claims: set[tuple] = set()
+        self._settled = threading.Condition(self._lock)
         #: (round, initiator_uid) pairs whose Stage-3 state pull this
         #: server must fail at the socket level (chaos lossy links).
         self._interdicted: set[tuple[int, int]] = set()
@@ -485,17 +490,33 @@ class PeerServer:
             return {"error": f"unknown op {op!r}"}
         return handler(msg)
 
-    def _cached(self, key: tuple, compute) -> dict:
-        """At-most-once execution for retried round ops: the first call
-        computes and caches the reply under the node lock; retries get
-        the cached reply without re-running any protocol hook."""
+    def _once(self, key: tuple, compute) -> dict:
+        """At-most-once execution for retried round ops.
+
+        The first caller claims ``key`` and runs ``compute`` with the
+        node lock released: ``compute`` takes the lock around protocol
+        hooks and makes its ``call_peer`` I/O outside it.  A retry that
+        races the claim waits for the claimant's reply; a later one gets
+        the cached reply.  A raising ``compute`` caches nothing, so the
+        next caller runs it afresh."""
         with self._lock:
             self._expire(key[1])
+            while key in self._claims:
+                self._settled.wait()
             reply = self._op_cache.get(key)
-            if reply is None:
-                reply = compute()
-                self._op_cache[key] = reply
+            if reply is not None:
+                return reply
+            self._claims.add(key)
+        reply = None
+        try:
+            reply = compute()
             return reply
+        finally:
+            with self._lock:
+                if reply is not None:
+                    self._op_cache[key] = reply
+                self._claims.remove(key)
+                self._settled.notify_all()
 
     def _expire(self, rnd: int) -> None:
         """Forget rounds older than ``ROUND_MEMORY``, once per round.
@@ -689,7 +710,8 @@ class PeerServer:
 
         def compute():
             neighbor_uids = tuple(int(u) for u in msg.get("neighbors", ()))
-            tag = int(self.node.advertise(rnd, neighbor_uids))
+            with self._lock:
+                tag = int(self.node.advertise(rnd, neighbor_uids))
             if not 0 <= tag <= self.max_tag:
                 raise ConfigurationError(
                     f"node {self.uid} advertised tag {tag} outside "
@@ -697,56 +719,40 @@ class PeerServer:
                 )
             return {"tag": tag}
 
-        return self._cached(("advertise", rnd), compute)
+        return self._once(("advertise", rnd), compute)
 
     def _op_propose(self, msg: dict) -> dict:
         rnd = int(msg["round"])
-        key = ("propose", rnd)
-        with self._lock:
-            cached = self._op_cache.get(key)
-        if cached is not None:
-            return cached
-        views = tuple(
-            NeighborView(uid=int(uid), tag=int(tag))
-            for uid, tag in msg.get("views", ())
-        )
-        with self._lock:
-            # Re-check under the lock: a retry racing the first attempt
-            # must not run the propose hook twice.
-            cached = self._op_cache.get(key)
-            if cached is not None:
-                return cached
-            self._expire(rnd)
-            target = self.node.propose(rnd, views)
-            self._proposed[rnd] = target
-        reply: dict = {"target": target, "delivered": target is not None}
-        if target is not None:
+
+        def compute():
+            views = tuple(
+                NeighborView(uid=int(uid), tag=int(tag))
+                for uid, tag in msg.get("views", ())
+            )
+            with self._lock:
+                target = self.node.propose(rnd, views)
+                self._proposed[rnd] = target
+            if target is None:
+                return {"target": None, "delivered": False}
             entry = self.table.get(int(target))
             if entry is None:
                 # A pruned peer table entry: the proposal is lost, the
                 # round is not.  Degradation, not a protocol violation.
-                reply = {
-                    "target": target,
-                    "delivered": False,
-                    "delivery_error": f"no peer-table entry for {target}",
-                }
-                self.stats["failed_deliveries"] += 1
+                error = f"no peer-table entry for {target}"
             else:
                 try:
                     self.call_peer(
                         entry,
                         {"op": "proposal", "round": rnd, "from": self.uid},
                     )
+                    return {"target": target, "delivered": True}
                 except (TransportError, ProtocolError) as exc:
-                    reply = {
-                        "target": target,
-                        "delivered": False,
-                        "delivery_error": str(exc),
-                    }
-                    self.stats["failed_deliveries"] += 1
-        with self._lock:
-            self._op_cache[key] = reply
-        return reply
+                    error = str(exc)
+            self.stats["failed_deliveries"] += 1
+            return {"target": target, "delivered": False,
+                    "delivery_error": error}
+
+        return self._once(("propose", rnd), compute)
 
     def _op_proposal(self, msg: dict) -> dict:
         rnd = int(msg["round"])
@@ -772,8 +778,9 @@ class PeerServer:
         rnd = int(msg["round"])
 
         def compute():
-            proposed = self._proposed.get(rnd)
-            senders = sorted(self._inbox.pop(rnd, ()))
+            with self._lock:
+                proposed = self._proposed.get(rnd)
+                senders = sorted(self._inbox.pop(rnd, ()))
             if proposed is not None or not senders:
                 return {"winner": None, "senders": len(senders)}
             if len(senders) == 1:
@@ -786,7 +793,7 @@ class PeerServer:
             winner = ACCEPTANCE_RULES[self.acceptance](senders, rng)
             return {"winner": int(winner), "senders": len(senders)}
 
-        return self._cached(("resolve", rnd), compute)
+        return self._once(("resolve", rnd), compute)
 
     def _op_connect(self, msg: dict) -> dict:
         """Initiator-side Stage 3 against a remote responder.
@@ -828,21 +835,23 @@ class PeerServer:
                 )
             channel = Channel(rnd, self.uid, responder_uid,
                               self.channel_policy)
-            self.node.interact(adapter, channel, rnd)
+            with self._lock:
+                self.node.interact(adapter, channel, rnd)
             channel.close()
             deltas = adapter.deltas()
             if deltas is not None:
                 push = dict(deltas, op="state_push", round=rnd)
                 self.call_peer(entry, push)
             latency = time.perf_counter() - started
-            self._latency_hist.observe(latency)
+            with self._lock:
+                self._latency_hist.observe(latency)
             return {
                 "tokens_moved": channel.tokens_moved,
                 "bits": channel.bits.total_bits,
                 "latency_s": latency,
             }
 
-        return self._cached(("connect", rnd, responder_uid), compute)
+        return self._once(("connect", rnd, responder_uid), compute)
 
     # -- state transfer -----------------------------------------------
 

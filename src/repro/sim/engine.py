@@ -27,10 +27,14 @@ Two interchangeable front halves drive Stages 1–2 of each round:
   the object path's :func:`~repro.sim.matching.resolve_proposals`.
 
 The two paths are **byte-identical**: same tags, same proposals, same
-random-stream consumption, same matching, same traces (pinned by
-tests/test_fastpath.py across algorithms × dynamics × acceptance rules).
-``engine_mode`` selects: ``"auto"`` (array when available), ``"object"``
-(force the reference), ``"array"`` (require the fast path).
+random-stream consumption, same matching, same traces (pinned by the
+golden corpus, tests/test_golden_traces.py, whose classes require every
+object/array pair to share one recorded digest).  ``engine_mode`` picks
+the front half by one rule, written once in :class:`Simulation` and
+shared by the asynchronous executor, which takes window hooks where
+this engine takes bulk hooks: ``"object"`` runs the per-node scalar
+hooks, ``"array"`` requires the fast hooks, ``"auto"`` takes them when
+the population has them.
 
 An optional :class:`~repro.sim.faults.FaultModel` degrades the clean
 model deterministically: its per-round activity mask removes sleeping
@@ -48,7 +52,6 @@ engine without the layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -85,8 +88,7 @@ ENGINE_MODES = ("auto", "array", "object")
 #: :class:`~repro.errors.MemoryBudgetError`): per-vertex NeighborView
 #: skeletons, neighbor tuples, and frozensets cost kilobytes per node
 #: in Python objects, which silently turns into gigabytes at 10^6.
-#: Pass ``object_path_max_n=None`` to Simulation to disable the guard,
-#: or a larger value to move it.
+#: Read when each round engine is built, so raising it moves the guard.
 OBJECT_PATH_MAX_N = 200_000
 
 #: Rough per-node cost of the object path's epoch caches and per-node
@@ -110,25 +112,6 @@ class SimulationResult:
     nodes: Mapping[int, NodeProtocol]
     event_counts: np.ndarray | None = None
 
-    @cached_property
-    def nodes_by_uid(self) -> dict[int, NodeProtocol]:
-        # Built once and cached: analysis code reads this in loops, and
-        # the node set never changes after the run.
-        return {node.uid: node for node in self.nodes.values()}
-
-    @property
-    def estimated_wall_rounds(self) -> float:
-        """Effective run length in wall-clock rounds.
-
-        Round-engine runs spend exactly one wall round per round;
-        asynchronous runs report the trace's skew-stretched estimate
-        (see :meth:`~repro.sim.trace.Trace.estimated_wall_rounds`),
-        falling back to ``rounds`` when the trace kept no async records
-        (e.g. aggressive downsampling).
-        """
-        estimate = self.trace.estimated_wall_rounds()
-        return float(self.rounds) if estimate is None else estimate
-
 
 class Simulation:
     """Drive a set of node protocols over a dynamic graph.
@@ -137,6 +120,10 @@ class Simulation:
     the node at that vertex; each protocol carries its own UID, which is
     what other nodes observe (the vertex is an artifact of the simulator).
     """
+
+    #: The fast hooks ``engine_mode`` selects on this engine (the
+    #: asynchronous executor takes window hooks instead).
+    _fast_hooks = staticmethod(bulk_hooks)
 
     def __init__(
         self,
@@ -154,7 +141,6 @@ class Simulation:
         engine_mode: str = "auto",
         faults: FaultModel | None = None,
         trace_max_records: int | None = None,
-        object_path_max_n: int | None = OBJECT_PATH_MAX_N,
         telemetry=None,
     ):
         if b < 0:
@@ -246,35 +232,23 @@ class Simulation:
         self._views: list[list[NeighborView]] = []
         self._view_tuples: list[tuple[NeighborView, ...]] = []
 
-        # Array fast path: elected at construction, fixed for the run.
-        self._bulk = None if engine_mode == "object" else bulk_hooks(self._nodes)
-        if engine_mode == "array" and self._bulk is None:
+        # The front half, elected at construction and fixed for the run.
+        hooks = None if engine_mode == "object" else self._fast_hooks(
+            self._nodes
+        )
+        if engine_mode == "array" and hooks is None:
+            name = self._fast_hooks.__name__
             raise ConfigurationError(
-                "engine_mode='array' but the node population does not "
-                "provide equivalent bulk hooks (see repro.sim.protocol."
-                "bulk_hooks); use 'auto' or 'object'"
+                f"engine_mode='array' but the node population does not "
+                f"provide equivalent {name.replace('_', ' ')} (see "
+                f"repro.sim.protocol.{name}); use 'auto' or 'object'"
             )
-        self.engine_mode = "array" if self._bulk is not None else "object"
-        if (
-            self.engine_mode == "object"
-            and object_path_max_n is not None
-            and self.n > object_path_max_n
-        ):
-            est_mb = self.n * _OBJECT_PATH_BYTES_PER_NODE // (1 << 20)
-            hint = (
-                "the node population provides no bulk hooks — port them "
-                "(repro.sim.protocol.bulk_hooks)"
-                if engine_mode == "auto"
-                else "use engine_mode='auto' or 'array'"
-            )
-            raise MemoryBudgetError(
-                f"engine_mode={engine_mode!r} resolved to the object path "
-                f"at n={self.n}: per-vertex NeighborView skeletons and "
-                f"neighbor tuples would cost roughly {est_mb} MB of Python "
-                f"objects (plus proportional per-round churn). {hint}, or "
-                f"pass object_path_max_n={self.n} (None disables the "
-                f"guard) to force it."
-            )
+        self.engine_mode = "object" if hooks is None else "array"
+        #: The fast hooks, or what runs the scalar hooks (``None`` here:
+        #: the object path calls every node itself).
+        self._hooks = hooks if hooks is not None else self._scalar_hooks(
+            engine_mode
+        )
         self._uid_array = np.fromiter(
             (node.uid for node in self._nodes), dtype=np.int64, count=self.n
         )
@@ -291,6 +265,27 @@ class Simulation:
     @property
     def current_round(self) -> int:
         return self._round
+
+    def _scalar_hooks(self, engine_mode: str):
+        """The scalar hooks' front half: the object path, whose
+        per-vertex caches the memory guard prices, eagerly."""
+        if self.n > OBJECT_PATH_MAX_N:
+            est_mb = self.n * _OBJECT_PATH_BYTES_PER_NODE // (1 << 20)
+            hint = (
+                "the node population provides no bulk hooks — port them "
+                "(repro.sim.protocol.bulk_hooks)"
+                if engine_mode == "auto"
+                else "use engine_mode='auto' or 'array'"
+            )
+            raise MemoryBudgetError(
+                f"engine_mode={engine_mode!r} resolved to the object path "
+                f"at n={self.n}: per-vertex NeighborView skeletons and "
+                f"neighbor tuples would cost roughly {est_mb} MB of Python "
+                f"objects (plus proportional per-round churn). {hint}, or "
+                f"raise repro.sim.engine.OBJECT_PATH_MAX_N (now "
+                f"{OBJECT_PATH_MAX_N}) to at least {self.n} to force it."
+            )
+        return None
 
     def run(
         self,
@@ -366,9 +361,6 @@ class Simulation:
         """Stages 1–2 of round ``rnd`` plus both fault decisions.
 
         Returns ``(proposal_count, surviving_matches, dropped, mask)``.
-        Shared between :meth:`step` and the asynchronous engine's
-        full-cohort path (:class:`~repro.asynchrony.engine.AsyncSimulation`
-        runs exactly this body once per synchronous cohort).
         """
         reader = self._reader
         mask = reader.mask(rnd)
@@ -377,7 +369,7 @@ class Simulation:
             # before the stages, so both front halves see it.
             for vertex in reader.crashes(rnd, mask):
                 self._crash_reset(vertex)
-        if self._bulk is not None:
+        if self._hooks is not None:
             proposal_count, matches = self._stages12_array(rnd, mask)
         else:
             proposal_count, matches = self._stages12_object(rnd, mask)
@@ -525,7 +517,7 @@ class Simulation:
         if mask is not None:
             with self._prof.span("round.csr_bind"):
                 bound = bound.masked_bound(mask, keep=1)
-        advertise_all, propose_all = self._bulk
+        advertise_all, propose_all = self._hooks
 
         # Stage 1: every tag at once, then one vectorized range check.
         with self._prof.span("round.advertise"):

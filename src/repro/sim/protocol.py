@@ -205,7 +205,7 @@ class ScalarWindowOps:
 
     What feeds the asynchronous engine's window executor when the
     protocol ships no ``make_window_hooks`` (or the run asks for
-    ``async_mode="event"``): a scan that calls
+    ``engine_mode="object"``): a scan that calls
     ``advertise(cycle, visible_uids)`` per member in event order, every
     member a proposal candidate, and ``propose(cycle, views)`` over
     :class:`~repro.sim.context.NeighborView` tuples built from the

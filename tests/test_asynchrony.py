@@ -18,15 +18,18 @@ from repro.asynchrony import (
     build_timing,
 )
 from repro.asynchrony.timing import TimingModel
-from repro.core.multibit import MultiBitConfig
+from repro.core.multibit import MultiBitConfig, MultiBitSharedBitNode
+from repro.core.ppush import PPushNode
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
+from repro.core.sharedbit import SharedBitNode
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.experiments import RunSpec, SweepSpec, execute_run, run_sweep
-from repro.experiments.fastpath import trace_signature
+from repro.experiments.fastpath import run_case, trace_signature
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import cycle, expander, star
 from repro.registry import TIMING_REGISTRY
+from repro.sim import engine as sim_engine
 from repro.sim.channel import ChannelPolicy
 from repro.sim.engine import Simulation
 from repro.sim.faults import CrashChurn, SleepCycle
@@ -52,6 +55,13 @@ def _sim(timing=None, fault=None, n=N, seed=SEED, k=2,
         timing=timing, faults=fault, **kwargs,
     )
     return sim, instance
+
+
+def _rate(model, vertex) -> float:
+    """A device's cycles per round, read off its schedule."""
+    period = model.activation_ticks(vertex, 2) - model.activation_ticks(
+        vertex, 1)
+    return TICKS_PER_ROUND / period
 
 
 class _TableTiming(TimingModel):
@@ -207,7 +217,7 @@ class TestTimingModels:
 
     def test_heterogeneous_assigns_all_classes(self):
         model = HeterogeneousRates(60, 2, rates=(0.5, 1.0, 2.0))
-        seen = {model.rate_of(v) for v in range(60)}
+        seen = {_rate(model, v) for v in range(60)}
         assert seen == {0.5, 1.0, 2.0}
 
     def test_heterogeneous_weights_validated(self):
@@ -274,46 +284,107 @@ class TestTimingModels:
         assert min(gaps) >= TICKS_PER_ROUND    # never faster than nominal
 
 
+class _CountingOps:
+    """Window ops that count each call before passing it on."""
+
+    def __init__(self, ops, counts):
+        self._ops, self._counts = ops, counts
+
+    def scan(self, vertices, cycles):
+        self._counts["window"] += 1
+        return self._ops.scan(vertices, cycles)
+
+    def propose_one(self, *args):
+        self._counts["window"] += 1
+        return self._ops.propose_one(*args)
+
+
+def _count_hooks(monkeypatch, node_type) -> dict:
+    """Wrap every hook ``node_type`` defines in a counter, by family:
+    the scalar hooks, the round engine's bulk hooks, the window hooks."""
+    counts = {"scalar": 0, "bulk": 0, "window": 0}
+    families = {"advertise": "scalar", "propose": "scalar",
+                "advertise_all": "bulk", "propose_all": "bulk"}
+    for name, family in families.items():
+        raw = node_type.__dict__.get(name)
+        if raw is None:
+            continue
+        if isinstance(raw, classmethod):
+            def counted(cls, *args, _hook=raw.__func__, _family=family):
+                counts[_family] += 1
+                return _hook(cls, *args)
+            monkeypatch.setattr(node_type, name, classmethod(counted))
+        else:
+            def counted(self, *args, _hook=raw, _family=family):
+                counts[_family] += 1
+                return _hook(self, *args)
+            monkeypatch.setattr(node_type, name, counted)
+    factory = node_type.__dict__.get("make_window_hooks")
+    if factory is not None:
+        monkeypatch.setattr(node_type, "make_window_hooks", classmethod(
+            lambda cls, nodes: _CountingOps(
+                factory.__func__(cls, nodes), counts)
+        ))
+    return counts
+
+
+#: Population -> (its node class, the fast hooks it has per engine).
+_KNOB_POPULATIONS = {
+    "sharedbit": (SharedBitNode, {"round": "bulk", "async": "window"}),
+    "ppush": (PPushNode, {"round": "bulk"}),
+    "multibit": (MultiBitSharedBitNode, {}),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(_KNOB_POPULATIONS))
+@pytest.mark.parametrize("engine_mode", ["object", "array", "auto"])
+@pytest.mark.parametrize("timing", [None, "jitter", "synchronous"],
+                         ids=["round", "async-jitter", "async-synchronous"])
+def test_engine_mode_picks_the_front_half_on_both_engines(
+    monkeypatch, algorithm, engine_mode, timing
+):
+    # One rule on both engines: "object" runs the scalar hooks, "array"
+    # the engine's fast hooks (bulk on the round engine, window on the
+    # executor) or refuses, "auto" the fast hooks where the population
+    # has them.  Whatever the timing, Synchronous included.
+    node_type, fast_hooks = _KNOB_POPULATIONS[algorithm]
+    counts = _count_hooks(monkeypatch, node_type)
+    fast = fast_hooks.get("round" if timing is None else "async")
+
+    def run():
+        return run_case(algorithm, "static", "uniform", engine_mode,
+                        n=8, rounds=4, timing=timing)
+
+    if engine_mode == "array" and fast is None:
+        with pytest.raises(ConfigurationError, match="engine_mode='array'"):
+            run()
+        return
+    run()
+    expected = "scalar" if engine_mode == "object" or fast is None else fast
+    assert {family for family, calls in counts.items() if calls} \
+        == {expected}
+
+
 class TestAsyncSimulation:
-    def test_array_mode_requires_batched_window_path(self):
-        # Array front half + asynchronous timing is only legal through
-        # protocol window hooks; forcing the scalar hooks (or lacking
-        # window hooks) keeps the rejection.
-        with pytest.raises(ConfigurationError):
-            _sim(timing=UniformJitter(N, SEED), engine_mode="array",
-                 async_mode="event")
-        sim, _ = _sim(timing=UniformJitter(N, SEED), engine_mode="array")
-        assert sim._batched
-
-    def test_batched_mode_requires_window_hooks(self):
-        instance = uniform_instance(n=N, k=2, seed=SEED)
-        nodes = build_nodes("multibit", instance, seed=SEED)
-        with pytest.raises(ConfigurationError):
-            AsyncSimulation(
-                StaticDynamicGraph(expander(n=N, degree=4, seed=1)), nodes,
-                b=2, seed=SEED,
-                channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
-                timing=None, async_mode="batched",
-            )
-
-    @pytest.mark.parametrize("algorithm, b", [
-        ("sharedbit", 1),   # window hooks
-        ("multibit", 2),    # none: carried on its scalar hooks
+    @pytest.mark.parametrize("algorithm, b, engine_mode", [
+        ("sharedbit", 1, "auto"),      # window hooks
+        ("sharedbit", 1, "object"),    # scalar hooks
+        ("multibit", 2, "auto"),       # none: carried on its scalar hooks
     ])
-    def test_object_path_memory_guard_never_applies(self, algorithm, b):
+    def test_object_path_memory_guard_never_applies(
+        self, monkeypatch, algorithm, b, engine_mode
+    ):
         # The guard prices the round engine's per-vertex NeighborView
-        # caches, which no asynchronous run builds.  (It used to fire —
-        # telling the caller to pass the engine_mode='auto' they had
-        # passed — because non-null timing rewrote the mode to "object"
-        # before the guard looked.)
+        # caches, which no asynchronous run builds, and no constructor
+        # argument is needed to keep it off.
+        monkeypatch.setattr(sim_engine, "OBJECT_PATH_MAX_N", N - 1)
         instance = uniform_instance(n=N, k=2, seed=SEED)
         sim = AsyncSimulation(
             StaticDynamicGraph(expander(n=N, degree=4, seed=1)),
             build_nodes(algorithm, instance, seed=SEED), b=b, seed=SEED,
             channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
-            timing=UniformJitter(N, SEED), object_path_max_n=N - 1,
+            timing=UniformJitter(N, SEED), engine_mode=engine_mode,
         )
-        assert sim._batched == (algorithm == "sharedbit")
         assert sim.run(max_rounds=5).rounds == 5
         assert not sim._views   # the object path's caches stayed unbuilt
 
@@ -365,10 +436,6 @@ class TestAsyncSimulation:
             build(64)
         assert build(63).run(max_rounds=3).rounds == 3
 
-    def test_async_mode_validated(self):
-        with pytest.raises(ConfigurationError):
-            _sim(timing=UniformJitter(N, SEED), async_mode="turbo")
-
     def test_timing_population_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             _sim(timing=UniformJitter(N + 1, SEED))
@@ -411,19 +478,19 @@ class TestAsyncSimulation:
         # Fast clocks activate up to four times a window; a crash reset
         # at one activation must show in the tag of the next.  The
         # scalar hooks are the reference.
-        def observed(async_mode):
+        def observed(engine_mode):
             sim, _ = _sim(
                 timing=HeterogeneousRates(40, SEED, rates=(0.7, 2.5, 3.5)),
                 fault=CrashChurn(40, SEED, cycle=10, crash_prob=0.4,
                                  min_outage=1, max_outage=4,
                                  reset_tokens=True),
-                n=40, k=16, async_mode=async_mode,
+                n=40, k=16, engine_mode=engine_mode,
             )
             sim.run(20)
             return (trace_signature(sim.current_round, sim.trace),
                     [sorted(node.known_tokens) for node in sim._nodes])
 
-        assert observed("batched") == observed("event")
+        assert observed("array") == observed("object")
 
     @pytest.mark.parametrize("engine", ["round", "async"])
     def test_run_resumes_where_it_stopped(self, engine):
@@ -462,8 +529,8 @@ class TestAsyncSimulation:
         timing = HeterogeneousRates(N, SEED, rates=(0.5, 2.0))
         sim, _ = _sim(timing=timing)
         result = sim.run(max_rounds=20)
-        fast = [v for v in range(N) if timing.rate_of(v) == 2.0]
-        slow = [v for v in range(N) if timing.rate_of(v) == 0.5]
+        fast = [v for v in range(N) if _rate(timing, v) == 2.0]
+        slow = [v for v in range(N) if _rate(timing, v) == 0.5]
         assert fast and slow
         assert min(result.event_counts[fast]) > max(
             result.event_counts[slow]
@@ -566,10 +633,9 @@ class TestAsyncSimulation:
         )
         expected = float(last.virtual_time) + float(last.clock_skew_max)
         assert sim.trace.estimated_wall_rounds() == expected
-        assert result.estimated_wall_rounds == expected
         # Slow devices trail the virtual clock, so the wall estimate
         # exceeds the raw window count.
-        assert result.estimated_wall_rounds > result.rounds
+        assert expected > result.rounds
 
     def test_estimated_wall_rounds_round_engine_fallback(self):
         result = run_gossip(
@@ -605,7 +671,7 @@ class TestAsyncLeaderElection:
         )
         # No run description reaches an asynchronous leader election, so
         # it ships no window hooks: the scalar hooks carry it.
-        assert not sim._batched
+        assert sim.engine_mode == "object"
         result = sim.run(max_rounds=50_000,
                          termination=all_agree_on_leader())
         assert result.terminated

@@ -143,11 +143,6 @@ class TestRunLoop:
         # Condition is only polled at multiples of 4.
         assert result.rounds == 4
 
-    def test_nodes_by_uid(self):
-        sim, nodes = simple_sim(cycle(4), lambda v: CountingNode(v + 1))
-        result = sim.run(max_rounds=1)
-        assert set(result.nodes_by_uid) == {1, 2, 3, 4}
-
 
 class TestTrace:
     def test_trace_counts_connections(self):

@@ -478,9 +478,9 @@ class TestBulkHookDetection:
         assert auto == observe(Simulation, engine_mode="object")[1]
         jitter = lambda: UniformJitter(n, seed=3)  # noqa: E731
         sim, auto = observe(AsyncSimulation, timing=jitter())
-        assert not sim._batched
+        assert sim.engine_mode == "object"
         assert auto == observe(AsyncSimulation, timing=jitter(),
-                               async_mode="event")[1]
+                               engine_mode="object")[1]
 
 
 class _IslandDynamicGraph:

@@ -571,7 +571,7 @@ def _engines(n, seed):
     def window(nodes, fault):
         return AsyncSimulation(
             make_dynamics("static", n, seed), timing=Synchronous(n, seed),
-            async_mode="batched", faults=fault, **kwargs(nodes))
+            engine_mode="array", faults=fault, **kwargs(nodes))
 
     return [("object", sim("object")), ("array", sim("array")),
             ("async-window", window)]

@@ -13,8 +13,8 @@ running total, the final round and the end state — over
   the three proposee-side rules;
 * the event engine: {sharedbit, blindmatch} × {static, geometric} ×
   {synchronous, jitter, heterogeneous, bursty} × four fault regimes ×
-  {scalar hooks, window hooks on the object front half, window hooks on
-  the array front half};
+  {scalar hooks (``engine_mode="object"``, ids ending ``/event``),
+  window hooks (``"array"``, ids ending ``/batched``)};
 * hook-less populations on the event engine's scalar hooks: {multibit,
   simsharedbit} × {static, geometric} × the four timings × {none,
   churn} (MultiBit's ``propose`` reads neighbour tags, SimSharedBit's
@@ -30,14 +30,14 @@ The corpus is also the one differential between the engine's twin
 paths, in two tables that survive a careless re-record:
 
 * **classes** — cases that differ only in the path they take (engine
-  mode, async mode, synchronous timing vs the round engine) must share
-  one recorded digest: object == array, scalar hooks == window hooks,
-  synchronous event engine == round engine;
+  mode, synchronous timing vs the round engine) must share one recorded
+  digest: object == array, scalar hooks == window hooks, synchronous
+  event engine == round engine;
 * **variants** — a run that must not change the execution (null fault
-  model, telemetry on, int64 CSR, synchronous timing on the bulk hooks)
-  must reproduce its base case's recorded digest; a cell no case
-  records (SharedBit under faults with a non-uniform acceptance rule)
-  must agree across the paths of its class.
+  model, telemetry on, int64 CSR) must reproduce its base case's
+  recorded digest; a cell no case records (SharedBit under faults with
+  a non-uniform acceptance rule) must agree across the paths of its
+  class.
 
 On failure both name the first divergent round and column
 (:func:`~repro.experiments.fastpath.first_divergence`).
@@ -68,6 +68,9 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_traces.json"
 #: Populations without ``make_window_hooks``: the event engine can only
 #: carry them on their scalar ``advertise`` / ``propose`` hooks.
 CHECK_SCALAR_HOOK_ALGORITHMS = ("multibit", "simsharedbit")
+#: The last segment of an event-engine case id: the hooks its
+#: ``engine_mode`` runs (scalar / window), under their recorded names.
+ASYNC_HOOKS = {"object": "event", "array": "batched"}
 
 
 def golden_cases() -> dict[str, dict]:
@@ -78,6 +81,8 @@ def golden_cases() -> dict[str, dict]:
             **extra) -> None:
         parts = [prefix, algorithm, dynamics, acceptance, engine_mode]
         parts += [str(value) for value in extra.values()]
+        if prefix == "async":
+            parts.append(ASYNC_HOOKS[engine_mode])
         cases["/".join(parts)] = dict(
             algorithm=algorithm, dynamics_kind=dynamics,
             acceptance=acceptance, engine_mode=engine_mode, **extra,
@@ -99,20 +104,15 @@ def golden_cases() -> dict[str, dict]:
         for dynamics in CHECK_ASYNC_DYNAMICS:
             for timing in ("synchronous",) + CHECK_TIMINGS:
                 for fault in CHECK_FAULTS:
-                    for async_mode, engine_mode in (
-                        ("event", "object"),
-                        ("batched", "object"),
-                        ("batched", "array"),
-                    ):
+                    for engine_mode in ASYNC_HOOKS:
                         add("async", algorithm, dynamics, "uniform",
-                            engine_mode, timing=timing, fault=fault,
-                            async_mode=async_mode)
+                            engine_mode, timing=timing, fault=fault)
     for algorithm in CHECK_SCALAR_HOOK_ALGORITHMS:
         for dynamics in CHECK_ASYNC_DYNAMICS:
             for timing in ("synchronous",) + CHECK_TIMINGS:
                 for fault in ("none", "churn"):
                     add("async", algorithm, dynamics, "uniform", "object",
-                        timing=timing, fault=fault, async_mode="event")
+                        timing=timing, fault=fault)
     return cases
 
 
@@ -123,7 +123,7 @@ def case_digest(kwargs: dict) -> str:
 def class_key(kwargs: dict) -> tuple:
     """The execution a case runs, without the path it takes there."""
     execution = {key: value for key, value in kwargs.items()
-                 if key not in ("engine_mode", "async_mode")}
+                 if key != "engine_mode"}
     if execution.get("timing") == "synchronous":
         del execution["timing"]  # the round engine's execution
     if execution.get("fault") == "none":
@@ -159,18 +159,12 @@ VARIANTS = {
     "null fault model": (ROUND_UNIFORM, {"fault": NoFaults(24, 7)}, True),
     "telemetry on": (
         ROUND_UNIFORM + members("async", timing=("jitter",),
-                                fault=("none",), async_mode=("batched",)),
+                                fault=("none",), engine_mode=("array",)),
         {"telemetry": True}, True,
     ),
     "int64 CSR": (
         members("round", engine_mode=("array",)), {"csr_dtype": "int64"},
         True,
-    ),
-    # The only door to the event engine's bulk-hook full cohort.
-    "synchronous timing, auto hooks": (
-        members("round", algorithm=CHECK_ASYNC_ALGORITHMS,
-                dynamics_kind=CHECK_ASYNC_DYNAMICS, acceptance=("uniform",)),
-        {"timing": "synchronous", "async_mode": "auto"}, True,
     ),
     **{
         f"sharedbit under faults, {rule}": (

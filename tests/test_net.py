@@ -890,6 +890,129 @@ class TestPerRoundServerState:
             server.stop()
 
 
+class _Initiator:
+    """A node that always proposes to uid 2 and counts its hook calls."""
+
+    uid = 1
+
+    def __init__(self):
+        self.proposals = 0
+
+    def propose(self, round_index, views):
+        self.proposals += 1
+        return 2
+
+    def interact(self, responder, channel, round_index):
+        pass
+
+
+def _parked(thread) -> None:
+    """Return once ``thread`` sleeps in a ``threading`` wait (or ends)."""
+    deadline = time.monotonic() + 10.0
+    while thread.is_alive() and time.monotonic() < deadline:
+        code = getattr(sys._current_frames().get(thread.ident), "f_code",
+                       None)
+        if code is not None and code.co_name == "wait" \
+                and code.co_filename == threading.__file__:
+            return
+        time.sleep(0.001)
+
+
+def _joined(*threads) -> None:
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.net
+class TestRoundOpsRunOnce:
+    """A round op runs its hook at most once however a retry interleaves
+    with it, and holds the node lock only around the hook — never across
+    the ``call_peer`` I/O it makes."""
+
+    @pytest.fixture
+    def server(self):
+        server = PeerServer(_Initiator(), uid=1, vertex=0, seed=3, b=1,
+                            channel_policy=ChannelPolicy.for_upper_n(2))
+        server.table.upsert(PeerEntry(uid=2, host="127.0.0.1", port=1))
+        try:
+            yield server
+        finally:
+            server.stop()
+
+    @pytest.fixture
+    def stalled(self, server, monkeypatch):
+        """``(in_flight, release)``: set when an outbound call starts,
+        and what lets it return."""
+        in_flight, release = threading.Event(), threading.Event()
+
+        def call_peer(entry, obj, **kwargs):
+            in_flight.set()
+            release.wait(timeout=10.0)
+            return {"kind": "tokens", "tokens": []}
+
+        monkeypatch.setattr(server, "call_peer", call_peer)
+        yield in_flight, release
+        release.set()
+
+    @staticmethod
+    def _start(server, msg, replies) -> threading.Thread:
+        thread = threading.Thread(
+            target=lambda: replies.append(server.handle(msg)), daemon=True)
+        thread.start()
+        return thread
+
+    def test_a_retry_during_the_delivery_waits_for_its_reply(
+        self, server, stalled
+    ):
+        # A second propose call would be a second private-rng draw.
+        in_flight, release = stalled
+        propose = {"op": "propose", "round": 1, "views": [[2, 0]]}
+        replies = []
+        first = self._start(server, propose, replies)
+        assert in_flight.wait(timeout=10.0)
+        retry = self._start(server, propose, replies)
+        _parked(retry)
+        release.set()
+        _joined(first, retry)
+        assert server.node.proposals == 1
+        assert replies == [{"target": 2, "delivered": True}] * 2
+
+    def test_metrics_answer_while_a_connect_pulls_state(
+        self, server, stalled
+    ):
+        # connect must not hold the node lock across its state pull.
+        in_flight, release = stalled
+        connect = self._start(
+            server, {"op": "connect", "round": 1, "responder": 2}, [])
+        assert in_flight.wait(timeout=10.0)
+        snapshots = []
+        metrics = self._start(server, {"op": "metrics"}, snapshots)
+        metrics.join(timeout=5.0)
+        assert [snap["round"] for snap in snapshots] == [1]
+        release.set()
+        _joined(connect)
+        assert ("connect", 1, 2) in server._op_cache
+
+    def test_racing_retries_run_each_hook_once(self, server, monkeypatch):
+        monkeypatch.setattr(server, "call_peer",
+                            lambda entry, obj, **kwargs: {"ok": True})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        replies = []
+        try:
+            _joined(*[
+                self._start(server, {"op": "propose", "round": rnd,
+                                     "views": [[2, 0]]}, replies)
+                for rnd in range(1, ROUND_MEMORY) for _ in range(8)
+            ])
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.node.proposals == ROUND_MEMORY - 1
+        assert replies == [{"target": 2, "delivered": True}] * len(replies)
+        assert len(replies) == 8 * (ROUND_MEMORY - 1)
+
+
 @pytest.mark.net
 class TestStatusRider:
     """The cluster view rides on ``advertise``; a bad one is that

@@ -32,6 +32,7 @@ from repro.graphs.dynamic import (
 )
 from repro.graphs.topologies import cycle
 from repro.rng import LazyStream, SeedTree
+from repro.sim import engine as sim_engine
 from repro.sim.adjacency import CSRAdjacency
 from repro.sim.arena import BufferArena
 from repro.sim.trace import RoundRecord, Trace
@@ -130,6 +131,11 @@ class TestRoundBuffer:
 
 
 class TestMemoryBudgetGuard:
+    @pytest.fixture(autouse=True)
+    def _small_budget(self, monkeypatch):
+        # The guard reads the constant at construction: n = 8 is over it.
+        monkeypatch.setattr(sim_engine, "OBJECT_PATH_MAX_N", 4)
+
     def _run(self, **kwargs):
         graph = StaticDynamicGraph(cycle(8))
         instance = uniform_instance(n=8, k=1, seed=0)
@@ -138,28 +144,29 @@ class TestMemoryBudgetGuard:
 
     def test_object_path_over_budget_raises(self):
         with pytest.raises(MemoryBudgetError, match="MB"):
-            self._run(engine_mode="object", object_path_max_n=4)
+            self._run(engine_mode="object")
 
     def test_error_is_catchable_generically(self):
         with pytest.raises(ValueError):
-            self._run(engine_mode="object", object_path_max_n=4)
+            self._run(engine_mode="object")
         with pytest.raises(ConfigurationError):
-            self._run(engine_mode="object", object_path_max_n=4)
+            self._run(engine_mode="object")
 
     def test_auto_resolves_to_array_and_never_trips(self):
         # auto at a size past the budget elects the array path, so the
         # guard (which prices the *object* path) must not fire.
-        result = self._run(engine_mode="auto", object_path_max_n=4)
+        result = self._run(engine_mode="auto")
         assert result.rounds > 0
 
-    def test_none_disables_the_guard(self):
-        result = self._run(engine_mode="object", object_path_max_n=None)
+    def test_raising_the_constant_moves_the_guard(self, monkeypatch):
+        monkeypatch.setattr(sim_engine, "OBJECT_PATH_MAX_N", 8)
+        result = self._run(engine_mode="object")
         assert result.rounds > 0
 
     def test_message_names_the_escape_hatches(self):
         with pytest.raises(MemoryBudgetError,
-                           match="object_path_max_n=8"):
-            self._run(engine_mode="object", object_path_max_n=4)
+                           match="OBJECT_PATH_MAX_N.*at least 8"):
+            self._run(engine_mode="object")
 
 
 class TestTraceBoundedMemory:

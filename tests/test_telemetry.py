@@ -319,12 +319,10 @@ class TestAsyncSkewParity:
             return HeterogeneousRates(n=24, seed=7, rates=(0.5, 1.0, 2.0))
 
         event = run_case("sharedbit", "static", "uniform", "object",
-                         timing=timing(), async_mode="event")
-        for engine_mode in ("object", "array"):
-            batched = run_case("sharedbit", "static", "uniform",
-                               engine_mode, timing=timing(),
-                               async_mode="batched")
-            assert event == batched, engine_mode
+                         timing=timing())
+        batched = run_case("sharedbit", "static", "uniform", "array",
+                           timing=timing())
+        assert event == batched
 
     def test_skew_exceeds_one_round_window(self):
         result = _run(
