@@ -18,11 +18,14 @@ from repro.asynchrony import (
     build_timing,
 )
 from repro.asynchrony.timing import TimingModel
+from repro.core.blindmatch import BlindMatchNode
+from repro.core.crowdedbin import CrowdedBinNode
 from repro.core.multibit import MultiBitConfig, MultiBitSharedBitNode
 from repro.core.ppush import PPushNode
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
 from repro.core.sharedbit import SharedBitNode
+from repro.core.simsharedbit import SimSharedBitNode
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.experiments import RunSpec, SweepSpec, execute_run, run_sweep
 from repro.experiments.fastpath import run_case, trace_signature
@@ -328,25 +331,33 @@ def _count_hooks(monkeypatch, node_type) -> dict:
     return counts
 
 
-#: Population -> (its node class, the fast hooks it has per engine).
+#: Population -> (its node class, the fast hooks it has per engine):
+#: one row per node class the algorithm registry builds.
 _KNOB_POPULATIONS = {
     "sharedbit": (SharedBitNode, {"round": "bulk", "async": "window"}),
     "ppush": (PPushNode, {"round": "bulk"}),
     "multibit": (MultiBitSharedBitNode, {}),
+    "blindmatch": (BlindMatchNode, {"round": "bulk", "async": "window"}),
+    "simsharedbit": (SimSharedBitNode, {}),
+    "crowdedbin": (CrowdedBinNode, {}),
 }
+_KNOB_TIMINGS = [None, "jitter", "synchronous", "heterogeneous", "bursty"]
 
 
 @pytest.mark.parametrize("algorithm", list(_KNOB_POPULATIONS))
 @pytest.mark.parametrize("engine_mode", ["object", "array", "auto"])
-@pytest.mark.parametrize("timing", [None, "jitter", "synchronous"],
-                         ids=["round", "async-jitter", "async-synchronous"])
+@pytest.mark.parametrize("timing", _KNOB_TIMINGS, ids=[
+    "round" if timing is None else f"async-{timing}"
+    for timing in _KNOB_TIMINGS
+])
 def test_engine_mode_picks_the_front_half_on_both_engines(
     monkeypatch, algorithm, engine_mode, timing
 ):
     # One rule on both engines: "object" runs the scalar hooks, "array"
     # the engine's fast hooks (bulk on the round engine, window on the
     # executor) or refuses, "auto" the fast hooks where the population
-    # has them.  Whatever the timing, Synchronous included.
+    # has them.  Whatever the population, and whatever the timing,
+    # Synchronous included.
     node_type, fast_hooks = _KNOB_POPULATIONS[algorithm]
     counts = _count_hooks(monkeypatch, node_type)
     fast = fast_hooks.get("round" if timing is None else "async")
