@@ -169,7 +169,7 @@ class Experiment:
         """Execute the run and return its JSON-able record."""
         return execute_run(self.run_spec())
 
-    def deploy(self, transport: str = "tcp", chaos=None, **opts):
+    def deploy(self, transport: str = "tcp", chaos: bool = False, **opts):
         """Run this experiment as a *live* cluster of peer servers.
 
         The same builder settings (graph, dynamics, instance, fault,
@@ -179,11 +179,9 @@ class Experiment:
         transport's run report.  Timing models are simulator-only and
         are rejected — a live cluster's asynchrony is physical.
 
-        ``chaos`` selects **physical** fault injection
-        (:class:`~repro.net.chaos.ChaosModel`): ``True`` enacts the
-        builder's ``with_fault()`` schedule by actually killing,
-        sleeping, or interdicting peers instead of masking them; a kind
-        name or spec dict enacts that schedule directly.
+        The ``with_fault()`` schedule is masked logically, or with
+        ``chaos=True`` enacted **physically** — peers actually killed,
+        asleep or interdicted (:class:`~repro.net.chaos.FaultPlan`).
         """
         defn = TRANSPORT_REGISTRY.get(transport)
         if "timing" in self._payload:
@@ -194,21 +192,11 @@ class Experiment:
         run = self.run_spec().materialize()
         del run["timing"], run["telemetry"]  # simulator-only notions
         fault, config = run.pop("fault"), run.pop("config")
-        if chaos is True:
-            if fault is None:
-                raise ConfigurationError(
-                    "deploy(chaos=True) enacts the builder's fault "
-                    "schedule physically, but no with_fault() was set; "
-                    "pass a chaos kind/spec or add a fault first"
-                )
-            opts["chaos"] = fault
-        elif chaos is not None:
-            opts["chaos"] = chaos
-        elif fault is not None:
+        if fault is not None:
             opts.setdefault("fault", fault)
         if config is not None:
             opts.setdefault("config", config)
-        return defn.build(**run, **opts)
+        return defn.build(**run, chaos=chaos, **opts)
 
     def sweep(self, name: str) -> "SweepBuilder":
         """Widen into a sweep; the current settings become its base."""

@@ -253,12 +253,20 @@ def _cmd_serve(args) -> int:
         opts["heartbeat_every"] = args.heartbeat_every
         if args.heartbeat_max_age is not None:
             opts["heartbeat_max_age"] = args.heartbeat_max_age
-    if getattr(args, "chaos", None) is not None:
-        # --chaos with no value enacts the scenario's (or --fault's)
-        # schedule physically; --chaos KIND names the schedule directly.
-        opts["chaos"] = True if args.chaos == "auto" else args.chaos
-    if getattr(args, "fault", None) not in (None, "none"):
-        opts["fault"] = args.fault
+    # Bare --chaos enacts the scenario's (or --fault's) schedule
+    # physically, --chaos KIND is --fault KIND enacted, and --chaos none
+    # masks the schedule as if --chaos were absent.
+    fault = args.fault
+    if args.chaos not in (None, "auto", "none"):
+        if fault not in (None, "none", args.chaos):
+            raise ConfigurationError(
+                f"--chaos {args.chaos} names the schedule to enact; it "
+                f"cannot also be --fault {fault} (use a bare --chaos)"
+            )
+        fault = args.chaos
+    if fault not in (None, "none"):
+        opts["fault"] = fault
+    opts["chaos"] = args.chaos not in (None, "none")
     pieces = {}  # a scenario name brings its own graph and instance
     if args.scenario:
         label = f"scenario {args.scenario}"
@@ -267,8 +275,8 @@ def _cmd_serve(args) -> int:
             raise ConfigurationError(
                 "serve needs --algorithm when no --scenario is given"
             )
-        # --fault stays a name in ``opts``: deploy_run decides whether
-        # it is masked logically or (--chaos) enacted physically.
+        # The schedule stays a name in ``opts``: the coordinator builds
+        # it, to mask or (--chaos) enact.
         run = _run_spec(args).materialize()
         pieces = {"dynamic_graph": run["dynamic_graph"],
                   "instance": run["instance"]}
@@ -401,11 +409,6 @@ def _cmd_replay(args) -> int:
 
     instance = spec.materialize()["instance"]
     fault = None if args.fault in (None, "none") else args.fault
-    if args.chaos and fault is None:
-        raise ConfigurationError(
-            "replay --chaos needs --fault KIND: chaos replay physically "
-            "enacts the recorded fault schedule"
-        )
     record = record_run(
         args.algorithm, factory, instance, args.seed,
         max_rounds=args.max_rounds, fault=fault,

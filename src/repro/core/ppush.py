@@ -56,6 +56,11 @@ class PPushNode(NodeProtocol):
             raise KeyError(f"node {self.uid} does not hold token {token_id}")
         return self.rumor
 
+    def store_token(self, token: Token) -> None:
+        """TokenHolder interface: an uninformed node learns the rumor."""
+        if self.rumor is None:
+            self.rumor = token
+
     def advertise(self, round_index: int, neighbor_uids: tuple[int, ...]) -> int:
         return 1 if self.informed else 0
 
@@ -71,11 +76,14 @@ class PPushNode(NodeProtocol):
 
     def interact(self, responder: "PPushNode", channel: Channel,
                  round_index: int) -> None:
-        # The rumor id rides along so the receiver can label it.
+        # The rumor id rides along so the receiver can label it.  The
+        # responder learns the rumor through the token-holder interface,
+        # so a live server's remote-peer adapter can stand in for it
+        # (``informed_at_round`` is the simulator's record).
         channel.charge_bits(ceil_log2(self.upper_n + 1), label="rumor-id")
         channel.charge_token()
-        if not responder.informed:
-            responder.rumor = self.rumor
+        if not responder.has_token(self.rumor.token_id):
+            responder.store_token(self.rumor)
             responder.informed_at_round = round_index
 
     # -- bulk hooks (array fast path) ------------------------------------

@@ -20,10 +20,13 @@ The chaos layer hardens all of it against real failure: every RPC is
 classified (:mod:`repro.net.errors`) and retried under a seeded
 :class:`~repro.net.errors.RetryPolicy`; unresponsive peers are
 suspected and rounds degrade gracefully over the surviving quorum; and
-:class:`~repro.net.chaos.ChaosModel` enacts the simulator's own seeded
-fault schedules *physically* — killed endpoints, sleeping radios,
-interdicted handshakes — so the bridge can assert equivalence through
-actual failures, not just simulated ones.
+a run's one :class:`~repro.net.chaos.FaultPlan` masks the simulator's
+own seeded fault schedule or, with ``chaos=True``, enacts it
+*physically* — killed endpoints, sleeping radios, interdicted
+handshakes — so the bridge can assert equivalence through actual
+failures, not just simulated ones.  The coordinator decides termination
+from token counts the ``connect`` and ``reset`` replies carry, with no
+request of its own.
 """
 
 from repro.net.bridge import (
@@ -32,7 +35,7 @@ from repro.net.bridge import (
     record_run,
     replay,
 )
-from repro.net.chaos import ChaosModel
+from repro.net.chaos import FaultPlan
 from repro.net.coordinator import Coordinator, NetRunReport, deploy_run
 from repro.net.errors import (
     DEFAULT_REQUEST_TIMEOUT,
@@ -48,10 +51,10 @@ from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
 
 __all__ = [
-    "ChaosModel",
     "Coordinator",
     "DEFAULT_REQUEST_TIMEOUT",
     "DEFAULT_RETRY_POLICY",
+    "FaultPlan",
     "NetError",
     "NetRunReport",
     "NetTrace",

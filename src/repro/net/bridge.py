@@ -25,8 +25,8 @@ trace has.
 With a fault model the bridge gets sharper teeth: ``record_run(...,
 fault=...)`` records a *faulty* simulation, and ``replay(record,
 chaos=True)`` replays it against a cluster where the same seeded
-schedule is enacted **physically** by
-:class:`~repro.net.chaos.ChaosModel` — PeerServers actually killed and
+schedule is enacted **physically** by the coordinator's
+:class:`~repro.net.chaos.FaultPlan` — PeerServers actually killed and
 rebound, radios actually refusing connections, handshakes actually
 interdicted mid-round.  Equivalence then certifies not just the clean
 round structure but the entire fault pipeline: mask timing, crash
@@ -187,20 +187,11 @@ def replay(record: RecordedRun, *, chaos: bool = False,
     A recording made with a fault spec replays under the same schedule:
     masked logically by default, or — with ``chaos=True`` — enacted
     physically (servers killed/rebound, radios asleep, handshakes
-    interdicted) through :class:`~repro.net.chaos.ChaosModel`.
+    interdicted) by the coordinator's :class:`~repro.net.chaos.FaultPlan`.
+    A recording without one cannot replay with ``chaos=True``.
     """
     if record.rounds < 1:
         raise ConfigurationError("recorded run has no rounds to replay")
-    if chaos and record.fault is None:
-        raise ConfigurationError(
-            "chaos replay needs a recording made with a fault spec "
-            "(record_run(..., fault=...))"
-        )
-    if record.fault is not None:
-        if chaos:
-            opts["chaos"] = record.fault
-        else:
-            opts.setdefault("fault", record.fault)
     coordinator = Coordinator(
         record.algorithm,
         _graph_of(record.graph_source),
@@ -208,6 +199,8 @@ def replay(record: RecordedRun, *, chaos: bool = False,
         record.seed,
         config=record.config,
         acceptance=record.acceptance,
+        fault=record.fault,
+        chaos=chaos,
         termination_every=0,
         **opts,
     )

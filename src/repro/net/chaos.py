@@ -1,28 +1,26 @@
-"""Deterministic physical fault injection for live clusters.
+"""The live run's fault plan: one schedule, masked or enacted.
 
-:class:`ChaosModel` wraps one :class:`~repro.sim.faults.FaultModel` and
-enacts its decisions **physically** against a cluster of
-:class:`~repro.net.server.PeerServer`\\ s instead of masking them in
-software.  Because it consumes the *same* ``("faults", kind)`` seed
-streams as the simulator — it literally holds the same model object a
-:class:`~repro.sim.engine.Simulation` would build — the set of nodes
-killed, asleep, or interdicted in live round *r* is byte-for-byte the
-set the simulator masks or drops in round *r*.  That is what makes a
-recorded faulty simulation replayable match-equivalent against a live
-cluster experiencing *actual* failures.
+:class:`FaultPlan` is everything a live coordinator knows about a run's
+fault schedule.  It reads the schedule through the simulator's own
+:class:`~repro.sim.faults.FaultReader` — the same ``("faults", kind)``
+seed streams a :class:`~repro.sim.engine.Simulation` consumes — so the
+vertices inactive, crashing or dropped in live round *r* are
+byte-for-byte the ones the simulator masks, resets or drops in round
+*r*.  A run without a schedule holds the null plan, which answers like
+the clean model.
 
-How each fault family is enacted (chosen by the model's
-``chaos_enactment`` attribute, declared next to the models in
-:mod:`repro.sim.faults` so the two layers cannot drift):
+A plan **masks** its schedule logically, or — with ``enact=True``, the
+``chaos`` knob — **enacts** it physically against the cluster's
+:class:`~repro.net.server.PeerServer`\\ s.  How each fault family is
+enacted is the model's ``chaos_enactment`` attribute, declared next to
+the models in :mod:`repro.sim.faults` so the two layers cannot drift:
 
 ``"kill"`` (:class:`~repro.sim.faults.CrashChurn`)
     A node entering an outage has its TCP endpoint torn down
     SIGKILL-style (:meth:`PeerServer.kill` — no draining, in-flight
-    requests fail at their callers); if the model resets state, the
-    node's tokens are reset on the crash rule and in the vertex order
-    the simulator uses.  When the outage ends
-    the server rebinds the *same* port (:meth:`PeerServer.revive`) and
-    rejoins through the ordinary heartbeat / peer-table path.
+    requests fail at their callers).  When the outage ends the server
+    rebinds the *same* port (:meth:`PeerServer.revive`) and rejoins
+    through the ordinary heartbeat / peer-table path.
 
 ``"sleep"`` (:class:`~repro.sim.faults.SleepCycle`)
     The endpoint stays bound but drops every connection without a reply
@@ -30,160 +28,109 @@ How each fault family is enacted (chosen by the model's
     faults, exactly a radio that is off.
 
 ``"drop"`` (:class:`~repro.sim.faults.LossyLinks`)
-    Per-match: after the round's matches resolve, the responder of each
-    to-be-dropped match is told to fail that initiator's Stage-3 state
-    pull at the socket level (:meth:`PeerServer.interdict`), so the
-    initiator experiences a real mid-handshake link failure.
+    Per match: the responder of each doomed match is told to fail that
+    initiator's Stage-3 state pull at the socket level
+    (:meth:`PeerServer.interdict`), so the initiator experiences a real
+    mid-handshake link failure.
 
-``"mask"`` (fallback)
-    No physical enactment; the coordinator masks the node logically,
-    as it does for plain ``fault=`` runs.
+``"mask"`` (fallback, and every plan that is not enacted)
+    No physical enactment: inactive vertices see empty neighborhoods and
+    doomed matches are dropped before Stage 3, as in the simulator.
 
-Every decision — who is down at a fault index, who crashes there, which
-matches are doomed — is read through the model's
-:class:`~repro.sim.faults.FaultReader`, the simulator's own reader; this
-module only turns the answers into socket-level events.
-
-The coordinator *knows the plan*: chaos failures are scheduled, not
-discovered, so rounds proceed over the planned-active set exactly like
-the simulator's masked rounds.  Failures the plan does not cover (a
-node that really dies) still flow through the retry-budget → suspect →
-degradation machinery.
+Chaos failures are planned, not discovered: rounds proceed over the
+planned-active set exactly like the simulator's masked rounds, and a
+vertex whose endpoint the plan holds down is served in-process.
+Failures the plan does not cover (a node that really dies) flow through
+the coordinator's retry-budget → suspect → degradation machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
 from repro.sim.faults import FaultModel, FaultReader
 
-__all__ = ["ChaosModel", "ChaosRound"]
+__all__ = ["FaultPlan"]
+
+#: Enactments that take an endpoint off the network while it is inactive.
+_ENDPOINT_DOWN = ("kill", "sleep")
 
 
-@dataclass(frozen=True)
-class ChaosRound:
-    """What one round of chaos did to the cluster, physically."""
+class FaultPlan:
+    """The fault schedule of one live run, against its servers.
 
-    killed: tuple[int, ...] = ()
-    revived: tuple[int, ...] = ()
-    slept: tuple[int, ...] = ()
-    woke: tuple[int, ...] = ()
-    reset: tuple[int, ...] = ()
+    It answers the four questions a round driver asks: who is inactive
+    (:attr:`inactive`), whose endpoint is physically down (:attr:`down`),
+    which vertices crash (:meth:`begin`), and how doomed matches drop
+    (:meth:`drop`).
+    """
 
-
-class ChaosModel:
-    """Enacts a fault model's schedule against live peer servers."""
-
-    def __init__(self, fault: FaultModel):
-        if fault is None or fault.is_null:
-            raise ConfigurationError(
-                "ChaosModel needs a non-null fault model; run without "
-                "chaos instead of wrapping NoFaults"
-            )
-        self.fault = fault
-        self.reader = FaultReader(fault, fault.n)
-        self.enactment = getattr(fault, "chaos_enactment", "mask")
-        self._servers: list = []
-        self._by_uid: dict[int, object] = {}
-        #: Vertices the plan holds down as of the last enacted round.
-        self.inactive: set[int] = set()
-
-    def bind(self, servers) -> "ChaosModel":
-        """Attach the cluster (vertex-ordered list of PeerServers)."""
-        if len(servers) != self.fault.n:
-            raise ConfigurationError(
-                f"chaos fault model is sized for n={self.fault.n} but the "
-                f"cluster has {len(servers)} servers"
-            )
+    def __init__(self, fault: FaultModel | None, servers, *,
+                 enact: bool = False):
         self._servers = list(servers)
         self._by_uid = {server.uid: server for server in self._servers}
-        self.inactive = set()
-        return self
+        self.reader = FaultReader(fault, len(self._servers))
+        self.enactment = (
+            self.reader.model.chaos_enactment if enact else "mask"
+        )
+        #: Vertices the schedule holds out of the current round.
+        self.inactive: set[int] = set()
+        #: Vertices among them whose endpoint is physically down: the
+        #: coordinator serves them in-process, never over the wire.
+        self.down: set[int] = set()
 
-    # -- per-round enactment ------------------------------------------
-
-    def enact(self, rnd: int, fault_round: int) -> ChaosRound:
-        """Physically apply round ``fault_round``'s schedule.
-
-        ``rnd`` is the coordinator round (for bookkeeping); the fault
-        model is indexed by ``fault_round`` — the same clock-mapped
-        index the simulator would pass.  Transitions are applied in
-        vertex order, and crashing nodes are reset in-process (their
-        radio may already be down) *before* the round's stages run, as
-        in the simulator.
-        """
-        mask = self.reader.mask(fault_round)
-        inactive_now = (
+    def begin(self, fault_round: int) -> tuple[list[int], int, int]:
+        """Move to fault index ``fault_round``: returns the vertices that
+        crash there (ascending; each loses its state before the round's
+        stages run, as in the simulator) and how many endpoints were
+        killed and revived.  Transitions are enacted in vertex order."""
+        reader = self.reader
+        mask = reader.mask(fault_round)
+        inactive = (
             set() if mask is None else set((~mask).nonzero()[0].tolist())
         )
-
-        reset = (
-            self.reader.crashes(fault_round, mask)
-            if self.reader.resets_state else []
+        crashes = (
+            reader.crashes(fault_round, mask) if reader.resets_state else []
         )
-        for vertex in reset:
-            self._servers[vertex].handle({"op": "reset"})
-
-        killed, revived, slept, woke = [], [], [], []
-        going_down = sorted(inactive_now - self.inactive)
-        coming_up = sorted(self.inactive - inactive_now)
+        going_down = sorted(inactive - self.inactive)
+        coming_up = sorted(self.inactive - inactive)
+        killed = revived = 0
         if self.enactment == "kill":
             for vertex in going_down:
                 self._servers[vertex].kill()
-                killed.append(vertex)
             for vertex in coming_up:
                 self._servers[vertex].revive()
-                revived.append(vertex)
+            killed, revived = len(going_down), len(coming_up)
         elif self.enactment == "sleep":
             for vertex in going_down:
                 self._servers[vertex].asleep = True
-                slept.append(vertex)
             for vertex in coming_up:
                 self._servers[vertex].asleep = False
-                woke.append(vertex)
-        # "drop"/"mask": nothing endpoint-level per round; drops are
-        # installed per match via interdict().
-        self.inactive = inactive_now
+        self.inactive = inactive
+        if self.enactment in _ENDPOINT_DOWN:
+            self.down = inactive
+        return crashes, killed, revived
 
-        return ChaosRound(
-            killed=tuple(killed),
-            revived=tuple(revived),
-            slept=tuple(slept),
-            woke=tuple(woke),
-            reset=tuple(reset),
-        )
-
-    def interdict(self, rnd: int, fault_round: int, matches) -> int:
-        """Install socket-level drops for this round's doomed matches.
-
-        ``matches`` is a list of resolved ``(initiator_uid,
-        responder_uid)`` pairs.  For each match the reader dooms (the
-        same pure draw the simulator makes), the responder's server is
-        told to fail that initiator's Stage-3 state pull.  Returns how
-        many matches were interdicted.
-        """
-        _, doomed = self.reader.split(fault_round, matches)
+    def drop(self, rnd: int, fault_round: int,
+             matches: list) -> tuple[list, int]:
+        """Round ``rnd``'s matches as they enter Stage 3, and how many
+        were dropped before it.  A masked plan drops each doomed match
+        (the simulator's exact behavior); a ``"drop"`` enactment keeps
+        it and interdicts its handshake on the responder, so the failure
+        is observed for real in Stage 3."""
+        surviving, doomed = self.reader.split(fault_round, matches)
+        if self.enactment != "drop":
+            return surviving, len(doomed)
         for initiator_uid, responder_uid in doomed:
             self._by_uid[responder_uid].interdict(rnd, initiator_uid)
-        return len(doomed)
+        return matches, 0
 
     def restore(self) -> None:
-        """End-of-run cleanup: wake sleepers, revive the killed.
-
-        Called before final snapshots so every node can report its
-        state over the wire (the simulator's final state also includes
-        currently-crashed vertices — their storage, not their radio).
-        """
-        for vertex in sorted(self.inactive):
-            server = self._servers[vertex]
-            if self.enactment == "kill" and server.dead:
-                server.revive()
-            elif self.enactment == "sleep":
-                server.asleep = False
-        self.inactive = set()
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosModel({self.fault!r}, enactment={self.enactment!r})"
-        )
+        """End-of-run cleanup: wake sleepers, revive the killed, so the
+        final readout reaches every node over the wire (the simulator's
+        final state also includes currently-crashed vertices — their
+        storage, not their radio)."""
+        for vertex in sorted(self.down):
+            if self.enactment == "kill":
+                self._servers[vertex].revive()
+            else:
+                self._servers[vertex].asleep = False
+        self.inactive, self.down = set(), set()

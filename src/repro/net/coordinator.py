@@ -10,11 +10,19 @@ request/response messages, and acceptance is enforced by the proposee
 :func:`repro.sim.matching.resolve_proposals` does.
 
 The coordinator drives rounds; it does not decide them.  Who is awake,
-who crashes and which accepted connections survive are read through the
-fault layer's :class:`~repro.sim.faults.FaultReader` (DESIGN.md §6), the
-run is resolved by :func:`~repro.core.runner.prepare_run`, and every
-peer is addressed through :meth:`Coordinator._reach`; what is left here
-is I/O.
+who crashes and which accepted connections survive are answered by the
+run's one :class:`~repro.net.chaos.FaultPlan`, which reads the fault
+layer's :class:`~repro.sim.faults.FaultReader` (DESIGN.md §6); the run is
+resolved by :func:`~repro.core.runner.prepare_run`, and every peer is
+addressed through :meth:`Coordinator._reach`; what is left here is I/O.
+
+Termination costs no request.  A token moves only across a Stage-3
+connection, and the coordinator drives every connection and orders
+every crash reset, so it keeps each node's token count from the built
+nodes, the ``connect`` replies (both endpoints' post-connect counts)
+and the ``reset`` replies.  Only a node whose count it cannot vouch for
+— one side of a failed connect, a suspect rejoining — is read with a
+``snapshot`` at the next check.
 
 The coordinator never holds a node lock — all protocol state lives
 behind the servers and moves over the wire.  Connects run concurrently
@@ -36,15 +44,14 @@ Robustness (the chaos-hardening layer):
   quorum* instead of hanging or raising.  Each round opens with a
   cheap single-attempt rejoin probe; a suspect that answers gets its
   neighbor table re-pushed and rejoins the next stages.
-* With ``chaos=`` the coordinator holds a
-  :class:`~repro.net.chaos.ChaosModel`: the same seeded fault schedule
-  the simulator would mask is enacted *physically* (killed endpoints,
-  sleeping radios, interdicted handshakes).  Chaos failures are
-  planned, so rounds proceed over the planned-active set like the
-  simulator's masked rounds (a planned-down node is served in-process);
-  doomed matches are not pre-dropped but *interdicted* and then really
-  attempted, the transport failures classified as dropped connections.
-  Unplanned failures still flow through the suspect machinery.
+* With ``chaos=True`` the plan enacts the run's fault schedule
+  *physically* (killed endpoints, sleeping radios, interdicted
+  handshakes) instead of masking it.  Chaos failures are planned, so
+  rounds proceed over the planned-active set like the simulator's
+  masked rounds (a planned-down node is served in-process); an
+  interdicted match is really attempted, and its transport failure is
+  classified as a dropped connection.  Unplanned failures still flow
+  through the suspect machinery.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field
 
 from repro.core.runner import prepare_run
 from repro.errors import ConfigurationError
-from repro.net.chaos import ChaosModel, ChaosRound
+from repro.net.chaos import FaultPlan
 from repro.net.errors import (
     DEFAULT_REQUEST_TIMEOUT,
     DEFAULT_RETRY_POLICY,
@@ -70,7 +77,7 @@ from repro.net.trace import NetTrace
 from repro.registry import register_transport
 from repro.rng import SeedTree
 from repro.sim.channel import ChannelPolicy
-from repro.sim.faults import FaultReader, build_fault
+from repro.sim.faults import build_fault
 
 __all__ = ["Coordinator", "NetRunReport", "deploy_run"]
 
@@ -133,14 +140,14 @@ class Coordinator:
     layer's reason for the knob — off elapsed wall time in units of
     ``round_duration`` seconds (``clock="virtual"``), so a slow round
     can burn through several fault windows just as a slow phone would.
-    Faults are *logical*: the coordinator masks vertices in software.
+    By default the schedule is *logical*: the coordinator masks
+    vertices in software.
 
-    ``chaos`` accepts the same forms but enacts the schedule
-    **physically** through a :class:`~repro.net.chaos.ChaosModel` —
-    killed endpoints, sleeping radios, interdicted handshakes — while
-    keeping the same logical round structure, so a chaos run is
-    match-equivalent to the same seed's simulation.  ``fault`` and
-    ``chaos`` are mutually exclusive.
+    ``chaos=True`` enacts that schedule **physically** instead (see
+    :class:`~repro.net.chaos.FaultPlan`) — killed endpoints, sleeping
+    radios, interdicted handshakes — while keeping the same logical
+    round structure, so a chaos run is match-equivalent to the same
+    seed's simulation.  It needs a ``fault`` to enact.
 
     ``retry`` is the :class:`~repro.net.errors.RetryPolicy` every RPC
     uses (None = single-shot); a peer that exhausts it is suspected and
@@ -163,7 +170,7 @@ class Coordinator:
         acceptance: str = "uniform",
         channel_policy: ChannelPolicy | None = None,
         fault=None,
-        chaos=None,
+        chaos: bool = False,
         retry: RetryPolicy | None = DEFAULT_RETRY_POLICY,
         heartbeat_every: int = 0,
         heartbeat_max_age: float | None = None,
@@ -174,13 +181,11 @@ class Coordinator:
         connect_workers: int = 8,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ):
-        self.faults = build_fault(fault, dynamic_graph.n, seed)
-        chaos_fault = build_fault(chaos, dynamic_graph.n, seed)
-        if self.faults is not None and chaos_fault is not None:
+        faults = build_fault(fault, dynamic_graph.n, seed)
+        if chaos not in (False, True) or (chaos and faults is None):
             raise ConfigurationError(
-                "fault= and chaos= are mutually exclusive: the same "
-                "schedule is either masked logically or enacted "
-                "physically, not both"
+                f"chaos={chaos!r}: chaos is a bool that enacts the run's "
+                "fault= schedule physically, and chaos=True needs one"
             )
         prepared = prepare_run(
             algorithm, dynamic_graph, instance, seed, config, channel_policy
@@ -227,25 +232,20 @@ class Coordinator:
                     request_timeout=request_timeout,
                     retry=retry,
                 )
-            self.chaos = (
-                None
-                if chaos_fault is None
-                else ChaosModel(chaos_fault).bind(
-                    [self.servers[v] for v in sorted(self.servers)]
-                )
-            )
         except BaseException:
             self.stop()  # every PeerServer built so far holds a listener
             raise
         self._by_uid = {
             server.uid: server for server in self.servers.values()
         }
-        # The schedule's reader: the chaos model's own when the schedule
-        # is enacted physically (then only its clock is read here).
-        self._reader = (
-            FaultReader(self.faults, instance.n) if self.chaos is None
-            else self.chaos.reader
+        self.plan = FaultPlan(
+            faults, [self.servers[v] for v in range(instance.n)],
+            enact=chaos,
         )
+        #: Each vertex's token count, None while unknown (``_solved``).
+        self._counts: list[int | None] = [
+            len(prepared.nodes[v].known_tokens) for v in range(instance.n)
+        ]
         self._round = 0     # the round being driven
         #: The last closed round's cluster view (round, suspects,
         #: active, n): the next round's ``advertise`` carries it.
@@ -346,7 +346,7 @@ class Coordinator:
         this op out.
 
         A reachable peer is asked over the wire.  A planned-down one
-        (chaos holds its radio off this round) is served in-process —
+        (the plan holds its endpoint down this round) is served in-process —
         or, with ``down="skip"``, left alone: quorum-only plumbing.  A
         ``TransportError`` is handled as ``fail`` says: ``"suspect"``
         marks the peer and returns None, ``"local"`` falls back to
@@ -360,7 +360,7 @@ class Coordinator:
         uid = self.servers[vertex].uid
         if uid in self.suspects:
             return self._ask_local(vertex, obj) if fail == "local" else None
-        if self.chaos is not None and vertex in self.chaos.inactive:
+        if vertex in self.plan.down:
             return self._ask_local(vertex, obj) if down == "local" else None
         try:
             return self._ask(uid, obj, retry=retry, timeout=timeout)
@@ -375,7 +375,7 @@ class Coordinator:
         return None
 
     def _ask_local(self, vertex: int, obj: dict) -> dict:
-        """In-process dispatch for a chaos-inactive node.
+        """In-process dispatch for a planned-down node.
 
         A killed or sleeping endpoint cannot answer TCP, but the
         simulator still runs every masked node's hooks each round
@@ -404,7 +404,9 @@ class Coordinator:
 
         A suspect that answers is re-admitted: its neighbor table is
         re-pushed (it may have missed an epoch while unreachable) and
-        it participates again from this round's stages on.
+        it participates again from this round's stages on.  Its token
+        count is unknown: the request that suspected it may have failed
+        after its state changed.
         """
         probe_timeout = min(1.0, self.request_timeout)
         for uid in sorted(self.suspects):
@@ -425,6 +427,7 @@ class Coordinator:
             except (TransportError, ProtocolError):
                 continue
             del self.suspects[uid]
+            self._counts[server.vertex] = None
             self.rejoins += 1
 
     # -- round driver -------------------------------------------------
@@ -452,9 +455,9 @@ class Coordinator:
         self._epoch = epoch
 
     def _fault_round(self, rnd: int) -> int:
-        """The index fault/chaos schedules key off for round ``rnd``."""
+        """The index the fault schedule keys off for round ``rnd``."""
         if (
-            self._reader.virtual
+            self.plan.reader.virtual
             and self.round_duration
             and self._wall_start is not None
         ):
@@ -462,10 +465,13 @@ class Coordinator:
             return int(elapsed / self.round_duration) + 1
         return rnd
 
-    def run_round(self, rnd: int) -> None:
+    def run_round(self, rnd: int) -> bool:
+        """Drive round ``rnd``; True if it ran a termination check
+        (every ``termination_every`` rounds) that found the quorum
+        done."""
         uid_of = self.instance.uid_of
         n = self.instance.n
-        reader = self._reader
+        plan = self.plan
         self._round = rnd
         fault_round = self._fault_round(rnd)
         requests_before = self._requests
@@ -476,26 +482,19 @@ class Coordinator:
         if self.suspects:
             self._probe_rejoins(rnd)
 
-        # Planned inactivity (DESIGN.md §6): the schedule is read
-        # through the fault reader and masked logically here, or read
-        # and enacted physically by the chaos model — either way the
-        # coordinator knows the plan, exactly like the simulator.
-        chaos_round = ChaosRound()
-        if self.chaos is not None:
-            chaos_round = self.chaos.enact(rnd, fault_round)
-            inactive = self.chaos.inactive
-        else:
-            mask = reader.mask(fault_round)
-            inactive = (
-                () if mask is None else set((~mask).nonzero()[0].tolist())
-            )
-            if reader.resets_state:
-                for vertex in reader.crashes(fault_round, mask):
-                    self._reach(vertex, {"op": "reset"})
+        # Planned inactivity (DESIGN.md §6): the coordinator knows the
+        # plan, exactly like the simulator, whether it is masked or
+        # enacted.  A crashing vertex whose endpoint just went down is
+        # reset in-process.
+        crashes, killed, revived = plan.begin(fault_round)
+        for vertex in crashes:
+            reply = self._reach(vertex, {"op": "reset"})
+            if reply is not None:
+                self._counts[vertex] = reply["count"]
 
         self._install_epoch(rnd)
 
-        suspects = self.suspects
+        inactive, suspects = plan.inactive, self.suspects
 
         def up(vertex: int) -> bool:
             return vertex not in inactive and uid_of(vertex) not in suspects
@@ -556,21 +555,16 @@ class Coordinator:
             if reply is not None and reply["winner"] is not None:
                 matches.append((int(reply["winner"]), target))
 
-        # Connection drops.  A logical fault pre-drops doomed matches
-        # (the simulator's exact behavior); a chaos model *interdicts*
-        # them — the responder will fail the initiator's handshake at
-        # the socket level — and the failure is observed for real below.
-        dropped = 0
-        if self.chaos is None:
-            matches, doomed = reader.split(fault_round, matches)
-            dropped = len(doomed)
-        elif matches:
-            self.chaos.interdict(rnd, fault_round, matches)
+        # Connection drops: pre-dropped, or interdicted and observed for
+        # real below.
+        matches, dropped = plan.drop(rnd, fault_round, matches)
 
         # Stage 3 — connect.  Matches are node-disjoint, so concurrent
         # connections never touch one node from two sides.  A failed
         # handshake (interdicted, or the peer died) is a dropped
-        # connection this round, not an aborted run.
+        # connection this round, not an aborted run; both endpoints'
+        # counts are unknown, since the push may have failed after
+        # ``interact`` ran.
         tokens_moved = 0
         control_bits = 0
 
@@ -586,18 +580,22 @@ class Coordinator:
                 return match, None, exc
 
         surviving = []
+        counts = self._counts
         if matches:
             if min(self.connect_workers, len(matches)) > 1:
                 outcomes = list(self._connect_pool.map(connect, matches))
             else:
                 outcomes = [connect(match) for match in matches]
             for match, reply, exc in outcomes:
+                initiator, responder = (self._by_uid[u].vertex for u in match)
                 if reply is not None:
                     surviving.append(match)
                     tokens_moved += reply["tokens_moved"]
                     control_bits += reply["bits"]
+                    counts[initiator], counts[responder] = reply["counts"]
                     self.trace.record_connection(rnd, reply["latency_s"])
                     continue
+                counts[initiator] = counts[responder] = None
                 dropped += 1
                 if isinstance(exc, TransportError):
                     # The initiator itself is unreachable.
@@ -621,12 +619,18 @@ class Coordinator:
                 for vertex in sorted(self.servers):
                     self._reach(vertex, prune, down="skip")
 
+        solved = bool(
+            self.termination_every
+            and rnd % self.termination_every == 0
+            and self._solved()
+        )
+
         self.match_stream.append(tuple(matches))
-        active_count = n - len(inactive)
+        active = sum(1 for vertex in range(n) if up(vertex))
         self._status = {
             "round": rnd,
             "suspects": len(suspects),
-            "active": active_count - len(suspects),
+            "active": active,
             "n": n,
         }
         self.trace.suspect_events = self.suspect_events
@@ -636,17 +640,18 @@ class Coordinator:
             connections=len(matches),
             tokens_moved=tokens_moved,
             control_bits=control_bits,
-            active_nodes=active_count - len(suspects),
+            active_nodes=active,
             dropped_connections=dropped,
             requests=self._requests - requests_before,
             retries=self._total("retries") - retries_before,
             timeouts=self._total("timeouts") - timeouts_before,
             suspects=len(suspects),
             rejoins=self.rejoins - rejoins_before,
-            chaos_killed=len(chaos_round.killed),
-            chaos_revived=len(chaos_round.revived),
+            chaos_killed=killed,
+            chaos_revived=revived,
             degraded=bool(suspects),
         )
+        return solved
 
     def _push_status(self) -> None:
         """Relay the last round's cluster view to every reachable server.
@@ -690,42 +695,42 @@ class Coordinator:
     # -- state readout ------------------------------------------------
 
     def snapshots(self, include: str = "all") -> dict[int, tuple]:
-        """uid -> sorted tuple of known token ids.
+        """uid -> sorted tuple of known token ids, for every node.
 
-        ``include="all"`` reads every node — over the wire when the
-        endpoint answers, in-process when it is planned-down, suspect,
-        or fails (a crashed phone's *storage* still exists, and the
-        simulator's final state includes crashed vertices too).
-        ``include="quorum"`` reads only currently reachable,
-        non-suspect nodes — the set a degraded termination check may
-        legitimately consult; one that stops answering is suspected.
+        Read over the wire when the endpoint answers, in-process when it
+        is planned-down, suspect, or fails (a crashed phone's *storage*
+        still exists, and the simulator's final state includes crashed
+        vertices too).
         """
-        if include not in ("all", "quorum"):
+        if include != "all":
             raise ConfigurationError(
-                f"snapshots(include=...) must be 'all' or 'quorum', "
-                f"got {include!r}"
+                f"snapshots(include=...) must be 'all', got {include!r}"
             )
-        how = {"fail": "local"} if include == "all" else {"down": "skip"}
-        result = {}
-        for vertex in sorted(self.servers):
-            reply = self._reach(vertex, {"op": "snapshot"}, **how)
-            if reply is not None:
-                result[self.servers[vertex].uid] = tuple(reply["tokens"])
-        return result
+        return {
+            self.servers[vertex].uid: tuple(self._reach(
+                vertex, {"op": "snapshot"}, fail="local")["tokens"])
+            for vertex in sorted(self.servers)
+        }
 
     def _solved(self) -> bool:
-        """Has the surviving quorum finished?  (Degradation-aware: dead
-        or suspect nodes do not gate termination — the simulator's
-        all-nodes criterion is checked by the replay bridge, which runs
-        a fixed round count instead.)  Its snapshot requests count as the
-        round's: it runs after ``run_round`` has closed the count."""
-        wanted = self.instance.token_ids
-        requests_before = self._requests
-        snaps = self.snapshots(include="quorum")
-        self.trace.total_requests += self._requests - requests_before
-        if not snaps:
-            return False
-        return all(wanted <= set(tokens) for tokens in snaps.values())
+        """Does every quorum node hold every token?  The quorum is the
+        nodes neither planned-down nor suspect, and an empty one has not
+        finished.  (Degradation-aware: the simulator's all-nodes
+        criterion is checked by the replay bridge, which runs a fixed
+        round count instead.)  Decided from the count vector; only a
+        quorum node whose count is unknown is asked for a snapshot,
+        and a node that fails to answer is suspected."""
+        complete = len(self.instance.token_ids)
+        quorum = []
+        for vertex in range(self.instance.n):
+            if self._counts[vertex] is None:
+                reply = self._reach(vertex, {"op": "snapshot"}, down="skip")
+                if reply is not None:
+                    self._counts[vertex] = len(reply["tokens"])
+            if (vertex not in self.plan.down
+                    and self.servers[vertex].uid not in self.suspects):
+                quorum.append(self._counts[vertex])
+        return bool(quorum) and all(c == complete for c in quorum)
 
     def run(self, max_rounds: int = 512) -> NetRunReport:
         """Drive rounds until the quorum holds every token (or the cap)."""
@@ -739,23 +744,17 @@ class Coordinator:
         solved = False
         rounds = 0
         for rnd in range(1, max_rounds + 1):
-            self.run_round(rnd)
             rounds = rnd
-            if (
-                self.termination_every
-                and rnd % self.termination_every == 0
-                and self._solved()
-            ):
+            if self.run_round(rnd):
                 solved = True
                 break
         self._push_status()
         wall = time.perf_counter() - started
         self.trace.wall_seconds = wall
-        if self.chaos is not None:
-            # Wake/revive everyone before the final readout and stop:
-            # the run is over, and the report reads each node's state
-            # through the normal path where possible.
-            self.chaos.restore()
+        # Wake/revive everyone before the final readout and stop: the
+        # run is over, and the report reads each node's state through
+        # the normal path where possible.
+        self.plan.restore()
         return NetRunReport(
             algorithm=self.algorithm,
             n=self.instance.n,
@@ -792,23 +791,21 @@ def deploy_run(
     instance=None,
     seed: int = 0,
     max_rounds: int = 512,
+    chaos: bool = False,
     **opts,
 ) -> NetRunReport:
     """Deploy a live cluster and run it to completion.
 
     Pass either a :class:`~repro.workloads.scenarios.Scenario` — or a
     registered scenario name, materialized with the run seed — (its
-    topology, instance, and recommended algorithm are used; overrides
-    via keywords) or the explicit pieces.  This is the ``tcp``
-    transport's registry entry point, shared by ``repro-gossip serve``
-    and ``Experiment.deploy()``.
+    topology, instance, recommended algorithm and fault schedule are
+    used; overrides via keywords) or the explicit pieces.  This is the
+    ``tcp`` transport's registry entry point, shared by ``repro-gossip
+    serve`` and ``Experiment.deploy()``.
 
-    ``chaos=`` selects physical fault injection: a fault spec/name/model
-    to enact, or ``True``/``"auto"`` to take the scenario's (or the
-    explicit ``fault=`` option's) schedule and enact it physically
-    instead of masking it logically.
+    The schedule is the ``fault=`` option, else the scenario's; it is
+    masked logically, or with ``chaos=True`` enacted physically.
     """
-    chaos = opts.pop("chaos", None)
     if isinstance(scenario, str):
         from repro.registry import SCENARIO_REGISTRY
 
@@ -823,26 +820,15 @@ def deploy_run(
         algorithm = algorithm or scenario.recommended_algorithm
         dynamic_graph = dynamic_graph or scenario.dynamic_graph
         instance = instance or scenario.instance
-        if chaos is None and scenario.fault is not None:
+        if scenario.fault is not None:
             opts.setdefault("fault", scenario.fault)
-    if chaos in (True, "auto"):
-        chaos = opts.pop("fault", None)
-        if chaos is None and scenario is not None:
-            chaos = scenario.fault
-        if chaos is None:
-            raise ConfigurationError(
-                "chaos='auto' needs a fault schedule to enact — from the "
-                "scenario or an explicit fault= option"
-            )
-    if chaos not in (None, False):
-        opts["chaos"] = chaos
     if algorithm is None or dynamic_graph is None or instance is None:
         raise ConfigurationError(
             "deploy_run needs a scenario or all of algorithm, "
             "dynamic_graph, and instance"
         )
     coordinator = Coordinator(
-        algorithm, dynamic_graph, instance, seed, **opts
+        algorithm, dynamic_graph, instance, seed, chaos=chaos, **opts
     )
     with coordinator:
         return coordinator.run(max_rounds=max_rounds)

@@ -2,8 +2,8 @@
 
 Each :class:`PeerServer` owns exactly one protocol object (the *same*
 class the simulator builds — PPushNode, BlindMatchNode, SharedBitNode,
-LeaderElectionNode, ...) and exposes the mobile telephone model's round
-primitives as request/response operations over the framing protocol:
+...) and exposes the mobile telephone model's round primitives as
+request/response operations over the framing protocol:
 
 ========== ==========================================================
 op          meaning
@@ -17,15 +17,15 @@ resolve     proposee-enforced acceptance over the round's inbox —
             exactly ``resolve_proposals`` semantics (proposals to
             proposers are lost; ties break by the registered
             acceptance rule on the per-target SeedTree stream)
-connect     initiator-side Stage 3: pull the responder's visible
-            state, run ``interact`` against a remote-peer adapter
-            under the metered :class:`~repro.sim.channel.Channel`,
-            push the deltas back
+connect     initiator-side Stage 3: pull the responder's token list,
+            run ``interact`` against a remote-peer adapter under the
+            metered :class:`~repro.sim.channel.Channel`, push the
+            responder's new tokens back, reply with both token counts
 ========== ==========================================================
 
 plus cluster plumbing (``ping``/``set_neighbors``/``heartbeat``/
-``beat``/``peers``/``prune``/``stats``), state transfer
-(``state_pull``/``state_push``/``snapshot``/``reset``), ``stop``, and
+``beat``/``prune``), state transfer (``state_pull``/``state_push``/
+``snapshot``/``reset``; every protocol's state is a token list), and
 live introspection: every server carries a
 :class:`~repro.telemetry.MetricsRegistry` (connect-latency histogram,
 robustness counters) and answers ``metrics`` with a one-shot status
@@ -52,7 +52,7 @@ reply was lost to a timeout can safely retry: at-least-once delivery,
 at-most-once execution of each protocol hook.  Proposal delivery failure
 is reported (``delivered: false``) instead of aborting the round.
 
-Chaos hooks (driven by :class:`~repro.net.chaos.ChaosModel`):
+Chaos hooks (driven by :class:`~repro.net.chaos.FaultPlan`):
 :meth:`kill` tears the TCP endpoint down abruptly (SIGKILL-style — no
 handler draining) and :meth:`revive` rebinds the *same* port so peer
 tables stay valid across the outage; :attr:`asleep` makes the endpoint
@@ -119,12 +119,19 @@ class _ChaosInterdicted(Exception):
     """Internal: drop this connection without replying (lossy link)."""
 
 
-class _RemoteTokenPeer:
-    """Stand-in for a remote token-gossip node during ``interact``.
+def _wire_tokens(tokens) -> list:
+    """The state codec: tokens as ``[token_id, payload, origin_uid]``."""
+    return [[t.token_id, t.payload, t.origin_uid] for t in tokens]
 
-    ``run_transfer`` touches only ``known_tokens``, ``token(id)`` and
-    ``store_token`` on its peer; this adapter serves those from a pulled
-    snapshot and records stores as deltas to push back.
+
+class _RemotePeer:
+    """Stand-in for a remote node during ``interact``.
+
+    Every protocol's ``interact`` reads its responder through the
+    token-holder interface (``known_tokens``, ``has_token``,
+    ``token(id)``) and changes it only through ``store_token``; this
+    adapter serves that interface from a pulled token list and records
+    stores as the tokens to push back.
     """
 
     def __init__(self, tokens: list):
@@ -138,6 +145,9 @@ class _RemoteTokenPeer:
     def known_tokens(self) -> frozenset:
         return frozenset(self._tokens)
 
+    def has_token(self, token_id: int) -> bool:
+        return token_id in self._tokens
+
     def token(self, token_id: int) -> Token:
         return self._tokens[token_id]
 
@@ -145,46 +155,6 @@ class _RemoteTokenPeer:
         if token.token_id not in self._tokens:
             self._tokens[token.token_id] = token
             self.received.append(token)
-
-    def deltas(self) -> dict | None:
-        if not self.received:
-            return None
-        return {
-            "kind": "tokens",
-            "tokens": [
-                [t.token_id, t.payload, t.origin_uid] for t in self.received
-            ],
-        }
-
-
-class _RemotePPushPeer:
-    """Stand-in for a remote PPUSH responder during ``interact``."""
-
-    def __init__(self, informed: bool, rumor):
-        self._was_informed = informed
-        self.rumor = (
-            Token(int(rumor[0]), rumor[1], int(rumor[2]))
-            if rumor is not None
-            else None
-        )
-        self.informed_at_round = None
-
-    @property
-    def informed(self) -> bool:
-        return self.rumor is not None
-
-    def deltas(self) -> dict | None:
-        if self._was_informed or self.rumor is None:
-            return None
-        return {
-            "kind": "ppush",
-            "rumor": [
-                self.rumor.token_id,
-                self.rumor.payload,
-                self.rumor.origin_uid,
-            ],
-            "informed_at_round": self.informed_at_round,
-        }
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -609,9 +579,6 @@ class PeerServer:
             "ok": self.table.heartbeat(int(msg["from"]), now=msg.get("now"))
         }
 
-    def _op_peers(self, msg: dict) -> dict:
-        return {"uids": list(self.table.uids())}
-
     def _op_beat(self, msg: dict) -> dict:
         """Send one heartbeat to every known peer; dead peers tolerated.
 
@@ -637,11 +604,6 @@ class PeerServer:
             float(msg["max_age"]), now=msg.get("now")
         )
         return {"removed": list(removed)}
-
-    def _op_stats(self, msg: dict) -> dict:
-        """Robustness counters: retries, timeouts, failed deliveries."""
-        with self._lock:
-            return {"uid": self.uid, **self.stats}
 
     def _op_status(self, msg: dict) -> dict:
         """The coordinator's cluster-level view (round, suspects).
@@ -804,7 +766,9 @@ class PeerServer:
         a failed connection this round, not something to retry through.
         The delta push *is* retried (it is idempotent and the handshake
         already succeeded).  The reply is cached per round so a caller
-        retry cannot re-run ``interact``.
+        retry cannot re-run ``interact``.  It carries both endpoints'
+        post-connect token counts, initiator first: the coordinator's
+        termination check reads them instead of asking either node.
         """
         rnd = int(msg["round"])
         responder_uid = int(msg["responder"])
@@ -822,26 +786,18 @@ class PeerServer:
                 {"op": "state_pull", "round": rnd, "from": self.uid},
                 retry=None,
             )
-            if pulled["kind"] == "tokens":
-                adapter = _RemoteTokenPeer(pulled["tokens"])
-            elif pulled["kind"] == "ppush":
-                adapter = _RemotePPushPeer(
-                    pulled["informed"], pulled["rumor"]
-                )
-            else:
-                raise TransportError(
-                    f"responder {responder_uid} pulled unknown state kind "
-                    f"{pulled['kind']!r}"
-                )
+            adapter = _RemotePeer(pulled["tokens"])
             channel = Channel(rnd, self.uid, responder_uid,
                               self.channel_policy)
             with self._lock:
                 self.node.interact(adapter, channel, rnd)
+                count = len(self.node.known_tokens)
             channel.close()
-            deltas = adapter.deltas()
-            if deltas is not None:
-                push = dict(deltas, op="state_push", round=rnd)
-                self.call_peer(entry, push)
+            if adapter.received:
+                self.call_peer(entry, {
+                    "op": "state_push", "round": rnd,
+                    "tokens": _wire_tokens(adapter.received),
+                })
             latency = time.perf_counter() - started
             with self._lock:
                 self._latency_hist.observe(latency)
@@ -849,6 +805,7 @@ class PeerServer:
                 "tokens_moved": channel.tokens_moved,
                 "bits": channel.bits.total_bits,
                 "latency_s": latency,
+                "counts": [count, len(adapter.known_tokens)],
             }
 
         return self._once(("connect", rnd, responder_uid), compute)
@@ -864,45 +821,18 @@ class PeerServer:
                     raise _ChaosInterdicted()
         with self._lock:
             node = self.node
-            if hasattr(node, "store_token"):
-                return {
-                    "kind": "tokens",
-                    "tokens": [
-                        [t.token_id, t.payload, t.origin_uid]
-                        for t in sorted(
-                            (node.token(tid) for tid in node.known_tokens),
-                            key=lambda t: t.token_id,
-                        )
-                    ],
-                }
-            rumor = node.rumor
-            return {
-                "kind": "ppush",
-                "informed": node.informed,
-                "rumor": None
-                if rumor is None
-                else [rumor.token_id, rumor.payload, rumor.origin_uid],
-            }
+            return {"tokens": _wire_tokens(
+                node.token(tid) for tid in sorted(node.known_tokens))}
 
     def _op_state_push(self, msg: dict) -> dict:
         with self._lock:
             node = self.node
-            if msg["kind"] == "tokens":
-                stored = 0
-                for tid, payload, origin in msg["tokens"]:
-                    token = Token(int(tid), payload, int(origin))
-                    if not node.has_token(token.token_id):
-                        node.store_token(token)
-                        stored += 1
-                return {"ok": True, "stored": stored}
-            if msg["kind"] == "ppush":
-                if not node.informed:
-                    tid, payload, origin = msg["rumor"]
-                    node.rumor = Token(int(tid), payload, int(origin))
-                    node.informed_at_round = msg.get("informed_at_round")
-                    return {"ok": True, "stored": 1}
-                return {"ok": True, "stored": 0}
-            return {"error": f"unknown state kind {msg['kind']!r}"}
+            stored = 0
+            for tid, payload, origin in msg["tokens"]:
+                if not node.has_token(int(tid)):
+                    node.store_token(Token(int(tid), payload, int(origin)))
+                    stored += 1
+            return {"ok": True, "stored": stored}
 
     def _op_snapshot(self, msg: dict) -> dict:
         with self._lock:
@@ -913,13 +843,11 @@ class PeerServer:
             }
 
     def _op_reset(self, msg: dict) -> dict:
-        """Crash-with-state-loss hook (fault models with resets)."""
+        """Crash-with-state-loss hook (fault models with resets); the
+        reply carries the post-reset token count."""
         with self._lock:
-            if hasattr(self.node, "reset_tokens"):
+            reset = hasattr(self.node, "reset_tokens")
+            if reset:
                 self.node.reset_tokens()
-                return {"ok": True, "reset": True}
-        return {"ok": True, "reset": False}
-
-    def _op_stop(self, msg: dict) -> dict:
-        threading.Thread(target=self.stop, daemon=True).start()
-        return {"ok": True}
+            return {"ok": True, "reset": reset,
+                    "count": len(self.node.known_tokens)}

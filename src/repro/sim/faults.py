@@ -98,7 +98,7 @@ class FaultModel:
     #: loses app state instead of resuming where it left off.
     resets_state = False
 
-    #: How :class:`~repro.net.chaos.ChaosModel` enacts this model's
+    #: How :class:`~repro.net.chaos.FaultPlan` enacts this model's
     #: decisions *physically* against live :class:`PeerServer`\\ s:
     #: ``"kill"`` (tear the TCP endpoint down and rebind it on rejoin —
     #: crash/churn), ``"sleep"`` (the endpoint accepts and hangs up
@@ -386,8 +386,8 @@ class FaultReader:
     """What a round driver asks of a fault model — the fault layer's one
     consumer-facing surface.
 
-    The round engine, the async window executor, the live coordinator
-    and :class:`~repro.net.chaos.ChaosModel` all read a model's
+    The round engine, the async window executor and the live
+    coordinator's :class:`~repro.net.chaos.FaultPlan` all read a model's
     decisions here and nowhere else, so they cannot disagree about who
     is awake at a fault index, who crashes there, or which accepted
     connections survive.  :meth:`mask`, :meth:`crashed` and

@@ -12,7 +12,7 @@ Three strata:
   with a populated degraded report, not hang or raise.
 * ``net``-marked equivalence: the chaos replay gates.  A recorded
   faulty simulation must replay match-equivalent against a cluster
-  where :class:`ChaosModel` enacts the same seeded schedule physically
+  where a :class:`FaultPlan` enacts the same seeded schedule physically
   — PeerServers killed and rebound (CrashChurn), radios asleep
   (SleepCycle), handshakes interdicted mid-round (LossyLinks).
 
@@ -32,7 +32,6 @@ from repro.errors import ConfigurationError
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import expander
 from repro.net import (
-    ChaosModel,
     Coordinator,
     ProtocolError,
     RetryBudgetExceeded,
@@ -42,13 +41,16 @@ from repro.net import (
     replay,
     request,
 )
+from repro.net.server import _ChaosInterdicted
 from repro.registry import FAULT_REGISTRY, Definition
 from repro.sim.faults import (
     CrashChurn,
     FaultModel,
+    FaultReader,
     LossyLinks,
     NoFaults,
     SleepCycle,
+    build_fault,
 )
 from test_faults import ResettingSleep, expected_resets, spy_resets
 
@@ -157,26 +159,27 @@ class TestRetryPolicy:
             thread.join(timeout=2.0)
 
 
-class TestChaosModelConstruction:
-    def test_rejects_null_fault(self):
-        with pytest.raises(ConfigurationError):
-            ChaosModel(NoFaults(n=4))
-
+class TestChaosConfiguration:
     def test_enactment_mapping_lives_with_the_models(self):
         assert CrashChurn(4, 0).chaos_enactment == "kill"
         assert SleepCycle(4, 0).chaos_enactment == "sleep"
         assert LossyLinks(4, 0).chaos_enactment == "drop"
         assert NoFaults(4).chaos_enactment == "none"
 
-    def test_coordinator_rejects_fault_plus_chaos(self):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("regime", [
+        {"chaos": True},                      # nothing to enact
+        {"chaos": True, "fault": "none"},
+        {"chaos": "churn"},                   # kind forms are gone
+        {"chaos": {"kind": "churn"}, "fault": "lossy"},
+    ], ids=repr)
+    def test_chaos_is_a_bool_that_needs_a_schedule(self, regime):
+        with pytest.raises(ConfigurationError, match="chaos"):
             Coordinator(
                 "sharedbit",
                 StaticDynamicGraph(expander(n=8, degree=4, seed=2)),
                 uniform_instance(n=8, k=2, seed=1),
                 seed=1,
-                fault={"kind": "lossy"},
-                chaos={"kind": "churn"},
+                **regime,
             )
 
 
@@ -302,6 +305,26 @@ class TestGracefulDegradation:
             coord.run_round(3)
             assert not coord.suspects
 
+    def test_a_vertex_asleep_and_suspect_is_counted_out_once(self):
+        """``active_nodes`` and the status view count the vertices that
+        are up: neither masked nor suspect.  (They used to subtract a
+        masked suspect twice: 3 active where 4 were up.)"""
+        fault = {"kind": "sleep", "period": 4, "duty": 2}
+        reader = FaultReader(build_fault(fault, N, 5), N)
+        coord = _coordinator(fault=fault, termination_every=0)
+        masked_suspect = 0
+        with coord:
+            coord.servers[0].kill()
+            for rnd in range(1, 9):
+                coord.run_round(rnd)
+                awake = reader.mask(rnd)
+                up = [v for v in range(1, N) if awake is None or awake[v]]
+                masked_suspect += awake is not None and not awake[0]
+                assert coord.trace.records[-1].active_nodes == len(up)
+                assert coord._status["active"] == len(up)
+            assert set(coord.suspects) == {coord.servers[0].uid}
+        assert masked_suspect
+
     def test_all_nodes_dead_is_not_vacuously_solved(self):
         coord = _coordinator()
         with coord:
@@ -313,6 +336,67 @@ class TestGracefulDegradation:
             coord.run_round(2)
             assert coord.suspects  # everyone suspected
             assert coord._solved() is False
+
+
+CHURN = {"kind": "churn", "cycle": 8, "crash_prob": 0.5, "min_outage": 2,
+         "max_outage": 4, "reset_tokens": True}
+
+
+def _kill_vertex_zero_at_three(coord, rnd):
+    if rnd == 3:
+        coord.servers[0].kill()
+
+
+def _pushes_store_then_hang_up_in_round_two(coord, rnd):
+    """Every ``state_push`` of round 2 lands and then loses its reply:
+    the connect fails after both endpoints' state moved on."""
+    for server in coord.servers.values():
+        server.__dict__.pop("_op_state_push", None)
+        if rnd == 2:
+            def push(msg, real=server._op_state_push):
+                real(msg)
+                raise _ChaosInterdicted()
+            server._op_state_push = push
+
+
+#: name -> (coordinator options, what happens before each round).
+COUNT_CASES = {
+    "logical churn with resets": ({"fault": CHURN}, None),
+    "chaos churn with resets": ({"fault": CHURN, "chaos": True}, None),
+    "chaos sleep": ({"fault": {"kind": "sleep", "period": 4, "duty": 2},
+                     "chaos": True}, None),
+    "chaos lossy": ({"fault": {"kind": "lossy", "drop_prob": 0.4},
+                     "chaos": True}, None),
+    "unplanned kill": ({}, _kill_vertex_zero_at_three),
+    "push fails after interact": ({}, _pushes_store_then_hang_up_in_round_two),
+}
+
+
+@pytest.mark.net
+class TestCountVector:
+    @pytest.mark.parametrize("case", sorted(COUNT_CASES))
+    def test_counts_equal_snapshots_after_every_round(self, case):
+        """The vector ``_solved`` decides from matches every node's
+        real token count, except where it says it does not know — and
+        it knows every count the quorum holds after each check."""
+        opts, disturb = COUNT_CASES[case]
+        coord = _coordinator(termination_every=1, **opts)
+        with coord:
+            for rnd in range(1, 13):
+                if disturb is not None:
+                    disturb(coord, rnd)
+                coord.run_round(rnd)
+                snapshots = coord.snapshots()
+                for vertex, count in enumerate(coord._counts):
+                    uid = coord.servers[vertex].uid
+                    if count is None:
+                        assert (vertex in coord.plan.down
+                                or uid in coord.suspects), (rnd, vertex)
+                    else:
+                        assert count == len(snapshots[uid]), (rnd, vertex)
+            coord.plan.restore()
+        if case == "push fails after interact":
+            assert coord.trace.records[1].dropped_connections > 0
 
 
 @pytest.mark.net
@@ -410,10 +494,8 @@ class TestChaosReplayEquivalence:
 
         # ...and the live cluster resets exactly the vertices the rule
         # names, in the rounds it names.
-        coord = _coordinator(
-            termination_every=0,
-            **{"chaos" if chaos else "fault": "resetting_sleep"},
-        )
+        coord = _coordinator(termination_every=0, fault="resetting_sleep",
+                             chaos=chaos)
         log = []
         spy_resets({v: s.node for v, s in coord.servers.items()}, log,
                    lambda: coord.trace.total_rounds + 1)

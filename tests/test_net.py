@@ -27,11 +27,13 @@ from repro.errors import ConfigurationError
 from repro.graphs.dynamic import RelabelingAdversary, StaticDynamicGraph
 from repro.graphs.topologies import cycle, expander
 from repro.api import Experiment
+from repro.cli import main as cli_main
 from repro.core.problem import everyone_starts_instance
 from repro.net import coordinator as coordinator_module
 from repro.net import deploy_run, framing
 from repro.net import (
     Coordinator,
+    FaultPlan,
     PeerEntry,
     PeerServer,
     PeerTable,
@@ -510,6 +512,8 @@ class TestLoopbackCluster:
             })
             assert reply == {"ok": True, "peers": 1}
             assert doomed.uid in alive.table
+            assert request(host, port, {"op": "beat"})["delivered"] == [
+                doomed.uid]
 
             doomed.stop()
             beat = request(host, port, {"op": "beat"})
@@ -672,6 +676,20 @@ class TestReplayBridge:
         assert not report.equivalent
 
 
+#: Ways to deploy a faulty run without enacting its schedule.
+SCHEDULE_DOORS = {
+    "Experiment.deploy": lambda: (
+        Experiment("sharedbit").on_graph("expander", n=8, degree=4, seed=2)
+        .with_instance("uniform", k=3).with_fault("sleep").seeded(5)
+        .rounds(4).deploy(chaos=False)),
+    "deploy_run": lambda: deploy_run("festival_nightfall", seed=3,
+                                     max_rounds=4, chaos=False),
+    "serve --chaos none": lambda: cli_main([
+        "serve", "--scenario", "festival_nightfall", "--seed", "3",
+        "--max-rounds", "4", "--chaos", "none"]),
+}
+
+
 @pytest.mark.net
 class TestTransportRegistry:
     def test_tcp_transport_registered(self):
@@ -686,6 +704,25 @@ class TestTransportRegistry:
         assert report.solved
         assert report.algorithm == "sharedbit"
         assert report.n == 8
+
+    @pytest.mark.parametrize("door", sorted(SCHEDULE_DOORS))
+    def test_a_schedule_is_never_silently_dropped(self, monkeypatch, door):
+        """Without chaos the schedule is masked, not lost: each door
+        used to run these with every node active in every round."""
+        reports = []
+        run = Coordinator.run
+
+        def recording(self, max_rounds=512):
+            reports.append(run(self, max_rounds))
+            return reports[-1]
+
+        monkeypatch.setattr(Coordinator, "run", recording)
+        SCHEDULE_DOORS[door]()
+        (report,) = reports
+        assert any(record.active_nodes < report.n
+                   for record in report.trace.records)
+
+
 
 
 class _StubServer:
@@ -705,10 +742,11 @@ class _StubServer:
 
 def _stub_coordinator(server):
     """Just the state ``_reach`` reads, around one stub server: round 7
-    under way, nobody suspect, no chaos plan."""
+    under way, nobody suspect, nothing planned down."""
     coord = object.__new__(Coordinator)
     coord.servers, coord._by_uid = {0: server}, {server.uid: server}
-    coord.suspects, coord.suspect_events, coord.chaos = {}, 0, None
+    coord.suspects, coord.suspect_events = {}, 0
+    coord.plan = FaultPlan(None, [server])
     coord.retry_policy, coord.request_timeout = "policy", 9.0
     coord._retry_rng, coord._round = None, 7
     coord._requests, coord._requests_lock = 0, threading.Lock()
@@ -719,7 +757,7 @@ def _stub_coordinator(server):
 OP_CLASSES = {
     "stage": {},                    # set_neighbors/advertise/propose/
                                     # resolve/reset
-    "quorum": {"down": "skip"},     # beat/prune/snapshot("quorum")
+    "quorum": {"down": "skip"},     # beat/prune/termination snapshot
     "readout": {"fail": "local"},   # metrics/snapshot("all")
     "telemetry": {"fail": "ignore", "retry": None, "timeout": 0.5},
 }
@@ -781,7 +819,7 @@ class TestReach:
         if state == "suspect":
             coord.suspects[server.uid] = 1
         if state == "planned-down":
-            coord.chaos = type("Plan", (), {"inactive": {0}})
+            coord.plan.down = {0}
 
         reply = coord._reach(0, {"op": "x"}, **OP_CLASSES[op_class])
 
@@ -894,6 +932,7 @@ class _Initiator:
     """A node that always proposes to uid 2 and counts its hook calls."""
 
     uid = 1
+    known_tokens = frozenset()
 
     def __init__(self):
         self.proposals = 0
@@ -1105,8 +1144,8 @@ class TestRoundMessages:
             assert coord.trace.total_retries == 0
 
     def test_termination_checks_are_counted(self):
-        """A terminating run also pays one ``snapshot`` per quorum node
-        per check, after ``run_round`` has closed the round's count."""
+        """A terminating run pays nothing for its checks: the connect
+        replies keep every count known, so no check sends a request."""
         n = 8
         coord = Coordinator(
             "blindmatch", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
@@ -1116,15 +1155,15 @@ class TestRoundMessages:
         run_round = coord.run_round
 
         def budgeted(rnd):
-            run_round(rnd)
+            solved = run_round(rnd)
             budgets.append(_round_budget(coord, rnd))
+            return solved
 
         coord.run_round = budgeted
         with coord:
             report = coord.run(max_rounds=40)
-        assert report.rounds > 1 and not report.suspects
-        checks = report.rounds
-        assert coord.trace.total_requests == sum(budgets) + n * checks
+        assert report.rounds > 1 and report.solved and not report.suspects
+        assert coord.trace.total_requests == sum(budgets)
 
     def test_view_trails_by_one_round_until_the_run_ends(self):
         n = 4
@@ -1162,18 +1201,19 @@ class TestRoundMessages:
         coord = Coordinator(
             "sharedbit", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
             uniform_instance(n=n, k=3, seed=11), seed=11,
-            chaos={"kind": "churn"}, termination_every=0, retry=fast,
+            fault={"kind": "churn"}, chaos=True, termination_every=0,
+            retry=fast,
         )
         was_down = 0
         with coord:
             for rnd in range(1, 13):
                 coord.run_round(rnd)
-                was_down += len(coord.chaos.inactive)
+                was_down += len(coord.plan.down)
                 assert not coord.suspects
                 if rnd > 1:
                     assert all(view["round"] == rnd - 1
                                for view in _cluster_views(coord).values())
-            coord.chaos.restore()
+            coord.plan.restore()
         assert was_down  # the schedule did hold radios off
 
 
@@ -1459,20 +1499,15 @@ class TestClusterHygiene:
         assert server.stop() == 0
         assert _open_fds() == fds
 
-    def test_failed_construction_leaks_no_listeners(self):
-        """A chaos model sized for another n is rejected and no
-        listener the coordinator bound stays open on the way out."""
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_fault_built_for_another_n_is_refused_at_construction(
+            self, chaos):
+        """Masked or enacted, with the engine's error (it used to be an
+        ``IndexError`` in the middle of round 1), and no listener stays
+        open on the way out."""
         fds = _open_fds()
         with pytest.raises(ConfigurationError, match="bound to n=5"):
-            _small_cluster(n=4, chaos=CrashChurn(5, 7))
-        assert _open_fds() == fds
-
-    def test_fault_built_for_another_n_is_refused_at_construction(self):
-        """...and so is a logical one, with the engine's error (it used
-        to be an ``IndexError`` in the middle of round 1)."""
-        fds = _open_fds()
-        with pytest.raises(ConfigurationError, match="bound to n=5"):
-            _small_cluster(n=4, fault=CrashChurn(5, 7))
+            _small_cluster(n=4, fault=CrashChurn(5, 7), chaos=chaos)
         assert _open_fds() == fds
 
     def test_stop_survives_one_failing_server(self):

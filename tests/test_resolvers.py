@@ -97,11 +97,16 @@ def test_coordinator_resolves_fault_and_chaos_forms(form, model):
         )
 
     with coordinator(fault=form) as masked:
-        assert repr(masked.faults) == repr(model)
-    with coordinator(chaos=form) as enacted:
-        assert (enacted.chaos is None) == (model is None)
+        assert masked.plan.reader.active == (model is not None)
         if model is not None:
-            assert repr(enacted.chaos.fault) == repr(model)
+            assert repr(masked.plan.reader.model) == repr(model)
+    if model is None:   # nothing to enact
+        with pytest.raises(ConfigurationError, match="chaos"):
+            coordinator(fault=form, chaos=True)
+        return
+    with coordinator(fault=form, chaos=True) as enacted:
+        assert repr(enacted.plan.reader.model) == repr(model)
+        assert enacted.plan.enactment == "sleep"
 
 
 def test_record_run_still_wants_a_spec_not_an_instance():
