@@ -217,9 +217,11 @@ def _cmd_list(args) -> int:
     """Print every registered definition with its one-line description."""
 
     def algorithm_tags(defn) -> str:
-        # The marker says ``run --algorithm`` will not offer this one:
-        # its goal is not plain gossip.
+        # The markers say ``run --algorithm`` will not offer this one
+        # (its goal is not plain gossip), or ``serve`` will refuse it.
         marker = "[experiments-layer only] " if defn.goal is not None else ""
+        if not defn.token_list_stage3:
+            marker += "[no live serve] "
         return f"b={defn.tag_length_label:<3} {defn.model_label:<8} {marker}"
 
     def topology_tags(defn) -> str:
@@ -249,10 +251,6 @@ def _cmd_serve(args) -> int:
     """Deploy a live cluster through a registered transport."""
     defn = TRANSPORT_REGISTRY.get(args.transport)
     opts = {}
-    if args.heartbeat_every:
-        opts["heartbeat_every"] = args.heartbeat_every
-        if args.heartbeat_max_age is not None:
-            opts["heartbeat_max_age"] = args.heartbeat_max_age
     # Bare --chaos enacts the scenario's (or --fault's) schedule
     # physically, --chaos KIND is --fault KIND enacted, and --chaos none
     # masks the schedule as if --chaos were absent.
@@ -327,7 +325,7 @@ def _cmd_top(args) -> int:
     """Poll a live server's ``metrics`` op; render a refreshing status.
 
     Any endpoint of a running cluster works: every server answers for
-    itself (peers, inbox, robustness counters, connect-latency
+    itself (visible neighbors, inbox, robustness counters, connect-latency
     quantiles) and relays the coordinator's last cluster view (round,
     suspects; during a run it trails the node's own round by one).
     ``--iterations 0`` polls until interrupted.
@@ -376,7 +374,7 @@ def _cmd_top(args) -> int:
             ("cluster suspects", cluster.get("suspects", "-")),
             ("peer uid", snap["uid"]),
             ("peer round", snap["round"]),
-            ("peer table", snap["peers"]),
+            ("peer neighbors", snap["neighbors"]),
             ("inbox depth", snap["inbox"]),
             ("retries", stats.get("retries", 0)),
             ("timeouts", stats.get("timeouts", 0)),
@@ -548,11 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol to serve (scenario's recommendation "
                             "when omitted)")
     _add_run_flags(srv_p, n=8, k=2, tau=0, max_rounds=512)
-    srv_p.add_argument("--heartbeat-every", type=int, default=0,
-                       help="rounds between cluster-wide heartbeats "
-                            "(0 = off)")
-    srv_p.add_argument("--heartbeat-max-age", type=float, default=None,
-                       help="seconds before an unheard-from peer is pruned")
     srv_p.add_argument(
         "--fault", choices=sorted(FAULT_REGISTRY.names()), default=None,
         help="fault regime masked logically during the live run",

@@ -397,6 +397,7 @@ def configuration_report(nodes, schedule: CrowdedBinSchedule, k: int) -> dict:
     config_class=CrowdedBinConfig,
     tag_length=1,
     requires_stable_topology=True,
+    token_list_stage3=False,
 )
 def _build_crowdedbin_nodes(ctx):
     schedule = ctx.config.schedule(ctx.instance.upper_n)

@@ -141,7 +141,6 @@ class PreparedRun:
     faults: object          # a sized non-null FaultModel, or None
     nodes: Mapping[int, NodeProtocol]
     termination: object     # the goal as a termination condition
-    goal: object            # the registration's own goal (None = gossip)
 
 
 def prepare_run(
@@ -188,7 +187,6 @@ def prepare_run(
         faults=build_fault(fault, dynamic_graph.n, seed),
         nodes=nodes,
         termination=termination,
-        goal=defn.goal,
     )
 
 

@@ -150,6 +150,7 @@ class SimSharedBitNode(GossipNode):
                 "(Thm 5.6)",
     config_class=SimSharedBitConfig,
     tag_length=1,
+    token_list_stage3=False,
 )
 def _build_simsharedbit_nodes(ctx):
     family = SharedStringFamily(

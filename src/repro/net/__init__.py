@@ -46,7 +46,6 @@ from repro.net.errors import (
     RetryPolicy,
 )
 from repro.net.framing import TransportError, recv_msg, request, send_msg
-from repro.net.peers import PeerEntry, PeerTable
 from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
 
@@ -58,9 +57,7 @@ __all__ = [
     "NetError",
     "NetRunReport",
     "NetTrace",
-    "PeerEntry",
     "PeerServer",
-    "PeerTable",
     "ProtocolError",
     "RecordedRun",
     "ReplayReport",

@@ -19,8 +19,9 @@ the models in :mod:`repro.sim.faults` so the two layers cannot drift:
     A node entering an outage has its TCP endpoint torn down
     SIGKILL-style (:meth:`PeerServer.kill` — no draining, in-flight
     requests fail at their callers).  When the outage ends the server
-    rebinds the *same* port (:meth:`PeerServer.revive`) and rejoins
-    through the ordinary heartbeat / peer-table path.
+    rebinds the *same* port (:meth:`PeerServer.revive`); the next
+    round's messages carry every address it needs, as they do for
+    every node.
 
 ``"sleep"`` (:class:`~repro.sim.faults.SleepCycle`)
     The endpoint stays bound but drops every connection without a reply

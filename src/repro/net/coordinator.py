@@ -3,11 +3,13 @@
 :class:`Coordinator` turns any registered (algorithm, topology,
 instance) triple into a cluster of :class:`~repro.net.server.PeerServer`
 processes-in-threads on localhost, then drives the mobile telephone
-model's round structure over TCP: every simulated edge becomes a
-peer-table entry, every round runs scan → propose → accept → connect as
-request/response messages, and acceptance is enforced by the proposee
-(see ``PeerServer._op_resolve``) exactly as
-:func:`repro.sim.matching.resolve_proposals` does.
+model's round structure over TCP: every round runs scan → propose →
+accept → connect as request/response messages, and acceptance is
+enforced by the proposee (see ``PeerServer._op_resolve``) exactly as
+:func:`repro.sim.matching.resolve_proposals` does.  The topology lives
+here only: ``propose`` carries each visible neighbor's address and
+``connect`` the responder's, so a server holds its node and nothing
+else.
 
 The coordinator drives rounds; it does not decide them.  Who is awake,
 who crashes and which accepted connections survive are answered by the
@@ -42,8 +44,8 @@ Robustness (the chaos-hardening layer):
   dropped from every subsequent stage (neighbors stop seeing it, its
   hooks stop being called) and the round *completes over the surviving
   quorum* instead of hanging or raising.  Each round opens with a
-  cheap single-attempt rejoin probe; a suspect that answers gets its
-  neighbor table re-pushed and rejoins the next stages.
+  cheap single-attempt rejoin probe; a suspect that answers rejoins
+  the next stages.  Suspicion is the cluster's only liveness rule.
 * With ``chaos=True`` the plan enacts the run's fault schedule
   *physically* (killed endpoints, sleeping radios, interdicted
   handshakes) instead of masking it.  Chaos failures are planned, so
@@ -74,7 +76,7 @@ from repro.net.errors import (
 from repro.net.framing import request
 from repro.net.server import PeerServer
 from repro.net.trace import NetTrace
-from repro.registry import register_transport
+from repro.registry import ALGORITHM_REGISTRY, register_transport
 from repro.rng import SeedTree
 from repro.sim.channel import ChannelPolicy
 from repro.sim.faults import build_fault
@@ -116,7 +118,7 @@ class NetRunReport:
     chaos_kills: int = 0
     chaos_revives: int = 0
     #: Final `metrics`-op snapshot per uid (scraped at run end): round
-    #: progress, peer-table size, robustness counters, connect-latency
+    #: progress, visible neighbors, robustness counters, connect-latency
     #: histogram quantiles.  See ``PeerServer._op_metrics``.
     server_metrics: dict = field(default_factory=dict)
 
@@ -152,11 +154,6 @@ class Coordinator:
     ``retry`` is the :class:`~repro.net.errors.RetryPolicy` every RPC
     uses (None = single-shot); a peer that exhausts it is suspected and
     the run degrades gracefully instead of raising.
-
-    ``heartbeat_every`` > 0 makes every server heartbeat its peer table
-    each time that many rounds complete, and ``heartbeat_max_age``
-    (seconds) prunes peers not heard from within the horizon — the
-    liveness machinery the loopback tests drive with a virtual clock.
     """
 
     def __init__(
@@ -172,8 +169,6 @@ class Coordinator:
         fault=None,
         chaos: bool = False,
         retry: RetryPolicy | None = DEFAULT_RETRY_POLICY,
-        heartbeat_every: int = 0,
-        heartbeat_max_age: float | None = None,
         round_duration: float | None = None,
         trace_sample_every: int = 1,
         termination_every: int = 1,
@@ -187,24 +182,28 @@ class Coordinator:
                 f"chaos={chaos!r}: chaos is a bool that enacts the run's "
                 "fault= schedule physically, and chaos=True needs one"
             )
-        prepared = prepare_run(
-            algorithm, dynamic_graph, instance, seed, config, channel_policy
-        )
-        if prepared.goal is not None:
+        defn = ALGORITHM_REGISTRY.get(algorithm)
+        if defn.goal is not None:
             raise ConfigurationError(
                 f"{algorithm} runs toward its own goal "
-                f"({prepared.goal.__name__}), which reads node objects; a "
+                f"({defn.goal.__name__}), which reads node objects; a "
                 "live cluster's termination check reads token snapshots "
                 "over the wire and can only decide plain gossip"
             )
+        if not defn.token_list_stage3:
+            raise ConfigurationError(
+                f"{algorithm}'s Stage 3 reads responder state beyond its "
+                "token list, and a live connect carries only token lists"
+            )
+        prepared = prepare_run(
+            algorithm, dynamic_graph, instance, seed, config, channel_policy
+        )
         self.algorithm = algorithm
         self.dynamic_graph = dynamic_graph
         self.instance = instance
         self.seed = seed
         self.config = prepared.config
         self.acceptance = acceptance
-        self.heartbeat_every = heartbeat_every
-        self.heartbeat_max_age = heartbeat_max_age
         self.round_duration = round_duration
         self.termination_every = termination_every
         self.connect_workers = connect_workers
@@ -262,9 +261,6 @@ class Coordinator:
         # workers ask concurrently.
         self._requests = 0
         self._requests_lock = threading.Lock()
-        self._epoch: int | None = None
-        self._neighbors: dict[int, list[int]] = {}
-        self._entries_by_vertex: dict[int, list] = {}
         self._wall_start: float | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -402,11 +398,10 @@ class Coordinator:
     def _probe_rejoins(self, rnd: int) -> None:
         """One cheap single-attempt probe per suspect, each round.
 
-        A suspect that answers is re-admitted: its neighbor table is
-        re-pushed (it may have missed an epoch while unreachable) and
-        it participates again from this round's stages on.  Its token
-        count is unknown: the request that suspected it may have failed
-        after its state changed.
+        A suspect that answers is re-admitted: it participates again
+        from this round's stages on, whose messages carry every address
+        it needs.  Its token count is unknown: the request that
+        suspected it may have failed after its state changed.
         """
         probe_timeout = min(1.0, self.request_timeout)
         for uid in sorted(self.suspects):
@@ -416,14 +411,6 @@ class Coordinator:
             try:
                 self._ask(uid, {"op": "ping"}, retry=None,
                           timeout=probe_timeout)
-                entries = self._entries_by_vertex.get(server.vertex)
-                if entries is not None:
-                    self._ask(
-                        uid,
-                        {"op": "set_neighbors", "entries": entries},
-                        retry=None,
-                        timeout=probe_timeout,
-                    )
             except (TransportError, ProtocolError):
                 continue
             del self.suspects[uid]
@@ -431,28 +418,6 @@ class Coordinator:
             self.rejoins += 1
 
     # -- round driver -------------------------------------------------
-
-    def _install_epoch(self, rnd: int) -> None:
-        epoch = self.dynamic_graph.epoch_of(rnd)
-        if epoch == self._epoch:
-            return
-        graph = self.dynamic_graph.graph_at(rnd)
-        uid_of = self.instance.uid_of
-        self._neighbors = {
-            vertex: sorted(graph.neighbors(vertex))
-            for vertex in range(self.instance.n)
-        }
-        for vertex in sorted(self.servers):
-            entries = [
-                [uid_of(nb), *self.servers[nb].address, nb]
-                for nb in self._neighbors[vertex]
-            ]
-            self._entries_by_vertex[vertex] = entries
-            # Planned-down: installed in-process, the table must be
-            # current when the radio comes back.  Suspect: re-pushed by
-            # the rejoin probe on re-admission.
-            self._reach(vertex, {"op": "set_neighbors", "entries": entries})
-        self._epoch = epoch
 
     def _fault_round(self, rnd: int) -> int:
         """The index the fault schedule keys off for round ``rnd``."""
@@ -492,8 +457,9 @@ class Coordinator:
             if reply is not None:
                 self._counts[vertex] = reply["count"]
 
-        self._install_epoch(rnd)
-
+        # The round's topology (the graph caches it per epoch); the
+        # messages below carry it to the servers.
+        graph = self.dynamic_graph.graph_at(rnd)
         inactive, suspects = plan.inactive, self.suspects
 
         def up(vertex: int) -> bool:
@@ -501,7 +467,7 @@ class Coordinator:
 
         visible = {
             vertex: (
-                [nb for nb in self._neighbors[vertex] if up(nb)]
+                [nb for nb in sorted(graph.neighbors(vertex)) if up(nb)]
                 if up(vertex) else []
             )
             for vertex in range(n)
@@ -529,12 +495,13 @@ class Coordinator:
         # Stage 2a — propose.  Sequential on purpose: each server
         # delivers its proposal peer-to-peer before the next runs, so
         # proposal sends can never form a waiting cycle.  Views carry
-        # only neighbors that actually advertised this round.
+        # only neighbors that actually advertised this round, each with
+        # the address its proposal goes to.
         proposal_count = 0
         targets: set[int] = set()
         for vertex in range(n):
             views = [
-                [uid_of(nb), tags[uid_of(nb)]]
+                [uid_of(nb), tags[uid_of(nb)], *self.servers[nb].address]
                 for nb in visible[vertex]
                 if uid_of(nb) in tags
             ]
@@ -571,10 +538,10 @@ class Coordinator:
         def connect(match):
             initiator, responder = match
             try:
-                reply = self._ask(
-                    initiator,
-                    {"op": "connect", "round": rnd, "responder": responder},
-                )
+                reply = self._ask(initiator, {
+                    "op": "connect", "round": rnd, "responder": responder,
+                    "address": self._by_uid[responder].address,
+                })
                 return match, reply, None
             except (TransportError, ProtocolError) as exc:
                 return match, None, exc
@@ -607,17 +574,6 @@ class Coordinator:
                 # the responder answers for itself next time something
                 # addresses it directly.
         matches = surviving
-
-        # Liveness plumbing, quorum-only: suspects and planned-down
-        # nodes are skipped (their radios are off; beats to them would
-        # just burn the retry budget).
-        if self.heartbeat_every and rnd % self.heartbeat_every == 0:
-            for vertex in sorted(self.servers):
-                self._reach(vertex, {"op": "beat"}, down="skip")
-            if self.heartbeat_max_age is not None:
-                prune = {"op": "prune", "max_age": self.heartbeat_max_age}
-                for vertex in sorted(self.servers):
-                    self._reach(vertex, prune, down="skip")
 
         solved = bool(
             self.termination_every

@@ -88,13 +88,6 @@ class TransportError(NetError):
         self.kind = kind
         self.retryable = retryable
 
-    @property
-    def peer(self) -> str | None:
-        """``host:port`` of the peer that failed, when known."""
-        if self.host is None:
-            return None
-        return f"{self.host}:{self.port}"
-
 
 class RetryBudgetExceeded(TransportError):
     """Every attempt a :class:`RetryPolicy` allowed failed.

@@ -2,8 +2,11 @@
 
 Each :class:`PeerServer` owns exactly one protocol object (the *same*
 class the simulator builds — PPushNode, BlindMatchNode, SharedBitNode,
-...) and exposes the mobile telephone model's round primitives as
-request/response operations over the framing protocol:
+...) and nothing about the topology: as in the model, a node learns its
+neighbors from each round's scan, so every address it contacts arrives
+in the round message that names it.  It exposes the mobile telephone
+model's round primitives as request/response operations over the
+framing protocol:
 
 ========== ==========================================================
 op          meaning
@@ -11,29 +14,31 @@ op          meaning
 advertise   run the node's scan-stage hook, reply with its b-bit tag
             (an optional ``"status"`` key carries the coordinator's
             view of the previous round, stored as ``status`` would)
-propose     run the propose hook; deliver the proposal peer-to-peer
+propose     run the propose hook over this round's views — each
+            ``[uid, tag, host, port]`` — and deliver the proposal to
+            the target's address peer-to-peer
 proposal    (peer-to-peer) record an incoming proposal for a round
 resolve     proposee-enforced acceptance over the round's inbox —
             exactly ``resolve_proposals`` semantics (proposals to
             proposers are lost; ties break by the registered
             acceptance rule on the per-target SeedTree stream)
-connect     initiator-side Stage 3: pull the responder's token list,
-            run ``interact`` against a remote-peer adapter under the
-            metered :class:`~repro.sim.channel.Channel`, push the
-            responder's new tokens back, reply with both token counts
+connect     initiator-side Stage 3: pull the token list at the
+            responder's ``address``, run ``interact`` against a
+            remote-peer adapter under the metered
+            :class:`~repro.sim.channel.Channel`, push the responder's
+            new tokens back, reply with both token counts
 ========== ==========================================================
 
-plus cluster plumbing (``ping``/``set_neighbors``/``heartbeat``/
-``beat``/``prune``), state transfer (``state_pull``/``state_push``/
+plus ``ping``, state transfer (``state_pull``/``state_push``/
 ``snapshot``/``reset``; every protocol's state is a token list), and
 live introspection: every server carries a
 :class:`~repro.telemetry.MetricsRegistry` (connect-latency histogram,
 robustness counters) and answers ``metrics`` with a one-shot status
-snapshot — round progress, peer-table size, inbox depth, retry/timeout
-counters, latency quantiles, plus the cluster-level view (round,
-suspect count) the coordinator last sent, as the ``"status"`` rider of
-an ``advertise`` or as a ``status`` op of its own — which is what
-``repro-gossip top`` polls.
+snapshot — round progress, visible-neighbor count, inbox depth,
+retry/timeout counters, latency quantiles, plus the cluster-level view
+(round, suspect count) the coordinator last sent, as the ``"status"``
+rider of an ``advertise`` or as a ``status`` op of its own — which is
+what ``repro-gossip top`` polls.
 
 Lock discipline: the node lock is **never held across an outbound
 network call**.  ``propose`` computes the target under the lock, then
@@ -54,9 +59,9 @@ is reported (``delivered: false``) instead of aborting the round.
 
 Chaos hooks (driven by :class:`~repro.net.chaos.FaultPlan`):
 :meth:`kill` tears the TCP endpoint down abruptly (SIGKILL-style — no
-handler draining) and :meth:`revive` rebinds the *same* port so peer
-tables stay valid across the outage; :attr:`asleep` makes the endpoint
-drop every connection without replying (a duty-cycled radio); and
+handler draining) and :meth:`revive` rebinds the *same* port, the one
+the round messages name; :attr:`asleep` makes the endpoint drop every
+connection without replying (a duty-cycled radio); and
 :meth:`interdict` makes one round's Stage-3 state pull from a specific
 initiator fail at the socket level (a lossy link).
 
@@ -97,10 +102,10 @@ from repro.net.framing import (
     request,
     send_msg,
 )
-from repro.net.peers import PeerEntry, PeerTable
 from repro.rng import SeedTree
 from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
+from repro.sim.engine import Simulation
 from repro.sim.matching import ACCEPTANCE_RULES
 from repro.telemetry import MetricsRegistry
 
@@ -240,7 +245,8 @@ class PeerServer:
         #: never finishes its frame cannot pin a handler thread forever.
         self.handler_timeout = max(4 * request_timeout, 10.0)
         self.retry_policy = retry
-        self.table = PeerTable()
+        #: How many neighbors the last ``advertise`` named visible.
+        self._visible = 0
         self._engine_tree = SeedTree(seed).child("engine")
         # Backoff jitter draws from a dedicated subtree: robustness
         # machinery must never touch the protocol/acceptance streams.
@@ -295,8 +301,8 @@ class PeerServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        # The bound address is remembered across kill/revive so peer
-        # tables installed before an outage stay valid after it.
+        # The bound address is remembered across kill/revive, so the
+        # address the coordinator hands out outlives an outage.
         return self._bound
 
     @property
@@ -416,11 +422,9 @@ class PeerServer:
     def revive(self) -> None:
         """Rejoin after :meth:`kill`: rebind the same port and serve.
 
-        The peer table the node stored before the outage is trusted
-        afresh (``touch_all`` — its stamps all predate the outage and
-        would otherwise be pruned on the first liveness pass); the
-        cluster re-admits the node through the normal heartbeat /
-        ``set_neighbors`` path.
+        The next round message brings everything the node needs; an
+        unplanned outage is re-admitted by the coordinator's rejoin
+        probe.
         """
         if not self._dead:
             return
@@ -429,7 +433,6 @@ class PeerServer:
         self._dead = False
         self.asleep = False
         self.stats["revives"] += 1
-        self.table.touch_all()
         self.start()
 
     def __enter__(self) -> "PeerServer":
@@ -512,37 +515,38 @@ class PeerServer:
 
     def call_peer(
         self,
-        entry: PeerEntry,
+        uid: int,
+        address,
         obj,
         *,
         retry: RetryPolicy | None | str = "default",
         timeout: float | None = None,
     ) -> dict:
-        """One robust outbound RPC to a known peer.
+        """One robust outbound RPC to peer ``uid`` at ``(host, port)``.
 
         Applies this server's :class:`~repro.net.errors.RetryPolicy`
         (override with ``retry=None`` for single-shot calls such as
-        heartbeats and Stage-3 pulls), counts retries/timeouts in
-        :attr:`stats`, and raises
-        :class:`~repro.net.errors.ProtocolError` when the peer replies
-        with an op-level error.
+        Stage-3 pulls), counts retries/timeouts in :attr:`stats`, and
+        raises :class:`~repro.net.errors.ProtocolError` when the peer
+        replies with an op-level error.
         """
+        host, port = address
         policy = self.retry_policy if retry == "default" else retry
         reply = request(
-            entry.host,
-            entry.port,
+            host,
+            int(port),
             obj,
             timeout=self.request_timeout if timeout is None else timeout,
             retry=policy,
             rng=self._retry_rng,
             on_retry=self._note_retry,
-            uid=entry.uid,
+            uid=uid,
         )
         if "error" in reply:
             raise ProtocolError(
-                f"peer {entry.uid} rejected {obj.get('op')!r}: "
+                f"peer {uid} rejected {obj.get('op')!r}: "
                 f"{reply['error']}",
-                uid=entry.uid,
+                uid=uid,
                 op=obj.get("op"),
                 remote_type=reply.get("error_type"),
             )
@@ -558,52 +562,6 @@ class PeerServer:
 
     def _op_ping(self, msg: dict) -> dict:
         return {"ok": True, "uid": self.uid, "vertex": self.vertex}
-
-    def _op_set_neighbors(self, msg: dict) -> dict:
-        now = msg.get("now")
-        stamp = time.monotonic() if now is None else float(now)
-        self.table.replace_all(
-            PeerEntry(
-                uid=int(uid),
-                host=host,
-                port=int(port),
-                vertex=int(vertex),
-                last_seen=stamp,
-            )
-            for uid, host, port, vertex in msg["entries"]
-        )
-        return {"ok": True, "peers": len(self.table)}
-
-    def _op_heartbeat(self, msg: dict) -> dict:
-        return {
-            "ok": self.table.heartbeat(int(msg["from"]), now=msg.get("now"))
-        }
-
-    def _op_beat(self, msg: dict) -> dict:
-        """Send one heartbeat to every known peer; dead peers tolerated.
-
-        Single-shot on purpose (``retry=None``): a heartbeat is periodic
-        — a missed beat *is* the liveness signal, and retrying it would
-        only delay the prune that reacts to it.
-        """
-        now = msg.get("now")
-        delivered, failed = [], []
-        for entry in self.table.entries():  # snapshot; no lock held below
-            beat = {"op": "heartbeat", "from": self.uid}
-            if now is not None:
-                beat["now"] = now
-            try:
-                self.call_peer(entry, beat, retry=None)
-                delivered.append(entry.uid)
-            except (TransportError, ProtocolError):
-                failed.append(entry.uid)
-        return {"delivered": delivered, "failed": failed}
-
-    def _op_prune(self, msg: dict) -> dict:
-        removed = self.table.prune(
-            float(msg["max_age"]), now=msg.get("now")
-        )
-        return {"removed": list(removed)}
 
     def _op_status(self, msg: dict) -> dict:
         """The coordinator's cluster-level view (round, suspects).
@@ -651,7 +609,7 @@ class PeerServer:
                 "uid": self.uid,
                 "vertex": self.vertex,
                 "round": self._last_round,
-                "peers": len(self.table),
+                "neighbors": self._visible,
                 "inbox": inbox_depth,
                 "asleep": self.asleep,
                 "stats": dict(self.stats),
@@ -673,6 +631,7 @@ class PeerServer:
         def compute():
             neighbor_uids = tuple(int(u) for u in msg.get("neighbors", ()))
             with self._lock:
+                self._visible = len(neighbor_uids)
                 tag = int(self.node.advertise(rnd, neighbor_uids))
             if not 0 <= tag <= self.max_tag:
                 raise ConfigurationError(
@@ -684,35 +643,35 @@ class PeerServer:
         return self._once(("advertise", rnd), compute)
 
     def _op_propose(self, msg: dict) -> dict:
+        """Run the propose hook over this round's views and deliver the
+        proposal to the address the target's view carries.  A target
+        outside the views breaks the model's neighbor rule, as it does
+        in the simulator; an undeliverable proposal is lost, the round
+        is not (``delivered: false``)."""
         rnd = int(msg["round"])
 
         def compute():
-            views = tuple(
-                NeighborView(uid=int(uid), tag=int(tag))
-                for uid, tag in msg.get("views", ())
-            )
+            views, addresses = [], {}
+            for uid, tag, host, port in msg.get("views", ()):
+                views.append(NeighborView(uid=int(uid), tag=int(tag)))
+                addresses[int(uid)] = (host, port)
             with self._lock:
-                target = self.node.propose(rnd, views)
+                target = self.node.propose(rnd, tuple(views))
                 self._proposed[rnd] = target
             if target is None:
                 return {"target": None, "delivered": False}
-            entry = self.table.get(int(target))
-            if entry is None:
-                # A pruned peer table entry: the proposal is lost, the
-                # round is not.  Degradation, not a protocol violation.
-                error = f"no peer-table entry for {target}"
-            else:
-                try:
-                    self.call_peer(
-                        entry,
-                        {"op": "proposal", "round": rnd, "from": self.uid},
-                    )
-                    return {"target": target, "delivered": True}
-                except (TransportError, ProtocolError) as exc:
-                    error = str(exc)
-            self.stats["failed_deliveries"] += 1
-            return {"target": target, "delivered": False,
-                    "delivery_error": error}
+            if target not in addresses:
+                raise Simulation._not_a_neighbor(self.node, target, rnd)
+            try:
+                self.call_peer(
+                    target, addresses[target],
+                    {"op": "proposal", "round": rnd, "from": self.uid},
+                )
+                return {"target": target, "delivered": True}
+            except (TransportError, ProtocolError) as exc:
+                self.stats["failed_deliveries"] += 1
+                return {"target": target, "delivered": False,
+                        "delivery_error": str(exc)}
 
         return self._once(("propose", rnd), compute)
 
@@ -772,17 +731,12 @@ class PeerServer:
         """
         rnd = int(msg["round"])
         responder_uid = int(msg["responder"])
+        address = msg["address"]
 
         def compute():
-            entry = self.table.get(responder_uid)
-            if entry is None:
-                raise TransportError(
-                    f"node {self.uid} has no peer entry for responder "
-                    f"{responder_uid}"
-                )
             started = time.perf_counter()
             pulled = self.call_peer(
-                entry,
+                responder_uid, address,
                 {"op": "state_pull", "round": rnd, "from": self.uid},
                 retry=None,
             )
@@ -794,7 +748,7 @@ class PeerServer:
                 count = len(self.node.known_tokens)
             channel.close()
             if adapter.received:
-                self.call_peer(entry, {
+                self.call_peer(responder_uid, address, {
                     "op": "state_push", "round": rnd,
                     "tokens": _wire_tokens(adapter.received),
                 })

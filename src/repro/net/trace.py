@@ -4,10 +4,10 @@
 column machinery (records, totals, ``column_series``/``gauge_series``)
 and adds what only a real deployment can measure: per-connection
 wall-clock latency, folded into each round's gauges as
-``net_latency_mean_s`` / ``net_latency_max_s``, and overall throughput
-— plus the failure columns the robustness layer produces: per-round
-retries / timeouts / suspects / rejoins / chaos kill and revive counts
-(gauges ``net_retries`` etc.) and their run totals.
+``net_latency_mean_s`` / ``net_latency_max_s`` — plus the failure
+columns the robustness layer produces: per-round retries / timeouts /
+suspects / rejoins / chaos kill and revive counts (gauges
+``net_retries`` etc.) and their run totals.
 """
 
 from __future__ import annotations
@@ -110,18 +110,6 @@ class NetTrace(Trace):
                 dropped_connections=dropped_connections,
             )
         )
-
-    def rounds_per_second(self) -> float | None:
-        """Throughput, or ``None`` when undefined.
-
-        A run that recorded no rounds, or whose wall clock never
-        advanced (``wall_seconds`` unset, or a sub-resolution run),
-        has no meaningful rate — boundary cases return ``None``
-        rather than raising.
-        """
-        if self.wall_seconds <= 0 or self.total_rounds == 0:
-            return None
-        return self.total_rounds / self.wall_seconds
 
     def requests_per_round(self) -> float | None:
         """Coordinator requests per driven round, ``None`` with no rounds."""

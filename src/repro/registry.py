@@ -168,11 +168,18 @@ class AlgorithmDef(Definition):
     adds those keys to the run record (ε-gossip's ``core_size``).
     Goal-carrying algorithms run everywhere a name is accepted but stay
     out of the ``ALGORITHMS`` view, which means "solves plain gossip".
+    ``token_list_stage3`` says Stage 3 reads and changes the responder
+    only through its token list (``known_tokens``/``token``/
+    ``store_token``) — all a live server pulls and pushes over the wire;
+    algorithms whose ``interact`` reads other responder state
+    (SimSharedBit's election, CrowdedBin's pushed tags) declare False,
+    the live coordinator refuses them, and the CLI prints it.
     """
 
     config_class: type | None = None
     tag_length: int | Callable[[Any], int] = 1
     requires_stable_topology: bool = False
+    token_list_stage3: bool = True
     goal: Callable[[Any, Any], Callable] | None = None
 
     def make_config(self):

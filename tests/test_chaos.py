@@ -121,7 +121,7 @@ class TestRetryPolicy:
         err = info.value
         assert err.attempts == 3
         assert err.retryable is False
-        assert err.peer == f"{host}:{port}"
+        assert (err.host, err.port) == (host, port)
         assert err.uid == 5
         assert isinstance(err.__cause__, TransportError)
         assert err.__cause__.kind == "refused"
@@ -602,7 +602,6 @@ class TestServerRobustness:
         """A proposer whose target's endpoint is gone reports
         ``delivered: false`` instead of failing the round."""
         from repro.core.runner import build_nodes
-        from repro.net import PeerEntry as _PeerEntry
         from repro.net import PeerServer as _PeerServer
 
         instance = uniform_instance(n=4, k=2, seed=3)
@@ -611,9 +610,6 @@ class TestServerRobustness:
                              seed=3, b=1, retry=FAST_RETRY).start()
         dead_host, dead_port = _dead_port()
         target_uid = instance.uid_of(1)
-        server.table.upsert(_PeerEntry(uid=target_uid, host=dead_host,
-                                       port=dead_port, vertex=1,
-                                       last_seen=0.0))
         try:
             # Blindmatch flips a seeded sender/listener coin in its
             # scan stage; on the first sender round its only visible
@@ -624,7 +620,7 @@ class TestServerRobustness:
                                "neighbors": [target_uid]})
                 reply = server.handle(
                     {"op": "propose", "round": rnd,
-                     "views": [[target_uid, 1]]}
+                     "views": [[target_uid, 1, dead_host, dead_port]]}
                 )
                 if reply["target"] is not None:
                     assert reply["target"] == target_uid

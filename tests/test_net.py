@@ -1,13 +1,12 @@
-"""Tests for repro.net: framing, peer tables, loopback clusters, replay.
+"""Tests for repro.net: framing, loopback clusters, replay.
 
-The socket-free pieces (framing round trips, :class:`PeerTable`
-liveness under an explicit virtual clock) run unconditionally.  Tests
-that bind real loopback sockets carry the ``net`` marker so CI's tier-1
-job can stay hermetic (``-m "not net"``) while the net-smoke job runs
-them; locally they run by default and need no network beyond 127.0.0.1.
+The socket-free pieces (framing round trips, ``Coordinator._reach``
+against stub servers) run unconditionally.  Tests that bind real
+loopback sockets carry the ``net`` marker so CI's tier-1 job can stay
+hermetic (``-m "not net"``) while the net-smoke job runs them; locally
+they run by default and need no network beyond 127.0.0.1.
 
-Liveness tests drive the clock explicitly (``now=``) — no sleeps as
-synchronization anywhere in this file.
+No sleeps as synchronization anywhere in this file.
 """
 
 import json
@@ -22,9 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import uniform_instance
-from repro.core.runner import build_nodes
-from repro.errors import ConfigurationError
-from repro.graphs.dynamic import RelabelingAdversary, StaticDynamicGraph
+from repro.core.runner import ALGORITHMS, build_nodes
+from repro.errors import ConfigurationError, ProtocolViolationError
+from repro.graphs.dynamic import (
+    GeometricMobilityGraph,
+    RelabelingAdversary,
+    StaticDynamicGraph,
+)
 from repro.graphs.topologies import cycle, expander
 from repro.api import Experiment
 from repro.cli import main as cli_main
@@ -34,9 +37,7 @@ from repro.net import deploy_run, framing
 from repro.net import (
     Coordinator,
     FaultPlan,
-    PeerEntry,
     PeerServer,
-    PeerTable,
     ProtocolError,
     RetryPolicy,
     TransportError,
@@ -217,135 +218,6 @@ class TestFraming:
             b.close()
 
 
-class TestPeerTable:
-    def test_upsert_get_contains(self):
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=7, host="127.0.0.1", port=9000,
-                               vertex=0, last_seen=1.0))
-        assert 7 in table
-        assert table.get(7).port == 9000
-        assert table.uids() == (7,)
-        assert len(table) == 1
-
-    def test_heartbeat_advances_virtual_clock(self):
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=10.0))
-        assert table.heartbeat(1, now=25.0)
-        assert table.get(1).last_seen == 25.0
-        assert not table.heartbeat(99, now=25.0)  # unknown uid
-
-    def test_prune_is_age_based_and_explicit(self):
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=100.0))
-        table.upsert(PeerEntry(uid=2, host="h", port=2, last_seen=100.0))
-        table.heartbeat(1, now=130.0)
-        # At t=140 with max_age=20: uid 1 is 10s old (kept), uid 2 is
-        # 40s old (pruned).
-        assert table.prune(max_age=20.0, now=140.0) == (2,)
-        assert table.uids() == (1,)
-        # Idempotent: nothing else crosses the threshold.
-        assert table.prune(max_age=20.0, now=140.0) == ()
-
-    def test_replace_all_swaps_membership(self):
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=0.0))
-        table.replace_all([
-            PeerEntry(uid=2, host="h", port=2, last_seen=5.0),
-            PeerEntry(uid=3, host="h", port=3, last_seen=5.0),
-        ])
-        assert table.uids() == (2, 3)
-        assert 1 not in table
-
-    def test_heartbeat_racing_prune_refresh_wins_when_first(self):
-        """A refresh that lands before the prune saves the entry."""
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=10.0))
-        assert table.heartbeat(1, now=100.0)
-        assert table.prune(max_age=20.0, now=105.0) == ()
-        assert 1 in table
-
-    def test_heartbeat_racing_prune_prune_wins_when_first(self):
-        """A refresh that lands after the prune finds the entry gone —
-        and must report that honestly (False), not resurrect it."""
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=10.0))
-        assert table.prune(max_age=20.0, now=100.0) == (1,)
-        assert not table.heartbeat(1, now=100.0)
-        assert 1 not in table
-
-    def test_concurrent_heartbeats_and_prunes_keep_invariants(self):
-        """Hammer refresh/prune from threads: no exceptions, and every
-        surviving entry's stamp is one some heartbeat actually wrote.
-
-        The virtual clock still drives liveness — threads only contend
-        for the lock, they never sleep.
-        """
-        import threading as _threading
-
-        table = PeerTable()
-        for uid in range(8):
-            table.upsert(PeerEntry(uid=uid, host="h", port=uid,
-                                   last_seen=0.0))
-        stamps = [float(s) for s in range(1, 33)]
-        errors = []
-
-        def beat():
-            try:
-                for stamp in stamps:
-                    for uid in range(8):
-                        table.heartbeat(uid, now=stamp)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def prune():
-            try:
-                for stamp in stamps:
-                    table.prune(max_age=5.0, now=stamp)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [_threading.Thread(target=beat) for _ in range(3)]
-        threads += [_threading.Thread(target=prune) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        for entry in table.entries():
-            assert entry.last_seen in stamps
-
-    def test_pruned_peer_can_be_readded(self):
-        """Re-adding after prune is a fresh entry, not a resurrection:
-        the new stamp governs the next prune decision."""
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=10.0))
-        assert table.prune(max_age=5.0, now=100.0) == (1,)
-        table.upsert(PeerEntry(uid=1, host="h2", port=2, last_seen=100.0))
-        assert 1 in table
-        assert table.get(1).host == "h2"
-        assert table.prune(max_age=5.0, now=104.0) == ()
-        assert table.prune(max_age=5.0, now=106.0) == (1,)
-
-    def test_prune_max_age_zero_is_strictly_older(self):
-        """``max_age=0`` evicts entries strictly older than *now* and
-        keeps ones stamped exactly now — the boundary the live
-        kill-and-prune path relies on."""
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=50.0))
-        table.upsert(PeerEntry(uid=2, host="h", port=2, last_seen=49.9))
-        assert table.prune(max_age=0.0, now=50.0) == (2,)
-        assert 1 in table
-
-    def test_touch_all_refreshes_every_stamp(self):
-        """The rejoin path: a revived node trusts its stored table."""
-        table = PeerTable()
-        table.upsert(PeerEntry(uid=1, host="h", port=1, last_seen=1.0))
-        table.upsert(PeerEntry(uid=2, host="h", port=2, last_seen=2.0))
-        table.touch_all(now=500.0)
-        assert [e.last_seen for e in table.entries()] == [500.0, 500.0]
-        assert table.prune(max_age=10.0, now=505.0) == ()
-
-
 def _single_server(n=4, seed=3, vertex=0, algorithm="sharedbit"):
     instance = uniform_instance(n=n, k=2, seed=seed)
     nodes = build_nodes(algorithm, instance, seed=seed)
@@ -429,7 +301,7 @@ class TestTransportErrorContext:
         err = info.value
         assert err.kind == "refused"
         assert err.retryable
-        assert err.peer == f"{host}:{port}"
+        assert (err.host, err.port) == (host, port)
         assert err.uid == 42
         assert err.op == "ping"
         assert f"{host}:{port}" in str(err)
@@ -447,7 +319,7 @@ class TestTransportErrorContext:
             err = info.value
             assert err.kind == "timeout"
             assert err.retryable
-            assert err.peer == f"{host}:{port}"
+            assert (err.host, err.port) == (host, port)
         finally:
             silent.close()
 
@@ -486,48 +358,6 @@ class TestLoopbackCluster:
                    for tokens in report.final_tokens.values())
         assert report.trace.total_connections >= 1
 
-    def test_heartbeat_prunes_killed_peer(self):
-        """A stopped peer misses heartbeats and is pruned from tables.
-
-        No sleeps: the surviving server's ``beat`` op fails to reach the
-        dead peer (so its ``last_seen`` never advances past the install
-        stamp), and a ``prune`` with ``max_age=0.0`` evicts any entry
-        strictly older than *now* — which the dead peer necessarily is
-        after the failed beat's own round trips.
-        """
-        instance = uniform_instance(n=4, k=2, seed=5)
-        nodes = build_nodes("sharedbit", instance, seed=5)
-        alive = PeerServer(nodes[0], uid=instance.uid_of(0), vertex=0,
-                           seed=5, b=1)
-        doomed = PeerServer(nodes[1], uid=instance.uid_of(1), vertex=1,
-                            seed=5, b=1)
-        alive.start()
-        doomed.start()
-        try:
-            host, port = alive.address
-            d_host, d_port = doomed.address
-            reply = request(host, port, {
-                "op": "set_neighbors",
-                "entries": [[doomed.uid, d_host, d_port, 1]],
-            })
-            assert reply == {"ok": True, "peers": 1}
-            assert doomed.uid in alive.table
-            assert request(host, port, {"op": "beat"})["delivered"] == [
-                doomed.uid]
-
-            doomed.stop()
-            beat = request(host, port, {"op": "beat"})
-            assert beat["failed"] == [doomed.uid]
-            assert beat["delivered"] == []
-
-            pruned = request(host, port,
-                             {"op": "prune", "max_age": 0.0})
-            assert pruned["removed"] == [doomed.uid]
-            assert doomed.uid not in alive.table
-        finally:
-            alive.stop()
-            doomed.stop()
-
 
 @pytest.mark.net
 class TestLiveIntrospection:
@@ -543,7 +373,7 @@ class TestLiveIntrospection:
             assert snap["uid"] == server.uid
             assert snap["vertex"] == 0
             assert snap["round"] == 0
-            assert snap["peers"] == 0
+            assert snap["neighbors"] == 0
             assert snap["asleep"] is False
             assert snap["latency"]["count"] == 0
             assert snap["cluster"] == {}
@@ -620,6 +450,16 @@ class TestLiveIntrospection:
         assert "unreachable" in capsys.readouterr().out
 
 
+#: Factories for topologies that change while a cluster runs: every
+#: epoch is a new graph (a recording and its replay each advance their
+#: own copy).
+CHANGING_GRAPHS = {
+    "relabeling-tau2": lambda: RelabelingAdversary(cycle(10), tau=2, seed=1),
+    "mobility-tau3": lambda: GeometricMobilityGraph(
+        n=10, radius=0.4, step=0.05, tau=3, seed=1),
+}
+
+
 @pytest.mark.net
 class TestReplayBridge:
     def test_sharedbit_replay_is_equivalent(self):
@@ -658,6 +498,23 @@ class TestReplayBridge:
         )
         report = replay(record)
         assert report.equivalent, "\n".join(report.divergences)
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "sleep"])
+    @pytest.mark.parametrize("algorithm", ["sharedbit", "blindmatch"])
+    @pytest.mark.parametrize("graph", sorted(CHANGING_GRAPHS))
+    def test_changing_topology_replay_is_equivalent(self, graph, algorithm,
+                                                    chaos):
+        """The neighbor lists a server sees change with every epoch and
+        reach it only inside the round messages; clean, and with the
+        sleep schedule enacted physically."""
+        record = record_run(
+            algorithm, CHANGING_GRAPHS[graph],
+            uniform_instance(n=10, k=2, seed=4), seed=6, max_rounds=28,
+            fault="sleep" if chaos else None,
+        )
+        report = replay(record, chaos=chaos)
+        assert report.equivalent, "\n".join(report.divergences)
+        assert report.live.rounds == record.rounds > 2
 
     def test_divergence_detected_when_seed_differs(self):
         """The bridge is not vacuous: a perturbed replay is flagged."""
@@ -755,9 +612,8 @@ def _stub_coordinator(server):
 
 #: ``_reach`` keyword arguments per op class.
 OP_CLASSES = {
-    "stage": {},                    # set_neighbors/advertise/propose/
-                                    # resolve/reset
-    "quorum": {"down": "skip"},     # beat/prune/termination snapshot
+    "stage": {},                    # advertise/propose/resolve/reset
+    "quorum": {"down": "skip"},     # termination snapshot
     "readout": {"fail": "local"},   # metrics/snapshot("all")
     "telemetry": {"fail": "ignore", "retry": None, "timeout": 0.5},
 }
@@ -847,6 +703,18 @@ class TestReach:
         assert not coord.suspects
 
 
+#: Does the algorithm deploy live?  Only a Stage 3 that moves token
+#: lists does.
+LIVE_DEPLOYS = {
+    "blindmatch": True,
+    "sharedbit": True,
+    "simsharedbit": False,
+    "ppush": True,
+    "crowdedbin": False,
+    "multibit": True,
+}
+
+
 class TestLiveRefusals:
     """Descriptions the live layer cannot run are refused by the shared
     run preparation, before any socket is bound."""
@@ -868,6 +736,32 @@ class TestLiveRefusals:
         for door in doors:
             with pytest.raises(ConfigurationError, match="_epsilon_goal"):
                 door()
+        assert _open_fds() == fds
+
+    def test_the_deploy_table_covers_every_algorithm(self):
+        assert sorted(LIVE_DEPLOYS) == sorted(ALGORITHMS)
+
+    @pytest.mark.net
+    @pytest.mark.parametrize("algorithm", sorted(LIVE_DEPLOYS))
+    def test_only_token_list_stage3_deploys(self, algorithm):
+        """A live connect carries token lists.  SimSharedBit's Stage 3
+        reads the responder's election and CrowdedBin's calls its
+        ``receive_push``, so either would crash at the first connection;
+        both are refused by name before any socket binds."""
+        graph = StaticDynamicGraph(expander(8, 4, seed=1))
+        instance = uniform_instance(n=8, k=1, seed=1)
+
+        def deploy():
+            return deploy_run(algorithm=algorithm, dynamic_graph=graph,
+                              instance=instance, seed=1, max_rounds=4)
+
+        if LIVE_DEPLOYS[algorithm]:
+            assert deploy().rounds >= 1
+            return
+        fds = _open_fds()
+        with pytest.raises(ConfigurationError,
+                           match=f"^{algorithm}'s Stage 3"):
+            deploy()
         assert _open_fds() == fds
 
     def test_record_run_checks_what_run_gossip_checks(self):
@@ -928,6 +822,10 @@ class TestPerRoundServerState:
             server.stop()
 
 
+#: uid 2's view in ``_Initiator``'s rounds: ``[uid, tag, host, port]``.
+_VIEW_OF_2 = [2, 0, "127.0.0.1", 1]
+
+
 class _Initiator:
     """A node that always proposes to uid 2 and counts its hook calls."""
 
@@ -973,7 +871,6 @@ class TestRoundOpsRunOnce:
     def server(self):
         server = PeerServer(_Initiator(), uid=1, vertex=0, seed=3, b=1,
                             channel_policy=ChannelPolicy.for_upper_n(2))
-        server.table.upsert(PeerEntry(uid=2, host="127.0.0.1", port=1))
         try:
             yield server
         finally:
@@ -985,7 +882,7 @@ class TestRoundOpsRunOnce:
         and what lets it return."""
         in_flight, release = threading.Event(), threading.Event()
 
-        def call_peer(entry, obj, **kwargs):
+        def call_peer(uid, address, obj, **kwargs):
             in_flight.set()
             release.wait(timeout=10.0)
             return {"kind": "tokens", "tokens": []}
@@ -1006,7 +903,7 @@ class TestRoundOpsRunOnce:
     ):
         # A second propose call would be a second private-rng draw.
         in_flight, release = stalled
-        propose = {"op": "propose", "round": 1, "views": [[2, 0]]}
+        propose = {"op": "propose", "round": 1, "views": [_VIEW_OF_2]}
         replies = []
         first = self._start(server, propose, replies)
         assert in_flight.wait(timeout=10.0)
@@ -1023,7 +920,8 @@ class TestRoundOpsRunOnce:
         # connect must not hold the node lock across its state pull.
         in_flight, release = stalled
         connect = self._start(
-            server, {"op": "connect", "round": 1, "responder": 2}, [])
+            server, {"op": "connect", "round": 1, "responder": 2,
+                     "address": _VIEW_OF_2[2:]}, [])
         assert in_flight.wait(timeout=10.0)
         snapshots = []
         metrics = self._start(server, {"op": "metrics"}, snapshots)
@@ -1035,14 +933,14 @@ class TestRoundOpsRunOnce:
 
     def test_racing_retries_run_each_hook_once(self, server, monkeypatch):
         monkeypatch.setattr(server, "call_peer",
-                            lambda entry, obj, **kwargs: {"ok": True})
+                            lambda uid, address, obj, **kwargs: {"ok": True})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         replies = []
         try:
             _joined(*[
                 self._start(server, {"op": "propose", "round": rnd,
-                                     "views": [[2, 0]]}, replies)
+                                     "views": [_VIEW_OF_2]}, replies)
                 for rnd in range(1, ROUND_MEMORY) for _ in range(8)
             ])
         finally:
@@ -1050,6 +948,19 @@ class TestRoundOpsRunOnce:
         assert server.node.proposals == ROUND_MEMORY - 1
         assert replies == [{"target": 2, "delivered": True}] * len(replies)
         assert len(replies) == 8 * (ROUND_MEMORY - 1)
+
+    @pytest.mark.parametrize("views", [[], [[3, 0, "127.0.0.1", 1]]],
+                             ids=["no-views", "another-neighbor"])
+    def test_a_target_outside_the_views_is_a_violation(self, server, views):
+        """The simulator's non-neighbor rule, with the simulator's words:
+        the proposal is never sent."""
+        sent = []
+        server.call_peer = lambda *args, **kwargs: sent.append(args)
+        with pytest.raises(ProtocolViolationError,
+                           match="uid=1 proposed to uid=2, not an active "
+                                 "neighbor in round 1"):
+            server.handle({"op": "propose", "round": 1, "views": views})
+        assert sent == [] and server.stats["failed_deliveries"] == 0
 
 
 @pytest.mark.net
@@ -1119,16 +1030,20 @@ class TestRoundMessages:
     """What a live round costs the coordinator, and where the cluster
     view travels now that it has no request of its own."""
 
-    def test_message_budget(self):
-        """2n + |targets| + |matches| requests per round (advertise and
-        propose to everyone, resolve per delivered target, connect per
-        match) — plus the n ``set_neighbors`` of the first epoch — so
-        the n status pushes cannot creep back."""
+    @pytest.mark.parametrize("graph", [
+        StaticDynamicGraph(expander(n=8, degree=4, seed=2)),
+        RelabelingAdversary(cycle(8), tau=2, seed=1),
+    ], ids=["static", "relabeling-tau2"])
+    def test_message_budget(self, graph):
+        """2n + |targets| + |matches| requests on every round (advertise
+        and propose to everyone, resolve per delivered target, connect
+        per match), epoch changes included: the topology rides on the
+        round messages, so neither a new epoch nor the n status pushes
+        can creep back in as requests of their own."""
         n, rounds = 8, 6
         coord = Coordinator(
-            "blindmatch", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
-            everyone_starts_instance(n=n, seed=5), seed=5,
-            termination_every=0,
+            "blindmatch", graph, everyone_starts_instance(n=n, seed=5),
+            seed=5, termination_every=0,
         )
         expected = 0
         with coord:
@@ -1240,7 +1155,7 @@ def _round_budget(coord, rnd) -> int:
     )
     record = coord.trace.records[-1]
     matches = record.connections + record.dropped_connections
-    return 2 * n + targets + matches + (n if rnd == 1 else 0)
+    return 2 * n + targets + matches
 
 
 def _small_cluster(n=4, seed=7, **opts):
@@ -1330,7 +1245,7 @@ class TestPooledConnections:
             with pytest.raises(TransportError) as info:
                 request(host, port, {"op": "ping"}, timeout=1.0, uid=9)
             assert info.value.kind == "refused"
-            assert info.value.peer == f"{host}:{port}"
+            assert (info.value.host, info.value.port) == (host, port)
             assert info.value.uid == 9
         finally:
             server.stop()
@@ -1369,12 +1284,8 @@ class TestPooledConnections:
         responder._op_state_pull = counting_pull
         try:
             host, port = initiator.address
-            r_host, r_port = responder.address
-            request(host, port, {
-                "op": "set_neighbors",
-                "entries": [[responder.uid, r_host, r_port, 1]],
-            })
-            connect = {"op": "connect", "responder": responder.uid}
+            connect = {"op": "connect", "responder": responder.uid,
+                       "address": responder.address}
             assert "error" not in request(host, port,
                                           dict(connect, round=1))
             responder.interdict(2, initiator.uid)

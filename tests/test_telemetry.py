@@ -26,6 +26,7 @@ from repro.experiments.runner import execute_run
 from repro.experiments.specs import RunSpec
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import expander
+from repro.net.coordinator import NetRunReport
 from repro.net.trace import NetTrace
 from repro.telemetry import (
     NULL_PROFILER,
@@ -335,13 +336,13 @@ class TestAsyncSkewParity:
 
 class TestNetTraceBoundaries:
     def test_rounds_per_second_none_on_boundaries(self):
-        trace = NetTrace()
-        assert trace.rounds_per_second() is None  # nothing recorded
-        trace.close_round(1, proposals=1, connections=1, tokens_moved=0,
-                          control_bits=0)
-        assert trace.rounds_per_second() is None  # wall clock never set
-        trace.wall_seconds = 2.0
-        assert trace.rounds_per_second() == pytest.approx(0.5)
+        report = NetRunReport(algorithm="sharedbit", n=2, rounds=0,
+                              solved=False, trace=NetTrace())
+        assert report.rounds_per_second is None  # nothing recorded
+        report.rounds = 1
+        assert report.rounds_per_second is None  # wall clock never set
+        report.wall_seconds = 2.0
+        assert report.rounds_per_second == pytest.approx(0.5)
 
     def test_latency_stats_quantiles(self):
         trace = NetTrace()
