@@ -22,10 +22,14 @@ from repro.commcplx.transfer import TransferProtocol
 from repro.core.problem import GossipNode
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
+from repro.rng import KeyedCounter, SeedTree
 from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
 __all__ = ["BlindMatchConfig", "BlindMatchNode"]
+
+#: The seed-tree path of the population's coin key.
+COINS_PATH = "blindmatch-coins"
 
 
 @dataclass(frozen=True)
@@ -59,102 +63,135 @@ class BlindMatchConfig:
 
 
 class BlindMatchNode(GossipNode):
-    """One node running BlindMatch.  Requires b = 0 (advertises nothing)."""
+    """One node running BlindMatch.  Requires b = 0 (advertises nothing).
+
+    ``coins`` is the population's :class:`~repro.rng.KeyedCounter`.
+    Round r's coin and target both come from the one draw for (uid, r):
+    its top bit makes the node a sender, and its low half picks the
+    neighbor.  A hand-built node without ``coins`` gets the key the
+    builder would derive under seed 0.
+    """
 
     def __init__(self, uid: int, upper_n: int, initial_tokens,
                  rng: random.Random, config: BlindMatchConfig | None = None,
-                 transfer: TransferProtocol | None = None):
+                 transfer: TransferProtocol | None = None,
+                 coins: KeyedCounter | None = None):
         super().__init__(uid, upper_n, initial_tokens, rng)
         self.config = config or BlindMatchConfig()
+        self.coins = coins or KeyedCounter(SeedTree(0).key(COINS_PATH))
         self._transfer = self._transfer_machine(transfer, self.config)
-        self._sender_this_round = False
+        self._lane = None
 
     def advertise(self, round_index: int, neighbor_uids: tuple[int, ...]) -> int:
-        # b = 0: nothing to say.  The fair coin is flipped here because the
-        # model's round begins with the scan; the decision is needed before
-        # proposals.
-        self._sender_this_round = self.rng.random() < 0.5
-        return 0
+        return 0  # b = 0: nothing to say.
 
     def propose(
         self, round_index: int, neighbors: tuple[NeighborView, ...]
     ) -> int | None:
-        if not self._sender_this_round or not neighbors:
+        if not neighbors:
             return None
-        return self.rng.choice(neighbors).uid
+        if self._lane is None:
+            self._lane = self.coins.lane(self.uid)
+        word = KeyedCounter.word(self._lane, round_index)
+        if not word >> 63:
+            return None  # the coin made this node a receiver
+        return neighbors[KeyedCounter.index(
+            self._lane, round_index, len(neighbors), word)].uid
 
     def interact(self, responder: "BlindMatchNode", channel: Channel,
                  round_index: int) -> None:
         self.run_transfer(responder, self._transfer, channel)
 
     # -- bulk hooks (array fast path) ------------------------------------
-    # Byte-identical to looping the scalar hooks over vertices 0..n-1:
-    # every node's coin comes off its own rng in vertex order, and
-    # rng.randrange(degree) into the CSR row consumes exactly what
-    # rng.choice over the NeighborView tuple would (choice(row) is
-    # row[_randbelow(len(row))]: same length, same one draw).
+    # The scalar draws, batched: one word per vertex from the cached lanes
+    # of the UID array, then each sender's index into its CSR row (rows
+    # are sorted by vertex, the order of the scalar hook's views).
+
+    @classmethod
+    def bulk_ready(cls, nodes) -> bool:
+        # The batch draws every node's coin under the first node's key.
+        first = nodes[0].coins
+        return all(node.coins == first for node in nodes)
 
     @classmethod
     def advertise_all(cls, nodes, round_index, csr) -> np.ndarray:
-        for node in nodes:
-            node._sender_this_round = node.rng.random() < 0.5
         return csr.round_buffer("blindmatch:tags", len(nodes), np.int64,
                                 fill=0)
 
     @classmethod
     def propose_all(cls, nodes, round_index, csr, tags) -> np.ndarray:
-        flat, indptr = csr.uid_lists()
-        targets = [-1] * len(nodes)
-        for vertex, node in enumerate(nodes):
-            if node._sender_this_round:
-                start = indptr[vertex]
-                degree = indptr[vertex + 1] - start
-                if degree:
-                    targets[vertex] = flat[start + node.rng.randrange(degree)]
-        out = csr.round_buffer("blindmatch:targets", len(nodes), np.int64)
-        out[:] = targets
-        return out
+        coins = nodes[0].coins
+        lanes = coins.lanes(csr.vertex_uids)
+        indptr, uids = csr.indptr, csr.uids
+        if len(nodes) <= _PYTHON_WALK_N:
+            # A small population's senders are cheaper to walk in Python
+            # than to gather with a few dozen numpy calls.  The pick is
+            # KeyedCounter.index, inlined but for the rare redraw.
+            starts, row_uids = indptr.tolist(), uids.tolist()
+            picks = [-1] * len(nodes)
+            for vertex, word in enumerate(coins.words_list(lanes, round_index)):
+                if word >> 63:
+                    start = starts[vertex]
+                    degree = starts[vertex + 1] - start
+                    if degree:
+                        product = (word & 0xFFFFFFFF) * degree
+                        if product & 0xFFFFFFFF < (1 << 32) % degree:
+                            product = KeyedCounter.index(
+                                int(lanes[vertex]), round_index, degree,
+                                word) << 32
+                        picks[vertex] = row_uids[start + (product >> 32)]
+            return np.array(picks, dtype=np.int64)
+        targets = csr.round_buffer("blindmatch:targets", len(nodes),
+                                   np.int64, fill=-1)
+        words = KeyedCounter.words(lanes, round_index)
+        degrees = indptr[1:] - indptr[:-1]
+        senders = np.flatnonzero((words >> 63).astype(bool) & (degrees > 0))
+        picks = KeyedCounter.indices(lanes[senders], round_index,
+                                     degrees[senders], words[senders])
+        targets[senders] = uids[indptr[senders] + picks]
+        return targets
 
     # -- window hooks (batched async path) -------------------------------
-    # The sender coin comes off each node's *private* rng — the same
-    # stream Transfer's EQTest draws from — which the executor's
-    # cohort-by-cohort scan keeps in event order relative to
-    # interactions.  The batched win for b = 0 is in the engine's
-    # drain/resolve machinery, not in hashing.
-    # Why they exist beside ``ScalarWindowOps`` (ROADMAP 3(a)): any
-    # ``timing:`` spec reaches them, and by never building a
-    # ``NeighborView`` they measure +48 % / +30 % at n = 400 and +30 % /
-    # +15 % at n = 2000 over the scalar hooks (EXPERIMENTS.md
-    # SIMPLE-ASYNC, final table).
+    # The draws are keyed by (uid, local cycle), so under synchronous
+    # timing they are the round engine's.  Why the ops exist beside
+    # ``ScalarWindowOps`` (ROADMAP 3(a)): any ``timing:`` spec reaches
+    # them, and by never building a ``NeighborView`` they measure +48 % /
+    # +30 % at n = 400 and +30 % / +15 % at n = 2000 over the scalar
+    # hooks (EXPERIMENTS.md SIMPLE-ASYNC, final table).
 
     @classmethod
     def make_window_hooks(cls, nodes) -> "_BlindMatchWindowOps":
         return _BlindMatchWindowOps(nodes)
 
 
-class _BlindMatchWindowOps:
-    """Stateful window ops for BlindMatch (see ``window_hooks``).
+#: Largest population whose bulk ``propose_all`` walks its senders in
+#: Python instead of gathering them with numpy (measured crossover).
+_PYTHON_WALK_N = 64
 
-    Tags are always 0 (b = 0); the coin and the uniform target draw
-    consume each member's private rng exactly as the scalar hooks do —
-    ``rng.choice`` over the visible-UID array is the same single
-    ``_randbelow(len)`` as over the ``NeighborView`` tuple.  Like the
-    bulk hooks, the batch skips ``_sender_this_round`` bookkeeping;
-    nothing outside the scalar hooks reads it.
+
+class _BlindMatchWindowOps:
+    """Window ops for BlindMatch (see ``window_hooks``).
+
+    Tags are always 0 (b = 0).  A member's sender flag and target are the
+    scalar hook's draws for (uid, cycle), taken from lanes derived once
+    for the population.
     """
 
     def __init__(self, nodes):
-        self._nodes = nodes
+        uids = np.array([node.uid for node in nodes], dtype=np.int64)
+        self._lanes = nodes[0].coins.lanes(uids).tolist()
 
     def scan(self, vertices, cycles) -> tuple[list, list]:
-        nodes = self._nodes
-        senders = [nodes[vertex].rng.random() < 0.5 for vertex in vertices]
+        lanes = self._lanes
+        senders = [KeyedCounter.word(lanes[vertex], cycle) >> 63
+                   for vertex, cycle in zip(vertices, cycles)]
         return [0] * len(senders), senders
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
         if len(neighbor_uids) == 0:
             return -1
-        return int(self._nodes[vertex].rng.choice(neighbor_uids))
+        return int(neighbor_uids[KeyedCounter.index(
+            self._lanes[vertex], cycle, len(neighbor_uids))])
 
 
 @register_algorithm(
@@ -164,10 +201,14 @@ class _BlindMatchWindowOps:
     tag_length=0,
 )
 def _build_blindmatch_nodes(ctx):
+    """BlindMatch's population: one coin key and one Transfer machine
+    for every node."""
+    coins = KeyedCounter(ctx.tree.key(COINS_PATH))
     transfer = ctx.transfer_protocol()
     return {
         vertex: BlindMatchNode(
-            config=ctx.config, transfer=transfer, **ctx.common(vertex)
+            config=ctx.config, transfer=transfer, coins=coins,
+            **ctx.common(vertex)
         )
         for vertex in ctx.vertices()
     }

@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 #: Result-format version; bump to invalidate every cached run record.
-RESULT_FORMAT = 1
+#: 2: BlindMatch's coins and targets come from keyed counters.
+RESULT_FORMAT = 2
 
 
 def _short(axis: str) -> str:

@@ -1,12 +1,22 @@
 """Deterministic randomness for simulations.
 
-Two kinds of randomness appear in the paper and therefore in this library:
+Three kinds of randomness appear in the paper and therefore in this
+library:
 
-* **Private randomness** — each node flips its own coins (BlindMatch's
-  sender/receiver coin, EQTest's evaluation points, ...). We model this with
-  a :class:`SeedTree`: a root seed from which independent, reproducible
-  ``random.Random`` streams are derived by name, so a whole experiment is
-  replayable from one integer.
+* **Per-node coins** — BlindMatch's sender/receiver coin and its uniform
+  choice of neighbor.  Nothing in the model asks for a stateful stream,
+  so :class:`KeyedCounter` makes each draw a pure function of (population
+  key, UID, round, counter) — a SplitMix64-style finaliser with a scalar
+  form and a numpy ``uint64`` batch form that agree bit for bit
+  (counter-based generation after Salmon et al., "Parallel Random
+  Numbers: As Easy as 1, 2, 3", SC 2011).  A round's coins for all n
+  nodes are one vectorised draw, in any order.
+
+* **Private streams** — the remaining per-node randomness (EQTest's
+  evaluation points inside Transfer, SimSharedBit's private coins, ...)
+  still comes from stateful streams: a :class:`SeedTree` derives
+  independent, reproducible ``random.Random`` streams from a root seed
+  by name, so a whole experiment is replayable from one integer.
 
 * **Shared randomness** — SharedBit assumes a uniform shared string ``r̂`` of
   length Θ(N³ log N) partitioned into *groups* (one per round) of *N bundles*
@@ -25,7 +35,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
+    "KeyedCounter",
     "LazyStream",
     "SeedTree",
     "SharedRandomness",
@@ -153,18 +166,187 @@ def _derive_seed(root: int, path: tuple) -> int:
     return int.from_bytes(hashlib.blake2b(material, digest_size=16).digest(), "big")
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's increment (odd, so ``x * _GAMMA`` is a bijection mod
+#: 2^64) and the two multipliers of its finaliser.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser on one word in ``[0, 2^64)``."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array, in place: numpy's uint64
+    arithmetic wraps mod 2^64, which is the scalar form's mask."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+@lru_cache(maxsize=256)
+def _stamp(round_index: int, counter: int) -> int:
+    """The word every lane adds for (round, counter).  It is the same
+    for all nodes of a round, so a batch draw derives it once."""
+    return _mix64(
+        (_mix64((round_index * _GAMMA) & _MASK64) + (counter + 1) * _GAMMA)
+        & _MASK64
+    )
+
+
+def _stamps(rounds: np.ndarray) -> np.ndarray:
+    """:func:`_stamp` at counter 0 for a ``uint64`` array of rounds."""
+    stamps = _mix64_array(rounds * np.uint64(_GAMMA))
+    stamps += np.uint64(_GAMMA)
+    return _mix64_array(stamps)
+
+
+#: About how many words :meth:`KeyedCounter.words_list` draws at once.
+_BLOCK_WORDS = 4096
+
+
+class KeyedCounter:
+    """Per-node coins as a pure function of (key, uid, round, counter).
+
+    A *lane* is one UID's 64-bit key, derived from the population key by
+    arithmetic alone: :meth:`lane` for one UID, :meth:`lanes` for a whole
+    UID array.  The draw for (uid, round, counter) is the SplitMix64
+    finaliser of ``lane + stamp(round, counter)``.  :meth:`word` is its
+    scalar form and :meth:`words` its numpy ``uint64`` batch form, and
+    the two agree bit for bit.  Nothing is consumed, so draws may be
+    taken in any order, in batches or one at a time.  Rounds and
+    counters are taken mod 2^64.
+
+    :meth:`index` / :meth:`indices` map a draw to an exactly uniform
+    index below a bound in ``[1, 2^32]``: ``(low32 × bound) >> 32``
+    (Lemire's multiply-shift), redrawn on counters 1, 2, ... in the
+    rejection zone of fewer than ``bound`` low words that would bias it.
+    """
+
+    def __init__(self, key: bytes):
+        self.key = int.from_bytes(key[:8], "big")
+        self._cached_lanes = (None, None)
+        self._block = (None, 0, [])
+
+    def lane(self, uid: int) -> int:
+        return _mix64((self.key + uid * _GAMMA) & _MASK64)
+
+    def lanes(self, uids: np.ndarray) -> np.ndarray:
+        """:meth:`lane` of every UID of ``uids``, as ``uint64``.
+
+        The lanes of the last array passed are kept, keyed on the
+        array's identity: an engine hands the same UID array every
+        round, so a population's lanes are derived once.
+        """
+        cached, lanes = self._cached_lanes
+        if cached is not uids:
+            lanes = np.asarray(uids).astype(np.uint64)
+            lanes *= _GAMMA
+            lanes += np.uint64(self.key)
+            self._cached_lanes = (uids, _mix64_array(lanes))
+        return self._cached_lanes[1]
+
+    @staticmethod
+    def word(lane: int, round_index: int, counter: int = 0) -> int:
+        return _mix64((lane + _stamp(round_index, counter)) & _MASK64)
+
+    @staticmethod
+    def words(lanes: np.ndarray, round_index: int,
+              counter: int = 0) -> np.ndarray:
+        """:meth:`word` for every lane, as a new ``uint64`` array."""
+        return _mix64_array(lanes + np.uint64(_stamp(round_index, counter)))
+
+    def words_list(self, lanes: np.ndarray, round_index: int) -> list[int]:
+        """``words(lanes, round_index).tolist()``, for small populations.
+
+        One numpy call costs about as much as a small population's whole
+        Python walk, so the words of the next ``4096 // len(lanes)``
+        rounds are drawn together and kept until a round outside them
+        is asked for.
+        """
+        cached, first, rows = self._block
+        if cached is not lanes or not 0 <= round_index - first < len(rows):
+            count = max(1, _BLOCK_WORDS // max(len(lanes), 1))
+            stamps = _stamps(np.arange(
+                round_index, round_index + count, dtype=np.uint64))
+            rows = _mix64_array(lanes + stamps[:, None]).tolist()
+            self._block = (lanes, first := round_index, rows)
+        return rows[round_index - first]
+
+    @staticmethod
+    def index(lane: int, round_index: int, bound: int,
+              word: int | None = None) -> int:
+        """A uniform index in ``[0, bound)`` from counter 0's draw
+        (``word``, when the caller already holds it)."""
+        if not 1 <= bound <= 1 << 32:
+            raise ValueError(f"bound must be in [1, 2^32], got {bound}")
+        threshold = (1 << 32) % bound
+        counter = 0
+        if word is None:
+            word = KeyedCounter.word(lane, round_index)
+        while True:
+            product = (word & _MASK32) * bound
+            if product & _MASK32 >= threshold:
+                return product >> 32
+            counter += 1
+            word = KeyedCounter.word(lane, round_index, counter)
+
+    @staticmethod
+    def indices(lanes: np.ndarray, round_index: int, bounds,
+                words: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`index` for every lane, each below its own bound, as
+        ``int64``.  Only the lanes in the rejection zone redraw."""
+        bounds = np.asarray(bounds).astype(np.uint64)
+        if bounds.size and not (1 <= bounds.min() and bounds.max() <= 1 << 32):
+            raise ValueError("every bound must be in [1, 2^32]")
+        if words is None:
+            words = KeyedCounter.words(lanes, round_index)
+        product = (words & _MASK32) * bounds
+        out = product >> 32
+        thresholds = (1 << 32) % bounds
+        redo = np.flatnonzero((product & _MASK32) < thresholds)
+        counter = 0
+        while redo.size:
+            counter += 1
+            product = KeyedCounter.words(lanes[redo], round_index, counter)
+            product &= _MASK32
+            product *= bounds[redo]
+            out[redo] = product >> 32
+            redo = redo[(product & _MASK32) < thresholds[redo]]
+        return out.astype(np.int64)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, KeyedCounter) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"KeyedCounter(key={self.key:016x})"
+
+
 class LazyStream:
     """A ``random.Random`` stand-in that materializes on first draw.
 
     A real ``random.Random`` carries the full Mersenne state — roughly
     2.5 KB — so a million per-node private streams cost ~2.5 GB at node
-    build time, even though array-path runs of bulk-hook algorithms
-    never draw from them (private randomness flows through the batched
-    PRF and acceptance streams instead).  The proxy holds only a seed
-    closure until the first attribute access; it then builds the real
-    stream and caches the requested bound methods in its instance dict,
-    so every later ``rng.random()`` is one dict hit away from the real
-    thing.  Draw-for-draw identical to the eager stream for the same
+    build time, even though a node of a bulk-hook algorithm draws from
+    its stream only when it initiates a Transfer between unequal token
+    sets (EQTest's evaluation points); its coins come from keyed
+    counters (:class:`KeyedCounter`) or the shared PRF.  The proxy
+    holds only a seed closure until the first attribute access; it then
+    builds the real stream and caches the requested bound methods in
+    its instance dict, so every later ``rng.random()`` is one dict hit
+    away from the real thing.  Draw-for-draw identical to the eager stream for the same
     derivation path (pinned in tests/test_scale.py).
     """
 

@@ -82,7 +82,6 @@ class CSRAdjacency:
     base: "CSRAdjacency | None" = None
     arena: "object | None" = field(default=None, repr=False)
     _edge_sources: np.ndarray | None = field(default=None, repr=False)
-    _uid_lists: tuple | None = field(default=None, repr=False)
     _masked_memo: dict | None = field(default=None, repr=False)
 
     @classmethod
@@ -192,18 +191,6 @@ class CSRAdjacency:
             buf[...] = fill
         return buf
 
-    def uid_lists(self) -> tuple[list, list]:
-        """``(uids, indptr)`` as flat Python lists (UID-bound snapshots
-        only), cached on the snapshot: vertex ``v``'s neighbor UIDs are
-        ``uids[indptr[v]:indptr[v + 1]]``.  For bulk hooks that index one
-        neighbor per vertex from a Python loop, where list indexing
-        beats numpy scalar access."""
-        if self._uid_lists is None:
-            if self.uids is None:
-                raise ValueError("uid_lists needs a UID-bound snapshot")
-            self._uid_lists = (self.uids.tolist(), self.indptr.tolist())
-        return self._uid_lists
-
     def candidate_rows(self, tags, source_tag: int = 1,
                        neighbor_tag: int = 0):
         """Yield ``(vertex, sorted neighbor UIDs)`` for proposal rounds.
@@ -245,8 +232,8 @@ class CSRAdjacency:
         cohorts of one asynchronous round window revisit a handful of
         fault masks, while the round engine sees one mask per round and
         passes ``keep=1`` — an outage spanning rounds still hits, and
-        nothing older is retained (a masked snapshot with its cached
-        ``uid_lists`` is the size of the topology itself).
+        nothing older is retained (a masked snapshot is the size of the
+        topology itself).
         """
         if self.uids is None:
             raise ValueError("masked_bound needs a UID-bound snapshot")

@@ -1,7 +1,5 @@
 """Tests for CSR adjacency snapshots and the ``csr_at`` dynamics hook."""
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,31 +66,6 @@ class TestBindUids:
         assert bound.base is csr
         assert bound.uids[bound.indptr[0]:bound.indptr[1]].tolist() == \
             [20, 30, 40]
-
-    def test_flat_list_draw_is_choice_over_the_row(self):
-        # BlindMatch's bulk hook draws flat[start + randrange(degree)];
-        # the scalar hook draws choice(row).  Same target, same stream
-        # position afterwards, on every row of a bound (and masked) CSR.
-        csr = CSRAdjacency.from_graph(expander(12, degree=4, seed=3).graph)
-        bound = csr.bind_uids(np.arange(100, 112))
-        active = np.ones(12, dtype=bool)
-        active[[2, 7]] = False
-        for snapshot in (bound, bound.masked_bound(active)):
-            flat, indptr = snapshot.uid_lists()
-            assert snapshot.uid_lists()[0] is flat  # cached
-            for vertex in range(12):
-                start = indptr[vertex]
-                row = tuple(flat[start:indptr[vertex + 1]])
-                assert row == tuple(
-                    snapshot.uids[start:indptr[vertex + 1]].tolist())
-                if not row:
-                    continue
-                by_choice, by_index = random.Random(vertex), random.Random(vertex)
-                assert (flat[start + by_index.randrange(len(row))]
-                        == by_choice.choice(row))
-                assert by_index.getstate() == by_choice.getstate()
-        with pytest.raises(ValueError):
-            csr.uid_lists()
 
 
 class TestCsrAtHook:

@@ -29,6 +29,7 @@ from repro.experiments import (
     run_hash,
     run_sweep,
 )
+from repro.experiments.results import RESULT_FORMAT
 from repro.graphs.dynamic import (
     RelabelingAdversary,
     StaticDynamicGraph,
@@ -412,6 +413,20 @@ class TestRunSweep:
         result = run_sweep(self.sweep(), cache_dir=tmp_path)
         assert result.cache_misses == 1
         assert result.cache_hits == 3
+
+    def test_format_1_records_are_stale(self, tmp_path):
+        # Format 1 predates BlindMatch's keyed coins: such a record is a
+        # miss, and the run executes again and is stored afresh.
+        first = run_sweep(self.sweep(), cache_dir=tmp_path)
+        for path in tmp_path.glob("*.json"):
+            payload = json.loads(path.read_text())
+            payload["format"] = 1
+            path.write_text(json.dumps(payload))
+        again = run_sweep(self.sweep(), cache_dir=tmp_path)
+        assert (again.cache_hits, again.cache_misses) == (0, 4)
+        assert again.to_json() == first.to_json()
+        assert {json.loads(path.read_text())["format"]
+                for path in tmp_path.glob("*.json")} == {RESULT_FORMAT}
 
     def test_cache_distinguishes_specs(self, tmp_path):
         run_sweep(self.sweep(), cache_dir=tmp_path)

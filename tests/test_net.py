@@ -973,30 +973,31 @@ class TestStatusRider:
         {"round": "seven"}, {"round": 7.5}, {"round": 7, "n": True},
     ], ids=repr)
     def test_malformed_rider_is_refused_before_the_hook(self, rider):
-        # BlindMatch flips its coin in the advertise hook.
         with _single_server(algorithm="blindmatch") as server:
             host, port = server.address
-            coins = server.node.rng.getstate()
+            hook = server.node.advertise
+            calls = []
+            server.node.advertise = lambda *args: (
+                calls.append(args), hook(*args))[1]
             client = socket.create_connection((host, port))
             try:
                 send_msg(client, _advertise(1, status=rider))
                 reply = recv_msg(client)
                 assert reply["error_type"] == "ProtocolError"
                 assert "status" in reply["error"]
-                assert server.node.rng.getstate() == coins
+                assert calls == []
                 assert ("advertise", 1) not in server._op_cache
                 assert server.handle({"op": "metrics"})["cluster"] == {}
-                # The same handler thread serves the retry, which draws
-                # the node's coin exactly once however often it repeats.
+                # The same handler thread serves the retry, which runs
+                # the hook exactly once however often it repeats.
                 good = _advertise(1, status={"round": 0, "n": 4})
                 send_msg(client, good)
                 first = recv_msg(client)
-                drawn = server.node.rng.getstate()
-                assert drawn != coins
+                assert len(calls) == 1
                 send_msg(client, good)
                 assert recv_msg(client) == first == server._op_cache[
                     "advertise", 1]
-                assert server.node.rng.getstate() == drawn
+                assert len(calls) == 1
             finally:
                 client.close()
             assert server.handle({"op": "metrics"})["cluster"] == {

@@ -3,11 +3,13 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rng import (
+    KeyedCounter,
     SeedTree,
     SharedRandomness,
     prf_bits,
@@ -213,3 +215,108 @@ def test_prf_uniform_always_in_bound(index, bound):
 def test_prf_bits_deterministic_for_any_index(path):
     index = tuple(path)
     assert prf_bits(KEY, index, 32) == prf_bits(KEY, index, 32)
+
+
+#: Integers in [0, 2^64) with 0 and values >= 2^32 drawn often.
+_WORDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+class TestKeyedCounter:
+    COINS = KeyedCounter(SeedTree(11).key("blindmatch-coins"))
+
+    @given(uids=st.lists(_WORDS.filter(lambda u: u < 2**63), max_size=40),
+           round_index=_WORDS, counter=_WORDS)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_batch_agree_bit_for_bit(self, uids, round_index,
+                                                counter):
+        coins = self.COINS
+        lanes = coins.lanes(np.array(uids, dtype=np.int64))
+        assert lanes.dtype == np.uint64
+        assert lanes.tolist() == [coins.lane(uid) for uid in uids]
+        words = KeyedCounter.words(lanes, round_index, counter)
+        assert words.tolist() == [
+            KeyedCounter.word(lane, round_index, counter)
+            for lane in lanes.tolist()]
+
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_batch_sizes(self, size):
+        coins = self.COINS
+        lanes = coins.lanes(np.arange(size, dtype=np.int64) * 7919)
+        for round_index in (0, 5, 2**32 + 1):
+            words = KeyedCounter.words(lanes, round_index)
+            assert words.shape == (size,)
+            assert words.tolist() == [
+                KeyedCounter.word(lane, round_index) for lane in lanes.tolist()]
+            assert words.tolist() == coins.words_list(lanes, round_index)
+            bounds = np.arange(size) % 9 + 1
+            assert KeyedCounter.indices(lanes, round_index, bounds).tolist() == [
+                KeyedCounter.index(lane, round_index, int(bound))
+                for lane, bound in zip(lanes.tolist(), bounds.tolist())]
+
+    def test_words_list_reads_across_its_blocks(self):
+        coins = KeyedCounter(SeedTree(3).key("blindmatch-coins"))
+        lanes = coins.lanes(np.arange(1, 17, dtype=np.int64))
+        for round_index in [*range(250, 520), 3, 2**33]:
+            assert coins.words_list(lanes, round_index) == \
+                KeyedCounter.words(lanes, round_index).tolist()
+
+    def test_lanes_are_derived_once_per_array(self):
+        coins = KeyedCounter(SeedTree(3).key("blindmatch-coins"))
+        uids = np.arange(10, dtype=np.int64)
+        assert coins.lanes(uids) is coins.lanes(uids)
+        assert coins.lanes(uids.copy()) is not coins.lanes(uids.copy())
+
+    def test_keys_separate_populations(self):
+        other = KeyedCounter(SeedTree(12).key("blindmatch-coins"))
+        assert other != self.COINS
+        assert other.lane(5) != self.COINS.lane(5)
+        assert KeyedCounter(SeedTree(11).key("blindmatch-coins")) == self.COINS
+
+    @pytest.mark.parametrize("bound", [1, 2**31 + 1])
+    def test_index_in_range(self, bound):
+        # 2^31 + 1 rejects almost half of all low words: the redraw runs.
+        lanes = self.COINS.lanes(np.arange(1, 401, dtype=np.int64))
+        threshold = 2**32 % bound
+        for round_index in range(1, 6):
+            words = KeyedCounter.words(lanes, round_index)
+            picks = KeyedCounter.indices(lanes, round_index,
+                                         np.full(len(lanes), bound))
+            assert ((0 <= picks) & (picks < bound)).all()
+            assert picks.tolist() == [
+                KeyedCounter.index(lane, round_index, bound)
+                for lane in lanes.tolist()]
+            rejected = ((words & 0xFFFFFFFF) * np.uint64(bound)
+                        & np.uint64(0xFFFFFFFF)) < threshold
+            assert rejected.any() == (bound > 1)
+
+    def test_index_rejects_bad_bounds(self):
+        for bound in (0, 2**32 + 1):
+            with pytest.raises(ValueError):
+                KeyedCounter.index(1, 1, bound)
+            with pytest.raises(ValueError):
+                KeyedCounter.indices(np.ones(2, np.uint64), 1, [1, bound])
+
+    @pytest.mark.parametrize("degree, critical", [
+        (2, 10.83), (3, 13.82), (7, 22.46),  # chi^2 at p = 0.001
+    ])
+    def test_coin_and_index_are_uniform(self, degree, critical):
+        # 10^5 draws: 1000 uids over 100 rounds, one fixed key.
+        lanes = self.COINS.lanes(np.arange(1, 1001, dtype=np.int64))
+        coins = np.zeros(2, dtype=np.int64)
+        picks = np.zeros(degree, dtype=np.int64)
+        bounds = np.full(len(lanes), degree)
+        for round_index in range(1, 101):
+            words = KeyedCounter.words(lanes, round_index)
+            coins += np.bincount((words >> 63).astype(np.int64), minlength=2)
+            picks += np.bincount(KeyedCounter.indices(
+                lanes, round_index, bounds, words), minlength=degree)
+
+        def chi2(counts):
+            expected = counts.sum() / len(counts)
+            return float(((counts - expected) ** 2 / expected).sum())
+
+        assert chi2(coins) < 10.83
+        assert chi2(picks) < critical
