@@ -68,7 +68,7 @@ hooks: ``"object"`` the scalar hooks
 (:class:`~repro.sim.protocol.ScalarWindowOps`: one ``advertise`` and
 one ``propose`` per member), which every population has; ``"array"``
 the protocol's *window hooks* (:func:`~repro.sim.protocol.window_hooks`;
-SharedBit reads shared-PRF bit tables, BlindMatch flips private coins),
+SharedBit reads shared-PRF bit tables, BlindMatch keyed coins),
 or a :class:`~repro.errors.ConfigurationError`; ``"auto"`` window hooks
 when the population has them, else the scalar hooks.  Bulk hooks never
 run here: they consume the whole population's streams at once.

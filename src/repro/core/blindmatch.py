@@ -72,6 +72,9 @@ class BlindMatchNode(GossipNode):
     builder would derive under seed 0.
     """
 
+    #: The UID's lane under ``coins``, derived at the first scalar draw.
+    _lane: int | None = None
+
     def __init__(self, uid: int, upper_n: int, initial_tokens,
                  rng: random.Random, config: BlindMatchConfig | None = None,
                  transfer: TransferProtocol | None = None,
@@ -80,7 +83,6 @@ class BlindMatchNode(GossipNode):
         self.config = config or BlindMatchConfig()
         self.coins = coins or KeyedCounter(SeedTree(0).key(COINS_PATH))
         self._transfer = self._transfer_machine(transfer, self.config)
-        self._lane = None
 
     def advertise(self, round_index: int, neighbor_uids: tuple[int, ...]) -> int:
         return 0  # b = 0: nothing to say.
@@ -111,7 +113,8 @@ class BlindMatchNode(GossipNode):
     def bulk_ready(cls, nodes) -> bool:
         # The batch draws every node's coin under the first node's key.
         first = nodes[0].coins
-        return all(node.coins == first for node in nodes)
+        return all(node.coins is first or node.coins == first
+                   for node in nodes)
 
     @classmethod
     def advertise_all(cls, nodes, round_index, csr) -> np.ndarray:

@@ -129,7 +129,7 @@ class NodeBuildContext:
 
         The private stream is a :class:`~repro.rng.LazyStream`: draw-
         for-draw identical to ``tree.stream("node", uid)`` but not
-        materialized until first use — a bulk-hook algorithm's node
+        materialized until first use — a BlindMatch or SharedBit node
         draws from it only to initiate a Transfer between unequal
         token sets, and at n = 10^6 the eager Mersenne states alone
         would cost ~2.5 GB.

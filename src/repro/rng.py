@@ -13,7 +13,7 @@ library:
   nodes are one vectorised draw, in any order.
 
 * **Private streams** — the remaining per-node randomness (EQTest's
-  evaluation points inside Transfer, SimSharedBit's private coins, ...)
+  evaluation points inside Transfer, SimSharedBit's seed choice, ...)
   still comes from stateful streams: a :class:`SeedTree` derives
   independent, reproducible ``random.Random`` streams from a root seed
   by name, so a whole experiment is replayable from one integer.
@@ -339,9 +339,9 @@ class LazyStream:
 
     A real ``random.Random`` carries the full Mersenne state — roughly
     2.5 KB — so a million per-node private streams cost ~2.5 GB at node
-    build time, even though a node of a bulk-hook algorithm draws from
+    build time, even though a BlindMatch or SharedBit node draws from
     its stream only when it initiates a Transfer between unequal token
-    sets (EQTest's evaluation points); its coins come from keyed
+    sets (EQTest's evaluation points); their coins come from keyed
     counters (:class:`KeyedCounter`) or the shared PRF.  The proxy
     holds only a seed closure until the first attribute access; it then
     builds the real stream and caches the requested bound methods in
