@@ -113,7 +113,7 @@ class BlindMatchNode(GossipNode):
     def bulk_ready(cls, nodes) -> bool:
         # The batch draws every node's coin under the first node's key.
         first = nodes[0].coins
-        return all(node.coins is first or node.coins == first
+        return all(node.coins is first or node.coins.key == first.key
                    for node in nodes)
 
     @classmethod

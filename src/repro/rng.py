@@ -279,7 +279,8 @@ class KeyedCounter:
             stamps = _stamps(np.arange(
                 round_index, round_index + count, dtype=np.uint64))
             rows = _mix64_array(lanes + stamps[:, None]).tolist()
-            self._block = (lanes, first := round_index, rows)
+            first = round_index
+            self._block = (lanes, first, rows)
         return rows[round_index - first]
 
     @staticmethod
@@ -324,15 +325,6 @@ class KeyedCounter:
             redo = redo[(product & _MASK32) < thresholds[redo]]
         return out.astype(np.int64)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KeyedCounter) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyedCounter(key={self.key:016x})"
-
 
 class LazyStream:
     """A ``random.Random`` stand-in that materializes on first draw.
@@ -346,8 +338,8 @@ class LazyStream:
     holds only a seed closure until the first attribute access; it then
     builds the real stream and caches the requested bound methods in
     its instance dict, so every later ``rng.random()`` is one dict hit
-    away from the real thing.  Draw-for-draw identical to the eager stream for the same
-    derivation path (pinned in tests/test_scale.py).
+    away from the real thing.  Draw-for-draw identical to the eager
+    stream for the same derivation path (pinned in tests/test_scale.py).
     """
 
     def __init__(self, factory):
