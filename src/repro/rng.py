@@ -211,7 +211,7 @@ def _stamps(rounds: np.ndarray) -> np.ndarray:
 
 
 #: About how many words :meth:`KeyedCounter.words_list` draws at once.
-_BLOCK_WORDS = 4096
+_BLOCK_WORDS = 1024
 
 
 class KeyedCounter:
@@ -235,7 +235,7 @@ class KeyedCounter:
     def __init__(self, key: bytes):
         self.key = int.from_bytes(key[:8], "big")
         self._cached_lanes = (None, None)
-        self._block = (None, 0, [])
+        self._block = (None, 0, np.empty((0, 0), dtype=np.uint64))
 
     def lane(self, uid: int) -> int:
         return _mix64((self.key + uid * _GAMMA) & _MASK64)
@@ -269,7 +269,7 @@ class KeyedCounter:
         """``words(lanes, round_index).tolist()``, for small populations.
 
         One numpy call costs about as much as a small population's whole
-        Python walk, so the words of the next ``4096 // len(lanes)``
+        Python walk, so the words of the next ``1024 // len(lanes)``
         rounds are drawn together and kept until a round outside them
         is asked for.
         """
@@ -278,10 +278,10 @@ class KeyedCounter:
             count = max(1, _BLOCK_WORDS // max(len(lanes), 1))
             stamps = _stamps(np.arange(
                 round_index, round_index + count, dtype=np.uint64))
-            rows = _mix64_array(lanes + stamps[:, None]).tolist()
+            rows = _mix64_array(lanes + stamps[:, None])
             first = round_index
             self._block = (lanes, first, rows)
-        return rows[round_index - first]
+        return rows[round_index - first].tolist()
 
     @staticmethod
     def index(lane: int, round_index: int, bound: int,
