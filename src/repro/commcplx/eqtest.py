@@ -43,11 +43,6 @@ class EqTestStats:
     trials: int = 0
     bits: int = 0
 
-    def merge(self, other: "EqTestStats") -> None:
-        self.calls += other.calls
-        self.trials += other.trials
-        self.bits += other.bits
-
 
 @dataclass
 class EqualityTester:

@@ -106,7 +106,8 @@ class TransferProtocol:
         self.trials_per_call = trials_for_error(upper_n, epsilon)
         self.tester = EqualityTester(upper_n)
         self._bits_per_call = self.trials_per_call * self.tester.bits_per_trial
-        self._equal_outcome = _equal_set_outcome(upper_n, self._bits_per_call)
+        #: What :meth:`locate` reports on equal sets.
+        self.equal_outcome = _equal_set_outcome(upper_n, self._bits_per_call)
 
     def locate(
         self,
@@ -128,11 +129,8 @@ class TransferProtocol:
         """What :meth:`_search` does on equal sets — most of BlindMatch's
         connections — without running it: same outcome, tester stats and
         channel ledger, no draw."""
-        outcome = self._equal_outcome
-        stats = self.tester.stats
-        stats.calls += outcome.eq_calls
-        stats.trials += outcome.eq_calls * self.trials_per_call
-        stats.bits += outcome.control_bits - 2
+        outcome = self.equal_outcome
+        self.count_equal_calls(outcome.eq_calls)
         if channel is not None:
             recorded = channel.bits.messages
             try:
@@ -144,14 +142,20 @@ class TransferProtocol:
                 # whose charge was attempted — those the ledger recorded (a
                 # strict overflow is recorded, then refused), or the first
                 # one on a closed channel — and give the rest back.
-                unreached = outcome.eq_calls - max(
-                    channel.bits.messages - recorded, 1)
-                stats.calls -= unreached
-                stats.trials -= unreached * self.trials_per_call
-                stats.bits -= unreached * self._bits_per_call
+                self.count_equal_calls(max(
+                    channel.bits.messages - recorded, 1) - outcome.eq_calls)
                 raise
             channel.charge_bits(2, label="transfer-ownership")
         return outcome
+
+    def count_equal_calls(self, calls: int) -> None:
+        """Book ``calls`` EQTest calls on equal sets — all trials run,
+        none drawn — in ``tester.stats`` (negative gives calls back): the
+        one ledger writer for equal sets, with or without a channel."""
+        stats = self.tester.stats
+        stats.calls += calls
+        stats.trials += calls * self.trials_per_call
+        stats.bits += calls * self._bits_per_call
 
     def _search(self, set_a, set_b, rng, channel) -> TransferOutcome:
         """The step-by-step binary search over two validated frozensets

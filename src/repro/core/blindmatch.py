@@ -23,7 +23,6 @@ from repro.core.problem import GossipNode
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.rng import KeyedCounter, SeedTree
-from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
 __all__ = ["BlindMatchConfig", "BlindMatchNode"]
@@ -100,10 +99,6 @@ class BlindMatchNode(GossipNode):
         return neighbors[KeyedCounter.index(
             self._lane, round_index, len(neighbors), word)].uid
 
-    def interact(self, responder: "BlindMatchNode", channel: Channel,
-                 round_index: int) -> None:
-        self.run_transfer(responder, self._transfer, channel)
-
     # -- bulk hooks (array fast path) ------------------------------------
     # The scalar draws, batched: one word per vertex from the cached lanes
     # of the UID array, then each sender's index into its CSR row (rows
@@ -157,10 +152,10 @@ class BlindMatchNode(GossipNode):
     # -- window hooks (batched async path) -------------------------------
     # The draws are keyed by (uid, local cycle), so under synchronous
     # timing they are the round engine's.  Why the ops exist beside
-    # ``ScalarWindowOps`` (ROADMAP 3(a)): any ``timing:`` spec reaches
-    # them, and by never building a ``NeighborView`` they measure +48 % /
-    # +30 % at n = 400 and +30 % / +15 % at n = 2000 over the scalar
-    # hooks (EXPERIMENTS.md SIMPLE-ASYNC, final table).
+    # ``ScalarWindowOps``: any ``timing:`` spec reaches them, and by
+    # never building a ``NeighborView`` they measure +48 % / +30 % at
+    # n = 400 and +30 % / +15 % at n = 2000 over the scalar hooks
+    # (EXPERIMENTS.md SIMPLE-ASYNC, final table).
 
     @classmethod
     def make_window_hooks(cls, nodes) -> "_BlindMatchWindowOps":

@@ -30,7 +30,6 @@ from repro.core.problem import GossipNode
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.rng import SharedRandomness
-from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
 __all__ = ["MultiBitConfig", "MultiBitSharedBitNode"]
@@ -109,10 +108,6 @@ class MultiBitSharedBitNode(GossipNode):
         index = self.shared.selection_index(round_index, self.uid,
                                             len(smaller))
         return smaller[index]
-
-    def interact(self, responder: "MultiBitSharedBitNode", channel: Channel,
-                 round_index: int) -> None:
-        self.run_transfer(responder, self._transfer, channel)
 
 
 @register_algorithm(

@@ -21,7 +21,7 @@ from repro.commcplx.transfer import TransferOutcome, TransferProtocol
 from repro.errors import ConfigurationError
 from repro.core.tokens import Token
 from repro.registry import register_instance
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.protocol import NodeProtocol
 
 __all__ = [
@@ -249,6 +249,30 @@ class GossipNode(NodeProtocol):
         elif outcome.moved_to_b:
             peer.store_token(self.token(outcome.token_id))
         return outcome
+
+    def interact(self, responder: "GossipNode", channel: Channel,
+                 round_index: int) -> None:
+        """The stock exchange: one Transfer(ε) on the node's machine (a
+        subclass sets ``_transfer``, see :meth:`_transfer_machine`)."""
+        self.run_transfer(responder, self._transfer, channel)
+
+    def settle(self, responder: NodeProtocol,
+               policy: ChannelPolicy) -> int | None:
+        """The stock exchange between equal token sets on one shared
+        machine, within budget, moves nothing and draws nothing: book its
+        tester stats as :meth:`TransferProtocol.locate` would and return
+        its control bits.  A class with its own :meth:`interact`, a
+        private machine or a token difference gets ``None``."""
+        if (type(self).interact is not GossipNode.interact
+                or self.known_tokens != responder.known_tokens):
+            return None
+        transfer = self._transfer
+        outcome = transfer.equal_outcome
+        if (getattr(responder, "_transfer", None) is not transfer
+                or outcome.control_bits > policy.max_control_bits):
+            return None
+        transfer.count_equal_calls(outcome.eq_calls)
+        return outcome.control_bits
 
 
 @register_instance(

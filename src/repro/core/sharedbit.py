@@ -29,7 +29,6 @@ from repro.core.problem import GossipNode
 from repro.errors import ConfigurationError
 from repro.registry import register_algorithm
 from repro.rng import SharedRandomness
-from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
 __all__ = ["SharedBitConfig", "SharedBitNode", "build_sharedbit_nodes"]
@@ -111,10 +110,6 @@ class SharedBitNode(GossipNode):
         group = round_index + self.config.group_offset
         index = self.shared.selection_index(group, self.uid, len(zeros))
         return zeros[index]
-
-    def interact(self, responder: "SharedBitNode", channel: Channel,
-                 round_index: int) -> None:
-        self.run_transfer(responder, self._transfer, channel)
 
     # -- bulk hooks (array fast path) ------------------------------------
     # The parity bits are *shared* randomness: b_t(r) depends only on

@@ -350,8 +350,8 @@ class Coordinator:
         ``"ignore"`` just returns None (telemetry pushes, which also
         shrug off a remote error).  A suspect is a peer whose request
         already failed, so it gets the ``fail`` treatment without being
-        asked.  Round-trip fan-out (ROADMAP direction 5) is a change to
-        this method's callers and nothing else.
+        asked.  Round-trip fan-out (a round's requests in flight at
+        once) is a change to this method's callers and nothing else.
         """
         uid = self.servers[vertex].uid
         if uid in self.suspects:

@@ -382,16 +382,24 @@ class Simulation:
     ) -> tuple[int, int]:
         """Stage 3: bounded pairwise interaction over metered channels.
 
-        The channel and the interact hook see ``rnd`` as their round —
-        or, as in ``FaultReader.split``, the initiator's local cycle."""
+        A pair the initiator's ``settle`` vouches for moves nothing and
+        books the bits it returns, with no channel.  Every other pair
+        runs ``interact``; the channel and the hook see ``rnd`` as their
+        round — or, as in ``FaultReader.split``, the initiator's local
+        cycle."""
         tokens_moved = 0
         control_bits = 0
+        nodes, vertex_of = self._nodes, self._vertex_of_uid
+        policy = self.channel_policy
         for initiator_uid, responder_uid in matches:
+            initiator = nodes[vertex_of[initiator_uid]]
+            responder = nodes[vertex_of[responder_uid]]
+            settled = initiator.settle(responder, policy)
+            if settled is not None:
+                control_bits += settled
+                continue
             at = cycle_of_uid[initiator_uid] if rnd is None else rnd
-            initiator = self.protocols[self._vertex_of_uid[initiator_uid]]
-            responder = self.protocols[self._vertex_of_uid[responder_uid]]
-            channel = Channel(at, initiator_uid, responder_uid,
-                              self.channel_policy)
+            channel = Channel(at, initiator_uid, responder_uid, policy)
             initiator.interact(responder, channel, at)
             channel.close()
             tokens_moved += channel.tokens_moved

@@ -9,7 +9,9 @@ round the engine calls, in model order:
    to send a connection proposal (and to whom) based on the neighbor views;
 3. :meth:`NodeProtocol.interact` — if matched, the *initiator's* method is
    invoked with the responder object and a metered channel; the pair
-   performs its bounded exchange.
+   performs its bounded exchange.  Before opening that channel the engine
+   asks :meth:`NodeProtocol.settle` whether the exchange is known to move
+   nothing; if so it books the returned control bits and skips it.
 
 Protocols must not communicate outside these hooks; the test suite checks
 the engine-enforced parts (tag width, proposing only to neighbors) and the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Protocol, runtime_checkable
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
 
 __all__ = ["NodeProtocol", "TokenHolder", "ScalarWindowOps", "bulk_hooks",
@@ -62,6 +64,14 @@ class NodeProtocol(ABC):
         Called on the node whose proposal was accepted.  All communication
         cost must be charged to ``channel``.
         """
+
+    def settle(self, responder: "NodeProtocol",
+               policy: ChannelPolicy) -> int | None:
+        """The control bits :meth:`interact` would charge, when this pair's
+        exchange is known to move no token, touch no stream and fit
+        ``policy`` — having done everything else it would do; else
+        ``None``, and the engine runs :meth:`interact` over a channel."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(uid={self.uid})"

@@ -1304,8 +1304,7 @@ class TestPooledConnections:
 @pytest.mark.net
 class TestFrameDecoderRobustness:
     """A bad frame on a persistent connection closes *that* connection
-    only (ROADMAP direction 4): the server keeps answering others and
-    shuts down clean."""
+    only: the server keeps answering others and shuts down clean."""
 
     @pytest.mark.parametrize("garbage", [
         HEADER.pack(MAX_FRAME + 1),            # oversize length prefix
