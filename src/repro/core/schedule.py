@@ -82,6 +82,9 @@ class CrowdedBinSchedule:
         self.max_tag = (1 << self.ell) - 1
         #: Crowding threshold: a bin with ≥ this many tags is crowded.
         self.crowded_threshold = self.gamma * self.log_n
+        # locate's last answer: every node of a population shares this
+        # schedule and asks for the same round in turn.
+        self._located: tuple[int, SchedulePosition] | None = None
 
     def bins(self, instance: int) -> int:
         """k_i = 2^i, the bin count (and estimate) of instance ``instance``."""
@@ -108,14 +111,20 @@ class CrowdedBinSchedule:
         return j, t
 
     def locate(self, real_round: int) -> SchedulePosition:
-        """Full position of a real round inside its instance's schedule."""
+        """Full position of a real round inside its instance's schedule.
+
+        The last answer is kept: a frozen position is shared by every
+        node that asks for the same round."""
+        located = self._located
+        if located is not None and located[0] == real_round:
+            return located[1]
         instance, t = self.instance_of_round(real_round)
         plen = self.phase_len(instance)
         phase, pos_in_phase = divmod(t - 1, plen)
         bin_len = self.blocks_per_bin * self.block_len
         bin_index, pos_in_bin = divmod(pos_in_phase, bin_len)
         block, offset = divmod(pos_in_bin, self.block_len)
-        return SchedulePosition(
+        pos = SchedulePosition(
             instance=instance,
             instance_round=t,
             phase=phase,
@@ -125,6 +134,8 @@ class CrowdedBinSchedule:
             is_spelling=offset < self.ell,
             is_phase_start=pos_in_phase == 0,
         )
+        self._located = (real_round, pos)
+        return pos
 
     def is_spelling_end(self, pos: SchedulePosition) -> bool:
         """Last spelling round of a block (time to decode neighbor tags)."""

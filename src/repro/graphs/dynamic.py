@@ -107,21 +107,24 @@ class DynamicGraph(ABC):
         return (round_index - 1) // self.tau
 
     def graph_at(self, round_index: int) -> nx.Graph:
-        """The (connected) topology for round ``round_index`` (1-indexed)."""
+        """The (connected) topology for round ``round_index`` (1-indexed),
+        as an ``nx.Graph`` — for analysis and tests; neither the engines
+        nor the live coordinator read it (they read :meth:`csr_at`)."""
         _check_round(round_index)
         return self._graph_for_epoch(self.epoch_of(round_index))
 
     def csr_at(self, round_index: int):
         """The round's topology as a :class:`~repro.sim.adjacency.CSRAdjacency`.
 
-        The hook the engine's array fast path calls instead of
-        :meth:`graph_at`.  This default converts the epoch's ``nx.Graph``
-        once and caches the snapshot for the rest of the epoch; dynamics
-        that can produce arrays without materializing a graph object
-        override it (:class:`RelabelingAdversary` permutes the base
-        shape's CSR directly).  Overrides must keep every row's neighbors
-        in ascending vertex order — the object engine's neighbor order —
-        or fast-path traces diverge from the reference.
+        The one topology hook the engines (both front halves of both)
+        and the live coordinator read.  This default converts the
+        epoch's ``nx.Graph`` once and caches the snapshot for the rest
+        of the epoch; dynamics that can produce arrays without
+        materializing a graph object override it
+        (:class:`RelabelingAdversary` permutes the base shape's CSR
+        directly).  Overrides must keep every row's neighbors in
+        ascending vertex order — the order every consumer's random
+        draws are aligned to.
         """
         graph = self.graph_at(round_index)
         if self._csr_cache_key is not graph:
@@ -168,12 +171,10 @@ class CSRStaticGraph(DynamicGraph):
     connectivity *by construction* (``ring_expander`` — a union of
     Hamiltonian cycles) build their edge arrays directly and skip both
     the ``nx`` materialization and the O(n + m) connectivity check that
-    :class:`~repro.graphs.topologies.Topology` performs.  The array
-    engine only ever calls :meth:`csr_at`, so the graph object is built
-    lazily and only if an object-path or analysis consumer asks for it
-    (fine at test sizes, deliberately unbounded at scale — the object
-    path refuses large n anyway, see
-    :class:`~repro.errors.MemoryBudgetError`).
+    :class:`~repro.graphs.topologies.Topology` performs.  The engines
+    only ever call :meth:`csr_at`, so the graph object is built lazily
+    and only if an analysis consumer asks for it (fine at test sizes,
+    deliberately unbounded at scale).
     """
 
     def __init__(self, csr, name: str = "csr"):

@@ -457,9 +457,11 @@ class Coordinator:
             if reply is not None:
                 self._counts[vertex] = reply["count"]
 
-        # The round's topology (the graph caches it per epoch); the
-        # messages below carry it to the servers.
-        graph = self.dynamic_graph.graph_at(rnd)
+        # The round's topology (the graph caches its CSR rows per epoch,
+        # each sorted by vertex); the messages below carry it to the
+        # servers.
+        csr = self.dynamic_graph.csr_at(rnd)
+        indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
         inactive, suspects = plan.inactive, self.suspects
 
         def up(vertex: int) -> bool:
@@ -467,7 +469,8 @@ class Coordinator:
 
         visible = {
             vertex: (
-                [nb for nb in sorted(graph.neighbors(vertex)) if up(nb)]
+                [nb for nb in indices[indptr[vertex]:indptr[vertex + 1]]
+                 if up(nb)]
                 if up(vertex) else []
             )
             for vertex in range(n)

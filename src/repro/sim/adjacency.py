@@ -1,22 +1,22 @@
 """CSR adjacency snapshots — the flat-array view of one epoch's topology.
 
-The object engine hands protocols per-vertex ``NeighborView`` tuples; the
-array fast path instead hands bulk protocol hooks one
-:class:`CSRAdjacency` per epoch: the topology in compressed-sparse-row
-form (``indptr``/``indices`` in the narrowest index dtype that fits —
-int32 below 2^31 vertices/edges, int64 above, see
-:func:`index_dtype_for`), with each row's neighbors **sorted by
-vertex** — exactly the order the object engine's ``_refresh_adjacency``
-produces, which is what keeps the two paths' random-stream consumption
-aligned.  UID arrays stay int64 regardless (the matching resolvers
-coerce to int64, so the index dtype never reaches a random draw — the
-int32/int64 identity the golden corpus's "int64 CSR" variant row pins).
+Every engine reads the topology as one :class:`CSRAdjacency` per epoch:
+the topology in compressed-sparse-row form (``indptr``/``indices`` in
+the narrowest index dtype that fits — int32 below 2^31 vertices/edges,
+int64 above, see :func:`index_dtype_for`), with each row's neighbors
+**sorted by vertex**.  The array path hands it to bulk protocol hooks;
+the object path builds its per-vertex ``NeighborView`` tuples from its
+rows, in the same order, which is what keeps the two paths'
+random-stream consumption aligned.  UID arrays stay int64 regardless
+(the matching resolvers coerce to int64, so the index dtype never
+reaches a random draw — the int32/int64 identity the golden corpus's
+"int64 CSR" variant row pins).
 
 A CSR snapshot is built once per τ-epoch.  :meth:`DynamicGraph.csr_at
 <repro.graphs.dynamic.DynamicGraph.csr_at>` is the producing hook: the
 default implementation converts ``graph_at``'s ``nx.Graph``, while
 dynamics that can do better (``RelabelingAdversary``) permute arrays
-directly and never materialize a graph object on the fast path.
+directly and never materialize a graph object.
 
 UIDs are simulation-side knowledge (the dynamic graph only knows
 vertices), so the engine *binds* its per-vertex UID array onto the epoch
@@ -224,9 +224,8 @@ class CSRAdjacency:
         lose their sleeping neighbors.  Row order is preserved, so rows
         stay sorted by vertex — the invariant every snapshot shares —
         and the UID binding is carried along in the same edge pass.
-        This is how the fault layer's activity mask reaches the array
-        front halves (the object path filters its neighbor lists with
-        the same mask).  A per-snapshot memo of the ``keep`` most recent
+        This is how the fault layer's activity mask reaches every
+        front half.  A per-snapshot memo of the ``keep`` most recent
         masks, keyed by the mask's bytes, makes repeated masks reuse the
         filtered row buffers instead of rebuilding them: the many
         cohorts of one asynchronous round window revisit a handful of

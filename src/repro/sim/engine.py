@@ -14,22 +14,29 @@ Everything is deterministic given the seed: topology evolution, acceptance
 draws, and protocol-internal randomness (protocols are constructed with
 streams from the same :class:`~repro.rng.SeedTree`).
 
-Two interchangeable front halves drive Stages 1–2 of each round:
+Both engines read the topology only as the UID-bound CSR snapshot of
+the round's epoch (:class:`~repro.sim.adjacency.CSRAdjacency` via
+``DynamicGraph.csr_at``); ``graph_at`` is for analysis.  Two
+interchangeable front halves drive Stages 1–2 of each round over it:
 
 * the **object path** (the reference): per-node ``advertise``/``propose``
-  calls over cached :class:`~repro.sim.context.NeighborView` skeletons;
+  calls over :class:`~repro.sim.context.NeighborView` skeletons cached
+  from the snapshot's rows, resolved by
+  :func:`repro.sim.matching.resolve_proposals`;
 * the **array path**: when every node provides the bulk hooks
-  (:func:`repro.sim.protocol.bulk_hooks`), the engine feeds them one
-  UID-bound CSR snapshot per epoch
-  (:class:`~repro.sim.adjacency.CSRAdjacency` via
-  ``DynamicGraph.csr_at``) and resolves matching with
-  :func:`repro.sim.matching.resolve_proposals_arrays`, the array form of
-  the object path's :func:`~repro.sim.matching.resolve_proposals`.
+  (:func:`repro.sim.protocol.bulk_hooks`), the engine feeds them the
+  snapshot itself and resolves a round's proposals with the same dict
+  resolver when there are few of them, and with its array form
+  :func:`~repro.sim.matching.resolve_proposals_arrays` above a measured
+  crossover (``_DICT_RESOLVER_MAX_PROPOSALS``).
 
 The two paths are **byte-identical**: same tags, same proposals, same
 random-stream consumption, same matching, same traces (pinned by the
 golden corpus, tests/test_golden_traces.py, whose classes require every
-object/array pair to share one recorded digest).  ``engine_mode`` picks
+object/array pair to share one recorded digest; its n = 24 rounds all
+resolve through the dict form, so the array resolver's agreement is
+pinned by tests/test_matching.py's properties and one object == array
+run crossing the split in tests/test_fastpath.py).  ``engine_mode`` picks
 the front half by one rule, written once in :class:`Simulation` and
 shared by the asynchronous executor, which takes window hooks where
 this engine takes bulk hooks: ``"object"`` runs the per-node scalar
@@ -42,8 +49,8 @@ vertices from the round's topology on *both* paths (they do not
 advertise, cannot be proposed to, and see no neighbors), and its
 per-match drop decisions make accepted connections fail before Stage 3.
 The mask is an argument of the two front halves, not a second pair of
-them: it selects which neighbor caches (object path) or which bound
-snapshot (array path) the same stage code runs over.
+them: it selects the active subgraph's bound snapshot, which both run
+over.
 The null model (:class:`~repro.sim.faults.NoFaults`, the default)
 consumes zero randomness and leaves every trace byte-identical to an
 engine without the layer.
@@ -95,6 +102,12 @@ OBJECT_PATH_MAX_N = 200_000
 #: Python state, used for the guard's error message (measured ~2-4 KB
 #: per node at average degree 6 on CPython 3.12).
 _OBJECT_PATH_BYTES_PER_NODE = 3_000
+
+#: The array path resolves a round with at most this many proposals
+#: through the dict resolver: below the measured crossover (192–256
+#: proposals, EXPERIMENTS.md) numpy's fixed per-call cost loses to the
+#: Python loop.
+_DICT_RESOLVER_MAX_PROPOSALS = 192
 
 
 @dataclass
@@ -216,16 +229,15 @@ class Simulation:
         # walks lists instead of dict lookups.
         self._nodes = [self.protocols[vertex] for vertex in range(self.n)]
         self._tags = [0] * self.n
-        # Adjacency caches are keyed on the graph object identity (plus
-        # the fault mask's bytes, None = all awake); dynamic graphs return
-        # the same object for every round of an epoch, so this rebuilds
-        # only when the topology or the mask actually changes.  The cached
-        # NeighborView skeletons (and their tuples) live until then: each
-        # round only the views whose tag actually changed are replaced,
-        # and a vertex's tuple is rebuilt only if any of its views changed.
+        # The object path's neighbor caches are keyed on the identity of
+        # the bound CSR snapshot they were read from (masked or not): the
+        # engine re-binds only when the epoch changes and masked_bound
+        # memoizes a repeated mask, so this rebuilds only when the
+        # topology or the mask actually changes.  The cached NeighborView
+        # skeletons (and their tuples) live until then: each round only
+        # the views whose tag actually changed are replaced, and a
+        # vertex's tuple is rebuilt only if any of its views changed.
         self._adjacency_for = None
-        self._adjacency_mask: bytes | None = None
-        self._epoch_neighbors: list[tuple[int, ...]] = []
         self._neighbor_vertices: list[tuple[int, ...]] = []
         self._neighbor_uids: list[tuple[int, ...]] = []
         self._neighbor_uid_sets: list[frozenset] = []
@@ -464,13 +476,14 @@ class Simulation:
     ) -> tuple[int, list[tuple[int, int]]]:
         """Stages 1–2 through per-node hooks (the reference path).
 
-        Under a fault ``mask`` every node's hooks still run — in the same
-        vertex order, which is also a bulk hook's scalar-equivalent
-        order — but over the active subgraph's neighbor caches: an
-        inactive vertex sees an empty neighborhood and an active vertex
-        sees only its awake neighbors.
+        The neighbor caches are read from the same bound CSR snapshot the
+        array path is fed.  Under a fault ``mask`` every node's hooks
+        still run — in the same vertex order, which is also a bulk hook's
+        scalar-equivalent order — but over the active subgraph's
+        snapshot: an inactive vertex sees an empty neighborhood and an
+        active vertex sees only its awake neighbors.
         """
-        self._refresh_adjacency(self.dynamic_graph.graph_at(rnd), mask)
+        self._refresh_adjacency(self._bound_csr(rnd, mask))
         nodes = self._nodes
         tags = self._tags
 
@@ -521,10 +534,7 @@ class Simulation:
         neighbors removed), rebuilt only when the mask or the epoch
         changes.
         """
-        bound = self._bound_csr(rnd)
-        if mask is not None:
-            with self._prof.span("round.csr_bind"):
-                bound = bound.masked_bound(mask, keep=1)
+        bound = self._bound_csr(rnd, mask)
         advertise_all, propose_all = self._hooks
 
         # Stage 1: every tag at once, then one vectorized range check.
@@ -576,19 +586,30 @@ class Simulation:
 
         # As on the object path: `bound` is already the active subgraph,
         # so the legality check left only proposals with both endpoints
-        # active.
+        # active.  Small rounds go to the dict form, whose Python loop
+        # beats the array form's fixed numpy cost there; both call the
+        # stream supplier for the same targets in the same order.
         proposer_uids = self._uid_array[proposer_mask]
         target_uids = targets[proposer_mask]
+        streams = self._match_streams("match", rnd)
         with self._prof.span("round.resolve"):
-            matches = resolve_proposals_arrays(
-                proposer_uids, target_uids,
-                self._match_streams("match", rnd), rule=self.acceptance,
-            )
-        return int(proposer_mask.sum()), matches
+            if proposer_uids.size <= _DICT_RESOLVER_MAX_PROPOSALS:
+                matches = resolve_proposals(
+                    dict(zip(proposer_uids.tolist(), target_uids.tolist())),
+                    streams, rule=self.acceptance,
+                )
+            else:
+                matches = resolve_proposals_arrays(
+                    proposer_uids, target_uids, streams,
+                    rule=self.acceptance,
+                )
+        return proposer_uids.size, matches
 
-    def _bound_csr(self, rnd: int):
+    def _bound_csr(self, rnd: int, mask: np.ndarray | None = None):
         """The UID-bound CSR snapshot of round ``rnd``'s epoch, re-bound
-        only when the topology changes."""
+        only when the topology changes — or, under a fault ``mask``, its
+        active subgraph, which ``masked_bound`` rebuilds only when the
+        mask changes.  Both front halves read their round from here."""
         with self._prof.span("round.topology"):
             csr = self.dynamic_graph.csr_at(rnd)
         bound = self._csr_bound
@@ -600,6 +621,9 @@ class Simulation:
             self.telemetry.metrics.gauge("engine.arena_bytes").set(
                 self._arena.nbytes()
             )
+        if mask is not None:
+            with self._prof.span("round.csr_bind"):
+                bound = bound.masked_bound(mask, keep=1)
         return bound
 
     def _match_streams(self, *key):
@@ -657,36 +681,18 @@ class Simulation:
             )
         return array.astype(np.int64, copy=False)
 
-    def _refresh_adjacency(
-        self, graph, mask: np.ndarray | None = None
-    ) -> None:
-        """Point the object path's neighbor caches at ``graph``'s
-        active subgraph under ``mask`` (None = everyone awake)."""
-        mask_key = None if mask is None else mask.tobytes()
-        if graph is self._adjacency_for:
-            if mask_key == self._adjacency_mask:
-                return
-        else:
-            self._adjacency_for = graph
-            self._epoch_neighbors = [
-                tuple(sorted(graph.neighbors(vertex)))
-                for vertex in range(self.n)
-            ]
-        self._adjacency_mask = mask_key
-        if mask is None:
-            self._neighbor_vertices = self._epoch_neighbors
-        else:
-            active = mask.tolist()
-            self._neighbor_vertices = [
-                tuple(nv for nv in nvs if active[nv]) if active[vertex]
-                else ()
-                for vertex, nvs in enumerate(self._epoch_neighbors)
-            ]
-        nodes = self._nodes
-        self._neighbor_uids = [
-            tuple(nodes[nv].uid for nv in nvs)
-            for nvs in self._neighbor_vertices
-        ]
+    def _refresh_adjacency(self, bound) -> None:
+        """Point the object path's neighbor caches at the rows of
+        ``bound``, a UID-bound snapshot (rows sorted by vertex)."""
+        if bound is self._adjacency_for:
+            return
+        self._adjacency_for = bound
+        indptr = bound.indptr.tolist()
+        indices = bound.indices.tolist()
+        edge_uids = bound.uids.tolist()
+        rows = list(zip(indptr, indptr[1:]))
+        self._neighbor_vertices = [tuple(indices[a:b]) for a, b in rows]
+        self._neighbor_uids = [tuple(edge_uids[a:b]) for a, b in rows]
         self._neighbor_uid_sets = [
             frozenset(uids) for uids in self._neighbor_uids
         ]

@@ -22,11 +22,13 @@ stars falling once acceptance is unbounded).
 
 There is one rule and two implementations of it: the dict form
 (:func:`resolve_proposals`, the readable reference — the round engine's
-object path and the asynchronous engine's cohorts) and the array form
-(:func:`resolve_proposals_arrays` — the array path).  They share no
-resolution code, which is what makes the engines' differential gates
-meaningful, and they agree pair for pair, order
-included (tests/test_matching.py pins it property-style).
+object path, the array path's small rounds and the asynchronous
+engine's cohorts) and the array form (:func:`resolve_proposals_arrays`
+— the array path's rounds above a measured proposal count, where its
+fixed numpy cost pays off).  They share no resolution code, and they
+agree pair for pair, order included: tests/test_matching.py pins it
+property-style on proposal sets on both sides of the engine's split,
+and tests/test_fastpath.py on one engine run that crosses it.
 
 **Stream discipline.**  Both take a *stream supplier*
 ``stream_for(target_uid) -> random.Random`` and call it exactly once per

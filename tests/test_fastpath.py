@@ -23,6 +23,7 @@ from repro.core.ppush import PPushNode
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
 from repro.errors import ConfigurationError
+from repro.experiments import fastpath
 from repro.experiments.fastpath import (
     CHECK_ACCEPTANCES,
     CHECK_ASYNC_ALGORITHMS,
@@ -35,10 +36,10 @@ from repro.experiments.fastpath import (
     run_case,
     trace_signature,
 )
-from repro.graphs.dynamic import StaticDynamicGraph
+from repro.graphs.dynamic import DynamicGraph, StaticDynamicGraph
 from repro.graphs.topologies import star
 from repro.rng import SeedTree
-from repro.sim.engine import Simulation
+from repro.sim.engine import _DICT_RESOLVER_MAX_PROPOSALS as SPLIT, Simulation
 from repro.sim.channel import ChannelPolicy
 from repro.sim.protocol import bulk_hooks
 
@@ -651,3 +652,57 @@ class TestEngineEnforcementOnArrayPath:
 
         with pytest.raises(ProtocolViolationError):
             sim.step()
+
+
+class _CSROnly(DynamicGraph):
+    """Serves a dynamic graph's CSR snapshots and nothing else:
+    ``csr_at`` delegates, ``graph_at`` raises."""
+
+    def __init__(self, inner):
+        super().__init__(n=inner.n, tau=inner.tau)
+        self._inner = inner
+
+    def csr_at(self, round_index):
+        return self._inner.csr_at(round_index)
+
+    def _graph_for_epoch(self, epoch):
+        raise AssertionError("an engine read graph_at")
+
+
+class TestEnginesReadOnlyCSR:
+    """Both front halves of both engines read the topology from
+    ``csr_at``; ``graph_at`` is for analysis only."""
+
+    @pytest.mark.parametrize("timing", [None, "jitter"])
+    @pytest.mark.parametrize("engine_mode", ["object", "array"])
+    @pytest.mark.parametrize("fault", ["none", "sleep"])
+    def test_no_engine_reads_graph_at(
+        self, monkeypatch, timing, engine_mode, fault
+    ):
+        case = ("sharedbit", "geometric", "uniform", engine_mode)
+        kwargs = dict(rounds=20, fault=fault, timing=timing)
+        reference = run_case(*case, **kwargs)
+        real = fastpath.make_dynamics
+        monkeypatch.setattr(
+            fastpath, "make_dynamics",
+            lambda kind, n, seed: _CSROnly(real(kind, n, seed)),
+        )
+        assert first_divergence(reference, run_case(*case, **kwargs)) is None
+
+
+def test_object_equals_array_on_both_sides_of_the_resolver_split():
+    """The array path resolves small rounds with the dict form and large
+    ones with the array form.  BlindMatch's coin makes about n/2 of the
+    n = 2 * SPLIT nodes propose each round on a dense mobility mesh, so
+    its rounds land on both sides of the split, and which sender a
+    contested target accepts decides whose tokens move: the run matches
+    the object path round for round."""
+    n, rounds = 2 * SPLIT, 8
+    array = run_case("blindmatch", "geometric", "uniform", "array",
+                     n=n, rounds=rounds)
+    assert first_divergence(array, run_case(
+        "blindmatch", "geometric", "uniform", "object", n=n, rounds=rounds
+    )) is None
+    proposals = [record[1] for record in array[0][-1]]
+    assert any(0 < count <= SPLIT for count in proposals)
+    assert any(count > SPLIT for count in proposals)

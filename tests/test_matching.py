@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolViolationError
+from repro.sim.engine import _DICT_RESOLVER_MAX_PROPOSALS as SPLIT
 from repro.sim.matching import (
     ACCEPTANCE_RULES,
     resolve_proposals,
@@ -16,6 +17,33 @@ from repro.sim.matching import (
 )
 
 ALL_RULES = sorted(ACCEPTANCE_RULES) + ["unbounded"]
+
+
+def _seeded_map(size: int, seed: int) -> dict:
+    """``size`` proposals among ``3 * SPLIT`` UIDs (self-proposals
+    included; the properties drop them)."""
+    rng = random.Random(seed)
+    uids = range(3 * SPLIT)
+    return {p: rng.choice(uids) for p in rng.sample(uids, size)}
+
+
+#: Proposal maps on both sides of the round engine's resolver split
+#: (its array path resolves rounds of at most SPLIT proposals with the
+#: dict form, larger ones with the array form): small maps over few UIDs
+#: contend often; large ones, up to twice the split, are drawn from a
+#: seed (hypothesis builds a map of hundreds of keys slowly).
+PROPOSAL_MAPS = st.one_of(
+    st.dictionaries(
+        keys=st.integers(min_value=0, max_value=30),
+        values=st.integers(min_value=0, max_value=30),
+        max_size=25,
+    ),
+    st.builds(
+        _seeded_map,
+        st.integers(min_value=SPLIT + 1, max_value=2 * SPLIT),
+        st.integers(min_value=0, max_value=2**32),
+    ),
+)
 
 
 def shared(seed_or_rng):
@@ -199,12 +227,7 @@ class TestArrayResolver:
 
 
 @given(
-    st.dictionaries(
-        keys=st.integers(min_value=0, max_value=30),
-        values=st.integers(min_value=0, max_value=30),
-        min_size=0,
-        max_size=25,
-    ),
+    PROPOSAL_MAPS,
     st.integers(min_value=0, max_value=1000),
     st.sampled_from(ALL_RULES),
 )
@@ -268,12 +291,7 @@ class RecordingSupplier:
 
 
 @given(
-    st.dictionaries(
-        keys=st.integers(min_value=0, max_value=30),
-        values=st.integers(min_value=0, max_value=30),
-        min_size=0,
-        max_size=25,
-    ),
+    PROPOSAL_MAPS,
     st.integers(min_value=0, max_value=1000),
     st.sampled_from(ALL_RULES),
     st.sampled_from([shared, per_target]),

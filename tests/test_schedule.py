@@ -1,7 +1,7 @@
 """Tests for the CrowdedBin schedule arithmetic."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import CrowdedBinSchedule
@@ -177,3 +177,39 @@ def test_locate_consistency_property(real_round, upper_n, beta, gamma):
         + 1
     )
     assert reconstructed == t
+
+
+class TestLocateMemo:
+    """locate keeps its last answer; a memo hit must equal what a
+    freshly built schedule computes."""
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5_000), max_size=40),
+        st.integers(min_value=4, max_value=64),
+    )
+    @example([1, 2, 3, 4, 5, 6], 16)              # monotone (round engine)
+    @example([7, 7, 7, 8, 8], 16)                 # repeated (n nodes a round)
+    @example([9, 8, 7, 3, 1], 16)                 # backwards
+    @example([4, 2, 4, 5, 3, 5, 3, 6, 4, 6], 16)  # interleaved local cycles
+    @settings(max_examples=100, deadline=None)
+    def test_any_round_sequence_matches_a_fresh_schedule(
+        self, rounds, upper_n
+    ):
+        memo = make(upper_n=upper_n)
+        for real_round in rounds:
+            assert memo.locate(real_round) == make(
+                upper_n=upper_n
+            ).locate(real_round)
+
+    def test_repeated_round_returns_the_shared_position(self):
+        s = make()
+        assert s.locate(5) is s.locate(5)
+
+    def test_registry_population_shares_one_schedule(self):
+        from repro.core.problem import uniform_instance
+        from repro.core.runner import build_nodes
+
+        nodes = build_nodes(
+            "crowdedbin", uniform_instance(n=8, k=2, seed=1), seed=1
+        )
+        assert len({id(node.schedule) for node in nodes.values()}) == 1
