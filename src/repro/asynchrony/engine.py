@@ -57,11 +57,14 @@ whole window's schedule) and its cohorts run in event order through a
 proposal candidates, per-cohort resolution (a cohort with no contested
 target derives no rng, contested ones draw from the exact per-tick
 ``("match", r)`` / ``("match", "tick", t)`` streams), fault drops, and
-interactions.  Determinism is the hard constraint: no random draw
-moves.  Every cohort is scanned just before it proposes, on its
-members' current state, so a tag always reflects the transfers and
-crash resets before it and each node's private stream interleaves with
-its Transfer draws in event order.  Every timing, Synchronous included,
+interactions.  There everything is plain Python: a member's row is its
+snapshot's cached ``(uid tuple, vertex list)`` and published tags are a
+list of ints (any ``b``), since numpy loses on degree-sized rows.
+Determinism is the hard constraint: no random draw moves.  Every
+cohort is scanned just before it proposes, on its members' current
+state, so a tag always reflects the transfers and crash resets before
+it and each node's private stream interleaves with its Transfer draws
+in event order.  Every timing, Synchronous included,
 runs through this executor.  ``engine_mode`` picks the ops by the round
 engine's rule, with window hooks where the round engine takes bulk
 hooks: ``"object"`` the scalar hooks
@@ -107,7 +110,7 @@ class AsyncSimulation(Simulation):
     the window ops by the round engine's rule, with window hooks in
     place of bulk hooks: ``"object"`` the scalar hooks, ``"array"``
     window hooks or an error, ``"auto"`` window hooks if the population
-    has them.  Tags are published in an int64 array, so ``b <= 63``.
+    has them.
     """
 
     _fast_hooks = staticmethod(window_hooks)
@@ -130,11 +133,6 @@ class AsyncSimulation(Simulation):
                 "by instant, not by target (the per-target discipline "
                 "exists for the synchronous live bridge, repro.net)"
             )
-        if self.max_tag > np.iinfo(np.int64).max:
-            raise ConfigurationError(
-                f"AsyncSimulation publishes advertisements in an int64 "
-                f"array, so tags are limited to b <= 63 bits; got b={b}"
-            )
         self.timing = timing
         #: Per-vertex activation totals (the per-node event counts).
         self.event_counts = np.zeros(self.n, dtype=np.int64)
@@ -148,8 +146,9 @@ class AsyncSimulation(Simulation):
         # step()).
         self._next_ticks: np.ndarray | None = None
         self._next_cycles: np.ndarray | None = None
-        # Published advertisements ("whatever each neighbor last wrote").
-        self._tags_np = np.zeros(self.n, dtype=np.int64)
+        # Published advertisements ("whatever each neighbor last wrote"),
+        # as Python ints: any width b, and cohort rows read them cheaply.
+        self._tags = [0] * self.n
         # The window being executed: its bound snapshot, its memos of
         # fault masks and masked snapshots by fault index, and the fault
         # index shared by all its members (None = each member's own
@@ -199,9 +198,10 @@ class AsyncSimulation(Simulation):
         return result
 
     def _scalar_hooks(self, engine_mode: str) -> ScalarWindowOps:
-        """The scalar hooks as window ops.  They read bound-CSR rows and
-        build no ``NeighborView`` caches, so the round engine's memory
-        guard has nothing to price here."""
+        """The scalar hooks as window ops.  They build no
+        ``NeighborView`` caches, so the round engine's memory guard does
+        not apply; the rows they read are the snapshot's cache
+        (``CSRAdjacency.row``), which grows with the vertices that scan."""
         return ScalarWindowOps(self._nodes, self._visible_uids)
 
     # ------------------------------------------------------------------
@@ -254,7 +254,7 @@ class AsyncSimulation(Simulation):
 
     def _row(self, vertex: int, cycle: int):
         """``vertex``'s visible neighbourhood at its local ``cycle``, as
-        the ``(uids, vertices)`` row slices of the window's bound
+        the cached ``(uid tuple, vertex list)`` row of the window's bound
         snapshot under the fault mask judged from the member's own
         clock: an inactive member sees nobody, an active one only its
         awake neighbours."""
@@ -270,14 +270,12 @@ class AsyncSimulation(Simulation):
                     snapshot if mask is None else snapshot.masked_bound(mask)
                 )
             snapshot = snapshots[index]
-        start = snapshot.indptr[vertex]
-        end = snapshot.indptr[vertex + 1]
-        return snapshot.uids[start:end], snapshot.indices[start:end]
+        return snapshot.row(vertex)
 
     def _visible_uids(self, vertex: int, cycle: int) -> tuple[int, ...]:
         """What the scalar ``advertise`` hook is handed: the UIDs of
         :meth:`_row`, as the round engine's object path passes them."""
-        return tuple(self._row(vertex, cycle)[0].tolist())
+        return self._row(vertex, cycle)[0]
 
     def _cohort_streams(self, ticks: int):
         """The acceptance stream supplier of the cohort at ``ticks``.
@@ -299,8 +297,8 @@ class AsyncSimulation(Simulation):
 
         ``ticks``/``vertices``/``cycles`` are the window's events sorted
         by (tick, vertex) — the event order.  Each cohort publishes its
-        scanned tags in ``self._tags_np`` before it proposes; candidate
-        evaluation reads neighbor tags straight from that array, so
+        scanned tags in ``self._tags`` before it proposes; candidate
+        evaluation reads neighbor tags straight from that list, so
         stale-vs-fresh advertisement semantics fall out of scanning in
         event order.  Returns the window's ``(proposals, connections,
         tokens, bits, dropped, active members)``, the record's leading
@@ -375,7 +373,7 @@ class AsyncSimulation(Simulation):
             resets.sort(reverse=True)
 
         nodes = self._nodes
-        tags_np = self._tags_np
+        published = self._tags
         # Cohorts are mostly singletons, so each is walked in plain
         # Python (the scan loops its members anyway): per-cohort numpy
         # calls would cost more than the cohort itself.
@@ -393,7 +391,7 @@ class AsyncSimulation(Simulation):
                 members, cycle_list[cohort_start:cohort_end]
             )
             for vertex, tag in zip(members, cohort_tags):
-                tags_np[vertex] = self._checked_tag(nodes[vertex], tag)
+                published[vertex] = self._checked_tag(nodes[vertex], tag)
             cohort_candidates = [
                 cohort_start + i
                 for i, sender in enumerate(cohort_senders) if sender
@@ -437,7 +435,7 @@ class AsyncSimulation(Simulation):
         """
         ops = self._hooks
         nodes = self._nodes
-        tags_np = self._tags_np
+        published = self._tags
         proposals: dict[int, int] = {}
         cycle_of_uid: dict[int, int] = {}
         for pos in candidate_positions:
@@ -445,13 +443,13 @@ class AsyncSimulation(Simulation):
             cycle = cycles[pos]
             neighbor_uids, neighbor_vertices = self._row(vertex, cycle)
             target = ops.propose_one(
-                vertex, cycle, neighbor_uids, tags_np[neighbor_vertices]
+                vertex, cycle, neighbor_uids,
+                [published[neighbor] for neighbor in neighbor_vertices],
             )
             if target < 0:
                 continue
-            # (count_nonzero: the cheap reduction on a degree-sized row)
             uid = nodes[vertex].uid
-            if not np.count_nonzero(neighbor_uids == target):
+            if target not in neighbor_uids:
                 raise ProtocolViolationError(
                     f"node uid={uid} proposed to uid={target}, not a visible "
                     f"neighbor at virtual time {ticks / TICKS_PER_ROUND:.4f}"

@@ -95,10 +95,8 @@ class EqualityTester:
         before/after reads of ``stats`` absorb other callers' tests."""
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        self.stats.calls += 1
         elements_a = list(set_a)
         elements_b = list(set_b)
-        prime = self._prime
         if set(elements_a) == set(elements_b):
             # Equal sets can never early-exit: every trial runs and
             # necessarily matches, so the outcome carries no randomness —
@@ -106,26 +104,34 @@ class EqualityTester:
             # polynomial evaluations.  Determinism is preserved because
             # set equality is itself a pure function of protocol state:
             # every replay takes the same branch, so the initiator's
-            # private stream advances identically on every run.  In
-            # Transfer's binary search most prefix comparisons are
-            # between equal (often empty) restrictions, so this is the
-            # protocol's hot path.
-            executed = trials
-            matched = True
+            # private stream advances identically on every run.
+            matched, executed = True, trials
         else:
-            executed = 0
-            matched = True
-            for _ in range(trials):
-                executed += 1
-                point = rng.randrange(prime)
-                value_a = eval_set_polynomial(elements_a, point, prime)
-                value_b = eval_set_polynomial(elements_b, point, prime)
-                if value_a != value_b:
-                    matched = False
-                    break
-        self.stats.trials += executed
-        self.stats.bits += executed * self._bits_per_trial
+            matched, executed = self.run_trials(
+                elements_a, elements_b, trials, rng
+            )
+        self.book(executed, channel)
+        return matched, executed
+
+    def run_trials(self, elements_a, elements_b, trials: int,
+                   rng: random.Random) -> tuple[bool, int]:
+        """The trials themselves, unbooked: ``(matched, executed)`` after
+        drawing one point per trial until a fingerprint mismatch."""
+        prime = self._prime
+        for executed in range(1, trials + 1):
+            point = rng.randrange(prime)
+            if (eval_set_polynomial(elements_a, point, prime)
+                    != eval_set_polynomial(elements_b, point, prime)):
+                return False, executed
+        return True, trials
+
+    def book(self, executed: int, channel: Channel | None = None) -> None:
+        """Book one call of ``executed`` trials in ``stats``, then charge
+        its bits to ``channel`` (which may refuse them)."""
+        stats = self.stats
+        stats.calls += 1
+        stats.trials += executed
+        stats.bits += executed * self._bits_per_trial
         if channel is not None:
             channel.charge_bits(executed * self._bits_per_trial,
                                 label="eqtest")
-        return matched, executed

@@ -172,15 +172,25 @@ class TransferProtocol:
         connect handlers :mod:`repro.net` runs on concurrent threads."""
         only_a = sorted(set_a - set_b)
         only_b = sorted(set_b - set_a)
+        tester = self.tester
+        trials = self.trials_per_call
         eq_calls = trials_run = 0
         lo, hi = 1, self.upper_n
         while lo != hi:
             mid = (lo + hi) // 2
-            equal, executed = self.tester.test_counted(
-                only_a[bisect_left(only_a, lo):bisect_right(only_a, mid)],
-                only_b[bisect_left(only_b, lo):bisect_right(only_b, mid)],
-                self.trials_per_call, rng, channel,
-            )
+            start_a = bisect_left(only_a, lo)
+            end_a = bisect_right(only_a, mid, start_a)
+            start_b = bisect_left(only_b, lo)
+            end_b = bisect_right(only_b, mid, start_b)
+            if start_a == end_a and start_b == end_b:
+                # Both slices empty: every trial would match and draw
+                # nothing, so the call is booked without being run.
+                equal, executed = True, trials
+            else:
+                equal, executed = tester.run_trials(
+                    only_a[start_a:end_a], only_b[start_b:end_b], trials, rng
+                )
+            tester.book(executed, channel)
             eq_calls += 1
             trials_run += executed
             if equal:

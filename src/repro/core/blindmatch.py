@@ -186,10 +186,10 @@ class _BlindMatchWindowOps:
         return [0] * len(senders), senders
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
-        if len(neighbor_uids) == 0:
+        if not neighbor_uids:
             return -1
-        return int(neighbor_uids[KeyedCounter.index(
-            self._lanes[vertex], cycle, len(neighbor_uids))])
+        return neighbor_uids[KeyedCounter.index(
+            self._lanes[vertex], cycle, len(neighbor_uids))]
 
 
 @register_algorithm(

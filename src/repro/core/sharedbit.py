@@ -220,14 +220,15 @@ class _SharedBitWindowOps:
         return tags, tags
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
-        zeros = neighbor_uids[neighbor_tags == 0]
-        if zeros.size == 0:
-            return -1
-        zeros = np.sort(zeros)
-        index = self._shared.selection_index(
-            cycle + self._offset, self._nodes[vertex].uid, zeros.size
+        zeros = sorted(
+            uid for uid, tag in zip(neighbor_uids, neighbor_tags) if tag == 0
         )
-        return int(zeros[index])
+        if not zeros:
+            return -1
+        index = self._shared.selection_index(
+            cycle + self._offset, self._nodes[vertex].uid, len(zeros)
+        )
+        return zeros[index]
 
 
 @register_algorithm(

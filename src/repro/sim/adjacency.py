@@ -83,6 +83,7 @@ class CSRAdjacency:
     arena: "object | None" = field(default=None, repr=False)
     _edge_sources: np.ndarray | None = field(default=None, repr=False)
     _masked_memo: dict | None = field(default=None, repr=False)
+    _rows: dict | None = field(default=None, repr=False)
 
     @classmethod
     def from_graph(cls, graph, dtype=None) -> "CSRAdjacency":
@@ -171,6 +172,22 @@ class CSRAdjacency:
                 np.arange(self.n, dtype=self.indices.dtype), self.degrees
             )
         return self._edge_sources
+
+    def row(self, vertex: int) -> tuple[tuple[int, ...], list[int]]:
+        """``vertex``'s row as Python objects — ``(neighbor UID tuple,
+        neighbor vertex list)`` — filled on first use and kept with the
+        snapshot (UID-bound snapshots only): degree-sized rows are
+        cheaper to walk in Python than to slice and index with numpy."""
+        if self._rows is None:
+            self._rows = {}
+        entry = self._rows.get(vertex)
+        if entry is None:
+            start, end = self.indptr[vertex], self.indptr[vertex + 1]
+            entry = self._rows[vertex] = (
+                tuple(self.uids[start:end].tolist()),
+                self.indices[start:end].tolist(),
+            )
+        return entry
 
     def round_buffer(self, name: str, shape, dtype,
                      fill=None) -> np.ndarray:

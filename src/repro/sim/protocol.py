@@ -191,8 +191,9 @@ def window_hooks(nodes):
       randomness, so the engine never evaluates it.
     * ``propose_one(vertex, cycle, neighbor_uids, neighbor_tags) -> int``
       — the proposal target UID (or ``-1``) given the member's visible
-      neighborhood, equal to scalar ``propose`` on the same views
-      including its private-rng consumption.
+      neighborhood (a tuple of UIDs and a parallel list of their current
+      tags, both plain ints in row order), equal to scalar ``propose``
+      on the same views including its private-rng consumption.
 
     The window ops may skip per-round node bookkeeping the scalar hooks
     perform (e.g. SharedBit's ``_bit_this_round``) *only* if nothing
@@ -239,9 +240,7 @@ class ScalarWindowOps:
         return tags, [True] * len(tags)
 
     def propose_one(self, vertex, cycle, neighbor_uids, neighbor_tags) -> int:
-        views = tuple(map(
-            NeighborView, neighbor_uids.tolist(), neighbor_tags.tolist()
-        ))
+        views = tuple(map(NeighborView, neighbor_uids, neighbor_tags))
         target = self._nodes[vertex].propose(cycle, views)
         return -1 if target is None else target
 

@@ -1,5 +1,9 @@
 """Tests for CSR adjacency snapshots and the ``csr_at`` dynamics hook."""
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from repro.graphs.dynamic import (
 )
 from repro.graphs.topologies import cycle, expander, path, star
 from repro.sim.adjacency import CSRAdjacency, index_dtype_for
+from repro.sim.faults import CrashChurn
 
 
 def assert_matches_graph(csr: CSRAdjacency, graph) -> None:
@@ -265,3 +270,54 @@ class TestMaskedBoundEdgeSources:
         masked = bound.masked_bound(active)
         assert masked.degrees.tolist() == [0] * 6
         assert masked.edge_sources().size == 0
+
+
+class TestRowCache:
+    """``row`` hands out a snapshot's rows as Python objects, filled on
+    first use and owned by the snapshot."""
+
+    def test_rows_equal_the_array_slices(self):
+        bound = CSRAdjacency.from_graph(
+            expander(12, degree=4, seed=3).graph).bind_uids(
+            np.arange(100, 112))
+        active = np.ones(12, dtype=bool)
+        active[[2, 7]] = False
+        for snapshot in (bound, bound.masked_bound(active)):
+            for vertex in range(12):
+                start, end = snapshot.indptr[vertex:vertex + 2]
+                uids, vertices = snapshot.row(vertex)
+                assert uids == tuple(snapshot.uids[start:end].tolist())
+                assert vertices == snapshot.indices[start:end].tolist()
+                assert all(type(uid) is int for uid in uids)
+                assert snapshot.row(vertex) is snapshot.row(vertex)
+        masked = bound.masked_bound(active)
+        assert masked.row(2) == masked.row(7) == ((), [])
+        assert bound.row(2) != ((), [])
+
+    def test_evicted_masked_snapshot_takes_its_rows_along(self):
+        n, keep = 24, 8
+        graph = StaticDynamicGraph(expander(n, degree=4, seed=1))
+        bound = graph.csr_at(1).bind_uids(np.arange(1, n + 1))
+        churn = CrashChurn(n, seed=5, cycle=4, crash_prob=0.5,
+                           min_outage=1, max_outage=3)
+        masks = {}
+        for rnd in range(1, 200):
+            mask = churn.active_mask(rnd)
+            if mask is not None:
+                masks.setdefault(mask.tobytes(), mask)
+        assert len(masks) > keep
+        first, *later = masks.values()
+        masked = bound.masked_bound(first, keep=keep)
+        rows = [masked.row(vertex) for vertex in range(n)]
+        assert ((), []) in rows
+        held = sys.getrefcount(rows[0])
+        collected = weakref.ref(masked)
+        del masked
+        for mask in later:
+            bound.masked_bound(mask, keep=keep).row(0)
+        gc.collect()
+        assert collected() is None
+        left = sys.getrefcount(rows[0])
+        assert left == held - 1   # the snapshot's reference is gone
+        assert len(bound._masked_memo) == keep
+        assert bound._rows is None   # the masked rows lived on their own

@@ -427,25 +427,40 @@ class TestAsyncSimulation:
         with pytest.raises(ProtocolViolationError):
             sim.run(max_rounds=3)
 
-    def test_tags_wider_than_int64_are_rejected_upfront(self):
-        # Published tags live in an int64 array: b = 63 is the widest
-        # that fits, and a wider b fails at construction instead of at
-        # the first tag that overflows.
+    def test_tags_wider_than_int64_reach_neighbors_intact(self):
+        # Published tags are Python ints, so b = 64 runs: every tag a
+        # proposer sees — some of them >= 2^63 — is exactly what that
+        # neighbour last advertised (0 before its first scan).
         instance = uniform_instance(n=N, k=2, seed=SEED)
+        nodes = build_nodes("multibit", instance, seed=SEED,
+                            config=MultiBitConfig(bits=64))
+        last, seen = {}, []
 
-        def build(bits):
-            nodes = build_nodes("multibit", instance, seed=SEED,
-                                config=MultiBitConfig(bits=bits))
-            return AsyncSimulation(
-                StaticDynamicGraph(expander(n=N, degree=4, seed=1)), nodes,
-                b=bits, seed=SEED,
-                channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
-                timing=UniformJitter(N, SEED),
-            )
+        def wrap(node):
+            advertise, propose = node.advertise, node.propose
 
-        with pytest.raises(ConfigurationError, match="b <= 63"):
-            build(64)
-        assert build(63).run(max_rounds=3).rounds == 3
+            def advertise_and_note(round_index, neighbor_uids):
+                last[node.uid] = advertise(round_index, neighbor_uids)
+                return last[node.uid]
+
+            def propose_and_note(round_index, neighbors):
+                seen.extend((view.tag, last.get(view.uid, 0))
+                            for view in neighbors)
+                return propose(round_index, neighbors)
+
+            node.advertise, node.propose = advertise_and_note, propose_and_note
+
+        for node in nodes.values():
+            wrap(node)
+        sim = AsyncSimulation(
+            StaticDynamicGraph(expander(n=N, degree=4, seed=1)), nodes,
+            b=64, seed=SEED,
+            channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+            timing=UniformJitter(N, SEED),
+        )
+        assert sim.run(max_rounds=3).rounds == 3
+        assert seen and all(tag == published for tag, published in seen)
+        assert any(tag >= 1 << 63 for tag, _ in seen)
 
     def test_timing_population_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -124,8 +124,8 @@ class TestDraws:
             assert tags == [0] * 30
             expected = _scalar_targets(population, bound, cycle)
             for vertex, sender in enumerate(senders):
-                row = bound.uids[bound.indptr[vertex]:bound.indptr[vertex + 1]]
-                target = ops.propose_one(vertex, cycle, row, row * 0)
+                row = bound.row(vertex)[0]
+                target = ops.propose_one(vertex, cycle, row, [0] * len(row))
                 assert (target if sender else -1) == expected[vertex]
 
     def test_walk_redraws_in_the_rejection_zone(self, monkeypatch):

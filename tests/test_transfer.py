@@ -4,7 +4,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bits import ceil_log2
@@ -333,6 +333,12 @@ def _overlapping_cases(draw):
 
 @given(_overlapping_cases())
 @settings(max_examples=400, deadline=None)
+# N = 16, trials 9 × 13 bits: levels [1,8] and [1,4] draw once each (13
+# bits), [1,2] holds no difference (117 bits, nothing drawn), [3,3]
+# draws once.  A strict budget of 26 ends on the empty level, 143 on the
+# last drawing one.
+@example(({3, 10}, {10}, 16, 7, 1e-2, 26, True))
+@example(({3, 10}, {10}, 16, 7, 1e-2, 143, True))
 def test_difference_search_equals_the_full_prefix_search(case):
     """Same outcome, private-stream position, tester stats and channel
     ledger (violation strings included) as the full-prefix oracle — and
