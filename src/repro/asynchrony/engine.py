@@ -20,8 +20,8 @@ one local **scan → propose → accept → connect** cycle:
 3. **accept** — proposals from nodes activating at the *same instant*
    (a *cohort*) are resolved against each other by the model's
    one-connection matching rule (:mod:`repro.sim.matching` — the exact
-   resolvers the round engine uses, handed a stream supplier keyed by
-   the instant instead of the round); proposal targets need not be
+   resolvers and acceptance lottery the round engine uses, drawn at the
+   cohort's tick); proposal targets need not be
    activating (a phone's radio accepts incoming connections between
    app-level scans);
 4. **connect** — matched pairs run the bounded Stage 3 exchange over a
@@ -42,7 +42,7 @@ at window boundaries, the same instants the round engine checks.
 under :class:`~repro.asynchrony.timing.Synchronous` timing every cohort
 contains all ``n`` nodes at the exact instants ``1·TPR, 2·TPR, ...``,
 and the execution is event-for-event identical to the round engine —
-same tags, same proposals, same random-stream consumption, same matches,
+same tags, same proposals, same random draws, same matches,
 same traces — whichever hooks feed it.  The golden corpus
 (tests/test_golden_traces.py) pins it: every ``async/*/synchronous``
 case shares its class's digest with the round-engine case, and the
@@ -54,9 +54,8 @@ to every timing.
 in one vectorized pass (the timing model's batched draws compute the
 whole window's schedule) and its cohorts run in event order through a
 *window ops* object, touching Python only where decisions live:
-proposal candidates, per-cohort resolution (a cohort with no contested
-target derives no rng, contested ones draw from the exact per-tick
-``("match", r)`` / ``("match", "tick", t)`` streams), fault drops, and
+proposal candidates, per-cohort resolution (contested targets draw the
+acceptance lottery at the cohort's tick), fault drops, and
 interactions.  There everything is plain Python: a member's row is its
 snapshot's cached ``(uid tuple, vertex list)`` and published tags are a
 list of ints (any ``b``), since numpy loses on degree-sized rows.
@@ -82,7 +81,7 @@ its own clock), crash resets fire when a node's own schedule crosses
 into an outage, and visibility is judged from the scanning node's clock.
 
 What a cycle *does* is the round engine's code: mask normalisation, tag
-checks, the stream supplier, fault drops and Stage 3 are
+checks, the acceptance lottery, fault drops and Stage 3 are
 :class:`~repro.sim.engine.Simulation` methods called from the cohort
 body below — only *when* a node runs its cycle lives here.
 """
@@ -126,13 +125,6 @@ class AsyncSimulation(Simulation):
                 f"has n={dynamic_graph.n}"
             )
         super().__init__(dynamic_graph, protocols, b, seed, **engine_kwargs)
-        if self.acceptance_streams != "global":
-            raise ConfigurationError(
-                "AsyncSimulation supports only acceptance_streams="
-                "'global': per-tick cohort resolution keys its streams "
-                "by instant, not by target (the per-target discipline "
-                "exists for the synchronous live bridge, repro.net)"
-            )
         self.timing = timing
         #: Per-vertex activation totals (the per-node event counts).
         self.event_counts = np.zeros(self.n, dtype=np.int64)
@@ -277,18 +269,6 @@ class AsyncSimulation(Simulation):
         :meth:`_row`, as the round engine's object path passes them."""
         return self._row(vertex, cycle)[0]
 
-    def _cohort_streams(self, ticks: int):
-        """The acceptance stream supplier of the cohort at ``ticks``.
-
-        The stream is keyed by the instant — a synchronized cohort at
-        tick r·TPR draws from the exact stream the round engine uses for
-        round r.  A cohort without a contested target (any singleton —
-        the jittered common case) never calls the supplier, which keeps
-        it off the hashing path without any observable difference."""
-        if ticks % TICKS_PER_ROUND == 0:
-            return self._match_streams("match", ticks // TICKS_PER_ROUND)
-        return self._match_streams("match", "tick", ticks)
-
     # ------------------------------------------------------------------
     # Window execution
 
@@ -427,7 +407,7 @@ class AsyncSimulation(Simulation):
         (stale for neighbors that have not activated recently: the
         asynchrony the NWZ model studies); the cohort's proposals then
         resolve against each other with the round engine's resolver
-        (instant-keyed streams, singleton cohorts derive no rng), fault
+        (its lottery drawn at the cohort's tick), fault
         drops are judged per match at the window (clock="virtual"
         models) or else at the initiator's local cycle — which is also
         the round its channel and interact hook see — and interactions
@@ -459,7 +439,7 @@ class AsyncSimulation(Simulation):
         if not proposals:
             return
         matches = resolve_proposals(
-            proposals, self._cohort_streams(ticks), rule=self.acceptance
+            proposals, self._lottery, ticks, rule=self.acceptance
         )
         matches, doomed = self._reader.split(
             self._fault_round, matches, cycle_of_uid

@@ -18,7 +18,7 @@ heap-ordering hazards) and the synchronous schedule lands every node on
 the exact instants ``1·TPR, 2·TPR, ...``.  Every activation time is a
 *pure function of (seed, vertex, cycle)* — never of call order — drawn
 from a dedicated ``("async", kind)`` :class:`~repro.rng.SeedTree`
-subtree, so clock jitter perturbs neither the engine's acceptance stream
+subtree, so clock jitter perturbs neither the engine's acceptance lottery
 nor any node's private stream, and any consumer (either engine path, any
 ``run_sweep --jobs`` value, a replay) derives the same schedule.
 
@@ -50,6 +50,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.registry import TIMING_REGISTRY, register_timing
 from repro.rng import SeedTree, prf_template, serialize_index
+from repro.sim.matching import TICKS_PER_ROUND
 
 __all__ = [
     "TICKS_PER_ROUND",
@@ -60,11 +61,6 @@ __all__ = [
     "GilbertElliottPauses",
     "build_timing",
 ]
-
-#: Virtual-time resolution: one synchronous round in integer ticks.  A
-#: power of two so sub-round offsets scale exactly and ``tick // TPR``
-#: (the round-window index) is a shift.
-TICKS_PER_ROUND = 1 << 20
 
 
 def build_timing(timing, n: int, seed: int) -> "TimingModel | None":

@@ -206,7 +206,6 @@ def run_case(
     rounds: int = 40,
     fault="none",
     timing=None,
-    acceptance_streams="global",
     csr_dtype=None,
     telemetry=None,
 ) -> tuple:
@@ -215,9 +214,7 @@ def run_case(
     ``timing=None`` runs the round engine; anything else (a kind name or
     a built model — including ``"synchronous"``) runs the event engine,
     where ``engine_mode`` picks the scalar hooks (``"object"``) or the
-    protocol's window hooks (``"array"``).  ``acceptance_streams``
-    selects the match-stream discipline (the event engine supports only
-    ``"global"``).  ``csr_dtype`` forces the
+    protocol's window hooks (``"array"``).  ``csr_dtype`` forces the
     dynamic graph's CSR index dtype (``"int32"`` / ``"int64"``; ``None``
     keeps the auto-chosen narrowest).  ``telemetry`` is anything
     :func:`repro.telemetry.resolve_telemetry` accepts (``True`` turns
@@ -239,7 +236,7 @@ def run_case(
     engine_kwargs = dict(
         b=b, seed=seed, channel_policy=policy, acceptance=acceptance,
         engine_mode=engine_mode, faults=make_fault(fault, n, seed),
-        acceptance_streams=acceptance_streams, telemetry=telemetry,
+        telemetry=telemetry,
     )
     dynamics = make_dynamics(dynamics_kind, n, seed)
     if csr_dtype is not None:

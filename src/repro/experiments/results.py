@@ -36,7 +36,8 @@ __all__ = [
 
 #: Result-format version; bump to invalidate every cached run record.
 #: 2: BlindMatch's coins and targets come from keyed counters.
-RESULT_FORMAT = 2
+#: 3: contested targets draw the keyed acceptance lottery.
+RESULT_FORMAT = 3
 
 
 def _short(axis: str) -> str:

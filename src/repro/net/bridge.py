@@ -1,10 +1,8 @@
 """The replay bridge: simulated runs replayed on live clusters.
 
 This is the net layer's keystone correctness instrument.
-:func:`record_run` executes a simulation under
-``acceptance_streams="local"`` — the per-target match streams a
-distributed proposee can derive knowing only (seed, round, own UID) —
-and records the post-drop match stream plus final token sets.
+:func:`record_run` executes a simulation and records the post-drop
+match stream plus final token sets.
 :func:`replay` then boots a live TCP cluster from the *same* seed and
 drives it for the same number of rounds; because
 
@@ -13,7 +11,8 @@ drives it for the same number of rounds; because
 * the coordinator phase-barriers scan/propose per round (identical
   per-node draw order), and
 * each proposee resolves contention with exactly the simulator's
-  per-target stream and acceptance rule,
+  acceptance rule and lottery — a pure function of (seed, round, own
+  UID),
 
 the live cluster's match stream and final token sets must equal the
 simulation's.  :class:`ReplayReport` asserts that, listing any
@@ -42,6 +41,7 @@ from dataclasses import dataclass, field
 from repro.core.runner import prepare_run
 from repro.errors import ConfigurationError
 from repro.net.coordinator import Coordinator, NetRunReport
+from repro.net.server import check_live_acceptance
 from repro.sim.engine import Simulation
 
 __all__ = [
@@ -118,7 +118,9 @@ def record_run(
     name or a ``{"kind": ...}`` dict — not a model instance, so the
     replay can rebuild it fresh); the recording then captures a faulty
     execution that ``replay(..., chaos=True)`` can re-enact physically.
+    ``acceptance`` must be a rule live servers enforce.
     """
+    check_live_acceptance(acceptance)
     if fault is not None and not isinstance(fault, (str, dict)):
         raise ConfigurationError(
             "record_run takes a fault *spec* (name or dict), not a model "
@@ -136,7 +138,6 @@ def record_run(
         seed=seed,
         channel_policy=prepared.channel_policy,
         acceptance=acceptance,
-        acceptance_streams="local",
         faults=prepared.faults,
     )
     result = sim.run(

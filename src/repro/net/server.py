@@ -21,7 +21,7 @@ proposal    (peer-to-peer) record an incoming proposal for a round
 resolve     proposee-enforced acceptance over the round's inbox —
             exactly ``resolve_proposals`` semantics (proposals to
             proposers are lost; ties break by the registered
-            acceptance rule on the per-target SeedTree stream)
+            acceptance rule, drawing the simulator's lottery)
 connect     initiator-side Stage 3: pull the token list at the
             responder's ``address``, run ``interact`` against a
             remote-peer adapter under the metered
@@ -65,15 +65,14 @@ connection without replying (a duty-cycled radio); and
 :meth:`interdict` makes one round's Stage-3 state pull from a specific
 initiator fail at the socket level (a lossy link).
 
-Determinism: a server derives its acceptance draws from
-``SeedTree(seed).child("engine").stream("match", round, "uid", uid)`` —
-the same per-target streams the simulator uses under
-``acceptance_streams="local"`` — so a proposee knowing only the run
-seed, the round number, and its own UID reproduces the simulator's
-coin flips exactly.  That is what makes the replay bridge's
-equivalence assertion possible.  Retry backoff jitter draws from a
-separate ``("net", "retry", uid)`` subtree, so robustness machinery
-never perturbs protocol streams.
+Determinism: a server settles a contested inbox with the simulator's own
+acceptance function (:func:`~repro.sim.matching.lottery_winner` on the
+run's :func:`~repro.sim.matching.acceptance_lottery`, at round ``r``'s
+instant), which needs only the run seed, the round number and its own
+UID — so the proposee reproduces the simulator's coin flips exactly.
+That is what makes the replay bridge's equivalence assertion possible.
+Retry backoff jitter draws from a separate ``("net", "retry", uid)``
+subtree, so robustness machinery never perturbs protocol streams.
 """
 
 from __future__ import annotations
@@ -106,7 +105,11 @@ from repro.rng import SeedTree
 from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
 from repro.sim.engine import Simulation
-from repro.sim.matching import ACCEPTANCE_RULES
+from repro.sim.matching import (
+    ACCEPTANCE_RULES,
+    TICKS_PER_ROUND,
+    acceptance_lottery,
+)
 from repro.telemetry import MetricsRegistry
 
 __all__ = ["PeerServer"]
@@ -122,6 +125,26 @@ ROUND_MEMORY = 8
 
 class _ChaosInterdicted(Exception):
     """Internal: drop this connection without replying (lossy link)."""
+
+
+def check_live_acceptance(acceptance: str) -> None:
+    """Refuse an acceptance rule a proposee cannot enforce alone:
+    ``"unbounded"`` has no per-inbox winner to reply with."""
+    if acceptance not in ACCEPTANCE_RULES:
+        raise ConfigurationError(
+            f"unknown acceptance rule {acceptance!r}; live servers "
+            f"support {sorted(ACCEPTANCE_RULES)}"
+        )
+
+
+def proposee_winner(acceptance: str, lottery, uid: int, rnd: int,
+                    senders: list[int]) -> int:
+    """The proposer node ``uid`` accepts in round ``rnd`` among
+    ``senders`` (ascending, one or more): the simulator's acceptance
+    rule, with the lottery drawn at the round's instant."""
+    return ACCEPTANCE_RULES[acceptance](
+        senders, uid, lottery, rnd * TICKS_PER_ROUND
+    )
 
 
 def _wire_tokens(tokens) -> list:
@@ -227,11 +250,7 @@ class PeerServer:
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         retry: RetryPolicy | None = DEFAULT_RETRY_POLICY,
     ):
-        if acceptance not in ACCEPTANCE_RULES:
-            raise ConfigurationError(
-                f"unknown acceptance rule {acceptance!r}; live servers "
-                f"support {sorted(ACCEPTANCE_RULES)}"
-            )
+        check_live_acceptance(acceptance)
         self.node = node
         self.uid = uid
         self.vertex = vertex
@@ -247,9 +266,9 @@ class PeerServer:
         self.retry_policy = retry
         #: How many neighbors the last ``advertise`` named visible.
         self._visible = 0
-        self._engine_tree = SeedTree(seed).child("engine")
+        self._lottery = acceptance_lottery(seed)
         # Backoff jitter draws from a dedicated subtree: robustness
-        # machinery must never touch the protocol/acceptance streams.
+        # machinery must never touch the protocol streams or the lottery.
         self._retry_rng = SeedTree(seed).child("net").stream("retry", uid)
         self._lock = threading.RLock()
         self._proposed: dict[int, int | None] = {}
@@ -689,12 +708,11 @@ class PeerServer:
 
         A node that proposed this round loses its incoming proposals
         (the model's collision rule); a contested inbox is settled by
-        the registered acceptance rule, drawing — for ``uniform`` — from
-        this target's own match stream, which is exactly the draw the
-        simulator makes under ``acceptance_streams="local"``.  The
-        verdict is cached: resolving consumes the inbox and (when
-        contested) a random draw, so a retried resolve must see the
-        first answer, not a second flip.
+        the registered acceptance rule — for ``uniform``, the
+        simulator's lottery at this round's instant, so the winner is
+        exactly the simulator's.  The verdict is cached: resolving
+        consumes the inbox, so a retried resolve must see the first
+        answer.
         """
         rnd = int(msg["round"])
 
@@ -704,15 +722,10 @@ class PeerServer:
                 senders = sorted(self._inbox.pop(rnd, ()))
             if proposed is not None or not senders:
                 return {"winner": None, "senders": len(senders)}
-            if len(senders) == 1:
-                return {"winner": senders[0], "senders": 1}
-            rng = (
-                self._engine_tree.stream("match", rnd, "uid", self.uid)
-                if self.acceptance == "uniform"
-                else None
+            winner = proposee_winner(
+                self.acceptance, self._lottery, self.uid, rnd, senders
             )
-            winner = ACCEPTANCE_RULES[self.acceptance](senders, rng)
-            return {"winner": int(winner), "senders": len(senders)}
+            return {"winner": winner, "senders": len(senders)}
 
         return self._once(("resolve", rnd), compute)
 

@@ -4,13 +4,15 @@ Three kinds of randomness appear in the paper and therefore in this
 library:
 
 * **Per-node coins** — BlindMatch's sender/receiver coin and its uniform
-  choice of neighbor.  Nothing in the model asks for a stateful stream,
-  so :class:`KeyedCounter` makes each draw a pure function of (population
-  key, UID, round, counter) — a SplitMix64-style finaliser with a scalar
-  form and a numpy ``uint64`` batch form that agree bit for bit
-  (counter-based generation after Salmon et al., "Parallel Random
-  Numbers: As Easy as 1, 2, 3", SC 2011).  A round's coins for all n
-  nodes are one vectorised draw, in any order.
+  choice of neighbor, and a proposee's uniform choice among its incoming
+  proposals (the acceptance lottery, :mod:`repro.sim.matching`, keyed by
+  the target's UID and the instant).  Nothing in the model asks for a
+  stateful stream, so :class:`KeyedCounter` makes each draw a pure
+  function of (population key, UID, round, counter) — a SplitMix64-style
+  finaliser with a scalar form and a numpy ``uint64`` batch form that
+  agree bit for bit (counter-based generation after Salmon et al.,
+  "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).  A round's
+  coins for all n nodes are one vectorised draw, in any order.
 
 * **Private streams** — the remaining per-node randomness (EQTest's
   evaluation points inside Transfer, SimSharedBit's seed choice, ...)

@@ -31,7 +31,7 @@ interchangeable front halves drive Stages 1–2 of each round over it:
   crossover (``_DICT_RESOLVER_MAX_PROPOSALS``).
 
 The two paths are **byte-identical**: same tags, same proposals, same
-random-stream consumption, same matching, same traces (pinned by the
+random draws, same matching, same traces (pinned by the
 golden corpus, tests/test_golden_traces.py, whose classes require every
 object/array pair to share one recorded digest; its n = 24 rounds all
 resolve through the dict form, so the array resolver's agreement is
@@ -70,13 +70,14 @@ from repro.errors import (
     RoundLimitExceeded,
 )
 from repro.graphs.dynamic import DynamicGraph
-from repro.rng import SeedTree
 from repro.sim.arena import BufferArena
 from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
 from repro.sim.faults import FaultModel, FaultReader
 from repro.sim.matching import (
-    ACCEPTANCE_RULES,
+    TICKS_PER_ROUND,
+    _check_rule,
+    acceptance_lottery,
     resolve_proposals,
     resolve_proposals_arrays,
 )
@@ -150,7 +151,6 @@ class Simulation:
         trace_sample_every: int = 1,
         termination_every: int = 1,
         acceptance: str = "uniform",
-        acceptance_streams: str = "global",
         engine_mode: str = "auto",
         faults: FaultModel | None = None,
         trace_max_records: int | None = None,
@@ -158,16 +158,7 @@ class Simulation:
     ):
         if b < 0:
             raise ConfigurationError(f"tag length b must be >= 0, got {b}")
-        if acceptance != "unbounded" and acceptance not in ACCEPTANCE_RULES:
-            raise ConfigurationError(
-                f"unknown acceptance mode {acceptance!r}; choose from "
-                f"{sorted(ACCEPTANCE_RULES) + ['unbounded']}"
-            )
-        if acceptance_streams not in ("global", "local"):
-            raise ConfigurationError(
-                f"unknown acceptance_streams {acceptance_streams!r}; choose "
-                "from ('global', 'local')"
-            )
+        _check_rule(acceptance)
         if engine_mode not in ENGINE_MODES:
             raise ConfigurationError(
                 f"unknown engine_mode {engine_mode!r}; choose from "
@@ -202,12 +193,6 @@ class Simulation:
         #: "uniform"/"lowest_uid"/"highest_uid" (mobile telephone model) or
         #: "unbounded" (the classical telephone model baseline).
         self.acceptance = acceptance
-        #: "global" (default — one sequential acceptance stream per round,
-        #: consumed in sorted-target order) or "local" (one stream per
-        #: contested target, keyed ("match", round, "uid", target_uid) —
-        #: the discipline a distributed proposee can reproduce; used by
-        #: the live deployment bridge, see repro.net).
-        self.acceptance_streams = acceptance_streams
         self.trace = Trace(
             sample_every=trace_sample_every, max_records=trace_max_records
         )
@@ -220,7 +205,7 @@ class Simulation:
         self.telemetry = resolve_telemetry(telemetry)
         self._prof = self.telemetry.profiler
 
-        self._tree = SeedTree(seed).child("engine")
+        self._lottery = acceptance_lottery(seed)
         self._vertex_of_uid = {
             node.uid: vertex for vertex, node in self.protocols.items()
         }
@@ -520,7 +505,7 @@ class Simulation:
         # The neighbor check left only proposals with both endpoints
         # active, so resolution itself never needs the mask.
         return len(proposals), resolve_proposals(
-            proposals, self._match_streams("match", rnd),
+            proposals, self._lottery, rnd * TICKS_PER_ROUND,
             rule=self.acceptance,
         )
 
@@ -587,20 +572,20 @@ class Simulation:
         # As on the object path: `bound` is already the active subgraph,
         # so the legality check left only proposals with both endpoints
         # active.  Small rounds go to the dict form, whose Python loop
-        # beats the array form's fixed numpy cost there; both call the
-        # stream supplier for the same targets in the same order.
+        # beats the array form's fixed numpy cost there; both draw the
+        # same lottery.
         proposer_uids = self._uid_array[proposer_mask]
         target_uids = targets[proposer_mask]
-        streams = self._match_streams("match", rnd)
+        instant = rnd * TICKS_PER_ROUND
         with self._prof.span("round.resolve"):
             if proposer_uids.size <= _DICT_RESOLVER_MAX_PROPOSALS:
                 matches = resolve_proposals(
                     dict(zip(proposer_uids.tolist(), target_uids.tolist())),
-                    streams, rule=self.acceptance,
+                    self._lottery, instant, rule=self.acceptance,
                 )
             else:
                 matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids, streams,
+                    proposer_uids, target_uids, self._lottery, instant,
                     rule=self.acceptance,
                 )
         return proposer_uids.size, matches
@@ -625,23 +610,6 @@ class Simulation:
             with self._prof.span("round.csr_bind"):
                 bound = bound.masked_bound(mask, keep=1)
         return bound
-
-    def _match_streams(self, *key):
-        """The stream supplier (see :mod:`repro.sim.matching`) for one
-        resolution whose acceptance stream is keyed ``key`` off the
-        engine subtree.
-
-        ``"global"``: every contested target draws, in sorted-target
-        order, from the one stream at ``key`` — derived lazily, so a
-        resolution with no contested target hashes nothing.  ``"local"``:
-        each contested target gets its own stream at ``key + ("uid",
-        target_uid)`` — derivable by any party that knows the run seed,
-        the round, and its own UID (the live proposee's position)."""
-        tree = self._tree
-        if self.acceptance_streams == "local":
-            return lambda target: tree.stream(*key, "uid", target)
-        shared = tree.lazy_stream(*key)
-        return lambda _target: shared
 
     def _checked_tag(self, node: NodeProtocol, tag) -> int:
         """``tag`` if it is legal under the tag length ``b``."""

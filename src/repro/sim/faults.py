@@ -31,7 +31,7 @@ and the chaos layer (DESIGN.md §6).
 
 All randomness comes from a dedicated :class:`~repro.rng.SeedTree`
 subtree (``("faults", <kind>)``), so fault draws never perturb the
-engine's acceptance stream or any node's private stream.  The null model
+engine's acceptance lottery or any node's private stream.  The null model
 :class:`NoFaults` consumes **zero** randomness and leaves the engine's
 behavior byte-identical to a run with no fault model at all — pinned by
 the golden corpus's "null fault model" variant row

@@ -30,64 +30,88 @@ agree pair for pair, order included: tests/test_matching.py pins it
 property-style on proposal sets on both sides of the engine's split,
 and tests/test_fastpath.py on one engine run that crosses it.
 
-**Stream discipline.**  Both take a *stream supplier*
-``stream_for(target_uid) -> random.Random`` and call it exactly once per
-*contested* target — two or more surviving proposals under the uniform
-rule — in ascending target order, and never otherwise: uncontested
-targets, the deterministic rules and ``"unbounded"`` consume no
-randomness.  Where the ``Random`` comes from is the caller's business: a
-supplier that hands every target the same sequential stream is the
-centralized ("global") discipline, one that derives a fresh stream per
-target is the discipline a distributed proposee can reproduce knowing
-only its own UID (``acceptance_streams="local"``, what :mod:`repro.net`
-enforces proposee-side).  Filtering by an activity mask is likewise the
-caller's: the engines only ever submit proposals whose endpoints are
-both awake.
+**The lottery.**  The uniform rule's one draw belongs to the proposee,
+and a proposee knows only the run seed, the instant and its own UID.
+So the winner among a contested target's senders (two or more, sorted
+ascending) at instant ``t`` is ``senders[KeyedCounter.index(lane(target),
+t, len(senders))]``, on the run's one :class:`~repro.rng.KeyedCounter`
+(:func:`acceptance_lottery`).  :func:`lottery_winner` computes it, the
+array form draws every contested target at once through the counter's
+batch form, and a live server (:mod:`repro.net`) calls
+:func:`lottery_winner` for its own inbox.  Nothing is consumed, so draws
+are order-free: uncontested targets, the deterministic rules and
+``"unbounded"`` simply make none.  The instant is counted in virtual
+ticks (:data:`TICKS_PER_ROUND` to a round): round ``r`` draws at
+``r·TICKS_PER_ROUND`` on the round engine and on live servers, and an
+asynchronous cohort at its activation tick — so a synchronized cohort
+draws exactly what its round draws, and no two instants of one run share
+a draw.  Filtering by an activity mask is the caller's: the engines only
+ever submit proposals whose endpoints are both awake.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolViolationError
+from repro.rng import KeyedCounter, SeedTree
 
 __all__ = [
     "resolve_proposals",
     "resolve_proposals_arrays",
     "ACCEPTANCE_RULES",
     "AcceptanceRule",
-    "StreamSupplier",
+    "TICKS_PER_ROUND",
+    "acceptance_lottery",
+    "lottery_winner",
 ]
 
-#: An acceptance rule picks one proposer among the incoming ones.
-AcceptanceRule = Callable[[list[int], random.Random], int]
+#: Virtual-time resolution: one synchronous round in integer ticks.  A
+#: power of two so sub-round offsets scale exactly and ``tick // TPR``
+#: (the round-window index) is a shift.  The acceptance lottery's clock.
+TICKS_PER_ROUND = 1 << 20
 
-#: Maps a contested target's UID to the stream its acceptance draw uses.
-StreamSupplier = Callable[[int], random.Random]
-
-
-def _accept_uniform(senders: list[int], rng: random.Random) -> int:
-    """The paper's rule: uniform among incoming proposals."""
-    return senders[0] if len(senders) == 1 else rng.choice(senders)
+#: An acceptance rule picks one proposer among a target's incoming ones:
+#: ``rule(senders, target, lottery, instant)``, ``senders`` ascending.
+AcceptanceRule = Callable[[Sequence[int], int, KeyedCounter | None, int], int]
 
 
-def _accept_lowest_uid(senders: list[int], rng: random.Random) -> int:
+def acceptance_lottery(seed: int) -> KeyedCounter:
+    """The run's acceptance lottery: one keyed counter per seed."""
+    return KeyedCounter(SeedTree(seed).child("engine").key("match"))
+
+
+def lottery_winner(
+    senders: Sequence[int],
+    target: int,
+    lottery: KeyedCounter | None,
+    instant: int,
+) -> int:
+    """The paper's rule: uniform among the incoming proposals to
+    ``target`` at ``instant``, a pure function of the four."""
+    if len(senders) == 1:
+        return senders[0]
+    if lottery is None:
+        raise _no_lottery(target)
+    return senders[lottery.index(lottery.lane(target), instant, len(senders))]
+
+
+def _accept_lowest_uid(senders, target, lottery, instant) -> int:
     """Deterministic tie-break: smallest UID wins (an adversary-friendly
     rule — the same proposer can monopolize a popular target)."""
     return min(senders)
 
 
-def _accept_highest_uid(senders: list[int], rng: random.Random) -> int:
+def _accept_highest_uid(senders, target, lottery, instant) -> int:
     """Deterministic tie-break: largest UID wins."""
     return max(senders)
 
 
 #: Named acceptance rules for the bounded (mobile telephone) model.
 ACCEPTANCE_RULES: dict[str, AcceptanceRule] = {
-    "uniform": _accept_uniform,
+    "uniform": lottery_winner,
     "lowest_uid": _accept_lowest_uid,
     "highest_uid": _accept_highest_uid,
 }
@@ -105,16 +129,17 @@ def _self_proposal(uid: int) -> ProtocolViolationError:
     return ProtocolViolationError(f"node {uid} proposed to itself")
 
 
-def _no_supplier(target: int) -> ConfigurationError:
+def _no_lottery(target: int) -> ConfigurationError:
     return ConfigurationError(
-        f"the uniform rule needs a stream supplier: target uid={target} "
-        "holds two or more proposals"
+        f"the uniform rule needs a lottery: target uid={target} holds two "
+        "or more proposals"
     )
 
 
 def resolve_proposals(
     proposals: dict[int, int],
-    stream_for: StreamSupplier | None = None,
+    lottery: KeyedCounter | None = None,
+    instant: int = 0,
     rule: str = "uniform",
 ) -> list[tuple[int, int]]:
     """Resolve ``{proposer_uid: target_uid}`` into connection pairs.
@@ -122,8 +147,9 @@ def resolve_proposals(
     Returns ``(initiator, responder)`` pairs in ascending responder
     order: at most one connection per node under the bounded rules,
     every surviving proposal (senders ascending within a target) under
-    ``"unbounded"``.  ``stream_for`` follows the module's stream
-    discipline, so a fixed supplier yields a fixed matching.
+    ``"unbounded"``.  Contested targets draw from ``lottery`` at
+    ``instant`` (the module's lottery), so the matching is a pure
+    function of its arguments.
     """
     _check_rule(rule)
     incoming: dict[int, list[int]] = {}
@@ -135,19 +161,15 @@ def resolve_proposals(
             continue
         incoming.setdefault(target, []).append(proposer)
     accept = ACCEPTANCE_RULES.get(rule)  # None: unbounded
-    uniform = rule == "uniform"
     matches = []
     for target in sorted(incoming):
         senders = sorted(incoming[target])
         if accept is None:
             matches.extend((sender, target) for sender in senders)
-            continue
-        rng = None
-        if uniform and len(senders) > 1:
-            if stream_for is None:
-                raise _no_supplier(target)
-            rng = stream_for(target)
-        matches.append((accept(senders, rng), target))
+        else:
+            matches.append(
+                (accept(senders, target, lottery, instant), target)
+            )
     return matches
 
 
@@ -165,7 +187,8 @@ def _uid_array(values, name: str) -> np.ndarray:
 def resolve_proposals_arrays(
     proposer_uids,
     target_uids,
-    stream_for: StreamSupplier | None = None,
+    lottery: KeyedCounter | None = None,
+    instant: int = 0,
     rule: str = "uniform",
 ) -> list[tuple[int, int]]:
     """Array form of :func:`resolve_proposals`.
@@ -175,10 +198,10 @@ def resolve_proposals_arrays(
     must be distinct (each node sends at most one proposal).
 
     **Byte-identical matching guarantee**: the result — pair values *and*
-    list order — equals the dict form's on the same proposals, and
-    ``stream_for`` is called for the same targets in the same order.  The
-    engine's array fast path relies on this to keep traces identical to
-    the reference path.
+    list order — equals the dict form's on the same proposals: every
+    contested target draws :func:`lottery_winner`'s index, all of them
+    in one batch draw.  The engine's array fast path relies on this to
+    keep traces identical to the reference path.
     """
     _check_rule(rule)
     proposer_uids = _uid_array(proposer_uids, "proposer_uids")
@@ -221,14 +244,16 @@ def resolve_proposals_arrays(
         initiators = senders[starts]
     elif rule == "highest_uid":
         initiators = senders[bounds[1:] - 1]
-    else:  # uniform: one draw per contested group
-        initiators = senders[starts].copy()
-        contested = np.nonzero(np.diff(bounds) > 1)[0]
-        if contested.size and stream_for is None:
-            raise _no_supplier(int(group_targets[contested[0]]))
-        for g, target in zip(
-            contested.tolist(), group_targets[contested].tolist()
-        ):
-            group = senders[bounds[g]:bounds[g + 1]]
-            initiators[g] = stream_for(target).choice(group)
+    else:  # uniform: one lottery draw per contested group
+        initiators = senders[starts]
+        sizes = np.diff(bounds)
+        contested = np.flatnonzero(sizes > 1)
+        if contested.size:
+            if lottery is None:
+                raise _no_lottery(int(group_targets[contested[0]]))
+            picks = lottery.indices(
+                lottery.lanes(group_targets[contested]), instant,
+                sizes[contested],
+            )
+            initiators[contested] = senders[starts[contested] + picks]
     return list(zip(initiators.tolist(), group_targets.tolist()))

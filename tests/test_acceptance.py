@@ -1,6 +1,5 @@
 """Tests for acceptance rules and the classical (unbounded) baseline."""
 
-import random
 import statistics
 
 import pytest
@@ -13,42 +12,45 @@ from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import double_star, star
 from repro.sim.channel import ChannelPolicy
 from repro.sim.engine import Simulation
-from repro.sim.matching import ACCEPTANCE_RULES, resolve_proposals
+from repro.sim.matching import (
+    ACCEPTANCE_RULES,
+    acceptance_lottery,
+    resolve_proposals,
+)
 from repro.sim.protocol import NodeProtocol
 from repro.sim.termination import all_hold_tokens
 
 
-def streams(seed):
-    """A stream supplier handing every contested target one stream."""
-    rng = random.Random(seed)
-    return lambda _target: rng
+def lottery(seed):
+    """A run's acceptance lottery."""
+    return acceptance_lottery(seed)
 
 
 class TestBoundedRules:
     def test_uniform_is_default(self):
-        matches = resolve_proposals({1: 9, 2: 9}, streams(0))
+        matches = resolve_proposals({1: 9, 2: 9}, lottery(0))
         assert len(matches) == 1
 
     def test_lowest_uid_rule(self):
         matches = resolve_proposals(
-            {5: 9, 2: 9, 7: 9}, streams(0), rule="lowest_uid"
+            {5: 9, 2: 9, 7: 9}, lottery(0), rule="lowest_uid"
         )
         assert matches == [(2, 9)]
 
     def test_highest_uid_rule(self):
         matches = resolve_proposals(
-            {5: 9, 2: 9, 7: 9}, streams(0), rule="highest_uid"
+            {5: 9, 2: 9, 7: 9}, lottery(0), rule="highest_uid"
         )
         assert matches == [(7, 9)]
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_proposals({1: 2}, streams(0), rule="fifo")
+            resolve_proposals({1: 2}, lottery(0), rule="fifo")
 
     def test_all_rules_preserve_one_connection_per_node(self):
         proposals = {1: 9, 2: 9, 3: 8, 4: 8}
         for rule in ACCEPTANCE_RULES:
-            matches = resolve_proposals(proposals, streams(1), rule=rule)
+            matches = resolve_proposals(proposals, lottery(1), rule=rule)
             nodes = [x for pair in matches for x in pair]
             assert len(nodes) == len(set(nodes))
 

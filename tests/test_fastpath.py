@@ -110,25 +110,6 @@ class TestTraceForTraceEqualityUnderFaults:
         )
 
 
-class TestLocalAcceptanceStreams:
-    """The live bridge's recording discipline: per-target match streams
-    (``acceptance_streams="local"``).  Their object == array identity is
-    the corpus class ``local/*/{object,array}/local``."""
-
-    def test_local_differs_from_global_when_contested(self):
-        """The knob is real: on a contested topology the per-target
-        draws differ from the global sequence.  (Not on the star: its
-        hub proposes every round, so spoke proposals are lost and no
-        target is ever contested — zero draws under either discipline.)
-        """
-        assert (
-            run_case("sharedbit", "relabeling", "uniform", "object",
-                     n=16, rounds=25, acceptance_streams="local")
-            != run_case("sharedbit", "relabeling", "uniform", "object",
-                        n=16, rounds=25)
-        )
-
-
 class TestAsyncAxis:
     """The ASYNC axis of the differential matrix: the event-driven
     engine under the synchronous null model must reproduce the round

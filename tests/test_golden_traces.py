@@ -9,8 +9,7 @@ running total, the final round and the end state — over
 
 * the round engine: {ppush, blindmatch, sharedbit} × {static, relabeling,
   geometric} × all four acceptance rules × {object, array}; the four
-  fault regimes under ``uniform``; ``acceptance_streams="local"`` under
-  the three proposee-side rules;
+  fault regimes under ``uniform``;
 * the event engine: {sharedbit, blindmatch} × {static, geometric} ×
   {synchronous, jitter, heterogeneous, bursty} × four fault regimes ×
   {scalar hooks (``engine_mode="object"``, ids ending ``/event``),
@@ -97,9 +96,6 @@ def golden_cases() -> dict[str, dict]:
                 for fault in CHECK_FAULTS[1:]:
                     add("fault", algorithm, dynamics, "uniform",
                         engine_mode, fault=fault)
-                for acceptance in CHECK_ACCEPTANCES[:3]:
-                    add("local", algorithm, dynamics, acceptance,
-                        engine_mode, acceptance_streams="local")
     for algorithm in CHECK_ASYNC_ALGORITHMS:
         for dynamics in CHECK_ASYNC_DYNAMICS:
             for timing in ("synchronous",) + CHECK_TIMINGS:
@@ -190,7 +186,7 @@ def test_each_class_shares_one_recorded_digest():
     for case_id, kwargs in CASES.items():
         grouped[class_key(kwargs)].append(case_id)
     assert (len(grouped), sum(len(ids) > 1 for ids in grouped.values())) \
-        == (170, 138)
+        == (143, 111)
     failures = [
         diverged(f"{ids[0]} vs {other}", CASES[ids[0]], CASES[other])
         for ids in grouped.values()

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.sim.engine import _DICT_RESOLVER_MAX_PROPOSALS as SPLIT
+from repro.net.server import proposee_winner
 from repro.sim.matching import (
     ACCEPTANCE_RULES,
+    TICKS_PER_ROUND,
+    acceptance_lottery,
     resolve_proposals,
     resolve_proposals_arrays,
 )
@@ -46,33 +49,34 @@ PROPOSAL_MAPS = st.one_of(
 )
 
 
-def shared(seed_or_rng):
-    """The centralized stream discipline: every contested target draws
-    from one sequential stream."""
-    rng = (
-        seed_or_rng if isinstance(seed_or_rng, random.Random)
-        else random.Random(seed_or_rng)
-    )
-    return lambda _target: rng
+def lottery(seed: int = 0):
+    """A run's acceptance lottery."""
+    return acceptance_lottery(seed)
 
 
-def per_target(seed):
-    """The distributed discipline: a fresh stream per contested target."""
-    return lambda target: random.Random(f"{seed}/{target}")
+def _as_arrays(proposals: dict):
+    proposers = np.array(sorted(proposals), dtype=np.int64)
+    targets = np.array([proposals[p] for p in sorted(proposals)],
+                       dtype=np.int64)
+    return proposers, targets
+
+
+def _array_form(proposals, *args, **kwargs):
+    return resolve_proposals_arrays(*_as_arrays(proposals), *args, **kwargs)
 
 
 class TestBasicRules:
     def test_single_proposal_connects(self):
-        matches = resolve_proposals({1: 2}, shared(0))
+        matches = resolve_proposals({1: 2}, lottery())
         assert matches == [(1, 2)]
 
     def test_proposer_cannot_receive(self):
         # 1 -> 2 and 2 -> 3: node 2 proposed, so 1's proposal is lost.
-        matches = resolve_proposals({1: 2, 2: 3}, shared(0))
+        matches = resolve_proposals({1: 2, 2: 3}, lottery())
         assert matches == [(2, 3)]
 
     def test_one_acceptance_per_target(self):
-        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, shared(0))
+        matches = resolve_proposals({1: 9, 2: 9, 3: 9}, lottery())
         assert len(matches) == 1
         initiator, responder = matches[0]
         assert responder == 9
@@ -80,35 +84,40 @@ class TestBasicRules:
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals({1: 1}, shared(0))
+            resolve_proposals({1: 1}, lottery())
 
     def test_empty_input(self):
-        assert resolve_proposals({}, shared(0)) == []
+        assert resolve_proposals({}, lottery()) == []
 
-    def test_contested_uniform_requires_supplier(self):
-        # A missing supplier is a configuration error, and only a
+    def test_contested_uniform_requires_lottery(self):
+        # A missing lottery is a configuration error, and only a
         # contested target needs one.
         assert resolve_proposals({1: 2}, None) == [(1, 2)]
-        with pytest.raises(ConfigurationError, match="stream supplier"):
+        with pytest.raises(ConfigurationError, match="needs a lottery"):
             resolve_proposals({1: 9, 2: 9}, None)
 
     def test_disjoint_pairs_all_connect(self):
-        matches = resolve_proposals({1: 2, 3: 4, 5: 6}, shared(0))
+        matches = resolve_proposals({1: 2, 3: 4, 5: 6}, lottery())
         assert sorted(matches) == [(1, 2), (3, 4), (5, 6)]
 
     def test_deterministic_given_seed(self):
         proposals = {i: 99 for i in range(1, 8)}
-        a = resolve_proposals(proposals, shared(42))
-        b = resolve_proposals(proposals, shared(42))
+        a = resolve_proposals(proposals, lottery(42), 5)
+        b = resolve_proposals(proposals, lottery(42), 5)
         assert a == b
 
 
 class TestAcceptanceUniformity:
-    def test_acceptance_roughly_uniform(self):
+    @pytest.mark.parametrize("resolve", [resolve_proposals, _array_form])
+    def test_acceptance_roughly_uniform(self, resolve):
+        # Over instants and over targets: both key the lottery.
         counts = Counter()
-        for seed in range(3000):
-            matches = resolve_proposals({1: 9, 2: 9, 3: 9}, shared(seed))
-            counts[matches[0][0]] += 1
+        draws = lottery(0)
+        for instant in range(1500):
+            for target in (9, 10):
+                matches = resolve({1: target, 2: target, 3: target},
+                                  draws, instant)
+                counts[matches[0][0]] += 1
         assert set(counts) == {1, 2, 3}
         assert min(counts.values()) > 800  # each ~1000 of 3000
 
@@ -119,27 +128,26 @@ class TestDeterministicRules:
 
     def test_lowest_uid_picks_minimum_sender(self):
         matches = resolve_proposals(
-            {8: 1, 3: 1, 5: 1}, shared(0), rule="lowest_uid"
+            {8: 1, 3: 1, 5: 1}, lottery(), rule="lowest_uid"
         )
         assert matches == [(3, 1)]
 
     def test_highest_uid_picks_maximum_sender(self):
         matches = resolve_proposals(
-            {8: 1, 3: 1, 5: 1}, shared(0), rule="highest_uid"
+            {8: 1, 3: 1, 5: 1}, lottery(), rule="highest_uid"
         )
         assert matches == [(8, 1)]
 
-    def test_rules_consume_no_randomness(self):
-        # Deterministic rules must leave the rng untouched so runs with
-        # different rules stay comparable draw-for-draw downstream.
+    def test_rules_draw_no_lottery(self):
+        # Deterministic rules settle a contested target without a draw.
         for rule in ("lowest_uid", "highest_uid"):
-            rng = random.Random(99)
-            resolve_proposals({1: 9, 2: 9, 3: 8}, shared(rng), rule=rule)
-            assert rng.random() == random.Random(99).random()
+            for resolve in (resolve_proposals, _array_form):
+                matches = resolve({1: 9, 2: 9, 3: 8}, None, rule=rule)
+                assert len(matches) == 2
 
     def test_multiple_targets_sorted_output(self):
         matches = resolve_proposals(
-            {5: 2, 6: 2, 7: 4, 8: 4}, shared(0), rule="lowest_uid"
+            {5: 2, 6: 2, 7: 4, 8: 4}, lottery(), rule="lowest_uid"
         )
         assert matches == [(5, 2), (7, 4)]
 
@@ -168,42 +176,35 @@ class TestUnboundedBaseline:
         assert resolve_proposals({}, rule="unbounded") == []
 
 
-def _as_arrays(proposals: dict):
-    proposers = np.array(sorted(proposals), dtype=np.int64)
-    targets = np.array([proposals[p] for p in sorted(proposals)],
-                       dtype=np.int64)
-    return proposers, targets
-
-
 class TestArrayResolver:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigurationError):
-            resolve_proposals_arrays([1], [2], shared(0), rule="fifo")
+            resolve_proposals_arrays([1], [2], lottery(), rule="fifo")
 
-    def test_uniform_requires_rng(self):
-        # Only a contested target draws, so only it needs the supplier.
+    def test_uniform_requires_lottery(self):
+        # Only a contested target draws, so only it needs the lottery.
         assert resolve_proposals_arrays([1], [2], None) == [(1, 2)]
-        with pytest.raises(ConfigurationError, match="stream supplier"):
+        with pytest.raises(ConfigurationError, match="needs a lottery"):
             resolve_proposals_arrays([1, 2], [9, 9], None, rule="uniform")
 
     def test_non_integer_uids_rejected(self):
         # A float->int cast would resolve proposals nobody made.
         with pytest.raises(ConfigurationError, match="integer UIDs"):
-            resolve_proposals_arrays([1.9], [2.2], shared(0))
+            resolve_proposals_arrays([1.9], [2.2], lottery())
         with pytest.raises(ConfigurationError, match="integer UIDs"):
-            resolve_proposals_arrays([1, 2], [9.0, 9.0], shared(0))
-        assert resolve_proposals_arrays([], [], shared(0)) == []
+            resolve_proposals_arrays([1, 2], [9.0, 9.0], lottery())
+        assert resolve_proposals_arrays([], [], lottery()) == []
 
     def test_self_proposal_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_arrays([3], [3], shared(0))
+            resolve_proposals_arrays([3], [3], lottery())
 
     def test_duplicate_proposers_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            resolve_proposals_arrays([3, 3], [1, 2], shared(0))
+            resolve_proposals_arrays([3, 3], [1, 2], lottery())
 
     def test_returns_python_ints(self):
-        matches = resolve_proposals_arrays([1], [2], shared(0))
+        matches = resolve_proposals_arrays([1], [2], lottery())
         assert matches == [(1, 2)]
         assert all(
             type(x) is int for pair in matches for x in pair
@@ -219,34 +220,76 @@ class TestArrayResolver:
             {5: 2, 6: 2, 7: 4, 8: 4, 2: 6},
         ]
         for proposals in cases:
-            expected = resolve_proposals(proposals, shared(17), rule=rule)
-            got = resolve_proposals_arrays(
-                *_as_arrays(proposals), shared(17), rule=rule
-            )
+            expected = resolve_proposals(proposals, lottery(17), 3,
+                                         rule=rule)
+            got = _array_form(proposals, lottery(17), 3, rule=rule)
             assert got == expected, (rule, proposals)
+
+
+INSTANTS = st.integers(min_value=0, max_value=2**40)
 
 
 @given(
     PROPOSAL_MAPS,
     st.integers(min_value=0, max_value=1000),
+    INSTANTS,
     st.sampled_from(ALL_RULES),
 )
 @settings(max_examples=200, deadline=None)
-def test_array_resolver_agrees_with_dict_resolver(proposals, seed, rule):
-    """Property: on any proposal map, the array resolver returns the dict
-    resolver's matches exactly — pair values, list order — *and* leaves
-    the shared random stream in the same state (the byte-identical
-    matching guarantee the engine's fast path is built on)."""
+def test_array_resolver_agrees_with_dict_resolver(proposals, seed, instant,
+                                                  rule):
+    """Property: on any proposal map, on both sides of the engine's
+    resolver split, the array resolver's batch lottery draw returns the
+    dict resolver's matches exactly — pair values and list order (the
+    byte-identical matching guarantee the engine's fast path is built
+    on)."""
     proposals = {p: t for p, t in proposals.items() if p != t}
-    proposers, targets = _as_arrays(proposals)
-    rng_dict = random.Random(seed)
-    rng_array = random.Random(seed)
-    expected = resolve_proposals(proposals, shared(rng_dict), rule=rule)
-    got = resolve_proposals_arrays(proposers, targets, shared(rng_array),
-                                   rule=rule)
-    # Same post-resolution stream state: the next draw agrees.
-    assert rng_array.random() == rng_dict.random()
-    assert got == expected
+    draws = lottery(seed)
+    expected = resolve_proposals(proposals, draws, instant, rule=rule)
+    assert _array_form(proposals, draws, instant, rule=rule) == expected
+
+
+@given(PROPOSAL_MAPS, INSTANTS, st.sampled_from(ALL_RULES), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_matching_ignores_proposal_order(proposals, instant, rule, rng):
+    """Property: draws are keyed, not consumed, so the order proposals
+    arrive in cannot move the matching on either resolver."""
+    proposals = {p: t for p, t in proposals.items() if p != t}
+    items = list(proposals.items())
+    rng.shuffle(items)
+    expected = resolve_proposals(proposals, lottery(), instant, rule=rule)
+    assert resolve_proposals(dict(items), lottery(), instant,
+                             rule=rule) == expected
+    proposers = np.array([p for p, _ in items], dtype=np.int64)
+    targets = np.array([t for _, t in items], dtype=np.int64)
+    assert resolve_proposals_arrays(proposers, targets, lottery(), instant,
+                                    rule=rule) == expected
+
+
+@given(
+    PROPOSAL_MAPS,
+    st.integers(min_value=0, max_value=1000),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(sorted(ACCEPTANCE_RULES)),
+)
+@settings(max_examples=100, deadline=None)
+def test_live_proposee_picks_the_resolvers_winner(proposals, seed, rnd,
+                                                  rule):
+    """Property: a live server settling its own inbox (the helper
+    ``PeerServer`` resolves with, no sockets) accepts the proposer the
+    engine's resolver matched it with, for every target."""
+    proposals = {p: t for p, t in proposals.items() if p != t}
+    matches = resolve_proposals(proposals, lottery(seed),
+                                rnd * TICKS_PER_ROUND, rule=rule)
+    inboxes: dict[int, list[int]] = {}
+    for proposer, target in proposals.items():
+        if target not in proposals:
+            inboxes.setdefault(target, []).append(proposer)
+    assert matches == [
+        (proposee_winner(rule, lottery(seed), target, rnd,
+                         sorted(inboxes[target])), target)
+        for target in sorted(inboxes)
+    ]
 
 
 @given(
@@ -261,7 +304,7 @@ def test_array_resolver_agrees_with_dict_resolver(proposals, seed, rule):
 @settings(max_examples=200, deadline=None)
 def test_matching_invariants(proposals, seed):
     proposals = {p: t for p, t in proposals.items() if p != t}
-    matches = resolve_proposals(proposals, shared(seed))
+    matches = resolve_proposals(proposals, lottery(seed))
 
     participants = [node for pair in matches for node in pair]
     # Invariant: one connection per node.
@@ -276,45 +319,3 @@ def test_matching_invariants(proposals, seed):
     for target, count in incoming.items():
         if count >= 1:
             assert any(resp == target for _, resp in matches)
-
-
-class RecordingSupplier:
-    """Wraps a supplier and logs the targets it was asked about."""
-
-    def __init__(self, supplier):
-        self.supplier = supplier
-        self.asked: list[int] = []
-
-    def __call__(self, target):
-        self.asked.append(target)
-        return self.supplier(target)
-
-
-@given(
-    PROPOSAL_MAPS,
-    st.integers(min_value=0, max_value=1000),
-    st.sampled_from(ALL_RULES),
-    st.sampled_from([shared, per_target]),
-)
-@settings(max_examples=300, deadline=None)
-def test_stream_discipline(proposals, seed, rule, discipline):
-    """Property: under either discipline the two forms agree pair for
-    pair, and each asks the supplier exactly once per contested target
-    in ascending target order — never for an uncontested target, a
-    deterministic rule or ``"unbounded"``."""
-    proposals = {p: t for p, t in proposals.items() if p != t}
-    dict_streams = RecordingSupplier(discipline(seed))
-    array_streams = RecordingSupplier(discipline(seed))
-    expected = resolve_proposals(proposals, dict_streams, rule=rule)
-    got = resolve_proposals_arrays(
-        *_as_arrays(proposals), array_streams, rule=rule
-    )
-    assert got == expected
-
-    surviving = Counter(t for t in proposals.values() if t not in proposals)
-    contested = sorted(t for t, count in surviving.items() if count > 1)
-    should_ask = contested if rule == "uniform" else []
-    assert dict_streams.asked == should_ask
-    assert array_streams.asked == should_ask
-    if len(proposals) == 1:
-        assert dict_streams.asked == array_streams.asked == []

@@ -32,6 +32,7 @@ from repro.graphs.topologies import cycle, expander
 from repro.api import Experiment
 from repro.cli import main as cli_main
 from repro.core.problem import everyone_starts_instance
+from repro.net import bridge as bridge_module
 from repro.net import coordinator as coordinator_module
 from repro.net import deploy_run, framing
 from repro.net import (
@@ -772,6 +773,17 @@ class TestLiveRefusals:
         with pytest.raises(ConfigurationError, match="instance has n=5"):
             record_run("sharedbit", StaticDynamicGraph(cycle(6)),
                        uniform_instance(n=5, k=2, seed=1), seed=1)
+
+    def test_record_run_refuses_a_rule_live_servers_cannot_enforce(
+        self, monkeypatch
+    ):
+        """``"unbounded"`` used to simulate and return a recording whose
+        replay could not boot a single server."""
+        monkeypatch.setattr(bridge_module, "prepare_run", None)
+        with pytest.raises(ConfigurationError, match="live servers support"):
+            record_run("sharedbit", StaticDynamicGraph(cycle(6)),
+                       uniform_instance(n=6, k=2, seed=1), seed=1,
+                       acceptance="unbounded")
 
 
 def _advertise(rnd, **extra):
