@@ -40,6 +40,12 @@ paths, in two tables that survive a careless re-record:
 
 On failure both name the first divergent round and column
 (:func:`~repro.experiments.fastpath.first_divergence`).
+
+At the corpus's n = 24 every round falls under the engine's resolver
+split, so the array-mode cases resolve through the dict resolver.  Each
+array-mode round-engine case is therefore also run with the split forced
+below zero, which sends every round through the array resolver and its
+batch lottery draw: it must reproduce the same recorded digest.
 """
 
 import hashlib
@@ -60,6 +66,7 @@ from repro.experiments.fastpath import (
     first_divergence,
     run_case,
 )
+from repro.sim import engine
 from repro.sim.faults import NoFaults
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_traces.json"
@@ -147,6 +154,10 @@ def members(prefix: str, **allowed) -> list[str]:
 
 
 ROUND_UNIFORM = members("round", acceptance=("uniform",))
+#: Round-engine cases on the array path, under all four rules and the
+#: fault regimes: the cases the array resolver can serve.
+ARRAY_RESOLVER = members("round", engine_mode=("array",)) \
+    + members("fault", engine_mode=("array",))
 #: Row -> (base case ids, ``run_case`` overrides, pinned).  A pinned
 #: row's runs reproduce their base case's recorded digest.  An unpinned
 #: row runs a cell no case records, so its runs agree within each class.
@@ -178,6 +189,12 @@ def test_corpus_covers_exactly_the_case_matrix():
 
 @pytest.mark.parametrize("case_id", list(CASES))
 def test_case_reproduces_its_recorded_trace(case_id):
+    assert case_digest(CASES[case_id]) == GOLDEN[case_id]
+
+
+@pytest.mark.parametrize("case_id", ARRAY_RESOLVER)
+def test_array_resolver_reproduces_its_recorded_trace(case_id, monkeypatch):
+    monkeypatch.setattr(engine, "_DICT_RESOLVER_MAX_PROPOSALS", -1)
     assert case_digest(CASES[case_id]) == GOLDEN[case_id]
 
 
