@@ -24,9 +24,11 @@ without ``--allow-dirty``).
 
 ``--quick`` is the CI gate: the spatial-grid-vs-blocked-sweep identity,
 streamed-vs-in-memory sweep aggregation identity (byte-compared
-``to_json``), and an n = 10^5 sharedbit sanity run under the streamed
+``to_json``), an n = 10^5 sharedbit sanity run under the streamed
 path that must build its population around one shared Transfer protocol
-and prints the build split.  No ledger writes.  (int32 CSR == int64 is
+and prints the build split, and an n = 10^5 BlindMatch expander run of
+16 rounds that prints ``round.stage3`` and fails unless stage 3's array
+pass settled at least 90 % of its connections.  No ledger writes.  (int32 CSR == int64 is
 the golden corpus's "int64 CSR" variant row.)
 
 Round budgets shrink as n grows (64 / 16 / 4): the point is steady-state
@@ -123,7 +125,7 @@ def _measure_direct(case: dict) -> dict:
     from repro.core.runner import build_nodes
     from repro.registry import ALGORITHM_REGISTRY
     from repro.sim.channel import ChannelPolicy
-    from repro.sim.engine import Simulation
+    from repro.sim.engine import Simulation, settled_connections
 
     build_started = time.perf_counter()
     graph = _build_graph(case["graph"], n, rounds)
@@ -166,6 +168,7 @@ def _measure_direct(case: dict) -> dict:
         "peak_rss_mb": round(peak_kb / 1024.0, 1),
         "bytes_per_node": int((peak_kb - baseline_kb) * 1024 / n),
         "total_connections": sim.trace.total_connections,
+        "settled_connections": settled_connections(sim.telemetry.metrics),
         "phases": _rounded_phases(sim.telemetry.profile()),
     }
 
@@ -270,7 +273,8 @@ def _case_label(case: dict) -> str:
 
 
 def run_quick() -> int:
-    """The CI gate: identities + an n=10^5 streamed sanity run."""
+    """The CI gate: identities + n=10^5 streamed and stage-3 sanity
+    runs."""
     from repro.experiments import SweepSpec, run_sweep
     from repro.experiments.fastpath import check_grid_identity
 
@@ -322,6 +326,29 @@ def run_quick() -> int:
         f"{phases['build.engine']['seconds']:.2f}s, run.total "
         f"{phases['run.total']['seconds']:.2f}s"
     )
+    return _settle_sanity()
+
+
+def _settle_sanity(n: int = 100_000, rounds: int = 16) -> int:
+    """BlindMatch on the expander at n: most connections join equal
+    sets, and stage 3 must settle them in its array pass — a run that
+    quietly walks them pair by pair fails."""
+    print(f"stage-3 sanity run: blindmatch expander n={n} ...", flush=True)
+    row = _measure_direct({"algorithm": "blindmatch", "graph": "expander",
+                           "n": n, "rounds": rounds})
+    by_rows = row["settled_connections"].get("rows", 0)
+    total = row["total_connections"]
+    share = by_rows / total if total else 0.0
+    print(
+        f"stage-3 sanity: {row['rounds_per_s']} rounds/s, round.stage3 "
+        f"{row['phases']['round.stage3']['seconds']:.2f}s over {rounds} "
+        f"rounds; {by_rows} of {total} connections ({100 * share:.1f}%) "
+        "settled in the array pass"
+    )
+    if share < 0.9:
+        print("FAIL: under 90% of connections settled in the array pass "
+              f"({row['settled_connections']})", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -329,8 +356,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: scale identities + n=10^5 streamed sanity run; "
-             "does not touch BENCH_scale.json",
+        help="CI smoke: scale identities + n=10^5 streamed and stage-3 "
+             "sanity runs; does not touch BENCH_scale.json",
     )
     parser.add_argument(
         "--max-n", type=int, default=max(SIZES),

@@ -115,9 +115,16 @@ def _cmd_run(args) -> int:
         )
     )
     if args.profile:
+        from repro.sim.engine import settled_connections
         from repro.telemetry import render_phase_table
 
         print(render_phase_table(result.profile))
+        settled = settled_connections(result.telemetry.metrics)
+        print(
+            f"settled_connections={sum(settled.values())} (rows="
+            f"{settled.get('rows', 0)} pair={settled.get('pair', 0)}) of "
+            f"{result.trace.total_connections}: moved nothing, no channel"
+        )
     return 0 if result.solved else 1
 
 

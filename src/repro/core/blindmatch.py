@@ -77,8 +77,8 @@ class BlindMatchNode(GossipNode):
     def __init__(self, uid: int, upper_n: int, initial_tokens,
                  rng: random.Random, config: BlindMatchConfig | None = None,
                  transfer: TransferProtocol | None = None,
-                 coins: KeyedCounter | None = None):
-        super().__init__(uid, upper_n, initial_tokens, rng)
+                 coins: KeyedCounter | None = None, token_columns=None):
+        super().__init__(uid, upper_n, initial_tokens, rng, token_columns)
         self.config = config or BlindMatchConfig()
         self.coins = coins or KeyedCounter(SeedTree(0).key(COINS_PATH))
         self._transfer = self._transfer_machine(transfer, self.config)
@@ -199,14 +199,15 @@ class _BlindMatchWindowOps:
     tag_length=0,
 )
 def _build_blindmatch_nodes(ctx):
-    """BlindMatch's population: one coin key and one Transfer machine
-    for every node."""
+    """BlindMatch's population: one coin key, one Transfer machine and
+    one set of token columns for every node."""
     coins = KeyedCounter(ctx.tree.key(COINS_PATH))
     transfer = ctx.transfer_protocol()
+    columns = ctx.token_columns()
     return {
         vertex: BlindMatchNode(
             config=ctx.config, transfer=transfer, coins=coins,
-            **ctx.common(vertex)
+            token_columns=columns, **ctx.common(vertex)
         )
         for vertex in ctx.vertices()
     }

@@ -15,7 +15,10 @@ Transfer(ε) outcome by actually moving the token payload.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.commcplx.transfer import TransferOutcome, TransferProtocol
 from repro.errors import ConfigurationError
@@ -27,6 +30,7 @@ from repro.sim.protocol import NodeProtocol
 __all__ = [
     "GossipInstance",
     "GossipNode",
+    "TokenColumns",
     "uniform_instance",
     "everyone_starts_instance",
     "skewed_instance",
@@ -160,16 +164,78 @@ def skewed_instance(
 _NO_TOKENS: frozenset = frozenset()
 
 
+class TokenColumns:
+    """A population's token sets as rows of a bitset: ``bits`` is an
+    ``(n + 1, ceil(k/64))`` uint64 array, one row per member UID in
+    ascending order (``uids``) and one column per instance label in
+    label order.  ``loose[row]`` marks a row holding a label outside the
+    columns — it never compares equal, so a row is never wrong, only
+    sometimes unusable; row ``n`` is a loose sentinel.
+    :meth:`GossipNode.store_token` and :meth:`GossipNode.reset_tokens`
+    keep a member's row current with O(1) bit writes."""
+
+    #: Wider rows (k > 512: the k = n instances, whose sets are rarely
+    #: equal) are not kept: :meth:`for_instance` returns ``None``.
+    MAX_WORDS = 8
+
+    def __init__(self, labels, uids):
+        labels = sorted(labels)
+        rows = self.sentinel = len(uids)
+        self.uids = np.sort(np.fromiter(uids, dtype=np.int64, count=rows))
+        self._order = self.uids.tolist()  # for bisect
+        self.words = max(1, -(-len(labels) // 64))
+        self._slot = {label: (column >> 6, 1 << (column & 63))
+                      for column, label in enumerate(labels)}
+        self.bits = np.zeros((rows + 1, self.words), dtype=np.uint64)
+        self.loose = np.zeros(rows + 1, dtype=bool)
+        self.loose[rows] = True
+        # Item writes through memoryviews take Python ints: no numpy
+        # scalar per store.
+        self._words = memoryview(self.bits).cast("B").cast("Q")
+        self._loose = memoryview(self.loose)
+
+    @classmethod
+    def for_instance(cls, instance) -> "TokenColumns | None":
+        if instance.k > 64 * cls.MAX_WORDS:
+            return None
+        return cls(instance.token_ids, instance.uids)
+
+    def add(self, uid: int, label: int) -> None:
+        row = bisect_left(self._order, uid)
+        slot = self._slot.get(label)
+        if slot is None:
+            self._loose[row] = True
+        else:
+            self._words[row * self.words + slot[0]] |= slot[1]
+
+    def clear(self, uid: int) -> None:
+        row = bisect_left(self._order, uid)
+        self.bits[row] = 0
+        self._loose[row] = False
+
+    def equal(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Per pair of row indices: do the two rows hold one token set?"""
+        same = self.bits[rows_a] == self.bits[rows_b]
+        same = same[:, 0] if self.words == 1 else same.all(axis=1)
+        return same & ~(self.loose[rows_a] | self.loose[rows_b])
+
+
 class GossipNode(NodeProtocol):
-    """Base class for gossip protocols: token storage plus Transfer glue."""
+    """Base class for gossip protocols: token storage plus Transfer glue.
+
+    ``token_columns`` is the population's :class:`TokenColumns`
+    (``NodeBuildContext.token_columns()``), where the node keeps the row
+    of its UID: it lets the engine settle the node's equal-set
+    connections in one array pass (:meth:`settle_columns`)."""
 
     def __init__(self, uid: int, upper_n: int, initial_tokens,
-                 rng: random.Random):
+                 rng: random.Random, token_columns=None):
         super().__init__(uid)
         if upper_n < 2:
             raise ConfigurationError(f"upper_n must be >= 2, got {upper_n}")
         self.upper_n = upper_n
         self.rng = rng
+        self._columns = token_columns
         self._initial_tokens = tuple(initial_tokens)
         self._tokens: dict[int, Token] = {}
         self._known_tokens: frozenset | None = None
@@ -204,6 +270,8 @@ class GossipNode(NodeProtocol):
         state; see :class:`repro.sim.faults.CrashChurn`)."""
         self._tokens = {}
         self._known_tokens = None
+        if self._columns is not None:
+            self._columns.clear(self.uid)
         for token in self._initial_tokens:
             self.store_token(token)
 
@@ -214,6 +282,8 @@ class GossipNode(NodeProtocol):
             )
         self._tokens[token.token_id] = token
         self._known_tokens = None
+        if self._columns is not None:
+            self._columns.add(self.uid, token.token_id)
 
     def _transfer_machine(self, shared: TransferProtocol | None,
                           config) -> TransferProtocol:
@@ -273,6 +343,18 @@ class GossipNode(NodeProtocol):
             return None
         transfer.count_equal_calls(outcome.eq_calls)
         return outcome.control_bits
+
+    def settle_columns(self):
+        """:meth:`settle` between two nodes that name one ``(columns,
+        machine)`` here is "are their rows equal": the stock exchange on
+        a shared machine."""
+        cls = type(self)
+        transfer = getattr(self, "_transfer", None)
+        if (self._columns is None or transfer is None
+                or cls.interact is not GossipNode.interact
+                or cls.settle is not GossipNode.settle):
+            return None
+        return self._columns, transfer
 
 
 @register_instance(

@@ -399,12 +399,13 @@ class GeometricMobilityGraph(DynamicGraph):
         self._geo_csr_epoch: int | None = None
         self._geo_csr_cache = None
 
-    def _initial_state(self) -> tuple[list, list]:
-        """Epoch-0 positions and waypoints, re-derivable from the seed."""
+    def _initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Epoch-0 positions and waypoints as ``(n, 2)`` float64 columns
+        (x, y), re-derivable from the seed."""
         rng = self._tree.stream("init")
-        positions = [(rng.random(), rng.random()) for _ in range(self.n)]
-        waypoints = [(rng.random(), rng.random()) for _ in range(self.n)]
-        return positions, waypoints
+        draws = np.array([rng.random() for _ in range(4 * self.n)])
+        return draws[:2 * self.n].reshape(-1, 2), \
+            draws[2 * self.n:].reshape(-1, 2)
 
     def _graph_for_epoch(self, epoch: int) -> nx.Graph:
         # Sequential access (the engine's pattern) advances the live
@@ -422,8 +423,9 @@ class GeometricMobilityGraph(DynamicGraph):
                            self._built_through)
         return self._disk_graph(self._positions, record_bridges=True)
 
-    def positions_at(self, epoch: int) -> list:
-        """The node positions of ``epoch``, replayed from the seed.
+    def positions_at(self, epoch: int) -> np.ndarray:
+        """The node positions of ``epoch`` (an ``(n, 2)`` array),
+        replayed from the seed.
 
         A pure function — it never touches the live forward state, so
         analysis code can sample any epoch's geometry at any time.
@@ -467,28 +469,39 @@ class GeometricMobilityGraph(DynamicGraph):
                         self._move(self._positions, self._waypoints,
                                    self._built_through)
                 positions = self._positions
-            pos = np.asarray(positions)
             self._geo_csr_cache = disk_csr(
-                pos[:, 0], pos[:, 1], self.radius, self.csr_dtype
+                positions[:, 0], positions[:, 1], self.radius,
+                self.csr_dtype,
             )
             self._geo_csr_epoch = epoch
         return self._geo_csr_cache
 
-    def _move(self, positions: list, waypoints: list, epoch: int) -> None:
-        rng = self._tree.stream("epoch", epoch)
-        for i in range(self.n):
-            x, y = positions[i]
-            wx, wy = waypoints[i]
-            dx, dy = wx - x, wy - y
-            dist = math.hypot(dx, dy)
-            if dist <= self.step:
-                positions[i] = (wx, wy)
-                waypoints[i] = (rng.random(), rng.random())
-            else:
-                scale = self.step / dist
-                positions[i] = (x + dx * scale, y + dy * scale)
+    def _move(self, positions: np.ndarray, waypoints: np.ndarray,
+              epoch: int) -> None:
+        """One epoch of motion, in place: every node steps ``step``
+        toward its waypoint, and one within reach lands on it and draws
+        a new one — in index order, x then y.  Each value is the
+        per-node scalar formula's to the bit: ``math.hypot`` (numpy's
+        differs in the last place on some inputs), then IEEE
+        ``-``, ``/``, ``*``, ``+`` elementwise."""
+        delta = waypoints - positions
+        dist = np.fromiter(
+            map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist()),
+            dtype=np.float64, count=self.n,
+        )
+        arrive = dist <= self.step
+        moving = ~arrive
+        scale = self.step / dist[moving]
+        positions[moving] += delta[moving] * scale[:, None]
+        arrived = np.flatnonzero(arrive)
+        if arrived.size:
+            positions[arrived] = waypoints[arrived]
+            rng = self._tree.stream("epoch", epoch)
+            waypoints[arrived] = np.array(
+                [rng.random() for _ in range(2 * arrived.size)]
+            ).reshape(-1, 2)
 
-    def _disk_graph(self, positions: list,
+    def _disk_graph(self, positions: np.ndarray,
                     record_bridges: bool) -> nx.Graph:
         # Edges come from the cell-sorted grid (repro.graphs.spatial) in
         # (i, j) lexicographic order with i < j — the blocked pairwise
@@ -509,7 +522,7 @@ class GeometricMobilityGraph(DynamicGraph):
     # replicates the dense tie-break exactly).
     _BRIDGE_DENSE_MAX = 1 << 22
 
-    def _bridge_components(self, g: nx.Graph, positions: list,
+    def _bridge_components(self, g: nx.Graph, positions: np.ndarray,
                            record_bridges: bool) -> None:
         # Nearest-pair search per component pair: dense pairwise
         # reduction for small products, a cell grid over the (large)

@@ -124,6 +124,18 @@ class NodeBuildContext:
         config = self.config if config is None else config
         return TransferProtocol(upper_n, config.transfer_epsilon(upper_n))
 
+    def token_columns(self):
+        """The one :class:`~repro.core.problem.TokenColumns` a builder
+        hands to every node of the population (``None`` when the
+        instance has too many labels to keep them) — for a builder whose
+        connections often join equal sets (BlindMatch's blind
+        proposals).  SharedBit's and MultiBit's proposals cross a
+        differing tag, which certifies differing sets: they have nothing
+        to settle by row, and keep none."""
+        from repro.core.problem import TokenColumns
+
+        return TokenColumns.for_instance(self.instance)
+
     def common(self, vertex: int) -> dict:
         """The constructor kwargs every :class:`GossipNode` shares.
 

@@ -59,6 +59,7 @@ engine without the layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -86,7 +87,7 @@ from repro.sim.termination import TerminationCondition, never
 from repro.sim.trace import RoundRecord, Trace
 from repro.telemetry import resolve_telemetry
 
-__all__ = ["Simulation", "SimulationResult"]
+__all__ = ["Simulation", "SimulationResult", "settled_connections"]
 
 Gauge = Callable[[Mapping[int, NodeProtocol], int], object]
 
@@ -104,11 +105,32 @@ OBJECT_PATH_MAX_N = 200_000
 #: per node at average degree 6 on CPython 3.12).
 _OBJECT_PATH_BYTES_PER_NODE = 3_000
 
+#: Stage 3 walks a round with at most this many matches pair by pair
+#: (``settle``, then ``interact``): below the measured crossover
+#: (EXPERIMENTS.md PERF-ROWS-SETTLE) the array pass's fixed numpy cost
+#: loses to the walk.
+_PER_PAIR_SETTLE_MAX_MATCHES = 20
+
+#: The telemetry counter of connections stage 3 settled without a
+#: channel — each moved nothing, the paper's blind-proposal waste —
+#: labelled by ``path``: ``"rows"`` (the array pass) or ``"pair"``.
+SETTLED_CONNECTIONS = "engine.settled_connections"
+
 #: The array path resolves a round with at most this many proposals
 #: through the dict resolver: below the measured crossover (192–256
 #: proposals, EXPERIMENTS.md) numpy's fixed per-call cost loses to the
 #: Python loop.
 _DICT_RESOLVER_MAX_PROPOSALS = 192
+
+
+def settled_connections(metrics) -> dict[str, int]:
+    """``{path: count}`` of :data:`SETTLED_CONNECTIONS` in a metrics
+    registry (empty when telemetry was off)."""
+    return {
+        entry["labels"]["path"]: entry["value"]
+        for entry in metrics.snapshot()
+        if entry["name"] == SETTLED_CONNECTIONS
+    }
 
 
 @dataclass
@@ -250,6 +272,7 @@ class Simulation:
             (node.uid for node in self._nodes), dtype=np.int64, count=self.n
         )
         self._csr_bound = None  # UID-bound CSR for the current epoch
+        self._settle_rows = None  # see _index_settle_rows
         # Per-round scratch buffers for the array front half (and bulk
         # hooks, via the bound snapshot): one allocation per shape, not
         # one per round.
@@ -383,25 +406,105 @@ class Simulation:
         books the bits it returns, with no channel.  Every other pair
         runs ``interact``; the channel and the hook see ``rnd`` as their
         round — or, as in ``FaultReader.split``, the initiator's local
-        cycle."""
-        tokens_moved = 0
-        control_bits = 0
+        cycle.  Above the split (a smaller round's walk is cheaper),
+        every pair between equal token rows is settled first in one
+        array pass (:meth:`_equal_rows`) and only the rest walk the
+        loop, in match order."""
+        pending, left = matches, None
+        by_row = (self._equal_rows(matches)
+                  if len(matches) > _PER_PAIR_SETTLE_MAX_MATCHES else None)
+        if by_row is not None:
+            machine, equal = by_row
+            left = np.flatnonzero(~equal).tolist()
+            pending = [matches[i] for i in left]
+        tokens_moved = control_bits = settled = done = 0
         nodes, vertex_of = self._nodes, self._vertex_of_uid
         policy = self.channel_policy
-        for initiator_uid, responder_uid in matches:
-            initiator = nodes[vertex_of[initiator_uid]]
-            responder = nodes[vertex_of[responder_uid]]
-            settled = initiator.settle(responder, policy)
-            if settled is not None:
-                control_bits += settled
-                continue
-            at = cycle_of_uid[initiator_uid] if rnd is None else rnd
-            channel = Channel(at, initiator_uid, responder_uid, policy)
-            initiator.interact(responder, channel, at)
-            channel.close()
-            tokens_moved += channel.tokens_moved
-            control_bits += channel.bits.total_bits
+        try:
+            for initiator_uid, responder_uid in pending:
+                initiator = nodes[vertex_of[initiator_uid]]
+                responder = nodes[vertex_of[responder_uid]]
+                bits = initiator.settle(responder, policy)
+                if bits is not None:
+                    control_bits += bits
+                    settled += 1
+                else:
+                    at = cycle_of_uid[initiator_uid] if rnd is None else rnd
+                    channel = Channel(at, initiator_uid, responder_uid,
+                                      policy)
+                    initiator.interact(responder, channel, at)
+                    channel.close()
+                    tokens_moved += channel.tokens_moved
+                    control_bits += channel.bits.total_bits
+                done += 1
+        except BaseException:
+            if left is not None:
+                # The walk would have booked the equal pairs ahead of
+                # the one that raised, and no others.
+                machine.count_equal_calls(
+                    machine.equal_outcome.eq_calls * (left[done] - done))
+            raise
+        metrics = self.telemetry.metrics
+        if left is not None:
+            by_rows = len(matches) - len(pending)
+            outcome = machine.equal_outcome
+            machine.count_equal_calls(outcome.eq_calls * by_rows)
+            control_bits += outcome.control_bits * by_rows
+            metrics.counter(SETTLED_CONNECTIONS, path="rows").inc(by_rows)
+        if settled:
+            metrics.counter(SETTLED_CONNECTIONS, path="pair").inc(settled)
         return tokens_moved, control_bits
+
+    def _equal_rows(self, matches: list[tuple[int, int]]):
+        """``(machine, equal)``, where ``equal[i]`` says match ``i`` joins
+        two equal rows of the population's token columns — a pair its
+        initiator's ``settle`` would book as ``machine.equal_outcome`` —
+        or ``None``: no columns, an outcome over budget, no equal pair —
+        or the classical telephone model, whose matches share nodes, so
+        an earlier pair's exchange can change a later pair's rows.
+        """
+        if self.acceptance == "unbounded":
+            return None
+        rows = self._settle_rows
+        if rows is None:
+            rows = self._settle_rows = self._index_settle_rows()
+        if not rows:
+            return None
+        columns, machine, sorted_uids, rows_by_rank = rows
+        if (machine.equal_outcome.control_bits
+                > self.channel_policy.max_control_bits):
+            return None
+        uids = np.fromiter(chain.from_iterable(matches), dtype=np.int64,
+                           count=2 * len(matches))
+        pair_rows = rows_by_rank[np.searchsorted(sorted_uids, uids)]
+        equal = columns.equal(pair_rows[0::2], pair_rows[1::2])
+        return (machine, equal) if equal.any() else None
+
+    def _index_settle_rows(self) -> tuple:
+        """Each node's ``settle_columns``, read once per run (first
+        needed by a round above the split, never at construction): the
+        columns and machine of the first node that names any, and per
+        UID in ascending order, the UID's row there when its node names
+        the same pair — else the columns' never-equal sentinel row —
+        beside the sorted UIDs.  ``()`` when no node names any."""
+        first = None
+        member = bytearray(self.n)
+        for vertex, node in enumerate(self._nodes):
+            key = node.settle_columns()
+            if key is not None:
+                first = first or key
+                member[vertex] = key[0] is first[0] and key[1] is first[1]
+        if first is None:
+            return ()
+        columns, machine = first
+        order = np.argsort(self._uid_array)
+        sorted_uids = self._uid_array[order]
+        member = np.frombuffer(member, dtype=bool)[order]
+        rows = np.searchsorted(columns.uids, sorted_uids)
+        rows[rows == columns.sentinel] = 0
+        member &= columns.uids[rows] == sorted_uids
+        rows[~member] = columns.sentinel
+        return columns, machine, sorted_uids, rows
 
     def _observe_round(
         self,

@@ -405,6 +405,11 @@ class FaultReader:
         #: Whether decisions key off the global round window / wall clock
         #: instead of the caller's own cycle (``FaultModel.clock``).
         self.virtual = self.active and self.model.clock == "virtual"
+        #: Whether the model judges matches at all: one that keeps
+        #: ``FaultModel.drop_connection`` drops none, unasked.
+        self.drops = self.active and (
+            type(self.model).drop_connection
+            is not FaultModel.drop_connection)
         self._prev_mask = None      # last visited mask (None = all awake)
 
     def mask(self, index: int) -> np.ndarray | None:
@@ -464,7 +469,7 @@ class FaultReader:
         is judged at ``index`` — or, when the asynchronous engine passes
         ``None``, at its initiator's local cycle
         ``cycle_of_uid[initiator_uid]``."""
-        if not (self.active and matches):
+        if not (self.drops and matches):
             return matches, ()
         drop = self.model.drop_connection
         surviving, doomed = [], []

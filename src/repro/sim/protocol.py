@@ -11,7 +11,9 @@ round the engine calls, in model order:
    invoked with the responder object and a metered channel; the pair
    performs its bounded exchange.  Before opening that channel the engine
    asks :meth:`NodeProtocol.settle` whether the exchange is known to move
-   nothing; if so it books the returned control bits and skips it.
+   nothing; if so it books the returned control bits and skips it (a
+   large round reads :meth:`NodeProtocol.settle_columns` instead, once
+   per run, and settles every equal pair at once).
 
 Protocols must not communicate outside these hooks; the test suite checks
 the engine-enforced parts (tag width, proposing only to neighbors) and the
@@ -71,6 +73,16 @@ class NodeProtocol(ABC):
         exchange is known to move no token, touch no stream and fit
         ``policy`` — having done everything else it would do; else
         ``None``, and the engine runs :meth:`interact` over a channel."""
+        return None
+
+    def settle_columns(self) -> tuple | None:
+        """``(columns, machine)`` when :meth:`settle` between this node
+        and any node naming the same pair is decided by ``columns.equal``
+        on their rows alone (the rows of their UIDs in ``columns.uids``),
+        booking ``machine.equal_outcome`` through
+        ``machine.count_equal_calls`` when equal; else ``None``.  The
+        engine reads it once per run, to settle a large round's equal
+        pairs in one array pass."""
         return None
 
     def __repr__(self) -> str:

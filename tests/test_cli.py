@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,6 +38,23 @@ class TestCommands:
         assert code == 0
         assert "solved" in out
         assert "sharedbit on cycle" in out
+
+    def test_run_profile_counts_settled_connections(self, capsys):
+        # n = 200: BlindMatch's rounds cross stage 3's split, so its
+        # equal-set connections settle in the array pass.
+        code = main([
+            "run", "--algorithm", "blindmatch", "--graph", "expander",
+            "--n", "200", "--k", "1", "--seed", "3", "--max-rounds", "300",
+            "--profile",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        connections = int(re.search(r"connections=(\d+) ", out).group(1))
+        line = out.splitlines()[-1]
+        settled, rows, pair, total = map(int, re.findall(r"\d+", line))
+        assert line.startswith("settled_connections=")
+        assert (settled, total) == (rows + pair, connections)
+        assert 0 < rows < connections
 
     def test_run_blindmatch_dynamic(self, capsys):
         code = main(

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.rng import SeedTree
 from repro.experiments.fastpath import check_grid_identity
 from repro.graphs.spatial import (
     PointIndex,
+    disk_csr,
     disk_edges,
     disk_edges_blocked,
     disk_edges_grid,
@@ -266,6 +268,77 @@ class TestGeometricMobility:
             not nx.is_connected(dg.graph_at(r)) for r in range(1, 6)
         )
         assert dg.bridges_added == 0
+
+
+def reference_motion(seed, n, step, epochs):
+    """The per-node scalar loop the mobility columns replaced: epoch
+    e's positions and waypoints as lists of (x, y), e = 0..epochs."""
+    tree = SeedTree(seed).child("mobility")
+    rng = tree.stream("init")
+    positions = [(rng.random(), rng.random()) for _ in range(n)]
+    waypoints = [(rng.random(), rng.random()) for _ in range(n)]
+    states = [(list(positions), list(waypoints))]
+    for epoch in range(1, epochs + 1):
+        rng = tree.stream("epoch", epoch)
+        for i in range(n):
+            x, y = positions[i]
+            wx, wy = waypoints[i]
+            dx, dy = wx - x, wy - y
+            dist = math.hypot(dx, dy)
+            if dist <= step:
+                positions[i] = (wx, wy)
+                waypoints[i] = (rng.random(), rng.random())
+            else:
+                scale = step / dist
+                positions[i] = (x + dx * scale, y + dy * scale)
+        states.append((list(positions), list(waypoints)))
+    return states
+
+
+def same_bits(columns, pairs) -> bool:
+    return columns.tobytes() == np.array(pairs, dtype=np.float64).tobytes()
+
+
+class TestMobilityColumns:
+    """Positions and waypoints move as float64 columns; every value is
+    the scalar loop's to the bit, and every CSR the one it built."""
+
+    EPOCHS = 60
+
+    @pytest.mark.parametrize("step", [0.0, 0.05, 1.0])
+    def test_columns_equal_the_scalar_loop_bit_for_bit(self, step):
+        n, seed, radius = 40, 7, 0.2
+        expected = reference_motion(seed, n, step, self.EPOCHS)
+        params = dict(n=n, radius=radius, step=step, tau=1, seed=seed)
+        forward = GeometricMobilityGraph(**params, bridge=False)
+        bridged = GeometricMobilityGraph(**params, bridge=True)
+        for epoch, (positions, waypoints) in enumerate(expected):
+            csr = forward.csr_at(epoch + 1)  # tau = 1: round e + 1
+            assert same_bits(forward._positions, positions)
+            assert same_bits(forward._waypoints, waypoints)
+            assert same_bits(forward.positions_at(epoch), positions)
+            xy = np.array(positions)
+            reference = disk_csr(xy[:, 0], xy[:, 1], radius)
+            assert np.array_equal(csr.indptr, reference.indptr)
+            assert np.array_equal(csr.indices, reference.indices)
+            if epoch % 10 == 0:
+                graph = bridged.graph_at(epoch + 1)
+                assert nx.utils.graphs_equal(
+                    graph, bridged._disk_graph(xy, record_bridges=False))
+                assert all(graph.has_edge(u, int(v)) for u in range(n)
+                           for v in csr.neighbors(u))
+
+    def test_forward_csr_equals_the_replayed_epoch(self):
+        params = dict(n=50, radius=0.2, step=0.05, tau=2, seed=3,
+                      bridge=False)
+        dg = GeometricMobilityGraph(**params)
+        forward = {r: dg.csr_at(r) for r in range(1, 41, 3)}
+        replay = GeometricMobilityGraph(**params)
+        replay.csr_at(80)  # every round below is now a replay
+        for r, csr in forward.items():
+            again = replay.csr_at(r)
+            assert np.array_equal(again.indptr, csr.indptr)
+            assert np.array_equal(again.indices, csr.indices)
 
 
 class TestDynamicMetrics:

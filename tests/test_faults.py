@@ -537,6 +537,28 @@ class TestFaultReader:
         assert stream.call_count == 0
         assert not reader.resets_state and not reader.virtual
 
+    @pytest.mark.parametrize("model, drops", [
+        (SleepCycle(8, 3, period=4, duty=2), False),
+        (CrashChurn(8, 3, crash_prob=0.5, reset_tokens=True), False),
+        (LossyLinks(8, 3, drop_prob=0.5), True),
+    ], ids=repr)
+    def test_only_a_model_that_drops_walks_the_matches(self, model, drops):
+        # Decided once: a model keeping FaultModel.drop_connection hands
+        # the matches back as they came, never asked per pair.
+        reader = FaultReader(model, 8)
+        assert reader.drops is drops
+        matches = [(1, 2), (3, 4), (5, 6)]
+        with mock.patch.object(type(model), "drop_connection",
+                               autospec=True,
+                               side_effect=type(model).drop_connection
+                               ) as drop:
+            for index in range(1, 20):
+                surviving, doomed = reader.split(index, matches)
+                assert sorted(surviving + list(doomed)) == matches
+                if not drops:
+                    assert surviving is matches and doomed == ()
+        assert drop.call_count == (19 * len(matches) if drops else 0)
+
     def test_built_for_another_n_is_refused_at_every_door(self):
         model = SleepCycle(n=6, seed=1)
         for door in (lambda: FaultReader(model, 8),

@@ -45,7 +45,9 @@ At the corpus's n = 24 every round falls under the engine's resolver
 split, so the array-mode cases resolve through the dict resolver.  Each
 array-mode round-engine case is therefore also run with the split forced
 below zero, which sends every round through the array resolver and its
-batch lottery draw: it must reproduce the same recorded digest.
+batch lottery draw: it must reproduce the same recorded digest.  The
+same holds for stage 3's split: forced below zero, every round settles
+its equal-row pairs in the array pass and must still hit the digest.
 """
 
 import hashlib
@@ -195,6 +197,12 @@ def test_case_reproduces_its_recorded_trace(case_id):
 @pytest.mark.parametrize("case_id", ARRAY_RESOLVER)
 def test_array_resolver_reproduces_its_recorded_trace(case_id, monkeypatch):
     monkeypatch.setattr(engine, "_DICT_RESOLVER_MAX_PROPOSALS", -1)
+    assert case_digest(CASES[case_id]) == GOLDEN[case_id]
+
+
+@pytest.mark.parametrize("case_id", ARRAY_RESOLVER)
+def test_row_settle_reproduces_its_recorded_trace(case_id, monkeypatch):
+    monkeypatch.setattr(engine, "_PER_PAIR_SETTLE_MAX_MATCHES", -1)
     assert case_digest(CASES[case_id]) == GOLDEN[case_id]
 
 
