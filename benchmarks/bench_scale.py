@@ -27,9 +27,9 @@ streamed-vs-in-memory sweep aggregation identity (byte-compared
 ``to_json``), an n = 10^5 sharedbit sanity run under the streamed
 path that must build its population around one shared Transfer protocol
 and prints the build split, and an n = 10^5 BlindMatch expander run of
-16 rounds that prints ``round.stage3`` and fails unless stage 3's array
-pass settled at least 90 % of its connections.  No ledger writes.  (int32 CSR == int64 is
-the golden corpus's "int64 CSR" variant row.)
+16 rounds that prints ``round.stage3`` and fails unless stage 3 settled
+at least 90 % of its connections by row.  No ledger writes.  (int32 CSR
+== int64 is the golden corpus's "int64 CSR" variant row.)
 
 Round budgets shrink as n grows (64 / 16 / 4): the point is steady-state
 per-round cost and footprint, not solving gossip at 10^6.
@@ -331,23 +331,23 @@ def run_quick() -> int:
 
 def _settle_sanity(n: int = 100_000, rounds: int = 16) -> int:
     """BlindMatch on the expander at n: most connections join equal
-    sets, and stage 3 must settle them in its array pass — a run that
-    quietly walks them pair by pair fails."""
+    sets, and stage 3 must settle them by row — a run that quietly
+    meters them over channels fails."""
     print(f"stage-3 sanity run: blindmatch expander n={n} ...", flush=True)
     row = _measure_direct({"algorithm": "blindmatch", "graph": "expander",
                            "n": n, "rounds": rounds})
-    by_rows = row["settled_connections"].get("rows", 0)
+    settled = row["settled_connections"]
     total = row["total_connections"]
-    share = by_rows / total if total else 0.0
+    share = settled / total if total else 0.0
     print(
         f"stage-3 sanity: {row['rounds_per_s']} rounds/s, round.stage3 "
         f"{row['phases']['round.stage3']['seconds']:.2f}s over {rounds} "
-        f"rounds; {by_rows} of {total} connections ({100 * share:.1f}%) "
-        "settled in the array pass"
+        f"rounds; {settled} of {total} connections ({100 * share:.1f}%) "
+        "settled by row"
     )
     if share < 0.9:
-        print("FAIL: under 90% of connections settled in the array pass "
-              f"({row['settled_connections']})", file=sys.stderr)
+        print("FAIL: under 90% of connections settled by row",
+              file=sys.stderr)
         return 1
     return 0
 

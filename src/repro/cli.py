@@ -119,11 +119,10 @@ def _cmd_run(args) -> int:
         from repro.telemetry import render_phase_table
 
         print(render_phase_table(result.profile))
-        settled = settled_connections(result.telemetry.metrics)
         print(
-            f"settled_connections={sum(settled.values())} (rows="
-            f"{settled.get('rows', 0)} pair={settled.get('pair', 0)}) of "
-            f"{result.trace.total_connections}: moved nothing, no channel"
+            f"settled_connections="
+            f"{settled_connections(result.telemetry.metrics)} of "
+            f"{result.trace.total_connections} connections"
         )
     return 0 if result.solved else 1
 

@@ -14,6 +14,7 @@ Transfer(ε) outcome by actually moving the token payload.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from repro.commcplx.transfer import TransferOutcome, TransferProtocol
 from repro.errors import ConfigurationError
 from repro.core.tokens import Token
 from repro.registry import register_instance
-from repro.sim.channel import Channel, ChannelPolicy
+from repro.sim.channel import Channel
 from repro.sim.protocol import NodeProtocol
 
 __all__ = [
@@ -166,13 +167,14 @@ _NO_TOKENS: frozenset = frozenset()
 
 class TokenColumns:
     """A population's token sets as rows of a bitset: ``bits`` is an
-    ``(n + 1, ceil(k/64))`` uint64 array, one row per member UID in
+    ``(n, ceil(k/64))`` uint64 array, one row per member UID in
     ascending order (``uids``) and one column per instance label in
     label order.  ``loose[row]`` marks a row holding a label outside the
     columns — it never compares equal, so a row is never wrong, only
-    sometimes unusable; row ``n`` is a loose sentinel.
+    sometimes unusable.
     :meth:`GossipNode.store_token` and :meth:`GossipNode.reset_tokens`
-    keep a member's row current with O(1) bit writes."""
+    keep a member's row current with O(1) bit writes; a UID with no row
+    is a :class:`~repro.errors.ConfigurationError`."""
 
     #: Wider rows (k > 512: the k = n instances, whose sets are rarely
     #: equal) are not kept: :meth:`for_instance` returns ``None``.
@@ -180,15 +182,15 @@ class TokenColumns:
 
     def __init__(self, labels, uids):
         labels = sorted(labels)
-        rows = self.sentinel = len(uids)
+        rows = len(uids)
         self.uids = np.sort(np.fromiter(uids, dtype=np.int64, count=rows))
-        self._order = self.uids.tolist()  # for bisect
+        # For bisect; the end marker is never a UID.
+        self._order = self.uids.tolist() + [math.inf]
         self.words = max(1, -(-len(labels) // 64))
         self._slot = {label: (column >> 6, 1 << (column & 63))
                       for column, label in enumerate(labels)}
-        self.bits = np.zeros((rows + 1, self.words), dtype=np.uint64)
-        self.loose = np.zeros(rows + 1, dtype=bool)
-        self.loose[rows] = True
+        self.bits = np.zeros((rows, self.words), dtype=np.uint64)
+        self.loose = np.zeros(rows, dtype=bool)
         # Item writes through memoryviews take Python ints: no numpy
         # scalar per store.
         self._words = memoryview(self.bits).cast("B").cast("Q")
@@ -200,8 +202,15 @@ class TokenColumns:
             return None
         return cls(instance.token_ids, instance.uids)
 
-    def add(self, uid: int, label: int) -> None:
+    def _row(self, uid: int) -> int:
         row = bisect_left(self._order, uid)
+        if self._order[row] != uid:
+            raise ConfigurationError(f"UID {uid} has no row in these "
+                                     "token columns")
+        return row
+
+    def add(self, uid: int, label: int) -> None:
+        row = self._row(uid)
         slot = self._slot.get(label)
         if slot is None:
             self._loose[row] = True
@@ -209,7 +218,7 @@ class TokenColumns:
             self._words[row * self.words + slot[0]] |= slot[1]
 
     def clear(self, uid: int) -> None:
-        row = bisect_left(self._order, uid)
+        row = self._row(uid)
         self.bits[row] = 0
         self._loose[row] = False
 
@@ -219,6 +228,23 @@ class TokenColumns:
         same = same[:, 0] if self.words == 1 else same.all(axis=1)
         return same & ~(self.loose[rows_a] | self.loose[rows_b])
 
+    def same(self, uid_a: int, uid_b: int) -> bool:
+        """:meth:`equal` for one pair of UIDs, in Python: no numpy call
+        (:meth:`_row`'s bisects, inlined)."""
+        order = self._order
+        a, b = bisect_left(order, uid_a), bisect_left(order, uid_b)
+        if order[a] != uid_a or order[b] != uid_b:
+            raise ConfigurationError(f"UID {uid_a} or {uid_b} has no row "
+                                     "in these token columns")
+        if self._loose[a] or self._loose[b]:
+            return False
+        words, width = self._words, self.words
+        if width == 1:
+            return words[a] == words[b]
+        a *= width
+        b *= width
+        return words[a:a + width] == words[b:b + width]
+
 
 class GossipNode(NodeProtocol):
     """Base class for gossip protocols: token storage plus Transfer glue.
@@ -226,7 +252,7 @@ class GossipNode(NodeProtocol):
     ``token_columns`` is the population's :class:`TokenColumns`
     (``NodeBuildContext.token_columns()``), where the node keeps the row
     of its UID: it lets the engine settle the node's equal-set
-    connections in one array pass (:meth:`settle_columns`)."""
+    connections by row (:meth:`settle_columns`)."""
 
     def __init__(self, uid: int, upper_n: int, initial_tokens,
                  rng: random.Random, token_columns=None):
@@ -326,33 +352,13 @@ class GossipNode(NodeProtocol):
         subclass sets ``_transfer``, see :meth:`_transfer_machine`)."""
         self.run_transfer(responder, self._transfer, channel)
 
-    def settle(self, responder: NodeProtocol,
-               policy: ChannelPolicy) -> int | None:
-        """The stock exchange between equal token sets on one shared
-        machine, within budget, moves nothing and draws nothing: book its
-        tester stats as :meth:`TransferProtocol.locate` would and return
-        its control bits.  A class with its own :meth:`interact`, a
-        private machine or a token difference gets ``None``."""
-        if (type(self).interact is not GossipNode.interact
-                or self.known_tokens != responder.known_tokens):
-            return None
-        transfer = self._transfer
-        outcome = transfer.equal_outcome
-        if (getattr(responder, "_transfer", None) is not transfer
-                or outcome.control_bits > policy.max_control_bits):
-            return None
-        transfer.count_equal_calls(outcome.eq_calls)
-        return outcome.control_bits
-
     def settle_columns(self):
-        """:meth:`settle` between two nodes that name one ``(columns,
-        machine)`` here is "are their rows equal": the stock exchange on
-        a shared machine."""
-        cls = type(self)
+        """``(columns, machine)``: the stock exchange on a shared machine
+        between two nodes naming this pair moves nothing whenever their
+        rows are equal."""
         transfer = getattr(self, "_transfer", None)
         if (self._columns is None or transfer is None
-                or cls.interact is not GossipNode.interact
-                or cls.settle is not GossipNode.settle):
+                or type(self).interact is not GossipNode.interact):
             return None
         return self._columns, transfer
 

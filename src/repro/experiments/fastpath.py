@@ -1,13 +1,12 @@
 """Differential harness: one case matrix, one signature, one differ.
 
 A *case* is (algorithm, dynamics kind, acceptance rule, engine mode,
-plus optional fault regime, timing model, acceptance-stream discipline,
-CSR dtype and telemetry); :func:`run_case` runs it and returns a
-hashable outcome covering everything the execution observably did:
-every sampled trace record (gauges and fault columns included), every
-running total, the final round, and the end state.  Two paths
-agree iff their outcomes are equal, and :func:`first_divergence` says
-where they first do not.
+plus optional fault regime, timing model, CSR dtype and telemetry);
+:func:`run_case` runs it and returns a hashable outcome covering
+everything the execution observably did: every sampled trace record
+(gauges and fault columns included), every running total, the final
+round, and the end state.  Two paths agree iff their outcomes are
+equal, and :func:`first_divergence` says where they first do not.
 
 The frozen corpus (tests/test_golden_traces.py) records one digest per
 case.  Cases that differ only in the path they take (engine mode,

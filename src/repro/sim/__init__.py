@@ -9,8 +9,9 @@ A round proceeds in the model's three stages (§2 of the paper):
    proposals accepts one chosen uniformly at random.
 3. **Connect** — each matched pair communicates over a metered
    :class:`~repro.sim.channel.Channel`: at most ``max_tokens`` tokens and
-   ``max_control_bits`` extra bits.  A pair whose exchange is known to
-   move nothing books its bits without one (``NodeProtocol.settle``).
+   ``max_control_bits`` extra bits.  A pair between equal token rows
+   moves nothing and books its bits without one
+   (``NodeProtocol.settle_columns``).
 
 :class:`~repro.sim.engine.Simulation` drives the loop; algorithms implement
 :class:`~repro.sim.protocol.NodeProtocol`.

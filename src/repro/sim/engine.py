@@ -8,7 +8,8 @@ that protocols cannot cheat:
 * proposals must name a current neighbor;
 * matching follows the one rule in :mod:`repro.sim.matching` (one
   connection per node, proposers cannot receive);
-* every connection runs over a budget-metered channel.
+* every connection that may move a token runs over a budget-metered
+  channel (one between equal token rows books its bits without one).
 
 Everything is deterministic given the seed: topology evolution, acceptance
 draws, and protocol-internal randomness (protocols are constructed with
@@ -33,10 +34,10 @@ interchangeable front halves drive Stages 1–2 of each round over it:
 The two paths are **byte-identical**: same tags, same proposals, same
 random draws, same matching, same traces (pinned by the
 golden corpus, tests/test_golden_traces.py, whose classes require every
-object/array pair to share one recorded digest; its n = 24 rounds all
-resolve through the dict form, so the array resolver's agreement is
-pinned by tests/test_matching.py's properties and one object == array
-run crossing the split in tests/test_fastpath.py).  ``engine_mode`` picks
+object/array pair to share one recorded digest; its n = 24 rounds fall
+under both splits on their own, so it reruns every array-mode round and
+fault case with each split forced below zero, through the array resolver
+and stage 3's numpy row compare).  ``engine_mode`` picks
 the front half by one rule, written once in :class:`Simulation` and
 shared by the asynchronous executor, which takes window hooks where
 this engine takes bulk hooks: ``"object"`` runs the per-node scalar
@@ -59,7 +60,7 @@ engine without the layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -105,15 +106,14 @@ OBJECT_PATH_MAX_N = 200_000
 #: per node at average degree 6 on CPython 3.12).
 _OBJECT_PATH_BYTES_PER_NODE = 3_000
 
-#: Stage 3 walks a round with at most this many matches pair by pair
-#: (``settle``, then ``interact``): below the measured crossover
-#: (EXPERIMENTS.md PERF-ROWS-SETTLE) the array pass's fixed numpy cost
-#: loses to the walk.
+#: Stage 3 compares the token rows of a round with at most this many
+#: matches pair by pair in Python: below the measured crossover
+#: (EXPERIMENTS.md PERF-ROWS-SETTLE) one numpy compare's fixed cost
+#: loses to the Python compares.
 _PER_PAIR_SETTLE_MAX_MATCHES = 20
 
-#: The telemetry counter of connections stage 3 settled without a
-#: channel — each moved nothing, the paper's blind-proposal waste —
-#: labelled by ``path``: ``"rows"`` (the array pass) or ``"pair"``.
+#: The telemetry counter of connections stage 3 settled by row, without
+#: a channel — each moved nothing, the paper's blind-proposal waste.
 SETTLED_CONNECTIONS = "engine.settled_connections"
 
 #: The array path resolves a round with at most this many proposals
@@ -123,14 +123,11 @@ SETTLED_CONNECTIONS = "engine.settled_connections"
 _DICT_RESOLVER_MAX_PROPOSALS = 192
 
 
-def settled_connections(metrics) -> dict[str, int]:
-    """``{path: count}`` of :data:`SETTLED_CONNECTIONS` in a metrics
-    registry (empty when telemetry was off)."""
-    return {
-        entry["labels"]["path"]: entry["value"]
-        for entry in metrics.snapshot()
-        if entry["name"] == SETTLED_CONNECTIONS
-    }
+def settled_connections(metrics) -> int:
+    """:data:`SETTLED_CONNECTIONS` in a metrics registry (0 when
+    telemetry was off)."""
+    return sum(entry["value"] for entry in metrics.snapshot()
+               if entry["name"] == SETTLED_CONNECTIONS)
 
 
 @dataclass
@@ -272,7 +269,7 @@ class Simulation:
             (node.uid for node in self._nodes), dtype=np.int64, count=self.n
         )
         self._csr_bound = None  # UID-bound CSR for the current epoch
-        self._settle_rows = None  # see _index_settle_rows
+        self._settle_route = None  # see _read_settle_route
         # Per-round scratch buffers for the array front half (and bulk
         # hooks, via the bound snapshot): one allocation per shape, not
         # one per round.
@@ -402,109 +399,75 @@ class Simulation:
     ) -> tuple[int, int]:
         """Stage 3: bounded pairwise interaction over metered channels.
 
-        A pair the initiator's ``settle`` vouches for moves nothing and
-        books the bits it returns, with no channel.  Every other pair
-        runs ``interact``; the channel and the hook see ``rnd`` as their
-        round — or, as in ``FaultReader.split``, the initiator's local
-        cycle.  Above the split (a smaller round's walk is cheaper),
-        every pair between equal token rows is settled first in one
-        array pass (:meth:`_equal_rows`) and only the rest walk the
-        loop, in match order."""
-        pending, left = matches, None
-        by_row = (self._equal_rows(matches)
-                  if len(matches) > _PER_PAIR_SETTLE_MAX_MATCHES else None)
-        if by_row is not None:
-            machine, equal = by_row
-            left = np.flatnonzero(~equal).tolist()
-            pending = [matches[i] for i in left]
-        tokens_moved = control_bits = settled = done = 0
+        A pair between equal rows of the population's token columns
+        (:meth:`_read_settle_route`; ``TokenColumns.same`` per pair in a
+        round of at most ``_PER_PAIR_SETTLE_MAX_MATCHES`` matches, one
+        numpy ``TokenColumns.equal`` above) books its machine's equal-set
+        outcome, with no channel.  Every other pair runs ``interact``, in
+        match order; the channel and the hook see ``rnd`` as their round
+        — or, as in ``FaultReader.split``, the initiator's local cycle.
+        If one raises, the settled pairs ahead of it are booked and none
+        after it, as if each had run ``interact``."""
+        if not matches:
+            return 0, 0
+        route = self._settle_route
+        if route is None:
+            route = self._settle_route = self._read_settle_route()
+        same = flags = None
+        if not route:
+            flags = repeat(False)
+        elif len(matches) <= _PER_PAIR_SETTLE_MAX_MATCHES:
+            same = route[0].same
+        else:
+            columns = route[0]
+            rows = np.searchsorted(columns.uids, np.fromiter(
+                chain.from_iterable(matches), dtype=np.int64,
+                count=2 * len(matches)))
+            flags = iter(columns.equal(rows[0::2], rows[1::2]).tolist())
+        tokens_moved = control_bits = settled = 0
         nodes, vertex_of = self._nodes, self._vertex_of_uid
         policy = self.channel_policy
         try:
-            for initiator_uid, responder_uid in pending:
-                initiator = nodes[vertex_of[initiator_uid]]
-                responder = nodes[vertex_of[responder_uid]]
-                bits = initiator.settle(responder, policy)
-                if bits is not None:
-                    control_bits += bits
+            for initiator_uid, responder_uid in matches:
+                if (next(flags) if same is None
+                        else same(initiator_uid, responder_uid)):
                     settled += 1
-                else:
-                    at = cycle_of_uid[initiator_uid] if rnd is None else rnd
-                    channel = Channel(at, initiator_uid, responder_uid,
-                                      policy)
-                    initiator.interact(responder, channel, at)
-                    channel.close()
-                    tokens_moved += channel.tokens_moved
-                    control_bits += channel.bits.total_bits
-                done += 1
-        except BaseException:
-            if left is not None:
-                # The walk would have booked the equal pairs ahead of
-                # the one that raised, and no others.
-                machine.count_equal_calls(
-                    machine.equal_outcome.eq_calls * (left[done] - done))
-            raise
-        metrics = self.telemetry.metrics
-        if left is not None:
-            by_rows = len(matches) - len(pending)
-            outcome = machine.equal_outcome
-            machine.count_equal_calls(outcome.eq_calls * by_rows)
-            control_bits += outcome.control_bits * by_rows
-            metrics.counter(SETTLED_CONNECTIONS, path="rows").inc(by_rows)
-        if settled:
-            metrics.counter(SETTLED_CONNECTIONS, path="pair").inc(settled)
+                    continue
+                at = cycle_of_uid[initiator_uid] if rnd is None else rnd
+                channel = Channel(at, initiator_uid, responder_uid, policy)
+                nodes[vertex_of[initiator_uid]].interact(
+                    nodes[vertex_of[responder_uid]], channel, at)
+                channel.close()
+                tokens_moved += channel.tokens_moved
+                control_bits += channel.bits.total_bits
+        finally:
+            if settled:
+                machine = route[1]
+                outcome = machine.equal_outcome
+                machine.count_equal_calls(outcome.eq_calls * settled)
+                control_bits += outcome.control_bits * settled
+                self.telemetry.metrics.counter(SETTLED_CONNECTIONS).inc(
+                    settled)
         return tokens_moved, control_bits
 
-    def _equal_rows(self, matches: list[tuple[int, int]]):
-        """``(machine, equal)``, where ``equal[i]`` says match ``i`` joins
-        two equal rows of the population's token columns — a pair its
-        initiator's ``settle`` would book as ``machine.equal_outcome`` —
-        or ``None``: no columns, an outcome over budget, no equal pair —
-        or the classical telephone model, whose matches share nodes, so
-        an earlier pair's exchange can change a later pair's rows.
-        """
-        if self.acceptance == "unbounded":
-            return None
-        rows = self._settle_rows
-        if rows is None:
-            rows = self._settle_rows = self._index_settle_rows()
-        if not rows:
-            return None
-        columns, machine, sorted_uids, rows_by_rank = rows
-        if (machine.equal_outcome.control_bits
-                > self.channel_policy.max_control_bits):
-            return None
-        uids = np.fromiter(chain.from_iterable(matches), dtype=np.int64,
-                           count=2 * len(matches))
-        pair_rows = rows_by_rank[np.searchsorted(sorted_uids, uids)]
-        equal = columns.equal(pair_rows[0::2], pair_rows[1::2])
-        return (machine, equal) if equal.any() else None
-
-    def _index_settle_rows(self) -> tuple:
-        """Each node's ``settle_columns``, read once per run (first
-        needed by a round above the split, never at construction): the
-        columns and machine of the first node that names any, and per
-        UID in ascending order, the UID's row there when its node names
-        the same pair — else the columns' never-equal sentinel row —
-        beside the sorted UIDs.  ``()`` when no node names any."""
-        first = None
-        member = bytearray(self.n)
-        for vertex, node in enumerate(self._nodes):
-            key = node.settle_columns()
-            if key is not None:
-                first = first or key
-                member[vertex] = key[0] is first[0] and key[1] is first[1]
-        if first is None:
+    def _read_settle_route(self) -> tuple:
+        """``(columns, machine)`` when every node names that one pair as
+        its ``settle_columns`` and has a row there — so a pair between
+        equal rows runs the stock exchange on a shared machine, which
+        moves nothing and draws nothing — and its equal-set outcome fits
+        the budget; else ``()``: then every pair runs ``interact``, and
+        ``TransferProtocol.locate`` books equal sets itself.  Also ``()``
+        under the classical telephone model, whose matches share nodes,
+        so an earlier pair's exchange can change a later pair's rows.
+        Read once per run, at the first stage 3."""
+        route = self._nodes[0].settle_columns()
+        if (route is None or self.acceptance == "unbounded"
+                or route[1].equal_outcome.control_bits
+                > self.channel_policy.max_control_bits
+                or any(node.settle_columns() != route for node in self._nodes)
+                or not np.isin(self._uid_array, route[0].uids).all()):
             return ()
-        columns, machine = first
-        order = np.argsort(self._uid_array)
-        sorted_uids = self._uid_array[order]
-        member = np.frombuffer(member, dtype=bool)[order]
-        rows = np.searchsorted(columns.uids, sorted_uids)
-        rows[rows == columns.sentinel] = 0
-        member &= columns.uids[rows] == sorted_uids
-        rows[~member] = columns.sentinel
-        return columns, machine, sorted_uids, rows
+        return route
 
     def _observe_round(
         self,

@@ -9,11 +9,9 @@ round the engine calls, in model order:
    to send a connection proposal (and to whom) based on the neighbor views;
 3. :meth:`NodeProtocol.interact` — if matched, the *initiator's* method is
    invoked with the responder object and a metered channel; the pair
-   performs its bounded exchange.  Before opening that channel the engine
-   asks :meth:`NodeProtocol.settle` whether the exchange is known to move
-   nothing; if so it books the returned control bits and skips it (a
-   large round reads :meth:`NodeProtocol.settle_columns` instead, once
-   per run, and settles every equal pair at once).
+   performs its bounded exchange.  A pair between equal rows of the
+   token columns every node names (:meth:`NodeProtocol.settle_columns`)
+   gets no channel: the engine books its machine's equal-set outcome.
 
 Protocols must not communicate outside these hooks; the test suite checks
 the engine-enforced parts (tag width, proposing only to neighbors) and the
@@ -25,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Protocol, runtime_checkable
 
-from repro.sim.channel import Channel, ChannelPolicy
+from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 
 __all__ = ["NodeProtocol", "TokenHolder", "ScalarWindowOps", "bulk_hooks",
@@ -67,22 +65,13 @@ class NodeProtocol(ABC):
         cost must be charged to ``channel``.
         """
 
-    def settle(self, responder: "NodeProtocol",
-               policy: ChannelPolicy) -> int | None:
-        """The control bits :meth:`interact` would charge, when this pair's
-        exchange is known to move no token, touch no stream and fit
-        ``policy`` — having done everything else it would do; else
-        ``None``, and the engine runs :meth:`interact` over a channel."""
-        return None
-
     def settle_columns(self) -> tuple | None:
-        """``(columns, machine)`` when :meth:`settle` between this node
-        and any node naming the same pair is decided by ``columns.equal``
-        on their rows alone (the rows of their UIDs in ``columns.uids``),
-        booking ``machine.equal_outcome`` through
-        ``machine.count_equal_calls`` when equal; else ``None``.  The
-        engine reads it once per run, to settle a large round's equal
-        pairs in one array pass."""
+        """``(columns, machine)`` when :meth:`interact` between this node
+        and any node naming the same pair moves nothing, touches no
+        stream and books ``machine.equal_outcome`` whenever ``columns``
+        holds equal rows for their UIDs; else ``None``.  The
+        engine reads it once per run, and settles a round's equal pairs
+        by row only when every node names one pair."""
         return None
 
     def __repr__(self) -> str:

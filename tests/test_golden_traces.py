@@ -46,8 +46,9 @@ split, so the array-mode cases resolve through the dict resolver.  Each
 array-mode round-engine case is therefore also run with the split forced
 below zero, which sends every round through the array resolver and its
 batch lottery draw: it must reproduce the same recorded digest.  The
-same holds for stage 3's split: forced below zero, every round settles
-its equal-row pairs in the array pass and must still hit the digest.
+same holds for stage 3's split: a BlindMatch round at n = 24 compares
+its token rows in Python, so forced below zero every round takes the
+numpy compare and must still hit the digest.
 """
 
 import hashlib

@@ -1,21 +1,23 @@
-"""Settled stage 3 against a forced per-pair metered stage 3.
+"""Settled stage 3 against a forced metered stage 3.
 
-``Simulation._stage3`` books a pair without a channel when the
-initiator's ``settle`` vouches that its exchange moves nothing — pair by
-pair, or, above the engine's match-count split, every equal-row pair of
-a round at once (``settle_columns``).  Forcing every pair through
-``interact`` over a metered channel (``settle`` and ``settle_columns``
-back to the ``NodeProtocol`` defaults) is the reference: both paths must
-agree with it on every round's counts, every machine's ``EqTestStats``,
-every node's stream position and holdings — and on where a strict
-budget raises.  At n = 24 no round reaches the split, so the ``rows``
-path forces it below zero.
+``Simulation._stage3`` books a pair without a channel when it joins two
+equal rows of the token columns every node names (``settle_columns``):
+a Python compare per pair (``TokenColumns.same``) in a round of at most
+the engine's split, one numpy compare (``TokenColumns.equal``) above.
+Forcing ``settle_columns`` back to the ``NodeProtocol`` default turns
+that route off, so every pair runs ``interact`` over a metered channel:
+the reference.  Both compares must agree with it on every round's
+counts, every machine's ``EqTestStats``, every node's stream position
+and holdings — and on where a strict budget raises.  The ``pair`` path
+sets the split above any round of n = 24, the ``rows`` path below zero.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asynchrony import AsyncSimulation, UniformJitter
 from repro.core.blindmatch import BlindMatchNode
@@ -25,7 +27,7 @@ from repro.core.problem import GossipNode, TokenColumns, uniform_instance
 from repro.core.runner import build_nodes
 from repro.core.simsharedbit import SimSharedBitNode
 from repro.core.tokens import Token
-from repro.errors import ChannelBudgetError
+from repro.errors import ChannelBudgetError, ConfigurationError
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.graphs.topologies import expander
 from repro.sim import engine as round_engine
@@ -35,8 +37,8 @@ from repro.sim.protocol import NodeProtocol
 
 N, K, SEED = 24, 3, 5
 ENGINES = ("round", "async")
-#: Stage 3's match-count split per path: every round walks pair by pair,
-#: or every round takes the array pass.
+#: Stage 3's match-count split per path: every round takes the Python
+#: compare, or every round takes the numpy compare.
 PATHS = {"pair": N, "rows": -1}
 
 
@@ -45,6 +47,11 @@ def path(request, monkeypatch):
     monkeypatch.setattr(round_engine, "_PER_PAIR_SETTLE_MAX_MATCHES",
                         PATHS[request.param])
     return request.param
+
+
+def blindmatch_population():
+    return build_nodes("blindmatch", uniform_instance(n=N, k=K, seed=SEED),
+                       seed=SEED)
 
 
 def mixed_population():
@@ -73,6 +80,9 @@ def mixed_population():
                 rng=random.Random(200 + vertex),
                 rumor=tokens[0] if tokens else None)
     return nodes
+
+
+POPULATIONS = {"blindmatch": blindmatch_population, "mixed": mixed_population}
 
 
 def simulate(nodes, engine, policy, b=1, n=N, telemetry=None):
@@ -107,9 +117,8 @@ def observe(sim, nodes, rounds):
 
 
 def forced_and_settled(build, engine, policy, rounds, monkeypatch, **kw):
-    """The same run twice: every pair metered, then settled."""
+    """The same run twice: every pair metered, then settled by row."""
     with monkeypatch.context() as patch:
-        patch.setattr(GossipNode, "settle", NodeProtocol.settle)
         patch.setattr(GossipNode, "settle_columns",
                       NodeProtocol.settle_columns)
         nodes = build()
@@ -121,65 +130,63 @@ def forced_and_settled(build, engine, policy, rounds, monkeypatch, **kw):
 
 
 def count_settled(build, engine, policy, rounds, monkeypatch):
-    """Run once more, spying on ``GossipNode.settle``: the vertices of
-    the initiators it settled, and the engine's settled-connection
-    counters by path."""
-    settled = []
-    original = GossipNode.settle
+    """Run once more with telemetry: the engine's settled-connection
+    counter, and how often each compare ran."""
+    calls = {"same": 0, "equal": 0}
+    for name in calls:
+        original = getattr(TokenColumns, name)
 
-    def spy(self, responder, policy):
-        bits = original(self, responder, policy)
-        if bits is not None:
-            settled.append(self.uid)
-        return bits
+        def spy(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
 
-    monkeypatch.setattr(GossipNode, "settle", spy)
+        monkeypatch.setattr(TokenColumns, name, spy)
     nodes = build()
     sim = simulate(nodes, engine, policy, telemetry=True)
     observe(sim, nodes, rounds)
-    vertex_of = {node.uid: vertex for vertex, node in nodes.items()}
-    return ([vertex_of[uid] for uid in settled],
-            settled_connections(sim.telemetry.metrics))
+    return settled_connections(sim.telemetry.metrics), calls
 
 
 def equal_outcome_bits():
-    node = mixed_population()[0]
+    node = blindmatch_population()[0]
     return node._transfer.equal_outcome.control_bits
 
 
+@pytest.mark.parametrize("population", list(POPULATIONS))
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
-def test_settled_stage3_equals_metered_stage3(engine, strict, path,
-                                              monkeypatch):
+def test_settled_stage3_equals_metered_stage3(population, engine, strict,
+                                              path, monkeypatch):
+    build = POPULATIONS[population]
     policy = ChannelPolicy(max_control_bits=1 << 20, strict=strict)
-    forced, settled = forced_and_settled(
-        mixed_population, engine, policy, 60, monkeypatch)
+    forced, settled = forced_and_settled(build, engine, policy, 60,
+                                         monkeypatch)
     assert forced[0] is None
     assert settled == forced
-    # The run settles pairs on the path under test — the rows path
-    # leaves the other population's pairs to settle — and never one
-    # on a private machine.
-    spied, counters = count_settled(
-        mixed_population, engine, policy, 60, monkeypatch)
-    assert counters.get(path)
-    assert {vertex % 4 for vertex in spied} <= (
-        {0, 1} if path == "pair" else {1})
-    assert counters.get("pair", 0) == len(spied)
+    count, calls = count_settled(build, engine, policy, 60, monkeypatch)
+    if population == "mixed":
+        # Nodes that name no columns, or other ones, turn the route off.
+        assert (count, calls) == (0, {"same": 0, "equal": 0})
+        return
+    assert count > 0
+    # The path under test picks the compare, every round.
+    assert bool(calls["same"]) == (path == "pair")
+    assert bool(calls["equal"]) == (path == "rows")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_lenient_budget_below_the_equal_outcome_settles_nothing(
         engine, path, monkeypatch):
     # Over budget, the metered pair records a violation and carries on:
-    # settle declines, and the counts are the metered ones.
+    # the route is off, and the counts are the metered ones.
     policy = ChannelPolicy(max_control_bits=equal_outcome_bits() - 1,
                            strict=False)
     forced, settled = forced_and_settled(
-        mixed_population, engine, policy, 60, monkeypatch)
+        blindmatch_population, engine, policy, 60, monkeypatch)
     assert forced[0] is None
     assert settled == forced
-    assert count_settled(
-        mixed_population, engine, policy, 60, monkeypatch) == ([], {})
+    assert count_settled(blindmatch_population, engine, policy, 60,
+                         monkeypatch)[0] == 0
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -187,22 +194,16 @@ def test_a_strict_budget_below_the_equal_outcome_raises_at_the_same_pair(
         engine, path, monkeypatch):
     policy = ChannelPolicy(max_control_bits=equal_outcome_bits() - 1)
     forced, settled = forced_and_settled(
-        mixed_population, engine, policy, 60, monkeypatch)
+        blindmatch_population, engine, policy, 60, monkeypatch)
     assert forced[0] is not None
     assert settled == forced
-
-
-def blindmatch_population():
-    return build_nodes("blindmatch", uniform_instance(n=N, k=K, seed=SEED),
-                       seed=SEED)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_pair_that_raises_mid_round_books_the_same_equal_pairs(
         engine, path, monkeypatch):
     # From round 3 on, every exchange between unequal sets raises.  The
-    # equal pairs after it in its round must not be booked: the rows
-    # path, which settled them before the walk, gives their calls back.
+    # equal pairs ahead of it in its round are booked, none after it.
     original = GossipNode.run_transfer
 
     def run_transfer(self, peer, protocol, channel):
@@ -219,24 +220,57 @@ def test_a_pair_that_raises_mid_round_books_the_same_equal_pairs(
     assert settled == forced
 
 
-def test_private_machines_are_never_settled():
+def test_only_a_shared_machine_and_columns_name_a_route():
     instance = uniform_instance(n=4, k=1, seed=SEED)
-    nodes = [BlindMatchNode(uid=uid, upper_n=instance.upper_n,
-                            initial_tokens=(), rng=random.Random(uid))
-             for uid in instance.uids]
-    policy = ChannelPolicy()
-    assert nodes[0].known_tokens == nodes[1].known_tokens
-    assert nodes[0].settle(nodes[1], policy) is None
-    shared = build_nodes("blindmatch", instance, seed=SEED)
-    empty = [node for node in shared.values() if not node.known_tokens]
-    assert empty[0].settle(empty[1], policy) == (
-        empty[0]._transfer.equal_outcome.control_bits)
-    assert empty[0].settle(nodes[1], policy) is None
-    # Only the shared machine's population names a row.
-    assert nodes[0].settle_columns() is None
-    columns, machine = empty[0].settle_columns()
-    assert machine is empty[0]._transfer
-    assert empty[1].settle_columns() == (columns, machine)
+    private = BlindMatchNode(uid=instance.uids[0], upper_n=instance.upper_n,
+                             initial_tokens=(), rng=random.Random(1))
+    assert private.settle_columns() is None
+    shared = list(build_nodes("blindmatch", instance, seed=SEED).values())
+    columns, machine = shared[0].settle_columns()
+    assert machine is shared[0]._transfer
+    assert all(node.settle_columns() == (columns, machine)
+               for node in shared)
+    sharedbit = build_nodes("sharedbit", instance, seed=SEED)
+    assert sharedbit[0].settle_columns() is None
+
+
+def test_a_node_without_a_row_turns_the_route_off():
+    instance = uniform_instance(n=N, k=K, seed=SEED, upper_n=2 * N)
+    nodes = build_nodes("blindmatch", instance, seed=SEED)
+    columns, machine = nodes[0].settle_columns()
+    graph = StaticDynamicGraph(expander(n=N, degree=4, seed=1))
+    assert Simulation(graph, dict(nodes), b=0,
+                      seed=SEED)._read_settle_route() == (columns, machine)
+    # The same columns and machine, at a UID the columns have no row for
+    # (holding nothing, the node never writes one).
+    stranger = min(set(range(1, 2 * N + 1)) - set(instance.uids))
+    nodes[N - 1] = BlindMatchNode(
+        uid=stranger, upper_n=2 * N, initial_tokens=(),
+        rng=random.Random(1), transfer=machine, token_columns=columns)
+    assert nodes[N - 1].settle_columns() == (columns, machine)
+    assert Simulation(graph, nodes, b=0,
+                      seed=SEED)._read_settle_route() == ()
+
+
+def test_a_uid_without_a_row_is_refused():
+    # Columns for UIDs {10, 20, 30}: a bisect alone puts UID 15 on UID
+    # 20's row, so an empty UID-20 node and a {9} UID-30 node would
+    # compare equal.
+    columns = TokenColumns([9], [10, 20, 30])
+    with pytest.raises(ConfigurationError, match="UID 15"):
+        BlindMatchNode(uid=15, upper_n=40, initial_tokens=(Token(9),),
+                       rng=random.Random(1), token_columns=columns)
+    for uid in (5, 15, 31):
+        with pytest.raises(ConfigurationError):
+            columns.add(uid, 9)
+        with pytest.raises(ConfigurationError):
+            columns.clear(uid)
+        with pytest.raises(ConfigurationError):
+            columns.same(uid, 10)
+    columns.add(30, 9)
+    assert columns.bits[1, 0] == 0
+    assert columns.same(10, 20)
+    assert not columns.same(20, 30)
 
 
 def test_token_rows_track_every_store_and_reset():
@@ -261,12 +295,43 @@ def test_token_rows_track_every_store_and_reset():
         pairs = [(a, b) for a in range(N) for b in range(N) if a != b]
         equal = columns.equal(rows[[a for a, _ in pairs]],
                               rows[[b for _, b in pairs]])
-        assert equal.tolist() == [
+        expected = [
             kept[a] and kept[b]
             and nodes[a].known_tokens == nodes[b].known_tokens
             for a, b in pairs
         ]
+        assert equal.tolist() == expected
+        assert [columns.same(nodes[a].uid, nodes[b].uid)
+                for a, b in pairs] == expected
     assert any(not row for row in kept)  # the foreign label was held
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 64 * TokenColumns.MAX_WORDS), data=st.data())
+def test_same_is_equal_on_one_pair(k, data):
+    # Labels 1..k are the columns, k + 1 and k + 2 are loose, and 0
+    # clears; a few labels recur so that sets meet again.
+    uids = [3, 8, 13, 21]
+    columns = TokenColumns(range(1, k + 1), uids)
+    held = {uid: set() for uid in uids}
+    labels = st.one_of(st.sampled_from([0, 1, 64, 65, k, k + 1]),
+                       st.integers(0, k + 2)).filter(lambda x: x <= k + 2)
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(uids), labels),
+                               max_size=40))
+    for uid, label in steps:
+        if label == 0:
+            columns.clear(uid)
+            held[uid].clear()
+        else:
+            columns.add(uid, label)
+            held[uid].add(label)
+    for a in uids:
+        for b in uids:
+            row_a, row_b = uids.index(a), uids.index(b)
+            equal = columns.equal(np.array([row_a]), np.array([row_b]))
+            expected = (held[a] == held[b]
+                        and max(held[a] | held[b], default=0) <= k)
+            assert columns.same(a, b) == bool(equal[0]) == expected
 
 
 def test_too_many_labels_keep_no_columns():
@@ -315,7 +380,4 @@ def test_every_pair_of_a_class_with_its_own_interact_reaches_it(
     assert settled == forced
     connections = sum(record[1] for record in forced[2])
     assert len(metered_calls) == connections
-    nodes = build()
-    first, second = nodes[0], nodes[1]
-    assert first.settle(second, policy) is None
-    assert first.settle_columns() is None
+    assert build()[0].settle_columns() is None
