@@ -251,8 +251,9 @@ class GossipNode(NodeProtocol):
 
     ``token_columns`` is the population's :class:`TokenColumns`
     (``NodeBuildContext.token_columns()``), where the node keeps the row
-    of its UID: it lets the engine settle the node's equal-set
-    connections by row (:meth:`settle_columns`)."""
+    of its UID — a UID without a row is a ``ConfigurationError`` here:
+    it lets the engine settle the node's equal-set connections by row
+    (:meth:`settle_columns`)."""
 
     def __init__(self, uid: int, upper_n: int, initial_tokens,
                  rng: random.Random, token_columns=None):
@@ -261,6 +262,8 @@ class GossipNode(NodeProtocol):
             raise ConfigurationError(f"upper_n must be >= 2, got {upper_n}")
         self.upper_n = upper_n
         self.rng = rng
+        if token_columns is not None:
+            token_columns._row(uid)  # a UID without a row is refused here
         self._columns = token_columns
         self._initial_tokens = tuple(initial_tokens)
         self._tokens: dict[int, Token] = {}

@@ -266,14 +266,11 @@ def check_grid_identity(
 ) -> list[str]:
     """The spatial grid's invariant: grid output == O(n^2) reference.
 
-    For every (n, seed) point cloud: the cell-grid disk-edge builder
-    must return byte-identical arrays to the blocked pairwise sweep at
-    every radius (order included — nx component iteration is
-    edge-insertion-order sensitive), the fused ``disk_csr`` snapshot
-    must equal that sweep's mirrored edge list through
-    ``CSRAdjacency.from_edge_lists``, and :class:`PointIndex` nearest
-    queries must agree with the dense ``nearest_pair`` reduction on
-    value *and* tie-break.
+    For every (n, seed) point cloud: the fused ``disk_csr`` snapshot
+    must equal the blocked pairwise sweep's mirrored edge list through
+    ``CSRAdjacency.from_edge_lists`` at every radius, and
+    :class:`PointIndex` nearest queries must agree with the dense
+    ``nearest_pair`` reduction on value *and* tie-break.
     """
     import numpy as np
 
@@ -281,7 +278,6 @@ def check_grid_identity(
         PointIndex,
         disk_csr,
         disk_edges_blocked,
-        disk_edges_grid,
         nearest_pair,
     )
     from repro.sim.adjacency import CSRAdjacency
@@ -294,12 +290,6 @@ def check_grid_identity(
             ys = rng.random(n)
             for radius in radii:
                 bu, bv = disk_edges_blocked(xs, ys, radius)
-                gu, gv = disk_edges_grid(xs, ys, radius)
-                if not (np.array_equal(bu, gu) and np.array_equal(bv, gv)):
-                    failures.append(
-                        f"n={n}/radius={radius}/seed={seed}: grid edge "
-                        "set diverged from the blocked sweep"
-                    )
                 reference = CSRAdjacency.from_edge_lists(
                     np.concatenate([bu, bv]), np.concatenate([bv, bu]), n
                 )

@@ -7,9 +7,9 @@ least τ rounds must pass between changes.  ``τ = 1`` allows arbitrary
 change every round; ``τ = ∞`` (``TAU_INFINITY``) means the graph never
 changes.
 
-Implementations here derive each epoch's graph deterministically from a
-seed, so the dynamic graph is a pure function of (seed, round) — i.e. fixed
-in advance — while only O(1) graphs are kept in memory at a time.
+Implementations here derive each epoch's CSR snapshot deterministically
+from a seed, so the dynamic graph is a pure function of (seed, round) —
+i.e. fixed in advance — while only the current snapshot is kept.
 
 :class:`RelabelingAdversary` deserves a note: it permutes the vertex labels
 of a fixed *shape* each epoch.  Because relabeling preserves α, Δ and D,
@@ -28,13 +28,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.graphs import lazy_nx as nx
-from repro.graphs.metrics import vertex_expansion_estimate, max_degree
-from repro.graphs.spatial import (
-    PointIndex,
-    disk_csr,
-    disk_edges,
-    nearest_pair,
-)
+from repro.graphs.metrics import vertex_expansion_estimate
+from repro.graphs.spatial import PointIndex, disk_csr, nearest_pair
 from repro.graphs.topologies import (
     Topology, _check_degree, _check_n, _check_seed,
 )
@@ -79,7 +74,11 @@ def _check_graph(
 
 
 class DynamicGraph(ABC):
-    """A τ-stable sequence of connected graphs over vertices ``0..n-1``."""
+    """A τ-stable sequence of connected graphs over vertices ``0..n-1``.
+
+    A subclass defines one method, :meth:`_csr_for_epoch`; the epoch's
+    snapshot is the topology, and :meth:`graph_at` is a view of it.
+    """
 
     def __init__(self, n: int, tau):
         _check_n(n)
@@ -94,10 +93,9 @@ class DynamicGraph(ABC):
         #: :func:`repro.sim.adjacency.index_dtype_for`).  The int32/int64
         #: differential gate sets this to pin byte-identity.
         self.csr_dtype = None
-        # Per-epoch CSR snapshot cache, keyed on the graph object identity
-        # (graph_at returns the same object for every round of an epoch).
-        self._csr_cache_key = None
-        self._csr_cache = None
+        # The last snapshot served, keyed on (epoch, csr_dtype).
+        self._snapshot_key = None
+        self._snapshot = None
 
     def epoch_of(self, round_index: int) -> int:
         """The index of the stability window containing ``round_index``."""
@@ -109,36 +107,41 @@ class DynamicGraph(ABC):
     def graph_at(self, round_index: int) -> nx.Graph:
         """The (connected) topology for round ``round_index`` (1-indexed),
         as an ``nx.Graph`` — for analysis and tests; neither the engines
-        nor the live coordinator read it (they read :meth:`csr_at`)."""
-        _check_round(round_index)
-        return self._graph_for_epoch(self.epoch_of(round_index))
+        nor the live coordinator read it (they read :meth:`csr_at`).
+
+        A fresh graph over the snapshot's edges on every call.
+        """
+        csr = self.csr_at(round_index)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n))
+        sources = csr.edge_sources()
+        upper = csr.indices > sources
+        graph.add_edges_from(
+            zip(sources[upper].tolist(), csr.indices[upper].tolist())
+        )
+        return graph
 
     def csr_at(self, round_index: int):
         """The round's topology as a :class:`~repro.sim.adjacency.CSRAdjacency`.
 
         The one topology hook the engines (both front halves of both)
-        and the live coordinator read.  This default converts the
-        epoch's ``nx.Graph`` once and caches the snapshot for the rest
-        of the epoch; dynamics that can produce arrays without
-        materializing a graph object override it
-        (:class:`RelabelingAdversary` permutes the base shape's CSR
-        directly).  Overrides must keep every row's neighbors in
-        ascending vertex order — the order every consumer's random
-        draws are aligned to.
+        and the live coordinator read.  The epoch's snapshot is built
+        once by :meth:`_csr_for_epoch` and served for the rest of the
+        epoch, so every round of an epoch gets the same object (the
+        engine's epoch-change key); setting ``csr_dtype`` rebuilds it.
         """
-        graph = self.graph_at(round_index)
-        if self._csr_cache_key is not graph:
-            from repro.sim.adjacency import CSRAdjacency
-
-            self._csr_cache = CSRAdjacency.from_graph(
-                graph, dtype=self.csr_dtype
-            )
-            self._csr_cache_key = graph
-        return self._csr_cache
+        key = (self.epoch_of(round_index), self.csr_dtype)
+        if key != self._snapshot_key:
+            self._snapshot = self._csr_for_epoch(key[0])
+            self._snapshot_key = key
+        return self._snapshot
 
     @abstractmethod
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        """Return the graph for a stability window (deterministic in epoch)."""
+    def _csr_for_epoch(self, epoch: int):
+        """The snapshot of a stability window (deterministic in epoch),
+        in ``csr_dtype`` when set, every row's neighbors in ascending
+        vertex order — the order every consumer's random draws are
+        aligned to."""
 
     def __repr__(self) -> str:
         tau = "inf" if self.tau == TAU_INFINITY else self.tau
@@ -158,10 +161,13 @@ class StaticDynamicGraph(DynamicGraph):
     def __init__(self, topology: Topology):
         super().__init__(n=topology.n, tau=TAU_INFINITY)
         self.topology = topology
-        self._graph = _check_graph(topology.graph, topology.n, topology.name)
+        _check_graph(topology.graph, topology.n, topology.name)
 
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        return self._graph
+    def _csr_for_epoch(self, epoch: int):
+        from repro.sim.adjacency import CSRAdjacency
+
+        return CSRAdjacency.from_graph(self.topology.graph,
+                                       dtype=self.csr_dtype)
 
 
 class CSRStaticGraph(DynamicGraph):
@@ -171,59 +177,27 @@ class CSRStaticGraph(DynamicGraph):
     connectivity *by construction* (``ring_expander`` — a union of
     Hamiltonian cycles) build their edge arrays directly and skip both
     the ``nx`` materialization and the O(n + m) connectivity check that
-    :class:`~repro.graphs.topologies.Topology` performs.  The engines
-    only ever call :meth:`csr_at`, so the graph object is built lazily
-    and only if an analysis consumer asks for it (fine at test sizes,
-    deliberately unbounded at scale).
+    :class:`~repro.graphs.topologies.Topology` performs.  The snapshot
+    is the topology; :meth:`graph_at` converts it on demand (fine at
+    test sizes, deliberately unbounded at scale).
     """
 
     def __init__(self, csr, name: str = "csr"):
         super().__init__(n=csr.n, tau=TAU_INFINITY)
         self.name = name
         self._csr = csr
-        self._graph: nx.Graph | None = None
 
-    def csr_at(self, round_index: int):
-        _check_round(round_index)
-        if self.csr_dtype is not None and (
-            self._csr.indptr.dtype != self.csr_dtype
-        ):
-            from repro.sim.adjacency import CSRAdjacency
+    def _csr_for_epoch(self, epoch: int):
+        csr = self._csr
+        if self.csr_dtype is None or csr.indptr.dtype == self.csr_dtype:
+            return csr
+        from repro.sim.adjacency import CSRAdjacency
 
-            self._csr = CSRAdjacency(
-                n=self._csr.n,
-                indptr=self._csr.indptr.astype(self.csr_dtype),
-                indices=self._csr.indices.astype(self.csr_dtype),
-            )
-        return self._csr
-
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        if self._graph is None:
-            g = nx.Graph()
-            g.add_nodes_from(range(self.n))
-            csr = self._csr
-            sources = csr.edge_sources()
-            upper = csr.indices > sources
-            g.add_edges_from(
-                zip(sources[upper].tolist(), csr.indices[upper].tolist())
-            )
-            self._graph = g
-        return self._graph
-
-
-class _EpochCache:
-    """Keep the two most recent epochs (engine access is sequential)."""
-
-    def __init__(self):
-        self._entries: dict[int, nx.Graph] = {}
-
-    def get(self, epoch: int, build) -> nx.Graph:
-        if epoch not in self._entries:
-            if len(self._entries) >= 2:
-                oldest = min(self._entries)
-                del self._entries[oldest]
-            self._entries[epoch] = build(epoch)
-        return self._entries[epoch]
+        return CSRAdjacency(
+            n=csr.n,
+            indptr=csr.indptr.astype(self.csr_dtype),
+            indices=csr.indices.astype(self.csr_dtype),
+        )
 
 
 class PeriodicRewireGraph(DynamicGraph):
@@ -243,16 +217,14 @@ class PeriodicRewireGraph(DynamicGraph):
         self.require_connected = require_connected
         self._factory = factory
         self._tree = SeedTree(seed).child("periodic-rewire")
-        self._cache = _EpochCache()
 
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        return self._cache.get(epoch, self._build)
+    def _csr_for_epoch(self, epoch: int):
+        from repro.sim.adjacency import CSRAdjacency
 
-    def _build(self, epoch: int) -> nx.Graph:
-        rng = self._tree.stream("epoch", epoch)
-        graph = self._factory(epoch, rng)
-        return _check_graph(graph, self.n, f"epoch {epoch}",
-                            require_connected=self.require_connected)
+        graph = self._factory(epoch, self._tree.stream("epoch", epoch))
+        _check_graph(graph, self.n, f"epoch {epoch}",
+                     require_connected=self.require_connected)
+        return CSRAdjacency.from_graph(graph, dtype=self.csr_dtype)
 
     @classmethod
     def resampled_regular(cls, n: int, degree: int, tau, seed: int):
@@ -304,55 +276,28 @@ class RelabelingAdversary(DynamicGraph):
     """
 
     def __init__(self, topology: Topology, tau, seed: int):
+        from repro.sim.adjacency import CSRAdjacency
+
         super().__init__(n=topology.n, tau=tau)
         self.topology = topology
         self.seed = seed
         _check_graph(topology.graph, topology.n, topology.name)
         self._tree = SeedTree(seed).child("relabeling")
-        self._cache = _EpochCache()
-        self._base_csr = None
-        self._csr_epoch: int | None = None
+        self._base_csr = CSRAdjacency.from_graph(topology.graph)
 
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        return self._cache.get(epoch, self._build)
+    def _csr_for_epoch(self, epoch: int):
+        """The base shape's CSR arrays under the epoch's permutation —
+        a numpy gather and one key sort per epoch."""
+        from repro.sim.adjacency import CSRAdjacency
 
-    def _epoch_permutation(self, epoch: int) -> list[int]:
-        # One shared derivation for both representations: graph_at and
-        # csr_at draw the same labels from the same per-epoch stream, so
-        # mixing the two paths (or running them side by side, as the
-        # differential tests do) always sees the same topology.
-        rng = self._tree.stream("epoch", epoch)
         labels = list(range(self.n))
-        rng.shuffle(labels)
-        return labels
-
-    def _build(self, epoch: int) -> nx.Graph:
-        mapping = dict(enumerate(self._epoch_permutation(epoch)))
-        return nx.relabel_nodes(self.topology.graph, mapping)
-
-    def csr_at(self, round_index: int):
-        """Permute the base shape's CSR arrays — no ``nx.Graph`` built.
-
-        The fast path's epoch turnover is a numpy permutation + one key
-        sort instead of ``nx.relabel_nodes`` allocating a fresh graph
-        object every τ rounds.
-        """
-        epoch = self.epoch_of(round_index)
-        if self._csr_epoch != epoch:
-            from repro.sim.adjacency import CSRAdjacency
-
-            if self._base_csr is None:
-                self._base_csr = CSRAdjacency.from_graph(
-                    self.topology.graph, dtype=self.csr_dtype
-                )
-            base = self._base_csr
-            perm = np.asarray(self._epoch_permutation(epoch), dtype=np.int64)
-            self._csr_cache = CSRAdjacency.from_edge_lists(
-                perm[base.edge_sources()], perm[base.indices], self.n,
-                dtype=self.csr_dtype,
-            )
-            self._csr_epoch = epoch
-        return self._csr_cache
+        self._tree.stream("epoch", epoch).shuffle(labels)
+        perm = np.asarray(labels, dtype=np.int64)
+        base = self._base_csr
+        return CSRAdjacency.from_edge_lists(
+            perm[base.edge_sources()], perm[base.indices], self.n,
+            dtype=self.csr_dtype,
+        )
 
 
 class GeometricMobilityGraph(DynamicGraph):
@@ -393,11 +338,8 @@ class GeometricMobilityGraph(DynamicGraph):
         self.bridge = bridge
         self.bridges_added = 0
         self._tree = SeedTree(seed).child("mobility")
-        self._cache = _EpochCache()
         self._positions, self._waypoints = self._initial_state()
         self._built_through = -1
-        self._geo_csr_epoch: int | None = None
-        self._geo_csr_cache = None
 
     def _initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Epoch-0 positions and waypoints as ``(n, 2)`` float64 columns
@@ -406,22 +348,6 @@ class GeometricMobilityGraph(DynamicGraph):
         draws = np.array([rng.random() for _ in range(4 * self.n)])
         return draws[:2 * self.n].reshape(-1, 2), \
             draws[2 * self.n:].reshape(-1, 2)
-
-    def _graph_for_epoch(self, epoch: int) -> nx.Graph:
-        # Sequential access (the engine's pattern) advances the live
-        # position state; revisiting an older epoch replays it from the
-        # seed instead — same graphs, no mutation of the live state.
-        if epoch <= self._built_through:
-            return self._cache.get(epoch, self._replay)
-        return self._cache.get(epoch, self._advance_to)
-
-    def _advance_to(self, epoch: int) -> nx.Graph:
-        while self._built_through < epoch:
-            self._built_through += 1
-            if self._built_through > 0:
-                self._move(self._positions, self._waypoints,
-                           self._built_through)
-        return self._disk_graph(self._positions, record_bridges=True)
 
     def positions_at(self, epoch: int) -> np.ndarray:
         """The node positions of ``epoch`` (an ``(n, 2)`` array),
@@ -437,44 +363,40 @@ class GeometricMobilityGraph(DynamicGraph):
             self._move(positions, waypoints, past)
         return positions
 
-    def _replay(self, epoch: int) -> nx.Graph:
-        """Rebuild a past epoch's graph from scratch (pure in the seed).
+    def _csr_for_epoch(self, epoch: int):
+        """Positions, then the grid's disk snapshot, then the bridges.
 
-        Bridges added during replay are *not* re-counted in
-        ``bridges_added`` — the counter records what the forward pass
-        built, and a replayed epoch's bridges were already counted when
-        the run first reached it."""
-        return self._disk_graph(self.positions_at(epoch),
-                                record_bridges=False)
-
-    def csr_at(self, round_index: int):
-        """Unbridged meshes never materialize an ``nx.Graph`` — or even
-        an edge list — on the array path: the grid emits the CSR arrays
-        directly (structurally identical to converting the graph —
-        both sort rows by neighbor vertex).  Bridged meshes fall back
-        to the default graph-conversion hook because bridging needs the
-        component iteration, which lives on the graph object.
+        Sequential access (the engine's pattern) steps the live
+        positions forward; revisiting an older epoch replays them from
+        the seed instead — same snapshot, live state untouched.  Only
+        the forward walk counts its bridges in ``bridges_added``: a
+        replayed epoch's were counted when the run first reached it.
         """
-        if self.bridge:
-            return super().csr_at(round_index)
-        _check_round(round_index)
-        epoch = self.epoch_of(round_index)
-        if self._geo_csr_epoch != epoch:
-            if epoch <= self._built_through:
-                positions = self.positions_at(epoch)
-            else:
-                while self._built_through < epoch:
-                    self._built_through += 1
-                    if self._built_through > 0:
-                        self._move(self._positions, self._waypoints,
-                                   self._built_through)
-                positions = self._positions
-            self._geo_csr_cache = disk_csr(
-                positions[:, 0], positions[:, 1], self.radius,
-                self.csr_dtype,
-            )
-            self._geo_csr_epoch = epoch
-        return self._geo_csr_cache
+        forward = epoch > self._built_through
+        if forward:
+            for past in range(max(self._built_through + 1, 1), epoch + 1):
+                self._move(self._positions, self._waypoints, past)
+            self._built_through = epoch
+            positions = self._positions
+        else:
+            positions = self.positions_at(epoch)
+        xs, ys = positions[:, 0], positions[:, 1]
+        csr = disk_csr(xs, ys, self.radius, self.csr_dtype)
+        if not self.bridge:
+            return csr
+        bridges = self._bridges(csr, xs, ys)
+        if forward:
+            self.bridges_added += len(bridges)
+        if not bridges:
+            return csr
+        from repro.sim.adjacency import CSRAdjacency
+
+        u, v = np.array(bridges, dtype=np.int64).T
+        return CSRAdjacency.from_edge_lists(
+            np.concatenate([csr.edge_sources(), u, v]),
+            np.concatenate([csr.indices, v, u]), self.n,
+            dtype=self.csr_dtype,
+        )
 
     def _move(self, positions: np.ndarray, waypoints: np.ndarray,
               epoch: int) -> None:
@@ -501,40 +423,28 @@ class GeometricMobilityGraph(DynamicGraph):
                 [rng.random() for _ in range(2 * arrived.size)]
             ).reshape(-1, 2)
 
-    def _disk_graph(self, positions: np.ndarray,
-                    record_bridges: bool) -> nx.Graph:
-        # Edges come from the cell-sorted grid (repro.graphs.spatial) in
-        # (i, j) lexicographic order with i < j — the blocked pairwise
-        # sweep's order, pinned identical by a differential gate — which
-        # the component iteration of the bridging step depends on.
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        pos = np.asarray(positions)
-        rows, cols = disk_edges(pos[:, 0], pos[:, 1], self.radius)
-        g.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        if self.bridge:
-            self._bridge_components(g, positions, record_bridges)
-        return g
-
     # Above this many base*other distance evaluations per bridging
     # iteration, the dense nearest-pair reduction gives way to a
     # PointIndex over the base component (identical results — the grid
     # replicates the dense tie-break exactly).
     _BRIDGE_DENSE_MAX = 1 << 22
 
-    def _bridge_components(self, g: nx.Graph, positions: np.ndarray,
-                           record_bridges: bool) -> None:
-        # Nearest-pair search per component pair: dense pairwise
-        # reduction for small products, a cell grid over the (large)
-        # base component otherwise — both produce np.argmin's
-        # first-minimum, row-major tie-break (u outer, v inner, strict-<
-        # update), so the chosen bridge edges are identical either way,
-        # pinned by tests/test_dynamic.py against a reference loop.
-        components = [list(c) for c in nx.connected_components(g)]
-        if len(components) <= 1:
-            return
-        pos = np.asarray(positions)
-        xs, ys = pos[:, 0], pos[:, 1]
+    def _bridges(self, csr, xs: np.ndarray,
+                 ys: np.ndarray) -> list[tuple[int, int]]:
+        """The edges that join ``csr``'s components into one, in the
+        order they are chosen.
+
+        The first component (the one holding vertex 0) absorbs, one at
+        a time, the component with the closest pair to it, joined by
+        that pair.  Nearest-pair search per component pair: dense
+        pairwise reduction for small products, a cell grid over the
+        (large) base component otherwise — both produce np.argmin's
+        first-minimum, row-major tie-break (u outer, v inner, strict-<
+        update), so the chosen bridge edges are identical either way,
+        pinned by tests/test_dynamic.py against a reference loop.
+        """
+        components = _components(csr)
+        bridges = []
         while len(components) > 1:
             base = components[0]
             bx = xs[base]
@@ -554,10 +464,32 @@ class GeometricMobilityGraph(DynamicGraph):
                 if best is None or d < best[0]:
                     best = (d, base[u_index], other[v_index], other_idx)
             _, u, v, other_idx = best
-            g.add_edge(u, v)
-            if record_bridges:
-                self.bridges_added += 1
+            bridges.append((u, v))
             base.extend(components.pop(other_idx))
+        return bridges
+
+
+def _components(csr) -> list[list[int]]:
+    """The snapshot's connected components, by breadth-first walk in
+    vertex order: ordered by smallest vertex, members ascending — the
+    components ``nx.connected_components`` yields on the same graph."""
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    seen = [False] * csr.n
+    components = []
+    for root in range(csr.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        members = [root]
+        for vertex in members:  # the list grows as the walk's queue
+            for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
+                if not seen[neighbor]:
+                    seen[neighbor] = True
+                    members.append(neighbor)
+        members.sort()
+        components.append(members)
+    return components
 
 
 def ring_expander_graph(n: int, degree: int = 6, seed: int = 0,
@@ -609,7 +541,7 @@ def dynamic_max_degree(dynamic_graph: DynamicGraph, horizon: int) -> int:
     best = 0
     round_index = 1
     while round_index <= horizon:
-        best = max(best, max_degree(dynamic_graph.graph_at(round_index)))
+        best = max(best, int(dynamic_graph.csr_at(round_index).degrees.max()))
         if dynamic_graph.tau == TAU_INFINITY:
             break
         round_index += dynamic_graph.tau

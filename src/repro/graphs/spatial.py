@@ -17,22 +17,20 @@ order: the rest of its own cell through cell ``cy + 1`` of its column
 is examined exactly once, read sequentially, with run bounds looked up
 in a ``bincount``/``cumsum`` cell-start table.  Sources are processed
 in chunks so peak memory is bounded at constant density.  Survivors
-map back through the sort order and are packed into ``u * n + v`` keys;
-sorting the keys *is* the output order.  :func:`disk_edges_grid` sorts
-the ``u < v`` keys and unpacks them; :func:`disk_csr` hands both
-orientations to ``CSRAdjacency.from_keys``, whose one sort yields the
-CSR snapshot without an edge list in between.
+map back through the sort order, and :func:`disk_csr` packs both
+orientations into ``u * n + v`` keys for ``CSRAdjacency.from_keys``,
+whose one sort yields the CSR snapshot without an edge list in
+between.
 
-The output is **pinned identical** to the blocked sweep (kept here as
+The snapshot is **pinned identical** to the blocked sweep's edges
+through ``from_edge_lists`` (the sweep is kept here as
 :func:`disk_edges_blocked`, the differential reference).  Identity
 holds because the grid only chooses *which* pairs to test: every pair
 within ``radius`` is at most one cell apart (cells are never narrower
-than ``radius``), the test itself is the sweep's IEEE double ops
+than ``radius``), and the test itself is the sweep's IEEE double ops
 (``(dx)**2 + (dy)**2 <= r*r``; squaring makes the operand order
-irrelevant), and a key sort is the ``(i, j)`` lexicographic order the
-sweep emits — the order edge-insertion-sensitive consumers (``nx``'s
-component iteration) depend on.  Gated by tests/test_dynamic.py,
-tests/test_spatial.py and ``bench_scale.py --quick`` in CI.
+irrelevant).  Gated by tests/test_dynamic.py, tests/test_spatial.py
+and ``bench_scale.py --quick`` in CI.
 
 Coordinates are assumed to lie in the unit square (the mobility model's
 domain); the binning clips boundary values inward so ``x == 1.0`` is
@@ -47,9 +45,7 @@ import numpy as np
 
 __all__ = [
     "disk_csr",
-    "disk_edges",
     "disk_edges_blocked",
-    "disk_edges_grid",
     "nearest_pair",
     "PointIndex",
 ]
@@ -66,7 +62,7 @@ def disk_edges_blocked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All pairs within ``radius``, by blocked pairwise sweep — O(n^2).
 
-    The differential reference for :func:`disk_edges_grid`: this is the
+    The differential reference for :func:`disk_csr`: this is the
     exact computation GeometricMobilityGraph shipped with (same blocking,
     same distance arithmetic), kept verbatim so the grid can be pinned
     against it.  Returns ``(rows, cols)`` with ``rows[k] < cols[k]``,
@@ -142,29 +138,12 @@ def _disk_pairs(xs: np.ndarray, ys: np.ndarray, radius: float):
         yield order[src[keep]], order[dst[keep]]
 
 
-def disk_edges_grid(
-    xs: np.ndarray, ys: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs within ``radius``, by cell binning — O(n) at constant
-    density.
-
-    Returns ``(i, j)`` with ``i < j`` in lexicographic order — byte-for-
-    byte the blocked sweep's output.
-    """
-    n = len(xs)
-    keys = np.concatenate([
-        np.minimum(a, b) * n + np.maximum(a, b)
-        for a, b in _disk_pairs(xs, ys, radius)
-    ])
-    keys.sort()
-    return np.divmod(keys, n)
-
-
 def disk_csr(xs: np.ndarray, ys: np.ndarray, radius: float, dtype=None):
     """The unit-disk graph as a :class:`~repro.sim.adjacency.CSRAdjacency`
     — what ``from_edge_lists`` builds from the mirrored
-    :func:`disk_edges_grid` output, without the edge list or its sort.
-    ``dtype`` as in ``CSRAdjacency.from_graph``.
+    :func:`disk_edges_blocked` output, without the edge list or its
+    sort.  O(n) at constant density; ``dtype`` as in
+    ``CSRAdjacency.from_graph``.
     """
     from repro.sim.adjacency import CSRAdjacency
 
@@ -175,17 +154,6 @@ def disk_csr(xs: np.ndarray, ys: np.ndarray, radius: float, dtype=None):
         for packed in (a * n + b, b * n + a)
     ])
     return CSRAdjacency.from_keys(keys, n, dtype=dtype)
-
-
-def disk_edges(
-    xs: np.ndarray, ys: np.ndarray, radius: float, method: str = "grid"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch between the grid (production) and blocked (reference)."""
-    if method == "grid":
-        return disk_edges_grid(xs, ys, radius)
-    if method == "blocked":
-        return disk_edges_blocked(xs, ys, radius)
-    raise ValueError(f"unknown disk_edges method {method!r}")
 
 
 def nearest_pair(

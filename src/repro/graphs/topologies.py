@@ -347,7 +347,7 @@ def ring_expander(n: int, degree: int = 6, seed: int = 0) -> Topology:
 
     dyn = ring_expander_graph(n=n, degree=degree, seed=seed)
     return Topology(
-        graph=dyn._graph_for_epoch(0),
+        graph=dyn.graph_at(1),
         name="ring_expander",
         params={"n": n, "degree": degree, "seed": seed},
         notes="expander w.h.p. for degree >= 4; connected by construction",

@@ -13,10 +13,9 @@ reaches a random draw — the int32/int64 identity the golden corpus's
 "int64 CSR" variant row pins).
 
 A CSR snapshot is built once per τ-epoch.  :meth:`DynamicGraph.csr_at
-<repro.graphs.dynamic.DynamicGraph.csr_at>` is the producing hook: the
-default implementation converts ``graph_at``'s ``nx.Graph``, while
-dynamics that can do better (``RelabelingAdversary``) permute arrays
-directly and never materialize a graph object.
+<repro.graphs.dynamic.DynamicGraph.csr_at>` is the producing hook: each
+dynamics class builds its epoch as a snapshot and nothing else, and
+``graph_at`` converts that snapshot to an ``nx.Graph`` for analysis.
 
 UIDs are simulation-side knowledge (the dynamic graph only knows
 vertices), so the engine *binds* its per-vertex UID array onto the epoch

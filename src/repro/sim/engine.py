@@ -17,7 +17,8 @@ streams from the same :class:`~repro.rng.SeedTree`).
 
 Both engines read the topology only as the UID-bound CSR snapshot of
 the round's epoch (:class:`~repro.sim.adjacency.CSRAdjacency` via
-``DynamicGraph.csr_at``); ``graph_at`` is for analysis.  Two
+``DynamicGraph.csr_at``), the one form a dynamic graph builds;
+``graph_at`` converts it for analysis.  Two
 interchangeable front halves drive Stages 1–2 of each round over it:
 
 * the **object path** (the reference): per-node ``advertise``/``propose``
@@ -452,7 +453,7 @@ class Simulation:
 
     def _read_settle_route(self) -> tuple:
         """``(columns, machine)`` when every node names that one pair as
-        its ``settle_columns`` and has a row there — so a pair between
+        its ``settle_columns`` (so has a row there) — so a pair between
         equal rows runs the stock exchange on a shared machine, which
         moves nothing and draws nothing — and its equal-set outcome fits
         the budget; else ``()``: then every pair runs ``interact``, and
@@ -464,8 +465,7 @@ class Simulation:
         if (route is None or self.acceptance == "unbounded"
                 or route[1].equal_outcome.control_bits
                 > self.channel_policy.max_control_bits
-                or any(node.settle_columns() != route for node in self._nodes)
-                or not np.isin(self._uid_array, route[0].uids).all()):
+                or any(node.settle_columns() != route for node in self._nodes)):
             return ()
         return route
 

@@ -89,15 +89,23 @@ class TestCsrAtHook:
                 dynamic.csr_at(round_index), dynamic.graph_at(round_index)
             )
 
-    def test_relabeling_arrays_match_graph_path(self):
-        # The adversary's csr_at permutes arrays directly; it must agree
-        # with the nx.relabel_nodes graph for every epoch — that equality
-        # is what keeps fast-path traces byte-identical under relabeling.
-        dynamic = RelabelingAdversary(expander(18, degree=4, seed=1),
-                                      tau=2, seed=13)
+    def test_relabeling_arrays_match_relabel_nodes(self):
+        # The adversary permutes the base shape's CSR arrays; every
+        # epoch must be nx.relabel_nodes of the shape under that epoch's
+        # shuffled labels.
+        import networkx as nx
+
+        from repro.rng import SeedTree
+
+        topology = expander(18, degree=4, seed=1)
+        dynamic = RelabelingAdversary(topology, tau=2, seed=13)
+        tree = SeedTree(13).child("relabeling")
         for round_index in (1, 2, 3, 5, 7):
+            labels = list(range(18))
+            tree.stream("epoch", dynamic.epoch_of(round_index)).shuffle(labels)
             assert_matches_graph(
-                dynamic.csr_at(round_index), dynamic.graph_at(round_index)
+                dynamic.csr_at(round_index),
+                nx.relabel_nodes(topology.graph, dict(enumerate(labels))),
             )
 
     def test_relabeling_csr_changes_across_epochs(self):

@@ -12,9 +12,7 @@ from repro.experiments.fastpath import check_grid_identity
 from repro.graphs.spatial import (
     PointIndex,
     disk_csr,
-    disk_edges,
     disk_edges_blocked,
-    disk_edges_grid,
     nearest_pair,
 )
 from repro.graphs.dynamic import (
@@ -23,14 +21,28 @@ from repro.graphs.dynamic import (
     PeriodicRewireGraph,
     RelabelingAdversary,
     StaticDynamicGraph,
+    _components,
     dynamic_expansion_estimate,
     dynamic_max_degree,
 )
 from repro.graphs.topologies import cycle, double_star, path, star
+from repro.sim.adjacency import CSRAdjacency
 
 
 def edges_at(dg, r):
     return frozenset(map(tuple, map(sorted, dg.graph_at(r).edges)))
+
+
+def csr_bytes(csr) -> bytes:
+    return csr.indptr.tobytes() + csr.indices.tobytes()
+
+
+def blocked_csr(xs, ys, radius, dtype=None) -> CSRAdjacency:
+    """The unit-disk snapshot through the O(n^2) reference sweep."""
+    u, v = disk_edges_blocked(xs, ys, radius)
+    return CSRAdjacency.from_edge_lists(
+        np.concatenate([u, v]), np.concatenate([v, u]), len(xs), dtype=dtype
+    )
 
 
 class TestStaticDynamicGraph:
@@ -125,6 +137,32 @@ class TestPeriodicRewire:
         with pytest.raises(ConfigurationError):
             PeriodicRewireGraph.resampled_gnp(8, 0.5, tau=1.5, seed=0)
 
+    @pytest.mark.parametrize("dynamic", [
+        {"kind": "resampled_regular", "tau": 2, "degree": 3},
+        {"kind": "resampled_gnp", "tau": 2, "p": 0.35},
+    ])
+    def test_registered_builders_run_and_replay(self, dynamic):
+        from repro.experiments.runner import execute_run
+        from repro.experiments.specs import RunSpec
+
+        spec = RunSpec(
+            algorithm="sharedbit",
+            graph={"family": "cycle", "params": {"n": 12}},
+            seed=5, max_rounds=30_000, dynamic=dynamic,
+            instance={"kind": "uniform", "k": 2},
+        )
+        record = execute_run(spec)
+        assert record["solved"] and record["connections"] > 0
+
+        # Fixed in advance: epoch 0 is the same snapshot after the
+        # graph has walked three epochs on.
+        dg = spec.materialize()["dynamic_graph"]
+        assert isinstance(dg, PeriodicRewireGraph) and dg.tau == 2
+        first = csr_bytes(dg.csr_at(1))
+        later = {csr_bytes(dg.csr_at(1 + 2 * e)) for e in (1, 2, 3)}
+        assert first not in later
+        assert csr_bytes(dg.csr_at(1)) == first
+
 
 class TestGeometricMobility:
     def test_connected_every_round(self):
@@ -212,20 +250,17 @@ class TestGeometricMobility:
             dg = GeometricMobilityGraph(n=30, radius=0.12, step=0.05,
                                         tau=1, seed=seed, bridge=False)
             for r in (1, 4, 7):
-                raw = dg.graph_at(r).copy()
-                positions = dg.positions_at(dg.epoch_of(r))
-                expected_g = raw.copy()
-                expected = reference_bridges(expected_g, positions)
-                actual_g = raw.copy()
-                dg._bridge_components(actual_g, positions,
-                                      record_bridges=False)
-                actual = [
-                    e for e in actual_g.edges if e not in set(raw.edges)
+                raw = dg.csr_at(r)
+                graph = dg.graph_at(r)
+                # BFS components: nx's, ordered by smallest vertex.
+                assert _components(raw) == [
+                    sorted(c) for c in nx.connected_components(graph)
                 ]
-                assert nx.utils.graphs_equal(actual_g, expected_g)
-                assert sorted(map(tuple, map(sorted, actual))) == sorted(
-                    map(tuple, map(sorted, expected))
-                )
+                positions = dg.positions_at(dg.epoch_of(r))
+                expected = reference_bridges(graph, positions)
+                assert len(expected) > 0
+                actual = dg._bridges(raw, positions[:, 0], positions[:, 1])
+                assert actual == expected
 
     def test_fragmented_gnp_runs_on_both_engine_paths(self):
         # require_connected=False: the first sample stands, fragments and
@@ -258,6 +293,37 @@ class TestGeometricMobility:
             sim.run(max_rounds=30)
             signatures.append(trace_signature(sim.current_round, sim.trace))
         assert signatures[0] == signatures[1]
+
+    #: sha256 of each epoch's indptr + indices bytes, rounds 1..10 of
+    #: the mesh below, as the nx-component bridging built them.
+    BRIDGED_DIGESTS = [
+        '467f2f3f079e1dea8d61bc2ee4c3890074cd151dbb913fd6e17ff2c0bb1a6a1b',
+        '7078141cf7186b84d300fef826a496a22f07e3e824910c9815b4920e15d98a0a',
+        '6dcb1178802755189fc0fa470bdeb079bf5c4ef45c14069046c54bfc4b3f6c2c',
+        '774b0ed99feaa92b07c36ecbbcaa913c7eee2e6f7b6d9bdacf9753c3102a9213',
+        '8713a6d7bcc4bff57b87a6d4929965aa6bc4b5285b78e230b742b627d31274d3',
+        'ddcff5f72ba64ae80a50535042f0c7eabd94a43ea021fdc204b5543beea0472b',
+        'd348afaf29eb2b336fba57f95dcf70de6f5d39fc54ad11d497e120fcd609d890',
+        '557c26a2c71927dec75c38093093ab0e6a9d4bf07876f9f243fdca31196e1b08',
+        '07654d3ef86c806d9152c240fac3b3d952da649f526a9d98ac52c34ba6aa3f34',
+        '30d47bddd1161217606a23567a65bbf54a50a5b3a0ba821185eb6320c6d74a73',
+    ]
+
+    def test_bridged_mesh_digests_and_revisit(self):
+        import hashlib
+
+        def digest(csr):
+            return hashlib.sha256(csr_bytes(csr)).hexdigest()
+
+        n = 2000
+        dg = GeometricMobilityGraph(n=n, radius=math.sqrt(12 / (math.pi * n)),
+                                    step=0.05, tau=1, seed=3)
+        assert [digest(dg.csr_at(r)) for r in range(1, 11)] == \
+            self.BRIDGED_DIGESTS
+        assert dg.bridges_added == 134
+        # Epoch 2 again, after epoch 9: a replay from the seed.
+        assert digest(dg.csr_at(3)) == self.BRIDGED_DIGESTS[2]
+        assert dg.bridges_added == 134
 
     def test_unbridged_mesh_may_fragment(self):
         # bridge=False: connectivity is policy now, and a tiny radius
@@ -322,11 +388,14 @@ class TestMobilityColumns:
             assert np.array_equal(csr.indptr, reference.indptr)
             assert np.array_equal(csr.indices, reference.indices)
             if epoch % 10 == 0:
+                # The bridged mesh is the same disk snapshot plus one
+                # bridge per extra component.
                 graph = bridged.graph_at(epoch + 1)
-                assert nx.utils.graphs_equal(
-                    graph, bridged._disk_graph(xy, record_bridges=False))
+                assert nx.is_connected(graph)
                 assert all(graph.has_edge(u, int(v)) for u in range(n)
                            for v in csr.neighbors(u))
+                extra = graph.number_of_edges() - len(csr.indices) // 2
+                assert extra == len(_components(csr)) - 1
 
     def test_forward_csr_equals_the_replayed_epoch(self):
         params = dict(n=50, radius=0.2, step=0.05, tau=2, seed=3,
@@ -374,7 +443,8 @@ class TestValidation:
 
 
 class TestSpatialGridIdentity:
-    """The cell grid is pinned byte-identical to the blocked sweep."""
+    """The cell grid's snapshot is pinned byte-identical to the blocked
+    sweep's."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("radius", [0.03, 0.1, 0.35])
@@ -382,10 +452,8 @@ class TestSpatialGridIdentity:
         rng = np.random.default_rng(seed)
         xs = rng.random(300)
         ys = rng.random(300)
-        gu, gv = disk_edges_grid(xs, ys, radius)
-        bu, bv = disk_edges_blocked(xs, ys, radius)
-        assert np.array_equal(gu, bu)
-        assert np.array_equal(gv, bv)
+        assert csr_bytes(disk_csr(xs, ys, radius)) == csr_bytes(
+            blocked_csr(xs, ys, radius))
 
     def test_exact_ties_and_duplicates(self):
         # Lattice coordinates force coincident points and distances
@@ -394,30 +462,21 @@ class TestSpatialGridIdentity:
         xs = rng.integers(0, 8, 120) / 8.0
         ys = rng.integers(0, 8, 120) / 8.0
         for radius in (0.125, 0.25):
-            gu, gv = disk_edges_grid(xs, ys, radius)
-            bu, bv = disk_edges_blocked(xs, ys, radius)
-            assert np.array_equal(gu, bu)
-            assert np.array_equal(gv, bv)
+            assert csr_bytes(disk_csr(xs, ys, radius)) == csr_bytes(
+                blocked_csr(xs, ys, radius))
 
     def test_unit_square_boundary(self):
         xs = np.array([0.0, 1.0, 1.0, 0.5])
         ys = np.array([0.0, 1.0, 0.95, 0.5])
-        gu, gv = disk_edges_grid(xs, ys, 0.2)
-        bu, bv = disk_edges_blocked(xs, ys, 0.2)
-        assert np.array_equal(gu, bu)
-        assert np.array_equal(gv, bv)
-        assert (1, 2) in set(zip(gu.tolist(), gv.tolist()))
+        csr = disk_csr(xs, ys, 0.2)
+        assert csr.same_structure(blocked_csr(xs, ys, 0.2))
+        assert csr.neighbors(1).tolist() == [2]
 
     def test_empty_and_singleton(self):
         empty = np.empty(0)
-        assert disk_edges_grid(empty, empty, 0.3)[0].size == 0
+        assert disk_csr(empty, empty, 0.3).indices.size == 0
         one = np.array([0.5])
-        assert disk_edges_grid(one, one, 0.3)[0].size == 0
-
-    def test_dispatch_rejects_unknown_method(self):
-        xs = np.array([0.1, 0.2])
-        with pytest.raises(ValueError):
-            disk_edges(xs, xs, 0.1, method="quadtree")
+        assert disk_csr(one, one, 0.3).indices.size == 0
 
     def test_fastpath_gate_is_clean(self):
         # The same differential gate CI runs (bench_scale --quick).
@@ -473,17 +532,13 @@ class TestGeometricGridPaths:
         self, monkeypatch
     ):
         import repro.graphs.dynamic as dyn
-        from repro.graphs import spatial
 
         params = dict(n=24, radius=0.15, step=0.05, tau=1, seed=2)
         via_grid = GeometricMobilityGraph(**params)
         expected = {r: edges_at(via_grid, r) for r in range(1, 8)}
         assert via_grid.bridges_added > 0  # the radius fragments
 
-        monkeypatch.setattr(
-            dyn, "disk_edges",
-            lambda xs, ys, r: spatial.disk_edges_blocked(xs, ys, r),
-        )
+        monkeypatch.setattr(dyn, "disk_csr", blocked_csr)
         via_blocked = GeometricMobilityGraph(**params)
         for r in range(1, 8):
             assert edges_at(via_blocked, r) == expected[r]
@@ -502,15 +557,15 @@ class TestGeometricGridPaths:
             assert edges_at(indexed, r) == expected[r]
         assert indexed.bridges_added == dense.bridges_added
 
-    def test_unbridged_csr_matches_graph_conversion(self):
-        from repro.sim.adjacency import CSRAdjacency
-
+    def test_unbridged_csr_matches_blocked_reference(self):
         dg = GeometricMobilityGraph(n=30, radius=0.3, step=0.05, tau=2,
                                     seed=5, bridge=False)
         for r in (1, 3, 9, 1):  # includes an out-of-order replay
-            direct = dg.csr_at(r)
-            rebuilt = CSRAdjacency.from_graph(dg.graph_at(r))
-            assert direct.same_structure(rebuilt)
+            xy = dg.positions_at(dg.epoch_of(r))
+            assert dg.csr_at(r).same_structure(
+                blocked_csr(xy[:, 0], xy[:, 1], dg.radius))
+            assert dg.csr_at(r).same_structure(
+                CSRAdjacency.from_graph(dg.graph_at(r)))
 
     def test_unbridged_mesh_may_fragment(self):
         dg = GeometricMobilityGraph(n=24, radius=0.1, step=0.05, tau=1,

@@ -475,19 +475,20 @@ class _IslandDynamicGraph:
     over empty CSR rows)."""
 
     def __new__(cls, n: int):
-        import networkx as nx
-
         from repro.graphs.dynamic import DynamicGraph, TAU_INFINITY
+        from repro.sim.adjacency import CSRAdjacency
 
         class Island(DynamicGraph):
             def __init__(self):
                 super().__init__(n=n, tau=TAU_INFINITY)
-                graph = nx.path_graph(n - 1)
-                graph.add_node(n - 1)
-                self._graph = graph
 
-            def _graph_for_epoch(self, epoch):
-                return self._graph
+            def _csr_for_epoch(self, epoch):
+                # A path over 0..n-2; vertex n-1 has no edges.
+                heads = list(range(n - 2))
+                tails = list(range(1, n - 1))
+                return CSRAdjacency.from_edge_lists(
+                    heads + tails, tails + heads, n, dtype=self.csr_dtype
+                )
 
         return Island()
 
@@ -643,10 +644,11 @@ class _CSROnly(DynamicGraph):
         super().__init__(n=inner.n, tau=inner.tau)
         self._inner = inner
 
-    def csr_at(self, round_index):
-        return self._inner.csr_at(round_index)
+    def _csr_for_epoch(self, epoch):
+        self._inner.csr_dtype = self.csr_dtype
+        return self._inner._csr_for_epoch(epoch)
 
-    def _graph_for_epoch(self, epoch):
+    def graph_at(self, round_index):
         raise AssertionError("an engine read graph_at")
 
 

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import spatial
-from repro.graphs.spatial import (
-    disk_csr,
-    disk_edges_blocked,
-    disk_edges_grid,
-)
+from repro.graphs.spatial import disk_csr, disk_edges_blocked
 from repro.sim.adjacency import CSRAdjacency
 
 
@@ -65,16 +61,12 @@ class TestDiskCsrDifferential:
         spatial._CHUNK_SOURCES = chunk
         try:
             fused = disk_csr(xs, ys, radius, dtype)
-            gu, gv = disk_edges_grid(xs, ys, radius)
         finally:
             spatial._CHUNK_SOURCES = saved
         expected = reference_csr(xs, ys, radius, dtype)
         assert fused.indptr.dtype == expected.indptr.dtype
         assert fused.indices.dtype == expected.indices.dtype
         assert fused.same_structure(expected)
-        bu, bv = disk_edges_blocked(xs, ys, radius)
-        assert np.array_equal(gu, bu)
-        assert np.array_equal(gv, bv)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("radius", [0.1, 1.0, 1.5])

@@ -234,31 +234,15 @@ def test_only_a_shared_machine_and_columns_name_a_route():
     assert sharedbit[0].settle_columns() is None
 
 
-def test_a_node_without_a_row_turns_the_route_off():
-    instance = uniform_instance(n=N, k=K, seed=SEED, upper_n=2 * N)
-    nodes = build_nodes("blindmatch", instance, seed=SEED)
-    columns, machine = nodes[0].settle_columns()
-    graph = StaticDynamicGraph(expander(n=N, degree=4, seed=1))
-    assert Simulation(graph, dict(nodes), b=0,
-                      seed=SEED)._read_settle_route() == (columns, machine)
-    # The same columns and machine, at a UID the columns have no row for
-    # (holding nothing, the node never writes one).
-    stranger = min(set(range(1, 2 * N + 1)) - set(instance.uids))
-    nodes[N - 1] = BlindMatchNode(
-        uid=stranger, upper_n=2 * N, initial_tokens=(),
-        rng=random.Random(1), transfer=machine, token_columns=columns)
-    assert nodes[N - 1].settle_columns() == (columns, machine)
-    assert Simulation(graph, nodes, b=0,
-                      seed=SEED)._read_settle_route() == ()
-
-
-def test_a_uid_without_a_row_is_refused():
+@pytest.mark.parametrize("initial_tokens", [(Token(9),), ()])
+def test_a_uid_without_a_row_is_refused(initial_tokens):
     # Columns for UIDs {10, 20, 30}: a bisect alone puts UID 15 on UID
     # 20's row, so an empty UID-20 node and a {9} UID-30 node would
-    # compare equal.
+    # compare equal.  A node that starts empty writes no row, and is
+    # refused all the same: at construction, not at its first store.
     columns = TokenColumns([9], [10, 20, 30])
     with pytest.raises(ConfigurationError, match="UID 15"):
-        BlindMatchNode(uid=15, upper_n=40, initial_tokens=(Token(9),),
+        BlindMatchNode(uid=15, upper_n=40, initial_tokens=initial_tokens,
                        rng=random.Random(1), token_columns=columns)
     for uid in (5, 15, 31):
         with pytest.raises(ConfigurationError):
