@@ -148,28 +148,6 @@ class DynamicGraph(ABC):
         return f"{type(self).__name__}(n={self.n}, tau={tau})"
 
 
-class StaticDynamicGraph(DynamicGraph):
-    """τ = ∞: the same topology in every round.
-
-    Always connected — :class:`~repro.graphs.topologies.Topology` itself
-    enforces connectivity, so there is no fragmented-static variant; the
-    fault-era fragmentation knobs live on the dynamics that build raw
-    graphs (``PeriodicRewireGraph(require_connected=False)``,
-    ``GeometricMobilityGraph(bridge=False)``).
-    """
-
-    def __init__(self, topology: Topology):
-        super().__init__(n=topology.n, tau=TAU_INFINITY)
-        self.topology = topology
-        _check_graph(topology.graph, topology.n, topology.name)
-
-    def _csr_for_epoch(self, epoch: int):
-        from repro.sim.adjacency import CSRAdjacency
-
-        return CSRAdjacency.from_graph(self.topology.graph,
-                                       dtype=self.csr_dtype)
-
-
 class CSRStaticGraph(DynamicGraph):
     """τ = ∞ over a CSR snapshot — no ``nx.Graph``, no O(n) node dicts.
 
@@ -180,6 +158,8 @@ class CSRStaticGraph(DynamicGraph):
     :class:`~repro.graphs.topologies.Topology` performs.  The snapshot
     is the topology; :meth:`graph_at` converts it on demand (fine at
     test sizes, deliberately unbounded at scale).
+    :class:`StaticDynamicGraph` is this class over a ``Topology``'s
+    snapshot.
     """
 
     def __init__(self, csr, name: str = "csr"):
@@ -198,6 +178,26 @@ class CSRStaticGraph(DynamicGraph):
             indptr=csr.indptr.astype(self.csr_dtype),
             indices=csr.indices.astype(self.csr_dtype),
         )
+
+
+class StaticDynamicGraph(CSRStaticGraph):
+    """τ = ∞: the same topology in every round — a
+    :class:`CSRStaticGraph` over ``topology.graph``'s snapshot.
+
+    Always connected — :class:`~repro.graphs.topologies.Topology` itself
+    enforces connectivity, so there is no fragmented-static variant; the
+    fault-era fragmentation knobs live on the dynamics that build raw
+    graphs (``PeriodicRewireGraph(require_connected=False)``,
+    ``GeometricMobilityGraph(bridge=False)``).
+    """
+
+    def __init__(self, topology: Topology):
+        from repro.sim.adjacency import CSRAdjacency
+
+        _check_graph(topology.graph, topology.n, topology.name)
+        super().__init__(CSRAdjacency.from_graph(topology.graph),
+                         name=topology.name)
+        self.topology = topology
 
 
 class PeriodicRewireGraph(DynamicGraph):

@@ -388,14 +388,18 @@ class TestMobilityColumns:
             assert np.array_equal(csr.indptr, reference.indptr)
             assert np.array_equal(csr.indices, reference.indices)
             if epoch % 10 == 0:
-                # The bridged mesh is the same disk snapshot plus one
-                # bridge per extra component.
-                graph = bridged.graph_at(epoch + 1)
-                assert nx.is_connected(graph)
-                assert all(graph.has_edge(u, int(v)) for u in range(n)
-                           for v in csr.neighbors(u))
-                extra = graph.number_of_edges() - len(csr.indices) // 2
-                assert extra == len(_components(csr)) - 1
+                # The bridged mesh is the scalar loop's disk snapshot
+                # plus the bridges chosen over the scalar loop's
+                # positions, to the byte.
+                extra = bridged._bridges(reference, xy[:, 0], xy[:, 1])
+                u, v = (np.array(extra, dtype=np.int64).reshape(-1, 2).T)
+                expected_csr = CSRAdjacency.from_edge_lists(
+                    np.concatenate([reference.edge_sources(), u, v]),
+                    np.concatenate([reference.indices, v, u]), n,
+                )
+                assert csr_bytes(bridged.csr_at(epoch + 1)) == \
+                    csr_bytes(expected_csr)
+                assert nx.is_connected(bridged.graph_at(epoch + 1))
 
     def test_forward_csr_equals_the_replayed_epoch(self):
         params = dict(n=50, radius=0.2, step=0.05, tau=2, seed=3,
