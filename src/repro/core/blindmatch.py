@@ -201,13 +201,12 @@ class _BlindMatchWindowOps:
 def _build_blindmatch_nodes(ctx):
     """BlindMatch's population: one coin key, one Transfer machine and
     one set of token columns for every node."""
+    upper_n, config = ctx.instance.upper_n, ctx.config
     coins = KeyedCounter(ctx.tree.key(COINS_PATH))
     transfer = ctx.transfer_protocol()
     columns = ctx.token_columns()
     return {
-        vertex: BlindMatchNode(
-            config=ctx.config, transfer=transfer, coins=coins,
-            token_columns=columns, **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: BlindMatchNode(uid, upper_n, tokens, rng, config, transfer,
+                               coins, columns)
+        for vertex, uid, tokens, rng in ctx.members()
     }

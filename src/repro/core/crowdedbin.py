@@ -400,10 +400,9 @@ def configuration_report(nodes, schedule: CrowdedBinSchedule, k: int) -> dict:
     token_list_stage3=False,
 )
 def _build_crowdedbin_nodes(ctx):
-    schedule = ctx.config.schedule(ctx.instance.upper_n)
+    upper_n, config = ctx.instance.upper_n, ctx.config
+    schedule = config.schedule(upper_n)
     return {
-        vertex: CrowdedBinNode(
-            config=ctx.config, schedule=schedule, **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: CrowdedBinNode(uid, upper_n, tokens, rng, config, schedule)
+        for vertex, uid, tokens, rng in ctx.members()
     }

@@ -117,14 +117,11 @@ class MultiBitSharedBitNode(GossipNode):
     tag_length=lambda config: config.bits,
 )
 def _build_multibit_nodes(ctx):
-    shared = SharedRandomness(
-        ctx.tree.key("shared-string"), ctx.instance.upper_n
-    )
+    upper_n, config = ctx.instance.upper_n, ctx.config
+    shared = SharedRandomness(ctx.tree.key("shared-string"), upper_n)
     transfer = ctx.transfer_protocol()
     return {
-        vertex: MultiBitSharedBitNode(
-            shared=shared, config=ctx.config, transfer=transfer,
-            **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: MultiBitSharedBitNode(uid, upper_n, tokens, rng, shared,
+                                      config, transfer)
+        for vertex, uid, tokens, rng in ctx.members()
     }

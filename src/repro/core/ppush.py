@@ -104,8 +104,10 @@ class PPushNode(NodeProtocol):
     def propose_all(cls, nodes, round_index, csr, tags) -> np.ndarray:
         targets = csr.round_buffer("ppush:targets", len(nodes), np.int64,
                                    fill=-1)
-        for vertex, uninformed in csr.candidate_rows(tags):
-            targets[vertex] = nodes[vertex].rng.choice(uninformed)
+        vertices, bounds, uids = csr.candidate_rows(tags)
+        for vertex, start, end in zip(vertices.tolist(), bounds.tolist(),
+                                      bounds[1:].tolist()):
+            targets[vertex] = nodes[vertex].rng.choice(uids[start:end])
         return targets
 
 
@@ -124,16 +126,12 @@ def _build_ppush_nodes(ctx):
             "ppush spreads exactly one rumor; got an instance with "
             f"k={len(instance.token_ids)} tokens (use k=1 or token_at)"
         )
+    # An informed node draws whenever it has an uninformed neighbor, so
+    # the streams are eager: lazy ones would only move their
+    # construction into the first rounds.
+    upper_n, stream = instance.upper_n, ctx.tree.stream
     return {
-        vertex: PPushNode(
-            uid=instance.uid_of(vertex),
-            upper_n=instance.upper_n,
-            rng=ctx.tree.stream("node", instance.uid_of(vertex)),
-            rumor=(
-                tokens[0]
-                if (tokens := instance.tokens_for(vertex))
-                else None
-            ),
-        )
-        for vertex in ctx.vertices()
+        vertex: PPushNode(uid, upper_n, stream("node", uid),
+                          tokens[0] if tokens else None)
+        for vertex, uid, tokens, _ in ctx.members()
     }

@@ -14,9 +14,7 @@ Transfer(ε) outcome by actually moving the token payload.
 
 from __future__ import annotations
 
-import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,10 +166,10 @@ _NO_TOKENS: frozenset = frozenset()
 class TokenColumns:
     """A population's token sets as rows of a bitset: ``bits`` is an
     ``(n, ceil(k/64))`` uint64 array, one row per member UID in
-    ascending order (``uids``) and one column per instance label in
-    label order.  ``loose[row]`` marks a row holding a label outside the
-    columns — it never compares equal, so a row is never wrong, only
-    sometimes unusable.
+    ascending order (``uids``, found through a ``{uid: row}`` index) and
+    one column per instance label in label order.  ``loose[row]`` marks
+    a row holding a label outside the columns — it never compares
+    equal, so a row is never wrong, only sometimes unusable.
     :meth:`GossipNode.store_token` and :meth:`GossipNode.reset_tokens`
     keep a member's row current with O(1) bit writes; a UID with no row
     is a :class:`~repro.errors.ConfigurationError`."""
@@ -184,8 +182,7 @@ class TokenColumns:
         labels = sorted(labels)
         rows = len(uids)
         self.uids = np.sort(np.fromiter(uids, dtype=np.int64, count=rows))
-        # For bisect; the end marker is never a UID.
-        self._order = self.uids.tolist() + [math.inf]
+        self._index = dict(zip(self.uids.tolist(), range(rows)))
         self.words = max(1, -(-len(labels) // 64))
         self._slot = {label: (column >> 6, 1 << (column & 63))
                       for column, label in enumerate(labels)}
@@ -203,8 +200,8 @@ class TokenColumns:
         return cls(instance.token_ids, instance.uids)
 
     def _row(self, uid: int) -> int:
-        row = bisect_left(self._order, uid)
-        if self._order[row] != uid:
+        row = self._index.get(uid)
+        if row is None:
             raise ConfigurationError(f"UID {uid} has no row in these "
                                      "token columns")
         return row
@@ -230,10 +227,10 @@ class TokenColumns:
 
     def same(self, uid_a: int, uid_b: int) -> bool:
         """:meth:`equal` for one pair of UIDs, in Python: no numpy call
-        (:meth:`_row`'s bisects, inlined)."""
-        order = self._order
-        a, b = bisect_left(order, uid_a), bisect_left(order, uid_b)
-        if order[a] != uid_a or order[b] != uid_b:
+        (:meth:`_row`'s lookups, inlined)."""
+        index = self._index
+        a, b = index.get(uid_a), index.get(uid_b)
+        if a is None or b is None:
             raise ConfigurationError(f"UID {uid_a} or {uid_b} has no row "
                                      "in these token columns")
         if self._loose[a] or self._loose[b]:

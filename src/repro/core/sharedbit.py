@@ -123,11 +123,13 @@ class SharedBitNode(GossipNode):
     @classmethod
     def bulk_ready(cls, nodes) -> bool:
         # The batch derivation assumes what the standard builder
-        # guarantees: one shared string and one config for everybody.
+        # guarantees: one shared string (the very object, which the
+        # identity test finds first) and one config for everybody.
         first = nodes[0]
+        shared, offset = first.shared, first.config.group_offset
         return all(
-            node.shared == first.shared
-            and node.config.group_offset == first.config.group_offset
+            (node.shared is shared or node.shared == shared)
+            and node.config.group_offset == offset
             and node.upper_n == first.upper_n
             for node in nodes
         )
@@ -156,10 +158,12 @@ class SharedBitNode(GossipNode):
         shared = first.shared
         targets = csr.round_buffer("sharedbit:targets", len(nodes),
                                    np.int64, fill=-1)
-        for vertex, zeros in csr.candidate_rows(tags):
-            index = shared.selection_index(group, nodes[vertex].uid,
-                                           len(zeros))
-            targets[vertex] = zeros[index]
+        vertices, bounds, zeros = csr.candidate_rows(tags)
+        starts = bounds[:-1]
+        picks = shared.selection_indices(
+            group, csr.vertex_uids[vertices].tolist(),
+            (bounds[1:] - starts).tolist())
+        targets[vertices] = zeros[starts + np.array(picks, dtype=np.int64)]
         return targets
 
     # -- window hooks (batched async path) -------------------------------
@@ -240,14 +244,11 @@ class _SharedBitWindowOps:
 def build_sharedbit_nodes(ctx):
     """SharedBit's population: one shared string and one Transfer machine
     for every node (also registered as ``"epsilon"``, §7)."""
-    shared = SharedRandomness(
-        ctx.tree.key("shared-string"), ctx.instance.upper_n
-    )
+    upper_n, config = ctx.instance.upper_n, ctx.config
+    shared = SharedRandomness(ctx.tree.key("shared-string"), upper_n)
     transfer = ctx.transfer_protocol()
     return {
-        vertex: SharedBitNode(
-            shared=shared, config=ctx.config, transfer=transfer,
-            **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: SharedBitNode(uid, upper_n, tokens, rng, shared, config,
+                              transfer)
+        for vertex, uid, tokens, rng in ctx.members()
     }

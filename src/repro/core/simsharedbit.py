@@ -153,16 +153,15 @@ class SimSharedBitNode(GossipNode):
     token_list_stage3=False,
 )
 def _build_simsharedbit_nodes(ctx):
+    upper_n, config = ctx.instance.upper_n, ctx.config
     family = SharedStringFamily(
         master_seed=ctx.tree.stream("family-master").randrange(2**31),
-        capacity_n=ctx.instance.upper_n,
-        family_size=ctx.config.family_size,
+        capacity_n=upper_n,
+        family_size=config.family_size,
     )
-    transfer = ctx.transfer_protocol(ctx.config.sharedbit)
+    transfer = ctx.transfer_protocol(config.sharedbit)
     return {
-        vertex: SimSharedBitNode(
-            family=family, config=ctx.config, transfer=transfer,
-            **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: SimSharedBitNode(uid, upper_n, tokens, rng, family, config,
+                                 transfer)
+        for vertex, uid, tokens, rng in ctx.members()
     }

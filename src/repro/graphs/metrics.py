@@ -107,9 +107,11 @@ def _candidate_cuts(graph: nx.Graph, rng: random.Random, samples: int):
     # Fiedler sweep: order vertices by the second Laplacian eigenvector and
     # take every prefix.  This is the classic spectral heuristic; it finds
     # the bottleneck cut of every structured family we generate.
+    # A graph without one (disconnected, or fewer than two vertices) skips
+    # the sweep; anything else — a missing scipy above all — raises.
     try:
         fiedler = nx.fiedler_vector(graph, seed=0)
-    except Exception:  # pragma: no cover - scipy edge cases on tiny graphs
+    except nx.NetworkXError:
         fiedler = None
     if fiedler is not None:
         order = [v for _, v in sorted(zip(fiedler, nodes))]

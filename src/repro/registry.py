@@ -39,14 +39,13 @@ Third-party extension needs no edits to repro itself::
         tag_length=1,
     )
     def build_my_gossip(ctx):
-        shared = SharedRandomness(
-            ctx.tree.key("shared-string"), ctx.instance.upper_n
-        )
+        upper_n = ctx.instance.upper_n
+        shared = SharedRandomness(ctx.tree.key("shared-string"), upper_n)
         transfer = ctx.transfer_protocol()  # one per population
         return {
-            v: SharedBitNode(shared=shared, config=ctx.config,
-                             transfer=transfer, **ctx.common(v))
-            for v in ctx.vertices()
+            vertex: SharedBitNode(uid, upper_n, tokens, rng, shared,
+                                  ctx.config, transfer)
+            for vertex, uid, tokens, rng in ctx.members()
         }
 
 then ``repro-gossip --plugin my_plugin.py run --algorithm my_gossip ...``
@@ -111,9 +110,6 @@ class NodeBuildContext:
     tree: Any
     config: Any
 
-    def vertices(self) -> range:
-        return range(self.instance.n)
-
     def transfer_protocol(self, config=None):
         """The one Transfer(ε) machine a builder hands to every node of
         the population (``config`` defaults to the algorithm's own; it
@@ -136,8 +132,10 @@ class NodeBuildContext:
 
         return TokenColumns.for_instance(self.instance)
 
-    def common(self, vertex: int) -> dict:
-        """The constructor kwargs every :class:`GossipNode` shares.
+    def members(self):
+        """Yield ``(vertex, uid, initial_tokens, rng)`` for every vertex
+        in order: what each node of the population is built from, read
+        off the instance's columns in one pass.
 
         The private stream is a :class:`~repro.rng.LazyStream`: draw-
         for-draw identical to ``tree.stream("node", uid)`` but not
@@ -146,13 +144,13 @@ class NodeBuildContext:
         token sets, and at n = 10^6 the eager Mersenne states alone
         would cost ~2.5 GB.
         """
-        uid = self.instance.uid_of(vertex)
-        return {
-            "uid": uid,
-            "upper_n": self.instance.upper_n,
-            "initial_tokens": self.instance.tokens_for(vertex),
-            "rng": self.tree.lazy_stream("node", uid),
-        }
+        from repro.rng import LazyStream
+
+        tokens = self.instance.initial_tokens
+        root, node = self.tree.seed, self.tree._path + ("node",)
+        for vertex, uid in enumerate(self.instance.uids):
+            yield (vertex, uid, tokens.get(vertex, ()),
+                   LazyStream(root, node + (uid,)))
 
 
 @dataclass(frozen=True)

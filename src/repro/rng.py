@@ -337,20 +337,24 @@ class LazyStream:
     its stream only when it initiates a Transfer between unequal token
     sets (EQTest's evaluation points); their coins come from keyed
     counters (:class:`KeyedCounter`) or the shared PRF.  The proxy
-    holds only a seed closure until the first attribute access; it then
-    builds the real stream and caches the requested bound methods in
-    its instance dict, so every later ``rng.random()`` is one dict hit
-    away from the real thing.  Draw-for-draw identical to the eager
-    stream for the same derivation path (pinned in tests/test_scale.py).
+    holds only a root seed and a derivation path until the first
+    attribute access — ``LazyStream(seed, path)`` stands in for
+    ``SeedTree(seed).stream(*path)`` — then builds that stream and
+    caches the requested bound methods in its instance dict, so every
+    later ``rng.random()`` is one dict hit away from the real thing.
+    Draw-for-draw identical to the eager stream (pinned in
+    tests/test_scale.py).
     """
 
-    def __init__(self, factory):
-        self._factory = factory
+    def __init__(self, root: int, path: tuple):
+        self._root = root
+        self._path = path
 
     def __getattr__(self, name):
         rng = self.__dict__.get("_rng")
         if rng is None:
-            rng = self.__dict__["_rng"] = self._factory()
+            rng = self.__dict__["_rng"] = random.Random(
+                _derive_seed(self._root, self._path))
         attr = getattr(rng, name)
         if not name.startswith("_"):
             # Cache the bound method so repeated draws skip __getattr__.
@@ -380,18 +384,6 @@ class SeedTree:
         """Return a ``random.Random`` dedicated to ``path``."""
         return random.Random(_derive_seed(self.seed, self._path + tuple(path)))
 
-    def lazy_stream(self, *path) -> LazyStream:
-        """Like :meth:`stream`, but deferred until the first draw.
-
-        Returns a :class:`LazyStream` whose materialized stream is the
-        exact ``random.Random`` :meth:`stream` would have built for the
-        same path — the memory-lean form for per-node private streams
-        that bulk-hook runs never touch.
-        """
-        root = self.seed
-        full = self._path + tuple(path)
-        return LazyStream(lambda: random.Random(_derive_seed(root, full)))
-
     def child(self, *path) -> "SeedTree":
         """Return a subtree rooted at ``path`` (for handing to subsystems)."""
         return SeedTree(seed=self.seed, _path=self._path + tuple(path))
@@ -413,7 +405,7 @@ class SharedRandomness:
       hashing token sets to a 1-bit advertisement.
     * :meth:`selection_index` — a uniform index derived from the remaining
       bits of a node's own bundle, used to pick which 0-advertising neighbor
-      receives the proposal.
+      receives the proposal (:meth:`selection_indices` for many nodes).
 
     Two instances constructed with the same key are bit-for-bit identical,
     which is the shared-randomness assumption. ``SimSharedBit`` builds its
@@ -460,6 +452,50 @@ class SharedRandomness:
         """Uniform value in ``[0, bound)`` from bundle ``bundle`` of ``group``."""
         self._check(group, bundle)
         return prf_uniform_int(self._key, (group, bundle, 1), bound)
+
+    def selection_indices(self, group: int, bundles, bounds) -> list[int]:
+        """:meth:`selection_index` for many proposers: entry ``i`` is
+        ``selection_index(group, bundles[i], bounds[i])``.
+
+        The same PRF inputs and the same rejection redraws, inlined
+        into one loop over the keyed template (:func:`prf_uniform_int`
+        via :func:`prf_bytes`): each draw is one BLAKE2b copy, update
+        and digest, with no per-proposer call chain.
+        """
+        if group < 0:
+            raise ValueError(f"group must be >= 0, got {group}")
+        template = _keyed_state(self._key)
+        head = serialize_index((group,))
+        # (bundle selector 1, rejection tag 0x52), then the attempt and
+        # prf_bytes's block counter 0.
+        tail = serialize_index((1, 0x52))
+        first = _SMALL_INTS[0] + b"\x00\x00\x00\x00"
+        out = []
+        for bundle, bound in zip(bundles, bounds):
+            if not 0 <= bundle <= self.capacity_n:
+                self._check(group, bundle)  # raises
+            if bound <= 0:
+                raise ValueError(f"bound must be positive, got {bound}")
+            if bound == 1:
+                out.append(0)
+                continue
+            nbits = (bound - 1).bit_length()
+            nbytes = (nbits + 7) // 8
+            shift = 8 * nbytes - nbits
+            prefix = head + (_SMALL_INTS[bundle] if bundle < 256
+                             else _serialize_int(bundle)) + tail
+            h = template.copy()
+            h.update(prefix + first)
+            value = int.from_bytes(h.digest()[:nbytes], "big") >> shift
+            attempt = 0
+            while value >= bound:
+                attempt += 1
+                h = template.copy()
+                h.update(prefix + serialize_index((attempt,))
+                         + b"\x00\x00\x00\x00")
+                value = int.from_bytes(h.digest()[:nbytes], "big") >> shift
+            out.append(value)
+        return out
 
     def bundle_bits(self, group: int, bundle: int, nbits: int) -> int:
         """Raw ``nbits`` of the bundle, for callers that need the bit string."""

@@ -39,8 +39,10 @@ __all__ = ["CSRAdjacency", "index_dtype_for"]
 #: below it, and so must the edge count (``indptr``'s last entry).
 _INT32_LIMIT = np.iinfo(np.int32).max
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 #: Largest ``n`` whose packed edge keys ``source * n + target`` fit int64.
-_KEY_LIMIT = math.isqrt(np.iinfo(np.int64).max)
+_KEY_LIMIT = math.isqrt(_INT64_MAX)
 
 
 def index_dtype_for(n: int, nnz: int | None = None) -> np.dtype:
@@ -209,26 +211,41 @@ class CSRAdjacency:
 
     def candidate_rows(self, tags, source_tag: int = 1,
                        neighbor_tag: int = 0):
-        """Yield ``(vertex, sorted neighbor UIDs)`` for proposal rounds.
+        """The proposal candidates of a b = 1 round, as a CSR of their
+        own: ``(vertices, bounds, uids)``.
 
-        The b = 1 bulk-hook scaffold shared by PPUSH and SharedBit: every
-        vertex advertising ``source_tag`` that has at least one neighbor
-        advertising ``neighbor_tag``, in ascending vertex order (the
-        scalar hooks' iteration order), each with that neighbor subset's
-        UIDs sorted ascending (the scalar hooks' candidate order).
-        UID-bound snapshots only.  The eligibility count is a bincount
-        over edge sources, not a reduceat over indptr segments, so
-        zero-degree vertices (possible under out-of-tree dynamics) are
-        handled correctly.
+        The bulk-hook scaffold shared by PPUSH and SharedBit.
+        ``vertices`` are the vertices advertising ``source_tag`` that
+        have at least one neighbor advertising ``neighbor_tag``, in
+        ascending order (the scalar hooks' iteration order), and
+        ``uids[bounds[i]:bounds[i + 1]]`` are the UIDs of vertex
+        ``vertices[i]``'s such neighbors, ascending (the scalar hooks'
+        candidate order).  The round's eligible edges are sorted once,
+        by (source, UID) packed into one int64 key (UIDs are
+        non-negative) — a ``lexsort`` of the two columns only when the
+        key would overflow, as it costs about 20× one key sort — instead
+        of one sort per row.  UID-bound snapshots only.
         """
         if self.uids is None:
             raise ValueError("candidate_rows needs a UID-bound snapshot")
-        mask = tags[self.indices] == neighbor_tag
-        counts = np.bincount(self.edge_sources()[mask], minlength=self.n)
-        indptr, uids = self.indptr, self.uids
-        for vertex in np.nonzero((tags == source_tag) & (counts > 0))[0].tolist():
-            start, end = indptr[vertex], indptr[vertex + 1]
-            yield vertex, np.sort(uids[start:end][mask[start:end]])
+        sources = self.edge_sources()
+        eligible = tags.take(self.indices) == neighbor_tag
+        eligible &= (tags == source_tag).take(sources)
+        sources, uids = sources[eligible], self.uids[eligible]
+        span = int(uids.max()) + 1 if uids.size else 1
+        if span <= _INT64_MAX // self.n:
+            keys = sources.astype(np.int64)
+            keys *= span
+            keys += uids
+            keys.sort()
+            uids = keys % span
+        else:
+            uids = uids[np.lexsort((uids, sources))]
+        # Sources stay ascending: a row starts wherever the source changes.
+        first = np.ones(len(sources), dtype=bool)
+        np.not_equal(sources[1:], sources[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        return sources[starts], np.append(starts, len(sources)), uids
 
     def masked_bound(self, active: np.ndarray,
                      keep: int = 8) -> "CSRAdjacency":

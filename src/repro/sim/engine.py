@@ -184,12 +184,22 @@ class Simulation:
                 f"unknown engine_mode {engine_mode!r}; choose from "
                 f"{ENGINE_MODES}"
             )
-        if set(protocols) != set(range(dynamic_graph.n)):
+        # One pass over the population: the node list, its UIDs, and the
+        # UID -> vertex index (whose size is the uniqueness check).
+        # Vertices are dense 0..n-1, so the hot loop walks lists instead
+        # of dict lookups.
+        n = dynamic_graph.n
+        try:
+            nodes = [protocols[vertex] for vertex in range(n)]
+        except KeyError:
+            nodes = None
+        if nodes is None or len(protocols) != n:
             raise ConfigurationError(
                 "protocols must be keyed by every vertex 0..n-1"
             )
-        uids = [node.uid for node in protocols.values()]
-        if len(set(uids)) != len(uids):
+        uids = [node.uid for node in nodes]
+        vertex_of_uid = dict(zip(uids, range(n)))
+        if len(vertex_of_uid) != n:
             raise ConfigurationError("node UIDs must be unique")
         if gauge_every < 1 or termination_every < 1:
             raise ConfigurationError(
@@ -226,14 +236,10 @@ class Simulation:
         self._prof = self.telemetry.profiler
 
         self._lottery = acceptance_lottery(seed)
-        self._vertex_of_uid = {
-            node.uid: vertex for vertex, node in self.protocols.items()
-        }
+        self._vertex_of_uid = vertex_of_uid
         self._round = 0
-        # Vertices are dense 0..n-1 (validated above), so the hot loop
-        # walks lists instead of dict lookups.
-        self._nodes = [self.protocols[vertex] for vertex in range(self.n)]
-        self._tags = [0] * self.n
+        self._nodes = nodes
+        self._tags = [0] * n
         # The object path's neighbor caches are keyed on the identity of
         # the bound CSR snapshot they were read from (masked or not): the
         # engine re-binds only when the epoch changes and masked_bound
@@ -266,9 +272,7 @@ class Simulation:
         self._hooks = hooks if hooks is not None else self._scalar_hooks(
             engine_mode
         )
-        self._uid_array = np.fromiter(
-            (node.uid for node in self._nodes), dtype=np.int64, count=self.n
-        )
+        self._uid_array = np.array(uids, dtype=np.int64)
         self._csr_bound = None  # UID-bound CSR for the current epoch
         self._settle_route = None  # see _read_settle_route
         # Per-round scratch buffers for the array front half (and bulk

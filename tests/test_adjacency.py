@@ -280,6 +280,57 @@ class TestMaskedBoundEdgeSources:
         assert masked.edge_sources().size == 0
 
 
+class TestCandidateRows:
+    """``candidate_rows`` is the per-row reference it replaced: each
+    eligible vertex in ascending order, its candidate UIDs sorted."""
+
+    @staticmethod
+    def _reference(snapshot, tags, source_tag, neighbor_tag):
+        rows = []
+        for vertex in range(snapshot.n):
+            start, end = snapshot.indptr[vertex:vertex + 2]
+            if tags[vertex] != source_tag:
+                continue
+            uids = snapshot.uids[start:end]
+            uids = np.sort(uids[tags[snapshot.indices[start:end]]
+                                == neighbor_tag])
+            if uids.size:
+                rows.append((vertex, uids.tolist()))
+        return rows
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(6, 40),
+           tag_seed=st.integers(0, 2**16), asleep=st.floats(0, 0.9),
+           tag_pair=st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+           # Small UIDs pack (source, UID) into one int64 key; UIDs near
+           # 2^63 cannot, and take the two-column sort.
+           uid_floor=st.sampled_from([1, 2**62, 2**63 - 10**4]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_row_reference(self, seed, n, tag_seed, asleep,
+                                          tag_pair, uid_floor):
+        rng = np.random.default_rng(tag_seed)
+        csr = CSRAdjacency.from_graph(
+            expander(n, degree=4, seed=seed).graph)
+        uids = uid_floor + rng.permutation(10 * n)[:n].astype(np.int64)
+        bound = csr.bind_uids(uids)
+        active = rng.random(n) >= asleep
+        tags = rng.integers(0, 2, n).astype(np.int64)
+        for snapshot in (bound, bound.masked_bound(active)):
+            vertices, bounds, got = snapshot.candidate_rows(tags, *tag_pair)
+            rows = [(vertex, got[start:end].tolist())
+                    for vertex, start, end in zip(
+                        vertices.tolist(), bounds.tolist(),
+                        bounds[1:].tolist())]
+            assert rows == self._reference(snapshot, tags, *tag_pair)
+            assert bounds[0] == 0 and bounds[-1] == got.size
+
+    def test_no_candidates(self):
+        bound = CSRAdjacency.from_graph(star(6).graph).bind_uids(
+            np.arange(6))
+        vertices, bounds, uids = bound.candidate_rows(np.ones(6, np.int64))
+        assert vertices.size == 0 and uids.size == 0
+        assert bounds.tolist() == [0]
+
+
 class TestRowCache:
     """``row`` hands out a snapshot's rows as Python objects, filled on
     first use and owned by the snapshot."""

@@ -39,14 +39,11 @@ from repro.workloads.scenarios import festival_scenario
 
 def _sharedbit_clone_builder(ctx):
     """A synthetic algorithm: SharedBit registered under another name."""
-    shared = SharedRandomness(
-        ctx.tree.key("shared-string"), ctx.instance.upper_n
-    )
+    upper_n = ctx.instance.upper_n
+    shared = SharedRandomness(ctx.tree.key("shared-string"), upper_n)
     return {
-        vertex: SharedBitNode(
-            shared=shared, config=ctx.config, **ctx.common(vertex)
-        )
-        for vertex in ctx.vertices()
+        vertex: SharedBitNode(uid, upper_n, tokens, rng, shared, ctx.config)
+        for vertex, uid, tokens, rng in ctx.members()
     }
 
 
@@ -262,13 +259,12 @@ PLUGIN_SOURCE = textwrap.dedent(
         tag_length=1,
     )
     def build_plugin_echo(ctx):
-        shared = SharedRandomness(
-            ctx.tree.key("shared-string"), ctx.instance.upper_n
-        )
+        upper_n = ctx.instance.upper_n
+        shared = SharedRandomness(ctx.tree.key("shared-string"), upper_n)
         return {
-            v: SharedBitNode(shared=shared, config=ctx.config,
-                             **ctx.common(v))
-            for v in ctx.vertices()
+            vertex: SharedBitNode(uid, upper_n, tokens, rng, shared,
+                                  ctx.config)
+            for vertex, uid, tokens, rng in ctx.members()
         }
     """
 )

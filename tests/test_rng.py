@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.rng import (
@@ -202,6 +202,59 @@ class TestSharedRandomness:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SharedRandomness(KEY, 1)
+
+
+def _first_draw_rejected(shared, group, bundle, bound) -> bool:
+    """Whether ``selection_index`` redraws (attempt > 0) for this input."""
+    nbits = (bound - 1).bit_length()
+    return prf_bits(shared.key, (group, bundle, 1, 0x52, 0), nbits) >= bound
+
+
+class TestSelectionIndices:
+    """``selection_indices`` is ``selection_index`` for many proposers."""
+
+    @given(
+        group=st.one_of(st.integers(0, 300), st.integers(0, 2**40)),
+        rows=st.lists(
+            st.tuples(st.integers(0, 1000),
+                      st.one_of(st.just(1), st.integers(1, 9),
+                                st.integers(1, 2**20))),
+            max_size=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(group=0, rows=[(5, 1), (0, 1), (1000, 1)])
+    @example(group=3, rows=[(bundle, 5) for bundle in range(24)])
+    def test_equals_selection_index_element_by_element(self, group, rows):
+        shared = SharedRandomness(KEY, 1000)
+        bundles = [bundle for bundle, _ in rows]
+        bounds = [bound for _, bound in rows]
+        assert shared.selection_indices(group, bundles, bounds) == [
+            shared.selection_index(group, bundle, bound)
+            for bundle, bound in rows
+        ]
+
+    def test_the_examples_reach_bound_one_and_redraws(self):
+        # The second example above holds first draws that are rejected,
+        # so the batched loop's redraw path is exercised, not only its
+        # first draws.
+        shared = SharedRandomness(KEY, 1000)
+        rejected = [bundle for bundle in range(24)
+                    if _first_draw_rejected(shared, 3, bundle, 5)]
+        assert rejected
+        assert shared.selection_indices(3, rejected, [5] * len(rejected)) \
+            == [shared.selection_index(3, bundle, 5) for bundle in rejected]
+        assert shared.selection_indices(0, [5, 0], [1, 1]) == [0, 0]
+
+    @pytest.mark.parametrize("group, bundle, bound", [
+        (-1, 0, 2), (0, 1001, 2), (0, -1, 2), (0, 4, 0),
+    ])
+    def test_refuses_what_selection_index_refuses(self, group, bundle,
+                                                  bound):
+        shared = SharedRandomness(KEY, 1000)
+        with pytest.raises(ValueError):
+            shared.selection_index(group, bundle, bound)
+        with pytest.raises(ValueError):
+            shared.selection_indices(group, [bundle], [bound])
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=1000))

@@ -236,35 +236,29 @@ class TestTraceBoundedMemory:
 class TestLazyStream:
     def test_draws_match_eager_stream(self):
         eager = SeedTree(5).stream("node", 3)
-        lazy = SeedTree(5).lazy_stream("node", 3)
+        lazy = LazyStream(5, ("node", 3))
         assert [eager.random() for _ in range(4)] == \
                [lazy.random() for _ in range(4)]
         assert eager.getrandbits(16) == lazy.getrandbits(16)
         assert eager.randrange(1000) == lazy.randrange(1000)
 
     def test_materializes_only_on_use(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            import random
-            return random.Random(7)
-
-        stream = LazyStream(factory)
-        assert calls == []  # construction is free
+        stream = LazyStream(5, ("node", 3))
+        assert "_rng" not in vars(stream)  # construction is free
+        first = stream.random()
+        rng = vars(stream)["_rng"]
         stream.random()
-        stream.random()
-        assert calls == [1]  # built exactly once
+        assert vars(stream)["_rng"] is rng  # built exactly once
+        assert first == SeedTree(5).stream("node", 3).random()
 
     def test_bound_methods_cached(self):
-        lazy = SeedTree(5).lazy_stream("node", 0)
+        lazy = LazyStream(5, ("node", 0))
         first = lazy.random
         assert lazy.random is first  # no __getattr__ round trip after 1st
 
     def test_distinct_paths_distinct_streams(self):
-        tree = SeedTree(5)
-        a = tree.lazy_stream("node", 0)
-        b = tree.lazy_stream("node", 1)
+        a = LazyStream(5, ("node", 0))
+        b = LazyStream(5, ("node", 1))
         assert a.random() != b.random()
 
 
