@@ -129,9 +129,8 @@ def _build_ppush_nodes(ctx):
     # An informed node draws whenever it has an uninformed neighbor, so
     # the streams are eager: lazy ones would only move their
     # construction into the first rounds.
-    upper_n, stream = instance.upper_n, ctx.tree.stream
+    upper_n = instance.upper_n
     return {
-        vertex: PPushNode(uid, upper_n, stream("node", uid),
-                          tokens[0] if tokens else None)
-        for vertex, uid, tokens, _ in ctx.members()
+        vertex: PPushNode(uid, upper_n, rng, tokens[0] if tokens else None)
+        for vertex, uid, tokens, rng in ctx.members(stream=ctx.tree.stream)
     }

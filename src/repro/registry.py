@@ -132,7 +132,7 @@ class NodeBuildContext:
 
         return TokenColumns.for_instance(self.instance)
 
-    def members(self):
+    def members(self, stream=None):
         """Yield ``(vertex, uid, initial_tokens, rng)`` for every vertex
         in order: what each node of the population is built from, read
         off the instance's columns in one pass.
@@ -142,15 +142,18 @@ class NodeBuildContext:
         materialized until first use — a BlindMatch or SharedBit node
         draws from it only to initiate a Transfer between unequal
         token sets, and at n = 10^6 the eager Mersenne states alone
-        would cost ~2.5 GB.
+        would cost ~2.5 GB.  A builder whose nodes draw every round
+        passes ``stream=ctx.tree.stream`` and gets the eager stream
+        instead, as ``stream("node", uid)``.
         """
         from repro.rng import LazyStream
 
         tokens = self.instance.initial_tokens
-        root, node = self.tree.seed, self.tree._path + ("node",)
+        root, node = LazyStream.under(self.tree, "node")
         for vertex, uid in enumerate(self.instance.uids):
             yield (vertex, uid, tokens.get(vertex, ()),
-                   LazyStream(root, node + (uid,)))
+                   LazyStream(root, node + (uid,)) if stream is None
+                   else stream("node", uid))
 
 
 @dataclass(frozen=True)

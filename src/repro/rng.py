@@ -350,6 +350,13 @@ class LazyStream:
         self._root = root
         self._path = path
 
+    @staticmethod
+    def under(tree: "SeedTree", *prefix) -> tuple[int, tuple]:
+        """The ``(root, path)`` that, extended by a key, names the stream
+        ``tree.stream(*prefix, key)``: ``LazyStream(root, path + (key,))``
+        stands in for it, and a population derives the pair once."""
+        return tree.seed, tree._path + prefix
+
     def __getattr__(self, name):
         rng = self.__dict__.get("_rng")
         if rng is None:

@@ -39,10 +39,8 @@ __all__ = ["CSRAdjacency", "index_dtype_for"]
 #: below it, and so must the edge count (``indptr``'s last entry).
 _INT32_LIMIT = np.iinfo(np.int32).max
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 #: Largest ``n`` whose packed edge keys ``source * n + target`` fit int64.
-_KEY_LIMIT = math.isqrt(_INT64_MAX)
+_KEY_LIMIT = math.isqrt(np.iinfo(np.int64).max)
 
 
 def index_dtype_for(n: int, nnz: int | None = None) -> np.dtype:
@@ -85,6 +83,7 @@ class CSRAdjacency:
     _edge_sources: np.ndarray | None = field(default=None, repr=False)
     _masked_memo: dict | None = field(default=None, repr=False)
     _rows: dict | None = field(default=None, repr=False)
+    _uid_memo: dict | None = field(default=None, repr=False)
 
     @classmethod
     def from_graph(cls, graph, dtype=None) -> "CSRAdjacency":
@@ -221,31 +220,42 @@ class CSRAdjacency:
         ``uids[bounds[i]:bounds[i + 1]]`` are the UIDs of vertex
         ``vertices[i]``'s such neighbors, ascending (the scalar hooks'
         candidate order).  The round's eligible edges are sorted once,
-        by (source, UID) packed into one int64 key (UIDs are
-        non-negative) — a ``lexsort`` of the two columns only when the
-        key would overflow, as it costs about 20× one key sort — instead
-        of one sort per row.  UID-bound snapshots only.
+        by (source, UID rank) packed into one int64 key below n², the
+        same bound as :meth:`from_keys`' edge keys — instead of one sort
+        per row.  UID-bound snapshots only.
         """
         if self.uids is None:
             raise ValueError("candidate_rows needs a UID-bound snapshot")
+        order, rank = self.uid_ranking()
         sources = self.edge_sources()
         eligible = tags.take(self.indices) == neighbor_tag
         eligible &= (tags == source_tag).take(sources)
-        sources, uids = sources[eligible], self.uids[eligible]
-        span = int(uids.max()) + 1 if uids.size else 1
-        if span <= _INT64_MAX // self.n:
-            keys = sources.astype(np.int64)
-            keys *= span
-            keys += uids
-            keys.sort()
-            uids = keys % span
-        else:
-            uids = uids[np.lexsort((uids, sources))]
+        sources = sources[eligible]
+        keys = sources.astype(np.int64)
+        keys *= self.n
+        keys += rank.take(self.indices[eligible])
+        keys.sort()
+        keys %= self.n
+        uids = self.vertex_uids.take(order.take(keys))
         # Sources stay ascending: a row starts wherever the source changes.
         first = np.ones(len(sources), dtype=bool)
         np.not_equal(sources[1:], sources[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         return sources[starts], np.append(starts, len(sources)), uids
+
+    def uid_ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, rank)`` of the bound UIDs: ``vertex_uids[order]``
+        ascends, and ``rank[v]`` is vertex ``v``'s place in it.  Sorted
+        on first use and shared by every masked snapshot of the same
+        binding, so a fault mask never re-sorts (UID-bound snapshots
+        only)."""
+        memo = self._uid_memo
+        if "order" not in memo:
+            order = np.argsort(self.vertex_uids, kind="stable")
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[order] = np.arange(self.n, dtype=np.int64)
+            memo["order"], memo["rank"] = order, rank
+        return memo["order"], memo["rank"]
 
     def masked_bound(self, active: np.ndarray,
                      keep: int = 8) -> "CSRAdjacency":
@@ -288,6 +298,7 @@ class CSRAdjacency:
                 base=self.base if self.base is not None else self,
                 arena=self.arena,
                 _edge_sources=sources,
+                _uid_memo=self._uid_memo,
             )
             while len(self._masked_memo) >= keep:
                 self._masked_memo.pop(next(iter(self._masked_memo)))
@@ -306,6 +317,7 @@ class CSRAdjacency:
             base=self,
             arena=arena,
             _edge_sources=self._edge_sources,
+            _uid_memo={},
         )
 
     def same_structure(self, other: "CSRAdjacency") -> bool:

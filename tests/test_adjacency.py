@@ -301,8 +301,8 @@ class TestCandidateRows:
     @given(seed=st.integers(0, 2**16), n=st.integers(6, 40),
            tag_seed=st.integers(0, 2**16), asleep=st.floats(0, 0.9),
            tag_pair=st.sampled_from([(1, 0), (0, 1), (1, 1)]),
-           # Small UIDs pack (source, UID) into one int64 key; UIDs near
-           # 2^63 cannot, and take the two-column sort.
+           # Keys pack (source, UID rank), so UIDs of any width fit:
+           # those near 2^63 sort like small ones.
            uid_floor=st.sampled_from([1, 2**62, 2**63 - 10**4]))
     @settings(max_examples=80, deadline=None)
     def test_equals_the_per_row_reference(self, seed, n, tag_seed, asleep,
@@ -322,6 +322,16 @@ class TestCandidateRows:
                         bounds[1:].tolist())]
             assert rows == self._reference(snapshot, tags, *tag_pair)
             assert bounds[0] == 0 and bounds[-1] == got.size
+
+    def test_masks_share_their_binding_ranking(self):
+        bound = CSRAdjacency.from_graph(
+            expander(12, degree=4, seed=3).graph).bind_uids(
+                np.arange(12)[::-1] * 7)
+        masked = bound.masked_bound(np.arange(12) % 3 > 0)
+        order, rank = masked.uid_ranking()
+        assert bound.uid_ranking()[0] is order
+        assert (bound.vertex_uids[order] == np.arange(12) * 7).all()
+        assert (rank[order] == np.arange(12)).all()
 
     def test_no_candidates(self):
         bound = CSRAdjacency.from_graph(star(6).graph).bind_uids(

@@ -251,6 +251,12 @@ class TestLazyStream:
         assert vars(stream)["_rng"] is rng  # built exactly once
         assert first == SeedTree(5).stream("node", 3).random()
 
+    def test_under_names_a_subtree_stream(self):
+        tree = SeedTree(5).child("population")
+        root, path = LazyStream.under(tree, "node")
+        assert LazyStream(root, path + (3,)).random() == \
+               tree.stream("node", 3).random()
+
     def test_bound_methods_cached(self):
         lazy = LazyStream(5, ("node", 0))
         first = lazy.random
