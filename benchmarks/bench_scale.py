@@ -11,7 +11,11 @@ reports
   split as ``build_graph_s`` / ``build_population_s`` / ``engine_init_s``,
 * ``peak_rss_mb``    — the process high-water mark,
 * ``bytes_per_node`` — (peak - post-import baseline) / n, the whole
-  simulation's marginal footprint per node.
+  simulation's marginal footprint per node,
+* ``collector``      — per gc generation, the collections during the
+  measured rounds and their seconds (a ``gc.callbacks`` start/stop
+  pair each), printed beside ``round.resolve``, the span that a full
+  collection lands in at 10^6.
 
 The grid is 2 algorithms (sharedbit, blindmatch) x 2 graphs (static
 ring-expander built straight to CSR; geometric random-waypoint mobility
@@ -38,6 +42,7 @@ per-round cost and footprint, not solving gossip at 10^6.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import subprocess
@@ -109,6 +114,24 @@ def _rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _collector_clock():
+    """A ``gc.callbacks`` hook timing each collection from its start to
+    its stop, and the per-generation totals it fills."""
+    totals = {f"gen{gen}": {"collections": 0, "seconds": 0.0}
+              for gen in range(3)}
+    started = [0.0]
+
+    def callback(phase: str, info: dict) -> None:
+        if phase == "start":
+            started[0] = time.perf_counter()
+            return
+        entry = totals[f"gen{info['generation']}"]
+        entry["collections"] += 1
+        entry["seconds"] += time.perf_counter() - started[0]
+
+    return callback, totals
+
+
 def _measure_direct(case: dict) -> dict:
     """One (algorithm, graph, n) cell: direct array-engine execution.
 
@@ -150,9 +173,14 @@ def _measure_direct(case: dict) -> dict:
     engine_done = time.perf_counter()
     build_s = engine_done - build_started
 
+    callback, collector = _collector_clock()
+    gc.callbacks.append(callback)
     run_started = time.perf_counter()
-    sim.run(max_rounds=rounds)
-    run_s = time.perf_counter() - run_started
+    try:
+        sim.run(max_rounds=rounds)
+        run_s = time.perf_counter() - run_started
+    finally:
+        gc.callbacks.remove(callback)
 
     peak_kb = _rss_kb()
     return {
@@ -170,6 +198,11 @@ def _measure_direct(case: dict) -> dict:
         "total_connections": sim.trace.total_connections,
         "settled_connections": settled_connections(sim.telemetry.metrics),
         "phases": _rounded_phases(sim.telemetry.profile()),
+        "collector": {
+            gen: {"collections": entry["collections"],
+                  "seconds": round(entry["seconds"], 4)}
+            for gen, entry in collector.items()
+        },
     }
 
 
@@ -267,6 +300,17 @@ def _run_case_subprocess(case: dict) -> dict:
         Path(out_path).unlink(missing_ok=True)
 
 
+def _resolve_and_collector(row: dict) -> str:
+    """A direct row's ``round.resolve`` time beside its collector time
+    per generation."""
+    resolve = row["phases"]["round.resolve"]["seconds"]
+    collector = ", ".join(
+        f"{gen} {entry['collections']}x {entry['seconds']:.3f}s"
+        for gen, entry in row["collector"].items()
+    )
+    return f"round.resolve {resolve:.3f}s; collector {collector}"
+
+
 def _case_label(case: dict) -> str:
     kind = "stream" if case.get("streamed") else case["graph"]
     return f"alg={case['algorithm']},graph={kind},n={case['n']}"
@@ -345,6 +389,7 @@ def _settle_sanity(n: int = 100_000, rounds: int = 16) -> int:
         f"rounds; {settled} of {total} connections ({100 * share:.1f}%) "
         "settled by row"
     )
+    print(f"stage-3 sanity: {_resolve_and_collector(row)}")
     if share < 0.9:
         print("FAIL: under 90% of connections settled by row",
               file=sys.stderr)
@@ -401,6 +446,8 @@ def main(argv=None) -> int:
             "bytes/node",
             flush=True,
         )
+        if "collector" in row:
+            print(f"    {_resolve_and_collector(row)}", flush=True)
 
     path = record_bench(
         "scale:trajectory",

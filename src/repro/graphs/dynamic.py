@@ -295,7 +295,7 @@ class RelabelingAdversary(DynamicGraph):
         perm = np.asarray(labels, dtype=np.int64)
         base = self._base_csr
         return CSRAdjacency.from_edge_lists(
-            perm[base.edge_sources()], perm[base.indices], self.n,
+            perm.take(base.edge_sources()), perm.take(base.indices), self.n,
             dtype=self.csr_dtype,
         )
 

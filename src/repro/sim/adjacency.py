@@ -285,15 +285,17 @@ class CSRAdjacency:
         snapshot = self._masked_memo.get(key)
         if snapshot is None:
             sources = self.edge_sources()
-            kept = np.nonzero(active[sources] & active[self.indices])[0]
-            sources = sources[kept]
+            kept = np.flatnonzero(
+                active.take(sources) & active.take(self.indices)
+            )
+            sources = sources.take(kept)
             indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
             np.cumsum(np.bincount(sources, minlength=self.n), out=indptr[1:])
             snapshot = CSRAdjacency(
                 n=self.n,
                 indptr=indptr,
-                indices=self.indices[kept],
-                uids=self.uids[kept],
+                indices=self.indices.take(kept),
+                uids=self.uids.take(kept),
                 vertex_uids=self.vertex_uids,
                 base=self.base if self.base is not None else self,
                 arena=self.arena,
@@ -312,7 +314,7 @@ class CSRAdjacency:
             n=self.n,
             indptr=self.indptr,
             indices=self.indices,
-            uids=vertex_uids[self.indices],
+            uids=vertex_uids.take(self.indices),
             vertex_uids=vertex_uids,
             base=self,
             arena=arena,

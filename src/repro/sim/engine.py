@@ -28,9 +28,10 @@ interchangeable front halves drive Stages 1–2 of each round over it:
 * the **array path**: when every node provides the bulk hooks
   (:func:`repro.sim.protocol.bulk_hooks`), the engine feeds them the
   snapshot itself and resolves a round's proposals with the same dict
-  resolver when there are few of them, and with its array form
-  :func:`~repro.sim.matching.resolve_proposals_arrays` above a measured
-  crossover (``_DICT_RESOLVER_MAX_PROPOSALS``).
+  resolver when there are few of them, and above a measured crossover
+  (``_DICT_RESOLVER_MAX_PROPOSALS``) with the array form's core
+  (:mod:`repro.sim.matching`), fed each proposal's proposer and target
+  vertex as ranks of the bound UIDs.
 
 The two paths are **byte-identical**: same tags, same proposals, same
 random draws, same matching, same traces (pinned by the
@@ -80,9 +81,9 @@ from repro.sim.faults import FaultModel, FaultReader
 from repro.sim.matching import (
     TICKS_PER_ROUND,
     _check_rule,
+    _match_ranked,
     acceptance_lottery,
     resolve_proposals,
-    resolve_proposals_arrays,
 )
 from repro.sim.protocol import NodeProtocol, bulk_hooks
 from repro.sim.termination import TerminationCondition, never
@@ -118,10 +119,12 @@ _PER_PAIR_SETTLE_MAX_MATCHES = 20
 SETTLED_CONNECTIONS = "engine.settled_connections"
 
 #: The array path resolves a round with at most this many proposals
-#: through the dict resolver: below the measured crossover (192–256
-#: proposals, EXPERIMENTS.md) numpy's fixed per-call cost loses to the
-#: Python loop.
-_DICT_RESOLVER_MAX_PROPOSALS = 192
+#: through the dict resolver: below the measured crossover numpy's
+#: fixed per-call cost loses to the Python loop.  The array core wins
+#: from about 48 proposals when targets are uncontested and from about
+#: 112 when most are (the batch lottery's fixed cost); 64 keeps either
+#: side's loss near 20 µs a round (EXPERIMENTS.md, PERF-VERTEX-RESOLVE).
+_DICT_RESOLVER_MAX_PROPOSALS = 64
 
 
 def settled_connections(metrics) -> int:
@@ -619,9 +622,11 @@ class Simulation:
         arena = self._arena
         proposer_mask = arena.take("proposer_mask", self.n, bool)
         np.greater_equal(targets, 0, out=proposer_mask)
-        if proposer_mask.any():
-            # Scatter per-edge hits to their source vertex: unlike a
-            # reduceat over indptr segments this stays correct for
+        proposals = int(np.count_nonzero(proposer_mask))
+        if proposals:
+            # Each proposal's edge: the one whose neighbor UID is its
+            # source's target.  Scattering hits to their source vertex,
+            # unlike a reduceat over indptr segments, stays correct for
             # zero-degree vertices (possible under out-of-tree dynamics
             # even though in-tree graphs are connected).
             sources = bound.edge_sources()
@@ -629,36 +634,57 @@ class Simulation:
             np.take(targets, sources, out=edge_targets)
             hit = arena.take("edge_hit", sources.shape, bool)
             np.equal(bound.uids, edge_targets, out=hit)
+            edges = np.flatnonzero(hit)
+            proposer_vertices = sources.take(edges)
             legal = arena.take("legal", self.n, bool)
             legal[:] = False
-            legal[sources[hit]] = True
+            legal[proposer_vertices] = True
             bad = proposer_mask & ~legal
             if bad.any():
                 vertex = int(np.nonzero(bad)[0][0])
                 raise self._not_a_neighbor(
                     self._nodes[vertex], int(targets[vertex]), rnd
                 )
+            if proposer_vertices.size != proposals:
+                # A repeated edge gave a proposer a second hit; its hits
+                # are adjacent (edges run in source order).
+                first = np.ones(proposer_vertices.size, dtype=bool)
+                np.not_equal(proposer_vertices[1:], proposer_vertices[:-1],
+                             out=first[1:])
+                edges = edges[first]
+                proposer_vertices = proposer_vertices[first]
 
         # As on the object path: `bound` is already the active subgraph,
         # so the legality check left only proposals with both endpoints
         # active.  Small rounds go to the dict form, whose Python loop
         # beats the array form's fixed numpy cost there; both draw the
         # same lottery.
-        proposer_uids = self._uid_array[proposer_mask]
-        target_uids = targets[proposer_mask]
         instant = rnd * TICKS_PER_ROUND
         with self._prof.span("round.resolve"):
-            if proposer_uids.size <= _DICT_RESOLVER_MAX_PROPOSALS:
+            if not proposals:
+                matches = []
+            elif proposals <= _DICT_RESOLVER_MAX_PROPOSALS:
                 matches = resolve_proposals(
-                    dict(zip(proposer_uids.tolist(), target_uids.tolist())),
+                    dict(zip(self._uid_array[proposer_mask].tolist(),
+                             targets[proposer_mask].tolist())),
                     self._lottery, instant, rule=self.acceptance,
                 )
             else:
-                matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids, self._lottery, instant,
-                    rule=self.acceptance,
+                # The array core, fed in vertex space: the proposers are
+                # a mask over the bound's distinct UIDs and every edge
+                # is legal, so of the public entry's checks only the
+                # collision filter is left, and the binding's cached UID
+                # ranks key the core's one sort.
+                target_vertices = bound.indices.take(edges)
+                received = ~proposer_mask.take(target_vertices)
+                order, rank = bound.uid_ranking()
+                matches = _match_ranked(
+                    rank.take(proposer_vertices[received]),
+                    rank.take(target_vertices[received]),
+                    bound.vertex_uids.take(order),
+                    self._lottery, instant, self.acceptance,
                 )
-        return proposer_uids.size, matches
+        return proposals, matches
 
     def _bound_csr(self, rnd: int, mask: np.ndarray | None = None):
         """The UID-bound CSR snapshot of round ``rnd``'s epoch, re-bound

@@ -23,12 +23,17 @@ stars falling once acceptance is unbounded).
 There is one rule and two implementations of it: the dict form
 (:func:`resolve_proposals`, the readable reference — the round engine's
 object path, the array path's small rounds and the asynchronous
-engine's cohorts) and the array form (:func:`resolve_proposals_arrays`
-— the array path's rounds above a measured proposal count, where its
-fixed numpy cost pays off).  They share no resolution code, and they
-agree pair for pair, order included: tests/test_matching.py pins it
-property-style on proposal sets on both sides of the engine's split,
-and tests/test_fastpath.py on one engine run that crosses it.
+engine's cohorts) and the array form, one core over UID *ranks* that
+two callers feed.  :func:`resolve_proposals_arrays`, the public entry,
+checks its UID arrays, drops the proposals aimed at proposers and ranks
+the UIDs itself; the round engine's array path, above a measured
+proposal count, hands the core what its legality pass already knows —
+distinct proposers, legal edges — as ranks of its bound UIDs.  The two
+forms share no resolution code, and they agree pair for pair, order
+included: tests/test_matching.py pins it property-style on proposal
+sets on both sides of the engine's split and on engine rounds fed
+straight to the core, and tests/test_fastpath.py on one engine run
+that crosses the split.
 
 **The lottery.**  The uniform rule's one draw belongs to the proposee,
 and a proposee knows only the run seed, the instant and its own UID.
@@ -195,7 +200,9 @@ def resolve_proposals_arrays(
 
     ``proposer_uids``/``target_uids`` are parallel int arrays: proposer
     ``proposer_uids[i]`` proposed to ``target_uids[i]``.  Proposer UIDs
-    must be distinct (each node sends at most one proposal).
+    must be distinct (each node sends at most one proposal).  Every
+    check is made here; the core behind it (which the round engine
+    feeds directly) re-checks nothing.
 
     **Byte-identical matching guarantee**: the result — pair values *and*
     list order — equals the dict form's on the same proposals: every
@@ -227,33 +234,61 @@ def resolve_proposals_arrays(
 
     # Proposals aimed at a proposer are lost (§2).
     keep = ~np.isin(target_uids, proposer_uids)
-    senders = proposer_uids[keep]
-    targets = target_uids[keep]
-    if senders.size == 0:
+    survivors = np.count_nonzero(keep)
+    uids, ranks = np.unique(
+        np.concatenate((proposer_uids[keep], target_uids[keep])),
+        return_inverse=True,
+    )
+    return _match_ranked(ranks[:survivors], ranks[survivors:], uids,
+                         lottery, instant, rule)
+
+
+def _match_ranked(
+    sender_ranks: np.ndarray,
+    target_ranks: np.ndarray,
+    uids: np.ndarray,
+    lottery: KeyedCounter | None,
+    instant: int,
+    rule: str,
+) -> list[tuple[int, int]]:
+    """The array form's one core, over proposals already checked and
+    collision-filtered: sender ``uids[sender_ranks[i]]`` proposed to
+    ``uids[target_ranks[i]]``, ``uids`` ascending (so a rank orders as
+    its UID) and the senders distinct.
+
+    One sort of the int64 keys ``target_rank * len(uids) + sender_rank``
+    puts the groups in ascending-target order with each group's senders
+    ascending — the dict form's order — and a neighbour diff finds the
+    groups.
+    """
+    if sender_ranks.size == 0:
         return []
-    # Sort by (target, sender): groups come out in sorted-target order
-    # with each group's senders ascending — the dict form's order.
-    order = np.lexsort((senders, targets))
-    senders = senders[order]
-    targets = targets[order]
+    keys = target_ranks.astype(np.int64)
+    keys *= len(uids)
+    keys += sender_ranks
+    keys.sort()
+    targets, senders = np.divmod(keys, len(uids))
     if rule == "unbounded":
-        return list(zip(senders.tolist(), targets.tolist()))
-    group_targets, starts = np.unique(targets, return_index=True)
-    bounds = np.append(starts, senders.size)
-    if rule == "lowest_uid":
-        initiators = senders[starts]
-    elif rule == "highest_uid":
-        initiators = senders[bounds[1:] - 1]
-    else:  # uniform: one lottery draw per contested group
-        initiators = senders[starts]
+        return list(zip(uids.take(senders).tolist(),
+                        uids.take(targets).tolist()))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group_uids = uids.take(targets.take(starts))
+    bounds = np.append(starts, keys.size)
+    if rule == "highest_uid":
+        winners = senders.take(bounds[1:] - 1)
+    else:  # lowest_uid, and uniform's uncontested groups
+        winners = senders.take(starts)
+    if rule == "uniform":  # one lottery draw per contested group
         sizes = np.diff(bounds)
         contested = np.flatnonzero(sizes > 1)
         if contested.size:
             if lottery is None:
-                raise _no_lottery(int(group_targets[contested[0]]))
+                raise _no_lottery(int(group_uids[contested[0]]))
             picks = lottery.indices(
-                lottery.lanes(group_targets[contested]), instant,
-                sizes[contested],
+                lottery.lanes(group_uids.take(contested)), instant,
+                sizes.take(contested),
             )
-            initiators[contested] = senders[starts[contested] + picks]
-    return list(zip(initiators.tolist(), group_targets.tolist()))
+            winners[contested] = senders.take(starts.take(contested) + picks)
+    return list(zip(uids.take(winners).tolist(), group_uids.tolist()))

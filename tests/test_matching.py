@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolViolationError
-from repro.sim.engine import _DICT_RESOLVER_MAX_PROPOSALS as SPLIT
+from repro.graphs.dynamic import CSRStaticGraph
+from repro.sim import engine
+from repro.sim.adjacency import CSRAdjacency
+from repro.sim.engine import _DICT_RESOLVER_MAX_PROPOSALS as SPLIT, Simulation
 from repro.net.server import proposee_winner
+from repro.sim.protocol import NodeProtocol
 from repro.sim.matching import (
     ACCEPTANCE_RULES,
     TICKS_PER_ROUND,
@@ -319,3 +323,132 @@ def test_matching_invariants(proposals, seed):
     for target, count in incoming.items():
         if count >= 1:
             assert any(resp == target for _, resp in matches)
+
+
+class _Scripted(NodeProtocol):
+    """Advertises 0 and proposes a fixed UID (``-1``: none) through the
+    scalar hooks and the bulk hooks alike."""
+
+    def __init__(self, uid: int, target: int):
+        super().__init__(uid)
+        self.target = target
+
+    def advertise(self, round_index, neighbor_uids):
+        return 0
+
+    def propose(self, round_index, neighbors):
+        return None if self.target < 0 else self.target
+
+    def interact(self, responder, channel, round_index):
+        raise AssertionError("stage 3 is not under test")
+
+    @classmethod
+    def advertise_all(cls, nodes, round_index, csr):
+        return np.zeros(len(nodes), dtype=np.int64)
+
+    @classmethod
+    def propose_all(cls, nodes, round_index, csr, tags):
+        return np.array([node.target for node in nodes], dtype=np.int64)
+
+
+def _scripted_round(seed, n, density, rate, masked, repeat_edges, rogue):
+    """A random bound snapshot and one round of proposals on it: UIDs
+    shuffled against vertex order, one zero-degree vertex, an optional
+    sleep mask, optionally every edge twice, and each vertex proposing
+    to a random active neighbor with probability ``rate`` — or, for
+    ``rogue`` vertices, to a UID outside its active row."""
+    rng = np.random.default_rng(seed)
+    isolated = int(rng.integers(n))
+    others = [v for v in range(n) if v != isolated]
+    heads, tails = [], []
+    for i, u in enumerate(others):
+        for w in others[i + 1:]:
+            if rng.random() < density:
+                heads += [u, w]
+                tails += [w, u]
+    if repeat_edges:  # a multigraph: every proposal has two hit edges
+        heads, tails = heads * 2, tails * 2
+    csr = CSRAdjacency.from_edge_lists(heads, tails, n)
+    uids = rng.choice(10 * n, size=n, replace=False).tolist()
+    mask = rng.random(n) < 0.7 if masked else None
+    awake = np.ones(n, dtype=bool) if mask is None else mask
+    targets = []
+    for vertex in range(n):
+        row = [w for w in csr.neighbors(vertex).tolist()
+               if awake[vertex] and awake[w]]
+        if vertex in rogue:
+            strangers = [uids[w] for w in range(n) if w not in row]
+            targets.append(strangers[int(rng.integers(len(strangers)))])
+        elif row and rng.random() < rate:
+            targets.append(uids[row[int(rng.integers(len(row)))]])
+        else:
+            targets.append(-1)
+    return CSRStaticGraph(csr), uids, targets, mask
+
+
+def _stages12(mode, graph, uids, targets, mask, rule, rnd):
+    nodes = {v: _Scripted(uid, target)
+             for v, (uid, target) in enumerate(zip(uids, targets))}
+    sim = Simulation(graph, nodes, b=0, seed=9, acceptance=rule,
+                     engine_mode=mode)
+    stages = sim._stages12_array if mode == "array" else \
+        sim._stages12_object
+    return stages(rnd, mask)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=0.05, max_value=0.9),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(ALL_RULES),
+)
+@settings(max_examples=150, deadline=None)
+def test_engine_array_resolver_agrees_with_dict_resolver(
+        seed, n, density, rate, masked, repeat_edges, rule):
+    """Property: the round engine's array branch, fed each proposal's
+    proposer and target vertex and the binding's UID ranks, returns the
+    dict form's matches on the same proposals — pair values and order —
+    on snapshots with UIDs out of vertex order, a zero-degree vertex,
+    sleeping vertices, repeated edges, proposals aimed at proposers and
+    contested targets."""
+    graph, uids, targets, mask = _scripted_round(
+        seed, n, density, rate, masked, repeat_edges, rogue=())
+    proposals = {uid: target for uid, target in zip(uids, targets)
+                 if target >= 0}
+    rnd = 1 + seed % 50
+    expected = resolve_proposals(proposals, lottery(9),
+                                 rnd * TICKS_PER_ROUND, rule=rule)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_DICT_RESOLVER_MAX_PROPOSALS", -1)
+        got = _stages12("array", graph, uids, targets, mask, rule, rnd)
+    assert got == (len(proposals), expected)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=3, max_value=30),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_array_resolver_names_the_first_illegal_proposer(
+        seed, n, masked, data):
+    """Property: a proposal outside the proposer's active row stops the
+    array round with the object path's error, which names the first
+    such vertex."""
+    rogue = set(data.draw(st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)))
+    round_ = _scripted_round(seed, n, 0.3, 0.8, masked, False, rogue)
+    errors = []
+    for mode in ("object", "array"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_DICT_RESOLVER_MAX_PROPOSALS", -1)
+            with pytest.raises(ProtocolViolationError) as caught:
+                _stages12(mode, *round_, "uniform", 3)
+        errors.append(str(caught.value))
+    first = min(rogue)
+    assert errors[0] == errors[1]
+    assert errors[1].startswith(f"node uid={round_[1][first]} proposed")

@@ -219,6 +219,14 @@ class TestFraming:
             b.close()
 
 
+def _peer(sock):
+    """A server-side socket's peer address (None once it is closed)."""
+    try:
+        return sock.getpeername()
+    except OSError:
+        return None
+
+
 def _single_server(n=4, seed=3, vertex=0, algorithm="sharedbit"):
     instance = uniform_instance(n=n, k=2, seed=seed)
     nodes = build_nodes(algorithm, instance, seed=seed)
@@ -1386,6 +1394,14 @@ class TestFrameDecoderRobustness:
         try:
             client.sendall(HEADER.pack(100) + b"abc")  # ...and silence
             assert request(host, port, {"op": "ping"})["ok"] is True
+            # Wait until the handler holds the partial frame: until then
+            # it is parked idle, and stop() would hang it up cleanly.
+            pinned = client.getsockname()
+            deadline = time.monotonic() + 5.0
+            while not any(not idle and _peer(sock) == pinned
+                          for sock, idle in list(server._conns.items())):
+                assert time.monotonic() < deadline, server._conns
+                time.sleep(0.001)
             # The pinned handler is mid-frame, so stop() must not cut
             # it — it reports it (the leaked-handler contract).
             assert server.stop(timeout=0.2) >= 1
