@@ -9,7 +9,8 @@ changes.
 
 Implementations here derive each epoch's CSR snapshot deterministically
 from a seed, so the dynamic graph is a pure function of (seed, round) —
-i.e. fixed in advance — while only the current snapshot is kept.
+i.e. fixed in advance — while only the current snapshot (or block of
+snapshots) is kept.
 
 :class:`RelabelingAdversary` deserves a note: it permutes the vertex labels
 of a fixed *shape* each epoch.  Because relabeling preserves α, Δ and D,
@@ -275,6 +276,12 @@ class RelabelingAdversary(DynamicGraph):
     τ = 1 results, where bounds are stated in terms of those parameters.
     """
 
+    #: A block of consecutive epochs holds at most this many directed
+    #: edges, and at most ``_BLOCK_EPOCHS`` epochs: a large shape still
+    #: builds one epoch at a time.
+    _BLOCK_EDGES = 1 << 15
+    _BLOCK_EPOCHS = 64
+
     def __init__(self, topology: Topology, tau, seed: int):
         from repro.sim.adjacency import CSRAdjacency
 
@@ -283,21 +290,69 @@ class RelabelingAdversary(DynamicGraph):
         self.seed = seed
         _check_graph(topology.graph, topology.n, topology.name)
         self._tree = SeedTree(seed).child("relabeling")
-        self._base_csr = CSRAdjacency.from_graph(topology.graph)
+        base = CSRAdjacency.from_graph(topology.graph)
+        self._base_degrees = base.degrees.astype(np.int64)
+        self._base_ends = (base.edge_sources().astype(np.int64),
+                           base.indices.astype(np.int64))
+        self._max_block = max(1, min(
+            self._BLOCK_EPOCHS, self._BLOCK_EDGES // max(len(base.indices), 1)
+        ))
+        # (first epoch, csr_dtype, indptr rows, indices rows, source rows)
+        self._block = None
 
     def _csr_for_epoch(self, epoch: int):
-        """The base shape's CSR arrays under the epoch's permutation —
-        a numpy gather and one key sort per epoch."""
+        """Row ``epoch - first`` of the block holding ``epoch``.
+
+        The next epoch past the block builds a block twice as long (up
+        to ``_max_block``); any other epoch outside it, or a changed
+        ``csr_dtype``, builds a block of that one epoch."""
         from repro.sim.adjacency import CSRAdjacency
 
-        labels = list(range(self.n))
-        self._tree.stream("epoch", epoch).shuffle(labels)
-        perm = np.asarray(labels, dtype=np.int64)
-        base = self._base_csr
-        return CSRAdjacency.from_edge_lists(
-            perm.take(base.edge_sources()), perm.take(base.indices), self.n,
-            dtype=self.csr_dtype,
-        )
+        block = self._block
+        if block is None or block[1] != self.csr_dtype or not (
+            0 <= epoch - block[0] < len(block[2])
+        ):
+            count = 1
+            if (block is not None and block[1] == self.csr_dtype
+                    and epoch == block[0] + len(block[2])):
+                count = min(2 * len(block[2]), self._max_block)
+            block = self._block = self._build_block(epoch, count)
+        row = epoch - block[0]
+        return CSRAdjacency(n=self.n, indptr=block[2][row],
+                            indices=block[3][row], _edge_sources=block[4][row])
+
+    def _build_block(self, first: int, count: int) -> tuple:
+        """Epochs ``first .. first + count - 1``: each epoch's labels
+        shuffled from its own stream (so any epoch re-derives alone),
+        then the relabeled edges of all of them packed as
+        ``source * n + target`` keys and sorted row by row in one call.
+        The keys permute the base's checked edges, so no range check is
+        needed."""
+        from repro.sim.adjacency import index_dtype_for
+
+        n = self.n
+        labels = []
+        for epoch in range(first, first + count):
+            perm = list(range(n))
+            self._tree.stream("epoch", epoch).shuffle(perm)
+            labels += perm
+        perms = np.array(labels, dtype=np.int64).reshape(count, n)
+        sources, targets = self._base_ends
+        keys = perms.take(sources, axis=1)
+        keys *= n
+        keys += perms.take(targets, axis=1)
+        keys.sort(axis=1)
+        dtype = self.csr_dtype
+        if dtype is None:
+            dtype = index_dtype_for(n, len(sources))
+        # Vertex perm[v] has the degree of base vertex v.
+        degrees = np.empty_like(perms)
+        np.put_along_axis(degrees, perms, self._base_degrees[None, :], 1)
+        indptr = np.zeros((count, n + 1), dtype=dtype)
+        np.cumsum(degrees, axis=1, out=indptr[:, 1:])
+        rows, indices = np.divmod(keys, n)
+        return (first, self.csr_dtype, indptr, indices.astype(dtype),
+                rows.astype(dtype))
 
 
 class GeometricMobilityGraph(DynamicGraph):

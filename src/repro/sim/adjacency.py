@@ -246,9 +246,9 @@ class CSRAdjacency:
     def uid_ranking(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, rank)`` of the bound UIDs: ``vertex_uids[order]``
         ascends, and ``rank[v]`` is vertex ``v``'s place in it.  Sorted
-        on first use and shared by every masked snapshot of the same
-        binding, so a fault mask never re-sorts (UID-bound snapshots
-        only)."""
+        on first use into the binding's memo (:meth:`bind_uids`), which
+        every masked snapshot of the binding shares, so a fault mask
+        never re-sorts (UID-bound snapshots only)."""
         memo = self._uid_memo
         if "order" not in memo:
             order = np.argsort(self.vertex_uids, kind="stable")
@@ -307,9 +307,15 @@ class CSRAdjacency:
             self._masked_memo[key] = snapshot
         return snapshot
 
-    def bind_uids(self, vertex_uids: np.ndarray,
-                  arena=None) -> "CSRAdjacency":
-        """Return a snapshot with UID arrays attached (engine-side)."""
+    def bind_uids(self, vertex_uids: np.ndarray, arena=None,
+                  ranking: dict | None = None) -> "CSRAdjacency":
+        """Return a snapshot with UID arrays attached (engine-side).
+
+        ``ranking`` is the :meth:`uid_ranking` memo of whoever owns
+        ``vertex_uids`` — the engine passes one dict for the whole run,
+        so a new epoch's binding sorts nothing; without it the binding
+        keeps a memo of its own.  Edge sources the snapshot already has
+        are carried over."""
         return CSRAdjacency(
             n=self.n,
             indptr=self.indptr,
@@ -319,7 +325,7 @@ class CSRAdjacency:
             base=self,
             arena=arena,
             _edge_sources=self._edge_sources,
-            _uid_memo={},
+            _uid_memo={} if ranking is None else ranking,
         )
 
     def same_structure(self, other: "CSRAdjacency") -> bool:

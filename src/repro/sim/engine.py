@@ -126,6 +126,8 @@ SETTLED_CONNECTIONS = "engine.settled_connections"
 #: side's loss near 20 µs a round (EXPERIMENTS.md, PERF-VERTEX-RESOLVE).
 _DICT_RESOLVER_MAX_PROPOSALS = 64
 
+_INT64 = np.dtype(np.int64)
+
 
 def settled_connections(metrics) -> int:
     """:data:`SETTLED_CONNECTIONS` in a metrics registry (0 when
@@ -276,6 +278,8 @@ class Simulation:
             engine_mode
         )
         self._uid_array = np.array(uids, dtype=np.int64)
+        # uid_ranking()'s memo for _uid_array, shared by every binding.
+        self._uid_ranking: dict = {}
         self._csr_bound = None  # UID-bound CSR for the current epoch
         self._settle_route = None  # see _read_settle_route
         # Per-round scratch buffers for the array front half (and bulk
@@ -697,7 +701,8 @@ class Simulation:
         if bound is None or bound.base is not csr:
             with self._prof.span("round.csr_bind"):
                 bound = self._csr_bound = csr.bind_uids(
-                    self._uid_array, arena=self._arena
+                    self._uid_array, arena=self._arena,
+                    ranking=self._uid_ranking,
                 )
             self.telemetry.metrics.gauge("engine.arena_bytes").set(
                 self._arena.nbytes()
@@ -737,6 +742,8 @@ class Simulation:
         dtypes — the array twin of the object path's ``isinstance(tag,
         int)`` check (a silent float->int cast would let through values
         the reference path rejects)."""
+        if type(values) is np.ndarray and values.dtype == _INT64:
+            return values
         array = np.asarray(values)
         if not np.issubdtype(array.dtype, np.integer):
             raise ProtocolViolationError(

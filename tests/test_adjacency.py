@@ -332,6 +332,45 @@ class TestCandidateRows:
         assert bound.uid_ranking()[0] is order
         assert (bound.vertex_uids[order] == np.arange(12) * 7).all()
         assert (rank[order] == np.arange(12)).all()
+        # A binding given no memo keeps its own...
+        other = bound.base.bind_uids(bound.vertex_uids)
+        assert other.uid_ranking()[0] is not order
+        # ...and bindings given their owner's memo share one sort.
+        ranking = {}
+        first = bound.base.bind_uids(bound.vertex_uids, ranking=ranking)
+        second = CSRAdjacency.from_graph(cycle(12).graph).bind_uids(
+            bound.vertex_uids, ranking=ranking)
+        order = first.uid_ranking()[0]
+        assert second.uid_ranking()[0] is order
+        assert second.masked_bound(np.arange(12) % 2 > 0).uid_ranking()[0] \
+            is order
+
+    def test_a_relabeled_run_sorts_its_uids_once(self):
+        from repro.core.problem import uniform_instance
+        from repro.core.runner import build_nodes
+        from repro.registry import ALGORITHM_REGISTRY
+        from repro.sim.channel import ChannelPolicy
+        from repro.sim.engine import Simulation
+
+        instance = uniform_instance(n=16, k=2, seed=3)
+        defn = ALGORITHM_REGISTRY.get("sharedbit")
+        sim = Simulation(
+            RelabelingAdversary(star(16), tau=1, seed=3),
+            build_nodes("sharedbit", instance, seed=3),
+            b=defn.resolve_tag_length(defn.make_config()), seed=3,
+            channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+            faults=CrashChurn(16, 3), engine_mode="array",
+        )
+        bindings, orders = [], []
+        for _ in range(4):
+            sim.step()
+            bound = sim._csr_bound
+            bindings.append(bound)
+            orders.append(bound.uid_ranking()[0])
+            active = np.arange(16) % 3 > 0
+            orders.append(bound.masked_bound(active).uid_ranking()[0])
+        assert len({id(bound) for bound in bindings}) == 4
+        assert all(order is orders[0] for order in orders)
 
     def test_no_candidates(self):
         bound = CSRAdjacency.from_graph(star(6).graph).bind_uids(

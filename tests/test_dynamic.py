@@ -25,8 +25,9 @@ from repro.graphs.dynamic import (
     dynamic_expansion_estimate,
     dynamic_max_degree,
 )
-from repro.graphs.topologies import cycle, double_star, path, star
+from repro.graphs.topologies import cycle, double_star, expander, path, star
 from repro.sim.adjacency import CSRAdjacency
+from repro.sim.protocol import NodeProtocol
 
 
 def edges_at(dg, r):
@@ -102,6 +103,111 @@ class TestRelabelingAdversary:
         a = RelabelingAdversary(star(10), tau=1, seed=1)
         b = RelabelingAdversary(star(10), tau=1, seed=2)
         assert any(edges_at(a, r) != edges_at(b, r) for r in range(1, 6))
+
+
+def relabeled_reference(dg, epoch) -> CSRAdjacency:
+    """Epoch ``epoch`` built on its own: the epoch's shuffle, then
+    ``from_edge_lists`` over the relabeled base edges."""
+    base = CSRAdjacency.from_graph(dg.topology.graph)
+    labels = list(range(dg.n))
+    SeedTree(dg.seed).child("relabeling").stream("epoch", epoch).shuffle(
+        labels)
+    perm = np.asarray(labels, dtype=np.int64)
+    return CSRAdjacency.from_edge_lists(
+        perm.take(base.edge_sources()), perm.take(base.indices), dg.n,
+        dtype=dg.csr_dtype,
+    )
+
+
+class TestRelabelingBlocks:
+    """Relabeled epochs are built a block at a time; each must equal
+    the epoch built on its own, however the rounds are walked."""
+
+    @pytest.mark.parametrize("shape", [
+        lambda: star(12), lambda: cycle(9),
+        lambda: expander(20, degree=4, seed=1),
+    ])
+    @pytest.mark.parametrize("tau", [1, 3])
+    @pytest.mark.parametrize("dtype", [None, np.int64])
+    def test_every_walk_matches_the_per_epoch_build(self, shape, tau, dtype):
+        dg = RelabelingAdversary(shape(), tau=tau, seed=7)
+        dg.csr_dtype = dtype
+        # Forward past the 1-, 2-, 4- and 8-epoch blocks, then a revisit,
+        # a jump ahead and a walk on from the jump.
+        epochs = list(range(20)) + [2, 500, 501, 502, 503]
+        for epoch in epochs:
+            rounds = range(epoch * tau + 1, (epoch + 1) * tau + 1)
+            snapshots = [dg.csr_at(r) for r in rounds]
+            assert all(s is snapshots[0] for s in snapshots)
+            got, want = snapshots[0], relabeled_reference(dg, epoch)
+            for a, b in ((got.indptr, want.indptr),
+                         (got.indices, want.indices),
+                         (got.edge_sources(), want.edge_sources())):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b), f"epoch {epoch}"
+
+    def test_dtype_change_rebuilds(self):
+        dg = RelabelingAdversary(star(8), tau=1, seed=2)
+        narrow = dg.csr_at(3)
+        dg.csr_dtype = np.int64
+        wide = dg.csr_at(3)
+        assert narrow.indices.dtype == np.int32
+        assert wide.indices.dtype == np.int64
+        assert np.array_equal(narrow.indices, wide.indices)
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """The epochs whose relabeling streams get derived, in order."""
+        epochs = []
+        stream = SeedTree.stream
+
+        def counting(tree, *path):
+            if tree._path == ("relabeling",):
+                epochs.append(path[1])
+            return stream(tree, *path)
+
+        monkeypatch.setattr(SeedTree, "stream", counting)
+        return epochs
+
+    def test_a_short_run_derives_few_epochs(self, derived):
+        from repro.sim.engine import Simulation
+
+        dg = RelabelingAdversary(star(10), tau=1, seed=4)
+        sim = Simulation(dg, {v: _SilentNode(v + 1) for v in range(10)},
+                         b=0, seed=1)
+        sim.run(max_rounds=2)
+        assert 2 <= len(derived) <= 4
+
+    def test_blocks_double_up_to_the_edge_budget(self, derived):
+        small = RelabelingAdversary(star(16), tau=1, seed=1)
+        for r in range(1, 6):
+            small.csr_at(r)
+        assert derived == [0, 1, 2, 3, 4, 5, 6]  # blocks of 1, 2 and 4
+        # 18 000 directed edges: past the budget, one epoch per block.
+        large = RelabelingAdversary(cycle(9000), tau=1, seed=1)
+        derived.clear()
+        for r in range(1, 6):
+            large.csr_at(r)
+        assert derived == [0, 1, 2, 3, 4]
+
+    def test_tau_infinity_builds_one_epoch(self, derived):
+        dg = RelabelingAdversary(star(6), tau=TAU_INFINITY, seed=1)
+        for r in (1, 2, 1000):
+            dg.csr_at(r)
+        assert derived == [0]
+
+
+class _SilentNode(NodeProtocol):
+    """Advertises 0 and never proposes."""
+
+    def advertise(self, round_index, neighbor_uids):
+        return 0
+
+    def propose(self, round_index, neighbors):
+        return None
+
+    def interact(self, responder, channel, round_index):
+        pass
 
 
 class TestPeriodicRewire:
