@@ -108,8 +108,8 @@ def uniform_instance(
     labeling convention.
     """
     upper_n = upper_n or n
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if isinstance(k, bool) or not 1 <= k <= n:
+        raise ConfigurationError(f"need 1 <= k <= n, got k={k!r}, n={n}")
     rng = random.Random(seed)
     uids = _draw_uids(n, upper_n, rng)
     origins = rng.sample(range(n), k)
@@ -141,8 +141,8 @@ def skewed_instance(
         raise ConfigurationError(
             f"need 1 <= holders <= min(k, n), got holders={holders}"
         )
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if isinstance(k, bool) or not 1 <= k <= n:
+        raise ConfigurationError(f"need 1 <= k <= n, got k={k!r}, n={n}")
     rng = random.Random(seed)
     uids = _draw_uids(n, upper_n, rng)
     holder_vertices = rng.sample(range(n), holders)

@@ -266,20 +266,13 @@ def check_grid_identity(
 ) -> list[str]:
     """The spatial grid's invariant: grid output == O(n^2) reference.
 
-    For every (n, seed) point cloud: the fused ``disk_csr`` snapshot
-    must equal the blocked pairwise sweep's mirrored edge list through
-    ``CSRAdjacency.from_edge_lists`` at every radius, and
-    :class:`PointIndex` nearest queries must agree with the dense
-    ``nearest_pair`` reduction on value *and* tie-break.
+    For every (n, seed) point cloud and radius, the fused ``disk_csr``
+    snapshot must equal the blocked pairwise sweep's mirrored edge list
+    through ``CSRAdjacency.from_edge_lists``.
     """
     import numpy as np
 
-    from repro.graphs.spatial import (
-        PointIndex,
-        disk_csr,
-        disk_edges_blocked,
-        nearest_pair,
-    )
+    from repro.graphs.spatial import disk_csr, disk_edges_blocked
     from repro.sim.adjacency import CSRAdjacency
 
     failures = []
@@ -298,16 +291,4 @@ def check_grid_identity(
                         f"n={n}/radius={radius}/seed={seed}: fused disk "
                         "CSR diverged from blocked sweep -> from_edge_lists"
                     )
-            half = n // 2
-            reference = nearest_pair(xs[:half], ys[:half],
-                                     xs[half:], ys[half:])
-            indexed = PointIndex(xs[:half], ys[:half]).nearest(
-                xs[half:], ys[half:]
-            )
-            if reference != indexed:
-                failures.append(
-                    f"n={n}/seed={seed}: PointIndex nearest pair "
-                    f"diverged from the dense reduction "
-                    f"({indexed} != {reference})"
-                )
     return failures

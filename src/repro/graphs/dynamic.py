@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.graphs import lazy_nx as nx
+from repro.graphs import spatial
 from repro.graphs.metrics import vertex_expansion_estimate
-from repro.graphs.spatial import PointIndex, disk_csr, nearest_pair
+from repro.graphs.spatial import disk_csr
 from repro.graphs.topologies import (
     Topology, _check_degree, _check_n, _check_seed,
 )
@@ -83,7 +84,8 @@ class DynamicGraph(ABC):
 
     def __init__(self, n: int, tau):
         _check_n(n)
-        if tau != TAU_INFINITY and (not isinstance(tau, int) or tau < 1):
+        if tau != TAU_INFINITY and (isinstance(tau, bool)
+                                    or not isinstance(tau, int) or tau < 1):
             raise ConfigurationError(
                 f"tau must be a positive integer or TAU_INFINITY, got {tau!r}"
             )
@@ -361,13 +363,13 @@ class GeometricMobilityGraph(DynamicGraph):
     Nodes live on the unit square; each epoch every node drifts toward a
     waypoint by ``step`` and the topology is the unit-disk graph of radius
     ``radius``.  Because the clean model requires connectivity,
-    disconnected components are bridged by adding an edge between the
-    closest pair of nodes across components (recorded in
-    ``bridges_added``); this keeps the workload honest about when raw
-    proximity alone fails.  ``bridge=False`` disables that repair —
-    connectivity as *policy* — for fault-era workloads that want the raw
-    fragmented proximity mesh (the engine tolerates isolated vertices on
-    both paths).
+    disconnected components are bridged by the minimum spanning tree
+    over components, each edge the closest pair of nodes across two
+    (recorded in ``bridges_added``); this keeps the workload honest
+    about when raw proximity alone fails.  ``bridge=False`` disables
+    that repair — connectivity as *policy* — for fault-era workloads
+    that want the raw fragmented proximity mesh (the engine tolerates
+    isolated vertices on both paths).
 
     Epochs are **re-derivable**: positions are a pure function of (seed,
     epoch), so any past epoch can be replayed from scratch — sequential
@@ -478,50 +480,16 @@ class GeometricMobilityGraph(DynamicGraph):
                 [rng.random() for _ in range(2 * arrived.size)]
             ).reshape(-1, 2)
 
-    # Above this many base*other distance evaluations per bridging
-    # iteration, the dense nearest-pair reduction gives way to a
-    # PointIndex over the base component (identical results — the grid
-    # replicates the dense tie-break exactly).
-    _BRIDGE_DENSE_MAX = 1 << 22
-
     def _bridges(self, csr, xs: np.ndarray,
                  ys: np.ndarray) -> list[tuple[int, int]]:
-        """The edges that join ``csr``'s components into one, in the
-        order they are chosen.
-
-        The first component (the one holding vertex 0) absorbs, one at
-        a time, the component with the closest pair to it, joined by
-        that pair.  Nearest-pair search per component pair: dense
-        pairwise reduction for small products, a cell grid over the
-        (large) base component otherwise — both produce np.argmin's
-        first-minimum, row-major tie-break (u outer, v inner, strict-<
-        update), so the chosen bridge edges are identical either way,
-        pinned by tests/test_dynamic.py against a reference loop.
-        """
-        components = _components(csr)
-        bridges = []
-        while len(components) > 1:
-            base = components[0]
-            bx = xs[base]
-            by = ys[base]
-            rest = sum(len(other) for other in components[1:])
-            index = None
-            if len(base) * rest > self._BRIDGE_DENSE_MAX:
-                index = PointIndex(bx, by)
-            best = None
-            for other_idx, other in enumerate(components[1:], start=1):
-                if index is None:
-                    d, u_index, v_index = nearest_pair(
-                        bx, by, xs[other], ys[other]
-                    )
-                else:
-                    d, u_index, v_index = index.nearest(xs[other], ys[other])
-                if best is None or d < best[0]:
-                    best = (d, base[u_index], other[v_index], other_idx)
-            _, u, v, other_idx = best
-            bridges.append((u, v))
-            base.extend(components.pop(other_idx))
-        return bridges
+        """The edges that join ``csr``'s components into one: the
+        minimum spanning tree over components by nearest-pair distance
+        (:func:`repro.graphs.spatial.bridges`), pinned by
+        tests/test_dynamic.py against the Prim loop it replaced."""
+        label = np.empty(self.n, dtype=np.int64)
+        for component, members in enumerate(_components(csr)):
+            label[members] = component
+        return spatial.bridges(xs, ys, self.radius, label)
 
 
 def _components(csr) -> list[list[int]]:

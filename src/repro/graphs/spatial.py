@@ -2,9 +2,11 @@
 
 :class:`~repro.graphs.dynamic.GeometricMobilityGraph` needs two
 geometric primitives per epoch: the radius-``r`` unit-disk edge set of
-the node positions, and (when bridging fragments) the nearest pair of
-points across two components.  Done as O(n^2) pairwise sweeps, a single
-epoch at n = 10^6 is 10^12 distance evaluations.
+the node positions, and (when bridging fragments) the edges that join
+its components, :func:`bridges` — Kruskal's spanning tree over them,
+searched on the same grid at a doubling radius.  Done as O(n^2)
+pairwise sweeps, a single epoch at n = 10^6 is 10^12 distance
+evaluations.
 
 The disk edges instead cost **one cell sort and one key sort**
 (:func:`_disk_pairs`).  Points are binned into cells at least
@@ -16,11 +18,11 @@ order: the rest of its own cell through cell ``cy + 1`` of its column
 (three adjacent keys) — the half-neighborhood, so each unordered pair
 is examined exactly once, read sequentially, with run bounds looked up
 in a ``bincount``/``cumsum`` cell-start table.  Sources are processed
-in chunks so peak memory is bounded at constant density.  Survivors
-map back through the sort order, and :func:`disk_csr` packs both
-orientations into ``u * n + v`` keys for ``CSRAdjacency.from_keys``,
-whose one sort yields the CSR snapshot without an edge list in
-between.
+in chunks, fewer per pass where cells are crowded, so peak memory stays
+bounded.  Survivors map back through the sort order, and
+:func:`disk_csr` packs both orientations into ``u * n + v`` keys for
+``CSRAdjacency.from_keys``, whose one sort yields the CSR snapshot
+without an edge list in between.
 
 The snapshot is **pinned identical** to the blocked sweep's edges
 through ``from_edge_lists`` (the sweep is kept here as
@@ -44,10 +46,9 @@ import math
 import numpy as np
 
 __all__ = [
+    "bridges",
     "disk_csr",
     "disk_edges_blocked",
-    "nearest_pair",
-    "PointIndex",
 ]
 
 #: Source points examined per pass of :func:`_disk_pairs`.  Bounds the
@@ -55,6 +56,10 @@ __all__ = [
 #: small enough that the allocator reuses them pass after pass instead
 #: of mapping fresh pages.
 _CHUNK_SOURCES = 1 << 14
+
+#: Candidate pairs per pass where cells are crowded (a source meets
+#: about five cells' worth of points), as :func:`bridges` radii reach.
+_CHUNK_CANDIDATES = 1 << 20
 
 
 def disk_edges_blocked(
@@ -94,6 +99,20 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _cells(xs: np.ndarray, ys: np.ndarray, radius: float):
+    """Bin the points into an ``ncells`` × ``ncells`` grid of cells at
+    least ``radius`` wide: ``(ncells, cell)``, ``cell[i] = cx * ncells +
+    cy`` (column-major).  Cells are radius-sized, but never more than ~n
+    of them: at low density wider cells keep any per-cell table O(n)
+    and still hold about one point each."""
+    ncells = max(1, min(math.ceil(1.0 / radius), math.isqrt(len(xs))))
+    width = max(radius, 1.0 / ncells)
+    cell = np.minimum((xs / width).astype(np.int64), ncells - 1)
+    cell *= ncells
+    cell += np.minimum((ys / width).astype(np.int64), ncells - 1)
+    return ncells, cell
+
+
 def _disk_pairs(xs: np.ndarray, ys: np.ndarray, radius: float):
     """Yield every unordered pair within ``radius`` exactly once, chunk
     by chunk, as point index arrays ``(a, b)`` — in no particular order
@@ -101,14 +120,7 @@ def _disk_pairs(xs: np.ndarray, ys: np.ndarray, radius: float):
     docstring."""
     n = len(xs)
     r2 = radius * radius
-    # Cells are radius-sized, but never more than ~n of them: at low
-    # density wider cells keep the cell-start table O(n) and still hold
-    # about one point each.
-    ncells = max(1, min(math.ceil(1.0 / radius), math.isqrt(n)))
-    width = max(radius, 1.0 / ncells)
-    cell = np.minimum((xs / width).astype(np.int64), ncells - 1)
-    cell *= ncells
-    cell += np.minimum((ys / width).astype(np.int64), ncells - 1)
+    ncells, cell = _cells(xs, ys, radius)
     order = np.argsort(cell, kind="stable")
     sx, sy, cell = xs[order], ys[order], cell[order]
 
@@ -121,9 +133,11 @@ def _disk_pairs(xs: np.ndarray, ys: np.ndarray, radius: float):
 
     # (An empty pair first, so an empty cloud still concatenates.)
     yield order[:0], order[:0]
-    for lo in range(0, n, _CHUNK_SOURCES):
-        position = np.arange(lo, min(lo + _CHUNK_SOURCES, n), dtype=np.int64)
-        own = cell[lo:lo + _CHUNK_SOURCES]
+    chunk = max(1, min(_CHUNK_SOURCES,
+                       _CHUNK_CANDIDATES * ncells * ncells // (5 * n or 1)))
+    for lo in range(0, n, chunk):
+        position = np.arange(lo, min(lo + chunk, n), dtype=np.int64)
+        own = cell[lo:lo + chunk]
         cy = own % ncells
         up = cy < ncells - 1
         right = own + ncells
@@ -156,121 +170,78 @@ def disk_csr(xs: np.ndarray, ys: np.ndarray, radius: float, dtype=None):
     return CSRAdjacency.from_keys(keys, n, dtype=dtype)
 
 
-def nearest_pair(
-    bx: np.ndarray, by: np.ndarray, ox: np.ndarray, oy: np.ndarray
-) -> tuple[float, int, int]:
-    """Closest (base, other) point pair, by dense pairwise reduction.
+def bridges(xs: np.ndarray, ys: np.ndarray, radius: float,
+            label: np.ndarray) -> list[tuple[int, int]]:
+    """The edges that join the radius-``radius`` disk graph's components
+    into one, where ``label[v]`` is v's component id (0..C-1).
 
-    Returns ``(d2, u_index, v_index)`` where the tie-break is
-    ``np.argmin``'s row-major first minimum — smallest ``u_index``, then
-    smallest ``v_index`` — the contract the bridging loop was pinned to
-    (tests/test_dynamic.py).  O(|base| * |other|) memory and time; the
-    differential reference for :meth:`PointIndex.nearest`.
+    The minimum spanning tree over components, each pair weighted by its
+    nearest-pair squared distance, built by Kruskal: the cross-component
+    pairs within ``r`` (from :func:`_disk_pairs`) in ``(d2, u, v)``
+    order, u < v, each accepted when its endpoints' sets differ.  ``r``
+    starts at ``2 * radius`` (no cross pair is nearer than ``radius``)
+    and doubles until one set is left; by then every pair within the
+    previous ``r`` is inside a set, so the order is global.  Only points
+    in the 3 × 3 cell block around a point outside the largest set are
+    searched: every cross pair has such an endpoint.  Exact ties go to
+    the smallest ``(d2, u, v)``; without ties the tree is unique.
+    Returns ``(u, v)`` pairs, u < v, in acceptance order.
     """
-    d2 = (bx[:, None] - ox[None, :]) ** 2
-    d2 += (by[:, None] - oy[None, :]) ** 2
-    flat = int(np.argmin(d2))
-    u_index, v_index = divmod(flat, len(ox))
-    return float(d2[u_index, v_index]), u_index, v_index
+    label = np.asarray(label, dtype=np.int64)
+    parent = list(range(int(label.max(initial=-1)) + 1))
+    chosen = []
+    r = 2.0 * radius
+    while len(chosen) < len(parent) - 1:
+        ncells, cell = _cells(xs, ys, r)
+        outside = cell[label != np.bincount(label).argmax()]
+        marked = np.zeros((ncells + 2, ncells + 2), dtype=bool)
+        marked[outside // ncells + 1, outside % ncells + 1] = True
+        near = np.zeros((ncells, ncells), dtype=bool)
+        for dx in range(3):
+            for dy in range(3):
+                near |= marked[dx:dx + ncells, dy:dy + ncells]
+        keep = np.flatnonzero(near.ravel()[cell])
+        # keep ascends, so keep[min(a, b)] is the smaller endpoint.
+        lightest = [
+            _lightest(keep[np.minimum(a, b)], keep[np.maximum(a, b)],
+                      xs, ys, label)
+            for a, b in _disk_pairs(xs[keep], ys[keep], r)
+        ]
+        u, v = _lightest(*map(np.concatenate, zip(*lightest)),
+                         xs, ys, label)
+        for pair, cu, cv in zip(zip(u.tolist(), v.tolist()),
+                                label[u].tolist(), label[v].tolist()):
+            ru, rv = _root(parent, cu), _root(parent, cv)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append(pair)
+        label = np.array([_root(parent, c) for c in range(len(parent))],
+                         dtype=np.int64)[label]
+        r *= 2.0
+    return chosen
 
 
-class PointIndex:
-    """A cell grid over a fixed point set for exact nearest queries.
+def _lightest(u: np.ndarray, v: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+              label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of the pairs ``(u, v)``, u < v, that join two sets of ``label``,
+    the first in ``(d2, u, v)`` order of each set pair, in that order.
+    Kruskal rejects every other pair (the first merges the two sets),
+    so a pass keeps memory to one pair per neighbouring set pair."""
+    cross = label[u] != label[v]
+    u, v = u[cross], v[cross]
+    d2 = (xs[u] - xs[v]) ** 2
+    d2 += (ys[u] - ys[v]) ** 2
+    pair = np.minimum(label[u], label[v]) * len(label)
+    pair += np.maximum(label[u], label[v])
+    order = np.lexsort((v, u, d2, pair))
+    order = order[np.unique(pair[order], return_index=True)[1]]
+    order = order[np.lexsort((v[order], u[order], d2[order]))]
+    return u[order], v[order]
 
-    Built once per bridging iteration over the (large) base component;
-    :meth:`nearest` then answers each small component's closest-pair
-    query by expanding cell rings outward from the query instead of
-    scanning all of the base.  Results — value *and* tie-break — are
-    identical to :func:`nearest_pair`: distances are the same IEEE ops,
-    ring pruning uses a strict lower bound so exact ties are never cut
-    off, and ties resolve to the smallest base index, then the smallest
-    query index (row-major first-minimum order).
-    """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = xs
-        self.ys = ys
-        nb = len(xs)
-        self.x0 = float(xs.min())
-        self.y0 = float(ys.min())
-        extent = max(float(xs.max()) - self.x0, float(ys.max()) - self.y0)
-        # ~1 point per cell at uniform density; degenerate (all points
-        # coincident) collapses to a single cell.
-        self.cell = extent / max(1.0, math.sqrt(nb)) or 1.0
-        self.ncx = min(nb, int(extent / self.cell) + 1)
-        self.ncy = self.ncx
-        cx = np.minimum(
-            ((xs - self.x0) / self.cell).astype(np.int64), self.ncx - 1
-        )
-        cy = np.minimum(
-            ((ys - self.y0) / self.cell).astype(np.int64), self.ncy - 1
-        )
-        keys = cx * self.ncy + cy
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-        # Buckets hold ascending base indices (stable sort over arange),
-        # which is what makes the min-index tie-break cheap.  Each split
-        # segment holds original point indices sharing one cell key.
-        self._buckets = {
-            int(keys[seg[0]]): seg
-            for seg in np.split(order, boundaries)
-            if len(seg)
-        }
-
-    def _nearest_one(self, qx: float, qy: float) -> tuple[float, int]:
-        """Exact nearest base point to ``(qx, qy)``: (d2, min base index
-        among exact-d2 ties)."""
-        cell = self.cell
-        qcx = min(max(int((qx - self.x0) / cell), 0), self.ncx - 1)
-        qcy = min(max(int((qy - self.y0) / cell), 0), self.ncy - 1)
-        best_d2 = math.inf
-        best_u = -1
-        max_ring = max(self.ncx, self.ncy)
-        for ring in range(max_ring + 1):
-            # Any cell at Chebyshev ring k is at least (k-1)*cell away
-            # from the query (valid for clipped/outside queries too:
-            # projection onto the grid box only shrinks distances).
-            if best_u >= 0 and ((ring - 1) * cell) ** 2 > best_d2:
-                break
-            for ccx, ccy in self._ring_cells(qcx, qcy, ring):
-                pts = self._buckets.get(ccx * self.ncy + ccy)
-                if pts is None:
-                    continue
-                d2 = (self.xs[pts] - qx) ** 2
-                d2 += (self.ys[pts] - qy) ** 2
-                m = float(d2.min())
-                if m < best_d2:
-                    best_d2 = m
-                    best_u = int(pts[d2 == m][0])
-                elif m == best_d2:
-                    best_u = min(best_u, int(pts[d2 == m][0]))
-        return best_d2, best_u
-
-    def _ring_cells(self, qcx: int, qcy: int, ring: int):
-        """In-bounds cells at exactly Chebyshev distance ``ring``."""
-        if ring == 0:
-            yield qcx, qcy
-            return
-        lo_x, hi_x = qcx - ring, qcx + ring
-        lo_y, hi_y = qcy - ring, qcy + ring
-        for ccx in range(max(lo_x, 0), min(hi_x, self.ncx - 1) + 1):
-            on_x_edge = ccx == lo_x or ccx == hi_x
-            for ccy in range(max(lo_y, 0), min(hi_y, self.ncy - 1) + 1):
-                if on_x_edge or ccy == lo_y or ccy == hi_y:
-                    yield ccx, ccy
-
-    def nearest(
-        self, ox: np.ndarray, oy: np.ndarray
-    ) -> tuple[float, int, int]:
-        """Closest (base, query) pair — :func:`nearest_pair`'s contract."""
-        best: tuple[float, int, int] | None = None
-        for v_index in range(len(ox)):
-            d2, u = self._nearest_one(float(ox[v_index]), float(oy[v_index]))
-            if (
-                best is None
-                or d2 < best[0]
-                or (d2 == best[0] and u < best[1])
-            ):
-                best = (d2, u, v_index)
-        return best
+def _root(parent: list[int], c: int) -> int:
+    """Union-find root of ``c``, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = parent[parent[c]]
+        c = parent[c]
+    return c

@@ -9,12 +9,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.rng import SeedTree
 from repro.experiments.fastpath import check_grid_identity
-from repro.graphs.spatial import (
-    PointIndex,
-    disk_csr,
-    disk_edges_blocked,
-    nearest_pair,
-)
+from repro.graphs import spatial
+from repro.graphs.spatial import disk_csr, disk_edges_blocked
 from repro.graphs.dynamic import (
     TAU_INFINITY,
     GeometricMobilityGraph,
@@ -242,6 +238,8 @@ class TestPeriodicRewire:
             PeriodicRewireGraph.resampled_gnp(8, 0.5, tau=0, seed=0)
         with pytest.raises(ConfigurationError):
             PeriodicRewireGraph.resampled_gnp(8, 0.5, tau=1.5, seed=0)
+        with pytest.raises(ConfigurationError):  # a bool is not an int
+            PeriodicRewireGraph.resampled_gnp(8, 0.5, tau=True, seed=0)
 
     @pytest.mark.parametrize("dynamic", [
         {"kind": "resampled_regular", "tau": 2, "degree": 3},
@@ -328,30 +326,11 @@ class TestGeometricMobility:
             GeometricMobilityGraph(n=10, radius=0.3, step=2.0, tau=1, seed=1)
 
     def test_bridging_matches_reference_loop(self):
-        # Pin the vectorized nearest-pair bridging against the original
-        # pure-Python quadruple loop: identical bridge edges (including
-        # tie-break order) on meshes fragmented enough to need several.
-        def reference_bridges(g, positions):
-            bridges = []
-            components = [list(c) for c in nx.connected_components(g)]
-            while len(components) > 1:
-                base = components[0]
-                best = None
-                for other_idx, other in enumerate(components[1:], start=1):
-                    for u in base:
-                        xu, yu = positions[u]
-                        for v in other:
-                            xv, yv = positions[v]
-                            d = (xu - xv) ** 2 + (yu - yv) ** 2
-                            if best is None or d < best[0]:
-                                best = (d, u, v, other_idx)
-            # reference adds the edge, records it, merges, repeats
-                _, u, v, other_idx = best
-                g.add_edge(u, v)
-                bridges.append((u, v))
-                base.extend(components.pop(other_idx))
-            return bridges
-
+        # Pin the spanning-tree bridging against the original
+        # pure-Python Prim loop: identical bridge edges on meshes
+        # fragmented enough to need several.  Compared as sets: the
+        # order bridges are chosen in is not observable (bridges_added
+        # is their count, and from_edge_lists sorts the edges).
         for seed in (1, 2, 3, 9):
             dg = GeometricMobilityGraph(n=30, radius=0.12, step=0.05,
                                         tau=1, seed=seed, bridge=False)
@@ -366,7 +345,7 @@ class TestGeometricMobility:
                 expected = reference_bridges(graph, positions)
                 assert len(expected) > 0
                 actual = dg._bridges(raw, positions[:, 0], positions[:, 1])
-                assert actual == expected
+                assert edge_set(actual) == edge_set(expected)
 
     def test_fragmented_gnp_runs_on_both_engine_paths(self):
         # require_connected=False: the first sample stands, fragments and
@@ -440,6 +419,36 @@ class TestGeometricMobility:
             not nx.is_connected(dg.graph_at(r)) for r in range(1, 6)
         )
         assert dg.bridges_added == 0
+
+
+def reference_bridges(g, positions):
+    """The Prim loop bridging ran before the spanning tree: the
+    component holding vertex 0 absorbs, one at a time, the component
+    with the closest pair to it (first strict minimum, base members
+    outer), adding that pair to ``g``.  Returns the bridges in the
+    order chosen."""
+    bridges = []
+    components = [list(c) for c in nx.connected_components(g)]
+    while len(components) > 1:
+        base = components[0]
+        best = None
+        for other_idx, other in enumerate(components[1:], start=1):
+            for u in base:
+                xu, yu = positions[u]
+                for v in other:
+                    xv, yv = positions[v]
+                    d = (xu - xv) ** 2 + (yu - yv) ** 2
+                    if best is None or d < best[0]:
+                        best = (d, u, v, other_idx)
+        _, u, v, other_idx = best
+        g.add_edge(u, v)
+        bridges.append((u, v))
+        base.extend(components.pop(other_idx))
+    return bridges
+
+
+def edge_set(edges):
+    return frozenset(tuple(sorted(edge)) for edge in edges)
 
 
 def reference_motion(seed, n, step, epochs):
@@ -593,46 +602,119 @@ class TestSpatialGridIdentity:
         assert check_grid_identity() == []
 
 
-class TestPointIndex:
+def disk_graph(xs, ys, radius):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(xs)))
+    graph.add_edges_from(zip(*(side.tolist() for side in
+                               disk_edges_blocked(xs, ys, radius))))
+    return graph
+
+
+def component_labels(graph):
+    label = np.empty(graph.number_of_nodes(), dtype=np.int64)
+    for component, members in enumerate(nx.connected_components(graph)):
+        label[list(members)] = component
+    return label
+
+
+def bridged_bytes(xs, ys, radius, bridges):
+    u, v = disk_edges_blocked(xs, ys, radius)
+    bu, bv = np.array(bridges, dtype=np.int64).reshape(-1, 2).T
+    rows = np.concatenate([u, v, bu, bv])
+    cols = np.concatenate([v, u, bv, bu])
+    return csr_bytes(CSRAdjacency.from_edge_lists(rows, cols, len(xs)))
+
+
+class TestBridges:
+    """``spatial.bridges`` — Kruskal over the disk grid's cross pairs —
+    picks the Prim loop's bridges."""
+
     @staticmethod
-    def _points(seed, nb=150, nq=40):
+    def cloud(seed, clustered):
         rng = np.random.default_rng(seed)
-        return (rng.random(nb), rng.random(nb),
-                rng.random(nq), rng.random(nq))
+        n = int(rng.integers(8, 161))
+        if not clustered:
+            return rng.random(n), rng.random(n)
+        centers = rng.random((int(rng.integers(2, 7)), 2))
+        points = centers[rng.integers(0, len(centers), n)]
+        points = np.clip(points + rng.normal(0.0, 0.05, (n, 2)), 0.0, 1.0)
+        return points[:, 0].copy(), points[:, 1].copy()
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_prim_loop(self, seed, clustered):
+        xs, ys = self.cloud(seed, clustered)
+        for radius in (0.06, 0.12, 0.25):
+            graph = disk_graph(xs, ys, radius)
+            label = component_labels(graph)
+            actual = spatial.bridges(xs, ys, radius, label)
+            expected = reference_bridges(graph, list(zip(xs, ys)))
+            assert len(actual) == int(label.max())
+            assert edge_set(actual) == edge_set(expected)
+            assert bridged_bytes(xs, ys, radius, actual) == \
+                bridged_bytes(xs, ys, radius, expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_dense_nearest_pair(self, seed):
-        bx, by, ox, oy = self._points(seed)
-        assert PointIndex(bx, by).nearest(ox, oy) == \
-               nearest_pair(bx, by, ox, oy)
+    def test_lattice_ties_give_a_minimum_spanning_tree(self, seed):
+        # Lattice coordinates: coincident points and many exact-distance
+        # ties, where the choice of tree may differ but not its weight.
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, 9, 70) / 8.0
+        ys = rng.integers(0, 9, 70) / 8.0
+        radius = 0.1
+        graph = disk_graph(xs, ys, radius)
+        label = component_labels(graph)
+        actual = spatial.bridges(xs, ys, radius, label)
+        assert len(actual) == int(label.max()) > 0
+        bridged = disk_graph(xs, ys, radius)
+        bridged.add_edges_from(actual)
+        assert nx.is_connected(bridged)
 
-    def test_tie_break_matches_dense(self):
-        # Lattice coordinates: many exact-distance ties; the index must
-        # reproduce np.argmin's row-major first-minimum choice.
-        rng = np.random.default_rng(5)
-        bx = rng.integers(0, 6, 80) / 6.0
-        by = rng.integers(0, 6, 80) / 6.0
-        ox = rng.integers(0, 6, 30) / 6.0
-        oy = rng.integers(0, 6, 30) / 6.0
-        assert PointIndex(bx, by).nearest(ox, oy) == \
-               nearest_pair(bx, by, ox, oy)
+        def weight(edges):
+            return math.fsum((xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2
+                             for u, v in edges)
 
-    def test_queries_outside_base_bounding_box(self):
-        rng = np.random.default_rng(9)
-        bx = rng.random(100) * 0.25          # base in [0, 0.25]^2
-        by = rng.random(100) * 0.25
-        ox = 0.7 + rng.random(20) * 0.3      # queries far outside
-        oy = 0.7 + rng.random(20) * 0.3
-        assert PointIndex(bx, by).nearest(ox, oy) == \
-               nearest_pair(bx, by, ox, oy)
+        expected = reference_bridges(graph, list(zip(xs, ys)))
+        assert weight(actual) == weight(expected)
 
-    def test_degenerate_coincident_base(self):
-        bx = np.full(10, 0.5)
-        by = np.full(10, 0.5)
-        ox = np.array([0.1, 0.9])
-        oy = np.array([0.2, 0.8])
-        assert PointIndex(bx, by).nearest(ox, oy) == \
-               nearest_pair(bx, by, ox, oy)
+    def test_a_tie_goes_to_the_smallest_d2_u_v(self):
+        # Components {0, 1} and {2, 3}; the cross pairs (0, 3) and
+        # (1, 2) are both exactly 0.25 apart, the others farther.
+        xs = np.array([0.25, 0.25, 0.5, 0.5])
+        ys = np.array([0.25, 0.375, 0.375, 0.25])
+        label = np.array([0, 0, 1, 1])
+        assert spatial.bridges(xs, ys, 0.15, label) == [(0, 3)]
+        # Components {0}, {1}, {2, 3}: (0, 1), (0, 3) and (1, 2) are
+        # all sqrt(17)/8 apart, a cycle over the three; (d2, v, u)
+        # order would drop (0, 3) instead of (1, 2).
+        xs = np.array([2, 1, 5, 6]) / 8.0
+        ys = np.array([2, 6, 5, 3]) / 8.0
+        label = np.array([0, 1, 2, 2])
+        assert spatial.bridges(xs, ys, 0.3, label) == [(0, 1), (0, 3)]
+
+    def test_one_component_needs_no_bridge(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        assert spatial.bridges(xs, xs, 0.2, np.zeros(3, np.int64)) == []
+
+    def test_a_tiny_radius_keeps_the_cell_grid_small(self, monkeypatch):
+        # Radius 1e-4 would mean 10^4 cells a side; the grid stays at
+        # isqrt(n) a side while the radius doubles up to the gaps.
+        grids = []
+        cells = spatial._cells
+
+        def recording(xs, ys, radius):
+            ncells, cell = cells(xs, ys, radius)
+            grids.append(ncells)
+            return ncells, cell
+
+        monkeypatch.setattr(spatial, "_cells", recording)
+        rng = np.random.default_rng(4)
+        xs, ys = rng.random(50), rng.random(50)
+        actual = spatial.bridges(xs, ys, 1e-4, np.arange(50))
+        assert len(actual) == 49 and max(grids) <= math.isqrt(50)
+        bridged = disk_graph(xs, ys, 1e-4)
+        bridged.add_edges_from(actual)
+        assert nx.is_connected(bridged)
 
 
 class TestGeometricGridPaths:
@@ -653,19 +735,6 @@ class TestGeometricGridPaths:
         for r in range(1, 8):
             assert edges_at(via_blocked, r) == expected[r]
         assert via_blocked.bridges_added == via_grid.bridges_added
-
-    def test_bridge_point_index_matches_dense(self, monkeypatch):
-        params = dict(n=48, radius=0.1, step=0.05, tau=1, seed=3)
-        dense = GeometricMobilityGraph(**params)
-        expected = {r: edges_at(dense, r) for r in range(1, 6)}
-        assert dense.bridges_added > 0
-
-        # Force every bridging nearest-pair query through PointIndex.
-        monkeypatch.setattr(GeometricMobilityGraph, "_BRIDGE_DENSE_MAX", 0)
-        indexed = GeometricMobilityGraph(**params)
-        for r in range(1, 6):
-            assert edges_at(indexed, r) == expected[r]
-        assert indexed.bridges_added == dense.bridges_added
 
     def test_unbridged_csr_matches_blocked_reference(self):
         dg = GeometricMobilityGraph(n=30, radius=0.3, step=0.05, tau=2,

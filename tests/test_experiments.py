@@ -90,6 +90,15 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec.from_payload(dict(tiny_base(), seed=1, wat=True))
 
+    @pytest.mark.parametrize("block", [
+        {"dynamic": {"kind": "relabeling", "tau": True}},
+        {"instance": {"kind": "uniform", "k": True}},
+        {"instance": {"kind": "skewed", "k": True}},
+    ])
+    def test_a_bool_is_not_an_integer(self, block):
+        with pytest.raises(ConfigurationError):
+            execute_run(dict(tiny_base(**block), seed=1))
+
 
 class TestBuilders:
     def test_build_topology(self):

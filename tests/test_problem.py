@@ -80,6 +80,10 @@ class TestUniformInstance:
             uniform_instance(n=5, k=6, seed=0)
         with pytest.raises(ConfigurationError):
             uniform_instance(n=5, k=0, seed=0)
+        with pytest.raises(ConfigurationError):  # a bool is not an int
+            uniform_instance(n=5, k=True, seed=0)
+        with pytest.raises(ConfigurationError):
+            skewed_instance(n=5, k=True, seed=0)
 
 
 class TestEveryoneStarts:

@@ -95,3 +95,15 @@ class TestDiskCsrDifferential:
         fused = disk_csr(xs, ys, 1e-6)
         assert fused.indptr.tolist() == [0, 1, 2, 2, 2]
         assert fused.indices.tolist() == [1, 0]
+
+    def test_crowded_cells_take_fewer_sources_per_pass(self, monkeypatch):
+        # 400 points in 2 x 2 cells: each source meets ~5 * 100
+        # candidates, so a 4000-candidate budget is 8 sources a pass.
+        rng = np.random.default_rng(5)
+        xs, ys = rng.random(400), rng.random(400)
+        monkeypatch.setattr(spatial, "_CHUNK_CANDIDATES", 4000)
+        passes = list(spatial._disk_pairs(xs, ys, 0.5))
+        assert len(passes) == 1 + 400 // 8  # after the leading empty pair
+        assert max(len(a) for a, _ in passes) <= 8 * 400
+        assert disk_csr(xs, ys, 0.5).same_structure(
+            reference_csr(xs, ys, 0.5))
