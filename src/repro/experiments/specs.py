@@ -17,10 +17,12 @@ give stable content hashes used as cache keys.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 from repro.asynchrony.timing import build_timing
@@ -28,7 +30,7 @@ from repro.core.problem import GossipInstance
 from repro.core.runner import coverage_gauge, potential_gauge
 from repro.errors import ConfigurationError
 from repro.graphs.dynamic import DynamicGraph
-from repro.graphs.topologies import Topology
+from repro.graphs.topologies import _MAX_N, Topology
 from repro.registry import (
     ALGORITHM_REGISTRY,
     DYNAMICS_REGISTRY,
@@ -61,6 +63,39 @@ _ENGINE_KEYS = frozenset(
 NAMED_GAUGES = {"coverage": coverage_gauge, "potential": potential_gauge}
 
 _TELEMETRY_KEYS = frozenset({"enabled", "stream"})
+
+#: A floor on what one vertex costs a run, in bytes.  A built run holds
+#: about 1 KiB per vertex (BlindMatch and SharedBit on ``ring_expander``
+#: at n = 2·10^5, two rounds: 0.9–1.1 KiB of peak RSS each), so a size
+#: whose floor already exceeds physical memory cannot run.
+VERTEX_BYTES_FLOOR = 256
+
+
+@functools.cache
+def physical_memory() -> int | None:
+    """This machine's physical memory in bytes, None where the platform
+    does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_size_fits(n) -> None:
+    """Refuse a vertex count whose footprint floor exceeds physical
+    memory, before anything is allocated: such a run would end in a raw
+    ``MemoryError``, or page until it is killed.  A count past int64
+    vertex ids is left to the topology, whose refusal names that."""
+    limit = physical_memory()
+    if type(n) is not int or n > _MAX_N or limit is None:
+        return
+    need = n * VERTEX_BYTES_FLOOR
+    if need > limit:
+        raise ConfigurationError(
+            f"graph.params.n={n} needs at least {need / 2**30:,.1f} GiB "
+            f"({VERTEX_BYTES_FLOOR} B per vertex), more than the "
+            f"{limit / 2**30:,.1f} GiB of physical memory here"
+        )
 
 
 def canonical_json(payload) -> str:
@@ -186,6 +221,9 @@ class RunSpec:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
             )
+        params = self.graph.get("params")
+        if isinstance(params, dict):
+            check_size_fits(params.get("n"))
         if self.engine:
             unknown = set(self.engine) - _ENGINE_KEYS
             if unknown:

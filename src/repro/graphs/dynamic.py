@@ -486,33 +486,41 @@ class GeometricMobilityGraph(DynamicGraph):
         minimum spanning tree over components by nearest-pair distance
         (:func:`repro.graphs.spatial.bridges`), pinned by
         tests/test_dynamic.py against the Prim loop it replaced."""
-        label = np.empty(self.n, dtype=np.int64)
-        for component, members in enumerate(_components(csr)):
-            label[members] = component
-        return spatial.bridges(xs, ys, self.radius, label)
+        return spatial.bridges(xs, ys, self.radius, _component_labels(csr))
 
 
-def _components(csr) -> list[list[int]]:
-    """The snapshot's connected components, by breadth-first walk in
-    vertex order: ordered by smallest vertex, members ascending — the
-    components ``nx.connected_components`` yields on the same graph."""
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
-    seen = [False] * csr.n
-    components = []
-    for root in range(csr.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        members = [root]
-        for vertex in members:  # the list grows as the walk's queue
-            for neighbor in indices[indptr[vertex]:indptr[vertex + 1]]:
-                if not seen[neighbor]:
-                    seen[neighbor] = True
-                    members.append(neighbor)
-        members.sort()
-        components.append(members)
-    return components
+def _component_labels(csr) -> np.ndarray:
+    """Each vertex's connected component in the snapshot, components
+    numbered by smallest vertex — the order ``nx.connected_components``
+    yields them on the same graph.
+
+    Hook and shortcut over the CSR rows: each vertex reads the smallest
+    parent among itself and its neighbors (one ``minimum.reduceat``),
+    hooks its parent's root onto it, then pointer jumping flattens the
+    forest into stars.  A parent only ever points at a smaller vertex
+    of the same component, so when no hook moves anything every
+    component is one star whose root is its smallest vertex."""
+    parent = np.arange(csr.n, dtype=np.int64)
+    indices = csr.indices
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    starts = csr.indptr[rows]
+    while True:
+        low = parent.copy()
+        if rows.size:
+            low[rows] = np.minimum(
+                parent[rows], np.minimum.reduceat(parent[indices], starts)
+            )
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, parent):
+            break
+        parent = hooked
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def ring_expander_graph(n: int, degree: int = 6, seed: int = 0,

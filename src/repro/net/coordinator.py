@@ -11,6 +11,18 @@ here only: ``propose`` carries each visible neighbor's address and
 ``connect`` the responder's, so a server holds its node and nothing
 else.
 
+A round costs the coordinator ``n·[b > 0] + n + |targets| + |matches|``
+requests: an ``advertise`` per node when the run's tag length ``b`` is
+positive, a ``propose`` per node, a ``resolve`` per target a proposal
+reached and a ``connect`` per match.  With b = 0 (BlindMatch) there is
+no tag to read before proposing, so the scan is not a fan-out of its
+own: each node's scan runs inside its ``propose`` request.  The server
+runs scan before propose for every node, whatever b is (a b ≥ 1
+propose finds its scan already done), so each node's hooks run in
+model order either way; only the order *across* nodes changes, and
+with nothing advertised one node's scan cannot reach another's
+proposal.
+
 The coordinator drives rounds; it does not decide them.  Who is awake,
 who crashes and which accepted connections survive are answered by the
 run's one :class:`~repro.net.chaos.FaultPlan`, which reads the fault
@@ -53,7 +65,11 @@ Robustness (the chaos-hardening layer):
   masked rounds (a planned-down node is served in-process); an
   interdicted match is really attempted, and its transport failure is
   classified as a dropped connection.  Unplanned failures still flow
-  through the suspect machinery.
+  through the suspect machinery.  With b = 0 a peer that fails its own
+  ``propose`` is found out mid-round rather than at Stage 1: it stays
+  in the views of the vertices asked before it, whose proposals to it
+  come back ``delivered: false`` — lost proposals, as the round already
+  counts them.
 """
 
 from __future__ import annotations
@@ -203,6 +219,9 @@ class Coordinator:
         self.instance = instance
         self.seed = seed
         self.config = prepared.config
+        #: The run's tag length: with b = 0 there is no tag to read, so
+        #: a round sends no Stage-1 request (``run_round``).
+        self.b = prepared.b
         self.acceptance = acceptance
         self.round_duration = round_duration
         self.termination_every = termination_every
@@ -247,7 +266,8 @@ class Coordinator:
         ]
         self._round = 0     # the round being driven
         #: The last closed round's cluster view (round, suspects,
-        #: active, n): the next round's ``advertise`` carries it.
+        #: active, n): the next round's first request to each node
+        #: (``advertise``, or ``propose`` when b = 0) carries it.
         self._status: dict | None = None
         self.trace = NetTrace(sample_every=trace_sample_every)
         self.match_stream: list[tuple] = []
@@ -482,24 +502,32 @@ class Coordinator:
         # is genuinely down.  A vertex that stops answering is
         # suspected and the round continues without it.  The previous
         # round's cluster view rides along: telemetry the model does
-        # not contain gets no request of its own.
+        # not contain gets no request of its own.  With b = 0 there is
+        # no tag to read: every vertex up at round start has tag 0, and
+        # each scans inside its own propose request below.
         rider = {} if self._status is None else {"status": self._status}
-        tags: dict[int, int] = {}
-        for vertex in range(n):
-            reply = self._reach(vertex, {
-                "op": "advertise",
-                "round": rnd,
-                "neighbors": [uid_of(nb) for nb in visible[vertex]],
-                **rider,
-            })
-            if reply is not None:
-                tags[uid_of(vertex)] = reply["tag"]
+        if self.b:
+            tags: dict[int, int] = {}
+            for vertex in range(n):
+                reply = self._reach(vertex, {
+                    "op": "advertise",
+                    "round": rnd,
+                    "neighbors": [uid_of(nb) for nb in visible[vertex]],
+                    **rider,
+                })
+                if reply is not None:
+                    tags[uid_of(vertex)] = reply["tag"]
+            rider = {}
+        else:
+            tags = {uid_of(vertex): 0 for vertex in range(n) if up(vertex)}
 
         # Stage 2a — propose.  Sequential on purpose: each server
         # delivers its proposal peer-to-peer before the next runs, so
         # proposal sends can never form a waiting cycle.  Views carry
-        # only neighbors that actually advertised this round, each with
-        # the address its proposal goes to.
+        # only neighbors that have a tag this round, each with the
+        # address its proposal goes to.  A vertex suspected here leaves
+        # the views of those asked after it; those asked before it
+        # proposed to it undelivered, a lost proposal.
         proposal_count = 0
         targets: set[int] = set()
         for vertex in range(n):
@@ -508,10 +536,12 @@ class Coordinator:
                 for nb in visible[vertex]
                 if uid_of(nb) in tags
             ]
-            reply = self._reach(
-                vertex, {"op": "propose", "round": rnd, "views": views}
-            )
-            if reply is not None and reply["target"] is not None:
+            reply = self._reach(vertex, {
+                "op": "propose", "round": rnd, "views": views, **rider,
+            })
+            if reply is None:
+                tags.pop(uid_of(vertex), None)
+            elif reply["target"] is not None:
                 proposal_count += 1
                 if reply.get("delivered"):
                     targets.add(int(reply["target"]))
@@ -618,8 +648,9 @@ class Coordinator:
         The coordinator is not itself an endpoint, so ``repro-gossip
         top`` — which polls one *server's* ``metrics`` op — learns the
         cluster round and suspect count only from the coordinator.
-        During a run the view rides on the next round's ``advertise``;
-        this push is for the last one, which has no next round.
+        During a run the view rides on the next round's first request
+        to each node (``advertise``, or ``propose`` when b = 0); this
+        push is for the last one, which has no next round.
         Single-shot and failure-tolerant: telemetry is never worth a
         retry or a suspicion.
         """

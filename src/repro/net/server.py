@@ -13,10 +13,13 @@ op          meaning
 ========== ==========================================================
 advertise   run the node's scan-stage hook, reply with its b-bit tag
             (an optional ``"status"`` key carries the coordinator's
-            view of the previous round, stored as ``status`` would)
-propose     run the propose hook over this round's views — each
-            ``[uid, tag, host, port]`` — and deliver the proposal to
-            the target's address peer-to-peer
+            view of the previous round, stored as ``status`` would);
+            sent only when b > 0
+propose     run the scan hook if this round's has not run (always,
+            when b = 0), then the propose hook over this round's
+            views — each ``[uid, tag, host, port]`` — and deliver the
+            proposal to the target's address peer-to-peer (carries
+            the ``"status"`` rider when b = 0)
 proposal    (peer-to-peer) record an incoming proposal for a round
 resolve     proposee-enforced acceptance over the round's inbox —
             exactly ``resolve_proposals`` semantics (proposals to
@@ -37,8 +40,15 @@ robustness counters) and answers ``metrics`` with a one-shot status
 snapshot — round progress, visible-neighbor count, inbox depth,
 retry/timeout counters, latency quantiles, plus the cluster-level view
 (round, suspect count) the coordinator last sent, as the ``"status"``
-rider of an ``advertise`` or as a ``status`` op of its own — which is
-what ``repro-gossip top`` polls.
+rider of an ``advertise`` (of a ``propose`` when b = 0) or as a
+``status`` op of its own — which is what ``repro-gossip top`` polls.
+
+Scan before propose is the server's invariant, not the caller's: a
+node's scan hook runs exactly once per round and before its propose
+hook, whether an ``advertise`` ran it (b > 0: the coordinator's Stage 1
+fan-out) or the ``propose`` request did (b = 0: nothing to advertise,
+so no Stage-1 request; a round costs the coordinator n + |targets| +
+|matches| requests instead of 2n + |targets| + |matches|).
 
 Lock discipline: the node lock is **never held across an outbound
 network call**.  ``propose`` computes the target under the lock, then
@@ -264,7 +274,7 @@ class PeerServer:
         #: never finishes its frame cannot pin a handler thread forever.
         self.handler_timeout = max(4 * request_timeout, 10.0)
         self.retry_policy = retry
-        #: How many neighbors the last ``advertise`` named visible.
+        #: How many neighbors the last scan named visible.
         self._visible = 0
         self._lottery = acceptance_lottery(seed)
         # Backoff jitter draws from a dedicated subtree: robustness
@@ -589,9 +599,9 @@ class PeerServer:
         cluster context — the coordinator is not itself a server, so
         ``repro-gossip top`` needs some peer to relay its view.  It
         arrives as the ``"status"`` rider of the next round's
-        ``advertise`` (and once, as its own op, when a run ends), so
-        it is checked here: a malformed view is this op's error, not
-        something ``top`` trips over later.
+        ``advertise`` or, when b = 0, ``propose`` (and once, as its own
+        op, when a run ends), so it is checked here: a malformed view is
+        this op's error, not something ``top`` trips over later.
         """
         if not isinstance(msg, dict):
             raise ProtocolError(
@@ -616,9 +626,10 @@ class PeerServer:
 
         ``round`` is the highest round any op has named to this node;
         ``cluster`` is the coordinator's last view (empty until round
-        two's ``advertise`` brings round one's; during a run it trails
-        ``round`` by one).  ``latency`` carries the connect-latency
-        histogram's exact count/sum/min/max plus windowed p50/p99.
+        two's ``advertise`` — ``propose`` when b = 0 — brings round
+        one's; during a run it trails ``round`` by one).  ``latency``
+        carries the connect-latency histogram's exact count/sum/min/max
+        plus windowed p50/p99.
         """
         with self._lock:
             inbox_depth = sum(
@@ -640,15 +651,23 @@ class PeerServer:
 
     def _op_advertise(self, msg: dict) -> dict:
         rnd = int(msg["round"])
+        self._take_status(msg)
+        return self._scan(
+            rnd, tuple(int(u) for u in msg.get("neighbors", ()))
+        )
+
+    def _take_status(self, msg: dict) -> None:
+        """Store the previous round's cluster view, if ``msg`` carries
+        one as its ``"status"`` rider instead of costing a request of its
+        own.  Stored outside the reply cache: a retried round op
+        re-stores the same view and still never re-runs a hook."""
         if "status" in msg:
-            # The previous round's cluster view rides here instead of
-            # costing its own request.  Stored outside the reply cache:
-            # a retried advertise re-stores the same view and still
-            # never re-runs the hook.
             self._op_status(msg["status"])
 
+    def _scan(self, rnd: int, neighbor_uids: tuple[int, ...]) -> dict:
+        """Run round ``rnd``'s scan hook at most once: ``{"tag": ...}``."""
+
         def compute():
-            neighbor_uids = tuple(int(u) for u in msg.get("neighbors", ()))
             with self._lock:
                 self._visible = len(neighbor_uids)
                 tag = int(self.node.advertise(rnd, neighbor_uids))
@@ -666,14 +685,22 @@ class PeerServer:
         proposal to the address the target's view carries.  A target
         outside the views breaks the model's neighbor rule, as it does
         in the simulator; an undeliverable proposal is lost, the round
-        is not (``delivered: false``)."""
+        is not (``delivered: false``).
+
+        Scan comes first: the round's scan hook runs here, over the
+        views' UIDs, unless an ``advertise`` already ran it (b ≥ 1;
+        the op cache answers).  With b = 0 the coordinator sends no
+        ``advertise``, so this is where the scan runs, and where the
+        cluster view rides."""
         rnd = int(msg["round"])
+        self._take_status(msg)
 
         def compute():
             views, addresses = [], {}
             for uid, tag, host, port in msg.get("views", ()):
                 views.append(NeighborView(uid=int(uid), tag=int(tag)))
                 addresses[int(uid)] = (host, port)
+            self._scan(rnd, tuple(view.uid for view in views))
             with self._lock:
                 target = self.node.propose(rnd, tuple(views))
                 self._proposed[rnd] = target

@@ -17,7 +17,7 @@ from repro.graphs.dynamic import (
     PeriodicRewireGraph,
     RelabelingAdversary,
     StaticDynamicGraph,
-    _components,
+    _component_labels,
     dynamic_expansion_estimate,
     dynamic_max_degree,
 )
@@ -337,15 +337,42 @@ class TestGeometricMobility:
             for r in (1, 4, 7):
                 raw = dg.csr_at(r)
                 graph = dg.graph_at(r)
-                # BFS components: nx's, ordered by smallest vertex.
-                assert _components(raw) == [
-                    sorted(c) for c in nx.connected_components(graph)
-                ]
+                # Component labels: nx's components, numbered by
+                # smallest vertex.
+                assert np.array_equal(_component_labels(raw),
+                                      component_labels(graph))
                 positions = dg.positions_at(dg.epoch_of(r))
                 expected = reference_bridges(graph, positions)
                 assert len(expected) > 0
                 actual = dg._bridges(raw, positions[:, 0], positions[:, 1])
                 assert edge_set(actual) == edge_set(expected)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_component_labels_match_networkx(self, seed):
+        """Hook and shortcut against ``nx.connected_components`` on
+        sparse random graphs: isolated vertices (the last rows empty
+        included), shuffled long paths (the deepest forests) and no
+        edges at all."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        if seed % 3 == 0:
+            order = rng.permutation(n)
+            cut = set(rng.integers(0, n, 3).tolist())
+            graph.add_edges_from(
+                (int(order[i]), int(order[i + 1]))
+                for i in range(n - 1) if i not in cut)
+        elif seed % 3 == 1:
+            m = int(rng.integers(0, n))
+            graph.add_edges_from(
+                (int(u), int(v)) for u, v in rng.integers(0, n, (m, 2))
+                if u != v)
+        graph.remove_edges_from([(u, v) for u, v in graph.edges
+                                 if max(u, v) >= n - 2])
+        csr = CSRAdjacency.from_graph(graph)
+        assert np.array_equal(_component_labels(csr),
+                              component_labels(graph))
 
     def test_fragmented_gnp_runs_on_both_engine_paths(self):
         # require_connected=False: the first sample stands, fragments and

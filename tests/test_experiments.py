@@ -29,6 +29,7 @@ from repro.experiments import (
     run_hash,
     run_sweep,
 )
+from repro.experiments import specs as specs_module
 from repro.experiments.results import RESULT_FORMAT
 from repro.graphs.dynamic import (
     RelabelingAdversary,
@@ -98,6 +99,25 @@ class TestRunSpec:
     def test_a_bool_is_not_an_integer(self, block):
         with pytest.raises(ConfigurationError):
             execute_run(dict(tiny_base(**block), seed=1))
+
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    def test_a_size_beyond_physical_memory_is_refused(self, n, monkeypatch):
+        monkeypatch.setattr(specs_module, "physical_memory",
+                            lambda: 8 * 2**30)
+        with pytest.raises(ConfigurationError,
+                           match=rf"n={n} needs at least [\d,.]+ GiB "
+                                 r"\(256 B per vertex\), more than the "
+                                 r"8\.0 GiB"):
+            specs_module.check_size_fits(n)
+        specs_module.check_size_fits(10**6)
+
+    def test_execute_run_refuses_a_trillion_vertices(self):
+        """Before the guard this raised a raw ``MemoryError``; at 10^12
+        even a broken guard allocates nothing, so the test is safe."""
+        payload = tiny_base(graph={"family": "cycle",
+                                   "params": {"n": 10**12}})
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            execute_run(dict(payload, seed=1))
 
 
 class TestBuilders:

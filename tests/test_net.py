@@ -855,6 +855,9 @@ class _Initiator:
     def __init__(self):
         self.proposals = 0
 
+    def advertise(self, round_index, neighbor_uids):
+        return 0
+
     def propose(self, round_index, views):
         self.proposals += 1
         return 2
@@ -1051,21 +1054,25 @@ class TestRoundMessages:
     """What a live round costs the coordinator, and where the cluster
     view travels now that it has no request of its own."""
 
+    @pytest.mark.parametrize("algorithm", ["blindmatch", "sharedbit"],
+                             ids=["b0", "b1"])
     @pytest.mark.parametrize("graph", [
         StaticDynamicGraph(expander(n=8, degree=4, seed=2)),
         RelabelingAdversary(cycle(8), tau=2, seed=1),
     ], ids=["static", "relabeling-tau2"])
-    def test_message_budget(self, graph):
-        """2n + |targets| + |matches| requests on every round (advertise
-        and propose to everyone, resolve per delivered target, connect
-        per match), epoch changes included: the topology rides on the
-        round messages, so neither a new epoch nor the n status pushes
-        can creep back in as requests of their own."""
+    def test_message_budget(self, graph, algorithm):
+        """n·[b > 0] + n + |targets| + |matches| requests on every round
+        (advertise to everyone unless b = 0, propose to everyone,
+        resolve per delivered target, connect per match), epoch changes
+        included: the topology rides on the round messages, so neither
+        a new epoch nor the n status pushes can creep back in as
+        requests of their own."""
         n, rounds = 8, 6
         coord = Coordinator(
-            "blindmatch", graph, everyone_starts_instance(n=n, seed=5),
+            algorithm, graph, everyone_starts_instance(n=n, seed=5),
             seed=5, termination_every=0,
         )
+        assert coord.b == (0 if algorithm == "blindmatch" else 1)
         expected = 0
         with coord:
             for rnd in range(1, rounds + 1):
@@ -1101,21 +1108,64 @@ class TestRoundMessages:
         assert report.rounds > 1 and report.solved and not report.suspects
         assert coord.trace.total_requests == sum(budgets)
 
-    def test_view_trails_by_one_round_until_the_run_ends(self):
+    @pytest.mark.parametrize("algorithm", ["sharedbit", "blindmatch"],
+                             ids=["b1", "b0"])
+    def test_view_trails_by_one_round_until_the_run_ends(self, algorithm):
         n = 4
-        with _small_cluster(n=n, termination_every=0) as coord:
+        with _small_cluster(n=n, termination_every=0,
+                            algorithm=algorithm) as coord:
             coord.run_round(1)
             assert _cluster_views(coord) == {v: {} for v in range(n)}
             for rnd in (2, 3):
                 coord.run_round(rnd)
                 view = {"round": rnd - 1, "suspects": 0, "active": n, "n": n}
                 assert _cluster_views(coord) == {v: view for v in range(n)}
-        with _small_cluster(n=n, termination_every=0) as coord:
+        with _small_cluster(n=n, termination_every=0,
+                            algorithm=algorithm) as coord:
             report = coord.run(max_rounds=5)
             view = {"round": 5, "suspects": 0, "active": n, "n": n}
             assert _cluster_views(coord) == {v: view for v in range(n)}
             assert all(snap["cluster"] == view
                        for snap in report.server_metrics.values())
+
+    def test_a_blind_round_scans_each_node_once_before_it_proposes(self):
+        """With b = 0 no ``advertise`` is sent: each node's scan runs
+        inside its own ``propose`` request, once, before its propose
+        hook, and a duplicated ``propose`` runs neither hook again."""
+        n = 8
+        coord = Coordinator(
+            "blindmatch", StaticDynamicGraph(expander(n=n, degree=4, seed=2)),
+            everyone_starts_instance(n=n, seed=5), seed=5,
+            termination_every=0,
+        )
+        calls = []
+
+        def logged(vertex, hook):
+            def call(round_index, *args):
+                calls.append((vertex, round_index, hook.__name__))
+                return hook(round_index, *args)
+            return call
+
+        for vertex, server in coord.servers.items():
+            node = server.node
+            node.advertise = logged(vertex, node.advertise)
+            node.propose = logged(vertex, node.propose)
+        with coord:
+            for rnd in (1, 2, 3):
+                coord.run_round(rnd)
+                for vertex in range(n):
+                    assert [hook for v, r, hook in calls
+                            if (v, r) == (vertex, rnd)] == [
+                        "advertise", "propose"]
+            server = coord.servers[0]
+            propose = {"op": "propose", "round": 4, "views": []}
+            replies = [server.handle(propose) for _ in range(2)]
+            assert replies[0] == replies[1] == {
+                "target": None, "delivered": False}
+            assert [hook for v, r, hook in calls if r == 4] == [
+                "advertise", "propose"]
+            server.handle({"op": "propose", "round": 3, "views": []})
+            assert len(calls) == 2 * 3 * n + 2
 
     def test_suspect_is_skipped_and_planned_down_served_in_process(self):
         """As under the end-of-round push: a suspect keeps the view it
@@ -1176,12 +1226,12 @@ def _round_budget(coord, rnd) -> int:
     )
     record = coord.trace.records[-1]
     matches = record.connections + record.dropped_connections
-    return 2 * n + targets + matches
+    return (n if coord.b > 0 else 0) + n + targets + matches
 
 
-def _small_cluster(n=4, seed=7, **opts):
+def _small_cluster(n=4, seed=7, algorithm="sharedbit", **opts):
     return Coordinator(
-        "sharedbit", StaticDynamicGraph(cycle(n)),
+        algorithm, StaticDynamicGraph(cycle(n)),
         uniform_instance(n=n, k=2, seed=seed), seed=seed, **opts,
     )
 
